@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_config, parse_float_list
-from .grid import Field, make_grid
+from .grid import PHYSICAL, Field, apply_multiplier, make_grid
 from .io import (
     diagnostics_rows,
     ensemble_table,
@@ -28,7 +28,7 @@ from .io import (
     write_csv,
     write_manifest,
 )
-from .montecarlo import exceptional_probability, strichartz_scaling
+from .montecarlo import auto_n_max, exceptional_probability, strichartz_scaling
 from .norms import AliasingError, sobolev_norm
 from .probes import ProbeResolution, estimate_ids, run_estimate
 from .solver import evolve_reference
@@ -61,7 +61,7 @@ def build_data(cfg: RunConfig) -> Field:
             vals = a * np.exp(-((x / w) ** 2))
         else:  # sech-power
             vals = a * np.cosh(x / w) ** (-2.0 / 7.0)
-        phi = Field(grid, vals.astype(np.complex128), "physical")
+        phi = Field(grid, vals.astype(np.complex128), PHYSICAL)
     band = data["band_limit"]
     if band > 0:
         phi = _band_limit(phi, band)
@@ -69,8 +69,6 @@ def build_data(cfg: RunConfig) -> Field:
 
 
 def _band_limit(phi: Field, band: float) -> Field:
-    from .grid import apply_multiplier
-
     mask = (np.abs(phi.grid.xi) <= band).astype(np.float64)
     return apply_multiplier(phi, mask)
 
@@ -88,8 +86,6 @@ def cmd_randomize(cfg: RunConfig, args) -> int:
     dist = cfg["random"]["distribution"]
     n_max = cfg["random"]["n_max"]
     if n_max <= 0:
-        from .montecarlo import auto_n_max
-
         n_max = auto_n_max(phi)
     artifacts = [save_field(out / "phi.field", phi, kind="phi")]
     rows = [("phi", -1, sobolev_norm(phi, s))]

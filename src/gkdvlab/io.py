@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .grid import Field, PHYSICAL, make_grid
+from .grid import Field, PHYSICAL, make_grid, physical_values
 from .solver import Diagnostics, Trajectory
 from .spacetime import SpaceTimeField, TimeAxis
 
@@ -77,8 +77,6 @@ def _read_header(blob: bytes, magic: str) -> tuple[dict, np.ndarray]:
 
 def save_field(path: Path | str, f: Field, kind: str = "field", seed: int | None = None) -> Path:
     """Real physical samples with the grid in the header."""
-    from .grid import physical_values
-
     path = Path(path)
     vals = physical_values(f).real[None, :]
     meta = {

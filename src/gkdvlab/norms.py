@@ -18,7 +18,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Field, field_from_function, spectral_values
+from .grid import (
+    PHYSICAL,
+    Field,
+    field_from_function,
+    inverse,
+    raw_multiply,
+    spectral_values,
+)
 from .spacetime import (
     SpaceTimeField,
     require_same_axes,
@@ -27,6 +34,7 @@ from .spacetime import (
     st_spectral_values,
 )
 from .params import AMPLITUDE_EXPONENT
+from .wiener import band_symbol, make_window
 
 
 class AliasingError(ValueError):
@@ -93,24 +101,19 @@ def modulation_norm(f: Field, s: float, p: float, q: float) -> float:
     Bands cover |n| <= xi_max - 1; data should be band-limited inside that
     range for the partition to resolve it completely.
     """
-    from .grid import boundary_phase
-    from .wiener import band_symbol, make_window
-
     if not (1 <= p) or not (1 <= q):
         raise ValueError("modulation norm requires p, q >= 1 (inf allowed)")
     window = make_window()
     grid = f.grid
     hat = spectral_values(f)
     n_cover = int(np.floor(grid.xi_max - 1.0))
-    phase_x = boundary_phase(grid.n_modes)
-    inv_scale = grid.dxi * grid.n_modes / np.sqrt(2.0 * np.pi)
     terms = []
     for n in range(-n_cover, n_cover + 1):
         sym = band_symbol(window, grid.xi, n)
         if not np.any(sym != 0.0):
             terms.append(0.0)
             continue
-        band_phys = inv_scale * np.fft.ifft(hat * sym * phase_x)
+        band_phys = inverse(grid, hat * sym)
         lp = float(_lp_riemann(band_phys, grid.dx, p, axis=0))
         terms.append((1.0 + n * n) ** (s / 2.0) * lp)
     terms = np.asarray(terms)
@@ -188,9 +191,8 @@ def xsb_norm(u: SpaceTimeField, s: float, b: float) -> float:
 
 def sobolev_in_x(u: SpaceTimeField, s: float) -> SpaceTimeField:
     """Apply the spatial smoothing weight <xi>^s to every time slice."""
-    hat_x = np.fft.fft(st_physical_values(u), axis=1)
-    hat_x *= ((1.0 + u.grid.xi**2) ** (s / 2.0))[None, :]
-    return SpaceTimeField(u.grid, u.taxis, np.fft.ifft(hat_x, axis=1), "physical")
+    weight = (1.0 + u.grid.xi**2) ** (s / 2.0)
+    return u.with_values(raw_multiply(st_physical_values(u), weight), PHYSICAL)
 
 
 def bilinear_multiplier(
@@ -221,4 +223,4 @@ def bilinear_multiplier(
         contrib = symbol[:, k2][:, None] * a * bv[k2, :][None, :]
         out += np.roll(contrib, k2, axis=0)
     out /= n  # circular-convolution normalization of the raw DFT
-    return SpaceTimeField(grid, u1.taxis, np.fft.ifft(out.T, axis=1), "physical")
+    return SpaceTimeField(grid, u1.taxis, np.fft.ifft(out.T, axis=1), PHYSICAL)

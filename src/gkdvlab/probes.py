@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import Field, Grid, SPECTRAL, make_grid
+from .grid import Field, Grid, SPECTRAL, make_grid, raw_multiply
 from .norms import (
     AliasingError,
     bilinear_multiplier,
@@ -45,6 +45,7 @@ from .spacetime import (
     st_to_physical,
 )
 from .streams import rng_for
+from .wiener import randomize, sample_coefficients
 
 RHS_FLOOR = 1e-13
 
@@ -122,7 +123,7 @@ def random_spacetime(
     mod = tau[:, None] - (xi**3)[None, :]
     envelope = 1.0 / (np.sqrt(1.0 + xi**2)[None, :] * np.sqrt(1.0 + mod**2))
     coeffs *= envelope * (np.abs(xi) <= xi_band)[None, :]
-    u = st_to_physical(SpaceTimeField(grid, taxis, coeffs, "spectral"))
+    u = st_to_physical(SpaceTimeField(grid, taxis, coeffs, SPECTRAL))
     return u.with_values(u.values / st_l2(u))
 
 
@@ -158,9 +159,7 @@ def check_linear_estimates(
 def bilinear_sum_diff(u1: SpaceTimeField, u2: SpaceTimeField, s: float) -> SpaceTimeField:
     """Compose the sum-frequency and difference-frequency symbols of order s."""
     inner = bilinear_multiplier(u1, u2, s, "minus")
-    hat_x = np.fft.fft(st_physical_values(inner), axis=1)
-    hat_x *= (np.abs(u1.grid.xi) ** s)[None, :]
-    return inner.with_values(np.fft.ifft(hat_x, axis=1))
+    return inner.with_values(raw_multiply(st_physical_values(inner), np.abs(u1.grid.xi) ** s))
 
 
 def check_bilinear(
@@ -201,10 +200,8 @@ def _weighted_product(factors: list[SpaceTimeField], sigma: float) -> np.ndarray
     prod = st_physical_values(factors[0]).copy()
     for f in factors[1:]:
         prod *= st_physical_values(f)
-    grid = factors[0].grid
-    hat_x = np.fft.fft(prod, axis=1)
-    hat_x *= ((1.0 + grid.xi**2) ** (sigma / 2.0) * (1j * grid.xi))[None, :]
-    return np.fft.ifft(hat_x, axis=1)
+    xi = factors[0].grid.xi
+    return raw_multiply(prod, (1.0 + xi**2) ** (sigma / 2.0) * (1j * xi))
 
 
 def check_multilinear(
@@ -324,8 +321,6 @@ def run_estimate(
     seed: int = 1,
 ) -> EstimateReport:
     """Run one catalog entry on a fresh fixed-seed ensemble."""
-    from .wiener import randomize, sample_coefficients
-
     validate_epsilon(eps)
     res = resolution or ProbeResolution()
     grid, taxis = res.make()

@@ -28,9 +28,10 @@ from .grid import (
     Field,
     Grid,
     PHYSICAL,
-    SQRT_2PI,
-    boundary_phase,
+    inverse,
     physical_values,
+    raw_multiply,
+    spectral_from_dft,
     spectral_values,
 )
 from .norms import xsb_norm
@@ -40,6 +41,7 @@ from .spacetime import (
     SpaceTimeField,
     TimeAxis,
     band_project,
+    centered_axis,
     free_evolution,
     require_same_axes,
     st_physical_values,
@@ -58,21 +60,14 @@ class BlowupError(RuntimeError):
         super().__init__(message or f"solution blew up at step {step}")
 
 
-def _pad_spectrum(coeffs: np.ndarray, m: int) -> np.ndarray:
-    """Zero-pad raw DFT coefficients to length m, dropping the input Nyquist."""
-    n = coeffs.shape[-1]
-    half = n // 2
+def _resize_spectrum(coeffs: np.ndarray, m: int) -> np.ndarray:
+    """Zero-pad or truncate a raw DFT spectrum to length m.
+
+    With n the shorter of the input length and m, keeps the modes
+    |k| < n/2; the unpaired Nyquist mode of that n-point grid stays zero.
+    """
+    half = min(coeffs.shape[-1], m) // 2
     out = np.zeros(coeffs.shape[:-1] + (m,), dtype=np.complex128)
-    out[..., :half] = coeffs[..., :half]
-    out[..., -(half - 1):] = coeffs[..., -(half - 1):]
-    return out
-
-
-def _truncate_spectrum(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """Keep modes |k| < n/2 of a longer raw spectrum; Nyquist left at zero."""
-    m = coeffs.shape[-1]
-    half = n // 2
-    out = np.zeros(coeffs.shape[:-1] + (n,), dtype=np.complex128)
     out[..., :half] = coeffs[..., :half]
     out[..., -(half - 1):] = coeffs[..., -(half - 1):]
     return out
@@ -83,7 +78,7 @@ def fine_samples(grid: Grid, values_phys: np.ndarray, pad: int = PAD_FACTOR) -> 
     n = grid.n_modes
     m = pad * n
     c = np.fft.fft(values_phys, axis=-1)
-    return np.fft.ifft(_pad_spectrum(c, m), axis=-1) * (m / n)
+    return np.fft.ifft(_resize_spectrum(c, m), axis=-1) * (m / n)
 
 
 def _power8_coeffs(grid: Grid, values_phys: np.ndarray) -> np.ndarray:
@@ -94,7 +89,7 @@ def _power8_coeffs(grid: Grid, values_phys: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         w = fine**NONLINEARITY_DEGREE
     cw = np.fft.fft(w, axis=-1) * (n / m)
-    return _truncate_spectrum(cw, n)
+    return _resize_spectrum(cw, n)
 
 
 def nonlinearity_coeffs(grid: Grid, values_phys: np.ndarray) -> np.ndarray:
@@ -102,8 +97,7 @@ def nonlinearity_coeffs(grid: Grid, values_phys: np.ndarray) -> np.ndarray:
 
     Accepts a single state or a batch of states in the leading axis.
     """
-    raw = _power8_coeffs(grid, values_phys)
-    hat = (grid.dx / SQRT_2PI) * boundary_phase(grid.n_modes) * raw
+    hat = spectral_from_dft(grid, _power8_coeffs(grid, values_phys))
     return (-1j * grid.xi / NONLINEARITY_DEGREE) * hat
 
 
@@ -115,9 +109,7 @@ def nonlinearity(u: Field) -> Field:
     coeffs = nonlinearity_coeffs(u.grid, vals.real.astype(np.complex128))
     if not np.all(np.isfinite(coeffs)):
         raise BlowupError(step=-1, message="nonlinearity overflowed")
-    phase = boundary_phase(u.grid.n_modes)
-    phys = (u.grid.dxi * u.grid.n_modes / SQRT_2PI) * np.fft.ifft(coeffs * phase)
-    return Field(u.grid, phys, PHYSICAL)
+    return Field(u.grid, inverse(u.grid, coeffs), PHYSICAL)
 
 
 def conserved_quantities(u: Field) -> tuple[float, float, float]:
@@ -161,10 +153,7 @@ class Trajectory:
 
 
 def _diag_row(grid: Grid, hat: np.ndarray) -> tuple[float, float, float]:
-    phase = boundary_phase(grid.n_modes)
-    phys = (grid.dxi * grid.n_modes / SQRT_2PI) * np.fft.ifft(hat * phase)
-    f = Field(grid, phys, PHYSICAL)
-    return conserved_quantities(f)
+    return conserved_quantities(Field(grid, inverse(grid, hat), PHYSICAL))
 
 
 def evolve_reference(
@@ -206,16 +195,13 @@ def evolve_reference(
     lin = 1j * grid.xi**3
     e_full = np.exp(dt * lin)
     e_half = np.exp(0.5 * dt * lin)
-    inv_phase = boundary_phase(grid.n_modes)
-    to_phys = grid.dxi * grid.n_modes / SQRT_2PI
 
     def rhs(state_hat: np.ndarray) -> np.ndarray:
-        phys = to_phys * np.fft.ifft(state_hat * inv_phase)
-        return nonlinearity_coeffs(grid, phys)
+        return nonlinearity_coeffs(grid, inverse(grid, state_hat))
 
     n_out = n_steps // output_stride + 1
     samples = np.empty((n_out, grid.n_modes), dtype=np.complex128)
-    samples[0] = to_phys * np.fft.ifft(hat * inv_phase)
+    samples[0] = inverse(grid, hat)
 
     diag_steps, diag_time = [0], [0.0]
     d0 = _diag_row(grid, hat)
@@ -248,7 +234,7 @@ def evolve_reference(
             diag_mass.append(m1)
             diag_energy.append(m2)
         if step % output_stride == 0:
-            samples[k_out] = to_phys * np.fft.ifft(hat * inv_phase)
+            samples[k_out] = inverse(grid, hat)
             k_out += 1
 
     taxis = TimeAxis(t0=0.0, dt=dt * output_stride, n_samples=k_out)
@@ -318,9 +304,7 @@ def duhamel_gamma(v: SpaceTimeField, z: SpaceTimeField, T: float) -> SpaceTimeFi
     cumulative = cumulative - cumulative[j0]
 
     out_hat = np.conj(phases) * cumulative * eta_t(t)[:, None]
-    phase_x = boundary_phase(grid.n_modes)
-    out_phys = (grid.dxi * grid.n_modes / SQRT_2PI) * np.fft.ifft(out_hat * phase_x, axis=1)
-    return SpaceTimeField(grid, taxis, out_phys, PHYSICAL)
+    return SpaceTimeField(grid, taxis, inverse(grid, out_hat), PHYSICAL)
 
 
 @dataclass
@@ -365,8 +349,6 @@ def picard_solve(
     if not tol > 0:
         raise ValueError("tol must be positive")
     if taxis is None:
-        from .spacetime import centered_axis
-
         taxis = centered_axis(t_span=4.0, m_t=2048)
     sigma = sigma_index(eps)
     b = b_index(eps)
@@ -456,11 +438,8 @@ def pde_residual(u: SpaceTimeField, interval: tuple[float, float]) -> np.ndarray
         raise ValueError("interval leaves no interior samples for the stencil")
 
     u_t = (-vals[idx + 2] + 8.0 * vals[idx + 1] - 8.0 * vals[idx - 1] + vals[idx - 2]) / (12.0 * dt)
-    c = np.fft.fft(vals[idx], axis=1)
-    u_xxx = np.fft.ifft(((1j * grid.xi) ** 3)[None, :] * c, axis=1).real
-    phase = boundary_phase(grid.n_modes)
-    nl_hat = nonlinearity_coeffs(grid, vals[idx])
-    nl = ((grid.dxi * grid.n_modes / SQRT_2PI) * np.fft.ifft(nl_hat * phase, axis=1)).real
+    u_xxx = raw_multiply(vals[idx], (1j * grid.xi) ** 3).real
+    nl = inverse(grid, nonlinearity_coeffs(grid, vals[idx])).real
 
     residual = u_t + u_xxx - nl
     res_norm = np.sqrt(grid.dx * np.sum(residual**2, axis=1))

@@ -17,10 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Field, Grid, spectral_values
-
-PHYSICAL = "physical"
-SPECTRAL = "spectral"
+from .grid import PHYSICAL, SPECTRAL, Field, Grid, boundary_phase, inverse, spectral_values
 
 TWO_PI = 2.0 * np.pi
 
@@ -123,8 +120,6 @@ def require_same_axes(*fields: SpaceTimeField) -> None:
 
 
 def _forward2(grid: Grid, taxis: TimeAxis, values: np.ndarray) -> np.ndarray:
-    from .grid import boundary_phase
-
     phase_x = boundary_phase(grid.n_modes)
     phase_t = np.exp(-1j * taxis.t0 * taxis.tau)
     scale = grid.dx * taxis.dt / TWO_PI
@@ -132,8 +127,6 @@ def _forward2(grid: Grid, taxis: TimeAxis, values: np.ndarray) -> np.ndarray:
 
 
 def _inverse2(grid: Grid, taxis: TimeAxis, coeffs: np.ndarray) -> np.ndarray:
-    from .grid import boundary_phase
-
     phase_x = boundary_phase(grid.n_modes)
     phase_t = np.exp(1j * taxis.t0 * taxis.tau)
     scale = grid.dxi * taxis.dtau * grid.n_modes * taxis.n_samples / TWO_PI
@@ -213,17 +206,13 @@ def free_evolution(phi: Field, grid_taxis: TimeAxis, cutoff: Cutoff | None = Non
     Returns a physical-representation field; the per-time inverse transforms
     are evaluated in one batched FFT.
     """
-    from .grid import boundary_phase
-
     grid = phi.grid
     hat = spectral_values(phi)
     t = grid_taxis.t
     coeffs = np.exp(1j * np.outer(t, grid.xi**3)) * hat[None, :]
     if cutoff is not None:
         coeffs = coeffs * cutoff(t)[:, None]
-    phase_x = boundary_phase(grid.n_modes)
-    rows = (grid.dxi * grid.n_modes / np.sqrt(TWO_PI)) * np.fft.ifft(coeffs * phase_x[None, :], axis=1)
-    return SpaceTimeField(grid, grid_taxis, rows, PHYSICAL)
+    return SpaceTimeField(grid, grid_taxis, inverse(grid, coeffs), PHYSICAL)
 
 
 def apply_time_cutoff(u: SpaceTimeField, cutoff: Cutoff) -> SpaceTimeField:

@@ -30,8 +30,6 @@ class PartitionWindow:
     unity; at most two translates are nonzero at any frequency.
     """
 
-    support_radius: float = 1.0
-
     def __call__(self, xi: np.ndarray) -> np.ndarray:
         xi = np.asarray(xi, dtype=np.float64)
         inside = np.abs(xi) < 1.0
@@ -48,15 +46,14 @@ def band_symbol(window: PartitionWindow, xi: np.ndarray, n: int) -> np.ndarray:
     return window(xi - n)
 
 
-def project_band(f: Field, n: int, window: PartitionWindow | None = None) -> Field:
+def project_band(f: Field, n: int) -> Field:
     """Restrict f to the unit frequency cube centered at integer n."""
-    window = window or make_window()
     if abs(n) > f.grid.xi_max - 1.0:
         raise ValueError(
             f"band center n={n} outside resolvable range |n| <= xi_max - 1 "
             f"= {f.grid.xi_max - 1.0:.3f}"
         )
-    return apply_multiplier(f, band_symbol(window, f.grid.xi, n))
+    return apply_multiplier(f, band_symbol(make_window(), f.grid.xi, n))
 
 
 @dataclass(frozen=True)
@@ -151,22 +148,21 @@ def verify_mgf_bound(
     return float(max(ratios))
 
 
+def _window_rows(window: PartitionWindow, xi: np.ndarray, n_max: int) -> np.ndarray:
+    """The (2*n_max+1, len(xi)) matrix of translates psi(xi - n), |n| <= n_max."""
+    return np.stack([band_symbol(window, xi, n) for n in range(-n_max, n_max + 1)])
+
+
 def coverage_weight(window: PartitionWindow, xi: np.ndarray, n_max: int) -> np.ndarray:
     """sum_{|n| <= n_max} psi(xi - n); equals 1 on the covered band."""
-    total = np.zeros_like(np.asarray(xi, dtype=np.float64))
-    for n in range(-n_max, n_max + 1):
-        total += band_symbol(window, xi, n)
-    return total
+    return _window_rows(window, xi, n_max).sum(axis=0)
 
 
 @lru_cache(maxsize=64)
 def _band_stack(grid: Grid, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """The (2*n_max+1, N) matrix of window translates on the grid's
     frequencies, plus its column sums (the coverage weight)."""
-    window = make_window()
-    rows = np.stack(
-        [band_symbol(window, grid.xi, n) for n in range(-n_max, n_max + 1)]
-    )
+    rows = _window_rows(make_window(), grid.xi, n_max)
     cover = rows.sum(axis=0)
     rows.flags.writeable = False
     cover.flags.writeable = False
@@ -188,7 +184,6 @@ def bessel_weighted_band_sum(phi: Field, s: float, n_max: int) -> float:
 def randomize(
     phi: Field,
     coeffs: RandomCoefficients,
-    window: PartitionWindow | None = None,
     coverage_tol: float = 1e-10,
 ) -> Field:
     """Apply the unit-cube randomization: phi -> sum_n g_n psi(D - n) phi.
@@ -197,13 +192,7 @@ def randomize(
     relative L^2 mass at frequencies where the window sum falls below 1
     must not exceed `coverage_tol`.
     """
-    if window is None:
-        stack, cover = _band_stack(phi.grid, coeffs.n_max)
-    else:
-        stack = np.stack(
-            [band_symbol(window, phi.grid.xi, n) for n in range(-coeffs.n_max, coeffs.n_max + 1)]
-        )
-        cover = stack.sum(axis=0)
+    stack, cover = _band_stack(phi.grid, coeffs.n_max)
     hat = spectral_values(phi)
     total_mass = float(np.sum(np.abs(hat) ** 2))
     if total_mass > 0.0:

@@ -7,14 +7,18 @@ from gkdvlab.grid import (
     Field,
     airy_propagate,
     bessel_multiplier,
+    boundary_phase,
     dealias,
     derivative,
     dyadic_blocks,
     dyadic_project,
     field_from_function,
     field_from_samples,
+    forward,
+    inverse,
     l2_norm,
     make_grid,
+    raw_multiply,
     spectral_values,
     to_physical,
     to_spectral,
@@ -63,6 +67,32 @@ class TestTransforms:
             back = to_physical(to_spectral(f))
             assert np.max(np.abs(back.values - f.values)) <= 1e-12 * np.max(np.abs(f.values))
             assert abs(l2_norm(f) - l2_norm(to_spectral(f))) <= 1e-12 * l2_norm(f)
+
+    def test_batch_matches_row_by_row_bitwise(self, grid64):
+        rng = np.random.default_rng(2)
+        batch = rng.standard_normal((7, 64)) + 1j * rng.standard_normal((7, 64))
+        symbol = rng.standard_normal(64)
+        for transform in (
+            lambda v: forward(grid64, v),
+            lambda v: inverse(grid64, v),
+            lambda v: raw_multiply(v, symbol),
+        ):
+            rows = np.stack([transform(row) for row in batch])
+            assert np.array_equal(transform(batch), rows)
+
+    def test_inverse_undoes_forward_on_a_batch(self, grid512):
+        rng = np.random.default_rng(3)
+        batch = rng.standard_normal((5, 512)) + 1j * rng.standard_normal((5, 512))
+        back = inverse(grid512, forward(grid512, batch))
+        assert np.max(np.abs(back - batch)) <= 1e-12 * np.max(np.abs(batch))
+
+    def test_boundary_phase_is_shared_and_read_only(self):
+        phase = boundary_phase(64)
+        assert boundary_phase(64) is phase
+        assert not phase.flags.writeable
+        with pytest.raises(ValueError):
+            phase[0] = 2.0
+        assert np.array_equal(phase, (-1.0) ** np.arange(64))
 
     def test_representation_mismatch_raises(self, bump):
         with pytest.raises(ValueError):
