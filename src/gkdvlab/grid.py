@@ -9,9 +9,9 @@ as Riemann sums, so that grid norms approximate their continuum values:
     u(x_j)      = dxi/sqrt(2*pi) * sum_k u_hat(xi_k) exp(i x_j xi_k),
 
 with xi_k = pi*k/L for k = -N/2 .. N/2-1 (stored in FFT order).
-`forward`, `inverse` and `spectral_from_dft` (for raw DFT output) are the
-one place this convention is written down; every other module transforms
-the x axis through them.
+The `Grid` methods `forward`, `inverse` and `from_dft` (for raw DFT output)
+are the one place this convention is written down; every other module
+transforms the x axis through them.
 """
 
 from __future__ import annotations
@@ -76,6 +76,32 @@ class Grid:
     def nyquist_index(self) -> int:
         return self.n_modes // 2
 
+    def from_dft(self, raw: np.ndarray) -> np.ndarray:
+        """Transform-convention coefficients from raw DFT coefficients.
+
+        Scales and phase-corrects the last axis; leading axes are a batch.
+        """
+        return (self.dx / SQRT_2PI) * _phase(self.n_modes) * raw
+
+    def forward(self, values: np.ndarray) -> np.ndarray:
+        """Samples u(x_j) -> coefficients u_hat(xi_k) along the last axis;
+        leading axes are a batch."""
+        return self.from_dft(np.fft.fft(values))
+
+    def inverse(self, coeffs: np.ndarray) -> np.ndarray:
+        """Coefficients u_hat(xi_k) -> samples u(x_j) along the last axis;
+        leading axes are a batch."""
+        return (self.dxi * self.n_modes / SQRT_2PI) * np.fft.ifft(coeffs * _phase(self.n_modes))
+
+    def multiply(self, values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+        """Apply the Fourier multiplier `symbol` (on `xi`, FFT order) to samples
+        along the last axis; leading axes are a batch.
+
+        Scale and phase cancel in a round trip, so the raw DFT pair does it
+        with fewer roundings than `inverse(forward(values) * symbol)`.
+        """
+        return np.fft.ifft(np.fft.fft(values) * symbol)
+
 
 def make_grid(L: float, N: int) -> Grid:
     """Build the periodic grid on [-L, L) with N modes (N even, >= 8)."""
@@ -125,66 +151,39 @@ def zero_field(grid: Grid, rep: str = PHYSICAL) -> Field:
 
 
 @lru_cache(maxsize=16)
-def boundary_phase(n_modes: int) -> np.ndarray:
-    """exp(-i x0 xi_k) for x0 = -L is exactly (-1)^k; self-inverse.
-
-    Cached per n_modes and read-only: every transform shares the array.
-    """
+def _phase(n_modes: int) -> np.ndarray:
     phase = 1.0 - 2.0 * (np.arange(n_modes) % 2).astype(np.float64)
     phase.flags.writeable = False
     return phase
 
 
-def spectral_from_dft(grid: Grid, raw: np.ndarray) -> np.ndarray:
-    """Transform-convention coefficients from raw DFT coefficients.
+def boundary_phase(n_modes: int) -> np.ndarray:
+    """exp(-i x0 xi_k) for x0 = -L is exactly (-1)^k; self-inverse.
 
-    Scales and phase-corrects the last axis; leading axes are a batch.
+    Cached per n_modes and read-only: every transform shares the array.
     """
-    return (grid.dx / SQRT_2PI) * boundary_phase(grid.n_modes) * raw
-
-
-def forward(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Samples u(x_j) -> coefficients u_hat(xi_k) along the last axis;
-    leading axes are a batch."""
-    return spectral_from_dft(grid, np.fft.fft(values))
-
-
-def inverse(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Coefficients u_hat(xi_k) -> samples u(x_j) along the last axis;
-    leading axes are a batch."""
-    return (grid.dxi * grid.n_modes / SQRT_2PI) * np.fft.ifft(
-        coeffs * boundary_phase(grid.n_modes)
-    )
-
-
-def raw_multiply(values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
-    """ifft(fft(values) * symbol) along the last axis; leading axes are a batch.
-
-    Scale and phase cancel in a round trip, so the raw pair applies the same
-    Fourier multiplier with fewer roundings than `inverse(forward(.) * symbol)`.
-    """
-    return np.fft.ifft(np.fft.fft(values) * symbol)
+    return _phase(n_modes)
 
 
 def to_spectral(f: Field) -> Field:
     if f.rep != PHYSICAL:
         raise ValueError("to_spectral expects a physical-representation field")
-    return Field(f.grid, forward(f.grid, f.values), SPECTRAL)
+    return Field(f.grid, f.grid.forward(f.values), SPECTRAL)
 
 
 def to_physical(f: Field) -> Field:
     if f.rep != SPECTRAL:
         raise ValueError("to_physical expects a spectral-representation field")
-    return Field(f.grid, inverse(f.grid, f.values), PHYSICAL)
+    return Field(f.grid, f.grid.inverse(f.values), PHYSICAL)
 
 
 def spectral_values(f: Field) -> np.ndarray:
     """Spectral coefficients of f regardless of its representation."""
-    return f.values if f.rep == SPECTRAL else forward(f.grid, f.values)
+    return f.values if f.rep == SPECTRAL else f.grid.forward(f.values)
 
 
 def physical_values(f: Field) -> np.ndarray:
-    return f.values if f.rep == PHYSICAL else inverse(f.grid, f.values)
+    return f.values if f.rep == PHYSICAL else f.grid.inverse(f.values)
 
 
 def apply_multiplier(f: Field, symbol: np.ndarray) -> Field:
@@ -193,7 +192,7 @@ def apply_multiplier(f: Field, symbol: np.ndarray) -> Field:
     coeffs = spectral_values(f) * symbol
     if f.rep == SPECTRAL:
         return Field(f.grid, coeffs, SPECTRAL)
-    return Field(f.grid, inverse(f.grid, coeffs), PHYSICAL)
+    return Field(f.grid, f.grid.inverse(coeffs), PHYSICAL)
 
 
 def l2_norm(f: Field) -> float:

@@ -18,14 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import (
-    PHYSICAL,
-    Field,
-    field_from_function,
-    inverse,
-    raw_multiply,
-    spectral_values,
-)
+from .grid import PHYSICAL, Field, field_from_function, spectral_values
 from .spacetime import (
     SpaceTimeField,
     require_same_axes,
@@ -113,7 +106,7 @@ def modulation_norm(f: Field, s: float, p: float, q: float) -> float:
         if not np.any(sym != 0.0):
             terms.append(0.0)
             continue
-        band_phys = inverse(grid, hat * sym)
+        band_phys = grid.inverse(hat * sym)
         lp = float(_lp_riemann(band_phys, grid.dx, p, axis=0))
         terms.append((1.0 + n * n) ** (s / 2.0) * lp)
     terms = np.asarray(terms)
@@ -192,7 +185,7 @@ def xsb_norm(u: SpaceTimeField, s: float, b: float) -> float:
 def sobolev_in_x(u: SpaceTimeField, s: float) -> SpaceTimeField:
     """Apply the spatial smoothing weight <xi>^s to every time slice."""
     weight = (1.0 + u.grid.xi**2) ** (s / 2.0)
-    return u.with_values(raw_multiply(st_physical_values(u), weight), PHYSICAL)
+    return u.with_values(u.grid.multiply(st_physical_values(u), weight), PHYSICAL)
 
 
 def bilinear_multiplier(

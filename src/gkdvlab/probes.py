@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import Field, Grid, SPECTRAL, make_grid, raw_multiply
+from .grid import Field, Grid, SPECTRAL, make_grid
 from .norms import (
     AliasingError,
     bilinear_multiplier,
@@ -159,7 +159,7 @@ def check_linear_estimates(
 def bilinear_sum_diff(u1: SpaceTimeField, u2: SpaceTimeField, s: float) -> SpaceTimeField:
     """Compose the sum-frequency and difference-frequency symbols of order s."""
     inner = bilinear_multiplier(u1, u2, s, "minus")
-    return inner.with_values(raw_multiply(st_physical_values(inner), np.abs(u1.grid.xi) ** s))
+    return inner.with_values(u1.grid.multiply(st_physical_values(inner), np.abs(u1.grid.xi) ** s))
 
 
 def check_bilinear(
@@ -200,8 +200,8 @@ def _weighted_product(factors: list[SpaceTimeField], sigma: float) -> np.ndarray
     prod = st_physical_values(factors[0]).copy()
     for f in factors[1:]:
         prod *= st_physical_values(f)
-    xi = factors[0].grid.xi
-    return raw_multiply(prod, (1.0 + xi**2) ** (sigma / 2.0) * (1j * xi))
+    grid = factors[0].grid
+    return grid.multiply(prod, (1.0 + grid.xi**2) ** (sigma / 2.0) * (1j * grid.xi))
 
 
 def check_multilinear(

@@ -28,10 +28,7 @@ from .grid import (
     Field,
     Grid,
     PHYSICAL,
-    inverse,
     physical_values,
-    raw_multiply,
-    spectral_from_dft,
     spectral_values,
 )
 from .norms import xsb_norm
@@ -97,7 +94,7 @@ def nonlinearity_coeffs(grid: Grid, values_phys: np.ndarray) -> np.ndarray:
 
     Accepts a single state or a batch of states in the leading axis.
     """
-    hat = spectral_from_dft(grid, _power8_coeffs(grid, values_phys))
+    hat = grid.from_dft(_power8_coeffs(grid, values_phys))
     return (-1j * grid.xi / NONLINEARITY_DEGREE) * hat
 
 
@@ -109,7 +106,7 @@ def nonlinearity(u: Field) -> Field:
     coeffs = nonlinearity_coeffs(u.grid, vals.real.astype(np.complex128))
     if not np.all(np.isfinite(coeffs)):
         raise BlowupError(step=-1, message="nonlinearity overflowed")
-    return Field(u.grid, inverse(u.grid, coeffs), PHYSICAL)
+    return Field(u.grid, u.grid.inverse(coeffs), PHYSICAL)
 
 
 def conserved_quantities(u: Field) -> tuple[float, float, float]:
@@ -153,7 +150,7 @@ class Trajectory:
 
 
 def _diag_row(grid: Grid, hat: np.ndarray) -> tuple[float, float, float]:
-    return conserved_quantities(Field(grid, inverse(grid, hat), PHYSICAL))
+    return conserved_quantities(Field(grid, grid.inverse(hat), PHYSICAL))
 
 
 def evolve_reference(
@@ -197,11 +194,11 @@ def evolve_reference(
     e_half = np.exp(0.5 * dt * lin)
 
     def rhs(state_hat: np.ndarray) -> np.ndarray:
-        return nonlinearity_coeffs(grid, inverse(grid, state_hat))
+        return nonlinearity_coeffs(grid, grid.inverse(state_hat))
 
     n_out = n_steps // output_stride + 1
     samples = np.empty((n_out, grid.n_modes), dtype=np.complex128)
-    samples[0] = inverse(grid, hat)
+    samples[0] = grid.inverse(hat)
 
     diag_steps, diag_time = [0], [0.0]
     d0 = _diag_row(grid, hat)
@@ -234,7 +231,7 @@ def evolve_reference(
             diag_mass.append(m1)
             diag_energy.append(m2)
         if step % output_stride == 0:
-            samples[k_out] = inverse(grid, hat)
+            samples[k_out] = grid.inverse(hat)
             k_out += 1
 
     taxis = TimeAxis(t0=0.0, dt=dt * output_stride, n_samples=k_out)
@@ -304,7 +301,7 @@ def duhamel_gamma(v: SpaceTimeField, z: SpaceTimeField, T: float) -> SpaceTimeFi
     cumulative = cumulative - cumulative[j0]
 
     out_hat = np.conj(phases) * cumulative * eta_t(t)[:, None]
-    return SpaceTimeField(grid, taxis, inverse(grid, out_hat), PHYSICAL)
+    return SpaceTimeField(grid, taxis, grid.inverse(out_hat), PHYSICAL)
 
 
 @dataclass
@@ -438,8 +435,8 @@ def pde_residual(u: SpaceTimeField, interval: tuple[float, float]) -> np.ndarray
         raise ValueError("interval leaves no interior samples for the stencil")
 
     u_t = (-vals[idx + 2] + 8.0 * vals[idx + 1] - 8.0 * vals[idx - 1] + vals[idx - 2]) / (12.0 * dt)
-    u_xxx = raw_multiply(vals[idx], (1j * grid.xi) ** 3).real
-    nl = inverse(grid, nonlinearity_coeffs(grid, vals[idx])).real
+    u_xxx = grid.multiply(vals[idx], (1j * grid.xi) ** 3).real
+    nl = grid.inverse(nonlinearity_coeffs(grid, vals[idx])).real
 
     residual = u_t + u_xxx - nl
     res_norm = np.sqrt(grid.dx * np.sum(residual**2, axis=1))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import PHYSICAL, SPECTRAL, Field, Grid, boundary_phase, inverse, spectral_values
+from .grid import PHYSICAL, SPECTRAL, Field, Grid, boundary_phase, spectral_values
 
 TWO_PI = 2.0 * np.pi
 
@@ -212,7 +212,7 @@ def free_evolution(phi: Field, grid_taxis: TimeAxis, cutoff: Cutoff | None = Non
     coeffs = np.exp(1j * np.outer(t, grid.xi**3)) * hat[None, :]
     if cutoff is not None:
         coeffs = coeffs * cutoff(t)[:, None]
-    return SpaceTimeField(grid, grid_taxis, inverse(grid, coeffs), PHYSICAL)
+    return SpaceTimeField(grid, grid_taxis, grid.inverse(coeffs), PHYSICAL)
 
 
 def apply_time_cutoff(u: SpaceTimeField, cutoff: Cutoff) -> SpaceTimeField:

@@ -14,11 +14,8 @@ from gkdvlab.grid import (
     dyadic_project,
     field_from_function,
     field_from_samples,
-    forward,
-    inverse,
     l2_norm,
     make_grid,
-    raw_multiply,
     spectral_values,
     to_physical,
     to_spectral,
@@ -73,9 +70,9 @@ class TestTransforms:
         batch = rng.standard_normal((7, 64)) + 1j * rng.standard_normal((7, 64))
         symbol = rng.standard_normal(64)
         for transform in (
-            lambda v: forward(grid64, v),
-            lambda v: inverse(grid64, v),
-            lambda v: raw_multiply(v, symbol),
+            grid64.forward,
+            grid64.inverse,
+            lambda v: grid64.multiply(v, symbol),
         ):
             rows = np.stack([transform(row) for row in batch])
             assert np.array_equal(transform(batch), rows)
@@ -83,7 +80,7 @@ class TestTransforms:
     def test_inverse_undoes_forward_on_a_batch(self, grid512):
         rng = np.random.default_rng(3)
         batch = rng.standard_normal((5, 512)) + 1j * rng.standard_normal((5, 512))
-        back = inverse(grid512, forward(grid512, batch))
+        back = grid512.inverse(grid512.forward(batch))
         assert np.max(np.abs(back - batch)) <= 1e-12 * np.max(np.abs(batch))
 
     def test_boundary_phase_is_shared_and_read_only(self):
