@@ -1,9 +1,8 @@
 """Run configuration: an INI-style file with typed, strictly validated keys.
 
 Every key has a default; unknown sections or keys are hard errors, and all
-validation failures are reported at once. The analysis exponents sigma, b,
-c are derived from epsilon; setting them directly is rejected unless
-`allow_override` is on.
+validation failures are reported at once. The analysis exponents are not
+keys: every consumer derives them from epsilon (see `params`).
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ import configparser
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .params import b_index, c_index, data_index, sigma_index, validate_epsilon
+from .params import data_index, validate_epsilon
 from .wiener import DISTRIBUTIONS
 
 
@@ -36,10 +35,6 @@ _SCHEMA: dict[str, dict[str, tuple[type, object]]] = {
     "model": {
         "epsilon": (float, 0.05),
         "s": (float, -1.0),  # -1 means "derive 17/112 + epsilon"
-        "allow_override": (bool, False),
-        "sigma": (float, float("nan")),
-        "b": (float, float("nan")),
-        "c": (float, float("nan")),
     },
     "random": {
         "distribution": (str, "gaussian"),
@@ -94,7 +89,7 @@ _SCHEMA: dict[str, dict[str, tuple[type, object]]] = {
 
 @dataclass
 class RunConfig:
-    """Typed view of the configuration with the derived exponents."""
+    """Typed view of the configuration."""
 
     raw: dict = field(default_factory=dict)
 
@@ -104,18 +99,6 @@ class RunConfig:
     @property
     def epsilon(self) -> float:
         return self.raw["model"]["epsilon"]
-
-    @property
-    def sigma(self) -> float:
-        return self.raw["model"]["sigma"]
-
-    @property
-    def b(self) -> float:
-        return self.raw["model"]["b"]
-
-    @property
-    def c(self) -> float:
-        return self.raw["model"]["c"]
 
     @property
     def s(self) -> float:
@@ -132,13 +115,6 @@ class RunConfig:
 def _parse_value(raw: str, typ: type, where: str, problems: list[str]):
     raw = raw.strip()
     try:
-        if typ is bool:
-            low = raw.lower()
-            if low in ("true", "1", "yes", "on"):
-                return True
-            if low in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(raw)
         return typ(raw)
     except ValueError:
         problems.append(f"{where}: cannot parse {raw!r} as {typ.__name__}")
@@ -162,7 +138,6 @@ def load_config(path: Path | str | None, overrides: dict | None = None) -> RunCo
     """
     problems: list[str] = []
     raw = {sect: {k: default for k, (_, default) in keys.items()} for sect, keys in _SCHEMA.items()}
-    explicit: set[tuple[str, str]] = set()
 
     if path is not None:
         parser = configparser.ConfigParser(interpolation=None)
@@ -185,40 +160,23 @@ def load_config(path: Path | str | None, overrides: dict | None = None) -> RunCo
                 value = _parse_value(raw_value, typ, f"[{sect}] {key}", problems)
                 if value is not None:
                     raw[sect][key] = value
-                    explicit.add((sect, key))
 
     for dotted, value in (overrides or {}).items():
         sect, _, key = dotted.partition(".")
         raw[sect][key] = value
-        explicit.add((sect, key))
 
-    for derived in ("sigma", "b", "c"):
-        if ("model", derived) in explicit and not raw["model"]["allow_override"]:
-            problems.append(
-                f"[model] {derived} is derived from epsilon; set allow_override "
-                "= true to replace it"
-            )
-
-    return _finalize(raw, problems, explicit)
+    return _finalize(raw, problems)
 
 
-def _finalize(raw: dict, problems: list[str], explicit: set | None = None) -> RunConfig:
-    explicit = explicit or set()
+def _finalize(raw: dict, problems: list[str]) -> RunConfig:
     model = raw["model"]
     try:
         validate_epsilon(model["epsilon"])
     except ValueError as exc:
         problems.append(f"[model] {exc}")
 
-    eps = model["epsilon"]
-    if not (("model", "sigma") in explicit and model["allow_override"]):
-        model["sigma"] = sigma_index(eps)
-    if not (("model", "b") in explicit and model["allow_override"]):
-        model["b"] = b_index(eps)
-    if not (("model", "c") in explicit and model["allow_override"]):
-        model["c"] = c_index(eps)
     if model["s"] < 0:
-        model["s"] = data_index(eps)
+        model["s"] = data_index(model["epsilon"])
 
     if raw["random"]["distribution"] not in DISTRIBUTIONS:
         problems.append(

@@ -146,10 +146,6 @@ def field_from_function(grid: Grid, fn) -> Field:
     return Field(grid, np.asarray(fn(grid.x), dtype=np.complex128), PHYSICAL)
 
 
-def zero_field(grid: Grid, rep: str = PHYSICAL) -> Field:
-    return Field(grid, np.zeros(grid.n_modes, dtype=np.complex128), rep)
-
-
 @lru_cache(maxsize=16)
 def _phase(n_modes: int) -> np.ndarray:
     phase = 1.0 - 2.0 * (np.arange(n_modes) % 2).astype(np.float64)

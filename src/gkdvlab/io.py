@@ -117,15 +117,14 @@ def load_trajectory(path: Path | str) -> Trajectory:
     meta, data = _read_header(Path(path).read_bytes(), MAGIC_TRAJECTORY)
     grid = make_grid(float(meta["L"]), int(meta["N"]))
     taxis = TimeAxis(t0=float(meta["t0"]), dt=float(meta["dt_out"]), n_samples=data.shape[0])
-    u = SpaceTimeField(grid, taxis, data.astype(np.complex128), PHYSICAL)
+    u = SpaceTimeField(grid, taxis, data.astype(np.complex128))
     seed = int(meta["seed"])
     bad = int(meta["first_bad_step"])
-    empty = Diagnostics(*(np.empty(0) for _ in range(5)))
     return Trajectory(
         u=u,
         dt=float(meta["dt"]),
         scheme=meta["scheme"],
-        diagnostics=empty,
+        diagnostics=None,
         seed=None if seed < 0 else seed,
         blown_up=meta["blown_up"] == "1",
         first_bad_step=None if bad < 0 else bad,

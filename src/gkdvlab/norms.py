@@ -18,12 +18,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import PHYSICAL, Field, field_from_function, spectral_values
+from .grid import Field, field_from_function, spectral_values
 from .spacetime import (
     SpaceTimeField,
     require_same_axes,
     spectral_support_radius,
-    st_physical_values,
     st_spectral_values,
 )
 from .params import AMPLITUDE_EXPONENT
@@ -139,7 +138,7 @@ def mixed_norm(
                 f"[{t[0]}, {t[-1]}] (dt = {u.taxis.dt})"
             )
         select = (t >= a - pad) & (t <= b + pad)
-    vals = st_physical_values(u)[select]
+    vals = u.values[select]
     inner = _lp_riemann(vals, u.grid.dx, r, axis=1)
     return float(_lp_riemann(inner, u.taxis.dt, q, axis=0))
 
@@ -185,7 +184,7 @@ def xsb_norm(u: SpaceTimeField, s: float, b: float) -> float:
 def sobolev_in_x(u: SpaceTimeField, s: float) -> SpaceTimeField:
     """Apply the spatial smoothing weight <xi>^s to every time slice."""
     weight = (1.0 + u.grid.xi**2) ** (s / 2.0)
-    return u.with_values(u.grid.multiply(st_physical_values(u), weight), PHYSICAL)
+    return u.with_values(u.grid.multiply(u.values, weight))
 
 
 def bilinear_multiplier(
@@ -207,8 +206,8 @@ def bilinear_multiplier(
     grid = u1.grid
     n = grid.n_modes
     xi = grid.xi
-    a = np.fft.fft(st_physical_values(u1), axis=1).T  # (N, M)
-    bv = np.fft.fft(st_physical_values(u2), axis=1).T
+    a = np.fft.fft(u1.values, axis=1).T  # (N, M)
+    bv = np.fft.fft(u2.values, axis=1).T
     argument = xi[:, None] + xi[None, :] if variant == "plus" else xi[:, None] - xi[None, :]
     symbol = np.abs(argument) ** s if s != 0.0 else np.ones_like(argument)
     out = np.zeros_like(a)
@@ -216,4 +215,4 @@ def bilinear_multiplier(
         contrib = symbol[:, k2][:, None] * a * bv[k2, :][None, :]
         out += np.roll(contrib, k2, axis=0)
     out /= n  # circular-convolution normalization of the raw DFT
-    return SpaceTimeField(grid, u1.taxis, np.fft.ifft(out.T, axis=1), PHYSICAL)
+    return u1.with_values(np.fft.ifft(out.T, axis=1))

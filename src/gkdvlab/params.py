@@ -30,11 +30,6 @@ def b_index(eps: float) -> float:
     return 0.5 + eps / 24.0
 
 
-def c_index(eps: float) -> float:
-    """Auxiliary weight exponent 1/2 + eps/100."""
-    return 0.5 + eps / 100.0
-
-
 def dual_b_index(eps: float) -> float:
     """Exponent 1/2 - eps/12 carried by the dual factor in the pairing bounds."""
     return 0.5 - eps / 12.0

@@ -41,7 +41,6 @@ from .spacetime import (
     free_evolution,
     require_same_axes,
     st_l2,
-    st_physical_values,
     st_to_physical,
 )
 from .streams import rng_for
@@ -123,7 +122,7 @@ def random_spacetime(
     mod = tau[:, None] - (xi**3)[None, :]
     envelope = 1.0 / (np.sqrt(1.0 + xi**2)[None, :] * np.sqrt(1.0 + mod**2))
     coeffs *= envelope * (np.abs(xi) <= xi_band)[None, :]
-    u = st_to_physical(SpaceTimeField(grid, taxis, coeffs, SPECTRAL))
+    u = st_to_physical(grid, taxis, coeffs)
     return u.with_values(u.values / st_l2(u))
 
 
@@ -159,7 +158,7 @@ def check_linear_estimates(
 def bilinear_sum_diff(u1: SpaceTimeField, u2: SpaceTimeField, s: float) -> SpaceTimeField:
     """Compose the sum-frequency and difference-frequency symbols of order s."""
     inner = bilinear_multiplier(u1, u2, s, "minus")
-    return inner.with_values(u1.grid.multiply(st_physical_values(inner), np.abs(u1.grid.xi) ** s))
+    return inner.with_values(u1.grid.multiply(inner.values, np.abs(u1.grid.xi) ** s))
 
 
 def check_bilinear(
@@ -197,9 +196,9 @@ def check_embedding(fields: list[SpaceTimeField], estimate_id: str, eps: float) 
 
 
 def _weighted_product(factors: list[SpaceTimeField], sigma: float) -> np.ndarray:
-    prod = st_physical_values(factors[0]).copy()
+    prod = factors[0].values.copy()
     for f in factors[1:]:
-        prod *= st_physical_values(f)
+        prod *= f.values
     grid = factors[0].grid
     return grid.multiply(prod, (1.0 + grid.xi**2) ** (sigma / 2.0) * (1j * grid.xi))
 
@@ -227,7 +226,7 @@ def check_multilinear(
     )
     for trial, h in enumerate(h_fields):
         require_same_axes(factors[0], h)
-        pairing = grid.dx * taxis.dt * np.sum(weighted * st_physical_values(h))
+        pairing = grid.dx * taxis.dt * np.sum(weighted * h.values)
         lhs = float(np.abs(pairing))
         rhs = rhs_factors * xsb_norm(h, 0.0, dual_b_index(eps))
         report.add(trial, lhs, rhs)

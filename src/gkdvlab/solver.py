@@ -41,7 +41,7 @@ from .spacetime import (
     centered_axis,
     free_evolution,
     require_same_axes,
-    st_physical_values,
+    st_zero,
 )
 
 PAD_FACTOR = 8
@@ -70,10 +70,10 @@ def _resize_spectrum(coeffs: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def fine_samples(grid: Grid, values_phys: np.ndarray, pad: int = PAD_FACTOR) -> np.ndarray:
-    """Samples of the band-limited interpolant on a pad-times finer grid."""
+def fine_samples(grid: Grid, values_phys: np.ndarray) -> np.ndarray:
+    """Samples of the band-limited interpolant on a PAD_FACTOR-times finer grid."""
     n = grid.n_modes
-    m = pad * n
+    m = PAD_FACTOR * n
     c = np.fft.fft(values_phys, axis=-1)
     return np.fft.ifft(_resize_spectrum(c, m), axis=-1) * (m / n)
 
@@ -138,12 +138,13 @@ class Diagnostics:
 
 @dataclass
 class Trajectory:
-    """Sampled solution plus per-step conservation diagnostics."""
+    """Sampled solution plus per-step conservation diagnostics (None when
+    loaded from a dump, which does not store them)."""
 
     u: SpaceTimeField
     dt: float
     scheme: str
-    diagnostics: Diagnostics
+    diagnostics: Diagnostics | None = None
     seed: int | None = None
     blown_up: bool = False
     first_bad_step: int | None = None
@@ -235,7 +236,7 @@ def evolve_reference(
             k_out += 1
 
     taxis = TimeAxis(t0=0.0, dt=dt * output_stride, n_samples=k_out)
-    traj_field = SpaceTimeField(grid, taxis, samples[:k_out], PHYSICAL)
+    traj_field = SpaceTimeField(grid, taxis, samples[:k_out])
     diags = Diagnostics(
         step=np.asarray(diag_steps),
         time=np.asarray(diag_time),
@@ -277,7 +278,7 @@ def duhamel_gamma(v: SpaceTimeField, z: SpaceTimeField, T: float) -> SpaceTimeFi
     eta_t = Cutoff(T)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        w = eta_unit(t)[:, None] * st_physical_values(v) + st_physical_values(z)
+        w = eta_unit(t)[:, None] * v.values + z.values
     if not np.all(np.isfinite(w)):
         raise BlowupError(step=-1, message="non-finite state entering the Duhamel map")
 
@@ -301,7 +302,7 @@ def duhamel_gamma(v: SpaceTimeField, z: SpaceTimeField, T: float) -> SpaceTimeFi
     cumulative = cumulative - cumulative[j0]
 
     out_hat = np.conj(phases) * cumulative * eta_t(t)[:, None]
-    return SpaceTimeField(grid, taxis, grid.inverse(out_hat), PHYSICAL)
+    return SpaceTimeField(grid, taxis, grid.inverse(out_hat))
 
 
 @dataclass
@@ -351,12 +352,7 @@ def picard_solve(
     b = b_index(eps)
 
     z = free_evolution(phi_omega, taxis, cutoff=Cutoff(T))
-    v = SpaceTimeField(
-        phi_omega.grid,
-        taxis,
-        np.zeros((taxis.n_samples, phi_omega.grid.n_modes), np.complex128),
-        PHYSICAL,
-    )
+    v = st_zero(phi_omega.grid, taxis)
 
     distances: list[float] = []
     ratios: list[float] = []
@@ -425,7 +421,7 @@ def pde_residual(u: SpaceTimeField, interval: tuple[float, float]) -> np.ndarray
     """
     grid = u.grid
     taxis = u.taxis
-    vals = st_physical_values(u).real
+    vals = u.values.real
     dt = taxis.dt
     t = taxis.t
     inner = (t >= interval[0]) & (t <= interval[1])

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import PHYSICAL, SPECTRAL, Field, Grid, boundary_phase, spectral_values
+from .grid import Field, Grid, boundary_phase, spectral_values
 
 TWO_PI = 2.0 * np.pi
 
@@ -84,16 +84,13 @@ def midpoint_axis(t_end: float, n_samples: int, t_start: float = 0.0) -> TimeAxi
 
 @dataclass(frozen=True)
 class SpaceTimeField:
-    """(n_samples x N) complex samples of u(x, t), physical or fully spectral."""
+    """(n_samples x N) complex samples u(x_j, t_m)."""
 
     grid: Grid
     taxis: TimeAxis
     values: np.ndarray = field(repr=False)
-    rep: str = PHYSICAL
 
     def __post_init__(self) -> None:
-        if self.rep not in (PHYSICAL, SPECTRAL):
-            raise ValueError(f"unknown representation {self.rep!r}")
         v = np.asarray(self.values, dtype=np.complex128)
         if v.shape != (self.taxis.n_samples, self.grid.n_modes):
             raise ValueError(
@@ -104,63 +101,40 @@ class SpaceTimeField:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
-    def with_values(self, values: np.ndarray, rep: str | None = None) -> "SpaceTimeField":
-        return SpaceTimeField(self.grid, self.taxis, values, self.rep if rep is None else rep)
-
-
-def same_axes(u: SpaceTimeField, v: SpaceTimeField) -> bool:
-    return u.grid == v.grid and u.taxis == v.taxis
+    def with_values(self, values: np.ndarray) -> "SpaceTimeField":
+        return SpaceTimeField(self.grid, self.taxis, values)
 
 
 def require_same_axes(*fields: SpaceTimeField) -> None:
     first = fields[0]
     for other in fields[1:]:
-        if not same_axes(first, other):
+        if first.grid != other.grid or first.taxis != other.taxis:
             raise ValueError("space-time fields must share grid and time axis")
 
 
-def _forward2(grid: Grid, taxis: TimeAxis, values: np.ndarray) -> np.ndarray:
-    phase_x = boundary_phase(grid.n_modes)
-    phase_t = np.exp(-1j * taxis.t0 * taxis.tau)
-    scale = grid.dx * taxis.dt / TWO_PI
-    return scale * phase_t[:, None] * phase_x[None, :] * np.fft.fft2(values)
+def st_spectral_values(u: SpaceTimeField) -> np.ndarray:
+    """The 2D transform F u(xi, tau) of the samples, both axes in FFT order."""
+    phase_x = boundary_phase(u.grid.n_modes)
+    phase_t = np.exp(-1j * u.taxis.t0 * u.taxis.tau)
+    scale = u.grid.dx * u.taxis.dt / TWO_PI
+    return scale * phase_t[:, None] * phase_x[None, :] * np.fft.fft2(u.values)
 
 
-def _inverse2(grid: Grid, taxis: TimeAxis, coeffs: np.ndarray) -> np.ndarray:
+def st_to_physical(grid: Grid, taxis: TimeAxis, coeffs: np.ndarray) -> SpaceTimeField:
+    """The field whose 2D transform is `coeffs` (inverse of st_spectral_values)."""
     phase_x = boundary_phase(grid.n_modes)
     phase_t = np.exp(1j * taxis.t0 * taxis.tau)
     scale = grid.dxi * taxis.dtau * grid.n_modes * taxis.n_samples / TWO_PI
-    return scale * np.fft.ifft2(coeffs * phase_t[:, None] * phase_x[None, :])
-
-
-def st_to_spectral(u: SpaceTimeField) -> SpaceTimeField:
-    if u.rep != PHYSICAL:
-        raise ValueError("st_to_spectral expects a physical field")
-    return u.with_values(_forward2(u.grid, u.taxis, u.values), SPECTRAL)
-
-
-def st_to_physical(u: SpaceTimeField) -> SpaceTimeField:
-    if u.rep != SPECTRAL:
-        raise ValueError("st_to_physical expects a spectral field")
-    return u.with_values(_inverse2(u.grid, u.taxis, u.values), PHYSICAL)
-
-
-def st_spectral_values(u: SpaceTimeField) -> np.ndarray:
-    return u.values if u.rep == SPECTRAL else _forward2(u.grid, u.taxis, u.values)
-
-
-def st_physical_values(u: SpaceTimeField) -> np.ndarray:
-    return u.values if u.rep == PHYSICAL else _inverse2(u.grid, u.taxis, u.values)
+    values = scale * np.fft.ifft2(coeffs * phase_t[:, None] * phase_x[None, :])
+    return SpaceTimeField(grid, taxis, values)
 
 
 def st_l2(u: SpaceTimeField) -> float:
-    if u.rep == PHYSICAL:
-        return float(np.sqrt(u.grid.dx * u.taxis.dt * np.sum(np.abs(u.values) ** 2)))
-    return float(np.sqrt(u.grid.dxi * u.taxis.dtau * np.sum(np.abs(u.values) ** 2)))
+    return float(np.sqrt(u.grid.dx * u.taxis.dt * np.sum(np.abs(u.values) ** 2)))
 
 
-def st_zero(grid: Grid, taxis: TimeAxis, rep: str = PHYSICAL) -> SpaceTimeField:
-    return SpaceTimeField(grid, taxis, np.zeros((taxis.n_samples, grid.n_modes), np.complex128), rep)
+def st_zero(grid: Grid, taxis: TimeAxis) -> SpaceTimeField:
+    return SpaceTimeField(grid, taxis, np.zeros((taxis.n_samples, grid.n_modes), np.complex128))
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +177,7 @@ class Cutoff:
 def free_evolution(phi: Field, grid_taxis: TimeAxis, cutoff: Cutoff | None = None) -> SpaceTimeField:
     """Sample the free flow t -> exp(i t xi^3) phi_hat, optionally times a cutoff.
 
-    Returns a physical-representation field; the per-time inverse transforms
-    are evaluated in one batched FFT.
+    The per-time inverse transforms are evaluated in one batched FFT.
     """
     grid = phi.grid
     hat = spectral_values(phi)
@@ -212,12 +185,11 @@ def free_evolution(phi: Field, grid_taxis: TimeAxis, cutoff: Cutoff | None = Non
     coeffs = np.exp(1j * np.outer(t, grid.xi**3)) * hat[None, :]
     if cutoff is not None:
         coeffs = coeffs * cutoff(t)[:, None]
-    return SpaceTimeField(grid, grid_taxis, grid.inverse(coeffs), PHYSICAL)
+    return SpaceTimeField(grid, grid_taxis, grid.inverse(coeffs))
 
 
 def apply_time_cutoff(u: SpaceTimeField, cutoff: Cutoff) -> SpaceTimeField:
-    vals = st_physical_values(u) * cutoff(u.taxis.t)[:, None]
-    return SpaceTimeField(u.grid, u.taxis, vals, PHYSICAL)
+    return u.with_values(u.values * cutoff(u.taxis.t)[:, None])
 
 
 def band_project(u: SpaceTimeField, xi_band: float) -> tuple[SpaceTimeField, float]:
@@ -226,7 +198,7 @@ def band_project(u: SpaceTimeField, xi_band: float) -> tuple[SpaceTimeField, flo
     Returns the projected field and the relative L^2 mass of the discarded
     high band (0 when nothing is discarded).
     """
-    hat_x = np.fft.fft(st_physical_values(u), axis=1)
+    hat_x = np.fft.fft(u.values, axis=1)
     mask = np.abs(u.grid.xi) <= xi_band
     with np.errstate(over="ignore", invalid="ignore"):
         total = float(np.sum(np.abs(hat_x) ** 2))
@@ -236,13 +208,13 @@ def band_project(u: SpaceTimeField, xi_band: float) -> tuple[SpaceTimeField, flo
     else:
         discarded = max(0.0, (total - kept) / total)
     out = np.fft.ifft(hat_x * mask[None, :], axis=1)
-    return SpaceTimeField(u.grid, u.taxis, out, PHYSICAL), discarded
+    return u.with_values(out), discarded
 
 
 def spectral_support_radius(u: SpaceTimeField, rel_tol: float = 1e-12) -> float:
     """Largest |xi| whose column carries more than rel_tol of the peak
     column's L^2 mass. Non-finite fields report the full grid band."""
-    hat_x = np.fft.fft(st_physical_values(u), axis=1)
+    hat_x = np.fft.fft(u.values, axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
         col = np.sqrt(np.sum(np.abs(hat_x) ** 2, axis=0))
     if not np.all(np.isfinite(col)):

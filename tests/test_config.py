@@ -1,23 +1,23 @@
 import pytest
 
 from gkdvlab.config import ConfigError, default_config, load_config
-from gkdvlab.params import b_index, c_index, sigma_index
+from gkdvlab.params import b_index, data_index, sigma_index
 
 
 class TestDefaults:
     def test_derived_exponents(self):
         cfg = default_config()
         eps = cfg.epsilon
-        assert cfg.sigma == pytest.approx(sigma_index(eps))
-        assert cfg.b == pytest.approx(b_index(eps))
-        assert cfg.c == pytest.approx(c_index(eps))
+        assert sigma_index(eps) == pytest.approx(3.0 / 14.0 + 2.0 * eps)
+        assert b_index(eps) == pytest.approx(0.5 + eps / 24.0)
+        assert cfg.s == pytest.approx(data_index(eps))
         assert cfg.s == pytest.approx(17.0 / 112.0 + eps)
 
     def test_epsilon_formulae(self):
-        cfg = load_config(None, {"model.epsilon": 0.12})
-        assert cfg.sigma == pytest.approx(3.0 / 14.0 + 0.24)
-        assert cfg.b == pytest.approx(0.5 + 0.12 / 24.0)
-        assert cfg.c == pytest.approx(0.5 + 0.12 / 100.0)
+        assert sigma_index(0.12) == pytest.approx(3.0 / 14.0 + 0.24)
+        assert b_index(0.12) == pytest.approx(0.5 + 0.12 / 24.0)
+        assert data_index(0.12) == pytest.approx(17.0 / 112.0 + 0.12)
+        assert load_config(None, {"model.epsilon": 0.12}).s == pytest.approx(data_index(0.12))
 
 
 class TestValidation:
@@ -52,20 +52,12 @@ class TestValidation:
 
 
 class TestOverrides:
-    def test_derived_value_rejected_without_flag(self, tmp_path):
+    def test_derived_exponent_is_unknown_key(self, tmp_path):
         p = tmp_path / "cfg.ini"
         p.write_text("[model]\nsigma = 0.4\n")
         with pytest.raises(ConfigError) as err:
             load_config(p)
-        assert "allow_override" in str(err.value)
-
-    def test_derived_value_accepted_with_flag(self, tmp_path):
-        p = tmp_path / "cfg.ini"
-        p.write_text("[model]\nallow_override = true\nsigma = 0.4\n")
-        cfg = load_config(p)
-        assert cfg.sigma == 0.4
-        # untouched exponents still derive from epsilon
-        assert cfg.b == pytest.approx(b_index(cfg.epsilon))
+        assert "sigma" in str(err.value)
 
     def test_cli_style_overrides(self):
         cfg = load_config(None, {"random.master_seed": 7, "ensemble.threads": 3})

@@ -42,6 +42,7 @@ def test_trajectory_round_trip(tmp_path):
     assert back.dt == traj.dt
     assert back.seed == 11
     assert not back.blown_up
+    assert back.diagnostics is None
     assert np.array_equal(back.u.values.real, traj.u.values.real)
     assert back.u.taxis.t0 == traj.u.taxis.t0
     assert back.u.taxis.dt == pytest.approx(traj.u.taxis.dt)

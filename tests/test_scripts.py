@@ -1,0 +1,27 @@
+"""The shipped presets load and the experiment scripts import.
+
+Scripts run their experiment only under `__main__`; running them under
+another name executes just their imports and definitions, so a removed
+public name or config key fails here instead of at the next experiment.
+"""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+from gkdvlab.config import load_config
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = sorted((ROOT / "configs").glob("*.ini"))
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_preset_loads(path):
+    load_config(path)
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
+def test_script_imports(path):
+    runpy.run_path(str(path), run_name="smoke")
