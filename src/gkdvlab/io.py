@@ -3,14 +3,17 @@
 Dumps are a short text header followed by raw little-endian float64 rows
 (one time sample per row). CSV floats are written with 17 significant
 digits so that doubles round-trip bit-exactly. Every run directory gets a
-manifest listing the configuration echo, the package version, and a sha256
-per artifact; identical configurations must reproduce identical hashes.
+manifest listing the configuration echo, the package version, the software
+environment (Python, numpy and platform, since FFT output bytes depend on
+them) and a sha256 per artifact; identical configurations must reproduce
+identical hashes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import platform
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +167,11 @@ def write_manifest(out_dir: Path | str, config_echo: dict, artifacts: list[Path 
     manifest = {
         "code_version": __version__,
         "config": config_echo,
+        "environment": {
+            "numpy": np.__version__,
+            "platform": platform.platform(),
+            "python": platform.python_version(),
+        },
         "artifacts": {Path(p).name: sha256_file(p) for p in sorted(map(str, artifacts))},
     }
     path = out_dir / "manifest.json"

@@ -374,6 +374,7 @@ def exceptional_probability(
                 "iterations": float(result.iterations),
                 "max_ratio": float(max(result.ratios)) if result.ratios else 0.0,
                 "final_distance": result.distances[-1] if result.distances else 0.0,
+                "discarded_band_mass": result.discarded_band_mass,
             }
 
         records = run_ensemble(

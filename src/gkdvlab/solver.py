@@ -14,8 +14,9 @@ Two routes to the same solution:
   solution is u = v + z; both routes must agree, which is the main
   cross-validation of this module.
 
-The degree-8 product is evaluated alias-free on an 8x zero-padded grid and
-the unpaired Nyquist mode is zeroed after every nonlinear evaluation.
+The degree-8 product of the real state is evaluated alias-free with real
+FFTs on the smallest padded grid of M >= 9N/2 points, and the unpaired
+Nyquist mode is zeroed after every nonlinear evaluation.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .spacetime import (
     Cutoff,
     SpaceTimeField,
     TimeAxis,
+    _propagator,
     band_project,
     centered_axis,
     free_evolution,
@@ -44,7 +46,6 @@ from .spacetime import (
     st_zero,
 )
 
-PAD_FACTOR = 8
 NONLINEARITY_DEGREE = 8
 BLOWUP_THRESHOLD = 1e8
 
@@ -57,42 +58,56 @@ class BlowupError(RuntimeError):
         super().__init__(message or f"solution blew up at step {step}")
 
 
-def _resize_spectrum(coeffs: np.ndarray, m: int) -> np.ndarray:
-    """Zero-pad or truncate a raw DFT spectrum to length m.
+def _fine_size(n: int) -> int:
+    """Smallest even M >= (d+1)N/2 for the degree d = NONLINEARITY_DEGREE.
 
-    With n the shorter of the input length and m, keeps the modes
-    |k| < n/2; the unpaired Nyquist mode of that n-point grid stays zero.
+    On M points a product of d modes |k| < N/2 cannot alias onto those modes
+    (Orszag's padding rule for degree d), and since M > (d+1)(N/2-1) the
+    mean of a degree-(d+1) product is alias-free too.
     """
-    half = min(coeffs.shape[-1], m) // 2
-    out = np.zeros(coeffs.shape[:-1] + (m,), dtype=np.complex128)
-    out[..., :half] = coeffs[..., :half]
-    out[..., -(half - 1):] = coeffs[..., -(half - 1):]
-    return out
+    m = -(-(NONLINEARITY_DEGREE + 1) * n // 2)
+    return m + m % 2
 
 
 def fine_samples(grid: Grid, values_phys: np.ndarray) -> np.ndarray:
-    """Samples of the band-limited interpolant on a PAD_FACTOR-times finer grid."""
+    """Real samples of the band-limited interpolant of the real part on the
+    `_fine_size` grid; the unpaired coarse Nyquist mode is dropped."""
     n = grid.n_modes
-    m = PAD_FACTOR * n
-    c = np.fft.fft(values_phys, axis=-1)
-    return np.fft.ifft(_resize_spectrum(c, m), axis=-1) * (m / n)
+    m = _fine_size(n)
+    c = np.fft.rfft(values_phys.real)
+    c[..., n // 2] = 0.0
+    return np.fft.irfft(c, m) * (m / n)
+
+
+def _eighth_power(w: np.ndarray) -> np.ndarray:
+    """w**8 by three squarings, in place."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(3):
+            np.multiply(w, w, out=w)
+    return w
 
 
 def _power8_coeffs(grid: Grid, values_phys: np.ndarray) -> np.ndarray:
-    """Alias-free raw DFT coefficients of u^8 on the coarse grid."""
+    """Alias-free raw DFT coefficients of u^8 on the coarse grid (u real).
+
+    The coarse spectrum is Hermitian; its Nyquist mode stays zero.
+    """
     n = grid.n_modes
-    m = PAD_FACTOR * n
-    fine = fine_samples(grid, values_phys)
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = fine**NONLINEARITY_DEGREE
-    cw = np.fft.fft(w, axis=-1) * (n / m)
-    return _resize_spectrum(cw, n)
+    half = n // 2
+    w = _eighth_power(fine_samples(grid, values_phys))
+    low = np.fft.rfft(w)[..., :half] * (n / w.shape[-1])
+    out = np.zeros(low.shape[:-1] + (n,), dtype=np.complex128)
+    out[..., :half] = low
+    out[..., half + 1:] = np.conj(low[..., :0:-1])
+    return out
 
 
 def nonlinearity_coeffs(grid: Grid, values_phys: np.ndarray) -> np.ndarray:
     """Spectral coefficients (transform convention) of -d_x(u^8)/8.
 
     Accepts a single state or a batch of states in the leading axis.
+    Evolved states are real: the round-off imaginary part of a complex
+    input is discarded.
     """
     hat = grid.from_dft(_power8_coeffs(grid, values_phys))
     return (-1j * grid.xi / NONLINEARITY_DEGREE) * hat
@@ -103,7 +118,7 @@ def nonlinearity(u: Field) -> Field:
     vals = physical_values(u)
     if np.max(np.abs(vals.imag)) > 1e-10 * max(1.0, np.max(np.abs(vals.real))):
         raise ValueError("nonlinearity expects a real physical-space field")
-    coeffs = nonlinearity_coeffs(u.grid, vals.real.astype(np.complex128))
+    coeffs = nonlinearity_coeffs(u.grid, vals.real)
     if not np.all(np.isfinite(coeffs)):
         raise BlowupError(step=-1, message="nonlinearity overflowed")
     return Field(u.grid, u.grid.inverse(coeffs), PHYSICAL)
@@ -121,9 +136,9 @@ def conserved_quantities(u: Field) -> tuple[float, float, float]:
     mean = grid.dx * float(np.sum(vals))
     mass = grid.dx * float(np.sum(vals**2))
     kinetic = 0.5 * grid.dx / grid.n_modes * float(np.sum(np.abs(1j * grid.xi * c) ** 2))
-    fine = fine_samples(grid, vals).real
-    dx_fine = grid.dx / PAD_FACTOR
-    potential = dx_fine * float(np.sum(fine**NONLINEARITY_DEGREE * fine)) / 72.0
+    fine = fine_samples(grid, vals)
+    dx_fine = 2.0 * grid.half_length / fine.shape[-1]
+    potential = dx_fine * float(np.sum(_eighth_power(fine.copy()) * fine)) / 72.0
     return mean, mass, kinetic - potential
 
 
@@ -292,8 +307,8 @@ def duhamel_gamma(v: SpaceTimeField, z: SpaceTimeField, T: float) -> SpaceTimeFi
         forcing[active] = coeffs
 
     # integrand of the mild form: exp(-i s xi^3) N(w)(s)
-    phases = np.exp(-1j * np.outer(t, grid.xi**3))
-    integrand = phases * forcing
+    propagator = _propagator(grid, taxis)
+    integrand = np.conj(propagator) * forcing
     mids = 0.5 * taxis.dt * (integrand[1:] + integrand[:-1])
     cumulative = np.vstack(
         [np.zeros((1, grid.n_modes), dtype=np.complex128), np.cumsum(mids, axis=0)]
@@ -301,7 +316,7 @@ def duhamel_gamma(v: SpaceTimeField, z: SpaceTimeField, T: float) -> SpaceTimeFi
     j0 = int(np.argmin(np.abs(t)))
     cumulative = cumulative - cumulative[j0]
 
-    out_hat = np.conj(phases) * cumulative * eta_t(t)[:, None]
+    out_hat = propagator * cumulative * eta_t(t)[:, None]
     return SpaceTimeField(grid, taxis, grid.inverse(out_hat))
 
 

@@ -14,6 +14,7 @@ same type with a one-sided axis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -174,17 +175,23 @@ class Cutoff:
         return bump_profile(np.asarray(t, dtype=np.float64) / self.scale)
 
 
+@lru_cache(maxsize=8)
+def _propagator(grid: Grid, taxis: TimeAxis) -> np.ndarray:
+    """The free-propagator table exp(i t_m xi_k^3), cached and read-only."""
+    table = np.exp(1j * np.outer(taxis.t, grid.xi**3))
+    table.flags.writeable = False
+    return table
+
+
 def free_evolution(phi: Field, grid_taxis: TimeAxis, cutoff: Cutoff | None = None) -> SpaceTimeField:
     """Sample the free flow t -> exp(i t xi^3) phi_hat, optionally times a cutoff.
 
     The per-time inverse transforms are evaluated in one batched FFT.
     """
     grid = phi.grid
-    hat = spectral_values(phi)
-    t = grid_taxis.t
-    coeffs = np.exp(1j * np.outer(t, grid.xi**3)) * hat[None, :]
+    coeffs = _propagator(grid, grid_taxis) * spectral_values(phi)[None, :]
     if cutoff is not None:
-        coeffs = coeffs * cutoff(t)[:, None]
+        coeffs = coeffs * cutoff(grid_taxis.t)[:, None]
     return SpaceTimeField(grid, grid_taxis, grid.inverse(coeffs))
 
 

@@ -77,3 +77,5 @@ def test_manifest_lists_hashes(tmp_path):
     assert data["artifacts"]["one.csv"] == sha256_file(p1)
     assert data["config"]["grid"]["n_modes"] == 64
     assert "code_version" in data
+    assert data["environment"]["numpy"] == np.__version__
+    assert set(data["environment"]) == {"numpy", "platform", "python"}

@@ -3,6 +3,7 @@ import pytest
 from math import erfc
 
 from gkdvlab.grid import field_from_function, l2_norm
+from gkdvlab.io import ensemble_table
 from gkdvlab.montecarlo import (
     auto_n_max,
     exceedance_fit_line,
@@ -154,6 +155,17 @@ class TestExceptionalProbability:
         )
         assert all(r.failures == 0 for r in rep.rows)
         assert rep.trend_ok
+
+    def test_records_carry_discarded_band_mass(self, grid64):
+        phi = banded_bump(grid64, amplitude=0.5, band=2.0)
+        rep = exceptional_probability(
+            phi, [0.25], 100, tol=1e-10, taxis=centered_axis(4.0, 64),
+            xi_band=2.0, seed=2, n_max=3,
+        )
+        header, rows = ensemble_table(rep.records[0.25], extra={"T": 0.25})
+        col = np.array([row[header.index("discarded_band_mass")] for row in rows])
+        assert np.all((col >= 0.0) & (col <= 1.0))
+        assert np.any(col > 0.0)
 
     def test_requires_descending_grid(self, grid64):
         phi = banded_bump(grid64, band=2.0)

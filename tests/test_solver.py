@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gkdvlab.grid import field_from_function, make_grid
+from gkdvlab.grid import Field, field_from_function, make_grid
 from gkdvlab.norms import xsb_norm
 from gkdvlab.solver import (
     conserved_quantities,
     duhamel_gamma,
     evolve_reference,
     nonlinearity,
+    nonlinearity_coeffs,
     pde_residual,
     picard_solve,
     reconstruct_solution,
@@ -35,7 +38,7 @@ class TestNonlinearity:
         assert np.max(np.abs(nonlinearity(c).values)) <= 1e-13
 
     def test_sine_matches_symbolic_oracle(self):
-        # N(sin) = -sin^7(x) cos(x), alias-free with 8x padding
+        # N(sin) = -sin^7(x) cos(x), alias-free on the 9N/2 padded grid
         g = make_grid(np.pi, 256)
         out = nonlinearity(field_from_function(g, np.sin))
         exact = -np.sin(g.x) ** 7 * np.cos(g.x)
@@ -46,6 +49,84 @@ class TestNonlinearity:
         f = field_from_function(grid512, lambda x: np.exp(1j * x))
         with pytest.raises(ValueError):
             nonlinearity(f)
+
+
+def _full_band_data(grid, seed, amplitude):
+    """Real samples whose spectrum fills every mode |k| < N/2, scaled to
+    max |u| = amplitude."""
+    n = grid.n_modes
+    half = n // 2
+    rng = np.random.default_rng(seed)
+    c = np.zeros(n, dtype=np.complex128)
+    c[:half] = rng.standard_normal(half) + 1j * rng.standard_normal(half)
+    c[0] = c[0].real
+    c[half + 1:] = np.conj(c[1:half][::-1])
+    u = np.fft.ifft(c).real
+    return amplitude * u / np.max(np.abs(u))
+
+
+def _padded_oracle(grid, values, m):
+    """Reference for the degree-8 product: the complex route on an m-point
+    zero-padded grid (m = 8N is the former solver path).
+
+    Returns the coefficients of -d_x(u^8)/8 and the energy
+    int (u_x^2/2 - u^9/72).
+    """
+    n = grid.n_modes
+    half = n // 2
+    c = np.fft.fft(values, axis=-1)
+    padded = np.zeros(c.shape[:-1] + (m,), dtype=np.complex128)
+    padded[..., :half] = c[..., :half]
+    padded[..., -(half - 1):] = c[..., -(half - 1):]
+    fine = np.fft.ifft(padded, axis=-1) * (m / n)
+    cw = np.fft.fft(fine**8, axis=-1) * (n / m)
+    raw = np.zeros(c.shape, dtype=np.complex128)
+    raw[..., :half] = cw[..., :half]
+    raw[..., -(half - 1):] = cw[..., -(half - 1):]
+    coeffs = (-1j * grid.xi / 8) * grid.from_dft(raw)
+    kinetic = 0.5 * grid.dx / n * float(np.sum(np.abs(1j * grid.xi * c) ** 2))
+    potential = 2.0 * grid.half_length / m * float(np.sum(fine.real**8 * fine.real)) / 72.0
+    return coeffs, kinetic - potential
+
+
+def _rel_max(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+class TestPaddedProduct:
+    # N = 10 is a grid size not divisible by 4.
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([8, 10, 64, 512]),
+        seed=st.integers(0, 2**32 - 1),
+        amplitude=st.floats(0.25, 1.5),
+    )
+    def test_matches_eightfold_complex_oracle(self, n, seed, amplitude):
+        grid = make_grid(4.0, n)
+        vals = _full_band_data(grid, seed, amplitude)
+        ref_coeffs, ref_energy = _padded_oracle(grid, vals, 8 * n)
+        assert _rel_max(nonlinearity_coeffs(grid, vals), ref_coeffs) <= 1e-13
+        energy = conserved_quantities(Field(grid, vals))[2]
+        assert abs(energy - ref_energy) <= 1e-13 * abs(ref_energy)
+
+    # At N <= 16 a 4N grid is still alias-free (degree-8 products reach only
+    # |k| = 4N - 8), so under-padding is shown on the larger grids.
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.sampled_from([64, 512]), seed=st.integers(0, 2**32 - 1))
+    def test_fourfold_padding_aliases(self, n, seed):
+        grid = make_grid(4.0, n)
+        vals = _full_band_data(grid, seed, 1.0)
+        exact, _ = _padded_oracle(grid, vals, 8 * n)
+        under, _ = _padded_oracle(grid, vals, 4 * n)
+        assert _rel_max(under, exact) > 1e3 * 1e-13
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.sampled_from([8, 10, 64, 512]), seed=st.integers(0, 2**32 - 1))
+    def test_batch_equals_rows_bitwise(self, n, seed):
+        grid = make_grid(4.0, n)
+        batch = np.stack([_full_band_data(grid, seed + k, 0.5 + 0.25 * k) for k in range(5)])
+        rows = np.stack([nonlinearity_coeffs(grid, row) for row in batch])
+        assert np.array_equal(nonlinearity_coeffs(grid, batch), rows)
 
 
 class TestConservedQuantities:

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from gkdvlab.grid import airy_propagate
+from gkdvlab.grid import airy_propagate, spectral_values
+from gkdvlab.solver import duhamel_gamma, nonlinearity_coeffs
 from gkdvlab.spacetime import (
     Cutoff,
     SpaceTimeField,
+    _propagator,
     band_project,
     bump_profile,
     centered_axis,
@@ -106,6 +108,41 @@ class TestFreeEvolution:
         z = free_evolution(phi, ta, cutoff=Cutoff(0.25))
         outside = np.abs(ta.t) >= 0.5
         assert np.max(np.abs(z.values[outside])) == 0.0
+
+
+class TestPropagator:
+    def test_cached_and_read_only(self, grid64):
+        ta = centered_axis(4.0, 64)
+        table = _propagator(grid64, ta)
+        assert _propagator(grid64, centered_axis(4.0, 64)) is table
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+
+    def test_free_evolution_equals_uncached_table(self, grid64):
+        phi = banded_bump(grid64, band=3.0)
+        ta = centered_axis(4.0, 256)
+        cut = Cutoff(0.5)
+        phases = np.exp(1j * np.outer(ta.t, grid64.xi**3))
+        direct = grid64.inverse(phases * spectral_values(phi)[None, :] * cut(ta.t)[:, None])
+        assert np.array_equal(free_evolution(phi, ta, cutoff=cut).values, direct)
+
+    def test_duhamel_gamma_equals_uncached_tables(self, grid64):
+        ta = centered_axis(4.0, 256)
+        T = 0.25
+        z = free_evolution(banded_bump(grid64, amplitude=1.0, band=2.0), ta, cutoff=Cutoff(T))
+        v = z.with_values(0.5 * z.values[::-1])
+        # the mild form of duhamel_gamma with both tables built per call
+        t, grid = ta.t, grid64
+        w = Cutoff(1.0)(t)[:, None] * v.values + z.values
+        active = np.max(np.abs(w), axis=1) > 0.0
+        forcing = np.zeros_like(w)
+        forcing[active] = nonlinearity_coeffs(grid, w[active])
+        integrand = np.exp(-1j * np.outer(t, grid.xi**3)) * forcing
+        mids = 0.5 * ta.dt * (integrand[1:] + integrand[:-1])
+        cumulative = np.vstack([np.zeros((1, grid.n_modes)), np.cumsum(mids, axis=0)])
+        cumulative = cumulative - cumulative[int(np.argmin(np.abs(t)))]
+        out_hat = np.exp(1j * np.outer(t, grid.xi**3)) * cumulative * Cutoff(T)(t)[:, None]
+        assert np.array_equal(duhamel_gamma(v, z, T).values, grid.inverse(out_hat))
 
 
 class TestBandProject:
