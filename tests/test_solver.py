@@ -109,8 +109,9 @@ class TestPaddedProduct:
         energy = conserved_quantities(Field(grid, vals))[2]
         assert abs(energy - ref_energy) <= 1e-13 * abs(ref_energy)
 
-    # At N <= 16 a 4N grid is still alias-free (degree-8 products reach only
-    # |k| = 4N - 8), so under-padding is shown on the larger grids.
+    # Degree-8 products reach |k| <= 4N - 8, which a 4N grid folds onto
+    # |k| >= 8: at N <= 16 that misses the kept band |k| < N/2, so
+    # under-padding is shown on the larger grids.
     @settings(max_examples=20, deadline=None)
     @given(n=st.sampled_from([64, 512]), seed=st.integers(0, 2**32 - 1))
     def test_fourfold_padding_aliases(self, n, seed):
