@@ -9,14 +9,14 @@ dominated by the trapezoid quadrature of the mild-form integral.
 
 import numpy as np
 
-from gkdvlab.grid import Field, SPECTRAL, make_grid, to_physical
+from gkdvlab.grid import Field, make_grid
 from gkdvlab.solver import evolve_reference, picard_solve, reconstruct_solution
 from gkdvlab.spacetime import centered_axis
 
 
 def banded_bump(grid, amplitude, band):
     coeffs = amplitude * np.exp(-grid.xi**2) * (np.abs(grid.xi) <= band)
-    return to_physical(Field(grid, coeffs.astype(np.complex128), SPECTRAL))
+    return Field(grid, grid.inverse(coeffs))
 
 
 def main():

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_config, parse_float_list
-from .grid import PHYSICAL, Field, apply_multiplier, make_grid
+from .grid import Field, apply_multiplier, make_grid
 from .io import (
     diagnostics_rows,
     ensemble_table,
@@ -61,7 +61,7 @@ def build_data(cfg: RunConfig) -> Field:
             vals = a * np.exp(-((x / w) ** 2))
         else:  # sech-power
             vals = a * np.cosh(x / w) ** (-2.0 / 7.0)
-        phi = Field(grid, vals.astype(np.complex128), PHYSICAL)
+        phi = Field(grid, vals.astype(np.complex128))
     band = data["band_limit"]
     if band > 0:
         phi = _band_limit(phi, band)

@@ -189,12 +189,16 @@ def _finalize(raw: dict, problems: list[str]) -> RunConfig:
         )
     if raw["data"]["kind"] == "file" and not raw["data"]["path"]:
         problems.append("[data] kind = file requires a path")
-    if raw["grid"]["n_modes"] < 8 or raw["grid"]["n_modes"] % 2:
-        problems.append("[grid] n_modes must be even and >= 8")
+    for sect, key, least in (
+        ("grid", "n_modes", 8),
+        ("time", "m_t", 16),
+        ("estimates", "n_modes", 8),
+        ("estimates", "m_t", 16),
+    ):
+        if raw[sect][key] < least or raw[sect][key] % 2:
+            problems.append(f"[{sect}] {key} must be even and >= {least}")
     if raw["grid"]["half_length"] <= 0:
         problems.append("[grid] half_length must be positive")
-    if raw["time"]["m_t"] < 16 or raw["time"]["m_t"] % 2:
-        problems.append("[time] m_t must be even and >= 16")
     for sect, key in (("strichartz", "t_grid"), ("lwp", "t_grid")):
         try:
             values = parse_float_list(raw[sect][key])
@@ -202,8 +206,16 @@ def _finalize(raw: dict, problems: list[str]) -> RunConfig:
                 raise ValueError
         except ValueError:
             problems.append(f"[{sect}] {key} must be a comma-separated list of positive reals")
-    if raw["ensemble"]["threads"] < 1:
-        problems.append("[ensemble] threads must be >= 1")
+    if not raw["lwp"]["tol"] > 0:
+        problems.append("[lwp] tol must be positive")
+    for sect, key, least in (
+        ("ensemble", "threads", 1),
+        ("lwp", "n_samples", 100),
+        ("lwp", "max_iter", 1),
+        ("estimates", "n_trials", 1),
+    ):
+        if raw[sect][key] < least:
+            problems.append(f"[{sect}] {key} must be >= {least}")
 
     if problems:
         raise ConfigError(problems)

@@ -23,9 +23,6 @@ import numpy as np
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
-PHYSICAL = "physical"
-SPECTRAL = "spectral"
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -110,20 +107,18 @@ def make_grid(L: float, N: int) -> Grid:
 
 @dataclass(frozen=True)
 class Field:
-    """Complex samples on a grid, tagged physical or spectral.
+    """Complex physical samples u(x_j) on a grid.
 
     Immutable: `values` is stored read-only; all operations return new
-    fields. Physical values are samples u(x_j); spectral values are
-    u_hat(xi_k) in FFT order under the 1/sqrt(2*pi) convention.
+    fields. `spectral_values(f)` returns the spectrum u_hat(xi_k), in FFT
+    order under the 1/sqrt(2*pi) convention; a field with a given spectrum
+    is `Field(grid, grid.inverse(coeffs))`.
     """
 
     grid: Grid
     values: np.ndarray = field(repr=False)
-    rep: str = PHYSICAL
 
     def __post_init__(self) -> None:
-        if self.rep not in (PHYSICAL, SPECTRAL):
-            raise ValueError(f"unknown representation {self.rep!r}")
         v = np.asarray(self.values, dtype=np.complex128)
         if v.shape != (self.grid.n_modes,):
             raise ValueError(
@@ -133,17 +128,13 @@ class Field:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
-    def with_values(self, values: np.ndarray, rep: str | None = None) -> "Field":
-        return Field(self.grid, values, self.rep if rep is None else rep)
-
-
-def field_from_samples(grid: Grid, values: np.ndarray) -> Field:
-    return Field(grid, values, PHYSICAL)
+    def with_values(self, values: np.ndarray) -> "Field":
+        return Field(self.grid, values)
 
 
 def field_from_function(grid: Grid, fn) -> Field:
-    """Sample a callable u(x) on the grid (physical representation)."""
-    return Field(grid, np.asarray(fn(grid.x), dtype=np.complex128), PHYSICAL)
+    """Sample a callable u(x) on the grid."""
+    return Field(grid, np.asarray(fn(grid.x), dtype=np.complex128))
 
 
 @lru_cache(maxsize=16)
@@ -161,41 +152,20 @@ def boundary_phase(n_modes: int) -> np.ndarray:
     return _phase(n_modes)
 
 
-def to_spectral(f: Field) -> Field:
-    if f.rep != PHYSICAL:
-        raise ValueError("to_spectral expects a physical-representation field")
-    return Field(f.grid, f.grid.forward(f.values), SPECTRAL)
-
-
-def to_physical(f: Field) -> Field:
-    if f.rep != SPECTRAL:
-        raise ValueError("to_physical expects a spectral-representation field")
-    return Field(f.grid, f.grid.inverse(f.values), PHYSICAL)
-
-
 def spectral_values(f: Field) -> np.ndarray:
-    """Spectral coefficients of f regardless of its representation."""
-    return f.values if f.rep == SPECTRAL else f.grid.forward(f.values)
-
-
-def physical_values(f: Field) -> np.ndarray:
-    return f.values if f.rep == PHYSICAL else f.grid.inverse(f.values)
+    """Spectral coefficients u_hat(xi_k) of f."""
+    return f.grid.forward(f.values)
 
 
 def apply_multiplier(f: Field, symbol: np.ndarray) -> Field:
-    """Multiply the spectrum by `symbol` (given on grid.xi), keeping f's
-    representation."""
-    coeffs = spectral_values(f) * symbol
-    if f.rep == SPECTRAL:
-        return Field(f.grid, coeffs, SPECTRAL)
-    return Field(f.grid, f.grid.inverse(coeffs), PHYSICAL)
+    """Multiply the spectrum by `symbol` (given on grid.xi)."""
+    return Field(f.grid, f.grid.inverse(spectral_values(f) * symbol))
 
 
 def l2_norm(f: Field) -> float:
-    """Discrete L^2 norm; Parseval makes both representations agree."""
-    if f.rep == PHYSICAL:
-        return float(np.sqrt(f.grid.dx * np.sum(np.abs(f.values) ** 2)))
-    return float(np.sqrt(f.grid.dxi * np.sum(np.abs(f.values) ** 2)))
+    """Discrete L^2 norm of the samples; by Parseval it equals
+    sqrt(dxi * sum |u_hat|^2)."""
+    return float(np.sqrt(f.grid.dx * np.sum(np.abs(f.values) ** 2)))
 
 
 def airy_propagate(f: Field, t: float) -> Field:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .grid import Field, PHYSICAL, make_grid, physical_values
+from .grid import Field, make_grid
 from .solver import Diagnostics, Trajectory
 from .spacetime import SpaceTimeField, TimeAxis
 
@@ -81,7 +81,7 @@ def _read_header(blob: bytes, magic: str) -> tuple[dict, np.ndarray]:
 def save_field(path: Path | str, f: Field, kind: str = "field", seed: int | None = None) -> Path:
     """Real physical samples with the grid in the header."""
     path = Path(path)
-    vals = physical_values(f).real[None, :]
+    vals = f.values.real[None, :]
     meta = {
         "kind": kind,
         "L": f.grid.half_length,
@@ -95,7 +95,7 @@ def save_field(path: Path | str, f: Field, kind: str = "field", seed: int | None
 def load_field(path: Path | str) -> Field:
     meta, data = _read_header(Path(path).read_bytes(), MAGIC_FIELD)
     grid = make_grid(float(meta["L"]), int(meta["N"]))
-    return Field(grid, data[0].astype(np.complex128), PHYSICAL)
+    return Field(grid, data[0].astype(np.complex128))
 
 
 def save_trajectory(path: Path | str, traj: Trajectory) -> Path:

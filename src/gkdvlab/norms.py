@@ -26,7 +26,7 @@ from .spacetime import (
     st_spectral_values,
 )
 from .params import AMPLITUDE_EXPONENT
-from .wiener import band_symbol, make_window
+from .wiener import band_symbol
 
 
 class AliasingError(ValueError):
@@ -95,13 +95,12 @@ def modulation_norm(f: Field, s: float, p: float, q: float) -> float:
     """
     if not (1 <= p) or not (1 <= q):
         raise ValueError("modulation norm requires p, q >= 1 (inf allowed)")
-    window = make_window()
     grid = f.grid
     hat = spectral_values(f)
     n_cover = int(np.floor(grid.xi_max - 1.0))
     terms = []
     for n in range(-n_cover, n_cover + 1):
-        sym = band_symbol(window, grid.xi, n)
+        sym = band_symbol(grid.xi, n)
         if not np.any(sym != 0.0):
             terms.append(0.0)
             continue

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import Field, Grid, SPECTRAL, make_grid
+from .grid import Field, Grid, make_grid
 from .norms import (
     AliasingError,
     bilinear_multiplier,
@@ -105,8 +105,7 @@ def random_field(grid: Grid, xi_band: float, seed: int, master: int = 0) -> Fiel
     coeffs = (rng.standard_normal(grid.n_modes) + 1j * rng.standard_normal(grid.n_modes))
     coeffs *= mask / np.sqrt(1.0 + xi**2)
     norm = np.sqrt(grid.dxi * np.sum(np.abs(coeffs) ** 2))
-    f = Field(grid, coeffs / norm, SPECTRAL)
-    return f
+    return Field(grid, grid.inverse(coeffs / norm))
 
 
 def random_spacetime(
@@ -307,9 +306,8 @@ def _banded_bump(grid: Grid, xi_band: float) -> Field:
     """Real band-limited bump data used by the mixed octilinear probe."""
     xi = grid.xi
     coeffs = np.exp(-(xi**2)) * (np.abs(xi) <= xi_band)
-    f = Field(grid, coeffs.astype(np.complex128), SPECTRAL)
-    norm = sobolev_norm(f, 0.0)
-    return Field(grid, coeffs / norm, SPECTRAL)
+    norm = np.sqrt(grid.dxi * np.sum(coeffs**2))
+    return Field(grid, grid.inverse(coeffs / norm))
 
 
 def run_estimate(

@@ -25,13 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    Field,
-    Grid,
-    PHYSICAL,
-    physical_values,
-    spectral_values,
-)
+from .grid import Field, Grid
 from .norms import xsb_norm
 from .params import b_index, sigma_index
 from .spacetime import (
@@ -115,13 +109,13 @@ def nonlinearity_coeffs(grid: Grid, values_phys: np.ndarray) -> np.ndarray:
 
 def nonlinearity(u: Field) -> Field:
     """The divergence-form nonlinearity N(u) = -d_x(u^8)/8, dealiased."""
-    vals = physical_values(u)
+    vals = u.values
     if np.max(np.abs(vals.imag)) > 1e-10 * max(1.0, np.max(np.abs(vals.real))):
         raise ValueError("nonlinearity expects a real physical-space field")
     coeffs = nonlinearity_coeffs(u.grid, vals.real)
     if not np.all(np.isfinite(coeffs)):
         raise BlowupError(step=-1, message="nonlinearity overflowed")
-    return Field(u.grid, u.grid.inverse(coeffs), PHYSICAL)
+    return Field(u.grid, u.grid.inverse(coeffs))
 
 
 def conserved_quantities(u: Field) -> tuple[float, float, float]:
@@ -130,7 +124,7 @@ def conserved_quantities(u: Field) -> tuple[float, float, float]:
     The quadratic pieces use exact spectral sums; the u^9 integral is taken
     on the padded grid where it is alias-free.
     """
-    vals = physical_values(u).real
+    vals = u.values.real
     grid = u.grid
     c = np.fft.fft(vals)
     mean = grid.dx * float(np.sum(vals))
@@ -166,7 +160,7 @@ class Trajectory:
 
 
 def _diag_row(grid: Grid, hat: np.ndarray) -> tuple[float, float, float]:
-    return conserved_quantities(Field(grid, grid.inverse(hat), PHYSICAL))
+    return conserved_quantities(Field(grid, grid.inverse(hat)))
 
 
 def evolve_reference(
@@ -200,10 +194,10 @@ def evolve_reference(
         raise ValueError("output_stride must divide the number of steps")
 
     grid = phi.grid
-    vals = physical_values(phi)
+    vals = phi.values
     if np.max(np.abs(vals.imag)) > 1e-10 * max(1.0, float(np.max(np.abs(vals.real)))):
         raise ValueError("evolve_reference expects real data")
-    hat = spectral_values(phi.with_values(vals.real.astype(np.complex128), PHYSICAL))
+    hat = grid.forward(vals.real)
 
     lin = 1j * grid.xi**3
     e_full = np.exp(dt * lin)

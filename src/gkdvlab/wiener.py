@@ -22,28 +22,21 @@ DISTRIBUTIONS = ("gaussian", "rademacher", "uniform", "ones")
 _UNIFORM_HALF_WIDTH = np.sqrt(3.0)
 
 
-@dataclass(frozen=True)
-class PartitionWindow:
+def partition_window(xi: np.ndarray) -> np.ndarray:
     """Raised-cosine window psi(xi) = cos^2(pi xi / 2) on [-1, 1], 0 outside.
 
     cos^2 + sin^2 = 1 makes the integer translates an exact partition of
     unity; at most two translates are nonzero at any frequency.
     """
-
-    def __call__(self, xi: np.ndarray) -> np.ndarray:
-        xi = np.asarray(xi, dtype=np.float64)
-        inside = np.abs(xi) < 1.0
-        out = np.zeros_like(xi)
-        out[inside] = np.cos(0.5 * np.pi * xi[inside]) ** 2
-        return out
+    xi = np.asarray(xi, dtype=np.float64)
+    inside = np.abs(xi) < 1.0
+    out = np.zeros_like(xi)
+    out[inside] = np.cos(0.5 * np.pi * xi[inside]) ** 2
+    return out
 
 
-def make_window() -> PartitionWindow:
-    return PartitionWindow()
-
-
-def band_symbol(window: PartitionWindow, xi: np.ndarray, n: int) -> np.ndarray:
-    return window(xi - n)
+def band_symbol(xi: np.ndarray, n: int) -> np.ndarray:
+    return partition_window(xi - n)
 
 
 def project_band(f: Field, n: int) -> Field:
@@ -53,7 +46,7 @@ def project_band(f: Field, n: int) -> Field:
             f"band center n={n} outside resolvable range |n| <= xi_max - 1 "
             f"= {f.grid.xi_max - 1.0:.3f}"
         )
-    return apply_multiplier(f, band_symbol(make_window(), f.grid.xi, n))
+    return apply_multiplier(f, band_symbol(f.grid.xi, n))
 
 
 @dataclass(frozen=True)
@@ -148,21 +141,21 @@ def verify_mgf_bound(
     return float(max(ratios))
 
 
-def _window_rows(window: PartitionWindow, xi: np.ndarray, n_max: int) -> np.ndarray:
+def _window_rows(xi: np.ndarray, n_max: int) -> np.ndarray:
     """The (2*n_max+1, len(xi)) matrix of translates psi(xi - n), |n| <= n_max."""
-    return np.stack([band_symbol(window, xi, n) for n in range(-n_max, n_max + 1)])
+    return np.stack([band_symbol(xi, n) for n in range(-n_max, n_max + 1)])
 
 
-def coverage_weight(window: PartitionWindow, xi: np.ndarray, n_max: int) -> np.ndarray:
+def coverage_weight(xi: np.ndarray, n_max: int) -> np.ndarray:
     """sum_{|n| <= n_max} psi(xi - n); equals 1 on the covered band."""
-    return _window_rows(window, xi, n_max).sum(axis=0)
+    return _window_rows(xi, n_max).sum(axis=0)
 
 
 @lru_cache(maxsize=64)
 def _band_stack(grid: Grid, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """The (2*n_max+1, N) matrix of window translates on the grid's
     frequencies, plus its column sums (the coverage weight)."""
-    rows = _window_rows(make_window(), grid.xi, n_max)
+    rows = _window_rows(grid.xi, n_max)
     cover = rows.sum(axis=0)
     rows.flags.writeable = False
     cover.flags.writeable = False

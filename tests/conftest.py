@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gkdvlab.grid import Field, SPECTRAL, field_from_function, make_grid, to_physical
+from gkdvlab.grid import Field, field_from_function, make_grid
 
 
 @pytest.fixture
@@ -22,9 +22,9 @@ def bump(grid512):
 def banded_bump(grid, amplitude=1.0, band=2.0):
     """Real data with a sharply truncated gaussian spectral envelope."""
     coeffs = amplitude * np.exp(-grid.xi**2) * (np.abs(grid.xi) <= band)
-    return to_physical(Field(grid, coeffs.astype(np.complex128), SPECTRAL))
+    return Field(grid, grid.inverse(coeffs))
 
 
 def random_real_field(grid, seed):
     rng = np.random.default_rng(seed)
-    return Field(grid, rng.standard_normal(grid.n_modes).astype(np.complex128), "physical")
+    return Field(grid, rng.standard_normal(grid.n_modes).astype(np.complex128))

@@ -15,13 +15,12 @@ import numpy as np
 
 from gkdvlab.cli import main
 from gkdvlab.grid import (
+    Field,
     airy_propagate,
     field_from_function,
-    field_from_samples,
     l2_norm,
     make_grid,
     spectral_values,
-    to_spectral,
 )
 from gkdvlab.montecarlo import (
     exceedance_fit_line,
@@ -36,7 +35,7 @@ from gkdvlab.params import CRITICAL_INDEX, data_index
 from gkdvlab.probes import ProbeResolution, estimate_ids, run_estimate
 from gkdvlab.solver import evolve_reference, picard_solve, reconstruct_solution
 from gkdvlab.spacetime import centered_axis
-from gkdvlab.wiener import coverage_weight, make_window, randomize, sample_coefficients
+from gkdvlab.wiener import coverage_weight, randomize, sample_coefficients
 
 from conftest import banded_bump
 
@@ -62,10 +61,9 @@ def test_criterion_01_spectral_exactness():
     parseval_err = 0.0
     unitarity_err = 0.0
     for _ in range(1000):
-        f = field_from_samples(g2, rng.standard_normal(512) + 1j * rng.standard_normal(512))
-        parseval_err = max(
-            parseval_err, abs(l2_norm(f) - l2_norm(to_spectral(f))) / l2_norm(f)
-        )
+        f = Field(g2, rng.standard_normal(512) + 1j * rng.standard_normal(512))
+        spectral_l2 = np.sqrt(g2.dxi * np.sum(np.abs(spectral_values(f)) ** 2))
+        parseval_err = max(parseval_err, abs(l2_norm(f) - spectral_l2) / l2_norm(f))
         moved = airy_propagate(f, 0.8)
         for s in (0.0, CRITICAL_INDEX, 1.0):
             before = sobolev_norm(f, s)
@@ -82,9 +80,8 @@ def test_criterion_01_spectral_exactness():
 
 def test_criterion_02_partition_of_unity():
     g = make_grid(32.0, 1024)
-    window = make_window()
     n_cover = int(np.ceil(g.xi_max)) + 2
-    dev = float(np.max(np.abs(coverage_weight(window, g.xi, n_cover) - 1.0)))
+    dev = float(np.max(np.abs(coverage_weight(g.xi, n_cover) - 1.0)))
 
     g2 = make_grid(32.0, 512)
     bump = field_from_function(g2, lambda x: np.exp(-(x**2)))

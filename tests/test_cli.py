@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from gkdvlab.cli import main
 from gkdvlab.io import load_field, load_trajectory
@@ -97,6 +98,23 @@ class TestConfigErrors:
     def test_small_ensemble_for_tails_exit_2(self, tmp_path):
         cfg = write_cfg(tmp_path, "[ensemble]\nn_samples = 10\n")
         assert main(["strichartz-tail", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("lwp", "tol", "0"),
+            ("lwp", "n_samples", "50"),
+            ("lwp", "max_iter", "0"),
+            ("estimates", "n_modes", "63"),
+            ("estimates", "m_t", "15"),
+            ("estimates", "n_trials", "0"),
+        ],
+    )
+    def test_bad_run_key_exit_2(self, tmp_path, capsys, section, key, value):
+        cfg = write_cfg(tmp_path, f"[{section}]\n{key} = {value}\n")
+        command = "lwp-ensemble" if section == "lwp" else "verify-estimates"
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        assert f"[{section}] {key} must be" in capsys.readouterr().err
 
 
 class TestVerifyEstimates:

@@ -13,12 +13,9 @@ from gkdvlab.grid import (
     dyadic_blocks,
     dyadic_project,
     field_from_function,
-    field_from_samples,
     l2_norm,
     make_grid,
     spectral_values,
-    to_physical,
-    to_spectral,
 )
 from gkdvlab.norms import sobolev_norm
 
@@ -60,10 +57,12 @@ class TestTransforms:
         rng = np.random.default_rng(1)
         for trial in range(50):
             v = rng.standard_normal(512) + 1j * rng.standard_normal(512)
-            f = field_from_samples(grid512, v)
-            back = to_physical(to_spectral(f))
-            assert np.max(np.abs(back.values - f.values)) <= 1e-12 * np.max(np.abs(f.values))
-            assert abs(l2_norm(f) - l2_norm(to_spectral(f))) <= 1e-12 * l2_norm(f)
+            f = Field(grid512, v)
+            hat = spectral_values(f)
+            back = grid512.inverse(hat)
+            assert np.max(np.abs(back - f.values)) <= 1e-12 * np.max(np.abs(f.values))
+            spectral_l2 = np.sqrt(grid512.dxi * np.sum(np.abs(hat) ** 2))
+            assert abs(l2_norm(f) - spectral_l2) <= 1e-12 * l2_norm(f)
 
     def test_batch_matches_row_by_row_bitwise(self, grid64):
         rng = np.random.default_rng(2)
@@ -90,12 +89,6 @@ class TestTransforms:
         with pytest.raises(ValueError):
             phase[0] = 2.0
         assert np.array_equal(phase, (-1.0) ** np.arange(64))
-
-    def test_representation_mismatch_raises(self, bump):
-        with pytest.raises(ValueError):
-            to_physical(bump)
-        with pytest.raises(ValueError):
-            to_spectral(to_spectral(bump))
 
 
 class TestAiryPropagate:
@@ -174,20 +167,20 @@ class TestDerivative:
 class TestDealias:
     @pytest.mark.parametrize("degree,frac", [(2, 2.0 / 3.0), (8, 2.0 / 9.0)])
     def test_cutoff_fraction(self, grid512, degree, frac):
-        f = to_spectral(random_real_field(grid512, 6))
-        hat = dealias(f, degree).values
+        f = random_real_field(grid512, 6)
         cutoff = grid512.xi_max * 2.0 / (degree + 1.0)
-        assert np.all(np.abs(hat[np.abs(grid512.xi) > cutoff]) == 0.0)
-        inside = np.abs(grid512.xi) <= cutoff
-        assert np.array_equal(hat[inside], f.values[inside])
+        keep = np.abs(grid512.xi) <= cutoff
+        expected = grid512.inverse(np.where(keep, spectral_values(f), 0.0))
+        assert np.array_equal(dealias(f, degree).values, expected)
         assert cutoff == pytest.approx(grid512.xi_max * frac)
 
     def test_band_limited_field_unchanged(self, grid512):
         mask = np.abs(grid512.xi) <= grid512.xi_max * 0.2
-        coeffs = np.where(mask, 1.0, 0.0).astype(np.complex128)
-        f = Field(grid512, coeffs, "spectral")
-        out = dealias(f, 8)
-        assert np.max(np.abs(out.values - f.values)) == 0.0
+        f = Field(grid512, grid512.inverse(np.where(mask, 1.0, 0.0)))
+        keep = np.abs(grid512.xi) <= grid512.xi_max * 2.0 / 9.0
+        assert np.all(keep[mask])
+        expected = grid512.inverse(np.where(keep, spectral_values(f), 0.0))
+        assert np.array_equal(dealias(f, 8).values, expected)
 
     def test_rejects_degree_one(self, bump):
         with pytest.raises(ValueError):

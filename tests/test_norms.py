@@ -6,11 +6,9 @@ from scipy.integrate import quad
 
 from gkdvlab.grid import (
     Field,
-    SPECTRAL,
     field_from_function,
     l2_norm,
     make_grid,
-    to_physical,
 )
 from gkdvlab.norms import (
     AliasingError,
@@ -106,15 +104,15 @@ class TestModulationNorm:
             coeffs = (rng.standard_normal(64) + 1j * rng.standard_normal(64)) * (
                 np.abs(grid64.xi) <= 4.0
             )
-            f = to_physical(Field(grid64, coeffs, SPECTRAL))
+            f = Field(grid64, grid64.inverse(coeffs))
             ratio = modulation_norm(f, 0.0, 2, 2) / l2_norm(f)
             assert 1.0 / np.sqrt(2.0) - 1e-9 <= ratio <= np.sqrt(2.0) + 1e-9
 
     def test_single_band_reduces_to_lp(self, grid64):
-        from gkdvlab.wiener import band_symbol, make_window
+        from gkdvlab.wiener import band_symbol
 
-        sym = band_symbol(make_window(), grid64.xi, 2)
-        f = to_physical(Field(grid64, sym.astype(np.complex128), SPECTRAL))
+        sym = band_symbol(grid64.xi, 2)
+        f = Field(grid64, grid64.inverse(sym.astype(np.complex128)))
         p = 4.0
         lp = (grid64.dx * np.sum(np.abs(f.values) ** p)) ** (1 / p)
         # bands 1,2,3 all see parts of this spectrum; with s=0, q=1 the norm

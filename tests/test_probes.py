@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from gkdvlab.grid import spectral_values
 from gkdvlab.params import b_index, dual_b_index, sigma_index
 from gkdvlab.probes import (
     EstimateReport,
+    _banded_bump,
     ProbeResolution,
     check_bilinear,
     check_embedding,
@@ -17,6 +19,7 @@ from gkdvlab.probes import (
     run_estimate,
 )
 from gkdvlab.spacetime import st_zero
+from gkdvlab.streams import rng_for
 
 
 EPS = 0.05
@@ -71,6 +74,30 @@ class TestReports:
         rep.add(0, 1.0, 2.0)
         assert rep.rows() == [("x", 0, 1.0, 2.0, 0.5)]
         assert rep.max_ratio == 0.5
+
+
+class TestRandomData:
+    """Data fields are built from their spectra; reading the spectrum back
+    costs one transform round trip, i.e. round-off only."""
+
+    @staticmethod
+    def _rel_err(got, want):
+        return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_random_field_spectrum(self, seed):
+        grid, _ = _res().make()
+        rng = rng_for(0, 17, seed)
+        coeffs = rng.standard_normal(grid.n_modes) + 1j * rng.standard_normal(grid.n_modes)
+        coeffs *= (np.abs(grid.xi) <= 3.5) / np.sqrt(1.0 + grid.xi**2)
+        coeffs /= np.sqrt(grid.dxi * np.sum(np.abs(coeffs) ** 2))
+        assert self._rel_err(spectral_values(random_field(grid, 3.5, seed)), coeffs) <= 1e-14
+
+    def test_banded_bump_spectrum(self):
+        grid, _ = _res().make()
+        coeffs = np.exp(-(grid.xi**2)) * (np.abs(grid.xi) <= 3.5)
+        coeffs /= np.sqrt(grid.dxi * np.sum(coeffs**2))
+        assert self._rel_err(spectral_values(_banded_bump(grid, 3.5)), coeffs) <= 1e-14
 
 
 class TestLinearProbe:

@@ -9,7 +9,7 @@ from gkdvlab.norms import sobolev_norm
 from gkdvlab.wiener import (
     bessel_weighted_band_sum,
     coverage_weight,
-    make_window,
+    partition_window,
     project_band,
     randomize,
     sample_coefficients,
@@ -21,25 +21,23 @@ from conftest import banded_bump
 
 class TestWindow:
     def test_endpoint_values(self):
-        w = make_window()
+        w = partition_window
         assert w(np.array([0.0]))[0] == 1.0
         assert w(np.array([1.0]))[0] == 0.0
         assert w(np.array([-1.0]))[0] == 0.0
 
     def test_adjacent_pair_sums_to_one(self):
-        w = make_window()
+        w = partition_window
         xi = np.linspace(0.0, 1.0, 1001)
         assert np.max(np.abs(w(xi) + w(xi - 1.0) - 1.0)) <= 1e-15
 
     def test_partition_of_unity_dense(self):
-        w = make_window()
         xi = np.linspace(-50.0, 50.0, 20001)
-        total = coverage_weight(w, xi, 60)
+        total = coverage_weight(xi, 60)
         assert np.max(np.abs(total - 1.0)) <= 1e-12
 
     def test_range(self):
-        w = make_window()
-        vals = w(np.linspace(-2, 2, 4001))
+        vals = partition_window(np.linspace(-2, 2, 4001))
         assert vals.min() >= 0.0 and vals.max() <= 1.0
 
 
@@ -52,7 +50,7 @@ class TestProjectBand:
 
     def test_support_selects_two_bands(self, grid64):
         mask = (grid64.xi >= 3.4) & (grid64.xi <= 3.6)
-        f = Field(grid64, mask.astype(np.complex128), "spectral")
+        f = Field(grid64, grid64.inverse(mask.astype(np.complex128)))
         live = [n for n in range(-5, 6) if l2_norm(project_band(f, n)) > 1e-14]
         assert live == [3, 4]
 
@@ -150,7 +148,7 @@ class TestRandomize:
         f = banded_bump(grid64, band=3.0)
         g = banded_bump(grid64, amplitude=0.4, band=3.0)
         coeffs = sample_coefficients("gaussian", 9, 5)
-        fg = Field(grid64, f.values + g.values, "physical")
+        fg = Field(grid64, f.values + g.values)
         combined = randomize(fg, coeffs)
         separate = randomize(f, coeffs).values + randomize(g, coeffs).values
         assert np.max(np.abs(combined.values - separate)) <= 1e-12 * np.max(np.abs(separate))
@@ -185,9 +183,8 @@ class TestRandomize:
 @settings(max_examples=40, deadline=None)
 @given(offset=st.floats(-30.0, 30.0, allow_nan=False))
 def test_window_translates_sum_to_one_anywhere(offset):
-    w = make_window()
     xi = offset + np.linspace(0.0, 1.0, 101)
-    assert np.max(np.abs(coverage_weight(w, xi, int(abs(offset)) + 3) - 1.0)) <= 1e-12
+    assert np.max(np.abs(coverage_weight(xi, int(abs(offset)) + 3) - 1.0)) <= 1e-12
 
 
 @settings(max_examples=20, deadline=None)
