@@ -165,10 +165,17 @@ def cmd_strichartz_tail(cfg: RunConfig, args) -> int:
 
 
 def cmd_lwp_ensemble(cfg: RunConfig, args) -> int:
-    out = _out_dir(cfg, args)
     phi = build_data(cfg)
     lwp = cfg["lwp"]
     taxis = centered_axis(cfg["time"]["t_span"], cfg["time"]["m_t"])
+    # the Picard distance would alias on every sample: fail before the ensemble
+    band = min(lwp["xi_band"], phi.grid.xi_max)
+    if 2.0 * band**3 > taxis.tau_max:
+        raise AliasingError(
+            f"[lwp] xi_band = {lwp['xi_band']:g} on this grid needs tau_max >= "
+            f"{2.0 * band**3:.1f}, the [time] axis provides {taxis.tau_max:.1f}"
+        )
+    out = _out_dir(cfg, args)
     report = exceptional_probability(
         phi,
         parse_float_list(lwp["t_grid"]),

@@ -8,6 +8,7 @@ keys: every consumer derives them from epsilon (see `params`).
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -197,8 +198,9 @@ def _finalize(raw: dict, problems: list[str]) -> RunConfig:
     ):
         if raw[sect][key] < least or raw[sect][key] % 2:
             problems.append(f"[{sect}] {key} must be even and >= {least}")
-    if raw["grid"]["half_length"] <= 0:
-        problems.append("[grid] half_length must be positive")
+    for sect in ("grid", "estimates"):
+        if not raw[sect]["half_length"] > 0:
+            problems.append(f"[{sect}] half_length must be positive")
     for sect, key in (("strichartz", "t_grid"), ("lwp", "t_grid")):
         try:
             values = parse_float_list(raw[sect][key])
@@ -206,6 +208,15 @@ def _finalize(raw: dict, problems: list[str]) -> RunConfig:
                 raise ValueError
         except ValueError:
             problems.append(f"[{sect}] {key} must be a comma-separated list of positive reals")
+            continue
+        if sect == "lwp" and sorted(values, reverse=True) != values:
+            problems.append("[lwp] t_grid must be descending")
+    if raw["grid"]["half_length"] > 0:
+        step = math.pi / raw["grid"]["half_length"]
+        if not raw["lwp"]["xi_band"] >= step:
+            problems.append(
+                f"[lwp] xi_band must be >= one frequency step pi / [grid] half_length = {step:.6g}"
+            )
     if not raw["lwp"]["tol"] > 0:
         problems.append("[lwp] tol must be positive")
     for sect, key, least in (

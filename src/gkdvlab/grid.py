@@ -9,9 +9,9 @@ as Riemann sums, so that grid norms approximate their continuum values:
     u(x_j)      = dxi/sqrt(2*pi) * sum_k u_hat(xi_k) exp(i x_j xi_k),
 
 with xi_k = pi*k/L for k = -N/2 .. N/2-1 (stored in FFT order).
-The `Grid` methods `forward`, `inverse` and `from_dft` (for raw DFT output)
-are the one place this convention is written down; every other module
-transforms the x axis through them.
+The `Grid` methods `forward`, `inverse`, and `from_dft`/`to_dft` (between
+these coefficients and raw DFT ones) are the one place this convention is
+written down; every other module transforms the x axis through them.
 """
 
 from __future__ import annotations
@@ -79,6 +79,11 @@ class Grid:
         Scales and phase-corrects the last axis; leading axes are a batch.
         """
         return (self.dx / SQRT_2PI) * _phase(self.n_modes) * raw
+
+    def to_dft(self, coeffs: np.ndarray) -> np.ndarray:
+        """Raw DFT coefficients from transform-convention ones (the inverse
+        of `from_dft`) along the last axis; leading axes are a batch."""
+        return (SQRT_2PI / self.dx) * _phase(self.n_modes) * coeffs
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         """Samples u(x_j) -> coefficients u_hat(xi_k) along the last axis;

@@ -19,12 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import Field, field_from_function, spectral_values
-from .spacetime import (
-    SpaceTimeField,
-    require_same_axes,
-    spectral_support_radius,
-    st_spectral_values,
-)
+from .spacetime import SpaceTimeField, _time_forward, require_same_axes
 from .params import AMPLITUDE_EXPONENT
 from .wiener import band_symbol
 
@@ -157,6 +152,35 @@ def _xsb_weight(grid, taxis, s: float, b: float) -> np.ndarray:
     return w
 
 
+def _support_radius(grid, hat_x: np.ndarray) -> float:
+    """Largest |xi| whose column of the x-spectral coefficients hat_x (time
+    samples x modes) carries more than 1e-12 of the peak column's L^2 mass.
+    Non-finite coefficients report the full grid band."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        col = np.sqrt(np.sum(np.abs(hat_x) ** 2, axis=0))
+    if not np.all(np.isfinite(col)):
+        return float(grid.xi_max)
+    return float(np.max(np.abs(grid.xi[col > 1e-12 * col.max()]), initial=0.0))
+
+
+def _xsb_from_x_coeffs(grid, taxis, hat_x: np.ndarray, s: float, b: float) -> float:
+    """`xsb_norm` of the field whose x-spectral coefficients per time sample
+    are hat_x: its band comes from their column masses, and only the time
+    axis is left to transform."""
+    if not taxis.is_centered:
+        raise AliasingError("xsb_norm needs the centered time box (even sample count >= 16)")
+    radius = _support_radius(grid, hat_x)
+    if 2.0 * radius**3 > taxis.tau_max:
+        raise AliasingError(
+            f"band |xi| <= {radius:.3f} needs tau_max >= {2.0 * radius**3:.1f}, "
+            f"axis provides {taxis.tau_max:.1f}; band-limit the field or "
+            "refine the time axis"
+        )
+    hat = _time_forward(taxis, hat_x)
+    w = _xsb_weight(grid, taxis, float(s), float(b))
+    return float(np.sqrt(grid.dxi * taxis.dtau * np.sum(w * np.abs(hat) ** 2)))
+
+
 def xsb_norm(u: SpaceTimeField, s: float, b: float) -> float:
     """Dispersive-weighted space-time norm <xi>^s <tau - xi^3>^b in L^2.
 
@@ -164,20 +188,7 @@ def xsb_norm(u: SpaceTimeField, s: float, b: float) -> float:
     satisfies 2 * xi_b^3 <= tau_max; otherwise the cubic phase wraps the
     tau grid and the modulation weight is meaningless.
     """
-    if not u.taxis.is_centered:
-        raise AliasingError(
-            "xsb_norm needs the centered time box (even sample count >= 16)"
-        )
-    radius = spectral_support_radius(u)
-    if 2.0 * radius**3 > u.taxis.tau_max:
-        raise AliasingError(
-            f"band |xi| <= {radius:.3f} needs tau_max >= {2.0 * radius**3:.1f}, "
-            f"axis provides {u.taxis.tau_max:.1f}; band-limit the field or "
-            "refine the time axis"
-        )
-    hat = st_spectral_values(u)
-    w = _xsb_weight(u.grid, u.taxis, float(s), float(b))
-    return float(np.sqrt(u.grid.dxi * u.taxis.dtau * np.sum(w * np.abs(hat) ** 2)))
+    return _xsb_from_x_coeffs(u.grid, u.taxis, u.grid.forward(u.values), s, b)
 
 
 def sobolev_in_x(u: SpaceTimeField, s: float) -> SpaceTimeField:

@@ -14,9 +14,13 @@ Two routes to the same solution:
   solution is u = v + z; both routes must agree, which is the main
   cross-validation of this module.
 
-The degree-8 product of the real state is evaluated alias-free with real
-FFTs on the smallest padded grid of M >= 9N/2 points, and the unpaired
-Nyquist mode is zeroed after every nonlinear evaluation.
+Both routes hold the state as x-spectral coefficients (the grid's
+transform convention; a space-time state is an m_t x N array of them) and
+return to physical samples only for output and for the blow-up test. The
+degree-8 product of the real state goes from N coefficients by one real
+inverse FFT to the smallest padded grid of M >= 9N/2 points, where it is
+alias-free, and the unpaired Nyquist mode is zeroed after every nonlinear
+evaluation.
 """
 
 from __future__ import annotations
@@ -25,20 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid
-from .norms import xsb_norm
+from .grid import SQRT_2PI, Field, Grid
+from .norms import _xsb_from_x_coeffs
 from .params import b_index, sigma_index
-from .spacetime import (
-    Cutoff,
-    SpaceTimeField,
-    TimeAxis,
-    _propagator,
-    band_project,
-    centered_axis,
-    free_evolution,
-    require_same_axes,
-    st_zero,
-)
+from .spacetime import Cutoff, SpaceTimeField, TimeAxis, _free_coeffs, _propagator, centered_axis
 
 NONLINEARITY_DEGREE = 8
 BLOWUP_THRESHOLD = 1e8
@@ -63,14 +57,16 @@ def _fine_size(n: int) -> int:
     return m + m % 2
 
 
-def fine_samples(grid: Grid, values_phys: np.ndarray) -> np.ndarray:
-    """Real samples of the band-limited interpolant of the real part on the
-    `_fine_size` grid; the unpaired coarse Nyquist mode is dropped."""
+def _fine_samples(grid: Grid, hat: np.ndarray) -> np.ndarray:
+    """Real samples, on the `_fine_size` grid, of the real state with
+    coefficients `hat` (last axis; leading axes are a batch).
+
+    Only the modes 0 <= k < N/2 are read: a real state's other modes are
+    their conjugates, and the unpaired Nyquist mode is dropped.
+    """
     n = grid.n_modes
     m = _fine_size(n)
-    c = np.fft.rfft(values_phys.real)
-    c[..., n // 2] = 0.0
-    return np.fft.irfft(c, m) * (m / n)
+    return np.fft.irfft(grid.to_dft(hat)[..., : n // 2], m) * (m / n)
 
 
 def _eighth_power(w: np.ndarray) -> np.ndarray:
@@ -81,14 +77,14 @@ def _eighth_power(w: np.ndarray) -> np.ndarray:
     return w
 
 
-def _power8_coeffs(grid: Grid, values_phys: np.ndarray) -> np.ndarray:
+def _power8_coeffs(grid: Grid, hat: np.ndarray) -> np.ndarray:
     """Alias-free raw DFT coefficients of u^8 on the coarse grid (u real).
 
     The coarse spectrum is Hermitian; its Nyquist mode stays zero.
     """
     n = grid.n_modes
     half = n // 2
-    w = _eighth_power(fine_samples(grid, values_phys))
+    w = _eighth_power(_fine_samples(grid, hat))
     low = np.fft.rfft(w)[..., :half] * (n / w.shape[-1])
     out = np.zeros(low.shape[:-1] + (n,), dtype=np.complex128)
     out[..., :half] = low
@@ -96,15 +92,10 @@ def _power8_coeffs(grid: Grid, values_phys: np.ndarray) -> np.ndarray:
     return out
 
 
-def nonlinearity_coeffs(grid: Grid, values_phys: np.ndarray) -> np.ndarray:
-    """Spectral coefficients (transform convention) of -d_x(u^8)/8.
-
-    Accepts a single state or a batch of states in the leading axis.
-    Evolved states are real: the round-off imaginary part of a complex
-    input is discarded.
-    """
-    hat = grid.from_dft(_power8_coeffs(grid, values_phys))
-    return (-1j * grid.xi / NONLINEARITY_DEGREE) * hat
+def nonlinearity_coeffs(grid: Grid, hat: np.ndarray) -> np.ndarray:
+    """Coefficients of -d_x(u^8)/8 from the coefficients `hat` of the real
+    state u (transform convention, last axis; leading axes are a batch)."""
+    return (-1j * grid.xi / NONLINEARITY_DEGREE) * grid.from_dft(_power8_coeffs(grid, hat))
 
 
 def nonlinearity(u: Field) -> Field:
@@ -112,25 +103,24 @@ def nonlinearity(u: Field) -> Field:
     vals = u.values
     if np.max(np.abs(vals.imag)) > 1e-10 * max(1.0, np.max(np.abs(vals.real))):
         raise ValueError("nonlinearity expects a real physical-space field")
-    coeffs = nonlinearity_coeffs(u.grid, vals.real)
+    coeffs = nonlinearity_coeffs(u.grid, u.grid.forward(vals.real))
     if not np.all(np.isfinite(coeffs)):
         raise BlowupError(step=-1, message="nonlinearity overflowed")
     return Field(u.grid, u.grid.inverse(coeffs))
 
 
-def conserved_quantities(u: Field) -> tuple[float, float, float]:
-    """(mean, mass, energy) = (int u, int u^2, int (u_x^2/2 - u^9/72)).
+def conserved_quantities(grid: Grid, hat: np.ndarray) -> tuple[float, float, float]:
+    """(mean, mass, energy) = (int u, int u^2, int (u_x^2/2 - u^9/72)) of the
+    real state with coefficients `hat`.
 
-    The quadratic pieces use exact spectral sums; the u^9 integral is taken
-    on the padded grid where it is alias-free.
+    The quadratic pieces are exact spectral sums (Parseval); the u^9
+    integral is taken on the padded grid where it is alias-free.
     """
-    vals = u.values.real
-    grid = u.grid
-    c = np.fft.fft(vals)
-    mean = grid.dx * float(np.sum(vals))
-    mass = grid.dx * float(np.sum(vals**2))
-    kinetic = 0.5 * grid.dx / grid.n_modes * float(np.sum(np.abs(1j * grid.xi * c) ** 2))
-    fine = fine_samples(grid, vals)
+    power = np.abs(hat) ** 2
+    mean = SQRT_2PI * float(hat[0].real)
+    mass = grid.dxi * float(np.sum(power))
+    kinetic = 0.5 * grid.dxi * float(np.sum(grid.xi**2 * power))
+    fine = _fine_samples(grid, hat)
     dx_fine = 2.0 * grid.half_length / fine.shape[-1]
     potential = dx_fine * float(np.sum(_eighth_power(fine.copy()) * fine)) / 72.0
     return mean, mass, kinetic - potential
@@ -157,10 +147,6 @@ class Trajectory:
     seed: int | None = None
     blown_up: bool = False
     first_bad_step: int | None = None
-
-
-def _diag_row(grid: Grid, hat: np.ndarray) -> tuple[float, float, float]:
-    return conserved_quantities(Field(grid, grid.inverse(hat)))
 
 
 def evolve_reference(
@@ -203,29 +189,25 @@ def evolve_reference(
     e_full = np.exp(dt * lin)
     e_half = np.exp(0.5 * dt * lin)
 
-    def rhs(state_hat: np.ndarray) -> np.ndarray:
-        return nonlinearity_coeffs(grid, grid.inverse(state_hat))
-
     n_out = n_steps // output_stride + 1
     samples = np.empty((n_out, grid.n_modes), dtype=np.complex128)
     samples[0] = grid.inverse(hat)
 
-    diag_steps, diag_time = [0], [0.0]
-    d0 = _diag_row(grid, hat)
-    diag_mean, diag_mass, diag_energy = [d0[0]], [d0[1]], [d0[2]]
+    diag_steps = [0]
+    diag_rows = [conserved_quantities(grid, hat)]
 
     blown_up = False
     first_bad = None
     k_out = 1
     for step in range(1, n_steps + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            n1 = rhs(hat)
+            n1 = nonlinearity_coeffs(grid, hat)
             a = e_half * (hat + 0.5 * dt * n1)
-            n2 = rhs(a)
+            n2 = nonlinearity_coeffs(grid, a)
             b = e_half * hat + 0.5 * dt * n2
-            n3 = rhs(b)
+            n3 = nonlinearity_coeffs(grid, b)
             c = e_full * hat + dt * e_half * n3
-            n4 = rhs(c)
+            n4 = nonlinearity_coeffs(grid, c)
             hat = e_full * hat + (dt / 6.0) * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
 
         if not np.all(np.isfinite(hat)):
@@ -234,25 +216,17 @@ def evolve_reference(
             break
 
         if step % diag_stride == 0 or step == n_steps:
-            m0, m1, m2 = _diag_row(grid, hat)
             diag_steps.append(step)
-            diag_time.append(step * dt)
-            diag_mean.append(m0)
-            diag_mass.append(m1)
-            diag_energy.append(m2)
+            diag_rows.append(conserved_quantities(grid, hat))
         if step % output_stride == 0:
             samples[k_out] = grid.inverse(hat)
             k_out += 1
 
     taxis = TimeAxis(t0=0.0, dt=dt * output_stride, n_samples=k_out)
     traj_field = SpaceTimeField(grid, taxis, samples[:k_out])
-    diags = Diagnostics(
-        step=np.asarray(diag_steps),
-        time=np.asarray(diag_time),
-        mean=np.asarray(diag_mean),
-        mass=np.asarray(diag_mass),
-        energy=np.asarray(diag_energy),
-    )
+    steps = np.asarray(diag_steps)
+    mean, mass, energy = np.asarray(diag_rows).T
+    diags = Diagnostics(step=steps, time=steps * dt, mean=mean, mass=mass, energy=energy)
     return Trajectory(
         u=traj_field,
         dt=dt,
@@ -268,26 +242,28 @@ def evolve_reference(
 # Duhamel map and Picard iteration
 
 
-def duhamel_gamma(v: SpaceTimeField, z: SpaceTimeField, T: float) -> SpaceTimeField:
-    """One application of the cutoff Duhamel map.
+def duhamel_gamma(
+    grid: Grid,
+    taxis: TimeAxis,
+    v_hat: np.ndarray,
+    z_hat: np.ndarray,
+    eta: np.ndarray,
+    eta_T: np.ndarray,
+) -> np.ndarray:
+    """One application of the cutoff Duhamel map to x-spectral coefficients.
 
-    z must already carry its eta_T cutoff (it is the caller's cutoff free
-    evolution of the data); v gets the unit-scale cutoff here. The time
-    integral uses the trapezoid rule at the axis spacing, with the free
-    propagator applied exactly between nodes. The output vanishes for
-    |t| >= 2T by construction.
+    v_hat and z_hat are (m_t x N) coefficient arrays on `taxis`; eta and
+    eta_T are the unit-scale and T-scale cutoffs sampled on it. z must
+    already carry its eta_T cutoff (it is the caller's cutoff free
+    evolution of the data); v gets eta here. The time integral uses the
+    trapezoid rule at the axis spacing, with the free propagator applied
+    exactly between nodes. The output vanishes for |t| >= 2T by
+    construction.
     """
-    require_same_axes(v, z)
-    taxis = v.taxis
     if not taxis.is_centered:
         raise ValueError("duhamel_gamma needs the centered time box (t = 0 a node)")
-    grid = v.grid
-    t = taxis.t
-    eta_unit = Cutoff(1.0)
-    eta_t = Cutoff(T)
-
     with np.errstate(over="ignore", invalid="ignore"):
-        w = eta_unit(t)[:, None] * v.values + z.values
+        w = eta[:, None] * v_hat + z_hat
     if not np.all(np.isfinite(w)):
         raise BlowupError(step=-1, message="non-finite state entering the Duhamel map")
 
@@ -307,11 +283,9 @@ def duhamel_gamma(v: SpaceTimeField, z: SpaceTimeField, T: float) -> SpaceTimeFi
     cumulative = np.vstack(
         [np.zeros((1, grid.n_modes), dtype=np.complex128), np.cumsum(mids, axis=0)]
     )
-    j0 = int(np.argmin(np.abs(t)))
+    j0 = int(np.argmin(np.abs(taxis.t)))
     cumulative = cumulative - cumulative[j0]
-
-    out_hat = propagator * cumulative * eta_t(t)[:, None]
-    return SpaceTimeField(grid, taxis, grid.inverse(out_hat))
+    return propagator * cumulative * eta_T[:, None]
 
 
 @dataclass
@@ -347,21 +321,27 @@ def picard_solve(
     """Iterate v <- Gamma(v) from v = 0 until successive iterates are closer
     than tol in the dispersive-weighted norm.
 
-    Distances are measured on the band |xi| <= xi_band projection of the
-    iterates (the weighted norm requires a resolvable band); the largest
-    relative mass discarded by that projection is reported. Non-convergence
-    within max_iter is a result state, not an error; a non-finite iterate
-    marks the run as blown up.
+    Distances are measured on the band |xi| <= xi_band (at least one
+    frequency step) of the iterates' difference, since the weighted norm
+    requires a resolvable band; the largest relative mass that this
+    restriction discards is reported. Non-convergence within max_iter is a
+    result state, not an error; a non-finite iterate, or one whose physical
+    peak exceeds BLOWUP_THRESHOLD, marks the run as blown up.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
+    grid = phi_omega.grid
+    if not xi_band >= grid.dxi:
+        raise ValueError(f"xi_band must be at least one frequency step {grid.dxi}")
     if taxis is None:
         taxis = centered_axis(t_span=4.0, m_t=2048)
     sigma = sigma_index(eps)
     b = b_index(eps)
 
-    z = free_evolution(phi_omega, taxis, cutoff=Cutoff(T))
-    v = st_zero(phi_omega.grid, taxis)
+    eta, eta_T = Cutoff(1.0)(taxis.t), Cutoff(T)(taxis.t)
+    z_hat = _free_coeffs(phi_omega, taxis, eta_T)
+    v_hat = np.zeros_like(z_hat)
+    outside = np.abs(grid.xi) > xi_band
 
     distances: list[float] = []
     ratios: list[float] = []
@@ -373,28 +353,26 @@ def picard_solve(
     for _ in range(max_iter):
         iterations += 1
         try:
-            v_next = duhamel_gamma(v, z, T)
+            v_next = duhamel_gamma(grid, taxis, v_hat, z_hat, eta, eta_T)
         except BlowupError:
             blown_up = True
             break
         with np.errstate(over="ignore", invalid="ignore"):
-            peak = float(np.max(np.abs(v_next.values)))
+            peak = float(np.max(np.abs(grid.inverse(v_next))))
         if not np.isfinite(peak) or peak > BLOWUP_THRESHOLD:
             blown_up = True
             break
-        diff = v_next.with_values(v_next.values - v.values)
-        projected, lost = band_project(diff, xi_band)
-        discarded = max(discarded, lost)
-        d = xsb_norm(projected, sigma, b)
-        if not np.isfinite(d):
-            blown_up = True
-            break
-        if distances:
-            prev = distances[-1]
-            if prev > 0.0:
-                ratios.append(d / prev)
+        diff = v_next - v_hat
+        col = np.sum(np.abs(diff) ** 2, axis=0)
+        total = float(np.sum(col))
+        if total > 0.0:
+            discarded = max(discarded, float(np.sum(col[outside])) / total)
+        diff[:, outside] = 0.0
+        d = _xsb_from_x_coeffs(grid, taxis, diff, sigma, b)
+        if distances and distances[-1] > 0.0:
+            ratios.append(d / distances[-1])
         distances.append(d)
-        v = v_next
+        v_hat = v_next
         if d <= tol:
             converged = True
             break
@@ -402,8 +380,8 @@ def picard_solve(
     if converged and ratios and not ratios[-1] < 1.0:
         converged = False
     return PicardResult(
-        v=v,
-        z=z,
+        v=SpaceTimeField(grid, taxis, grid.inverse(v_hat)),
+        z=SpaceTimeField(grid, taxis, grid.inverse(z_hat)),
         distances=distances,
         ratios=ratios,
         converged=converged and not blown_up,
@@ -440,10 +418,10 @@ def pde_residual(u: SpaceTimeField, interval: tuple[float, float]) -> np.ndarray
         raise ValueError("interval leaves no interior samples for the stencil")
 
     u_t = (-vals[idx + 2] + 8.0 * vals[idx + 1] - 8.0 * vals[idx - 1] + vals[idx - 2]) / (12.0 * dt)
-    u_xxx = grid.multiply(vals[idx], (1j * grid.xi) ** 3).real
-    nl = grid.inverse(nonlinearity_coeffs(grid, vals[idx])).real
+    hat = grid.forward(vals[idx])
+    spatial = grid.inverse((1j * grid.xi) ** 3 * hat - nonlinearity_coeffs(grid, hat)).real
 
-    residual = u_t + u_xxx - nl
+    residual = u_t + spatial
     res_norm = np.sqrt(grid.dx * np.sum(residual**2, axis=1))
     u_norm = np.sqrt(grid.dx * np.sum(vals[idx] ** 2, axis=1))
     return res_norm / np.maximum(u_norm, 1e-300)

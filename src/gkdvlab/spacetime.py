@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Field, Grid, boundary_phase, spectral_values
+from .grid import SQRT_2PI, Field, Grid, spectral_values
 
 TWO_PI = 2.0 * np.pi
 
@@ -113,21 +113,24 @@ def require_same_axes(*fields: SpaceTimeField) -> None:
             raise ValueError("space-time fields must share grid and time axis")
 
 
+def _time_forward(taxis: TimeAxis, values: np.ndarray) -> np.ndarray:
+    """Transform along the time axis (axis 0), in the x axis's convention:
+    dt/sqrt(2*pi) * sum_m values(t_m) e^{-i t_m tau}."""
+    phase = np.exp(-1j * taxis.t0 * taxis.tau)
+    return (taxis.dt / SQRT_2PI) * phase[:, None] * np.fft.fft(values, axis=0)
+
+
 def st_spectral_values(u: SpaceTimeField) -> np.ndarray:
     """The 2D transform F u(xi, tau) of the samples, both axes in FFT order."""
-    phase_x = boundary_phase(u.grid.n_modes)
-    phase_t = np.exp(-1j * u.taxis.t0 * u.taxis.tau)
-    scale = u.grid.dx * u.taxis.dt / TWO_PI
-    return scale * phase_t[:, None] * phase_x[None, :] * np.fft.fft2(u.values)
+    return _time_forward(u.taxis, u.grid.forward(u.values))
 
 
 def st_to_physical(grid: Grid, taxis: TimeAxis, coeffs: np.ndarray) -> SpaceTimeField:
-    """The field whose 2D transform is `coeffs` (inverse of st_spectral_values)."""
-    phase_x = boundary_phase(grid.n_modes)
-    phase_t = np.exp(1j * taxis.t0 * taxis.tau)
-    scale = grid.dxi * taxis.dtau * grid.n_modes * taxis.n_samples / TWO_PI
-    values = scale * np.fft.ifft2(coeffs * phase_t[:, None] * phase_x[None, :])
-    return SpaceTimeField(grid, taxis, values)
+    """The field whose 2D transform is `coeffs` (inverse of st_spectral_values):
+    the inverse of `_time_forward`, then the grid's inverse transform."""
+    phase = np.exp(1j * taxis.t0 * taxis.tau)
+    hat_x = (taxis.dtau * taxis.n_samples / SQRT_2PI) * np.fft.ifft(coeffs * phase[:, None], axis=0)
+    return SpaceTimeField(grid, taxis, grid.inverse(hat_x))
 
 
 def st_l2(u: SpaceTimeField) -> float:
@@ -183,51 +186,24 @@ def _propagator(grid: Grid, taxis: TimeAxis) -> np.ndarray:
     return table
 
 
+def _free_coeffs(phi: Field, taxis: TimeAxis, profile: np.ndarray | None) -> np.ndarray:
+    """x-spectral coefficients exp(i t xi^3) phi_hat of the free flow at the
+    samples of `taxis`, times the sampled time profile when one is given."""
+    coeffs = _propagator(phi.grid, taxis) * spectral_values(phi)[None, :]
+    if profile is not None:
+        coeffs = coeffs * profile[:, None]
+    return coeffs
+
+
 def free_evolution(phi: Field, grid_taxis: TimeAxis, cutoff: Cutoff | None = None) -> SpaceTimeField:
     """Sample the free flow t -> exp(i t xi^3) phi_hat, optionally times a cutoff.
 
     The per-time inverse transforms are evaluated in one batched FFT.
     """
-    grid = phi.grid
-    coeffs = _propagator(grid, grid_taxis) * spectral_values(phi)[None, :]
-    if cutoff is not None:
-        coeffs = coeffs * cutoff(grid_taxis.t)[:, None]
-    return SpaceTimeField(grid, grid_taxis, grid.inverse(coeffs))
+    profile = None if cutoff is None else cutoff(grid_taxis.t)
+    coeffs = _free_coeffs(phi, grid_taxis, profile)
+    return SpaceTimeField(phi.grid, grid_taxis, phi.grid.inverse(coeffs))
 
 
 def apply_time_cutoff(u: SpaceTimeField, cutoff: Cutoff) -> SpaceTimeField:
     return u.with_values(u.values * cutoff(u.taxis.t)[:, None])
-
-
-def band_project(u: SpaceTimeField, xi_band: float) -> tuple[SpaceTimeField, float]:
-    """Sharp restriction to |xi| <= xi_band.
-
-    Returns the projected field and the relative L^2 mass of the discarded
-    high band (0 when nothing is discarded).
-    """
-    hat_x = np.fft.fft(u.values, axis=1)
-    mask = np.abs(u.grid.xi) <= xi_band
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = float(np.sum(np.abs(hat_x) ** 2))
-        kept = float(np.sum(np.abs(hat_x[:, mask]) ** 2))
-    if not np.isfinite(total) or total == 0.0:
-        discarded = 0.0
-    else:
-        discarded = max(0.0, (total - kept) / total)
-    out = np.fft.ifft(hat_x * mask[None, :], axis=1)
-    return u.with_values(out), discarded
-
-
-def spectral_support_radius(u: SpaceTimeField, rel_tol: float = 1e-12) -> float:
-    """Largest |xi| whose column carries more than rel_tol of the peak
-    column's L^2 mass. Non-finite fields report the full grid band."""
-    hat_x = np.fft.fft(u.values, axis=1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        col = np.sqrt(np.sum(np.abs(hat_x) ** 2, axis=0))
-    if not np.all(np.isfinite(col)):
-        return float(u.grid.xi_max)
-    peak = float(col.max())
-    if peak == 0.0:
-        return 0.0
-    active = col > rel_tol * peak
-    return float(np.max(np.abs(u.grid.xi[active])))

@@ -108,6 +108,9 @@ class TestConfigErrors:
             ("estimates", "n_modes", "63"),
             ("estimates", "m_t", "15"),
             ("estimates", "n_trials", "0"),
+            ("lwp", "xi_band", "0"),
+            ("lwp", "t_grid", "0.0625,0.125"),
+            ("estimates", "half_length", "0"),
         ],
     )
     def test_bad_run_key_exit_2(self, tmp_path, capsys, section, key, value):
@@ -158,3 +161,15 @@ class TestLwpEnsemble:
         records = (out / "records.csv").read_text().splitlines()
         assert records[0].startswith("T,sample,seed,")
         assert len(records) == 1 + 2 * 100
+
+    def test_band_too_wide_for_time_axis_exit_4(self, tmp_path, capsys):
+        # 2 * min(8, xi_max = 2 pi)^3 ~ 496 exceeds tau_max ~ 201: every
+        # Picard distance would alias, so the run stops before the ensemble
+        cfg = write_cfg(
+            tmp_path,
+            SMALL_GRID + "[lwp]\nt_grid = 0.125\nn_samples = 100\nxi_band = 8.0\n",
+        )
+        out = tmp_path / "lwp"
+        assert main(["lwp-ensemble", "--config", cfg, "--out", str(out)]) == 4
+        assert "[lwp] xi_band" in capsys.readouterr().err
+        assert not out.exists()

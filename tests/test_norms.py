@@ -12,6 +12,7 @@ from gkdvlab.grid import (
 )
 from gkdvlab.norms import (
     AliasingError,
+    _support_radius,
     bilinear_multiplier,
     homogeneous_norm,
     mixed_norm,
@@ -23,6 +24,7 @@ from gkdvlab.norms import (
     xsb_norm,
 )
 from gkdvlab.params import CRITICAL_INDEX
+from gkdvlab.probes import ProbeResolution, random_spacetime
 from gkdvlab.spacetime import (
     Cutoff,
     SpaceTimeField,
@@ -201,6 +203,17 @@ class TestXsbNorm:
         u = free_evolution(phi, midpoint_axis(1.0, 64))
         with pytest.raises(AliasingError):
             xsb_norm(u, 0.0, 0.5)
+
+    @pytest.mark.parametrize("resolution", [ProbeResolution(), ProbeResolution().doubled()])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_support_radius_matches_column_mass_oracle(self, resolution, seed):
+        grid, ta = resolution.make()
+        u = random_spacetime(grid, ta, resolution.xi_band, seed)
+        # the former route: a raw x-FFT of the samples, then column L^2 masses
+        col = np.sqrt(np.sum(np.abs(np.fft.fft(u.values, axis=1)) ** 2, axis=0))
+        oracle = np.max(np.abs(grid.xi[col > 1e-12 * col.max()]))
+        assert _support_radius(grid, grid.forward(u.values)) == oracle
+        assert oracle <= resolution.xi_band
 
     @pytest.mark.parametrize("c", [2.0, -3.0, 1j])
     def test_homogeneity(self, grid64, c):

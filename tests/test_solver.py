@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkdvlab.grid import Field, field_from_function, make_grid
+from gkdvlab.grid import field_from_function, make_grid
 from gkdvlab.norms import xsb_norm
 from gkdvlab.solver import (
     conserved_quantities,
@@ -17,11 +17,11 @@ from gkdvlab.solver import (
 )
 from gkdvlab.spacetime import (
     Cutoff,
-    band_project,
+    SpaceTimeField,
     centered_axis,
     free_evolution,
     midpoint_axis,
-    st_zero,
+    st_l2,
 )
 from gkdvlab.grid import airy_propagate
 
@@ -105,8 +105,9 @@ class TestPaddedProduct:
         grid = make_grid(4.0, n)
         vals = _full_band_data(grid, seed, amplitude)
         ref_coeffs, ref_energy = _padded_oracle(grid, vals, 8 * n)
-        assert _rel_max(nonlinearity_coeffs(grid, vals), ref_coeffs) <= 1e-13
-        energy = conserved_quantities(Field(grid, vals))[2]
+        hat = grid.forward(vals)
+        assert _rel_max(nonlinearity_coeffs(grid, hat), ref_coeffs) <= 1e-13
+        energy = conserved_quantities(grid, hat)[2]
         assert abs(energy - ref_energy) <= 1e-13 * abs(ref_energy)
 
     # Degree-8 products reach |k| <= 4N - 8, which a 4N grid folds onto
@@ -125,19 +126,20 @@ class TestPaddedProduct:
     @given(n=st.sampled_from([8, 10, 64, 512]), seed=st.integers(0, 2**32 - 1))
     def test_batch_equals_rows_bitwise(self, n, seed):
         grid = make_grid(4.0, n)
-        batch = np.stack([_full_band_data(grid, seed + k, 0.5 + 0.25 * k) for k in range(5)])
+        batch = grid.forward(
+            np.stack([_full_band_data(grid, seed + k, 0.5 + 0.25 * k) for k in range(5)])
+        )
         rows = np.stack([nonlinearity_coeffs(grid, row) for row in batch])
         assert np.array_equal(nonlinearity_coeffs(grid, batch), rows)
 
 
 class TestConservedQuantities:
     def test_zero_field(self, grid512):
-        z = field_from_function(grid512, lambda x: 0.0 * x)
-        assert conserved_quantities(z) == (0.0, 0.0, 0.0)
+        assert conserved_quantities(grid512, np.zeros(512, np.complex128)) == (0.0, 0.0, 0.0)
 
     def test_sine_closed_form(self):
         g = make_grid(np.pi, 128)
-        mean, mass, energy = conserved_quantities(field_from_function(g, np.sin))
+        mean, mass, energy = conserved_quantities(g, g.forward(np.sin(g.x)))
         assert abs(mean) <= 1e-13
         assert mass == pytest.approx(np.pi, rel=1e-13)
         # energy = (1/2) int cos^2 = pi/2; the odd u^9 term integrates to 0
@@ -197,28 +199,41 @@ class TestEvolveReference:
             evolve_reference(phi, 1.0, 3e-4)
 
 
+def _cutoffs(ta, T):
+    return Cutoff(1.0)(ta.t), Cutoff(T)(ta.t)
+
+
 class TestDuhamelGamma:
     def test_zero_inputs_give_zero(self, grid64):
         ta = centered_axis(4.0, 256)
-        z = st_zero(grid64, ta)
-        out = duhamel_gamma(z, z, 0.25)
-        assert np.max(np.abs(out.values)) == 0.0
+        zero = np.zeros((256, 64), np.complex128)
+        out = duhamel_gamma(grid64, ta, zero, zero, *_cutoffs(ta, 0.25))
+        assert np.max(np.abs(out)) == 0.0
 
     def test_output_vanishes_outside_cutoff(self, grid64):
         ta = centered_axis(4.0, 256)
         phi = banded_bump(grid64, amplitude=1.0, band=2.0)
         T = 0.25
-        z = free_evolution(phi, ta, cutoff=Cutoff(T))
-        out = duhamel_gamma(st_zero(grid64, ta), z, T)
+        z_hat = grid64.forward(free_evolution(phi, ta, cutoff=Cutoff(T)).values)
+        out = duhamel_gamma(grid64, ta, np.zeros_like(z_hat), z_hat, *_cutoffs(ta, T))
         outside = np.abs(ta.t) >= 2 * T
-        assert np.max(np.abs(out.values[outside])) == 0.0
-        assert np.max(np.abs(out.values)) > 0.0
+        assert np.max(np.abs(out[outside])) == 0.0
+        assert np.max(np.abs(out)) > 0.0
 
     def test_needs_centered_axis(self, grid64):
         ta = midpoint_axis(1.0, 64)
-        z = st_zero(grid64, ta)
+        zero = np.zeros((64, 64), np.complex128)
         with pytest.raises(ValueError):
-            duhamel_gamma(z, z, 0.25)
+            duhamel_gamma(grid64, ta, zero, zero, *_cutoffs(ta, 0.25))
+
+
+def _band_oracle(u, xi_band):
+    """The physical route for a difference field u: x-FFT, sharp mask, inverse
+    FFT; returns the projected field and the relative discarded mass."""
+    hat_x = np.fft.fft(u.values, axis=1)
+    keep = np.abs(u.grid.xi) <= xi_band
+    lost = np.sum(np.abs(hat_x[:, ~keep]) ** 2) / np.sum(np.abs(hat_x) ** 2)
+    return u.with_values(np.fft.ifft(hat_x * keep, axis=1)), float(lost)
 
 
 class TestPicardSolve:
@@ -243,10 +258,60 @@ class TestPicardSolve:
         tol = 1e-9
         res = picard_solve(phi, 0.125, tol=tol, taxis=ta, xi_band=4.0)
         assert res.converged
-        gamma_v = duhamel_gamma(res.v, res.z, 0.125)
-        diff = gamma_v.with_values(gamma_v.values - res.v.values)
-        projected, _ = band_project(diff, 4.0)
+        v_hat = grid64.forward(res.v.values)
+        gamma_v = duhamel_gamma(
+            grid64, ta, v_hat, grid64.forward(res.z.values), *_cutoffs(ta, 0.125)
+        )
+        diff = SpaceTimeField(grid64, ta, grid64.inverse(gamma_v - v_hat))
+        projected, _ = _band_oracle(diff, 4.0)
         assert xsb_norm(projected, res.sigma, res.b) <= tol
+
+    def test_first_distance_matches_physical_oracle(self, grid64):
+        # from v = 0 the first difference is the first iterate itself
+        phi = banded_bump(grid64, amplitude=1.0, band=2.0)
+        res = picard_solve(phi, 0.125, tol=1e-10, max_iter=1,
+                           taxis=centered_axis(4.0, 256), xi_band=2.0)
+        projected, lost = _band_oracle(res.v, 2.0)
+        assert res.discarded_band_mass == pytest.approx(lost, rel=1e-12)
+        assert res.distances[0] == pytest.approx(
+            xsb_norm(projected, res.sigma, res.b), rel=1e-12
+        )
+
+    def test_band_mask_mass_accounting(self, grid64):
+        phi = banded_bump(grid64, amplitude=1.0, band=2.0)
+        res = picard_solve(phi, 0.125, tol=1e-10, max_iter=1,
+                           taxis=centered_axis(4.0, 256), xi_band=2.0)
+        projected, _ = _band_oracle(res.v, 2.0)
+        lost = res.discarded_band_mass
+        assert 0.0 < lost < 1.0
+        total = st_l2(res.v) ** 2
+        assert st_l2(projected) ** 2 + lost * total == pytest.approx(total, rel=1e-10)
+
+    def test_full_band_discards_nothing(self):
+        # a band covering every mode leaves the difference untouched
+        g = make_grid(16.0, 16)
+        phi = banded_bump(g, amplitude=1.0, band=2.0)
+        res = picard_solve(phi, 0.125, tol=1e-10, max_iter=1,
+                           taxis=centered_axis(4.0, 256), xi_band=g.xi_max)
+        assert res.discarded_band_mass == 0.0
+        assert res.distances[0] == pytest.approx(xsb_norm(res.v, res.sigma, res.b), rel=1e-12)
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.5])
+    def test_rejects_band_below_one_frequency_step(self, grid64, fraction):
+        phi = banded_bump(grid64, amplitude=1.0, band=2.0)
+        with pytest.raises(ValueError):
+            picard_solve(phi, 0.125, tol=1e-10, taxis=centered_axis(4.0, 256),
+                         xi_band=fraction * grid64.dxi)
+
+    def test_cutoffs_evaluated_once_per_solve(self, grid64, monkeypatch):
+        calls = []
+        profile = Cutoff.__call__
+        monkeypatch.setattr(Cutoff, "__call__", lambda self, t: calls.append(1) or profile(self, t))
+        phi = banded_bump(grid64, amplitude=1.0, band=2.0)
+        res = picard_solve(phi, 0.125, tol=1e-30, max_iter=5,
+                           taxis=centered_axis(4.0, 256), xi_band=4.0)
+        assert res.iterations == 5
+        assert len(calls) == 2
 
     def test_cross_validates_against_reference(self):
         # the fixed point plus the free evolution must follow the time
