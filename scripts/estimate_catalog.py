@@ -2,7 +2,7 @@
 """Run every estimate probe at the probe resolution and at doubled
 resolution, printing the max-ratio stability factor per catalog entry."""
 
-from gkdvlab.probes import ProbeResolution, describe_estimates, estimate_ids, run_estimate
+from gkdvlab.probes import ProbeResolution, describe_estimates, estimate_ids, run_estimates
 
 
 def main(n_trials=100, eps=0.05, seed=1):
@@ -12,9 +12,11 @@ def main(n_trials=100, eps=0.05, seed=1):
     base = ProbeResolution()
     fine = base.doubled()
     print(f"{'id':18s} {'max_ratio':>12s} {'doubled':>12s} {'change':>8s}")
-    for eid in estimate_ids(eps):
-        r1 = run_estimate(eid, eps=eps, resolution=base, n_trials=n_trials, seed=seed)
-        r2 = run_estimate(eid, eps=eps, resolution=fine, n_trials=n_trials, seed=seed)
+    ids = estimate_ids(eps)
+    base_reports = run_estimates(ids, eps=eps, resolution=base, n_trials=n_trials, seed=seed)
+    fine_reports = run_estimates(ids, eps=eps, resolution=fine, n_trials=n_trials, seed=seed)
+    for eid in ids:
+        r1, r2 = base_reports[eid], fine_reports[eid]
         change = max(r2.max_ratio / r1.max_ratio, r1.max_ratio / r2.max_ratio)
         print(f"{eid:18s} {r1.max_ratio:12.5g} {r2.max_ratio:12.5g} x{change:7.3f}")
 

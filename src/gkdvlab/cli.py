@@ -30,7 +30,7 @@ from .io import (
 )
 from .montecarlo import auto_n_max, exceptional_probability, strichartz_scaling
 from .norms import AliasingError, sobolev_norm
-from .probes import ProbeResolution, estimate_ids, run_estimate
+from .probes import ProbeResolution, estimate_ids, run_estimates
 from .solver import evolve_reference
 from .spacetime import centered_axis
 from .streams import child_seed
@@ -235,12 +235,13 @@ def cmd_verify_estimates(cfg: RunConfig, args) -> int:
         t_span=est["t_span"],
         xi_band=est["xi_band"],
     )
+    reports = run_estimates(
+        ids, eps=eps, resolution=resolution, n_trials=est["n_trials"], seed=cfg.master_seed
+    )
     artifacts = []
     summary = []
     for eid in ids:
-        report = run_estimate(
-            eid, eps=eps, resolution=resolution, n_trials=est["n_trials"], seed=cfg.master_seed
-        )
+        report = reports[eid]
         artifacts.append(
             write_csv(
                 out / f"{eid}.csv",

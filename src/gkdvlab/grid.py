@@ -87,13 +87,24 @@ class Grid:
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         """Samples u(x_j) -> coefficients u_hat(xi_k) along the last axis;
-        leading axes are a batch."""
-        return self.from_dft(np.fft.fft(values))
+        leading axes are a batch.
+
+        Like `inverse`, it works in the one array it returns: freeing a
+        second array of a large batch per call makes the allocator hand its
+        pages back and fault them in again on the next call. In-place
+        products keep the operand order of the out-of-place ones, since
+        numpy's complex product rounds `a * b` and `b * a` differently.
+        """
+        hat = np.fft.fft(values)
+        # from_dft in place; the factor stays the left operand, as there
+        return np.multiply((self.dx / SQRT_2PI) * _phase(self.n_modes), hat, out=hat)
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
         """Coefficients u_hat(xi_k) -> samples u(x_j) along the last axis;
         leading axes are a batch."""
-        return (self.dxi * self.n_modes / SQRT_2PI) * np.fft.ifft(coeffs * _phase(self.n_modes))
+        values = np.asarray(coeffs * _phase(self.n_modes), dtype=np.complex128)
+        np.fft.ifft(values, out=values)
+        return np.multiply(self.dxi * self.n_modes / SQRT_2PI, values, out=values)
 
     def multiply(self, values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
         """Apply the Fourier multiplier `symbol` (on `xi`, FFT order) to samples
@@ -115,9 +126,11 @@ class Field:
     """Complex physical samples u(x_j) on a grid.
 
     Immutable: `values` is stored read-only; all operations return new
-    fields. `spectral_values(f)` returns the spectrum u_hat(xi_k), in FFT
-    order under the 1/sqrt(2*pi) convention; a field with a given spectrum
-    is `Field(grid, grid.inverse(coeffs))`.
+    fields. A writeable or borrowed array is copied; a read-only array that
+    owns its data is shared, since nobody can write to it. `spectral_values(f)`
+    returns the spectrum u_hat(xi_k), in FFT order under the 1/sqrt(2*pi)
+    convention; a field with a given spectrum is
+    `Field(grid, grid.inverse(coeffs))`.
     """
 
     grid: Grid
@@ -129,12 +142,27 @@ class Field:
             raise ValueError(
                 f"values shape {v.shape} does not match grid with N={self.grid.n_modes}"
             )
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _owned_readonly(v, self.values))
 
     def with_values(self, values: np.ndarray) -> "Field":
         return Field(self.grid, values)
+
+
+def _owned_readonly(v: np.ndarray, given) -> np.ndarray:
+    """`v` (the complex128 view of `given`) as an array no caller can write
+    to: copied unless it owns its data and is either read-only or a new
+    array made by the dtype conversion."""
+    if not v.flags.owndata or (v is given and v.flags.writeable):
+        v = v.copy()
+    v.flags.writeable = False
+    return v
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    """Mark a freshly made array read-only, so that a field shares it
+    instead of copying it."""
+    a.flags.writeable = False
+    return a
 
 
 def field_from_function(grid: Grid, fn) -> Field:
@@ -164,7 +192,7 @@ def spectral_values(f: Field) -> np.ndarray:
 
 def apply_multiplier(f: Field, symbol: np.ndarray) -> Field:
     """Multiply the spectrum by `symbol` (given on grid.xi)."""
-    return Field(f.grid, f.grid.inverse(spectral_values(f) * symbol))
+    return Field(f.grid, _readonly(f.grid.inverse(spectral_values(f) * symbol)))
 
 
 def l2_norm(f: Field) -> float:

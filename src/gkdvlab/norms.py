@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Field, field_from_function, spectral_values
+from .grid import Field, _readonly, field_from_function, spectral_values
 from .spacetime import SpaceTimeField, _time_forward, require_same_axes
 from .params import AMPLITUDE_EXPONENT
 from .wiener import band_symbol
@@ -142,7 +142,8 @@ def space_time_lebesgue(u: SpaceTimeField, p: float) -> float:
     return mixed_norm(u, p, p)
 
 
-@lru_cache(maxsize=8)
+# The embedding catalog sums 14 (s, b) weights against each probe field.
+@lru_cache(maxsize=32)
 def _xsb_weight(grid, taxis, s: float, b: float) -> np.ndarray:
     xi = grid.xi
     tau = taxis.tau
@@ -152,21 +153,32 @@ def _xsb_weight(grid, taxis, s: float, b: float) -> np.ndarray:
     return w
 
 
-def _support_radius(grid, hat_x: np.ndarray) -> float:
-    """Largest |xi| whose column of the x-spectral coefficients hat_x (time
-    samples x modes) carries more than 1e-12 of the peak column's L^2 mass.
-    Non-finite coefficients report the full grid band."""
+def _column_support(hat_x: np.ndarray, floor: float) -> np.ndarray | None:
+    """Mask of the columns (modes) of hat_x (time samples x modes) whose L^2
+    mass exceeds `floor` times the peak column's; None when a column mass is
+    not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         col = np.sqrt(np.sum(np.abs(hat_x) ** 2, axis=0))
     if not np.all(np.isfinite(col)):
+        return None
+    return col > floor * col.max()
+
+
+def _support_radius(grid, hat_x: np.ndarray) -> float:
+    """Largest |xi| whose column of the x-spectral coefficients hat_x carries
+    more than 1e-12 of the peak column's L^2 mass. Non-finite coefficients
+    report the full grid band."""
+    support = _column_support(hat_x, 1e-12)
+    if support is None:
         return float(grid.xi_max)
-    return float(np.max(np.abs(grid.xi[col > 1e-12 * col.max()]), initial=0.0))
+    return float(np.max(np.abs(grid.xi[support]), initial=0.0))
 
 
-def _xsb_from_x_coeffs(grid, taxis, hat_x: np.ndarray, s: float, b: float) -> float:
-    """`xsb_norm` of the field whose x-spectral coefficients per time sample
-    are hat_x: its band comes from their column masses, and only the time
-    axis is left to transform."""
+def _xsb_power(grid, taxis, hat_x: np.ndarray) -> np.ndarray:
+    """|F u(xi, tau)|^2 of the field whose x-spectral coefficients per time
+    sample are hat_x, once the tau axis is known to resolve its band: the
+    band comes from their column masses, and only the time axis is left to
+    transform."""
     if not taxis.is_centered:
         raise AliasingError("xsb_norm needs the centered time box (even sample count >= 16)")
     radius = _support_radius(grid, hat_x)
@@ -176,9 +188,18 @@ def _xsb_from_x_coeffs(grid, taxis, hat_x: np.ndarray, s: float, b: float) -> fl
             f"axis provides {taxis.tau_max:.1f}; band-limit the field or "
             "refine the time axis"
         )
-    hat = _time_forward(taxis, hat_x)
+    return np.abs(_time_forward(taxis, hat_x)) ** 2
+
+
+def _xsb_sum(grid, taxis, power: np.ndarray, s: float, b: float) -> float:
     w = _xsb_weight(grid, taxis, float(s), float(b))
-    return float(np.sqrt(grid.dxi * taxis.dtau * np.sum(w * np.abs(hat) ** 2)))
+    return float(np.sqrt(grid.dxi * taxis.dtau * np.sum(w * power)))
+
+
+def _xsb_from_x_coeffs(grid, taxis, hat_x: np.ndarray, s: float, b: float) -> float:
+    """`xsb_norm` of the field whose x-spectral coefficients per time sample
+    are hat_x."""
+    return _xsb_sum(grid, taxis, _xsb_power(grid, taxis, hat_x), s, b)
 
 
 def xsb_norm(u: SpaceTimeField, s: float, b: float) -> float:
@@ -191,10 +212,17 @@ def xsb_norm(u: SpaceTimeField, s: float, b: float) -> float:
     return _xsb_from_x_coeffs(u.grid, u.taxis, u.grid.forward(u.values), s, b)
 
 
+def xsb_norms(u: SpaceTimeField, indices: list[tuple[float, float]]) -> list[float]:
+    """`xsb_norm(u, s, b)` for each (s, b) in `indices`, bit for bit, from
+    one transform of u."""
+    power = _xsb_power(u.grid, u.taxis, u.grid.forward(u.values))
+    return [_xsb_sum(u.grid, u.taxis, power, s, b) for s, b in indices]
+
+
 def sobolev_in_x(u: SpaceTimeField, s: float) -> SpaceTimeField:
     """Apply the spatial smoothing weight <xi>^s to every time slice."""
     weight = (1.0 + u.grid.xi**2) ** (s / 2.0)
-    return u.with_values(u.grid.multiply(u.values, weight))
+    return u.with_values(_readonly(u.grid.multiply(u.values, weight)))
 
 
 def bilinear_multiplier(
@@ -208,21 +236,29 @@ def bilinear_multiplier(
 
     Evaluated as a weighted circular convolution in the spatial frequency,
     pointwise in time; s = 0 reduces to the plain product. Output spatial
-    frequencies wrap modulo the grid, as the torus product does.
+    frequencies wrap modulo the grid, as the torus product does. The sum
+    runs over each factor's support, the modes whose L^2 mass over time
+    exceeds 1e-14 of its peak mode's, so factors that carry K1 and K2 of the
+    N modes cost O(K1 K2 M) for M time samples.
     """
     require_same_axes(u1, u2)
     if variant not in ("plus", "minus"):
         raise ValueError(f"variant must be 'plus' or 'minus', got {variant!r}")
-    grid = u1.grid
-    n = grid.n_modes
-    xi = grid.xi
-    a = np.fft.fft(u1.values, axis=1).T  # (N, M)
-    bv = np.fft.fft(u2.values, axis=1).T
-    argument = xi[:, None] + xi[None, :] if variant == "plus" else xi[:, None] - xi[None, :]
-    symbol = np.abs(argument) ** s if s != 0.0 else np.ones_like(argument)
-    out = np.zeros_like(a)
-    for k2 in range(n):
-        contrib = symbol[:, k2][:, None] * a * bv[k2, :][None, :]
-        out += np.roll(contrib, k2, axis=0)
+    n = u1.grid.n_modes
+    xi = u1.grid.xi
+    a = np.fft.fft(u1.values, axis=1)  # (M, N)
+    bv = np.fft.fft(u2.values, axis=1)
+    k1, k2 = (
+        np.arange(n) if m is None else np.flatnonzero(m)
+        for m in (_column_support(a, 1e-14), _column_support(bv, 1e-14))
+    )
+    a, bv = a.T[k1], bv.T  # modes x time samples
+    x1, x2 = xi[k1][:, None], xi[k2][None, :]
+    symbol = np.abs(x1 + x2 if variant == "plus" else x1 - x2) ** s
+    out = np.zeros((n, u1.taxis.n_samples), dtype=np.complex128)
+    for j, k in enumerate(k2):
+        # Output mode k1 + k gathers its terms in increasing k, as a dense sum would.
+        contrib = a if s == 0.0 else symbol[:, j][:, None] * a
+        out[(k1 + k) % n] += contrib * bv[k]
     out /= n  # circular-convolution normalization of the raw DFT
-    return u1.with_values(np.fft.ifft(out.T, axis=1))
+    return u1.with_values(_readonly(np.fft.ifft(out.T, axis=1)))

@@ -13,17 +13,20 @@ decay envelope, sharply band-limited and L^2-normalized, from fixed seeds.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
-from .grid import Field, Grid, make_grid
+from .grid import Field, Grid, _readonly, make_grid
 from .norms import (
     AliasingError,
     bilinear_multiplier,
     sobolev_norm,
     space_time_lebesgue,
     xsb_norm,
+    xsb_norms,
 )
 from .params import (
     CRITICAL_INDEX,
@@ -105,7 +108,19 @@ def random_field(grid: Grid, xi_band: float, seed: int, master: int = 0) -> Fiel
     coeffs = (rng.standard_normal(grid.n_modes) + 1j * rng.standard_normal(grid.n_modes))
     coeffs *= mask / np.sqrt(1.0 + xi**2)
     norm = np.sqrt(grid.dxi * np.sum(np.abs(coeffs) ** 2))
-    return Field(grid, grid.inverse(coeffs / norm))
+    return Field(grid, _readonly(grid.inverse(coeffs / norm)))
+
+
+@lru_cache(maxsize=8)
+def _spacetime_envelope(grid: Grid, taxis: TimeAxis, xi_band: float) -> np.ndarray:
+    """<xi>^{-1}<tau-xi^3>^{-1} on |xi| <= xi_band and 0 outside, on the
+    (tau, xi) grid; cached and read-only."""
+    xi = grid.xi
+    mod = taxis.tau[:, None] - (xi**3)[None, :]
+    envelope = 1.0 / (np.sqrt(1.0 + xi**2)[None, :] * np.sqrt(1.0 + mod**2))
+    weight = envelope * (np.abs(xi) <= xi_band)[None, :]
+    weight.flags.writeable = False
+    return weight
 
 
 def random_spacetime(
@@ -114,15 +129,13 @@ def random_spacetime(
     """Band-limited random space-time field, envelope <xi>^{-1}<tau-xi^3>^{-1},
     normalized to unit space-time L^2."""
     rng = rng_for(master, 23, seed)
-    xi = grid.xi
-    tau = taxis.tau
     shape = (taxis.n_samples, grid.n_modes)
-    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    mod = tau[:, None] - (xi**3)[None, :]
-    envelope = 1.0 / (np.sqrt(1.0 + xi**2)[None, :] * np.sqrt(1.0 + mod**2))
-    coeffs *= envelope * (np.abs(xi) <= xi_band)[None, :]
+    coeffs = np.empty(shape, dtype=np.complex128)
+    coeffs.real = rng.standard_normal(shape)
+    coeffs.imag = rng.standard_normal(shape)
+    coeffs *= _spacetime_envelope(grid, taxis, float(xi_band))
     u = st_to_physical(grid, taxis, coeffs)
-    return u.with_values(u.values / st_l2(u))
+    return u.with_values(_readonly(u.values / st_l2(u)))
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +170,8 @@ def check_linear_estimates(
 def bilinear_sum_diff(u1: SpaceTimeField, u2: SpaceTimeField, s: float) -> SpaceTimeField:
     """Compose the sum-frequency and difference-frequency symbols of order s."""
     inner = bilinear_multiplier(u1, u2, s, "minus")
-    return inner.with_values(u1.grid.multiply(inner.values, np.abs(u1.grid.xi) ** s))
+    outer = u1.grid.multiply(inner.values, np.abs(u1.grid.xi) ** s)
+    return inner.with_values(_readonly(outer))
 
 
 def check_bilinear(
@@ -176,22 +190,28 @@ def check_bilinear(
     return report
 
 
-def check_embedding(fields: list[SpaceTimeField], estimate_id: str, eps: float) -> EstimateReport:
-    """Space-time Lebesgue norm against the dispersive-weighted norm for one
-    catalog entry."""
-    spec = embedding_catalog(eps).get(estimate_id)
-    if spec is None:
-        raise KeyError(
-            f"unknown embedding id {estimate_id!r}; valid ids: "
-            + ", ".join(sorted(embedding_catalog(eps)))
-        )
-    p, s, b = spec
-    report = EstimateReport(estimate_id, params={"p": p, "s": s, "b": b, "eps": eps})
+def check_embeddings(
+    fields: Iterable[SpaceTimeField], ids: list[str], eps: float
+) -> dict[str, EstimateReport]:
+    """Space-time Lebesgue norm against the dispersive-weighted norm for
+    several catalog entries on one pass over `fields`: each field is
+    transformed once for every entry's weight."""
+    catalog = embedding_catalog(eps)
+    for eid in ids:
+        if eid not in catalog:
+            raise KeyError(
+                f"unknown embedding id {eid!r}; valid ids: " + ", ".join(sorted(catalog))
+            )
+    specs = {eid: catalog[eid] for eid in ids}
+    reports = {
+        eid: EstimateReport(eid, params={"p": p, "s": s, "b": b, "eps": eps})
+        for eid, (p, s, b) in specs.items()
+    }
+    indices = [(s, b) for _, s, b in specs.values()]
     for trial, u in enumerate(fields):
-        lhs = space_time_lebesgue(u, p)
-        rhs = xsb_norm(u, s, b)
-        report.add(trial, lhs, rhs)
-    return report
+        for (eid, (p, _, _)), rhs in zip(specs.items(), xsb_norms(u, indices)):
+            reports[eid].add(trial, space_time_lebesgue(u, p), rhs)
+    return reports
 
 
 def _weighted_product(factors: list[SpaceTimeField], sigma: float) -> np.ndarray:
@@ -217,9 +237,12 @@ def check_multilinear(
     grid = factors[0].grid
     taxis = factors[0].taxis
     weighted = _weighted_product(factors, sigma)
+    norms: dict[int, float] = {}  # a factor repeated in the list is normed once
     rhs_factors = 1.0
     for f in factors:
-        rhs_factors *= xsb_norm(f, sigma, b)
+        if id(f) not in norms:
+            norms[id(f)] = xsb_norm(f, sigma, b)
+        rhs_factors *= norms[id(f)]
     report = EstimateReport(
         "octilinear", params={"sigma": sigma, "b": b, "eps": eps}
     )
@@ -307,7 +330,43 @@ def _banded_bump(grid: Grid, xi_band: float) -> Field:
     xi = grid.xi
     coeffs = np.exp(-(xi**2)) * (np.abs(xi) <= xi_band)
     norm = np.sqrt(grid.dxi * np.sum(coeffs**2))
-    return Field(grid, grid.inverse(coeffs / norm))
+    return Field(grid, _readonly(grid.inverse(coeffs / norm)))
+
+
+def run_estimates(
+    ids: list[str],
+    eps: float = 0.05,
+    resolution: ProbeResolution | None = None,
+    n_trials: int = 100,
+    seed: int = 1,
+) -> dict[str, EstimateReport]:
+    """Run several catalog entries, keyed in the order given. The embedding
+    entries share one fixed-seed field per trial, drawn as it is used;
+    every other entry is its `run_estimate`."""
+    validate_epsilon(eps)
+    res = resolution or ProbeResolution()
+    grid, taxis = res.make()
+    _require_known(ids, eps)
+    catalog = embedding_catalog(eps)
+    embeddings = [eid for eid in ids if eid in catalog]
+    reports = {}
+    if embeddings:
+        fields = (
+            random_spacetime(grid, taxis, res.xi_band, trial, master=seed)
+            for trial in range(n_trials)
+        )
+        reports = check_embeddings(fields, embeddings, eps)
+    for eid in ids:
+        if eid not in reports:
+            reports[eid] = run_estimate(eid, eps=eps, resolution=res, n_trials=n_trials, seed=seed)
+    return {eid: reports[eid] for eid in ids}
+
+
+def _require_known(ids: list[str], eps: float) -> None:
+    valid = estimate_ids(eps)
+    for eid in ids:
+        if eid not in valid:
+            raise KeyError(f"unknown estimate id {eid!r}; valid ids: " + ", ".join(valid))
 
 
 def run_estimate(
@@ -321,18 +380,10 @@ def run_estimate(
     validate_epsilon(eps)
     res = resolution or ProbeResolution()
     grid, taxis = res.make()
-    ids = estimate_ids(eps)
-    if estimate_id not in ids:
-        raise KeyError(
-            f"unknown estimate id {estimate_id!r}; valid ids: " + ", ".join(ids)
-        )
+    _require_known([estimate_id], eps)
 
     if estimate_id in embedding_catalog(eps):
-        fields = [
-            random_spacetime(grid, taxis, res.xi_band, trial, master=seed)
-            for trial in range(n_trials)
-        ]
-        return check_embedding(fields, estimate_id, eps)
+        return run_estimates([estimate_id], eps, res, n_trials, seed)[estimate_id]
 
     if estimate_id == "linear_free":
         n_data = max(1, n_trials // 3)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import SQRT_2PI, Field, Grid
+from .grid import SQRT_2PI, Field, Grid, _readonly
 from .norms import _xsb_from_x_coeffs
 from .params import b_index, sigma_index
 from .spacetime import Cutoff, SpaceTimeField, TimeAxis, _free_coeffs, _propagator, centered_axis
@@ -106,7 +106,7 @@ def nonlinearity(u: Field) -> Field:
     coeffs = nonlinearity_coeffs(u.grid, u.grid.forward(vals.real))
     if not np.all(np.isfinite(coeffs)):
         raise BlowupError(step=-1, message="nonlinearity overflowed")
-    return Field(u.grid, u.grid.inverse(coeffs))
+    return Field(u.grid, _readonly(u.grid.inverse(coeffs)))
 
 
 def conserved_quantities(grid: Grid, hat: np.ndarray) -> tuple[float, float, float]:
@@ -323,8 +323,8 @@ def picard_solve(
 
     Distances are measured on the band |xi| <= xi_band (at least one
     frequency step) of the iterates' difference, since the weighted norm
-    requires a resolvable band; the largest relative mass that this
-    restriction discards is reported. Non-convergence within max_iter is a
+    requires a resolvable band; the share of the returned iterate's mass
+    outside that band is reported. Non-convergence within max_iter is a
     result state, not an error; a non-finite iterate, or one whose physical
     peak exceeds BLOWUP_THRESHOLD, marks the run as blown up.
     """
@@ -345,7 +345,6 @@ def picard_solve(
 
     distances: list[float] = []
     ratios: list[float] = []
-    discarded = 0.0
     converged = False
     blown_up = False
     iterations = 0
@@ -363,10 +362,6 @@ def picard_solve(
             blown_up = True
             break
         diff = v_next - v_hat
-        col = np.sum(np.abs(diff) ** 2, axis=0)
-        total = float(np.sum(col))
-        if total > 0.0:
-            discarded = max(discarded, float(np.sum(col[outside])) / total)
         diff[:, outside] = 0.0
         d = _xsb_from_x_coeffs(grid, taxis, diff, sigma, b)
         if distances and distances[-1] > 0.0:
@@ -379,9 +374,12 @@ def picard_solve(
 
     if converged and ratios and not ratios[-1] < 1.0:
         converged = False
+    col = np.sum(np.abs(v_hat) ** 2, axis=0)
+    total = float(np.sum(col))
+    discarded = float(np.sum(col[outside])) / total if total > 0.0 else 0.0
     return PicardResult(
-        v=SpaceTimeField(grid, taxis, grid.inverse(v_hat)),
-        z=SpaceTimeField(grid, taxis, grid.inverse(z_hat)),
+        v=SpaceTimeField(grid, taxis, _readonly(grid.inverse(v_hat))),
+        z=SpaceTimeField(grid, taxis, _readonly(grid.inverse(z_hat))),
         distances=distances,
         ratios=ratios,
         converged=converged and not blown_up,
@@ -396,7 +394,7 @@ def picard_solve(
 
 def reconstruct_solution(result: PicardResult) -> SpaceTimeField:
     """u = v + z, valid as a solution of the equation for |t| <= T."""
-    return result.v.with_values(result.v.values + result.z.values)
+    return result.v.with_values(_readonly(result.v.values + result.z.values))
 
 
 def pde_residual(u: SpaceTimeField, interval: tuple[float, float]) -> np.ndarray:

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import SQRT_2PI, Field, Grid, spectral_values
+from .grid import SQRT_2PI, Field, Grid, _owned_readonly, _readonly, spectral_values
 
 TWO_PI = 2.0 * np.pi
 
@@ -85,7 +85,8 @@ def midpoint_axis(t_end: float, n_samples: int, t_start: float = 0.0) -> TimeAxi
 
 @dataclass(frozen=True)
 class SpaceTimeField:
-    """(n_samples x N) complex samples u(x_j, t_m)."""
+    """(n_samples x N) complex samples u(x_j, t_m), read-only; a writeable
+    or borrowed array is copied, as for `Field`."""
 
     grid: Grid
     taxis: TimeAxis
@@ -98,9 +99,7 @@ class SpaceTimeField:
                 f"values shape {v.shape}, expected "
                 f"({self.taxis.n_samples}, {self.grid.n_modes})"
             )
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _owned_readonly(v, self.values))
 
     def with_values(self, values: np.ndarray) -> "SpaceTimeField":
         return SpaceTimeField(self.grid, self.taxis, values)
@@ -117,7 +116,8 @@ def _time_forward(taxis: TimeAxis, values: np.ndarray) -> np.ndarray:
     """Transform along the time axis (axis 0), in the x axis's convention:
     dt/sqrt(2*pi) * sum_m values(t_m) e^{-i t_m tau}."""
     phase = np.exp(-1j * taxis.t0 * taxis.tau)
-    return (taxis.dt / SQRT_2PI) * phase[:, None] * np.fft.fft(values, axis=0)
+    hat = np.fft.fft(values, axis=0)
+    return np.multiply((taxis.dt / SQRT_2PI) * phase[:, None], hat, out=hat)
 
 
 def st_spectral_values(u: SpaceTimeField) -> np.ndarray:
@@ -129,8 +129,10 @@ def st_to_physical(grid: Grid, taxis: TimeAxis, coeffs: np.ndarray) -> SpaceTime
     """The field whose 2D transform is `coeffs` (inverse of st_spectral_values):
     the inverse of `_time_forward`, then the grid's inverse transform."""
     phase = np.exp(1j * taxis.t0 * taxis.tau)
-    hat_x = (taxis.dtau * taxis.n_samples / SQRT_2PI) * np.fft.ifft(coeffs * phase[:, None], axis=0)
-    return SpaceTimeField(grid, taxis, grid.inverse(hat_x))
+    hat_x = coeffs * phase[:, None]
+    np.fft.ifft(hat_x, axis=0, out=hat_x)
+    np.multiply(taxis.dtau * taxis.n_samples / SQRT_2PI, hat_x, out=hat_x)
+    return SpaceTimeField(grid, taxis, _readonly(grid.inverse(hat_x)))
 
 
 def st_l2(u: SpaceTimeField) -> float:
@@ -138,7 +140,9 @@ def st_l2(u: SpaceTimeField) -> float:
 
 
 def st_zero(grid: Grid, taxis: TimeAxis) -> SpaceTimeField:
-    return SpaceTimeField(grid, taxis, np.zeros((taxis.n_samples, grid.n_modes), np.complex128))
+    return SpaceTimeField(
+        grid, taxis, _readonly(np.zeros((taxis.n_samples, grid.n_modes), np.complex128))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +206,8 @@ def free_evolution(phi: Field, grid_taxis: TimeAxis, cutoff: Cutoff | None = Non
     """
     profile = None if cutoff is None else cutoff(grid_taxis.t)
     coeffs = _free_coeffs(phi, grid_taxis, profile)
-    return SpaceTimeField(phi.grid, grid_taxis, phi.grid.inverse(coeffs))
+    return SpaceTimeField(phi.grid, grid_taxis, _readonly(phi.grid.inverse(coeffs)))
 
 
 def apply_time_cutoff(u: SpaceTimeField, cutoff: Cutoff) -> SpaceTimeField:
-    return u.with_values(u.values * cutoff(u.taxis.t)[:, None])
+    return u.with_values(_readonly(u.values * cutoff(u.taxis.t)[:, None]))

@@ -32,7 +32,7 @@ from gkdvlab.montecarlo import (
 )
 from gkdvlab.norms import scaling_ratio, sobolev_norm
 from gkdvlab.params import CRITICAL_INDEX, data_index
-from gkdvlab.probes import ProbeResolution, estimate_ids, run_estimate
+from gkdvlab.probes import ProbeResolution, estimate_ids, run_estimates
 from gkdvlab.solver import evolve_reference, picard_solve, reconstruct_solution
 from gkdvlab.spacetime import centered_axis
 from gkdvlab.wiener import coverage_weight, randomize, sample_coefficients
@@ -243,9 +243,11 @@ def test_criterion_09_estimate_probe_stability():
     base = ProbeResolution()
     doubled = base.doubled()
     worst_id, worst_change = "", 1.0
-    for eid in estimate_ids(0.05):
-        r1 = run_estimate(eid, eps=0.05, resolution=base, n_trials=100, seed=1)
-        r2 = run_estimate(eid, eps=0.05, resolution=doubled, n_trials=100, seed=1)
+    ids = estimate_ids(0.05)
+    base_reports = run_estimates(ids, eps=0.05, resolution=base, n_trials=100, seed=1)
+    doubled_reports = run_estimates(ids, eps=0.05, resolution=doubled, n_trials=100, seed=1)
+    for eid in ids:
+        r1, r2 = base_reports[eid], doubled_reports[eid]
         change = max(r2.max_ratio / r1.max_ratio, r1.max_ratio / r2.max_ratio)
         if change > worst_change:
             worst_id, worst_change = eid, change

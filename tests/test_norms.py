@@ -22,6 +22,7 @@ from gkdvlab.norms import (
     space_time_lebesgue,
     sobolev_in_x,
     xsb_norm,
+    xsb_norms,
 )
 from gkdvlab.params import CRITICAL_INDEX
 from gkdvlab.probes import ProbeResolution, random_spacetime
@@ -54,6 +55,13 @@ class TestSobolevNorm:
                 quad(lambda xi: (1 + xi**2) ** s * 0.5 * np.exp(-(xi**2) / 2), -np.inf, np.inf)[0]
             )
             assert sobolev_norm(bump, s) == pytest.approx(oracle, rel=1e-6)
+
+    def test_several_weights_equal_one_at_a_time(self):
+        resolution = ProbeResolution()
+        grid, ta = resolution.make()
+        u = random_spacetime(grid, ta, resolution.xi_band, 4)
+        indices = [(0.0, 0.5), (0.3, 0.52), (0.25, 0.6), (0.0, 0.5)]
+        assert xsb_norms(u, indices) == [xsb_norm(u, s, b) for s, b in indices]
 
     @pytest.mark.parametrize("c", [2.0, -3.0, 1j])
     def test_homogeneity(self, bump, c):
@@ -90,6 +98,13 @@ class TestHomogeneousNorm:
     def test_requires_s_above_minus_half(self, bump):
         with pytest.raises(ValueError):
             homogeneous_norm(bump, -0.5)
+
+    def test_several_weights_equal_one_at_a_time(self):
+        resolution = ProbeResolution()
+        grid, ta = resolution.make()
+        u = random_spacetime(grid, ta, resolution.xi_band, 4)
+        indices = [(0.0, 0.5), (0.3, 0.52), (0.25, 0.6), (0.0, 0.5)]
+        assert xsb_norms(u, indices) == [xsb_norm(u, s, b) for s, b in indices]
 
     @pytest.mark.parametrize("c", [2.0, -3.0, 1j])
     def test_homogeneity(self, bump, c):
@@ -215,6 +230,13 @@ class TestXsbNorm:
         assert _support_radius(grid, grid.forward(u.values)) == oracle
         assert oracle <= resolution.xi_band
 
+    def test_several_weights_equal_one_at_a_time(self):
+        resolution = ProbeResolution()
+        grid, ta = resolution.make()
+        u = random_spacetime(grid, ta, resolution.xi_band, 4)
+        indices = [(0.0, 0.5), (0.3, 0.52), (0.25, 0.6), (0.0, 0.5)]
+        assert xsb_norms(u, indices) == [xsb_norm(u, s, b) for s, b in indices]
+
     @pytest.mark.parametrize("c", [2.0, -3.0, 1j])
     def test_homogeneity(self, grid64, c):
         phi = banded_bump(grid64, band=2.0)
@@ -260,6 +282,61 @@ class TestBilinearMultiplier:
         u = SpaceTimeField(grid64, centered_axis(4.0, 32), np.zeros((32, 64)))
         with pytest.raises(ValueError):
             bilinear_multiplier(u, u, 0.5, "times")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_modes=st.sampled_from([8, 16, 32]),
+        m_t=st.sampled_from([16, 32]),
+        bands=st.tuples(
+            st.integers(0, 31), st.integers(1, 32), st.integers(0, 31), st.integers(1, 32)
+        ),
+        s=st.sampled_from([0.0, 0.5, 0.7]),
+        variant=st.sampled_from(["plus", "minus"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_roll_oracle(self, n_modes, m_t, bands, s, variant, seed):
+        """The support-restricted sum equals the dense O(N^2 M) sum over every
+        mode pair, for bands anywhere on the circle of modes (so also bands
+        that wrap past Nyquist) and for data on every mode. Mode amplitudes
+        span ten decades, all of them above the support floor."""
+        grid = make_grid(4.0, n_modes)
+        ta = centered_axis(4.0, m_t)
+        rng = np.random.default_rng(seed)
+
+        def field(start, width):
+            modes = (start + np.arange(min(width, n_modes))) % n_modes
+            raw = np.zeros((m_t, n_modes), np.complex128)
+            raw[:, modes] = 10.0 ** -rng.uniform(0.0, 10.0, modes.size) * (
+                rng.standard_normal((m_t, modes.size))
+                + 1j * rng.standard_normal((m_t, modes.size))
+            )
+            return SpaceTimeField(grid, ta, np.fft.ifft(raw, axis=1))
+
+        u1, u2 = field(*bands[:2]), field(*bands[2:])
+        # the former implementation: every (k1, k2) pair, one np.roll per k2
+        xi = grid.xi
+        a = np.fft.fft(u1.values, axis=1).T
+        bv = np.fft.fft(u2.values, axis=1).T
+        argument = xi[:, None] + xi[None, :] if variant == "plus" else xi[:, None] - xi[None, :]
+        symbol = np.abs(argument) ** s if s != 0.0 else np.ones_like(argument)
+        dense = np.zeros_like(a)
+        for k2 in range(n_modes):
+            dense += np.roll(symbol[:, k2][:, None] * a * bv[k2, :][None, :], k2, axis=0)
+        oracle = np.fft.ifft((dense / n_modes).T, axis=1)
+
+        out = bilinear_multiplier(u1, u2, s, variant).values
+        # A symbol zero can cancel the largest products (xi1 = -xi2 = 0, say),
+        # leaving an output of round-off size: allow round-off on the largest
+        # single term besides the agreement relative to max|out|.
+        term = np.max(symbol) * np.max(np.abs(a)) * np.max(np.abs(bv)) / n_modes
+        tol = 1e-13 * np.max(np.abs(oracle)) + 1e-15 * term
+        assert np.max(np.abs(out - oracle)) <= tol
+
+    def test_zero_factor_gives_zero(self, grid64):
+        ta = centered_axis(4.0, 32)
+        u = SpaceTimeField(grid64, ta, np.random.default_rng(3).standard_normal((32, 64)))
+        zero = SpaceTimeField(grid64, ta, np.zeros((32, 64)))
+        assert not np.any(bilinear_multiplier(u, zero, 0.5, "plus").values)
 
 
 def test_space_time_lebesgue_is_mixed_with_equal_exponents(grid64):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gkdvlab import probes
 from gkdvlab.grid import spectral_values
 from gkdvlab.params import b_index, dual_b_index, sigma_index
 from gkdvlab.probes import (
@@ -8,7 +9,7 @@ from gkdvlab.probes import (
     _banded_bump,
     ProbeResolution,
     check_bilinear,
-    check_embedding,
+    check_embeddings,
     check_linear_estimates,
     check_multilinear,
     describe_estimates,
@@ -17,8 +18,9 @@ from gkdvlab.probes import (
     random_field,
     random_spacetime,
     run_estimate,
+    run_estimates,
 )
-from gkdvlab.spacetime import st_zero
+from gkdvlab.spacetime import st_l2, st_to_physical, st_zero
 from gkdvlab.streams import rng_for
 
 
@@ -54,18 +56,32 @@ class TestCatalog:
         grid, taxis = _res().make()
         u = random_spacetime(grid, taxis, 3.5, 0)
         with pytest.raises(KeyError) as err:
-            check_embedding([u], "embed99", EPS)
+            check_embeddings([u], ["embed99"], EPS)
         assert "embed01" in str(err.value)
 
     def test_run_estimate_unknown_id(self):
         with pytest.raises(KeyError):
             run_estimate("nope", eps=EPS, n_trials=1)
+        with pytest.raises(KeyError):
+            run_estimates(["embed01", "nope"], eps=EPS, n_trials=1)
+
+
+class TestRunEstimates:
+    def test_equals_one_id_runs_bit_for_bit(self):
+        ids = ["octilinear_mixed", "embed14", "embed01", "linear_free", "embed07", "embed12"]
+        reports = run_estimates(ids, eps=EPS, n_trials=5, seed=4)
+        assert list(reports) == ids
+        for eid in ids:
+            one = run_estimate(eid, eps=EPS, n_trials=5, seed=4)
+            assert reports[eid].rows() == one.rows()
+            assert reports[eid].excluded == one.excluded
+            assert reports[eid].params == one.params
 
 
 class TestReports:
     def test_zero_field_excluded_by_guard(self):
         grid, taxis = _res().make()
-        rep = check_embedding([st_zero(grid, taxis)], "embed12", EPS)
+        rep = check_embeddings([st_zero(grid, taxis)], ["embed12"], EPS)["embed12"]
         assert rep.excluded == 1
         assert rep.trials == []
 
@@ -92,6 +108,22 @@ class TestRandomData:
         coeffs *= (np.abs(grid.xi) <= 3.5) / np.sqrt(1.0 + grid.xi**2)
         coeffs /= np.sqrt(grid.dxi * np.sum(np.abs(coeffs) ** 2))
         assert self._rel_err(spectral_values(random_field(grid, 3.5, seed)), coeffs) <= 1e-14
+
+    @pytest.mark.parametrize("doubled", [False, True])
+    def test_random_spacetime_equals_uncached_construction(self, doubled):
+        res = _res().doubled() if doubled else _res()
+        grid, taxis = res.make()
+        rng = rng_for(2, 23, 9)
+        shape = (taxis.n_samples, grid.n_modes)
+        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        mod = taxis.tau[:, None] - (grid.xi**3)[None, :]
+        envelope = 1.0 / (np.sqrt(1.0 + grid.xi**2)[None, :] * np.sqrt(1.0 + mod**2))
+        coeffs *= envelope * (np.abs(grid.xi) <= res.xi_band)[None, :]
+        u = st_to_physical(grid, taxis, coeffs)
+        want = u.values / st_l2(u)
+        for _ in range(2):  # the second call reads the cached envelope
+            got = random_spacetime(grid, taxis, res.xi_band, 9, master=2).values
+            assert np.array_equal(got, want)
 
     def test_banded_bump_spectrum(self):
         grid, _ = _res().make()
@@ -142,6 +174,27 @@ class TestMultilinearProbe:
         a = check_multilinear(factors, sigma, b, [h], EPS)
         b_rep = check_multilinear(factors[::-1], sigma, b, [h], EPS)
         assert a.trials[0].lhs == pytest.approx(b_rep.trials[0].lhs, rel=1e-10)
+
+    def test_repeated_factor_normed_once(self, monkeypatch):
+        grid, taxis = _res().make()
+        u, v = random_spacetime(grid, taxis, 3.5, 0), random_spacetime(grid, taxis, 3.5, 1)
+        h = random_spacetime(grid, taxis, 3.5, 2)
+        sigma, b = sigma_index(EPS), b_index(EPS)
+        rhs_factors = 1.0
+        for f in [v, u, u, u, u, u, v, u]:
+            rhs_factors *= probes.xsb_norm(f, sigma, b)
+        want = rhs_factors * probes.xsb_norm(h, 0.0, dual_b_index(EPS))
+        calls = []
+        counted = probes.xsb_norm
+
+        def counting(f, *args):
+            calls.append(f)
+            return counted(f, *args)
+
+        monkeypatch.setattr(probes, "xsb_norm", counting)
+        rep = check_multilinear([v, u, u, u, u, u, v, u], sigma, b, [h], EPS)
+        assert len(calls) == 3  # u, v and h
+        assert rep.trials[0].rhs == want
 
     def test_requires_eight_factors(self):
         grid, taxis = _res().make()

@@ -287,6 +287,13 @@ class TestPicardSolve:
         total = st_l2(res.v) ** 2
         assert st_l2(projected) ** 2 + lost * total == pytest.approx(total, rel=1e-10)
 
+    def test_converged_discarded_mass_is_share_of_returned_iterate(self, grid64):
+        phi = banded_bump(grid64, amplitude=1.0, band=2.0)
+        res = picard_solve(phi, 0.125, tol=1e-10, taxis=centered_axis(4.0, 256), xi_band=2.0)
+        assert res.converged and res.iterations > 1
+        _, lost = _band_oracle(res.v, 2.0)
+        assert res.discarded_band_mass == pytest.approx(lost, rel=1e-12)
+
     def test_full_band_discards_nothing(self):
         # a band covering every mode leaves the difference untouched
         g = make_grid(16.0, 16)

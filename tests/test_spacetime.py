@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gkdvlab.grid import airy_propagate, spectral_values
+from gkdvlab.grid import Field, airy_propagate, make_grid, spectral_values
 from gkdvlab.solver import duhamel_gamma, nonlinearity_coeffs
 from gkdvlab.spacetime import (
     Cutoff,
@@ -18,6 +18,75 @@ from gkdvlab.spacetime import (
 )
 
 from conftest import banded_bump
+
+
+def _make_field(kind, values):
+    """A Field (on 16 modes) or a SpaceTimeField (16 time samples x 16 modes)."""
+    grid = make_grid(4.0, 16)
+    if kind == "field":
+        return Field(grid, values)
+    return SpaceTimeField(grid, centered_axis(4.0, 16), values)
+
+
+@pytest.mark.parametrize("kind,shape", [("field", (16,)), ("spacetime", (16, 16))])
+class TestCopySemantics:
+    """Fields copy what a caller could still write to, and share the rest."""
+
+    def test_writeable_caller_array_is_copied(self, kind, shape):
+        arr = np.ones(shape, np.complex128)
+        f = _make_field(kind, arr)
+        arr[...] = 5.0
+        assert np.all(f.values == 1.0)
+        assert not np.shares_memory(f.values, arr)
+
+    def test_readonly_owned_array_is_shared(self, kind, shape):
+        arr = np.ones(shape, np.complex128)
+        arr.flags.writeable = False
+        assert _make_field(kind, arr).values is arr
+
+    def test_readonly_view_of_writeable_array_is_copied(self, kind, shape):
+        base = np.ones(shape, np.complex128)
+        view = base[...]
+        view.flags.writeable = False
+        f = _make_field(kind, view)
+        base[...] = 5.0
+        assert np.all(f.values == 1.0)
+
+    def test_converted_input_is_not_shared(self, kind, shape):
+        arr = np.ones(shape)  # float64: the complex128 conversion is a new array
+        f = _make_field(kind, arr)
+        arr[...] = 5.0
+        assert np.all(f.values == 1.0)
+
+    @pytest.mark.parametrize("readonly", [False, True])
+    def test_values_always_readonly(self, kind, shape, readonly):
+        arr = np.ones(shape, np.complex128)
+        arr.flags.writeable = not readonly
+        f = _make_field(kind, arr)
+        assert not f.values.flags.writeable
+        with pytest.raises(ValueError):
+            f.values[...] = 0.0
+        assert not f.with_values(np.zeros(shape)).values.flags.writeable
+
+
+@pytest.mark.parametrize("m_t", [16, 256])
+def test_in_place_time_pair_equals_out_of_place_formulas(m_t):
+    """The time-axis transforms work in one array; the bits equal the
+    out-of-place expressions they replace."""
+    from gkdvlab.grid import SQRT_2PI
+    from gkdvlab.spacetime import _time_forward
+
+    grid, ta = make_grid(8.0, 32), centered_axis(4.0, m_t)
+    rng = np.random.default_rng(6)
+    data = rng.standard_normal((m_t, 32)) + 1j * rng.standard_normal((m_t, 32))
+    given = data.copy()
+    fwd_phase = np.exp(-1j * ta.t0 * ta.tau)
+    old_forward = (ta.dt / SQRT_2PI) * fwd_phase[:, None] * np.fft.fft(data, axis=0)
+    assert np.array_equal(_time_forward(ta, data), old_forward)
+    inv_phase = np.exp(1j * ta.t0 * ta.tau)
+    hat_x = (ta.dtau * m_t / SQRT_2PI) * np.fft.ifft(data * inv_phase[:, None], axis=0)
+    assert np.array_equal(st_to_physical(grid, ta, data).values, grid.inverse(hat_x))
+    assert np.array_equal(data, given)
 
 
 class TestTimeAxis:
