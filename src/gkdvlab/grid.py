@@ -87,24 +87,13 @@ class Grid:
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         """Samples u(x_j) -> coefficients u_hat(xi_k) along the last axis;
-        leading axes are a batch.
-
-        Like `inverse`, it works in the one array it returns: freeing a
-        second array of a large batch per call makes the allocator hand its
-        pages back and fault them in again on the next call. In-place
-        products keep the operand order of the out-of-place ones, since
-        numpy's complex product rounds `a * b` and `b * a` differently.
-        """
-        hat = np.fft.fft(values)
-        # from_dft in place; the factor stays the left operand, as there
-        return np.multiply((self.dx / SQRT_2PI) * _phase(self.n_modes), hat, out=hat)
+        leading axes are a batch."""
+        return self.from_dft(np.fft.fft(values))
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
         """Coefficients u_hat(xi_k) -> samples u(x_j) along the last axis;
         leading axes are a batch."""
-        values = np.asarray(coeffs * _phase(self.n_modes), dtype=np.complex128)
-        np.fft.ifft(values, out=values)
-        return np.multiply(self.dxi * self.n_modes / SQRT_2PI, values, out=values)
+        return (self.dxi * self.n_modes / SQRT_2PI) * np.fft.ifft(coeffs * _phase(self.n_modes))
 
     def multiply(self, values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
         """Apply the Fourier multiplier `symbol` (on `xi`, FFT order) to samples
@@ -126,9 +115,10 @@ class Field:
     """Complex physical samples u(x_j) on a grid.
 
     Immutable: `values` is stored read-only; all operations return new
-    fields. A writeable or borrowed array is copied; a read-only array that
-    owns its data is shared, since nobody can write to it. `spectral_values(f)`
-    returns the spectrum u_hat(xi_k), in FFT order under the 1/sqrt(2*pi)
+    fields. A writeable or borrowed array is copied. A read-only array that
+    owns its data is taken over without a copy; numpy lets its owner set it
+    writeable again, so the caller must not. `spectral_values(f)` returns
+    the spectrum u_hat(xi_k), in FFT order under the 1/sqrt(2*pi)
     convention; a field with a given spectrum is
     `Field(grid, grid.inverse(coeffs))`.
     """
@@ -149,9 +139,10 @@ class Field:
 
 
 def _owned_readonly(v: np.ndarray, given) -> np.ndarray:
-    """`v` (the complex128 view of `given`) as an array no caller can write
-    to: copied unless it owns its data and is either read-only or a new
-    array made by the dtype conversion."""
+    """`v` (the complex128 view of `given`), stored read-only: copied unless
+    it owns its data and is either a new array made by the dtype conversion
+    or read-only. A read-only array is taken over, not copied; its owner can
+    still reset its writeable flag and must not."""
     if not v.flags.owndata or (v is given and v.flags.writeable):
         v = v.copy()
     v.flags.writeable = False

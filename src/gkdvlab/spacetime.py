@@ -116,8 +116,7 @@ def _time_forward(taxis: TimeAxis, values: np.ndarray) -> np.ndarray:
     """Transform along the time axis (axis 0), in the x axis's convention:
     dt/sqrt(2*pi) * sum_m values(t_m) e^{-i t_m tau}."""
     phase = np.exp(-1j * taxis.t0 * taxis.tau)
-    hat = np.fft.fft(values, axis=0)
-    return np.multiply((taxis.dt / SQRT_2PI) * phase[:, None], hat, out=hat)
+    return (taxis.dt / SQRT_2PI) * phase[:, None] * np.fft.fft(values, axis=0)
 
 
 def st_spectral_values(u: SpaceTimeField) -> np.ndarray:
@@ -129,9 +128,7 @@ def st_to_physical(grid: Grid, taxis: TimeAxis, coeffs: np.ndarray) -> SpaceTime
     """The field whose 2D transform is `coeffs` (inverse of st_spectral_values):
     the inverse of `_time_forward`, then the grid's inverse transform."""
     phase = np.exp(1j * taxis.t0 * taxis.tau)
-    hat_x = coeffs * phase[:, None]
-    np.fft.ifft(hat_x, axis=0, out=hat_x)
-    np.multiply(taxis.dtau * taxis.n_samples / SQRT_2PI, hat_x, out=hat_x)
+    hat_x = (taxis.dtau * taxis.n_samples / SQRT_2PI) * np.fft.ifft(coeffs * phase[:, None], axis=0)
     return SpaceTimeField(grid, taxis, _readonly(grid.inverse(hat_x)))
 
 

@@ -40,26 +40,6 @@ class TestMakeGrid:
 
 
 class TestTransforms:
-    @pytest.mark.parametrize("shape", [(64,), (7, 64), (256, 128)])
-    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-    def test_in_place_pair_equals_out_of_place_formulas(self, shape, dtype):
-        """forward/inverse work in one array; the bits equal the
-        out-of-place expressions they replace."""
-        from gkdvlab.grid import SQRT_2PI
-
-        g = make_grid(8.0, shape[-1])
-        rng = np.random.default_rng(2)
-        data = rng.standard_normal(shape).astype(dtype)
-        if dtype is np.complex128:
-            data += 1j * rng.standard_normal(shape)
-        phase = boundary_phase(g.n_modes)
-        old_forward = (g.dx / SQRT_2PI) * phase * np.fft.fft(data)
-        old_inverse = (g.dxi * g.n_modes / SQRT_2PI) * np.fft.ifft(data * phase)
-        given = data.copy()
-        assert np.array_equal(g.forward(data), old_forward)
-        assert np.array_equal(g.inverse(data), old_inverse)
-        assert np.array_equal(data, given)
-
     def test_constant_concentrates_at_zero(self):
         g = make_grid(np.pi, 64)
         hat = spectral_values(field_from_function(g, lambda x: np.ones_like(x)))

@@ -56,13 +56,6 @@ class TestSobolevNorm:
             )
             assert sobolev_norm(bump, s) == pytest.approx(oracle, rel=1e-6)
 
-    def test_several_weights_equal_one_at_a_time(self):
-        resolution = ProbeResolution()
-        grid, ta = resolution.make()
-        u = random_spacetime(grid, ta, resolution.xi_band, 4)
-        indices = [(0.0, 0.5), (0.3, 0.52), (0.25, 0.6), (0.0, 0.5)]
-        assert xsb_norms(u, indices) == [xsb_norm(u, s, b) for s, b in indices]
-
     @pytest.mark.parametrize("c", [2.0, -3.0, 1j])
     def test_homogeneity(self, bump, c):
         scaled = bump.with_values(c * bump.values)
@@ -98,13 +91,6 @@ class TestHomogeneousNorm:
     def test_requires_s_above_minus_half(self, bump):
         with pytest.raises(ValueError):
             homogeneous_norm(bump, -0.5)
-
-    def test_several_weights_equal_one_at_a_time(self):
-        resolution = ProbeResolution()
-        grid, ta = resolution.make()
-        u = random_spacetime(grid, ta, resolution.xi_band, 4)
-        indices = [(0.0, 0.5), (0.3, 0.52), (0.25, 0.6), (0.0, 0.5)]
-        assert xsb_norms(u, indices) == [xsb_norm(u, s, b) for s, b in indices]
 
     @pytest.mark.parametrize("c", [2.0, -3.0, 1j])
     def test_homogeneity(self, bump, c):

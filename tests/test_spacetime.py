@@ -69,26 +69,6 @@ class TestCopySemantics:
         assert not f.with_values(np.zeros(shape)).values.flags.writeable
 
 
-@pytest.mark.parametrize("m_t", [16, 256])
-def test_in_place_time_pair_equals_out_of_place_formulas(m_t):
-    """The time-axis transforms work in one array; the bits equal the
-    out-of-place expressions they replace."""
-    from gkdvlab.grid import SQRT_2PI
-    from gkdvlab.spacetime import _time_forward
-
-    grid, ta = make_grid(8.0, 32), centered_axis(4.0, m_t)
-    rng = np.random.default_rng(6)
-    data = rng.standard_normal((m_t, 32)) + 1j * rng.standard_normal((m_t, 32))
-    given = data.copy()
-    fwd_phase = np.exp(-1j * ta.t0 * ta.tau)
-    old_forward = (ta.dt / SQRT_2PI) * fwd_phase[:, None] * np.fft.fft(data, axis=0)
-    assert np.array_equal(_time_forward(ta, data), old_forward)
-    inv_phase = np.exp(1j * ta.t0 * ta.tau)
-    hat_x = (ta.dtau * m_t / SQRT_2PI) * np.fft.ifft(data * inv_phase[:, None], axis=0)
-    assert np.array_equal(st_to_physical(grid, ta, data).values, grid.inverse(hat_x))
-    assert np.array_equal(data, given)
-
-
 class TestTimeAxis:
     def test_centered_axis_contains_zero(self):
         ta = centered_axis(4.0, 64)
