@@ -112,15 +112,19 @@ def random_field(grid: Grid, xi_band: float, seed: int, master: int = 0) -> Fiel
 
 
 @lru_cache(maxsize=8)
-def _spacetime_envelope(grid: Grid, taxis: TimeAxis, xi_band: float) -> np.ndarray:
-    """<xi>^{-1}<tau-xi^3>^{-1} on |xi| <= xi_band and 0 outside, on the
-    (tau, xi) grid; cached and read-only."""
-    xi = grid.xi
+def _spacetime_envelope(
+    grid: Grid, taxis: TimeAxis, xi_band: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The columns with |xi| <= xi_band, and <xi>^{-1}<tau-xi^3>^{-1} on
+    the (tau, xi) grid restricted to them; cached and read-only. Keeping
+    only the band's columns keeps the cache small."""
+    band = np.flatnonzero(np.abs(grid.xi) <= xi_band)
+    xi = grid.xi[band]
     mod = taxis.tau[:, None] - (xi**3)[None, :]
     envelope = 1.0 / (np.sqrt(1.0 + xi**2)[None, :] * np.sqrt(1.0 + mod**2))
-    weight = envelope * (np.abs(xi) <= xi_band)[None, :]
-    weight.flags.writeable = False
-    return weight
+    band.flags.writeable = False
+    envelope.flags.writeable = False
+    return band, envelope
 
 
 def random_spacetime(
@@ -130,10 +134,11 @@ def random_spacetime(
     normalized to unit space-time L^2."""
     rng = rng_for(master, 23, seed)
     shape = (taxis.n_samples, grid.n_modes)
-    coeffs = np.empty(shape, dtype=np.complex128)
-    coeffs.real = rng.standard_normal(shape)
-    coeffs.imag = rng.standard_normal(shape)
-    coeffs *= _spacetime_envelope(grid, taxis, float(xi_band))
+    band, envelope = _spacetime_envelope(grid, taxis, float(xi_band))
+    coeffs = np.zeros(shape, dtype=np.complex128)
+    # all m_t x N draws are made, in their stream order; the band's are kept
+    coeffs.real[:, band] = rng.standard_normal(shape)[:, band] * envelope
+    coeffs.imag[:, band] = rng.standard_normal(shape)[:, band] * envelope
     u = st_to_physical(grid, taxis, coeffs)
     return u.with_values(_readonly(u.values / st_l2(u)))
 

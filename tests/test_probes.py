@@ -7,6 +7,7 @@ from gkdvlab.params import b_index, dual_b_index, sigma_index
 from gkdvlab.probes import (
     EstimateReport,
     _banded_bump,
+    _spacetime_envelope,
     ProbeResolution,
     check_bilinear,
     check_embeddings,
@@ -124,6 +125,9 @@ class TestRandomData:
         for _ in range(2):  # the second call reads the cached envelope
             got = random_spacetime(grid, taxis, res.xi_band, 9, master=2).values
             assert np.array_equal(got, want)
+        band, cached = _spacetime_envelope(grid, taxis, res.xi_band)
+        assert np.array_equal(band, np.flatnonzero(np.abs(grid.xi) <= res.xi_band))
+        assert np.array_equal(cached, envelope[:, band])
 
     def test_banded_bump_spectrum(self):
         grid, _ = _res().make()
