@@ -148,7 +148,6 @@ def cmd_strichartz_tail(cfg: RunConfig, args) -> int:
         distribution=cfg["random"]["distribution"],
         n_time_samples=st["n_time_samples"],
         n_max=cfg["random"]["n_max"] or None,
-        threads=cfg["ensemble"]["threads"],
     )
     header, rows = ensemble_table(report.records)
     artifacts = [
@@ -188,7 +187,6 @@ def cmd_lwp_ensemble(cfg: RunConfig, args) -> int:
         seed=cfg.master_seed,
         distribution=cfg["random"]["distribution"],
         n_max=cfg["random"]["n_max"] or None,
-        threads=cfg["ensemble"]["threads"],
     )
     rows = [
         (r.T, r.n, r.failures, r.fraction, r.wilson_lo, r.wilson_hi) for r in report.rows
@@ -283,7 +281,12 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None, help="INI configuration file")
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
         p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=None, help="worker threads (speed only)")
+        p.add_argument(
+            "--threads",
+            type=int,
+            default=None,
+            help="accepted and checked (>= 1) but without effect: ensembles run on one thread",
+        )
     return parser
 
 

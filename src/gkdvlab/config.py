@@ -52,7 +52,7 @@ _SCHEMA: dict[str, dict[str, tuple[type, object]]] = {
     "ensemble": {
         "n_samples": (int, 10000),
         "n_fields": (int, 3),
-        "threads": (int, 1),
+        "threads": (int, 1),  # accepted and validated; ensembles run on one thread
     },
     "strichartz": {
         "q": (float, 4.0),

@@ -17,7 +17,7 @@ written down; every other module transforms the x axis through them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -59,10 +59,11 @@ class Grid:
         """Frequency spacing pi/L."""
         return np.pi / self.half_length
 
-    @property
+    @cached_property
     def xi(self) -> np.ndarray:
-        """Frequencies pi*k/L, k = -N/2..N/2-1, in FFT order."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.n_modes, d=self.dx)
+        """Frequencies pi*k/L, k = -N/2..N/2-1, in FFT order; built once per
+        grid and read-only."""
+        return _readonly(2.0 * np.pi * np.fft.fftfreq(self.n_modes, d=self.dx))
 
     @property
     def xi_max(self) -> float:
@@ -87,13 +88,16 @@ class Grid:
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         """Samples u(x_j) -> coefficients u_hat(xi_k) along the last axis;
-        leading axes are a batch."""
-        return self.from_dft(np.fft.fft(values))
+        leading axes are a batch. The FFT's own output takes `from_dft`'s
+        scale and phase in place."""
+        raw = np.fft.fft(values)
+        return np.multiply((self.dx / SQRT_2PI) * _phase(self.n_modes), raw, out=raw)
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
         """Coefficients u_hat(xi_k) -> samples u(x_j) along the last axis;
         leading axes are a batch."""
-        return (self.dxi * self.n_modes / SQRT_2PI) * np.fft.ifft(coeffs * _phase(self.n_modes))
+        raw = np.fft.ifft(coeffs * _phase(self.n_modes))
+        return np.multiply(self.dxi * self.n_modes / SQRT_2PI, raw, out=raw)
 
     def multiply(self, values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
         """Apply the Fourier multiplier `symbol` (on `xi`, FFT order) to samples

@@ -3,13 +3,12 @@ fit sub-Gaussian tails, and track the local-solvability failure fraction.
 
 Determinism contract: the full output is a pure function of the data, the
 configuration and the master seed. Per-sample streams are derived by a
-splittable hash of (master seed, sample index), so thread count and
-execution order cannot change any number.
+splittable hash of (master seed, sample index), so execution order cannot
+change any number. Samples run one after another on one thread.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -52,7 +51,6 @@ def run_ensemble(
     seed: int,
     distribution: str = "gaussian",
     n_max: int | None = None,
-    threads: int = 1,
 ) -> list[EnsembleRecord]:
     """Evaluate observables on n_samples independent randomizations of phi.
 
@@ -81,10 +79,7 @@ def run_ensemble(
             record.blown_up = True
         return record
 
-    if threads <= 1:
-        return [evaluate(i) for i in range(n_samples)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(evaluate, range(n_samples)))
+    return [evaluate(i) for i in range(n_samples)]
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +251,6 @@ def strichartz_scaling(
     distribution: str = "gaussian",
     n_time_samples: int = 64,
     n_max: int | None = None,
-    threads: int = 1,
 ) -> StrichartzReport:
     """Tail lambda-scale of the free evolution's L^q_t L^r_x([0, T]) norm per
     T, regressed against T.
@@ -278,7 +272,7 @@ def strichartz_scaling(
         return out
 
     records = run_ensemble(
-        phi, n_samples, observe, seed, distribution=distribution, n_max=n_max, threads=threads
+        phi, n_samples, observe, seed, distribution=distribution, n_max=n_max
     )
     obs_by_t = {
         t: np.asarray([rec.values[f"T={t!r}"] for rec in records if not rec.blown_up])
@@ -346,7 +340,6 @@ def exceptional_probability(
     seed: int = 0,
     distribution: str = "gaussian",
     n_max: int | None = None,
-    threads: int = 1,
 ) -> LwpReport:
     """Failure fraction of the fixed-point construction per existence time T.
 
@@ -384,7 +377,6 @@ def exceptional_probability(
             child_seed(seed, k),
             distribution=distribution,
             n_max=n_max,
-            threads=threads,
         )
         records_by_t[T] = records
         failures = sum(

@@ -242,6 +242,59 @@ def evolve_reference(
 # Duhamel map and Picard iteration
 
 
+def _cutoff_window(taxis: TimeAxis, eta_T: np.ndarray) -> tuple[slice, int]:
+    """The rows of `taxis` the Duhamel map works on, and the row of t = 0
+    within them.
+
+    They are the rows where eta_T != 0 (and t = 0), plus one zero guard row
+    on each side for the trapezoid sum, clipped to the axis. The map
+    vanishes on every other row.
+    """
+    if not taxis.is_centered:
+        raise ValueError("duhamel_gamma needs the centered time box (t = 0 a node)")
+    j0 = int(np.argmin(np.abs(taxis.t)))
+    support = np.append(np.flatnonzero(eta_T), j0)
+    rows = slice(max(int(support.min()) - 1, 0), min(int(support.max()) + 2, taxis.n_samples))
+    return rows, j0 - rows.start
+
+
+def _duhamel_window(
+    grid: Grid,
+    dt: float,
+    j0: int,
+    propagator: np.ndarray,
+    v_hat: np.ndarray,
+    z_hat: np.ndarray,
+    eta: np.ndarray,
+    eta_T: np.ndarray,
+) -> np.ndarray:
+    """`duhamel_gamma` on the rows of a `_cutoff_window`: every array holds
+    those rows only (the propagator table exp(i t xi^3) included), and j0 is
+    the row of t = 0 among them."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = eta[:, None] * v_hat + z_hat
+    if not np.all(np.isfinite(w)):
+        raise BlowupError(step=-1, message="non-finite state entering the Duhamel map")
+
+    active = np.max(np.abs(w), axis=1) > 0.0
+    forcing = np.zeros_like(w)
+    if np.any(active):
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = nonlinearity_coeffs(grid, w[active])
+        if not np.all(np.isfinite(coeffs)):
+            raise BlowupError(step=-1, message="nonlinearity overflowed in the Duhamel map")
+        forcing[active] = coeffs
+
+    # integrand of the mild form: exp(-i s xi^3) N(w)(s)
+    integrand = np.conj(propagator) * forcing
+    mids = 0.5 * dt * (integrand[1:] + integrand[:-1])
+    cumulative = np.vstack(
+        [np.zeros((1, grid.n_modes), dtype=np.complex128), np.cumsum(mids, axis=0)]
+    )
+    cumulative = cumulative - cumulative[j0]
+    return propagator * cumulative * eta_T[:, None]
+
+
 def duhamel_gamma(
     grid: Grid,
     taxis: TimeAxis,
@@ -258,34 +311,21 @@ def duhamel_gamma(
     evolution of the data); v gets eta here. The time integral uses the
     trapezoid rule at the axis spacing, with the free propagator applied
     exactly between nodes. The output vanishes for |t| >= 2T by
-    construction.
+    construction, and only the rows of `_cutoff_window` are computed.
     """
-    if not taxis.is_centered:
-        raise ValueError("duhamel_gamma needs the centered time box (t = 0 a node)")
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = eta[:, None] * v_hat + z_hat
-    if not np.all(np.isfinite(w)):
-        raise BlowupError(step=-1, message="non-finite state entering the Duhamel map")
-
-    active = np.max(np.abs(w), axis=1) > 0.0
-    forcing = np.zeros_like(w)
-    if np.any(active):
-        with np.errstate(over="ignore", invalid="ignore"):
-            coeffs = nonlinearity_coeffs(grid, w[active])
-        if not np.all(np.isfinite(coeffs)):
-            raise BlowupError(step=-1, message="nonlinearity overflowed in the Duhamel map")
-        forcing[active] = coeffs
-
-    # integrand of the mild form: exp(-i s xi^3) N(w)(s)
-    propagator = _propagator(grid, taxis)
-    integrand = np.conj(propagator) * forcing
-    mids = 0.5 * taxis.dt * (integrand[1:] + integrand[:-1])
-    cumulative = np.vstack(
-        [np.zeros((1, grid.n_modes), dtype=np.complex128), np.cumsum(mids, axis=0)]
+    rows, j0 = _cutoff_window(taxis, eta_T)
+    out = np.zeros((taxis.n_samples, grid.n_modes), dtype=np.complex128)
+    out[rows] = _duhamel_window(
+        grid,
+        taxis.dt,
+        j0,
+        _propagator(grid, taxis)[rows],
+        v_hat[rows],
+        z_hat[rows],
+        eta[rows],
+        eta_T[rows],
     )
-    j0 = int(np.argmin(np.abs(taxis.t)))
-    cumulative = cumulative - cumulative[j0]
-    return propagator * cumulative * eta_T[:, None]
+    return out
 
 
 @dataclass
@@ -339,8 +379,14 @@ def picard_solve(
     b = b_index(eps)
 
     eta, eta_T = Cutoff(1.0)(taxis.t), Cutoff(T)(taxis.t)
-    z_hat = _free_coeffs(phi_omega, taxis, eta_T)
+    z_full = _free_coeffs(phi_omega, taxis, eta_T)
+    # iterate on the cutoff's rows only; the distance still transforms the
+    # full time axis, from a buffer that is zero off those rows
+    rows, j0 = _cutoff_window(taxis, eta_T)
+    propagator = _propagator(grid, taxis)[rows]
+    eta, eta_T, z_hat = eta[rows], eta_T[rows], z_full[rows]
     v_hat = np.zeros_like(z_hat)
+    diff = np.zeros_like(z_full)
     outside = np.abs(grid.xi) > xi_band
 
     distances: list[float] = []
@@ -352,7 +398,7 @@ def picard_solve(
     for _ in range(max_iter):
         iterations += 1
         try:
-            v_next = duhamel_gamma(grid, taxis, v_hat, z_hat, eta, eta_T)
+            v_next = _duhamel_window(grid, taxis.dt, j0, propagator, v_hat, z_hat, eta, eta_T)
         except BlowupError:
             blown_up = True
             break
@@ -361,8 +407,8 @@ def picard_solve(
         if not np.isfinite(peak) or peak > BLOWUP_THRESHOLD:
             blown_up = True
             break
-        diff = v_next - v_hat
-        diff[:, outside] = 0.0
+        np.subtract(v_next, v_hat, out=diff[rows])
+        diff[rows, outside] = 0.0
         d = _xsb_from_x_coeffs(grid, taxis, diff, sigma, b)
         if distances and distances[-1] > 0.0:
             ratios.append(d / distances[-1])
@@ -377,9 +423,11 @@ def picard_solve(
     col = np.sum(np.abs(v_hat) ** 2, axis=0)
     total = float(np.sum(col))
     discarded = float(np.sum(col[outside])) / total if total > 0.0 else 0.0
+    v_full = np.zeros_like(z_full)
+    v_full[rows] = v_hat
     return PicardResult(
-        v=SpaceTimeField(grid, taxis, _readonly(grid.inverse(v_hat))),
-        z=SpaceTimeField(grid, taxis, _readonly(grid.inverse(z_hat))),
+        v=SpaceTimeField(grid, taxis, _readonly(grid.inverse(v_full))),
+        z=SpaceTimeField(grid, taxis, _readonly(grid.inverse(z_full))),
         distances=distances,
         ratios=ratios,
         converged=converged and not blown_up,

@@ -14,7 +14,7 @@ same type with a one-sided axis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -37,9 +37,10 @@ class TimeAxis:
         if not self.dt > 0:
             raise ValueError("dt must be positive")
 
-    @property
+    @cached_property
     def t(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.n_samples)
+        """The samples, built once per axis and read-only."""
+        return _readonly(self.t0 + self.dt * np.arange(self.n_samples))
 
     @property
     def span(self) -> float:
@@ -49,10 +50,11 @@ class TimeAxis:
     def dtau(self) -> float:
         return TWO_PI / self.span
 
-    @property
+    @cached_property
     def tau(self) -> np.ndarray:
-        """Temporal frequencies in FFT order."""
-        return TWO_PI * np.fft.fftfreq(self.n_samples, d=self.dt)
+        """Temporal frequencies in FFT order, built once per axis and
+        read-only."""
+        return _readonly(TWO_PI * np.fft.fftfreq(self.n_samples, d=self.dt))
 
     @property
     def tau_max(self) -> float:
@@ -116,7 +118,8 @@ def _time_forward(taxis: TimeAxis, values: np.ndarray) -> np.ndarray:
     """Transform along the time axis (axis 0), in the x axis's convention:
     dt/sqrt(2*pi) * sum_m values(t_m) e^{-i t_m tau}."""
     phase = np.exp(-1j * taxis.t0 * taxis.tau)
-    return (taxis.dt / SQRT_2PI) * phase[:, None] * np.fft.fft(values, axis=0)
+    raw = np.fft.fft(values, axis=0)
+    return np.multiply((taxis.dt / SQRT_2PI) * phase[:, None], raw, out=raw)
 
 
 def st_spectral_values(u: SpaceTimeField) -> np.ndarray:
@@ -128,7 +131,8 @@ def st_to_physical(grid: Grid, taxis: TimeAxis, coeffs: np.ndarray) -> SpaceTime
     """The field whose 2D transform is `coeffs` (inverse of st_spectral_values):
     the inverse of `_time_forward`, then the grid's inverse transform."""
     phase = np.exp(1j * taxis.t0 * taxis.tau)
-    hat_x = (taxis.dtau * taxis.n_samples / SQRT_2PI) * np.fft.ifft(coeffs * phase[:, None], axis=0)
+    hat_x = np.fft.ifft(coeffs * phase[:, None], axis=0)
+    np.multiply(taxis.dtau * taxis.n_samples / SQRT_2PI, hat_x, out=hat_x)
     return SpaceTimeField(grid, taxis, _readonly(grid.inverse(hat_x)))
 
 

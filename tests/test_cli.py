@@ -95,6 +95,12 @@ class TestConfigErrors:
         cfg = write_cfg(tmp_path, "[estimates]\nids = embed99\n")
         assert main(["verify-estimates", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
 
+    def test_threads_below_one_exit_2(self, tmp_path):
+        # the flag and key have no effect, but are still checked
+        cfg = write_cfg(tmp_path, "[ensemble]\nthreads = 0\n")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        assert main(["simulate", "--out", str(tmp_path / "y"), "--threads", "0"]) == 2
+
     def test_small_ensemble_for_tails_exit_2(self, tmp_path):
         cfg = write_cfg(tmp_path, "[ensemble]\nn_samples = 10\n")
         assert main(["strichartz-tail", "--config", cfg, "--out", str(tmp_path / "x")]) == 2

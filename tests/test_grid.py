@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkdvlab.grid import (
+    SQRT_2PI,
     Field,
+    _phase,
     airy_propagate,
     bessel_multiplier,
     boundary_phase,
@@ -81,6 +83,34 @@ class TestTransforms:
         batch = rng.standard_normal((5, 512)) + 1j * rng.standard_normal((5, 512))
         back = grid512.inverse(grid512.forward(batch))
         assert np.max(np.abs(back - batch)) <= 1e-12 * np.max(np.abs(batch))
+
+    @pytest.mark.parametrize("shape", [(64,), (7, 64)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_in_place_products_match_out_of_place(self, grid64, shape, dtype):
+        # forward and inverse scale the FFT's own output in place; they must
+        # equal the out-of-place expressions and leave their input alone
+        rng = np.random.default_rng(11)
+        values = rng.standard_normal(shape).astype(dtype)
+        if dtype == np.complex128:
+            values = values + 1j * rng.standard_normal(shape)
+        kept = values.copy()
+        phase = _phase(64)
+        old_forward = (grid64.dx / SQRT_2PI) * phase * np.fft.fft(values)
+        old_inverse = (grid64.dxi * 64 / SQRT_2PI) * np.fft.ifft(values * phase)
+        assert np.array_equal(grid64.forward(values), old_forward)
+        assert np.array_equal(grid64.inverse(values), old_inverse)
+        assert np.array_equal(values, kept)
+        values.flags.writeable = False
+        assert np.array_equal(grid64.forward(values), old_forward)
+        assert np.array_equal(grid64.inverse(values), old_inverse)
+
+    def test_frequencies_cached_and_read_only(self, grid64):
+        xi = grid64.xi
+        assert grid64.xi is xi
+        assert np.array_equal(xi, 2.0 * np.pi * np.fft.fftfreq(64, d=grid64.dx))
+        with pytest.raises(ValueError):
+            xi[0] = 1.0
+        assert make_grid(16.0, 64) == grid64
 
     def test_boundary_phase_is_shared_and_read_only(self):
         phase = boundary_phase(64)

@@ -4,8 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkdvlab.grid import field_from_function, make_grid
-from gkdvlab.norms import xsb_norm
+from gkdvlab.norms import _xsb_from_x_coeffs, xsb_norm
+from gkdvlab.params import b_index, sigma_index
 from gkdvlab.solver import (
+    BLOWUP_THRESHOLD,
+    BlowupError,
     conserved_quantities,
     duhamel_gamma,
     evolve_reference,
@@ -18,6 +21,8 @@ from gkdvlab.solver import (
 from gkdvlab.spacetime import (
     Cutoff,
     SpaceTimeField,
+    _free_coeffs,
+    _propagator,
     centered_axis,
     free_evolution,
     midpoint_axis,
@@ -225,6 +230,109 @@ class TestDuhamelGamma:
         zero = np.zeros((64, 64), np.complex128)
         with pytest.raises(ValueError):
             duhamel_gamma(grid64, ta, zero, zero, *_cutoffs(ta, 0.25))
+
+
+def _full_axis_gamma(grid, ta, v_hat, z_hat, eta, eta_T):
+    """The Duhamel map computed on every row of the time axis: the
+    reference the windowed kernel must reproduce bit for bit."""
+    w = eta[:, None] * v_hat + z_hat
+    if not np.all(np.isfinite(w)):
+        raise BlowupError(step=-1)
+    active = np.max(np.abs(w), axis=1) > 0.0
+    forcing = np.zeros_like(w)
+    if np.any(active):
+        coeffs = nonlinearity_coeffs(grid, w[active])
+        if not np.all(np.isfinite(coeffs)):
+            raise BlowupError(step=-1)
+        forcing[active] = coeffs
+    propagator = _propagator(grid, ta)
+    integrand = np.conj(propagator) * forcing
+    mids = 0.5 * ta.dt * (integrand[1:] + integrand[:-1])
+    cumulative = np.vstack(
+        [np.zeros((1, grid.n_modes), dtype=np.complex128), np.cumsum(mids, axis=0)]
+    )
+    cumulative = cumulative - cumulative[int(np.argmin(np.abs(ta.t)))]
+    return propagator * cumulative * eta_T[:, None]
+
+
+def _full_axis_picard(phi, T, tol, max_iter, ta, xi_band, eps=0.05):
+    """`picard_solve` with every iterate on the full time axis."""
+    grid = phi.grid
+    sigma, b = sigma_index(eps), b_index(eps)
+    eta, eta_T = Cutoff(1.0)(ta.t), Cutoff(T)(ta.t)
+    z_hat = _free_coeffs(phi, ta, eta_T)
+    v_hat = np.zeros_like(z_hat)
+    outside = np.abs(grid.xi) > xi_band
+    distances, ratios = [], []
+    converged = blown_up = False
+    iterations = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            iterations += 1
+            try:
+                v_next = _full_axis_gamma(grid, ta, v_hat, z_hat, eta, eta_T)
+            except BlowupError:
+                blown_up = True
+                break
+            peak = float(np.max(np.abs(grid.inverse(v_next))))
+            if not np.isfinite(peak) or peak > BLOWUP_THRESHOLD:
+                blown_up = True
+                break
+            diff = v_next - v_hat
+            diff[:, outside] = 0.0
+            d = _xsb_from_x_coeffs(grid, ta, diff, sigma, b)
+            if distances and distances[-1] > 0.0:
+                ratios.append(d / distances[-1])
+            distances.append(d)
+            v_hat = v_next
+            if d <= tol:
+                converged = True
+                break
+    if converged and ratios and not ratios[-1] < 1.0:
+        converged = False
+    col = np.sum(np.abs(v_hat) ** 2, axis=0)
+    total = float(np.sum(col))
+    return {
+        "distances": distances,
+        "ratios": ratios,
+        "iterations": iterations,
+        "converged": converged and not blown_up,
+        "blown_up": blown_up,
+        "discarded_band_mass": float(np.sum(col[outside])) / total if total > 0.0 else 0.0,
+        "v": grid.inverse(v_hat),
+        "z": grid.inverse(z_hat),
+    }
+
+
+class TestWindowedPicard:
+    """The iteration on the cutoff's rows reproduces the full-axis one bit
+    for bit."""
+
+    @pytest.mark.parametrize(
+        "amplitude, T",
+        [
+            (1.8, 0.25),  # the lwp preset's amplitude at its largest T
+            (1.8, 1.0 / 32.0),  # 7 nonzero cutoff rows
+            (0.5, 2.0),  # the cutoff covers the whole axis
+            (3.0, 0.25),  # blows up at the third iterate
+        ],
+    )
+    def test_matches_full_axis_iteration(self, grid64, amplitude, T):
+        phi = banded_bump(grid64, amplitude=amplitude, band=2.0)
+        ta = centered_axis(4.0, 256)
+        res = picard_solve(phi, T, tol=1e-10, max_iter=25, taxis=ta, xi_band=4.0)
+        ref = _full_axis_picard(phi, T, 1e-10, 25, ta, 4.0)
+        assert res.distances == ref["distances"]
+        assert res.ratios == ref["ratios"]
+        assert res.iterations == ref["iterations"]
+        assert res.converged == ref["converged"]
+        assert res.blown_up == ref["blown_up"]
+        assert res.discarded_band_mass == ref["discarded_band_mass"]
+        assert np.array_equal(res.v.values, ref["v"])
+        assert np.array_equal(res.z.values, ref["z"])
+        assert res.blown_up == (amplitude == 3.0)
+        if T == 2.0:
+            assert np.all(Cutoff(T)(ta.t) > 0.0)
 
 
 def _band_oracle(u, xi_band):

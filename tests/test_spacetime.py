@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from gkdvlab.grid import Field, airy_propagate, make_grid, spectral_values
+from gkdvlab.grid import SQRT_2PI, Field, _phase, airy_propagate, make_grid, spectral_values
 from gkdvlab.solver import duhamel_gamma, nonlinearity_coeffs
 from gkdvlab.spacetime import (
     Cutoff,
     SpaceTimeField,
     _propagator,
+    _time_forward,
     bump_profile,
     centered_axis,
     free_evolution,
@@ -87,6 +88,16 @@ class TestTimeAxis:
         assert ta.dt * ta.n_samples == pytest.approx(0.5)
         assert not ta.is_centered
 
+    def test_samples_and_frequencies_cached_and_read_only(self):
+        ta = centered_axis(4.0, 64)
+        t, tau = ta.t, ta.tau
+        assert ta.t is t and ta.tau is tau
+        assert np.array_equal(t, ta.t0 + ta.dt * np.arange(64))
+        assert np.array_equal(tau, 2.0 * np.pi * np.fft.fftfreq(64, d=ta.dt))
+        for a in (t, tau):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
 
 class TestSpaceTimeTransforms:
     def test_parseval_and_round_trip(self, grid64):
@@ -113,6 +124,25 @@ class TestSpaceTimeTransforms:
         assert np.max(np.abs(u.values - direct)) <= 1e-13 * np.max(np.abs(direct))
         forward = grid64.dx * ta.dt / (2 * np.pi) * np.conj(phase) * np.fft.fft2(u.values)
         assert np.max(np.abs(st_spectral_values(u) - forward)) <= 1e-13 * np.max(np.abs(hat))
+
+    @pytest.mark.parametrize("n_cols", [1, 64])
+    def test_in_place_products_match_out_of_place(self, grid64, n_cols):
+        # the time-axis pair scales the FFT's own output in place; it must
+        # equal the out-of-place expressions and leave its input alone
+        ta = centered_axis(4.0, 32)
+        rng = np.random.default_rng(9)
+        values = rng.standard_normal((32, n_cols)) + 1j * rng.standard_normal((32, n_cols))
+        kept = values.copy()
+        forward_phase = np.exp(-1j * ta.t0 * ta.tau)
+        old_forward = (ta.dt / SQRT_2PI) * forward_phase[:, None] * np.fft.fft(values, axis=0)
+        assert np.array_equal(_time_forward(ta, values), old_forward)
+        assert np.array_equal(values, kept)
+        if n_cols == 64:
+            inverse_phase = np.exp(1j * ta.t0 * ta.tau)
+            hat_x = (ta.dtau * 32 / SQRT_2PI) * np.fft.ifft(values * inverse_phase[:, None], axis=0)
+            old_physical = (grid64.dxi * 64 / SQRT_2PI) * np.fft.ifft(hat_x * _phase(64))
+            assert np.array_equal(st_to_physical(grid64, ta, values).values, old_physical)
+            assert np.array_equal(values, kept)
 
     def test_shape_validation(self, grid64):
         ta = centered_axis(4.0, 32)
