@@ -52,7 +52,9 @@ _SCHEMA: dict[str, dict[str, tuple[type, object]]] = {
     "ensemble": {
         "n_samples": (int, 10000),
         "n_fields": (int, 3),
-        "threads": (int, 1),  # accepted and validated; ensembles run on one thread
+        # ensemble worker processes: forked, capped at the usable CPUs;
+        # outputs are identical for every count
+        "threads": (int, 1),
     },
     "strichartz": {
         "q": (float, 4.0),

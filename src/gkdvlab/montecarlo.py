@@ -3,12 +3,13 @@ fit sub-Gaussian tails, and track the local-solvability failure fraction.
 
 Determinism contract: the full output is a pure function of the data, the
 configuration and the master seed. Per-sample streams are derived by a
-splittable hash of (master seed, sample index), so execution order cannot
-change any number. Samples run one after another on one thread.
+splittable hash of (master seed, sample index), so neither the number of
+worker processes nor execution order can change any number.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -44,6 +45,28 @@ def auto_n_max(phi: Field, rel_tol: float = 1e-13) -> int:
     return max(1, int(np.ceil(radius)) + 1)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# The `evaluate` of the ensemble a forked worker serves. The pool's
+# initializer sets it in each worker; the parent process never does.
+_worker_evaluate: Callable[[int], EnsembleRecord] | None = None
+
+
+def _install_evaluate(evaluate: Callable[[int], EnsembleRecord]) -> None:
+    global _worker_evaluate
+    _worker_evaluate = evaluate
+
+
+def _evaluate_in_worker(index: int) -> EnsembleRecord:
+    return _worker_evaluate(index)
+
+
 def run_ensemble(
     phi: Field,
     n_samples: int,
@@ -51,12 +74,22 @@ def run_ensemble(
     seed: int,
     distribution: str = "gaussian",
     n_max: int | None = None,
+    threads: int = 1,
 ) -> list[EnsembleRecord]:
     """Evaluate observables on n_samples independent randomizations of phi.
 
     `observables` is either a name->callable map (each returning a float) or
     a single callable returning a name->float map. Per-sample errors are
     recorded on the sample (blown_up) and never abort the ensemble.
+
+    `threads` is the number of worker processes, capped at the usable CPUs
+    and at n_samples. More than one runs the samples on a pool of workers
+    forked from this process (so observables may be closures), in fixed
+    chunks of sample indices, and returns the records in index order; the
+    records are the same for every count. A worker that dies raises
+    `BrokenProcessPool`. Where fork is unavailable the samples run here.
+    Fork copies only the calling thread, so a caller that runs other
+    threads should pass threads=1.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -79,7 +112,22 @@ def run_ensemble(
             record.blown_up = True
         return record
 
-    return [evaluate(i) for i in range(n_samples)]
+    workers = min(threads, _usable_cpus(), n_samples) if hasattr(os, "fork") else 1
+    if workers <= 1:
+        return list(map(evaluate, range(n_samples)))
+    # imported here: an ensemble run in this process never pays for them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork hands each worker `evaluate` (a closure) without pickling it
+    with ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_install_evaluate,
+        initargs=(evaluate,),
+    ) as pool:
+        chunk = max(1, n_samples // (8 * workers))
+        return list(pool.map(_evaluate_in_worker, range(n_samples), chunksize=chunk))
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +299,14 @@ def strichartz_scaling(
     distribution: str = "gaussian",
     n_time_samples: int = 64,
     n_max: int | None = None,
+    threads: int = 1,
 ) -> StrichartzReport:
     """Tail lambda-scale of the free evolution's L^q_t L^r_x([0, T]) norm per
     T, regressed against T.
 
     The sub-Gaussian tail bound scales as exp(-c lambda^2 / T^{2/q}), so the
-    fitted scale should grow like T^{1/q}.
+    fitted scale should grow like T^{1/q}. `threads` is `run_ensemble`'s
+    worker-process count.
     """
     if len(t_grid) < 3:
         raise ValueError("need at least three T values")
@@ -272,7 +322,7 @@ def strichartz_scaling(
         return out
 
     records = run_ensemble(
-        phi, n_samples, observe, seed, distribution=distribution, n_max=n_max
+        phi, n_samples, observe, seed, distribution=distribution, n_max=n_max, threads=threads
     )
     obs_by_t = {
         t: np.asarray([rec.values[f"T={t!r}"] for rec in records if not rec.blown_up])
@@ -340,12 +390,14 @@ def exceptional_probability(
     seed: int = 0,
     distribution: str = "gaussian",
     n_max: int | None = None,
+    threads: int = 1,
 ) -> LwpReport:
     """Failure fraction of the fixed-point construction per existence time T.
 
     T values must be passed in descending order; the trend statistic counts
     adjacent pairs where the fraction increases as T shrinks without the
-    Wilson intervals overlapping.
+    Wilson intervals overlapping. `threads` is `run_ensemble`'s
+    worker-process count.
     """
     t_list = [float(t) for t in t_grid]
     if sorted(t_list, reverse=True) != t_list:
@@ -377,6 +429,7 @@ def exceptional_probability(
             child_seed(seed, k),
             distribution=distribution,
             n_max=n_max,
+            threads=threads,
         )
         records_by_t[T] = records
         failures = sum(

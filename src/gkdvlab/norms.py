@@ -164,30 +164,37 @@ def _column_support(hat_x: np.ndarray, floor: float) -> np.ndarray | None:
     return col > floor * col.max()
 
 
-def _support_radius(grid, hat_x: np.ndarray) -> float:
+def _support_radius(grid, hat_x: np.ndarray, columns=slice(None)) -> float:
     """Largest |xi| whose column of the x-spectral coefficients hat_x carries
-    more than 1e-12 of the peak column's L^2 mass. Non-finite coefficients
-    report the full grid band."""
+    more than 1e-12 of the peak column's L^2 mass; hat_x holds the grid's
+    modes `columns` (all of them by default). Non-finite coefficients report
+    the full grid band."""
     support = _column_support(hat_x, 1e-12)
     if support is None:
         return float(grid.xi_max)
-    return float(np.max(np.abs(grid.xi[support]), initial=0.0))
+    return float(np.max(np.abs(grid.xi[columns][support]), initial=0.0))
 
 
-def _xsb_power(grid, taxis, hat_x: np.ndarray) -> np.ndarray:
-    """|F u(xi, tau)|^2 of the field whose x-spectral coefficients per time
-    sample are hat_x, once the tau axis is known to resolve its band: the
-    band comes from their column masses, and only the time axis is left to
-    transform."""
+def _require_resolved(grid, taxis, hat_x: np.ndarray, columns=slice(None)) -> None:
+    """Raise AliasingError unless the centered tau axis resolves the band of
+    the field whose x-spectral coefficients per time sample are hat_x (the
+    grid's modes `columns`); the band comes from their column masses."""
     if not taxis.is_centered:
         raise AliasingError("xsb_norm needs the centered time box (even sample count >= 16)")
-    radius = _support_radius(grid, hat_x)
+    radius = _support_radius(grid, hat_x, columns)
     if 2.0 * radius**3 > taxis.tau_max:
         raise AliasingError(
             f"band |xi| <= {radius:.3f} needs tau_max >= {2.0 * radius**3:.1f}, "
             f"axis provides {taxis.tau_max:.1f}; band-limit the field or "
             "refine the time axis"
         )
+
+
+def _xsb_power(grid, taxis, hat_x: np.ndarray) -> np.ndarray:
+    """|F u(xi, tau)|^2 of the field whose x-spectral coefficients per time
+    sample are hat_x, once the tau axis is known to resolve its band: only
+    the time axis is left to transform."""
+    _require_resolved(grid, taxis, hat_x)
     return np.abs(_time_forward(taxis, hat_x)) ** 2
 
 

@@ -26,13 +26,22 @@ evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .grid import SQRT_2PI, Field, Grid, _readonly
-from .norms import _xsb_from_x_coeffs
+from .norms import _require_resolved, _xsb_sum
 from .params import b_index, sigma_index
-from .spacetime import Cutoff, SpaceTimeField, TimeAxis, _free_coeffs, _propagator, centered_axis
+from .spacetime import (
+    Cutoff,
+    SpaceTimeField,
+    TimeAxis,
+    _free_coeffs,
+    _propagator,
+    _time_forward,
+    centered_axis,
+)
 
 NONLINEARITY_DEGREE = 8
 BLOWUP_THRESHOLD = 1e8
@@ -263,14 +272,15 @@ def _duhamel_window(
     dt: float,
     j0: int,
     propagator: np.ndarray,
+    conj_propagator: np.ndarray,
     v_hat: np.ndarray,
     z_hat: np.ndarray,
     eta: np.ndarray,
     eta_T: np.ndarray,
 ) -> np.ndarray:
     """`duhamel_gamma` on the rows of a `_cutoff_window`: every array holds
-    those rows only (the propagator table exp(i t xi^3) included), and j0 is
-    the row of t = 0 among them."""
+    those rows only (the propagator table exp(i t xi^3) and its conjugate
+    included), and j0 is the row of t = 0 among them."""
     with np.errstate(over="ignore", invalid="ignore"):
         w = eta[:, None] * v_hat + z_hat
     if not np.all(np.isfinite(w)):
@@ -285,14 +295,18 @@ def _duhamel_window(
             raise BlowupError(step=-1, message="nonlinearity overflowed in the Duhamel map")
         forcing[active] = coeffs
 
-    # integrand of the mild form: exp(-i s xi^3) N(w)(s)
-    integrand = np.conj(propagator) * forcing
-    mids = 0.5 * dt * (integrand[1:] + integrand[:-1])
-    cumulative = np.vstack(
-        [np.zeros((1, grid.n_modes), dtype=np.complex128), np.cumsum(mids, axis=0)]
-    )
-    cumulative = cumulative - cumulative[j0]
-    return propagator * cumulative * eta_T[:, None]
+    # integrand of the mild form, exp(-i s xi^3) N(w)(s), and its cumulative
+    # trapezoid sums from t = 0, each in place with its operands in the order
+    # of the out-of-place expressions (a swapped product can differ by an ulp)
+    integrand = np.multiply(conj_propagator, forcing, out=forcing)
+    out = np.empty_like(integrand)
+    out[0] = 0.0
+    np.add(integrand[1:], integrand[:-1], out=out[1:])
+    np.multiply(0.5 * dt, out[1:], out=out[1:])
+    np.cumsum(out[1:], axis=0, out=out[1:])
+    np.subtract(out, out[j0].copy(), out=out)
+    np.multiply(propagator, out, out=out)
+    return np.multiply(out, eta_T[:, None], out=out)
 
 
 def duhamel_gamma(
@@ -314,12 +328,14 @@ def duhamel_gamma(
     construction, and only the rows of `_cutoff_window` are computed.
     """
     rows, j0 = _cutoff_window(taxis, eta_T)
+    propagator = _propagator(grid, taxis)[rows]
     out = np.zeros((taxis.n_samples, grid.n_modes), dtype=np.complex128)
     out[rows] = _duhamel_window(
         grid,
         taxis.dt,
         j0,
-        _propagator(grid, taxis)[rows],
+        propagator,
+        np.conj(propagator),
         v_hat[rows],
         z_hat[rows],
         eta[rows],
@@ -330,10 +346,17 @@ def duhamel_gamma(
 
 @dataclass
 class PicardResult:
-    """Fixed-point iteration record for the Duhamel map."""
+    """Fixed-point iteration record for the Duhamel map.
 
-    v: SpaceTimeField
-    z: SpaceTimeField
+    `v_hat` and `z_hat` are the x-spectral coefficients (m_t x N, on
+    `taxis`) of the last iterate and of the cutoff free evolution of the
+    data; `v` and `z` are their physical samples, built on first use.
+    """
+
+    grid: Grid
+    taxis: TimeAxis
+    v_hat: np.ndarray
+    z_hat: np.ndarray
     distances: list[float]
     ratios: list[float]
     converged: bool
@@ -343,6 +366,14 @@ class PicardResult:
     xi_band: float
     sigma: float
     b: float
+
+    @cached_property
+    def v(self) -> SpaceTimeField:
+        return SpaceTimeField(self.grid, self.taxis, _readonly(self.grid.inverse(self.v_hat)))
+
+    @cached_property
+    def z(self) -> SpaceTimeField:
+        return SpaceTimeField(self.grid, self.taxis, _readonly(self.grid.inverse(self.z_hat)))
 
     @property
     def final_ratio(self) -> float | None:
@@ -380,14 +411,27 @@ def picard_solve(
 
     eta, eta_T = Cutoff(1.0)(taxis.t), Cutoff(T)(taxis.t)
     z_full = _free_coeffs(phi_omega, taxis, eta_T)
-    # iterate on the cutoff's rows only; the distance still transforms the
-    # full time axis, from a buffer that is zero off those rows
+    # iterate on the cutoff's rows only
     rows, j0 = _cutoff_window(taxis, eta_T)
     propagator = _propagator(grid, taxis)[rows]
+    conj_propagator = np.conj(propagator)
     eta, eta_T, z_hat = eta[rows], eta_T[rows], z_full[rows]
     v_hat = np.zeros_like(z_hat)
-    diff = np.zeros_like(z_full)
     outside = np.abs(grid.xi) > xi_band
+    # The distance is the weighted norm of the difference on the band's
+    # columns. They are time-transformed over the full axis from a buffer
+    # that is zero off the window's rows; their |F|^2 goes into a power
+    # buffer that is zero off the band, so the weighted sum runs over all N
+    # columns in the order `xsb_norm` sums them. A band whose edge the tau
+    # axis resolves resolves every difference, which lies inside it.
+    band = np.flatnonzero(~outside)
+    band_diff = np.zeros((taxis.n_samples, band.size), dtype=np.complex128)
+    power = np.zeros((taxis.n_samples, grid.n_modes))
+    band_resolved = 2.0 * float(np.max(np.abs(grid.xi[band]))) ** 3 <= taxis.tau_max
+    # |u(x)| <= dxi/sqrt(2 pi) * sum_k |u_hat(xi_k)|: an iterate whose bound
+    # stays below half the threshold (room for the transform's rounding)
+    # needs no inverse transform for the blow-up test
+    peak_bound = grid.dxi / SQRT_2PI
 
     distances: list[float] = []
     ratios: list[float] = []
@@ -398,18 +442,24 @@ def picard_solve(
     for _ in range(max_iter):
         iterations += 1
         try:
-            v_next = _duhamel_window(grid, taxis.dt, j0, propagator, v_hat, z_hat, eta, eta_T)
+            v_next = _duhamel_window(
+                grid, taxis.dt, j0, propagator, conj_propagator, v_hat, z_hat, eta, eta_T
+            )
         except BlowupError:
             blown_up = True
             break
         with np.errstate(over="ignore", invalid="ignore"):
-            peak = float(np.max(np.abs(grid.inverse(v_next))))
-        if not np.isfinite(peak) or peak > BLOWUP_THRESHOLD:
-            blown_up = True
-            break
-        np.subtract(v_next, v_hat, out=diff[rows])
-        diff[rows, outside] = 0.0
-        d = _xsb_from_x_coeffs(grid, taxis, diff, sigma, b)
+            bound = peak_bound * float(np.max(np.sum(np.abs(v_next), axis=1)))
+            if not bound <= 0.5 * BLOWUP_THRESHOLD:
+                peak = float(np.max(np.abs(grid.inverse(v_next))))
+                if not np.isfinite(peak) or peak > BLOWUP_THRESHOLD:
+                    blown_up = True
+                    break
+        np.subtract(v_next[:, band], v_hat[:, band], out=band_diff[rows])
+        if not band_resolved:
+            _require_resolved(grid, taxis, band_diff, band)
+        power[:, band] = np.abs(_time_forward(taxis, band_diff)) ** 2
+        d = _xsb_sum(grid, taxis, power, sigma, b)
         if distances and distances[-1] > 0.0:
             ratios.append(d / distances[-1])
         distances.append(d)
@@ -426,8 +476,10 @@ def picard_solve(
     v_full = np.zeros_like(z_full)
     v_full[rows] = v_hat
     return PicardResult(
-        v=SpaceTimeField(grid, taxis, _readonly(grid.inverse(v_full))),
-        z=SpaceTimeField(grid, taxis, _readonly(grid.inverse(z_full))),
+        grid=grid,
+        taxis=taxis,
+        v_hat=v_full,
+        z_hat=z_full,
         distances=distances,
         ratios=ratios,
         converged=converged and not blown_up,

@@ -225,6 +225,7 @@ def test_criterion_08_local_solvability_trend():
         xi_band=4.0,
         seed=42,
         distribution="rademacher",
+        threads=2,
     )
     fractions = [r.fraction for r in rep.rows]
     last = rep.rows[-1]

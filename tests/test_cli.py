@@ -168,6 +168,24 @@ class TestLwpEnsemble:
         assert records[0].startswith("T,sample,seed,")
         assert len(records) == 1 + 2 * 100
 
+    def test_artifacts_identical_across_worker_counts(self, tmp_path):
+        cfg = write_cfg(
+            tmp_path,
+            SMALL_GRID
+            + "[data]\namplitude = 1.8\nband_limit = 2.0\n\n"
+            + "[random]\ndistribution = rademacher\n\n"
+            + "[lwp]\nt_grid = 0.25,0.125\nn_samples = 100\n",
+        )
+        outs = []
+        for threads in ("1", "2", "8"):
+            out = tmp_path / f"t{threads}"
+            assert main(["lwp-ensemble", "--config", cfg, "--out", str(out),
+                         "--threads", threads]) == 0
+            outs.append(out)
+        names = ("records.csv", "failures.csv", "trend.csv")
+        for out in outs[1:]:
+            assert all((out / n).read_bytes() == (outs[0] / n).read_bytes() for n in names)
+
     def test_band_too_wide_for_time_axis_exit_4(self, tmp_path, capsys):
         # 2 * min(8, xi_max = 2 pi)^3 ~ 496 exceeds tau_max ~ 201: every
         # Picard distance would alias, so the run stops before the ensemble

@@ -1,8 +1,13 @@
-import numpy as np
-import pytest
+import multiprocessing
+import os
+from concurrent.futures.process import BrokenProcessPool
 from math import erfc
 
-from gkdvlab.grid import field_from_function, l2_norm
+import numpy as np
+import pytest
+
+from gkdvlab import montecarlo
+from gkdvlab.grid import apply_multiplier, field_from_function, l2_norm
 from gkdvlab.io import ensemble_table
 from gkdvlab.montecarlo import (
     auto_n_max,
@@ -59,6 +64,79 @@ class TestRunEnsemble:
     def test_auto_n_max_covers_support(self, grid64):
         phi = banded_bump(grid64, band=3.0)
         assert auto_n_max(phi) == 4
+
+
+def _record_tuples(records):
+    return [(r.index, r.seed, r.values, r.blown_up) for r in records]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="worker processes need fork")
+class TestWorkerProcesses:
+    """`threads` > 1 runs the samples on forked worker processes; the records
+    are those of the in-process loop, and no worker outlives the call."""
+
+    @pytest.fixture(autouse=True)
+    def _many_cpus(self, monkeypatch):
+        # take the pooled branch even on a one-CPU host
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 8)
+        yield
+        assert multiprocessing.active_children() == []
+
+    def test_lwp_records_equal_across_worker_counts(self, grid64):
+        # the lwp preset's data: some samples fail at T = 1/4
+        raw = field_from_function(grid64, lambda x: 1.8 * np.exp(-(x**2)))
+        phi = apply_multiplier(raw, (np.abs(grid64.xi) <= 2.0).astype(float))
+        reports = [
+            exceptional_probability(
+                phi, [0.25, 0.03125], 100, tol=1e-10, taxis=centered_axis(4.0, 256),
+                xi_band=4.0, seed=42, distribution="rademacher", threads=threads,
+            )
+            for threads in (1, 2, 3)
+        ]
+        assert reports[0].rows[0].failures > 0
+        for rep in reports[1:]:
+            assert rep.rows == reports[0].rows
+            for T, records in reports[0].records.items():
+                assert _record_tuples(rep.records[T]) == _record_tuples(records)
+
+    def test_tail_records_equal_across_worker_counts(self, grid64):
+        phi = banded_bump(grid64, band=3.0)
+        reports = [
+            strichartz_scaling(phi, 4.0, 4.0, [0.125, 0.25, 0.5], 1000, seed=3,
+                               n_time_samples=32, threads=threads)
+            for threads in (1, 2, 3)
+        ]
+        for rep in reports[1:]:
+            assert _record_tuples(rep.records) == _record_tuples(reports[0].records)
+            assert rep.rows() == reports[0].rows() and rep.alpha == reports[0].alpha
+
+    def test_workers_capped_at_usable_cpus(self, grid64, monkeypatch):
+        phi = banded_bump(grid64, band=3.0)
+        obs = {"pid": lambda f: float(os.getpid())}
+        pids = {r.values["pid"] for r in run_ensemble(phi, 24, obs, seed=5, threads=3)}
+        assert 1 <= len(pids) <= 3 and float(os.getpid()) not in pids
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+        pids = {r.values["pid"] for r in run_ensemble(phi, 24, obs, seed=5, threads=3)}
+        assert pids == {float(os.getpid())}
+
+    def test_observable_error_in_worker_is_recorded(self, grid64):
+        phi = banded_bump(grid64, band=3.0)
+
+        def broken(f):
+            raise RuntimeError("observable exploded")
+
+        recs = run_ensemble(phi, 4, {"bad": broken}, seed=2, threads=2)
+        assert [r.index for r in recs] == [0, 1, 2, 3]
+        assert all(r.blown_up for r in recs)
+
+    def test_dead_worker_raises(self, grid64):
+        phi = banded_bump(grid64, band=3.0)
+
+        def dies(f):
+            os._exit(3)
+
+        with pytest.raises(BrokenProcessPool):
+            run_ensemble(phi, 4, {"x": dies}, seed=2, threads=2)
 
 
 class TestTailFit:

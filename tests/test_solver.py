@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkdvlab.grid import field_from_function, make_grid
-from gkdvlab.norms import _xsb_from_x_coeffs, xsb_norm
+from gkdvlab.grid import Grid, field_from_function, make_grid
+from gkdvlab.norms import AliasingError, _xsb_from_x_coeffs, xsb_norm
 from gkdvlab.params import b_index, sigma_index
 from gkdvlab.solver import (
     BLOWUP_THRESHOLD,
@@ -334,6 +334,33 @@ class TestWindowedPicard:
         if T == 2.0:
             assert np.all(Cutoff(T)(ta.t) > 0.0)
 
+    @pytest.mark.parametrize(
+        "amplitude, band, aliases",
+        [
+            (1.8, 2.0, True),  # at the first iterate
+            (1.8, 0.4, True),  # the first difference resolves, the second aliases
+            (0.05, 0.4, False),  # converges at the first iterate
+        ],
+    )
+    def test_band_too_wide_for_tau_axis(self, grid64, amplitude, band, aliases):
+        # 2 xi_max^3 ~ 496 exceeds tau_max ~ 201, so the band of every
+        # difference is checked, and the one that aliases raises the
+        # full-axis iteration's error
+        phi = banded_bump(grid64, amplitude=amplitude, band=band)
+        ta = centered_axis(4.0, 256)
+        xi_band = grid64.xi_max
+        if aliases:
+            with pytest.raises(AliasingError) as ref:
+                _full_axis_picard(phi, 0.25, 1e-10, 25, ta, xi_band)
+            with pytest.raises(AliasingError) as got:
+                picard_solve(phi, 0.25, tol=1e-10, max_iter=25, taxis=ta, xi_band=xi_band)
+            assert str(got.value) == str(ref.value)
+        else:
+            res = picard_solve(phi, 0.25, tol=1e-10, max_iter=25, taxis=ta, xi_band=xi_band)
+            ref = _full_axis_picard(phi, 0.25, 1e-10, 25, ta, xi_band)
+            assert res.converged and ref["converged"]
+            assert res.distances == ref["distances"]
+
 
 def _band_oracle(u, xi_band):
     """The physical route for a difference field u: x-FFT, sharp mask, inverse
@@ -426,6 +453,19 @@ class TestPicardSolve:
         res = picard_solve(phi, 0.125, tol=1e-30, max_iter=5,
                            taxis=centered_axis(4.0, 256), xi_band=4.0)
         assert res.iterations == 5
+        assert len(calls) == 2
+
+    def test_physical_samples_only_when_needed(self, grid64, monkeypatch):
+        # the coefficient bound clears every iterate of moderate data from the
+        # blow-up test, and v and z are transformed on first use only
+        phi = banded_bump(grid64, amplitude=1.0, band=2.0)
+        calls = []
+        inverse = Grid.inverse
+        monkeypatch.setattr(Grid, "inverse", lambda self, c: calls.append(1) or inverse(self, c))
+        res = picard_solve(phi, 0.125, tol=1e-10, taxis=centered_axis(4.0, 256), xi_band=4.0)
+        assert res.converged and res.iterations > 1
+        assert calls == []
+        assert res.v is res.v and res.z is res.z
         assert len(calls) == 2
 
     def test_cross_validates_against_reference(self):
