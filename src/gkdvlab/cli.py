@@ -34,7 +34,7 @@ from .probes import ProbeResolution, estimate_ids, run_estimates
 from .solver import evolve_reference
 from .spacetime import centered_axis
 from .streams import child_seed
-from .wiener import randomize, sample_coefficients
+from .wiener import randomize, require_coverage, sample_coefficients
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -73,6 +73,20 @@ def _band_limit(phi: Field, band: float) -> Field:
     return apply_multiplier(phi, mask)
 
 
+def _explicit_n_max(cfg: RunConfig, phi: Field) -> int | None:
+    """[random] n_max, or None where it is 0 ("cover the data's spectrum").
+    An explicit range must cover phi's spectrum; that is checked here,
+    once, before any sample is drawn."""
+    n_max = cfg["random"]["n_max"]
+    if n_max == 0:
+        return None
+    try:
+        require_coverage(phi, n_max)
+    except ValueError as exc:
+        raise ConfigError([f"[random] n_max: {exc}"]) from exc
+    return n_max
+
+
 def _out_dir(cfg: RunConfig, args) -> Path:
     out = Path(args.out) if args.out else Path(cfg["output"]["directory"])
     out.mkdir(parents=True, exist_ok=True)
@@ -80,13 +94,11 @@ def _out_dir(cfg: RunConfig, args) -> Path:
 
 
 def cmd_randomize(cfg: RunConfig, args) -> int:
-    out = _out_dir(cfg, args)
     phi = build_data(cfg)
+    n_max = _explicit_n_max(cfg, phi) or auto_n_max(phi)
+    out = _out_dir(cfg, args)
     s = cfg.s
     dist = cfg["random"]["distribution"]
-    n_max = cfg["random"]["n_max"]
-    if n_max <= 0:
-        n_max = auto_n_max(phi)
     artifacts = [save_field(out / "phi.field", phi, kind="phi")]
     rows = [("phi", -1, sobolev_norm(phi, s))]
     for k in range(cfg["ensemble"]["n_fields"]):
@@ -135,8 +147,9 @@ def cmd_strichartz_tail(cfg: RunConfig, args) -> int:
         problems.append("[strichartz] t_grid needs at least three T values")
     if problems:
         raise ConfigError(problems)
-    out = _out_dir(cfg, args)
     phi = build_data(cfg)
+    n_max = _explicit_n_max(cfg, phi)
+    out = _out_dir(cfg, args)
     st = cfg["strichartz"]
     report = strichartz_scaling(
         phi,
@@ -147,7 +160,7 @@ def cmd_strichartz_tail(cfg: RunConfig, args) -> int:
         seed=cfg.master_seed,
         distribution=cfg["random"]["distribution"],
         n_time_samples=st["n_time_samples"],
-        n_max=cfg["random"]["n_max"] or None,
+        n_max=n_max,
         threads=cfg["ensemble"]["threads"],
     )
     header, rows = ensemble_table(report.records)
@@ -175,6 +188,7 @@ def cmd_lwp_ensemble(cfg: RunConfig, args) -> int:
             f"[lwp] xi_band = {lwp['xi_band']:g} on this grid needs tau_max >= "
             f"{2.0 * band**3:.1f}, the [time] axis provides {taxis.tau_max:.1f}"
         )
+    n_max = _explicit_n_max(cfg, phi)
     out = _out_dir(cfg, args)
     report = exceptional_probability(
         phi,
@@ -187,7 +201,7 @@ def cmd_lwp_ensemble(cfg: RunConfig, args) -> int:
         max_iter=lwp["max_iter"],
         seed=cfg.master_seed,
         distribution=cfg["random"]["distribution"],
-        n_max=cfg["random"]["n_max"] or None,
+        n_max=n_max,
         threads=cfg["ensemble"]["threads"],
     )
     rows = [

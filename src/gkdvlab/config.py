@@ -222,6 +222,7 @@ def _finalize(raw: dict, problems: list[str]) -> RunConfig:
     if not raw["lwp"]["tol"] > 0:
         problems.append("[lwp] tol must be positive")
     for sect, key, least in (
+        ("random", "n_max", 0),
         ("ensemble", "threads", 1),
         ("lwp", "n_samples", 100),
         ("lwp", "max_iter", 1),

@@ -167,17 +167,13 @@ def field_from_function(grid: Grid, fn) -> Field:
 
 @lru_cache(maxsize=16)
 def _phase(n_modes: int) -> np.ndarray:
-    phase = 1.0 - 2.0 * (np.arange(n_modes) % 2).astype(np.float64)
-    phase.flags.writeable = False
-    return phase
-
-
-def boundary_phase(n_modes: int) -> np.ndarray:
     """exp(-i x0 xi_k) for x0 = -L is exactly (-1)^k; self-inverse.
 
     Cached per n_modes and read-only: every transform shares the array.
     """
-    return _phase(n_modes)
+    phase = 1.0 - 2.0 * (np.arange(n_modes) % 2).astype(np.float64)
+    phase.flags.writeable = False
+    return phase
 
 
 def spectral_values(f: Field) -> np.ndarray:

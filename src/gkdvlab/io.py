@@ -162,6 +162,16 @@ def sha256_file(path: Path | str) -> str:
     return h.hexdigest()
 
 
+def _platform_name() -> str:
+    """`platform.platform()` on Linux, e.g. Linux-6.1.0-x86_64-with-glibc2.36,
+    without the `uname -p` subprocess that it starts."""
+    parts = [platform.system(), platform.release(), platform.machine()]
+    libc = "".join(platform.libc_ver())
+    if libc:
+        parts += ["with", libc]
+    return "-".join(p for p in parts if p)
+
+
 def write_manifest(out_dir: Path | str, config_echo: dict, artifacts: list[Path | str]) -> Path:
     out_dir = Path(out_dir)
     manifest = {
@@ -169,7 +179,7 @@ def write_manifest(out_dir: Path | str, config_echo: dict, artifacts: list[Path 
         "config": config_echo,
         "environment": {
             "numpy": np.__version__,
-            "platform": platform.platform(),
+            "platform": _platform_name(),
             "python": platform.python_version(),
         },
         "artifacts": {Path(p).name: sha256_file(p) for p in sorted(map(str, artifacts))},

@@ -203,12 +203,6 @@ def _xsb_sum(grid, taxis, power: np.ndarray, s: float, b: float) -> float:
     return float(np.sqrt(grid.dxi * taxis.dtau * np.sum(w * power)))
 
 
-def _xsb_from_x_coeffs(grid, taxis, hat_x: np.ndarray, s: float, b: float) -> float:
-    """`xsb_norm` of the field whose x-spectral coefficients per time sample
-    are hat_x."""
-    return _xsb_sum(grid, taxis, _xsb_power(grid, taxis, hat_x), s, b)
-
-
 def xsb_norm(u: SpaceTimeField, s: float, b: float) -> float:
     """Dispersive-weighted space-time norm <xi>^s <tau - xi^3>^b in L^2.
 
@@ -216,7 +210,7 @@ def xsb_norm(u: SpaceTimeField, s: float, b: float) -> float:
     satisfies 2 * xi_b^3 <= tau_max; otherwise the cubic phase wraps the
     tau grid and the modulation weight is meaningless.
     """
-    return _xsb_from_x_coeffs(u.grid, u.taxis, u.grid.forward(u.values), s, b)
+    return xsb_norms(u, [(s, b)])[0]
 
 
 def xsb_norms(u: SpaceTimeField, indices: list[tuple[float, float]]) -> list[float]:

@@ -13,9 +13,11 @@ decay envelope, sharply band-limited and L^2-normalized, from fixed seeds.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import chain, starmap
 
 import numpy as np
 
@@ -145,54 +147,63 @@ def random_spacetime(
 
 # ---------------------------------------------------------------------------
 # individual probes
+#
+# The linear, bilinear and octilinear probes map a stream of per-trial
+# inputs to (lhs, rhs) with map or starmap, which drop a trial's inputs
+# before the next are drawn; enumerate would keep them in its reused result
+# tuple while it draws the next.
+
+
+def _add_trials(report: EstimateReport, sides: Iterable[tuple[float, float]]) -> EstimateReport:
+    for trial, (lhs, rhs) in enumerate(sides):
+        report.add(trial, lhs, rhs)
+    return report
 
 
 def check_linear_estimates(
-    phis: list[Field],
+    phis: Iterable[Field],
     t_grid: list[float],
     s: float,
     b: float,
     taxis: TimeAxis,
 ) -> EstimateReport:
-    """Ratio ||eta_T S(t) phi||_{X_{s,b}} / (T^{1/2-b} ||phi||_{H^s})."""
+    """Ratio ||eta_T S(t) phi||_{X_{s,b}} / (T^{1/2-b} ||phi||_{H^s}), one
+    trial per (phi, T)."""
     if not 0.5 < b <= 0.75:
         raise ValueError(f"b must lie in (1/2, 3/4], got {b}")
     for T in t_grid:
         if 2.0 * T > 0.5 * taxis.span:
             raise ValueError(f"cutoff support [-2T, 2T] with T={T} exceeds the box")
-    report = EstimateReport("linear_free", params={"s": s, "b": b, "t_grid": list(t_grid)})
-    trial = 0
-    for phi in phis:
+
+    def sides(phi: Field) -> list[tuple[float, float]]:
         rhs_base = sobolev_norm(phi, s)
-        for T in t_grid:
-            z = free_evolution(phi, taxis, cutoff=Cutoff(T))
-            lhs = xsb_norm(z, s, b)
-            report.add(trial, lhs, T ** (0.5 - b) * rhs_base)
-            trial += 1
-    return report
+        return [
+            (xsb_norm(free_evolution(phi, taxis, cutoff=Cutoff(T)), s, b), T ** (0.5 - b) * rhs_base)
+            for T in t_grid
+        ]
 
-
-def bilinear_sum_diff(u1: SpaceTimeField, u2: SpaceTimeField, s: float) -> SpaceTimeField:
-    """Compose the sum-frequency and difference-frequency symbols of order s."""
-    inner = bilinear_multiplier(u1, u2, s, "minus")
-    outer = u1.grid.multiply(inner.values, np.abs(u1.grid.xi) ** s)
-    return inner.with_values(_readonly(outer))
+    report = EstimateReport("linear_free", params={"s": s, "b": b, "t_grid": list(t_grid)})
+    return _add_trials(report, chain.from_iterable(map(sides, phis)))
 
 
 def check_bilinear(
-    pairs: list[tuple[SpaceTimeField, SpaceTimeField]],
+    pairs: Iterable[tuple[SpaceTimeField, SpaceTimeField]],
     s: float,
     b1: float,
     b_tilde: float,
 ) -> EstimateReport:
-    """L^2 bound on the composed bilinear symbol against X_{0,b1} x X_{0,b_tilde}."""
-    report = EstimateReport("bilinear_l2", params={"s": s, "b1": b1, "b_tilde": b_tilde})
-    for trial, (u1, u2) in enumerate(pairs):
+    """L^2 norm of the difference-frequency symbol of order s composed with
+    the sum-frequency one, against X_{0,b1} x X_{0,b_tilde}."""
+
+    def sides(u1: SpaceTimeField, u2: SpaceTimeField) -> tuple[float, float]:
         require_same_axes(u1, u2)
-        lhs = st_l2(bilinear_sum_diff(u1, u2, s))
-        rhs = xsb_norm(u1, 0.0, b1) * xsb_norm(u2, 0.0, b_tilde)
-        report.add(trial, lhs, rhs)
-    return report
+        inner = bilinear_multiplier(u1, u2, s, "minus")
+        outer = u1.grid.multiply(inner.values, np.abs(u1.grid.xi) ** s)
+        lhs = st_l2(inner.with_values(_readonly(outer)))
+        return lhs, xsb_norm(u1, 0.0, b1) * xsb_norm(u2, 0.0, b_tilde)
+
+    report = EstimateReport("bilinear_l2", params={"s": s, "b1": b1, "b_tilde": b_tilde})
+    return _add_trials(report, starmap(sides, pairs))
 
 
 def check_embeddings(
@@ -202,11 +213,7 @@ def check_embeddings(
     several catalog entries on one pass over `fields`: each field is
     transformed once for every entry's weight."""
     catalog = embedding_catalog(eps)
-    for eid in ids:
-        if eid not in catalog:
-            raise KeyError(
-                f"unknown embedding id {eid!r}; valid ids: " + ", ".join(sorted(catalog))
-            )
+    _require_known(ids, list(catalog))
     specs = {eid: catalog[eid] for eid in ids}
     reports = {
         eid: EstimateReport(eid, params={"p": p, "s": s, "b": b, "eps": eps})
@@ -219,45 +226,32 @@ def check_embeddings(
     return reports
 
 
-def _weighted_product(factors: list[SpaceTimeField], sigma: float) -> np.ndarray:
-    prod = factors[0].values.copy()
-    for f in factors[1:]:
-        prod *= f.values
-    grid = factors[0].grid
-    return grid.multiply(prod, (1.0 + grid.xi**2) ** (sigma / 2.0) * (1j * grid.xi))
-
-
 def check_multilinear(
-    factors: list[SpaceTimeField],
+    trials: Iterable[tuple[list[SpaceTimeField], SpaceTimeField]],
     sigma: float,
     b: float,
-    h_fields: list[SpaceTimeField],
     eps: float,
 ) -> EstimateReport:
     """Octilinear pairing |int J^sigma d_x(prod_j v_j) h| against the product
-    of the factors' X_{sigma,b} norms times ||h||_{X_{0,1/2-eps/12}}."""
-    if len(factors) != 8:
-        raise ValueError(f"expected 8 factors, got {len(factors)}")
-    require_same_axes(*factors)
-    grid = factors[0].grid
-    taxis = factors[0].taxis
-    weighted = _weighted_product(factors, sigma)
-    norms: dict[int, float] = {}  # a factor repeated in the list is normed once
-    rhs_factors = 1.0
-    for f in factors:
-        if id(f) not in norms:
-            norms[id(f)] = xsb_norm(f, sigma, b)
-        rhs_factors *= norms[id(f)]
-    report = EstimateReport(
-        "octilinear", params={"sigma": sigma, "b": b, "eps": eps}
-    )
-    for trial, h in enumerate(h_fields):
-        require_same_axes(factors[0], h)
-        pairing = grid.dx * taxis.dt * np.sum(weighted * h.values)
-        lhs = float(np.abs(pairing))
-        rhs = rhs_factors * xsb_norm(h, 0.0, dual_b_index(eps))
-        report.add(trial, lhs, rhs)
-    return report
+    of the factors' X_{sigma,b} norms times ||h||_{X_{0,1/2-eps/12}}, for
+    each trial's (8 factors v_j, h). A factor repeated in a trial's list is
+    normed once."""
+
+    def sides(factors: list[SpaceTimeField], h: SpaceTimeField) -> tuple[float, float]:
+        if len(factors) != 8:
+            raise ValueError(f"expected 8 factors, got {len(factors)}")
+        require_same_axes(*factors, h)
+        norms = {id(f): xsb_norm(f, sigma, b) for f in {id(f): f for f in factors}.values()}
+        rhs = math.prod(norms[id(f)] for f in factors) * xsb_norm(h, 0.0, dual_b_index(eps))
+        prod = factors[0].values.copy()
+        for f in factors[1:]:
+            prod *= f.values
+        grid = h.grid
+        weighted = grid.multiply(prod, (1.0 + grid.xi**2) ** (sigma / 2.0) * (1j * grid.xi))
+        return float(np.abs(grid.dx * h.taxis.dt * np.sum(weighted * h.values))), rhs
+
+    report = EstimateReport("octilinear", params={"sigma": sigma, "b": b, "eps": eps})
+    return _add_trials(report, starmap(sides, trials))
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +332,12 @@ def _banded_bump(grid: Grid, xi_band: float) -> Field:
     return Field(grid, _readonly(grid.inverse(coeffs / norm)))
 
 
+def _require_known(ids: Iterable[str], valid: list[str]) -> None:
+    for eid in ids:
+        if eid not in valid:
+            raise KeyError(f"unknown estimate id {eid!r}; valid ids: " + ", ".join(valid))
+
+
 def run_estimates(
     ids: list[str],
     eps: float = 0.05,
@@ -348,30 +348,18 @@ def run_estimates(
     """Run several catalog entries, keyed in the order given. The embedding
     entries share one fixed-seed field per trial, drawn as it is used;
     every other entry is its `run_estimate`."""
-    validate_epsilon(eps)
-    res = resolution or ProbeResolution()
-    grid, taxis = res.make()
-    _require_known(ids, eps)
-    catalog = embedding_catalog(eps)
-    embeddings = [eid for eid in ids if eid in catalog]
+    _require_known(ids, estimate_ids(eps))
+    embeddings = [eid for eid in ids if eid not in PROBE_IDS]
     reports = {}
     if embeddings:
-        fields = (
-            random_spacetime(grid, taxis, res.xi_band, trial, master=seed)
-            for trial in range(n_trials)
-        )
+        res = resolution or ProbeResolution()
+        grid, taxis = res.make()
+        fields = (random_spacetime(grid, taxis, res.xi_band, k, master=seed) for k in range(n_trials))
         reports = check_embeddings(fields, embeddings, eps)
     for eid in ids:
         if eid not in reports:
-            reports[eid] = run_estimate(eid, eps=eps, resolution=res, n_trials=n_trials, seed=seed)
+            reports[eid] = run_estimate(eid, eps, resolution, n_trials, seed)
     return {eid: reports[eid] for eid in ids}
-
-
-def _require_known(ids: list[str], eps: float) -> None:
-    valid = estimate_ids(eps)
-    for eid in ids:
-        if eid not in valid:
-            raise KeyError(f"unknown estimate id {eid!r}; valid ids: " + ", ".join(valid))
 
 
 def run_estimate(
@@ -381,62 +369,42 @@ def run_estimate(
     n_trials: int = 100,
     seed: int = 1,
 ) -> EstimateReport:
-    """Run one catalog entry on a fresh fixed-seed ensemble."""
-    validate_epsilon(eps)
+    """Run one catalog entry on a fresh fixed-seed ensemble. The probe is
+    fed a generator of trials, so each trial's fields are drawn when they
+    are used."""
+    _require_known([estimate_id], estimate_ids(eps))
+    if estimate_id not in PROBE_IDS:
+        return run_estimates([estimate_id], eps, resolution, n_trials, seed)[estimate_id]
     res = resolution or ProbeResolution()
     grid, taxis = res.make()
-    _require_known([estimate_id], eps)
+    sigma, b = sigma_index(eps), b_index(eps)
 
-    if estimate_id in embedding_catalog(eps):
-        return run_estimates([estimate_id], eps, res, n_trials, seed)[estimate_id]
+    def field(k: int, master: int = seed) -> SpaceTimeField:
+        return random_spacetime(grid, taxis, res.xi_band, k, master=master)
 
     if estimate_id == "linear_free":
-        n_data = max(1, n_trials // 3)
-        phis = [random_field(grid, res.xi_band, k, master=seed) for k in range(n_data)]
-        return check_linear_estimates(
-            phis, [0.25, 0.125, 0.0625], sigma_index(eps), b_index(eps), taxis
-        )
+        phis = (random_field(grid, res.xi_band, k, master=seed) for k in range(max(1, n_trials // 3)))
+        return check_linear_estimates(phis, [0.25, 0.125, 0.0625], sigma, b, taxis)
 
     if estimate_id == "bilinear_l2":
-        pairs = [
-            (
-                random_spacetime(grid, taxis, res.xi_band, 2 * trial, master=seed),
-                random_spacetime(grid, taxis, res.xi_band, 2 * trial + 1, master=seed),
-            )
-            for trial in range(n_trials)
-        ]
+        pairs = ((field(2 * trial), field(2 * trial + 1)) for trial in range(n_trials))
         return check_bilinear(pairs, s=0.5, b1=0.51, b_tilde=0.4)
 
-    sigma = sigma_index(eps)
-    b = b_index(eps)
     eta = Cutoff(1.0)
-    T_mix = 0.25
-    report = EstimateReport(estimate_id, params={"sigma": sigma, "b": b, "eps": eps})
     phi0 = _banded_bump(grid, res.xi_band)
     n_max = int(np.ceil(res.xi_band)) + 1
-    for trial in range(n_trials):
-        if estimate_id == "octilinear":
-            factors = [
-                apply_time_cutoff(
-                    random_spacetime(grid, taxis, res.xi_band, 10 * trial + j, master=seed),
-                    eta,
-                )
-                for j in range(8)
-            ]
-        else:
-            n_random = 1 + trial % 7
+
+    def factors(trial: int) -> list[SpaceTimeField]:
+        """Cutoff random fields; octilinear_mixed swaps a cutoff free
+        evolution of randomized bump data in for the last 1 + trial % 7."""
+        n_free = 1 + trial % 7 if estimate_id == "octilinear_mixed" else 0
+        free = []
+        if n_free:
             coeffs = sample_coefficients("gaussian", seed=trial + 1000 * seed, n_max=n_max)
-            z = free_evolution(randomize(phi0, coeffs), taxis, cutoff=Cutoff(T_mix))
-            factors = [
-                apply_time_cutoff(
-                    random_spacetime(grid, taxis, res.xi_band, 10 * trial + j, master=seed),
-                    eta,
-                )
-                for j in range(8 - n_random)
-            ] + [z] * n_random
-        h = random_spacetime(grid, taxis, res.xi_band, 10 * trial + 9, master=seed + 1)
-        sub = check_multilinear(factors, sigma, b, [h], eps)
-        for rec in sub.trials:
-            report.add(trial, rec.lhs, rec.rhs)
-        report.excluded += sub.excluded
+            free = [free_evolution(randomize(phi0, coeffs), taxis, cutoff=Cutoff(0.25))] * n_free
+        return [apply_time_cutoff(field(10 * trial + j), eta) for j in range(8 - n_free)] + free
+
+    trials = ((factors(trial), field(10 * trial + 9, master=seed + 1)) for trial in range(n_trials))
+    report = check_multilinear(trials, sigma, b, eps)
+    report.estimate_id = estimate_id
     return report

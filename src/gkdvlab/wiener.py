@@ -174,18 +174,11 @@ def bessel_weighted_band_sum(phi: Field, s: float, n_max: int) -> float:
     return float(phi.grid.dxi * np.sum(stack**2 @ weighted))
 
 
-def randomize(
-    phi: Field,
-    coeffs: RandomCoefficients,
-    coverage_tol: float = 1e-10,
-) -> Field:
-    """Apply the unit-cube randomization: phi -> sum_n g_n psi(D - n) phi.
-
-    The coefficient range must cover the spectral support of phi: the
-    relative L^2 mass at frequencies where the window sum falls below 1
-    must not exceed `coverage_tol`.
-    """
-    stack, cover = _band_stack(phi.grid, coeffs.n_max)
+def require_coverage(phi: Field, n_max: int, coverage_tol: float = 1e-10) -> None:
+    """Raise ValueError unless the coefficient range |n| <= n_max covers the
+    spectral support of phi: the relative L^2 mass at frequencies where the
+    window sum falls below 1 must not exceed `coverage_tol`."""
+    _, cover = _band_stack(phi.grid, n_max)
     hat = spectral_values(phi)
     total_mass = float(np.sum(np.abs(hat) ** 2))
     if total_mass > 0.0:
@@ -195,7 +188,21 @@ def randomize(
             raise ValueError(
                 "spectral support of phi exceeds the coefficient range: "
                 f"relative uncovered mass {stray / total_mass:.3e} > {coverage_tol:.1e} "
-                f"(n_max = {coeffs.n_max})"
+                f"(n_max = {n_max})"
             )
+
+
+def randomize(
+    phi: Field,
+    coeffs: RandomCoefficients,
+    coverage_tol: float = 1e-10,
+) -> Field:
+    """Apply the unit-cube randomization: phi -> sum_n g_n psi(D - n) phi.
+
+    The coefficient range must cover the spectral support of phi (see
+    `require_coverage`).
+    """
+    require_coverage(phi, coeffs.n_max, coverage_tol)
+    stack, _ = _band_stack(phi.grid, coeffs.n_max)
     multiplier = coeffs.values @ stack
     return apply_multiplier(phi, multiplier)

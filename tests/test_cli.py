@@ -125,6 +125,18 @@ class TestConfigErrors:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
         assert f"[{section}] {key} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_max", [-3, 1])
+    @pytest.mark.parametrize("command", ["randomize", "strichartz-tail", "lwp-ensemble"])
+    def test_bad_n_max_exit_2_before_sampling(self, tmp_path, capsys, command, n_max):
+        # the lwp preset's data reach |xi| = 2: n_max = 1 does not cover them
+        preset = (Path(__file__).parents[1] / "configs" / "lwp.ini").read_text()
+        body = preset.replace("[random]\n", f"[random]\nn_max = {n_max}\n")
+        cfg = write_cfg(tmp_path, body + "\n[ensemble]\nn_samples = 1000\n")
+        out = tmp_path / "x"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "[random] n_max" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestVerifyEstimates:
     def test_single_id_writes_report(self, tmp_path):

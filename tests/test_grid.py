@@ -9,7 +9,6 @@ from gkdvlab.grid import (
     _phase,
     airy_propagate,
     bessel_multiplier,
-    boundary_phase,
     dealias,
     derivative,
     dyadic_blocks,
@@ -113,8 +112,8 @@ class TestTransforms:
         assert make_grid(16.0, 64) == grid64
 
     def test_boundary_phase_is_shared_and_read_only(self):
-        phase = boundary_phase(64)
-        assert boundary_phase(64) is phase
+        phase = _phase(64)
+        assert _phase(64) is phase
         assert not phase.flags.writeable
         with pytest.raises(ValueError):
             phase[0] = 2.0

@@ -1,10 +1,14 @@
 import json
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from gkdvlab.grid import field_from_function, make_grid
 from gkdvlab.io import (
+    _platform_name,
     fmt17,
     load_field,
     load_trajectory,
@@ -79,3 +83,22 @@ def test_manifest_lists_hashes(tmp_path):
     assert "code_version" in data
     assert data["environment"]["numpy"] == np.__version__
     assert set(data["environment"]) == {"numpy", "platform", "python"}
+
+
+def test_manifest_starts_no_subprocess(tmp_path, monkeypatch):
+    # platform caches uname() and platform(); with the caches cleared, a
+    # lookup that runs `uname -p` would have to run it here
+    monkeypatch.setattr(platform, "_uname_cache", None)
+    monkeypatch.setattr(platform, "_platform_cache", {})
+
+    def no_subprocess(*args, **kwargs):
+        raise AssertionError(f"subprocess started: {args}")
+
+    monkeypatch.setattr(subprocess, "Popen", no_subprocess)
+    m = write_manifest(tmp_path, {}, [])
+    assert json.loads(m.read_text())["environment"]["platform"] == _platform_name()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="platform() spells other systems differently")
+def test_platform_name_matches_platform_module():
+    assert _platform_name() == platform.platform()

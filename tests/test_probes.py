@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -167,7 +169,7 @@ class TestMultilinearProbe:
         grid, taxis = _res().make()
         zero = st_zero(grid, taxis)
         h = random_spacetime(grid, taxis, 3.5, 1)
-        rep = check_multilinear([zero] * 8, sigma_index(EPS), b_index(EPS), [h], EPS)
+        rep = check_multilinear([([zero] * 8, h)], sigma_index(EPS), b_index(EPS), EPS)
         assert rep.excluded == 1  # rhs is zero too: guarded
 
     def test_permutation_symmetry(self):
@@ -175,9 +177,8 @@ class TestMultilinearProbe:
         factors = [random_spacetime(grid, taxis, 3.5, k) for k in range(8)]
         h = random_spacetime(grid, taxis, 3.5, 99)
         sigma, b = sigma_index(EPS), b_index(EPS)
-        a = check_multilinear(factors, sigma, b, [h], EPS)
-        b_rep = check_multilinear(factors[::-1], sigma, b, [h], EPS)
-        assert a.trials[0].lhs == pytest.approx(b_rep.trials[0].lhs, rel=1e-10)
+        rep = check_multilinear([(factors, h), (factors[::-1], h)], sigma, b, EPS)
+        assert rep.trials[0].lhs == pytest.approx(rep.trials[1].lhs, rel=1e-10)
 
     def test_repeated_factor_normed_once(self, monkeypatch):
         grid, taxis = _res().make()
@@ -196,7 +197,7 @@ class TestMultilinearProbe:
             return counted(f, *args)
 
         monkeypatch.setattr(probes, "xsb_norm", counting)
-        rep = check_multilinear([v, u, u, u, u, u, v, u], sigma, b, [h], EPS)
+        rep = check_multilinear([([v, u, u, u, u, u, v, u], h)], sigma, b, EPS)
         assert len(calls) == 3  # u, v and h
         assert rep.trials[0].rhs == want
 
@@ -204,7 +205,7 @@ class TestMultilinearProbe:
         grid, taxis = _res().make()
         u = random_spacetime(grid, taxis, 3.5, 0)
         with pytest.raises(ValueError):
-            check_multilinear([u] * 7, 0.3, 0.5, [u], EPS)
+            check_multilinear([([u] * 7, u)], 0.3, 0.5, EPS)
 
 
 class TestBilinearProbe:
@@ -218,6 +219,26 @@ class TestBilinearProbe:
         rep = check_bilinear(pairs, 0.5, 0.51, 0.4)
         assert np.all(np.isfinite(rep.ratios))
         assert rep.max_ratio > 0
+
+
+class TestStreamingMemory:
+    """Each trial's fields are drawn when the probe uses them and dropped
+    before the next trial is drawn, so the peak does not grow with n_trials."""
+
+    @staticmethod
+    def _peak(eid, n_trials):
+        tracemalloc.start()
+        try:
+            run_estimate(eid, eps=EPS, n_trials=n_trials)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("eid", probes.PROBE_IDS)
+    def test_peak_independent_of_trial_count(self, eid):
+        run_estimate(eid, eps=EPS, n_trials=3)  # fills the envelope and weight caches
+        few, many = self._peak(eid, 3), self._peak(eid, 12)
+        assert abs(many - few) <= 0.05 * few, (few, many)
 
 
 class TestRefinementStability:

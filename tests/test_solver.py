@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkdvlab.grid import Grid, field_from_function, make_grid
-from gkdvlab.norms import AliasingError, _xsb_from_x_coeffs, xsb_norm
+from gkdvlab.norms import AliasingError, _xsb_power, _xsb_sum, xsb_norm
 from gkdvlab.params import b_index, sigma_index
 from gkdvlab.solver import (
     BLOWUP_THRESHOLD,
@@ -280,7 +280,7 @@ def _full_axis_picard(phi, T, tol, max_iter, ta, xi_band, eps=0.05):
                 break
             diff = v_next - v_hat
             diff[:, outside] = 0.0
-            d = _xsb_from_x_coeffs(grid, ta, diff, sigma, b)
+            d = _xsb_sum(grid, ta, _xsb_power(grid, ta, diff), sigma, b)
             if distances and distances[-1] > 0.0:
                 ratios.append(d / distances[-1])
             distances.append(d)
