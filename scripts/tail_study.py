@@ -50,7 +50,7 @@ def main(out_dir="out-tails", n_samples=10_000, seed=2026):
         f"mixed-norm tail scale ~ T^{report.alpha:.4f} "
         f"(dispersive prediction 1/q = {report.predicted_alpha})"
     )
-    write_csv(out / "scales.csv", ["T", "scale", "ci_lo", "ci_hi"], report.rows())
+    write_csv(out / "scales.csv", list(report.HEADER), report.rows())
     print(f"wrote {out}/hs_tail.csv and {out}/scales.csv")
 
 

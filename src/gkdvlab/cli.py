@@ -30,11 +30,11 @@ from .io import (
 )
 from .montecarlo import auto_n_max, exceptional_probability, strichartz_scaling
 from .norms import AliasingError, sobolev_norm
-from .probes import ProbeResolution, estimate_ids, run_estimates
+from .probes import ProbeResolution, _require_known, estimate_ids, run_estimates
 from .solver import evolve_reference
 from .spacetime import centered_axis
 from .streams import child_seed
-from .wiener import randomize, require_coverage, sample_coefficients
+from .wiener import randomizer, require_coverage, sample_coefficients
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -96,6 +96,7 @@ def _out_dir(cfg: RunConfig, args) -> Path:
 def cmd_randomize(cfg: RunConfig, args) -> int:
     phi = build_data(cfg)
     n_max = _explicit_n_max(cfg, phi) or auto_n_max(phi)
+    draw = randomizer(phi, n_max)
     out = _out_dir(cfg, args)
     s = cfg.s
     dist = cfg["random"]["distribution"]
@@ -103,7 +104,7 @@ def cmd_randomize(cfg: RunConfig, args) -> int:
     rows = [("phi", -1, sobolev_norm(phi, s))]
     for k in range(cfg["ensemble"]["n_fields"]):
         seed_k = child_seed(cfg.master_seed, k)
-        sample = randomize(phi, sample_coefficients(dist, seed_k, n_max))
+        sample = draw(sample_coefficients(dist, seed_k, n_max).values)
         artifacts.append(save_field(out / f"sample_{k:03d}.field", sample, kind="sample", seed=seed_k))
         rows.append((f"sample_{k:03d}", seed_k, sobolev_norm(sample, s)))
     artifacts.append(write_csv(out / "norms.csv", ["field", "seed", "hs_norm"], rows))
@@ -166,7 +167,7 @@ def cmd_strichartz_tail(cfg: RunConfig, args) -> int:
     header, rows = ensemble_table(report.records)
     artifacts = [
         write_csv(out / "samples.csv", header, rows),
-        write_csv(out / "scales.csv", ["T", "scale", "ci_lo", "ci_hi"], report.rows()),
+        write_csv(out / "scales.csv", list(report.HEADER), report.rows()),
         write_csv(
             out / "exponent.csv",
             ["alpha", "predicted_alpha"],
@@ -231,17 +232,16 @@ def cmd_lwp_ensemble(cfg: RunConfig, args) -> int:
 
 
 def cmd_verify_estimates(cfg: RunConfig, args) -> int:
-    out = _out_dir(cfg, args)
     est = cfg["estimates"]
     eps = cfg.epsilon
     wanted = est["ids"].strip()
     valid = estimate_ids(eps)
     ids = valid if wanted == "all" else [tok.strip() for tok in wanted.split(",") if tok.strip()]
-    unknown = [eid for eid in ids if eid not in valid]
-    if unknown:
-        raise ConfigError(
-            [f"unknown estimate id {eid!r}; valid ids: {', '.join(valid)}" for eid in unknown]
-        )
+    try:
+        _require_known(ids, valid)
+    except KeyError as exc:
+        raise ConfigError([exc.args[0]]) from exc
+    out = _out_dir(cfg, args)
     resolution = ProbeResolution(
         n_modes=est["n_modes"],
         half_length=est["half_length"],

@@ -9,9 +9,11 @@ as Riemann sums, so that grid norms approximate their continuum values:
     u(x_j)      = dxi/sqrt(2*pi) * sum_k u_hat(xi_k) exp(i x_j xi_k),
 
 with xi_k = pi*k/L for k = -N/2 .. N/2-1 (stored in FFT order).
-The `Grid` methods `forward`, `inverse`, and `from_dft`/`to_dft` (between
-these coefficients and raw DFT ones) are the one place this convention is
-written down; every other module transforms the x axis through them.
+The `Grid` methods `forward`, `inverse`, the real pair `real_forward`/
+`real_inverse` (real samples and the modes k = 0 .. N/2), and
+`from_dft`/`to_dft` (between these coefficients and raw DFT ones) are the
+one place this convention is written down; every other module transforms
+the x axis through them.
 """
 
 from __future__ import annotations
@@ -99,6 +101,27 @@ class Grid:
         raw = np.fft.ifft(coeffs * _phase(self.n_modes))
         return np.multiply(self.dxi * self.n_modes / SQRT_2PI, raw, out=raw)
 
+    def real_forward(self, values: np.ndarray) -> np.ndarray:
+        """Real samples u(x_j) -> the coefficients u_hat(xi_k) of the modes
+        k = 0 .. N/2 (FFT order: the non-negative frequencies, then the
+        Nyquist mode) along the last axis; leading axes are a batch. The
+        other modes of real samples are their conjugates."""
+        raw = np.fft.rfft(values)
+        return np.multiply((self.dx / SQRT_2PI) * _half_phase(self.n_modes), raw, out=raw)
+
+    def real_inverse(self, coeffs: np.ndarray) -> np.ndarray:
+        """Coefficients of the modes k = 0 .. N/2 -> real samples u(x_j)
+        along the last axis; leading axes are a batch.
+
+        The samples are those of the spectrum whose modes N/2+1 .. N-1 are
+        the conjugates of modes N/2-1 .. 1. Of modes 0 and N/2, which have
+        no partner, the real part is taken (the imaginary part adds only an
+        imaginary part to the samples), so for such a spectrum the result
+        equals `inverse(coeffs).real`.
+        """
+        raw = np.fft.irfft(coeffs * _half_phase(self.n_modes), self.n_modes)
+        return np.multiply(self.dxi * self.n_modes / SQRT_2PI, raw, out=raw)
+
     def multiply(self, values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
         """Apply the Fourier multiplier `symbol` (on `xi`, FFT order) to samples
         along the last axis; leading axes are a batch.
@@ -114,6 +137,13 @@ def make_grid(L: float, N: int) -> Grid:
     return Grid(half_length=float(L), n_modes=int(N))
 
 
+def is_real(values: np.ndarray) -> bool:
+    """Whether complex samples count as real data: max |imag| is at most
+    1e-10 times max(1, max |real|). Non-finite samples are not rejected."""
+    scale = max(1.0, float(np.abs(values.real).max()))
+    return not np.abs(values.imag).max() > 1e-10 * scale
+
+
 @dataclass(frozen=True)
 class Field:
     """Complex physical samples u(x_j) on a grid.
@@ -124,11 +154,13 @@ class Field:
     writeable again, so the caller must not. `spectral_values(f)` returns
     the spectrum u_hat(xi_k), in FFT order under the 1/sqrt(2*pi)
     convention; a field with a given spectrum is
-    `Field(grid, grid.inverse(coeffs))`.
+    `Field.from_spectrum(grid, coeffs)`, which keeps that spectrum, so
+    `spectral_values` returns it without a transform.
     """
 
     grid: Grid
     values: np.ndarray = field(repr=False)
+    _spectrum: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=np.complex128)
@@ -138,12 +170,22 @@ class Field:
             )
         object.__setattr__(self, "values", _owned_readonly(v, self.values))
 
+    @classmethod
+    def from_spectrum(cls, grid: Grid, coeffs: np.ndarray) -> "Field":
+        """The field with spectrum `coeffs` (FFT order), stored read-only
+        beside its samples `grid.inverse(coeffs)` under the copy rule of
+        `values`."""
+        hat = np.asarray(coeffs, dtype=np.complex128)
+        f = cls(grid, _readonly(grid.inverse(hat)))
+        object.__setattr__(f, "_spectrum", _owned_readonly(hat, coeffs))
+        return f
+
     def with_values(self, values: np.ndarray) -> "Field":
         return Field(self.grid, values)
 
 
 def _owned_readonly(v: np.ndarray, given) -> np.ndarray:
-    """`v` (the complex128 view of `given`), stored read-only: copied unless
+    """`v` (the converted view of `given`), stored read-only: copied unless
     it owns its data and is either a new array made by the dtype conversion
     or read-only. A read-only array is taken over, not copied; its owner can
     still reset its writeable flag and must not."""
@@ -176,9 +218,25 @@ def _phase(n_modes: int) -> np.ndarray:
     return phase
 
 
+def _half_phase(n_modes: int) -> np.ndarray:
+    """`_phase` on the modes 0 .. N/2 of the real pair (a read-only view)."""
+    return _phase(n_modes)[: n_modes // 2 + 1]
+
+
 def spectral_values(f: Field) -> np.ndarray:
-    """Spectral coefficients u_hat(xi_k) of f."""
+    """Spectral coefficients u_hat(xi_k) of f: the spectrum it was built
+    from, if any (read-only), else the transform of its samples."""
+    if f._spectrum is not None:
+        return f._spectrum
     return f.grid.forward(f.values)
+
+
+def half_spectrum(f: Field) -> np.ndarray:
+    """The coefficients of the modes 0 .. N/2 of a field with real samples,
+    the input of `grid.real_inverse`."""
+    if f._spectrum is not None:
+        return f._spectrum[: f.grid.n_modes // 2 + 1]
+    return f.grid.real_forward(f.values.real)
 
 
 def apply_multiplier(f: Field, symbol: np.ndarray) -> Field:

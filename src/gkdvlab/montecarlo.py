@@ -20,7 +20,7 @@ from .norms import mixed_norm
 from .solver import PicardResult, picard_solve
 from .spacetime import TimeAxis, free_evolution, midpoint_axis
 from .streams import child_seed
-from .wiener import randomize, sample_coefficients
+from .wiener import randomizer, sample_coefficients
 
 CONTRACTION_LINE = 0.5
 
@@ -80,7 +80,9 @@ def run_ensemble(
 
     `observables` is either a name->callable map (each returning a float) or
     a single callable returning a name->float map. Per-sample errors are
-    recorded on the sample (blown_up) and never abort the ensemble.
+    recorded on the sample (blown_up) and never abort the ensemble. An
+    `n_max` below 1 or one that does not cover phi's spectrum raises
+    ValueError before any sample (see `wiener.randomizer`).
 
     `threads` is the number of worker processes, capped at the usable CPUs
     and at n_samples. More than one runs the samples on a pool of workers
@@ -95,13 +97,13 @@ def run_ensemble(
         raise ValueError("n_samples must be >= 1")
     if n_max is None:
         n_max = auto_n_max(phi)
+    draw = randomizer(phi, n_max)
 
     def evaluate(index: int) -> EnsembleRecord:
         sample_seed = child_seed(seed, index)
         record = EnsembleRecord(index=index, seed=sample_seed)
         try:
-            coeffs = sample_coefficients(distribution, sample_seed, n_max)
-            phi_omega = randomize(phi, coeffs)
+            phi_omega = draw(sample_coefficients(distribution, sample_seed, n_max).values)
             if callable(observables):
                 record.values = {k: float(v) for k, v in observables(phi_omega).items()}
             else:
@@ -239,21 +241,27 @@ def tail_fit(
 
 @dataclass
 class StrichartzReport:
+    """Per-T tail scales with their intervals and `n_used`, the number of
+    samples that entered each T's tail fit (blown-up samples do not)."""
+
     q: float
     r: float
     t_values: list[float]
     scales: list[float]
     scale_lo: list[float]
     scale_hi: list[float]
+    n_used: list[int]
     alpha: float
     predicted_alpha: float
     records: list[EnsembleRecord] = field(default_factory=list)
 
+    HEADER = ("T", "scale", "ci_lo", "ci_hi", "n_used")
+
     def rows(self) -> list[tuple]:
-        return [
-            (t, s, lo, hi)
-            for t, s, lo, hi in zip(self.t_values, self.scales, self.scale_lo, self.scale_hi)
-        ]
+        """One row per T, the columns of HEADER."""
+        return list(
+            zip(self.t_values, self.scales, self.scale_lo, self.scale_hi, self.n_used)
+        )
 
 
 def fit_scale_exponent(t_values, scales) -> float:
@@ -269,13 +277,14 @@ def scale_report_from_observations(
 ) -> StrichartzReport:
     """Per-T tail scale (from the fitted tail slope) and the T-exponent."""
     t_values = sorted(obs_by_t)
-    scales, los, his = [], [], []
+    scales, los, his, used = [], [], [], []
     for t in t_values:
         fit = tail_fit(obs_by_t[t], None, make_lambda_grid(obs_by_t[t]))
         scales.append(fit.scale)
         lo, hi = fit.scale_interval()
         los.append(lo)
         his.append(hi)
+        used.append(fit.n_samples)
     alpha = fit_scale_exponent(t_values, scales)
     return StrichartzReport(
         q=q,
@@ -284,6 +293,7 @@ def scale_report_from_observations(
         scales=scales,
         scale_lo=los,
         scale_hi=his,
+        n_used=used,
         alpha=alpha,
         predicted_alpha=1.0 / q,
     )

@@ -75,10 +75,21 @@ def scaling_ratio(grid, profile, lam: float, s: float) -> float:
     return homogeneous_norm(scaled, s) / homogeneous_norm(base, s)
 
 
+def _abs_power(values: np.ndarray, p: float) -> np.ndarray:
+    """|values|^p as the squared modulus (v^2, or re^2 + im^2) to the power
+    p/2: p = 4 is two squarings, and no power of signed samples is taken."""
+    if np.iscomplexobj(values):
+        sq = np.square(values.real)
+        sq += np.square(values.imag)
+    else:
+        sq = np.square(values)
+    return sq if p == 2.0 else sq ** (0.5 * p)
+
+
 def _lp_riemann(values: np.ndarray, weight: float, p: float, axis: int) -> np.ndarray:
     if np.isinf(p):
-        return np.max(np.abs(values), axis=axis)
-    return (weight * np.sum(np.abs(values) ** p, axis=axis)) ** (1.0 / p)
+        return np.abs(values).max(axis=axis)
+    return (weight * _abs_power(values, p).sum(axis=axis)) ** (1.0 / p)
 
 
 def modulation_norm(f: Field, s: float, p: float, q: float) -> float:

@@ -243,7 +243,7 @@ def check_multilinear(
         require_same_axes(*factors, h)
         norms = {id(f): xsb_norm(f, sigma, b) for f in {id(f): f for f in factors}.values()}
         rhs = math.prod(norms[id(f)] for f in factors) * xsb_norm(h, 0.0, dual_b_index(eps))
-        prod = factors[0].values.copy()
+        prod = factors[0].values.astype(np.complex128)  # a real factor may come first
         for f in factors[1:]:
             prod *= f.values
         grid = h.grid

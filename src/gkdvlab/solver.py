@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import SQRT_2PI, Field, Grid, _readonly
+from .grid import SQRT_2PI, Field, Grid, _readonly, is_real
 from .norms import _require_resolved, _xsb_sum
 from .params import b_index, sigma_index
 from .spacetime import (
@@ -110,7 +110,7 @@ def nonlinearity_coeffs(grid: Grid, hat: np.ndarray) -> np.ndarray:
 def nonlinearity(u: Field) -> Field:
     """The divergence-form nonlinearity N(u) = -d_x(u^8)/8, dealiased."""
     vals = u.values
-    if np.max(np.abs(vals.imag)) > 1e-10 * max(1.0, np.max(np.abs(vals.real))):
+    if not is_real(vals):
         raise ValueError("nonlinearity expects a real physical-space field")
     coeffs = nonlinearity_coeffs(u.grid, u.grid.forward(vals.real))
     if not np.all(np.isfinite(coeffs)):
@@ -190,7 +190,7 @@ def evolve_reference(
 
     grid = phi.grid
     vals = phi.values
-    if np.max(np.abs(vals.imag)) > 1e-10 * max(1.0, float(np.max(np.abs(vals.real)))):
+    if not is_real(vals):
         raise ValueError("evolve_reference expects real data")
     hat = grid.forward(vals.real)
 

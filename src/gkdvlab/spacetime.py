@@ -18,7 +18,16 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .grid import SQRT_2PI, Field, Grid, _owned_readonly, _readonly, spectral_values
+from .grid import (
+    SQRT_2PI,
+    Field,
+    Grid,
+    _owned_readonly,
+    _readonly,
+    half_spectrum,
+    is_real,
+    spectral_values,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -87,15 +96,17 @@ def midpoint_axis(t_end: float, n_samples: int, t_start: float = 0.0) -> TimeAxi
 
 @dataclass(frozen=True)
 class SpaceTimeField:
-    """(n_samples x N) complex samples u(x_j, t_m), read-only; a writeable
-    or borrowed array is copied, as for `Field`."""
+    """(n_samples x N) samples u(x_j, t_m), read-only: float64 when given
+    real (bool, integer or floating) samples, complex128 otherwise. A
+    writeable or borrowed array is copied, as for `Field`."""
 
     grid: Grid
     taxis: TimeAxis
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.complex128)
+        v = np.asarray(self.values)
+        v = v.astype(np.float64 if v.dtype.kind in "biuf" else np.complex128, copy=False)
         if v.shape != (self.taxis.n_samples, self.grid.n_modes):
             raise ValueError(
                 f"values shape {v.shape}, expected "
@@ -191,6 +202,15 @@ def _propagator(grid: Grid, taxis: TimeAxis) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=8)
+def _half_propagator(grid: Grid, taxis: TimeAxis) -> np.ndarray:
+    """`_propagator` on the modes 0 .. N/2 of the grid's real pair, cached
+    and read-only."""
+    table = np.exp(1j * np.outer(taxis.t, grid.xi[: grid.n_modes // 2 + 1] ** 3))
+    table.flags.writeable = False
+    return table
+
+
 def _free_coeffs(phi: Field, taxis: TimeAxis, profile: np.ndarray | None) -> np.ndarray:
     """x-spectral coefficients exp(i t xi^3) phi_hat of the free flow at the
     samples of `taxis`, times the sampled time profile when one is given."""
@@ -203,11 +223,21 @@ def _free_coeffs(phi: Field, taxis: TimeAxis, profile: np.ndarray | None) -> np.
 def free_evolution(phi: Field, grid_taxis: TimeAxis, cutoff: Cutoff | None = None) -> SpaceTimeField:
     """Sample the free flow t -> exp(i t xi^3) phi_hat, optionally times a cutoff.
 
-    The per-time inverse transforms are evaluated in one batched FFT.
+    The per-time inverse transforms are evaluated in one batched FFT. Real
+    data (`grid.is_real`) evolve on the modes 0 .. N/2 through the grid's
+    real pair into float64 samples, the real part of the complex route's;
+    other data take the complex route into complex128 samples.
     """
+    grid = phi.grid
     profile = None if cutoff is None else cutoff(grid_taxis.t)
-    coeffs = _free_coeffs(phi, grid_taxis, profile)
-    return SpaceTimeField(phi.grid, grid_taxis, _readonly(phi.grid.inverse(coeffs)))
+    if is_real(phi.values):
+        coeffs = _half_propagator(grid, grid_taxis) * half_spectrum(phi)[None, :]
+        if profile is not None:
+            coeffs *= profile[:, None]
+        values = grid.real_inverse(coeffs)
+    else:
+        values = grid.inverse(_free_coeffs(phi, grid_taxis, profile))
+    return SpaceTimeField(grid, grid_taxis, _readonly(values))
 
 
 def apply_time_cutoff(u: SpaceTimeField, cutoff: Cutoff) -> SpaceTimeField:

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
-from .grid import Field, Grid, apply_multiplier, spectral_values
+from .grid import Field, Grid, _readonly, apply_multiplier, spectral_values
 
 DISTRIBUTIONS = ("gaussian", "rademacher", "uniform", "ones")
 
@@ -71,6 +72,18 @@ class RandomCoefficients:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
+    @classmethod
+    def _hermitian(
+        cls, seed: int, distribution: str, n_max: int, values: np.ndarray
+    ) -> "RandomCoefficients":
+        """Wrap a fresh sequence that is Hermitian by construction, without
+        `__post_init__`'s checks and copy."""
+        coeffs = object.__new__(cls)
+        coeffs.__dict__.update(
+            seed=seed, distribution=distribution, n_max=n_max, values=_readonly(values)
+        )
+        return coeffs
+
     def __getitem__(self, n: int) -> complex:
         if abs(n) > self.n_max:
             raise IndexError(f"|n| = {abs(n)} exceeds n_max = {self.n_max}")
@@ -112,7 +125,7 @@ def sample_coefficients(distribution: str, seed: int, n_max: int) -> RandomCoeff
     else:
         positive = (re + 1j * im) / np.sqrt(2.0)
     values = np.concatenate([np.conj(positive[::-1]), [g0 + 0.0j], positive])
-    return RandomCoefficients(seed=int(seed), distribution=distribution, n_max=int(n_max), values=values)
+    return RandomCoefficients._hermitian(int(seed), distribution, int(n_max), values)
 
 
 def verify_mgf_bound(
@@ -178,8 +191,12 @@ def require_coverage(phi: Field, n_max: int, coverage_tol: float = 1e-10) -> Non
     """Raise ValueError unless the coefficient range |n| <= n_max covers the
     spectral support of phi: the relative L^2 mass at frequencies where the
     window sum falls below 1 must not exceed `coverage_tol`."""
-    _, cover = _band_stack(phi.grid, n_max)
-    hat = spectral_values(phi)
+    _require_covered(phi.grid, spectral_values(phi), n_max, coverage_tol)
+
+
+def _require_covered(grid: Grid, hat: np.ndarray, n_max: int, coverage_tol: float) -> None:
+    """`require_coverage` for the field with spectrum `hat`."""
+    _, cover = _band_stack(grid, n_max)
     total_mass = float(np.sum(np.abs(hat) ** 2))
     if total_mass > 0.0:
         uncovered = cover < 1.0 - 1e-9
@@ -192,6 +209,29 @@ def require_coverage(phi: Field, n_max: int, coverage_tol: float = 1e-10) -> Non
             )
 
 
+def randomizer(
+    phi: Field, n_max: int, coverage_tol: float = 1e-10
+) -> Callable[[np.ndarray], Field]:
+    """The unit-cube randomization of phi as a map from the coefficient
+    sequence g_{-n_max} .. g_{n_max} to the field sum_n g_n psi(D - n) phi.
+
+    Checks once that n_max >= 1 and that the range covers the spectral
+    support of phi (see `require_coverage`), and transforms phi once: each
+    field is built from its spectrum phi_hat * (g @ windows), which it keeps.
+    """
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    grid = phi.grid
+    hat = spectral_values(phi)
+    _require_covered(grid, hat, n_max, coverage_tol)
+    stack, _ = _band_stack(grid, n_max)
+
+    def draw(g: np.ndarray) -> Field:
+        return Field.from_spectrum(grid, _readonly(hat * (g @ stack)))
+
+    return draw
+
+
 def randomize(
     phi: Field,
     coeffs: RandomCoefficients,
@@ -202,7 +242,4 @@ def randomize(
     The coefficient range must cover the spectral support of phi (see
     `require_coverage`).
     """
-    require_coverage(phi, coeffs.n_max, coverage_tol)
-    stack, _ = _band_stack(phi.grid, coeffs.n_max)
-    multiplier = coeffs.values @ stack
-    return apply_multiplier(phi, multiplier)
+    return randomizer(phi, coeffs.n_max, coverage_tol)(coeffs.values)

@@ -95,6 +95,15 @@ class TestConfigErrors:
         cfg = write_cfg(tmp_path, "[estimates]\nids = embed99\n")
         assert main(["verify-estimates", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
 
+    def test_unknown_estimate_id_reports_the_probes_message(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "[estimates]\nids = embed12, embed99\n")
+        out = tmp_path / "x"
+        assert main(["verify-estimates", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("unknown estimate id") == 1
+        assert "unknown estimate id 'embed99'; valid ids: embed01, " in err
+        assert not out.exists()
+
     def test_threads_below_one_exit_2(self, tmp_path):
         # the flag and key have no effect, but are still checked
         cfg = write_cfg(tmp_path, "[ensemble]\nthreads = 0\n")
@@ -136,6 +145,19 @@ class TestConfigErrors:
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert "[random] n_max" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestStrichartzTail:
+    def test_scales_count_the_samples_used(self, tmp_path):
+        cfg = write_cfg(
+            tmp_path,
+            SMALL_GRID + "[ensemble]\nn_samples = 1000\n[strichartz]\nn_time_samples = 16\n",
+        )
+        out = tmp_path / "tail"
+        assert main(["strichartz-tail", "--config", cfg, "--out", str(out)]) == 0
+        lines = (out / "scales.csv").read_text().splitlines()
+        assert lines[0] == "T,scale,ci_lo,ci_hi,n_used"
+        assert [line.split(",")[-1] for line in lines[1:]] == ["1000"] * 3
 
 
 class TestVerifyEstimates:

@@ -14,6 +14,8 @@ from gkdvlab.grid import (
     dyadic_blocks,
     dyadic_project,
     field_from_function,
+    half_spectrum,
+    is_real,
     l2_norm,
     make_grid,
     spectral_values,
@@ -118,6 +120,76 @@ class TestTransforms:
         with pytest.raises(ValueError):
             phase[0] = 2.0
         assert np.array_equal(phase, (-1.0) ** np.arange(64))
+
+
+class TestRealPair:
+    """`real_forward`/`real_inverse`: float64 samples and the modes 0..N/2."""
+
+    def test_round_trip_on_a_batch(self, grid64):
+        rng = np.random.default_rng(4)
+        batch = rng.standard_normal((5, 64))
+        half = grid64.real_forward(batch)
+        assert half.shape == (5, 33)
+        back = grid64.real_inverse(half)
+        assert back.dtype == np.float64
+        assert np.max(np.abs(back - batch)) <= 1e-14 * np.max(np.abs(batch))
+
+    def test_forward_is_the_complex_forward_on_modes_0_to_half(self, grid64):
+        v = np.random.default_rng(5).standard_normal(64)
+        full = grid64.forward(v)
+        assert np.max(np.abs(grid64.real_forward(v) - full[:33])) <= 1e-14 * np.max(np.abs(full))
+
+    def test_inverse_is_real_part_with_complex_nyquist(self, grid64):
+        # a Hermitian spectrum except for complex entries at the two
+        # unpaired modes 0 and N/2: the Nyquist rule takes their real part
+        rng = np.random.default_rng(6)
+        hat = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        hat[33:] = np.conj(hat[1:32][::-1])
+        assert hat[0].imag != 0.0 and hat[32].imag != 0.0
+        full = grid64.inverse(hat)
+        assert np.max(np.abs(full.imag)) > 1e-3  # the imaginary parts show up
+        real = grid64.real_inverse(hat[:33])
+        assert np.max(np.abs(real - full.real)) <= 1e-14 * np.max(np.abs(full))
+        same = grid64.real_inverse(np.where(np.arange(33) % 32 == 0, hat[:33].real, hat[:33]))
+        assert np.array_equal(real, same)
+
+
+class TestCarriedSpectrum:
+    def test_spectrum_kept_and_samples_its_inverse(self, grid64):
+        rng = np.random.default_rng(7)
+        hat = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        f = Field.from_spectrum(grid64, hat)
+        assert np.array_equal(f.values, grid64.inverse(hat))
+        assert np.array_equal(spectral_values(f), hat)
+        assert not spectral_values(f).flags.writeable
+        hat[0] = 99.0  # a writeable array is copied
+        assert spectral_values(f)[0] != 99.0
+        assert f.with_values(f.values)._spectrum is None
+
+    def test_readonly_owned_spectrum_is_shared(self, grid64):
+        hat = np.ones(64, np.complex128)
+        hat.flags.writeable = False
+        assert spectral_values(Field.from_spectrum(grid64, hat)) is hat
+
+    def test_half_spectrum_of_carried_and_plain_fields(self, grid64):
+        f = random_real_field(grid64, 8)
+        carried = Field.from_spectrum(grid64, spectral_values(f))
+        assert np.array_equal(half_spectrum(carried), spectral_values(f)[:33])
+        assert np.array_equal(half_spectrum(f), grid64.real_forward(f.values.real))
+
+
+class TestIsReal:
+    @pytest.mark.parametrize(
+        "imag,expected", [(0.0, True), (5e-10, True), (2e-9, False), (np.nan, True)]
+    )
+    def test_relative_to_the_real_peak(self, imag, expected):
+        # the rule: max |imag| <= 1e-10 * max(1, max |real|); NaN does not fail it
+        values = np.array([10.0, -3.0, 0.5]) + 1j * np.array([0.0, imag, 0.0])
+        assert is_real(values) is expected
+
+    def test_floor_of_one(self):
+        assert is_real(np.array([1e-3 + 1e-10j]))
+        assert not is_real(np.array([1e-3 + 2e-10j]))
 
 
 class TestAiryPropagate:

@@ -1,3 +1,4 @@
+import itertools
 import multiprocessing
 import os
 from concurrent.futures.process import BrokenProcessPool
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from gkdvlab import montecarlo
-from gkdvlab.grid import apply_multiplier, field_from_function, l2_norm
+from gkdvlab.grid import apply_multiplier, field_from_function, l2_norm, make_grid
 from gkdvlab.io import ensemble_table
 from gkdvlab.montecarlo import (
     auto_n_max,
@@ -21,8 +22,10 @@ from gkdvlab.montecarlo import (
     tail_fit,
     wilson_interval,
 )
-from gkdvlab.norms import sobolev_norm
-from gkdvlab.spacetime import centered_axis
+from gkdvlab.norms import mixed_norm, sobolev_norm
+from gkdvlab.spacetime import centered_axis, midpoint_axis
+from gkdvlab.streams import child_seed
+from gkdvlab.wiener import _band_stack, require_coverage, sample_coefficients
 
 from conftest import banded_bump
 
@@ -64,6 +67,53 @@ class TestRunEnsemble:
     def test_auto_n_max_covers_support(self, grid64):
         phi = banded_bump(grid64, band=3.0)
         assert auto_n_max(phi) == 4
+
+    @pytest.mark.parametrize("n_max", [0, 1])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_uncovering_n_max_raises_before_any_sample(self, grid64, n_max, threads):
+        # the data reach |xi| = 3: n_max = 1 does not cover them
+        phi = banded_bump(grid64, band=3.0)
+        seen = []
+        with pytest.raises(ValueError, match="n_max|coefficient range"):
+            run_ensemble(phi, 4, {"x": seen.append}, seed=2, n_max=n_max, threads=threads)
+        assert seen == []
+
+
+def _former_tail_observations(phi, t_grid, n_samples, seed, n_time_samples=64):
+    """q = r = 4 free-evolution norms by the former per-sample chain:
+    `randomize` through the samples (coverage check, phi transformed forward,
+    the product transformed back), the complex free evolution of the
+    sample's samples on all N modes, and |z|^4 as abs(z)**4."""
+    grid = phi.grid
+    n_max = auto_n_max(phi)
+    stack = _band_stack(grid, n_max)[0]
+    tables = {t: np.exp(1j * np.outer(midpoint_axis(t, n_time_samples).t, grid.xi**3)) for t in t_grid}
+    dt = {t: midpoint_axis(t, n_time_samples).dt for t in t_grid}
+    out = {t: np.empty(n_samples) for t in t_grid}
+    for k in range(n_samples):
+        coeffs = sample_coefficients("gaussian", child_seed(seed, k), n_max)
+        require_coverage(phi, n_max)
+        sample = grid.inverse(grid.forward(phi.values) * (coeffs.values @ stack))
+        for t, table in tables.items():
+            z = grid.inverse(table * grid.forward(sample)[None, :])
+            inner = (grid.dx * np.sum(np.abs(z) ** 4, axis=1)) ** 0.25
+            out[t][k] = (dt[t] * np.sum(np.abs(inner) ** 4)) ** 0.25
+    return out
+
+
+@pytest.mark.parametrize("seed", [20260810, 7])
+def test_tail_path_matches_former_chain(seed):
+    # the tail workload's data: a unit gaussian bump, N = 128 on [-16, 16)
+    phi = field_from_function(make_grid(16.0, 128), lambda x: np.exp(-(x**2)))
+    t_grid = [0.125, 0.25, 0.5]
+    report = strichartz_scaling(phi, 4.0, 4.0, t_grid, 1000, seed=seed)
+    former = _former_tail_observations(phi, t_grid, 1000, seed)
+    for t in t_grid:
+        new = np.array([r.values[f"T={t!r}"] for r in report.records])
+        assert np.max(np.abs(new - former[t]) / former[t]) <= 1e-13
+        # identical exceedance counts, each on its own threshold grid
+        fits = [tail_fit(obs, None, make_lambda_grid(obs)) for obs in (new, former[t])]
+        assert np.array_equal(fits[0].probs, fits[1].probs)
 
 
 def _record_tuples(records):
@@ -205,6 +255,24 @@ class TestScalePipeline:
         a = scale_report_from_observations(4.0, 4.0, obs)
         b = scale_report_from_observations(4.0, 4.0, {t: 2 * o for t, o in obs.items()})
         assert np.allclose(b.scales, 2.0 * np.array(a.scales), rtol=1e-9)
+
+    def test_non_finite_sample_lowers_n_used_by_one(self, grid64, monkeypatch):
+        phi = banded_bump(grid64, band=3.0)
+        args = (phi, 4.0, 4.0, [0.125, 0.25, 0.5], 1001)
+        clean = strichartz_scaling(*args, seed=3, n_time_samples=16)
+        calls = itertools.count()
+
+        def spoiled(u, q, r):
+            # the second sample's T = 0.25 norm is not finite
+            return np.nan if next(calls) == 4 else mixed_norm(u, q, r)
+
+        monkeypatch.setattr(montecarlo, "mixed_norm", spoiled)
+        report = strichartz_scaling(*args, seed=3, n_time_samples=16)
+        assert [r.index for r in report.records if r.blown_up] == [1]
+        assert clean.n_used == [1001] * 3
+        assert report.n_used == [1000] * 3
+        assert [row[-1] for row in report.rows()] == report.n_used
+        assert len(report.HEADER) == len(report.rows()[0])
 
     def test_fit_scale_exponent(self):
         t = [0.1, 0.2, 0.4]

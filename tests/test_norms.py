@@ -153,6 +153,24 @@ class TestMixedNorm:
         per_slice = (grid64.dx * np.sum(np.abs(rows) ** 2, axis=1)) ** 0.5
         assert mixed_norm(u, np.inf, 2) == pytest.approx(per_slice.max(), rel=1e-12)
 
+    @pytest.mark.parametrize("q,r", [(4.0, 4.0), (1.0, 3.0), (2.0, 6.5), (np.inf, 4.0)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_matches_former_abs_power(self, grid64, q, r, dtype):
+        # the former expression: abs(values)**p in both Riemann sums
+        def former(values, weight, p, axis):
+            if np.isinf(p):
+                return np.max(np.abs(values), axis=axis)
+            return (weight * np.sum(np.abs(values) ** p, axis=axis)) ** (1.0 / p)
+
+        ta = midpoint_axis(0.5, 16)
+        rng = np.random.default_rng(12)
+        rows = rng.standard_normal((16, 64)).astype(dtype)
+        if dtype == np.complex128:
+            rows += 1j * rng.standard_normal((16, 64))
+        u = SpaceTimeField(grid64, ta, rows)
+        old = former(former(rows, grid64.dx, r, 1), ta.dt, q, 0)
+        assert abs(mixed_norm(u, q, r) - old) <= 1e-14 * old
+
     def test_interval_out_of_range(self, grid64):
         ta = midpoint_axis(1.0, 8)
         u = SpaceTimeField(grid64, ta, np.zeros((8, 64)))

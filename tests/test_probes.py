@@ -23,7 +23,7 @@ from gkdvlab.probes import (
     run_estimate,
     run_estimates,
 )
-from gkdvlab.spacetime import st_l2, st_to_physical, st_zero
+from gkdvlab.spacetime import Cutoff, free_evolution, st_l2, st_to_physical, st_zero
 from gkdvlab.streams import rng_for
 
 
@@ -175,6 +175,17 @@ class TestMultilinearProbe:
     def test_permutation_symmetry(self):
         grid, taxis = _res().make()
         factors = [random_spacetime(grid, taxis, 3.5, k) for k in range(8)]
+        h = random_spacetime(grid, taxis, 3.5, 99)
+        sigma, b = sigma_index(EPS), b_index(EPS)
+        rep = check_multilinear([(factors, h), (factors[::-1], h)], sigma, b, EPS)
+        assert rep.trials[0].lhs == pytest.approx(rep.trials[1].lhs, rel=1e-10)
+
+    def test_real_factor_may_come_first(self):
+        # free evolutions of real data hold float64 samples
+        grid, taxis = _res().make()
+        free = free_evolution(_banded_bump(grid, 3.5), taxis, cutoff=Cutoff(0.25))
+        assert free.values.dtype == np.float64
+        factors = [random_spacetime(grid, taxis, 3.5, k) for k in range(7)] + [free]
         h = random_spacetime(grid, taxis, 3.5, 99)
         sigma, b = sigma_index(EPS), b_index(EPS)
         rep = check_multilinear([(factors, h), (factors[::-1], h)], sigma, b, EPS)

@@ -1,11 +1,21 @@
 import numpy as np
 import pytest
 
-from gkdvlab.grid import SQRT_2PI, Field, _phase, airy_propagate, make_grid, spectral_values
+from gkdvlab.grid import (
+    SQRT_2PI,
+    Field,
+    _phase,
+    airy_propagate,
+    half_spectrum,
+    make_grid,
+    spectral_values,
+)
 from gkdvlab.solver import duhamel_gamma, nonlinearity_coeffs
 from gkdvlab.spacetime import (
     Cutoff,
     SpaceTimeField,
+    _free_coeffs,
+    _half_propagator,
     _propagator,
     _time_forward,
     bump_profile,
@@ -54,7 +64,9 @@ class TestCopySemantics:
         assert np.all(f.values == 1.0)
 
     def test_converted_input_is_not_shared(self, kind, shape):
-        arr = np.ones(shape)  # float64: the complex128 conversion is a new array
+        # float32: the conversion (to complex128 for a Field, to float64 for
+        # a SpaceTimeField) is a new array
+        arr = np.ones(shape, np.float32)
         f = _make_field(kind, arr)
         arr[...] = 5.0
         assert np.all(f.values == 1.0)
@@ -144,6 +156,16 @@ class TestSpaceTimeTransforms:
             assert np.array_equal(st_to_physical(grid64, ta, values).values, old_physical)
             assert np.array_equal(values, kept)
 
+    @pytest.mark.parametrize(
+        "given,kept",
+        [(np.float64, np.float64), (np.int64, np.float64), (np.complex64, np.complex128),
+         (np.complex128, np.complex128)],
+    )
+    def test_real_samples_stay_real(self, grid64, given, kept):
+        ta = centered_axis(4.0, 16)
+        u = SpaceTimeField(grid64, ta, np.ones((16, 64), given))
+        assert u.values.dtype == kept
+
     def test_shape_validation(self, grid64):
         ta = centered_axis(4.0, 32)
         with pytest.raises(ValueError):
@@ -184,6 +206,29 @@ class TestCutoff:
 
 
 class TestFreeEvolution:
+    @pytest.mark.parametrize("carried", [False, True])
+    def test_real_route_is_real_part_of_complex_route(self, grid64, carried):
+        # the former route: the complex pair on all N modes, whatever the data
+        phi = banded_bump(grid64, band=3.0)
+        if carried:
+            phi = Field.from_spectrum(grid64, spectral_values(phi))
+        ta = centered_axis(2.0, 32)
+        cut = Cutoff(0.25)
+        z = free_evolution(phi, ta, cutoff=cut)
+        assert z.values.dtype == np.float64
+        old = grid64.inverse(_free_coeffs(phi, ta, cut(ta.t)))
+        scale = np.max(np.abs(old))
+        assert np.max(np.abs(z.values - old.real)) <= 1e-14 * scale
+        assert np.max(np.abs(old.imag)) <= 1e-14 * scale
+
+    def test_complex_data_stay_complex(self, grid64):
+        phi = banded_bump(grid64, band=3.0)
+        tilted = Field(grid64, 1j * phi.values)
+        ta = centered_axis(2.0, 32)
+        z = free_evolution(tilted, ta)
+        assert z.values.dtype == np.complex128
+        assert np.max(np.abs(z.values - 1j * free_evolution(phi, ta).values)) <= 1e-14
+
     def test_slices_match_airy(self, grid64):
         phi = banded_bump(grid64, band=3.0)
         ta = centered_axis(2.0, 16)
@@ -209,12 +254,29 @@ class TestPropagator:
             table[0, 0] = 0.0
 
     def test_free_evolution_equals_uncached_table(self, grid64):
+        # real data take the real pair on modes 0..N/2, other data the
+        # complex pair; each route equals its expression with the table
+        # built per call, bit for bit
         phi = banded_bump(grid64, band=3.0)
         ta = centered_axis(4.0, 256)
         cut = Cutoff(0.5)
         phases = np.exp(1j * np.outer(ta.t, grid64.xi**3))
-        direct = grid64.inverse(phases * spectral_values(phi)[None, :] * cut(ta.t)[:, None])
+        half = grid64.n_modes // 2 + 1
+        direct = grid64.real_inverse(
+            phases[:, :half] * half_spectrum(phi)[None, :] * cut(ta.t)[:, None]
+        )
         assert np.array_equal(free_evolution(phi, ta, cutoff=cut).values, direct)
+        tilted = Field(grid64, np.exp(0.3j) * phi.values)
+        direct = grid64.inverse(phases * spectral_values(tilted)[None, :] * cut(ta.t)[:, None])
+        assert np.array_equal(free_evolution(tilted, ta, cutoff=cut).values, direct)
+
+    def test_half_table_cached_and_read_only(self, grid64):
+        ta = centered_axis(4.0, 64)
+        table = _half_propagator(grid64, ta)
+        assert _half_propagator(grid64, centered_axis(4.0, 64)) is table
+        assert np.array_equal(table, _propagator(grid64, ta)[:, :33])
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
 
     def test_duhamel_gamma_equals_uncached_tables(self, grid64):
         ta = centered_axis(4.0, 256)

@@ -4,14 +4,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from gkdvlab.grid import airy_propagate, l2_norm, spectral_values, Field
+from gkdvlab.grid import (
+    Field,
+    airy_propagate,
+    apply_multiplier,
+    field_from_function,
+    l2_norm,
+    make_grid,
+    spectral_values,
+)
 from gkdvlab.norms import sobolev_norm
 from gkdvlab.wiener import (
+    RandomCoefficients,
+    _band_stack,
     bessel_weighted_band_sum,
     coverage_weight,
     partition_window,
     project_band,
     randomize,
+    randomizer,
+    require_coverage,
     sample_coefficients,
     verify_mgf_bound,
 )
@@ -82,6 +94,26 @@ class TestSampleCoefficients:
     def test_unknown_distribution(self):
         with pytest.raises(ValueError):
             sample_coefficients("cauchy", 1, 4)
+
+    @pytest.mark.parametrize("dist", ["gaussian", "ones"])
+    def test_drawn_sequence_passes_the_caller_checks(self, dist):
+        # sample_coefficients skips the re-validation; the sequence it builds
+        # must pass it
+        c = sample_coefficients(dist, 3, 6)
+        checked = RandomCoefficients(c.seed, c.distribution, c.n_max, c.values)
+        assert np.array_equal(checked.values, c.values)
+        assert (checked.seed, checked.distribution, checked.n_max) == (3, dist, 6)
+        assert c.values.dtype == np.complex128 and not c.values.flags.writeable
+
+    def test_caller_input_still_validated(self):
+        values = np.ones(5, np.complex128)
+        values[0] = 2.0  # g_{-2} != conj(g_2)
+        with pytest.raises(ValueError, match="Hermitian"):
+            RandomCoefficients(0, "gaussian", 2, values)
+        with pytest.raises(ValueError, match="real"):
+            RandomCoefficients(0, "gaussian", 2, np.array([1, 1, 1j, 1, 1], np.complex128))
+        with pytest.raises(ValueError, match="length"):
+            RandomCoefficients(0, "gaussian", 2, np.ones(4))
 
     @pytest.mark.parametrize("dist", ["gaussian", "rademacher", "uniform"])
     def test_moments_match_monte_carlo_oracle(self, dist):
@@ -157,6 +189,27 @@ class TestRandomize:
         f = banded_bump(grid64, band=4.0)
         with pytest.raises(ValueError):
             randomize(f, sample_coefficients("gaussian", 1, 2))
+        with pytest.raises(ValueError, match="exceeds the coefficient range"):
+            randomizer(f, 2)
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            randomizer(f, 0)
+
+    @pytest.mark.parametrize("n_modes,seed", [(128, 1), (512, 2)])
+    def test_matches_former_multiplier_route(self, n_modes, seed):
+        # the former route: coverage and the multiplier through the samples,
+        # phi transformed forward and the product back on every call
+        grid = make_grid(16.0, n_modes)
+        phi = field_from_function(grid, lambda x: np.exp(-(x**2)))
+        coeffs = sample_coefficients("gaussian", seed, 8)
+        stack = _band_stack(grid, 8)[0]
+        require_coverage(phi, 8)
+        old = apply_multiplier(phi, coeffs.values @ stack)
+        new = randomize(phi, coeffs)
+        scale = np.max(np.abs(old.values))
+        assert np.max(np.abs(new.values - old.values)) <= 1e-15 * scale
+        # the field carries its spectrum, the one product
+        assert np.array_equal(spectral_values(new), spectral_values(phi) * (coeffs.values @ stack))
+        assert np.array_equal(randomizer(phi, 8)(coeffs.values).values, new.values)
 
     def test_ensemble_l2_mean_matches_band_sum(self, grid512, bump):
         # independence + mean-zero cross terms: E ||phi^omega||^2 = sum_n ||psi(D-n) phi||^2
