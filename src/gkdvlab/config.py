@@ -128,11 +128,6 @@ def parse_float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-def default_config() -> RunConfig:
-    raw = {sect: {k: default for k, (_, default) in keys.items()} for sect, keys in _SCHEMA.items()}
-    return _finalize(raw, [])
-
-
 def load_config(path: Path | str | None, overrides: dict | None = None) -> RunConfig:
     """Read the INI file (or defaults when path is None) and validate.
 

@@ -13,7 +13,9 @@ The `Grid` methods `forward`, `inverse`, the real pair `real_forward`/
 `real_inverse` (real samples and the modes k = 0 .. N/2), and
 `from_dft`/`to_dft` (between these coefficients and raw DFT ones) are the
 one place this convention is written down; every other module transforms
-the x axis through them.
+the x axis through them. The module also holds the `Field` type, the one
+realness rule `is_real`, Fourier multipliers (`apply_multiplier`, the free
+flow `airy_propagate`) and the discrete L^2 norm.
 """
 
 from __future__ import annotations
@@ -71,10 +73,6 @@ class Grid:
     def xi_max(self) -> float:
         """Nyquist magnitude pi*(N/2)/L."""
         return np.pi * (self.n_modes // 2) / self.half_length
-
-    @property
-    def nyquist_index(self) -> int:
-        return self.n_modes // 2
 
     def from_dft(self, raw: np.ndarray) -> np.ndarray:
         """Transform-convention coefficients from raw DFT coefficients.
@@ -180,9 +178,6 @@ class Field:
         object.__setattr__(f, "_spectrum", _owned_readonly(hat, coeffs))
         return f
 
-    def with_values(self, values: np.ndarray) -> "Field":
-        return Field(self.grid, values)
-
 
 def _owned_readonly(v: np.ndarray, given) -> np.ndarray:
     """`v` (the converted view of `given`), stored read-only: copied unless
@@ -256,51 +251,3 @@ def airy_propagate(f: Field, t: float) -> Field:
     Unit-modulus symbol, so every H^s norm is preserved exactly.
     """
     return apply_multiplier(f, np.exp(1j * t * f.grid.xi**3))
-
-
-def bessel_multiplier(f: Field, s: float) -> Field:
-    """Smoothing operator of order -s: spectrum times (1 + xi^2)^(s/2)."""
-    return apply_multiplier(f, (1.0 + f.grid.xi**2) ** (s / 2.0))
-
-
-def derivative(f: Field, order: int = 1) -> Field:
-    """Exact spectral derivative: spectrum times (i xi)^order."""
-    if order < 1:
-        raise ValueError(f"derivative order must be >= 1, got {order}")
-    return apply_multiplier(f, (1j * f.grid.xi) ** order)
-
-
-def dealias(f: Field, degree: int) -> Field:
-    """Zero modes with |xi| > xi_max * 2/(degree+1).
-
-    The generalized 3/2-type rule: products of `degree` retained modes
-    cannot alias back onto the retained band. degree=2 recovers the
-    classical 2/3 cutoff.
-    """
-    if degree < 2:
-        raise ValueError(f"dealias degree must be >= 2, got {degree}")
-    cutoff = f.grid.xi_max * 2.0 / (degree + 1.0)
-    return apply_multiplier(f, (np.abs(f.grid.xi) <= cutoff).astype(np.float64))
-
-
-def dyadic_project(f: Field, n_block: int) -> Field:
-    """Sharp restriction to the dyadic shell <xi> in [n_block, 2*n_block).
-
-    Since <xi> >= 1 the shells with n_block = 1, 2, 4, ... partition all
-    frequencies, so summing the projections over blocks up to the grid
-    maximum reconstructs the field.
-    """
-    if n_block < 1 or (n_block & (n_block - 1)) != 0:
-        raise ValueError(f"n_block must be a power of two >= 1, got {n_block}")
-    bracket = np.sqrt(1.0 + f.grid.xi**2)
-    mask = (bracket >= n_block) & (bracket < 2 * n_block)
-    return apply_multiplier(f, mask.astype(np.float64))
-
-
-def dyadic_blocks(grid: Grid) -> list[int]:
-    """All block scales needed to cover the grid's frequencies."""
-    blocks = [1]
-    top = np.sqrt(1.0 + grid.xi_max**2)
-    while 2 * blocks[-1] <= top:
-        blocks.append(2 * blocks[-1])
-    return blocks

@@ -20,7 +20,7 @@ from .norms import mixed_norm
 from .solver import PicardResult, picard_solve
 from .spacetime import TimeAxis, free_evolution, midpoint_axis
 from .streams import child_seed
-from .wiener import randomizer, sample_coefficients
+from .wiener import randomizer, require_distribution, sample_coefficients
 
 CONTRACTION_LINE = 0.5
 
@@ -81,8 +81,9 @@ def run_ensemble(
     `observables` is either a name->callable map (each returning a float) or
     a single callable returning a name->float map. Per-sample errors are
     recorded on the sample (blown_up) and never abort the ensemble. An
-    `n_max` below 1 or one that does not cover phi's spectrum raises
-    ValueError before any sample (see `wiener.randomizer`).
+    unknown `distribution`, an `n_max` below 1 or one that does not cover
+    phi's spectrum raises ValueError before any sample (see
+    `wiener.require_distribution` and `wiener.randomizer`).
 
     `threads` is the number of worker processes, capped at the usable CPUs
     and at n_samples. More than one runs the samples on a pool of workers
@@ -95,6 +96,7 @@ def run_ensemble(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    require_distribution(distribution)
     if n_max is None:
         n_max = auto_n_max(phi)
     draw = randomizer(phi, n_max)

@@ -21,7 +21,6 @@ import numpy as np
 from .grid import Field, _readonly, field_from_function, spectral_values
 from .spacetime import SpaceTimeField, _time_forward, require_same_axes
 from .params import AMPLITUDE_EXPONENT
-from .wiener import band_symbol
 
 
 class AliasingError(ValueError):
@@ -90,33 +89,6 @@ def _lp_riemann(values: np.ndarray, weight: float, p: float, axis: int) -> np.nd
     if np.isinf(p):
         return np.abs(values).max(axis=axis)
     return (weight * _abs_power(values, p).sum(axis=axis)) ** (1.0 / p)
-
-
-def modulation_norm(f: Field, s: float, p: float, q: float) -> float:
-    """Unit-cube iterated norm: inner spatial L^p per band, outer weighted
-    little-l^q over band centers.
-
-    Bands cover |n| <= xi_max - 1; data should be band-limited inside that
-    range for the partition to resolve it completely.
-    """
-    if not (1 <= p) or not (1 <= q):
-        raise ValueError("modulation norm requires p, q >= 1 (inf allowed)")
-    grid = f.grid
-    hat = spectral_values(f)
-    n_cover = int(np.floor(grid.xi_max - 1.0))
-    terms = []
-    for n in range(-n_cover, n_cover + 1):
-        sym = band_symbol(grid.xi, n)
-        if not np.any(sym != 0.0):
-            terms.append(0.0)
-            continue
-        band_phys = grid.inverse(hat * sym)
-        lp = float(_lp_riemann(band_phys, grid.dx, p, axis=0))
-        terms.append((1.0 + n * n) ** (s / 2.0) * lp)
-    terms = np.asarray(terms)
-    if np.isinf(q):
-        return float(np.max(terms))
-    return float(np.sum(terms**q) ** (1.0 / q))
 
 
 def mixed_norm(
@@ -229,12 +201,6 @@ def xsb_norms(u: SpaceTimeField, indices: list[tuple[float, float]]) -> list[flo
     one transform of u."""
     power = _xsb_power(u.grid, u.taxis, u.grid.forward(u.values))
     return [_xsb_sum(u.grid, u.taxis, power, s, b) for s, b in indices]
-
-
-def sobolev_in_x(u: SpaceTimeField, s: float) -> SpaceTimeField:
-    """Apply the spatial smoothing weight <xi>^s to every time slice."""
-    weight = (1.0 + u.grid.xi**2) ** (s / 2.0)
-    return u.with_values(_readonly(u.grid.multiply(u.values, weight)))
 
 
 def bilinear_multiplier(

@@ -49,7 +49,7 @@ from .spacetime import (
     st_to_physical,
 )
 from .streams import rng_for
-from .wiener import randomize, sample_coefficients
+from .wiener import randomizer, sample_coefficients
 
 RHS_FLOOR = 1e-13
 
@@ -391,17 +391,18 @@ def run_estimate(
         return check_bilinear(pairs, s=0.5, b1=0.51, b_tilde=0.4)
 
     eta = Cutoff(1.0)
-    phi0 = _banded_bump(grid, res.xi_band)
+    mixed = estimate_id == "octilinear_mixed"
     n_max = int(np.ceil(res.xi_band)) + 1
+    draw = randomizer(_banded_bump(grid, res.xi_band), n_max) if mixed else None
 
     def factors(trial: int) -> list[SpaceTimeField]:
         """Cutoff random fields; octilinear_mixed swaps a cutoff free
         evolution of randomized bump data in for the last 1 + trial % 7."""
-        n_free = 1 + trial % 7 if estimate_id == "octilinear_mixed" else 0
+        n_free = 1 + trial % 7 if mixed else 0
         free = []
         if n_free:
             coeffs = sample_coefficients("gaussian", seed=trial + 1000 * seed, n_max=n_max)
-            free = [free_evolution(randomize(phi0, coeffs), taxis, cutoff=Cutoff(0.25))] * n_free
+            free = [free_evolution(draw(coeffs.values), taxis, cutoff=Cutoff(0.25))] * n_free
         return [apply_time_cutoff(field(10 * trial + j), eta) for j in range(8 - n_free)] + free
 
     trials = ((factors(trial), field(10 * trial + 9, master=seed + 1)) for trial in range(n_trials))

@@ -14,9 +14,11 @@ Two routes to the same solution:
   solution is u = v + z; both routes must agree, which is the main
   cross-validation of this module.
 
-Both routes hold the state as x-spectral coefficients (the grid's
-transform convention; a space-time state is an m_t x N array of them) and
-return to physical samples only for output and for the blow-up test. The
+`evolve_reference` runs the first route and `picard_solve` the second;
+`nonlinearity_coeffs` is the one evaluation of N that both use. Both
+routes hold the state as x-spectral coefficients (the grid's transform
+convention; a space-time state is an m_t x N array of them) and return to
+physical samples only for output and for the blow-up test. The
 degree-8 product of the real state goes from N coefficients by one real
 inverse FFT to the smallest padded grid of M >= 9N/2 points, where it is
 alias-free, and the unpaired Nyquist mode is zeroed after every nonlinear
@@ -105,17 +107,6 @@ def nonlinearity_coeffs(grid: Grid, hat: np.ndarray) -> np.ndarray:
     """Coefficients of -d_x(u^8)/8 from the coefficients `hat` of the real
     state u (transform convention, last axis; leading axes are a batch)."""
     return (-1j * grid.xi / NONLINEARITY_DEGREE) * grid.from_dft(_power8_coeffs(grid, hat))
-
-
-def nonlinearity(u: Field) -> Field:
-    """The divergence-form nonlinearity N(u) = -d_x(u^8)/8, dealiased."""
-    vals = u.values
-    if not is_real(vals):
-        raise ValueError("nonlinearity expects a real physical-space field")
-    coeffs = nonlinearity_coeffs(u.grid, u.grid.forward(vals.real))
-    if not np.all(np.isfinite(coeffs)):
-        raise BlowupError(step=-1, message="nonlinearity overflowed")
-    return Field(u.grid, _readonly(u.grid.inverse(coeffs)))
 
 
 def conserved_quantities(grid: Grid, hat: np.ndarray) -> tuple[float, float, float]:
@@ -260,7 +251,7 @@ def _cutoff_window(taxis: TimeAxis, eta_T: np.ndarray) -> tuple[slice, int]:
     vanishes on every other row.
     """
     if not taxis.is_centered:
-        raise ValueError("duhamel_gamma needs the centered time box (t = 0 a node)")
+        raise ValueError("the Duhamel map needs the centered time box (t = 0 a node)")
     j0 = int(np.argmin(np.abs(taxis.t)))
     support = np.append(np.flatnonzero(eta_T), j0)
     rows = slice(max(int(support.min()) - 1, 0), min(int(support.max()) + 2, taxis.n_samples))
@@ -278,9 +269,17 @@ def _duhamel_window(
     eta: np.ndarray,
     eta_T: np.ndarray,
 ) -> np.ndarray:
-    """`duhamel_gamma` on the rows of a `_cutoff_window`: every array holds
-    those rows only (the propagator table exp(i t xi^3) and its conjugate
-    included), and j0 is the row of t = 0 among them."""
+    """One application of the cutoff Duhamel map to x-spectral coefficients,
+    on the rows of a `_cutoff_window`; the map vanishes on the other rows.
+
+    Every array holds those rows only: the propagator table exp(i t xi^3)
+    and its conjugate, v_hat and z_hat, and the unit-scale and T-scale
+    cutoffs eta and eta_T sampled on them. j0 is the row of t = 0 among
+    them. z must already carry its eta_T cutoff (it is the cutoff free
+    evolution of the data); v gets eta here. The time integral uses the
+    trapezoid rule at the axis spacing dt, with the free propagator applied
+    exactly between nodes.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         w = eta[:, None] * v_hat + z_hat
     if not np.all(np.isfinite(w)):
@@ -307,41 +306,6 @@ def _duhamel_window(
     np.subtract(out, out[j0].copy(), out=out)
     np.multiply(propagator, out, out=out)
     return np.multiply(out, eta_T[:, None], out=out)
-
-
-def duhamel_gamma(
-    grid: Grid,
-    taxis: TimeAxis,
-    v_hat: np.ndarray,
-    z_hat: np.ndarray,
-    eta: np.ndarray,
-    eta_T: np.ndarray,
-) -> np.ndarray:
-    """One application of the cutoff Duhamel map to x-spectral coefficients.
-
-    v_hat and z_hat are (m_t x N) coefficient arrays on `taxis`; eta and
-    eta_T are the unit-scale and T-scale cutoffs sampled on it. z must
-    already carry its eta_T cutoff (it is the caller's cutoff free
-    evolution of the data); v gets eta here. The time integral uses the
-    trapezoid rule at the axis spacing, with the free propagator applied
-    exactly between nodes. The output vanishes for |t| >= 2T by
-    construction, and only the rows of `_cutoff_window` are computed.
-    """
-    rows, j0 = _cutoff_window(taxis, eta_T)
-    propagator = _propagator(grid, taxis)[rows]
-    out = np.zeros((taxis.n_samples, grid.n_modes), dtype=np.complex128)
-    out[rows] = _duhamel_window(
-        grid,
-        taxis.dt,
-        j0,
-        propagator,
-        np.conj(propagator),
-        v_hat[rows],
-        z_hat[rows],
-        eta[rows],
-        eta_T[rows],
-    )
-    return out
 
 
 @dataclass
@@ -495,31 +459,3 @@ def picard_solve(
 def reconstruct_solution(result: PicardResult) -> SpaceTimeField:
     """u = v + z, valid as a solution of the equation for |t| <= T."""
     return result.v.with_values(_readonly(result.v.values + result.z.values))
-
-
-def pde_residual(u: SpaceTimeField, interval: tuple[float, float]) -> np.ndarray:
-    """Relative residual ||u_t + u_xxx + u^7 u_x||_{L^2_x} / ||u||_{L^2_x}
-    per time sample inside `interval`.
-
-    The time derivative uses a centered fourth-order stencil (independent of
-    how u was produced); spatial terms are spectral with exact dealiasing.
-    """
-    grid = u.grid
-    taxis = u.taxis
-    vals = u.values.real
-    dt = taxis.dt
-    t = taxis.t
-    inner = (t >= interval[0]) & (t <= interval[1])
-    idx = np.nonzero(inner)[0]
-    idx = idx[(idx >= 2) & (idx <= taxis.n_samples - 3)]
-    if idx.size == 0:
-        raise ValueError("interval leaves no interior samples for the stencil")
-
-    u_t = (-vals[idx + 2] + 8.0 * vals[idx + 1] - 8.0 * vals[idx - 1] + vals[idx - 2]) / (12.0 * dt)
-    hat = grid.forward(vals[idx])
-    spatial = grid.inverse((1j * grid.xi) ** 3 * hat - nonlinearity_coeffs(grid, hat)).real
-
-    residual = u_t + spatial
-    res_norm = np.sqrt(grid.dx * np.sum(residual**2, axis=1))
-    u_norm = np.sqrt(grid.dx * np.sum(vals[idx] ** 2, axis=1))
-    return res_norm / np.maximum(u_norm, 1e-300)

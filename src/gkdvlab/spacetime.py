@@ -151,12 +151,6 @@ def st_l2(u: SpaceTimeField) -> float:
     return float(np.sqrt(u.grid.dx * u.taxis.dt * np.sum(np.abs(u.values) ** 2)))
 
 
-def st_zero(grid: Grid, taxis: TimeAxis) -> SpaceTimeField:
-    return SpaceTimeField(
-        grid, taxis, _readonly(np.zeros((taxis.n_samples, grid.n_modes), np.complex128))
-    )
-
-
 # ---------------------------------------------------------------------------
 # smooth time cutoffs
 

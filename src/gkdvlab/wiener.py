@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import Field, Grid, _readonly, apply_multiplier, spectral_values
+from .grid import Field, Grid, _readonly, spectral_values
 
 DISTRIBUTIONS = ("gaussian", "rademacher", "uniform", "ones")
 
@@ -34,20 +34,6 @@ def partition_window(xi: np.ndarray) -> np.ndarray:
     out = np.zeros_like(xi)
     out[inside] = np.cos(0.5 * np.pi * xi[inside]) ** 2
     return out
-
-
-def band_symbol(xi: np.ndarray, n: int) -> np.ndarray:
-    return partition_window(xi - n)
-
-
-def project_band(f: Field, n: int) -> Field:
-    """Restrict f to the unit frequency cube centered at integer n."""
-    if abs(n) > f.grid.xi_max - 1.0:
-        raise ValueError(
-            f"band center n={n} outside resolvable range |n| <= xi_max - 1 "
-            f"= {f.grid.xi_max - 1.0:.3f}"
-        )
-    return apply_multiplier(f, band_symbol(f.grid.xi, n))
 
 
 @dataclass(frozen=True)
@@ -84,24 +70,24 @@ class RandomCoefficients:
         )
         return coeffs
 
-    def __getitem__(self, n: int) -> complex:
-        if abs(n) > self.n_max:
-            raise IndexError(f"|n| = {abs(n)} exceeds n_max = {self.n_max}")
-        return complex(self.values[n + self.n_max])
+
+def require_distribution(distribution: str) -> None:
+    """Raise ValueError unless `distribution` is one of DISTRIBUTIONS."""
+    if distribution not in DISTRIBUTIONS:
+        raise ValueError(f"unknown distribution {distribution!r}; choose from {DISTRIBUTIONS}")
 
 
 def _component_draws(rng: np.random.Generator, distribution: str, size: int) -> np.ndarray:
     """Independent mean-zero unit-variance real draws (or the degenerate
-    all-ones diagnostic stream)."""
+    all-ones diagnostic stream) of a distribution that passed
+    `require_distribution`."""
     if distribution == "gaussian":
         return rng.standard_normal(size)
     if distribution == "rademacher":
         return rng.integers(0, 2, size=size).astype(np.float64) * 2.0 - 1.0
     if distribution == "uniform":
         return rng.uniform(-_UNIFORM_HALF_WIDTH, _UNIFORM_HALF_WIDTH, size=size)
-    if distribution == "ones":
-        return np.ones(size)
-    raise ValueError(f"unknown distribution {distribution!r}; choose from {DISTRIBUTIONS}")
+    return np.ones(size)
 
 
 def sample_coefficients(distribution: str, seed: int, n_max: int) -> RandomCoefficients:
@@ -113,8 +99,7 @@ def sample_coefficients(distribution: str, seed: int, n_max: int) -> RandomCoeff
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if distribution not in DISTRIBUTIONS:
-        raise ValueError(f"unknown distribution {distribution!r}; choose from {DISTRIBUTIONS}")
+    require_distribution(distribution)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed)))
     g0 = _component_draws(rng, distribution, 1)[0]
     re = _component_draws(rng, distribution, n_max)
@@ -128,35 +113,9 @@ def sample_coefficients(distribution: str, seed: int, n_max: int) -> RandomCoeff
     return RandomCoefficients._hermitian(int(seed), distribution, int(n_max), values)
 
 
-def verify_mgf_bound(
-    distribution: str,
-    gamma_grid,
-    n_samples: int = 200_000,
-    seed: int = 20260810,
-) -> float:
-    """Estimate max over gamma of log E[exp(gamma X)] / gamma^2.
-
-    X is the unit-variance real component variable of the family. A finite
-    value uniform in gamma is the sub-Gaussian moment condition; for the
-    gaussian family the exact ratio is 1/2.
-    """
-    gammas = np.asarray(list(gamma_grid), dtype=np.float64)
-    if gammas.size == 0 or np.any(gammas == 0.0):
-        raise ValueError("gamma_grid must be nonempty with nonzero entries")
-    if distribution == "ones":
-        raise ValueError("'ones' is a diagnostic stream, not a mean-zero distribution")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed)))
-    draws = _component_draws(rng, distribution, n_samples)
-    ratios = []
-    for g in gammas:
-        mgf = float(np.mean(np.exp(g * draws)))
-        ratios.append(np.log(mgf) / g**2)
-    return float(max(ratios))
-
-
 def _window_rows(xi: np.ndarray, n_max: int) -> np.ndarray:
     """The (2*n_max+1, len(xi)) matrix of translates psi(xi - n), |n| <= n_max."""
-    return np.stack([band_symbol(xi, n) for n in range(-n_max, n_max + 1)])
+    return np.stack([partition_window(xi - n) for n in range(-n_max, n_max + 1)])
 
 
 def coverage_weight(xi: np.ndarray, n_max: int) -> np.ndarray:
@@ -173,18 +132,6 @@ def _band_stack(grid: Grid, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     rows.flags.writeable = False
     cover.flags.writeable = False
     return rows, cover
-
-
-def bessel_weighted_band_sum(phi: Field, s: float, n_max: int) -> float:
-    """sum_n || <D>^s psi(D - n) phi ||_{L^2}^2.
-
-    With at most two windows overlapping any frequency, every randomized
-    field satisfies ||phi^omega||_{H^s}^2 <= 2 max_n|g_n|^2 times this sum.
-    """
-    stack, _ = _band_stack(phi.grid, n_max)
-    hat = spectral_values(phi)
-    weighted = (1.0 + phi.grid.xi**2) ** s * np.abs(hat) ** 2
-    return float(phi.grid.dxi * np.sum(stack**2 @ weighted))
 
 
 def require_coverage(phi: Field, n_max: int, coverage_tol: float = 1e-10) -> None:

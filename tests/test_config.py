@@ -1,12 +1,12 @@
 import pytest
 
-from gkdvlab.config import ConfigError, default_config, load_config
+from gkdvlab.config import ConfigError, load_config
 from gkdvlab.params import b_index, data_index, sigma_index
 
 
 class TestDefaults:
     def test_derived_exponents(self):
-        cfg = default_config()
+        cfg = load_config(None)
         eps = cfg.epsilon
         assert sigma_index(eps) == pytest.approx(3.0 / 14.0 + 2.0 * eps)
         assert b_index(eps) == pytest.approx(0.5 + eps / 24.0)

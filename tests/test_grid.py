@@ -8,11 +8,7 @@ from gkdvlab.grid import (
     Field,
     _phase,
     airy_propagate,
-    bessel_multiplier,
-    dealias,
-    derivative,
-    dyadic_blocks,
-    dyadic_project,
+    apply_multiplier,
     field_from_function,
     half_spectrum,
     is_real,
@@ -164,7 +160,7 @@ class TestCarriedSpectrum:
         assert not spectral_values(f).flags.writeable
         hat[0] = 99.0  # a writeable array is copied
         assert spectral_values(f)[0] != 99.0
-        assert f.with_values(f.values)._spectrum is None
+        assert Field(grid64, f.values)._spectrum is None
 
     def test_readonly_owned_spectrum_is_shared(self, grid64):
         hat = np.ones(64, np.complex128)
@@ -218,111 +214,62 @@ class TestAiryPropagate:
         assert abs(after - before) <= 1e-12 * before
 
 
+def _bessel(f, s):
+    """The Bessel potential <D>^s: spectrum times (1 + xi^2)^(s/2)."""
+    return apply_multiplier(f, (1.0 + f.grid.xi**2) ** (s / 2.0))
+
+
+def _derivative(f, order=1):
+    """The spectral derivative: spectrum times (i xi)^order."""
+    return apply_multiplier(f, (1j * f.grid.xi) ** order)
+
+
 class TestBesselMultiplier:
+    """`apply_multiplier` with the Bessel symbol <xi>^s."""
+
     def test_order_zero_identity(self, bump):
-        out = bessel_multiplier(bump, 0.0)
+        out = _bessel(bump, 0.0)
         assert np.max(np.abs(out.values - bump.values)) <= 1e-14
 
     def test_single_mode_weight(self):
         g = make_grid(np.pi, 64)
         f = field_from_function(g, lambda x: np.exp(2j * x))
-        out = bessel_multiplier(f, 1.0)
+        out = _bessel(f, 1.0)
         assert l2_norm(out) / l2_norm(f) == pytest.approx(np.sqrt(5.0), rel=1e-13)
 
     def test_inverse(self, grid512):
         f = random_real_field(grid512, 4)
-        back = bessel_multiplier(bessel_multiplier(f, 0.7), -0.7)
+        back = _bessel(_bessel(f, 0.7), -0.7)
         assert np.max(np.abs(back.values - f.values)) <= 1e-12 * np.max(np.abs(f.values))
 
 
 class TestDerivative:
+    """`apply_multiplier` with the derivative symbols (i xi)^k, the x
+    derivatives of the equation."""
+
     def test_sin_to_cos(self):
         g = make_grid(np.pi, 128)
-        out = derivative(field_from_function(g, np.sin))
+        out = _derivative(field_from_function(g, np.sin))
         assert np.max(np.abs(out.values - np.cos(g.x))) <= 1e-12
 
     def test_third_derivative_single_mode(self):
         g = make_grid(np.pi, 16)
         f = field_from_function(g, lambda x: np.exp(2j * x))
-        out = derivative(f, order=3)
+        out = _derivative(f, order=3)
         expected = -8j * f.values
         assert np.max(np.abs(out.values - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_constant_derivative_vanishes(self):
         g = make_grid(np.pi, 64)
-        out = derivative(field_from_function(g, lambda x: 0.0 * x + 3.0))
+        out = _derivative(field_from_function(g, lambda x: 0.0 * x + 3.0))
         assert np.max(np.abs(out.values)) <= 1e-13
 
     def test_commutes_with_airy(self, grid512):
         f = random_real_field(grid512, 5)
-        a = derivative(airy_propagate(f, 0.2))
-        b = airy_propagate(derivative(f), 0.2)
+        a = _derivative(airy_propagate(f, 0.2))
+        b = airy_propagate(_derivative(f), 0.2)
         scale = np.max(np.abs(a.values))
         assert np.max(np.abs(a.values - b.values)) <= 1e-12 * scale
-
-    def test_rejects_zero_order(self, bump):
-        with pytest.raises(ValueError):
-            derivative(bump, order=0)
-
-
-class TestDealias:
-    @pytest.mark.parametrize("degree,frac", [(2, 2.0 / 3.0), (8, 2.0 / 9.0)])
-    def test_cutoff_fraction(self, grid512, degree, frac):
-        f = random_real_field(grid512, 6)
-        cutoff = grid512.xi_max * 2.0 / (degree + 1.0)
-        keep = np.abs(grid512.xi) <= cutoff
-        expected = grid512.inverse(np.where(keep, spectral_values(f), 0.0))
-        assert np.array_equal(dealias(f, degree).values, expected)
-        assert cutoff == pytest.approx(grid512.xi_max * frac)
-
-    def test_band_limited_field_unchanged(self, grid512):
-        mask = np.abs(grid512.xi) <= grid512.xi_max * 0.2
-        f = Field(grid512, grid512.inverse(np.where(mask, 1.0, 0.0)))
-        keep = np.abs(grid512.xi) <= grid512.xi_max * 2.0 / 9.0
-        assert np.all(keep[mask])
-        expected = grid512.inverse(np.where(keep, spectral_values(f), 0.0))
-        assert np.array_equal(dealias(f, 8).values, expected)
-
-    def test_rejects_degree_one(self, bump):
-        with pytest.raises(ValueError):
-            dealias(bump, 1)
-
-
-class TestDyadicProject:
-    def test_blocks_partition_identity(self, grid512):
-        f = random_real_field(grid512, 7)
-        total = sum(
-            spectral_values(dyadic_project(f, n)) for n in dyadic_blocks(grid512)
-        )
-        hat = spectral_values(f)
-        assert np.max(np.abs(total - hat)) <= 1e-12 * np.max(np.abs(hat))
-
-    def test_mode_three_lives_in_block_two(self):
-        g = make_grid(np.pi, 64)
-        f = field_from_function(g, lambda x: np.exp(3j * x))
-        assert l2_norm(dyadic_project(f, 2)) == pytest.approx(l2_norm(f), rel=1e-13)
-        for block in (1, 4, 8):
-            assert l2_norm(dyadic_project(f, block)) <= 1e-13
-
-    def test_idempotent(self, grid512):
-        f = random_real_field(grid512, 8)
-        once = dyadic_project(f, 4)
-        twice = dyadic_project(once, 4)
-        assert np.max(np.abs(twice.values - once.values)) <= 1e-14 * max(
-            1e-30, np.max(np.abs(once.values))
-        )
-
-    def test_blocks_pairwise_orthogonal(self, grid512):
-        f = random_real_field(grid512, 9)
-        blocks = dyadic_blocks(grid512)
-        hats = [spectral_values(dyadic_project(f, n)) for n in blocks]
-        for i in range(len(blocks)):
-            for j in range(i + 1, len(blocks)):
-                assert abs(np.vdot(hats[i], hats[j])) <= 1e-16 * grid512.n_modes
-
-    def test_rejects_non_power_of_two(self, bump):
-        with pytest.raises(ValueError):
-            dyadic_project(bump, 3)
 
 
 @settings(max_examples=25, deadline=None)

@@ -78,6 +78,13 @@ class TestRunEnsemble:
             run_ensemble(phi, 4, {"x": seen.append}, seed=2, n_max=n_max, threads=threads)
         assert seen == []
 
+    def test_unknown_distribution_raises_before_any_sample(self, grid64):
+        phi = banded_bump(grid64, band=3.0)
+        seen = []
+        with pytest.raises(ValueError, match="unknown distribution 'cauchy'"):
+            run_ensemble(phi, 5, {"x": seen.append}, seed=1, distribution="cauchy")
+        assert seen == []
+
 
 def _former_tail_observations(phi, t_grid, n_samples, seed, n_time_samples=64):
     """q = r = 4 free-evolution norms by the former per-sample chain:

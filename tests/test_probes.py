@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gkdvlab import probes
-from gkdvlab.grid import spectral_values
+from gkdvlab.grid import Field, spectral_values
 from gkdvlab.params import b_index, dual_b_index, sigma_index
 from gkdvlab.probes import (
     EstimateReport,
@@ -23,7 +23,7 @@ from gkdvlab.probes import (
     run_estimate,
     run_estimates,
 )
-from gkdvlab.spacetime import Cutoff, free_evolution, st_l2, st_to_physical, st_zero
+from gkdvlab.spacetime import Cutoff, SpaceTimeField, free_evolution, st_l2, st_to_physical
 from gkdvlab.streams import rng_for
 
 
@@ -84,7 +84,8 @@ class TestRunEstimates:
 class TestReports:
     def test_zero_field_excluded_by_guard(self):
         grid, taxis = _res().make()
-        rep = check_embeddings([st_zero(grid, taxis)], ["embed12"], EPS)["embed12"]
+        zero = SpaceTimeField(grid, taxis, np.zeros((taxis.n_samples, grid.n_modes), np.complex128))
+        rep = check_embeddings([zero], ["embed12"], EPS)["embed12"]
         assert rep.excluded == 1
         assert rep.trials == []
 
@@ -142,7 +143,7 @@ class TestLinearProbe:
     def test_ratio_independent_of_amplitude(self):
         grid, taxis = _res().make()
         phi = random_field(grid, 3.5, 0)
-        big = phi.with_values(7.0 * phi.values)
+        big = Field(grid, 7.0 * phi.values)
         s, b = sigma_index(EPS), b_index(EPS)
         r1 = check_linear_estimates([phi], [0.25], s, b, taxis)
         r2 = check_linear_estimates([big], [0.25], s, b, taxis)
@@ -167,7 +168,7 @@ class TestLinearProbe:
 class TestMultilinearProbe:
     def test_zero_factors_give_zero_pairing(self):
         grid, taxis = _res().make()
-        zero = st_zero(grid, taxis)
+        zero = SpaceTimeField(grid, taxis, np.zeros((taxis.n_samples, grid.n_modes), np.complex128))
         h = random_spacetime(grid, taxis, 3.5, 1)
         rep = check_multilinear([([zero] * 8, h)], sigma_index(EPS), b_index(EPS), EPS)
         assert rep.excluded == 1  # rhs is zero too: guarded
