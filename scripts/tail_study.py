@@ -16,6 +16,7 @@ from gkdvlab.io import write_csv
 from gkdvlab.montecarlo import make_lambda_grid, run_ensemble, strichartz_scaling, tail_fit
 from gkdvlab.norms import sobolev_norm
 from gkdvlab.params import data_index
+from gkdvlab.wiener import sampler
 
 
 def main(out_dir="out-tails", n_samples=10_000, seed=2026):
@@ -26,7 +27,7 @@ def main(out_dir="out-tails", n_samples=10_000, seed=2026):
     s = data_index(0.05)
 
     records = run_ensemble(
-        phi, n_samples, {"hs": lambda f: sobolev_norm(f, s)}, seed=seed
+        sampler(phi, "gaussian"), n_samples, {"hs": lambda f: sobolev_norm(f, s)}, seed=seed
     )
     obs = np.array([r.values["hs"] for r in records])
     fit = tail_fit(records, "hs", make_lambda_grid(obs, 12, 0.9, 0.995))
@@ -44,7 +45,7 @@ def main(out_dir="out-tails", n_samples=10_000, seed=2026):
     small = make_grid(16.0, 128)
     phi_small = field_from_function(small, lambda x: np.exp(-(x**2)))
     report = strichartz_scaling(
-        phi_small, 4.0, 4.0, [0.125, 0.25, 0.5], n_samples, seed=seed
+        sampler(phi_small, "gaussian"), 4.0, 4.0, [0.125, 0.25, 0.5], n_samples, seed=seed
     )
     print(
         f"mixed-norm tail scale ~ T^{report.alpha:.4f} "

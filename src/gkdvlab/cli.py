@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -28,13 +29,13 @@ from .io import (
     write_csv,
     write_manifest,
 )
-from .montecarlo import auto_n_max, exceptional_probability, strichartz_scaling
+from .montecarlo import exceptional_probability, strichartz_scaling
 from .norms import AliasingError, sobolev_norm
 from .probes import ProbeResolution, _require_known, estimate_ids, run_estimates
 from .solver import evolve_reference
 from .spacetime import centered_axis
 from .streams import child_seed
-from .wiener import randomizer, require_coverage, sample_coefficients
+from .wiener import sampler
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -73,18 +74,15 @@ def _band_limit(phi: Field, band: float) -> Field:
     return apply_multiplier(phi, mask)
 
 
-def _explicit_n_max(cfg: RunConfig, phi: Field) -> int | None:
-    """[random] n_max, or None where it is 0 ("cover the data's spectrum").
-    An explicit range must cover phi's spectrum; that is checked here,
-    once, before any sample is drawn."""
-    n_max = cfg["random"]["n_max"]
-    if n_max == 0:
-        return None
+def _sampler(cfg: RunConfig, phi: Field) -> Callable[[int], Field]:
+    """The [random] randomization of phi, as a map from a seed to a sample.
+    n_max = 0 covers the data's spectrum; an explicit range that does not
+    is a configuration error, raised before any sample is drawn."""
+    rnd = cfg["random"]
     try:
-        require_coverage(phi, n_max)
+        return sampler(phi, rnd["distribution"], rnd["n_max"] or None)
     except ValueError as exc:
         raise ConfigError([f"[random] n_max: {exc}"]) from exc
-    return n_max
 
 
 def _out_dir(cfg: RunConfig, args) -> Path:
@@ -95,18 +93,16 @@ def _out_dir(cfg: RunConfig, args) -> Path:
 
 def cmd_randomize(cfg: RunConfig, args) -> int:
     phi = build_data(cfg)
-    n_max = _explicit_n_max(cfg, phi) or auto_n_max(phi)
-    draw = randomizer(phi, n_max)
+    sample = _sampler(cfg, phi)
     out = _out_dir(cfg, args)
     s = cfg.s
-    dist = cfg["random"]["distribution"]
     artifacts = [save_field(out / "phi.field", phi, kind="phi")]
     rows = [("phi", -1, sobolev_norm(phi, s))]
     for k in range(cfg["ensemble"]["n_fields"]):
         seed_k = child_seed(cfg.master_seed, k)
-        sample = draw(sample_coefficients(dist, seed_k, n_max).values)
-        artifacts.append(save_field(out / f"sample_{k:03d}.field", sample, kind="sample", seed=seed_k))
-        rows.append((f"sample_{k:03d}", seed_k, sobolev_norm(sample, s)))
+        phi_k = sample(seed_k)
+        artifacts.append(save_field(out / f"sample_{k:03d}.field", phi_k, kind="sample", seed=seed_k))
+        rows.append((f"sample_{k:03d}", seed_k, sobolev_norm(phi_k, s)))
     artifacts.append(write_csv(out / "norms.csv", ["field", "seed", "hs_norm"], rows))
     write_manifest(out, cfg.echo(), artifacts)
     return EXIT_OK
@@ -148,20 +144,17 @@ def cmd_strichartz_tail(cfg: RunConfig, args) -> int:
         problems.append("[strichartz] t_grid needs at least three T values")
     if problems:
         raise ConfigError(problems)
-    phi = build_data(cfg)
-    n_max = _explicit_n_max(cfg, phi)
+    sample = _sampler(cfg, build_data(cfg))
     out = _out_dir(cfg, args)
     st = cfg["strichartz"]
     report = strichartz_scaling(
-        phi,
+        sample,
         st["q"],
         st["r"],
         t_grid,
         cfg["ensemble"]["n_samples"],
         seed=cfg.master_seed,
-        distribution=cfg["random"]["distribution"],
         n_time_samples=st["n_time_samples"],
-        n_max=n_max,
         threads=cfg["ensemble"]["threads"],
     )
     header, rows = ensemble_table(report.records)
@@ -189,10 +182,10 @@ def cmd_lwp_ensemble(cfg: RunConfig, args) -> int:
             f"[lwp] xi_band = {lwp['xi_band']:g} on this grid needs tau_max >= "
             f"{2.0 * band**3:.1f}, the [time] axis provides {taxis.tau_max:.1f}"
         )
-    n_max = _explicit_n_max(cfg, phi)
+    sample = _sampler(cfg, phi)
     out = _out_dir(cfg, args)
     report = exceptional_probability(
-        phi,
+        sample,
         parse_float_list(lwp["t_grid"]),
         lwp["n_samples"],
         lwp["tol"],
@@ -201,8 +194,6 @@ def cmd_lwp_ensemble(cfg: RunConfig, args) -> int:
         eps=cfg.epsilon,
         max_iter=lwp["max_iter"],
         seed=cfg.master_seed,
-        distribution=cfg["random"]["distribution"],
-        n_max=n_max,
         threads=cfg["ensemble"]["threads"],
     )
     rows = [

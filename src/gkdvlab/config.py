@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .params import data_index, validate_epsilon
-from .wiener import DISTRIBUTIONS
+from .wiener import require_distribution
 
 
 class ConfigError(ValueError):
@@ -176,11 +176,10 @@ def _finalize(raw: dict, problems: list[str]) -> RunConfig:
     if model["s"] < 0:
         model["s"] = data_index(model["epsilon"])
 
-    if raw["random"]["distribution"] not in DISTRIBUTIONS:
-        problems.append(
-            f"[random] unknown distribution {raw['random']['distribution']!r}; "
-            f"choose from {', '.join(DISTRIBUTIONS)}"
-        )
+    try:
+        require_distribution(raw["random"]["distribution"])
+    except ValueError as exc:
+        problems.append(f"[random] {exc}")
     if raw["data"]["kind"] not in DATA_KINDS:
         problems.append(
             f"[data] unknown kind {raw['data']['kind']!r}; choose from {', '.join(DATA_KINDS)}"
@@ -214,16 +213,23 @@ def _finalize(raw: dict, problems: list[str]) -> RunConfig:
             problems.append(
                 f"[lwp] xi_band must be >= one frequency step pi / [grid] half_length = {step:.6g}"
             )
-    if not raw["lwp"]["tol"] > 0:
-        problems.append("[lwp] tol must be positive")
+    for sect, key in (("lwp", "tol"), ("simulate", "dt")):
+        if not raw[sect][key] > 0:
+            problems.append(f"[{sect}] {key} must be positive")
+    if not 1 <= raw["strichartz"]["q"] < math.inf:
+        problems.append("[strichartz] q must be >= 1 and finite")
     for sect, key, least in (
         ("random", "n_max", 0),
         ("ensemble", "threads", 1),
+        ("strichartz", "r", 1),
+        ("strichartz", "n_time_samples", 1),
         ("lwp", "n_samples", 100),
         ("lwp", "max_iter", 1),
         ("estimates", "n_trials", 1),
+        ("simulate", "output_stride", 0),
+        ("simulate", "diag_stride", 1),
     ):
-        if raw[sect][key] < least:
+        if not raw[sect][key] >= least:
             problems.append(f"[{sect}] {key} must be >= {least}")
 
     if problems:

@@ -59,8 +59,9 @@ def _write_header_and_rows(path: Path, magic: str, meta: dict, rows: np.ndarray)
     lines.append(f"rows {rows.shape[0]}")
     lines.append(f"cols {rows.shape[1]}")
     lines.append(HEADER_END)
-    payload = np.ascontiguousarray(rows, dtype="<f8").tobytes()
-    path.write_bytes(("\n".join(lines) + "\n").encode("ascii") + payload)
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(lines) + "\n").encode("ascii"))
+        fh.write(np.ascontiguousarray(rows, dtype="<f8"))
 
 
 def _read_header(blob: bytes, magic: str) -> tuple[dict, np.ndarray]:
@@ -120,7 +121,7 @@ def load_trajectory(path: Path | str) -> Trajectory:
     meta, data = _read_header(Path(path).read_bytes(), MAGIC_TRAJECTORY)
     grid = make_grid(float(meta["L"]), int(meta["N"]))
     taxis = TimeAxis(t0=float(meta["t0"]), dt=float(meta["dt_out"]), n_samples=data.shape[0])
-    u = SpaceTimeField(grid, taxis, data.astype(np.complex128))
+    u = SpaceTimeField(grid, taxis, data)
     seed = int(meta["seed"])
     bad = int(meta["first_bad_step"])
     return Trajectory(

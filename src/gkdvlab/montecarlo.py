@@ -1,4 +1,4 @@
-"""Ensemble orchestration: sample randomizations, evaluate observables,
+"""Ensemble orchestration: evaluate observables on randomized samples,
 fit sub-Gaussian tails, and track the local-solvability failure fraction.
 
 Determinism contract: the full output is a pure function of the data, the
@@ -15,12 +15,11 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .grid import Field, spectral_values
+from .grid import Field
 from .norms import mixed_norm
 from .solver import PicardResult, picard_solve
 from .spacetime import TimeAxis, free_evolution, midpoint_axis
 from .streams import child_seed
-from .wiener import randomizer, require_distribution, sample_coefficients
 
 CONTRACTION_LINE = 0.5
 
@@ -33,16 +32,6 @@ class EnsembleRecord:
     seed: int
     values: dict[str, float] = field(default_factory=dict)
     blown_up: bool = False
-
-
-def auto_n_max(phi: Field, rel_tol: float = 1e-13) -> int:
-    """Smallest coefficient range covering phi's numerically visible spectrum."""
-    hat = np.abs(spectral_values(phi))
-    peak = float(hat.max())
-    if peak == 0.0:
-        return 1
-    radius = float(np.max(np.abs(phi.grid.xi[hat > rel_tol * peak])))
-    return max(1, int(np.ceil(radius)) + 1)
 
 
 def _usable_cpus() -> int:
@@ -68,22 +57,19 @@ def _evaluate_in_worker(index: int) -> EnsembleRecord:
 
 
 def run_ensemble(
-    phi: Field,
+    sample: Callable[[int], Field],
     n_samples: int,
     observables: Mapping[str, Callable[[Field], float]] | Callable[[Field], Mapping[str, float]],
     seed: int,
-    distribution: str = "gaussian",
-    n_max: int | None = None,
     threads: int = 1,
 ) -> list[EnsembleRecord]:
-    """Evaluate observables on n_samples independent randomizations of phi.
+    """Evaluate observables on the fields `sample(child_seed(seed, k))`,
+    k < n_samples: independent randomizations when `sample` is a
+    `wiener.sampler`, which checks its data once, when it is built.
 
     `observables` is either a name->callable map (each returning a float) or
     a single callable returning a name->float map. Per-sample errors are
-    recorded on the sample (blown_up) and never abort the ensemble. An
-    unknown `distribution`, an `n_max` below 1 or one that does not cover
-    phi's spectrum raises ValueError before any sample (see
-    `wiener.require_distribution` and `wiener.randomizer`).
+    recorded on the sample (blown_up) and never abort the ensemble.
 
     `threads` is the number of worker processes, capped at the usable CPUs
     and at n_samples. More than one runs the samples on a pool of workers
@@ -96,16 +82,12 @@ def run_ensemble(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    require_distribution(distribution)
-    if n_max is None:
-        n_max = auto_n_max(phi)
-    draw = randomizer(phi, n_max)
 
     def evaluate(index: int) -> EnsembleRecord:
         sample_seed = child_seed(seed, index)
         record = EnsembleRecord(index=index, seed=sample_seed)
         try:
-            phi_omega = draw(sample_coefficients(distribution, sample_seed, n_max).values)
+            phi_omega = sample(sample_seed)
             if callable(observables):
                 record.values = {k: float(v) for k, v in observables(phi_omega).items()}
             else:
@@ -302,19 +284,17 @@ def scale_report_from_observations(
 
 
 def strichartz_scaling(
-    phi: Field,
+    sample: Callable[[int], Field],
     q: float,
     r: float,
     t_grid: list[float],
     n_samples: int,
     seed: int = 0,
-    distribution: str = "gaussian",
     n_time_samples: int = 64,
-    n_max: int | None = None,
     threads: int = 1,
 ) -> StrichartzReport:
     """Tail lambda-scale of the free evolution's L^q_t L^r_x([0, T]) norm per
-    T, regressed against T.
+    T over the randomized fields `sample` draws, regressed against T.
 
     The sub-Gaussian tail bound scales as exp(-c lambda^2 / T^{2/q}), so the
     fitted scale should grow like T^{1/q}. `threads` is `run_ensemble`'s
@@ -333,9 +313,7 @@ def strichartz_scaling(
             out[f"T={t!r}"] = mixed_norm(z, q, r)
         return out
 
-    records = run_ensemble(
-        phi, n_samples, observe, seed, distribution=distribution, n_max=n_max, threads=threads
-    )
+    records = run_ensemble(sample, n_samples, observe, seed, threads=threads)
     obs_by_t = {
         t: np.asarray([rec.values[f"T={t!r}"] for rec in records if not rec.blown_up])
         for t in axes
@@ -391,7 +369,7 @@ class LwpReport:
 
 
 def exceptional_probability(
-    phi: Field,
+    sample: Callable[[int], Field],
     t_grid: list[float],
     n_samples: int,
     tol: float,
@@ -400,11 +378,10 @@ def exceptional_probability(
     eps: float = 0.05,
     max_iter: int = 25,
     seed: int = 0,
-    distribution: str = "gaussian",
-    n_max: int | None = None,
     threads: int = 1,
 ) -> LwpReport:
-    """Failure fraction of the fixed-point construction per existence time T.
+    """Failure fraction of the fixed-point construction per existence time T,
+    over the randomized fields `sample` draws.
 
     T values must be passed in descending order; the trend statistic counts
     adjacent pairs where the fraction increases as T shrinks without the
@@ -434,15 +411,7 @@ def exceptional_probability(
                 "discarded_band_mass": result.discarded_band_mass,
             }
 
-        records = run_ensemble(
-            phi,
-            n_samples,
-            observe,
-            child_seed(seed, k),
-            distribution=distribution,
-            n_max=n_max,
-            threads=threads,
-        )
+        records = run_ensemble(sample, n_samples, observe, child_seed(seed, k), threads=threads)
         records_by_t[T] = records
         failures = sum(
             1 for r in records if r.blown_up or r.values.get("picard_failed", 1.0) > 0.5

@@ -49,7 +49,7 @@ from .spacetime import (
     st_to_physical,
 )
 from .streams import rng_for
-from .wiener import randomizer, sample_coefficients
+from .wiener import sampler
 
 RHS_FLOOR = 1e-13
 
@@ -393,7 +393,7 @@ def run_estimate(
     eta = Cutoff(1.0)
     mixed = estimate_id == "octilinear_mixed"
     n_max = int(np.ceil(res.xi_band)) + 1
-    draw = randomizer(_banded_bump(grid, res.xi_band), n_max) if mixed else None
+    sample = sampler(_banded_bump(grid, res.xi_band), "gaussian", n_max) if mixed else None
 
     def factors(trial: int) -> list[SpaceTimeField]:
         """Cutoff random fields; octilinear_mixed swaps a cutoff free
@@ -401,8 +401,8 @@ def run_estimate(
         n_free = 1 + trial % 7 if mixed else 0
         free = []
         if n_free:
-            coeffs = sample_coefficients("gaussian", seed=trial + 1000 * seed, n_max=n_max)
-            free = [free_evolution(draw(coeffs.values), taxis, cutoff=Cutoff(0.25))] * n_free
+            phi_omega = sample(trial + 1000 * seed)
+            free = [free_evolution(phi_omega, taxis, cutoff=Cutoff(0.25))] * n_free
         return [apply_time_cutoff(field(10 * trial + j), eta) for j in range(8 - n_free)] + free
 
     trials = ((factors(trial), field(10 * trial + 9, master=seed + 1)) for trial in range(n_trials))

@@ -9,7 +9,6 @@ Hermitian pairing g_{-n} = conj(g_n), g_0 real, keeps real data real.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
@@ -21,6 +20,10 @@ DISTRIBUTIONS = ("gaussian", "rademacher", "uniform", "ones")
 
 # uniform component support [-sqrt(3), sqrt(3)] has unit variance
 _UNIFORM_HALF_WIDTH = np.sqrt(3.0)
+# relative L^2 mass of the data allowed outside the covered band
+_STRAY_MASS_TOL = 1e-10
+# relative spectral amplitude below which the automatic range ignores a mode
+_VISIBLE_TOL = 1e-13
 
 
 def partition_window(xi: np.ndarray) -> np.ndarray:
@@ -36,41 +39,6 @@ def partition_window(xi: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class RandomCoefficients:
-    """Hermitian sequence g_n, n = -n_max..n_max, with E|g_n|^2 = 1."""
-
-    seed: int
-    distribution: str
-    n_max: int
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.complex128)
-        if v.shape != (2 * self.n_max + 1,):
-            raise ValueError("values must have length 2*n_max + 1")
-        center = self.n_max
-        if abs(v[center].imag) > 1e-14:
-            raise ValueError("g_0 must be real")
-        if not np.allclose(v[: center][::-1], np.conj(v[center + 1 :]), atol=1e-14):
-            raise ValueError("Hermitian pairing g_{-n} = conj(g_n) violated")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-    @classmethod
-    def _hermitian(
-        cls, seed: int, distribution: str, n_max: int, values: np.ndarray
-    ) -> "RandomCoefficients":
-        """Wrap a fresh sequence that is Hermitian by construction, without
-        `__post_init__`'s checks and copy."""
-        coeffs = object.__new__(cls)
-        coeffs.__dict__.update(
-            seed=seed, distribution=distribution, n_max=n_max, values=_readonly(values)
-        )
-        return coeffs
-
-
 def require_distribution(distribution: str) -> None:
     """Raise ValueError unless `distribution` is one of DISTRIBUTIONS."""
     if distribution not in DISTRIBUTIONS:
@@ -78,28 +46,26 @@ def require_distribution(distribution: str) -> None:
 
 
 def _component_draws(rng: np.random.Generator, distribution: str, size: int) -> np.ndarray:
-    """Independent mean-zero unit-variance real draws (or the degenerate
-    all-ones diagnostic stream) of a distribution that passed
-    `require_distribution`."""
+    """Independent mean-zero unit-variance real draws, or the degenerate
+    all-ones diagnostic stream; an unknown distribution raises ValueError."""
     if distribution == "gaussian":
         return rng.standard_normal(size)
     if distribution == "rademacher":
         return rng.integers(0, 2, size=size).astype(np.float64) * 2.0 - 1.0
     if distribution == "uniform":
         return rng.uniform(-_UNIFORM_HALF_WIDTH, _UNIFORM_HALF_WIDTH, size=size)
+    require_distribution(distribution)  # only "ones" passes
     return np.ones(size)
 
 
-def sample_coefficients(distribution: str, seed: int, n_max: int) -> RandomCoefficients:
-    """Draw the coefficient sequence deterministically from (dist, seed, n_max).
+def sample_coefficients(distribution: str, seed: int, n_max: int) -> np.ndarray:
+    """The read-only Hermitian sequence g_{-n_max} .. g_{n_max}, drawn
+    deterministically from (distribution, seed, n_max >= 1).
 
     g_0 is a single real unit-variance draw; for n >= 1 the real and
     imaginary parts are independent with variance 1/2 each, and g_{-n} is
-    the conjugate of g_n.
+    the conjugate of g_n, so E|g_n|^2 = 1.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    require_distribution(distribution)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed)))
     g0 = _component_draws(rng, distribution, 1)[0]
     re = _component_draws(rng, distribution, n_max)
@@ -109,8 +75,7 @@ def sample_coefficients(distribution: str, seed: int, n_max: int) -> RandomCoeff
         g0 = 1.0
     else:
         positive = (re + 1j * im) / np.sqrt(2.0)
-    values = np.concatenate([np.conj(positive[::-1]), [g0 + 0.0j], positive])
-    return RandomCoefficients._hermitian(int(seed), distribution, int(n_max), values)
+    return _readonly(np.concatenate([np.conj(positive[::-1]), [g0 + 0.0j], positive]))
 
 
 def _window_rows(xi: np.ndarray, n_max: int) -> np.ndarray:
@@ -134,59 +99,48 @@ def _band_stack(grid: Grid, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cover
 
 
-def require_coverage(phi: Field, n_max: int, coverage_tol: float = 1e-10) -> None:
+def _require_covered(grid: Grid, hat: np.ndarray, n_max: int) -> None:
     """Raise ValueError unless the coefficient range |n| <= n_max covers the
-    spectral support of phi: the relative L^2 mass at frequencies where the
-    window sum falls below 1 must not exceed `coverage_tol`."""
-    _require_covered(phi.grid, spectral_values(phi), n_max, coverage_tol)
-
-
-def _require_covered(grid: Grid, hat: np.ndarray, n_max: int, coverage_tol: float) -> None:
-    """`require_coverage` for the field with spectrum `hat`."""
+    field with spectrum `hat`: the relative L^2 mass at frequencies where the
+    window sum falls below 1 must not exceed _STRAY_MASS_TOL."""
     _, cover = _band_stack(grid, n_max)
     total_mass = float(np.sum(np.abs(hat) ** 2))
     if total_mass > 0.0:
         uncovered = cover < 1.0 - 1e-9
         stray = float(np.sum(np.abs(hat[uncovered]) ** 2))
-        if stray > coverage_tol * total_mass:
+        if stray > _STRAY_MASS_TOL * total_mass:
             raise ValueError(
                 "spectral support of phi exceeds the coefficient range: "
-                f"relative uncovered mass {stray / total_mass:.3e} > {coverage_tol:.1e} "
+                f"relative uncovered mass {stray / total_mass:.3e} > {_STRAY_MASS_TOL:.1e} "
                 f"(n_max = {n_max})"
             )
 
 
-def randomizer(
-    phi: Field, n_max: int, coverage_tol: float = 1e-10
-) -> Callable[[np.ndarray], Field]:
-    """The unit-cube randomization of phi as a map from the coefficient
-    sequence g_{-n_max} .. g_{n_max} to the field sum_n g_n psi(D - n) phi.
+def sampler(phi: Field, distribution: str, n_max: int | None = None) -> Callable[[int], Field]:
+    """The unit-cube randomization of phi as a map from a seed to the field
+    sum_n g_n psi(D - n) phi, with g = sample_coefficients(distribution,
+    seed, n_max).
 
-    Checks once that n_max >= 1 and that the range covers the spectral
-    support of phi (see `require_coverage`), and transforms phi once: each
-    field is built from its spectrum phi_hat * (g @ windows), which it keeps.
+    Checks once that the distribution is known, that n_max >= 1 and that
+    the range |n| <= n_max covers the spectral support of phi, and
+    transforms phi once: each field is built from its spectrum
+    phi_hat * (g @ windows), which it keeps. n_max=None takes the least
+    range that covers the modes of phi above 1e-13 times its peak mode.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    require_distribution(distribution)
     grid = phi.grid
     hat = spectral_values(phi)
-    _require_covered(grid, hat, n_max, coverage_tol)
+    if n_max is None:
+        amplitude = np.abs(hat)
+        radius = np.max(np.abs(grid.xi[amplitude > _VISIBLE_TOL * amplitude.max()]), initial=0.0)
+        n_max = int(np.ceil(radius)) + 1
+    elif n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    _require_covered(grid, hat, n_max)
     stack, _ = _band_stack(grid, n_max)
 
-    def draw(g: np.ndarray) -> Field:
+    def sample(seed: int) -> Field:
+        g = sample_coefficients(distribution, seed, n_max)
         return Field.from_spectrum(grid, _readonly(hat * (g @ stack)))
 
-    return draw
-
-
-def randomize(
-    phi: Field,
-    coeffs: RandomCoefficients,
-    coverage_tol: float = 1e-10,
-) -> Field:
-    """Apply the unit-cube randomization: phi -> sum_n g_n psi(D - n) phi.
-
-    The coefficient range must cover the spectral support of phi (see
-    `require_coverage`).
-    """
-    return randomizer(phi, coeffs.n_max, coverage_tol)(coeffs.values)
+    return sample

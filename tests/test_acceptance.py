@@ -35,7 +35,7 @@ from gkdvlab.params import CRITICAL_INDEX, data_index
 from gkdvlab.probes import ProbeResolution, estimate_ids, run_estimates
 from gkdvlab.solver import evolve_reference, picard_solve, reconstruct_solution
 from gkdvlab.spacetime import centered_axis
-from gkdvlab.wiener import coverage_weight, randomize, sample_coefficients
+from gkdvlab.wiener import coverage_weight, sampler
 
 from conftest import banded_bump
 
@@ -85,7 +85,7 @@ def test_criterion_02_partition_of_unity():
 
     g2 = make_grid(32.0, 512)
     bump = field_from_function(g2, lambda x: np.exp(-(x**2)))
-    out = randomize(bump, sample_coefficients("ones", 0, 16))
+    out = sampler(bump, "ones", 16)(0)
     reproduce_err = float(
         np.max(np.abs(out.values - bump.values)) / np.max(np.abs(bump.values))
     )
@@ -166,7 +166,7 @@ def test_criterion_06_tail_shape():
     phi = field_from_function(g, lambda x: np.exp(-(x**2)))
     s = data_index(0.05)
     records = run_ensemble(
-        phi, 10_000, {"hs": lambda f: sobolev_norm(f, s)}, seed=2026, distribution="gaussian"
+        sampler(phi, "gaussian"), 10_000, {"hs": lambda f: sobolev_norm(f, s)}, seed=2026
     )
     obs = np.array([r.values["hs"] for r in records])
     fit = tail_fit(records, "hs", make_lambda_grid(obs, 12, 0.9, 0.995))
@@ -194,7 +194,7 @@ def test_criterion_07_free_evolution_tail_scaling():
     g = make_grid(16.0, 128)
     phi = field_from_function(g, lambda x: np.exp(-(x**2)))
     report_obj = strichartz_scaling(
-        phi, 4.0, 4.0, [0.125, 0.25, 0.5], 10_000, seed=2026, n_time_samples=64
+        sampler(phi, "gaussian"), 4.0, 4.0, [0.125, 0.25, 0.5], 10_000, seed=2026, n_time_samples=64
     )
     lo, hi = 0.7 * 0.25, 1.3 * 0.25
     ok = lo <= report_obj.alpha <= hi
@@ -217,14 +217,13 @@ def test_criterion_08_local_solvability_trend():
     phi = apply_multiplier(raw, (np.abs(g.xi) <= 2.0).astype(float))
     ta = centered_axis(4.0, 256)
     rep = exceptional_probability(
-        phi,
+        sampler(phi, "rademacher"),
         [0.25, 0.125, 0.0625, 0.03125],
         200,
         tol=1e-10,
         taxis=ta,
         xi_band=4.0,
         seed=42,
-        distribution="rademacher",
         threads=2,
     )
     fractions = [r.fraction for r in rep.rows]

@@ -126,11 +126,19 @@ class TestConfigErrors:
             ("lwp", "xi_band", "0"),
             ("lwp", "t_grid", "0.0625,0.125"),
             ("estimates", "half_length", "0"),
+            ("strichartz", "q", "0.5"),
+            ("strichartz", "q", "inf"),
+            ("strichartz", "r", "0.5"),
+            ("strichartz", "n_time_samples", "0"),
+            ("simulate", "dt", "0"),
+            ("simulate", "output_stride", "-1"),
+            ("simulate", "diag_stride", "0"),
         ],
     )
     def test_bad_run_key_exit_2(self, tmp_path, capsys, section, key, value):
         cfg = write_cfg(tmp_path, f"[{section}]\n{key} = {value}\n")
-        command = "lwp-ensemble" if section == "lwp" else "verify-estimates"
+        command = {"lwp": "lwp-ensemble", "estimates": "verify-estimates",
+                   "strichartz": "strichartz-tail", "simulate": "simulate"}[section]
         assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
         assert f"[{section}] {key} must be" in capsys.readouterr().err
 

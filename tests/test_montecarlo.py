@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from gkdvlab import montecarlo
-from gkdvlab.grid import apply_multiplier, field_from_function, l2_norm, make_grid
+from gkdvlab import wiener
+from gkdvlab.grid import Field, Grid, apply_multiplier, field_from_function, l2_norm, make_grid
 from gkdvlab.io import ensemble_table
 from gkdvlab.montecarlo import (
-    auto_n_max,
     exceedance_fit_line,
     exceptional_probability,
     fit_scale_exponent,
@@ -25,7 +25,7 @@ from gkdvlab.montecarlo import (
 from gkdvlab.norms import mixed_norm, sobolev_norm
 from gkdvlab.spacetime import centered_axis, midpoint_axis
 from gkdvlab.streams import child_seed
-from gkdvlab.wiener import _band_stack, require_coverage, sample_coefficients
+from gkdvlab.wiener import _band_stack, sample_coefficients, sampler
 
 from conftest import banded_bump
 
@@ -34,15 +34,15 @@ class TestRunEnsemble:
     def test_deterministic_across_calls(self, grid64):
         phi = banded_bump(grid64, band=3.0)
         obs = {"hs": lambda f: sobolev_norm(f, 0.2)}
-        a = run_ensemble(phi, 32, obs, seed=5)
-        b = run_ensemble(phi, 32, obs, seed=5)
+        a = run_ensemble(sampler(phi, "gaussian"), 32, obs, seed=5)
+        b = run_ensemble(sampler(phi, "gaussian"), 32, obs, seed=5)
         assert [x.index for x in a] == list(range(32))
         assert all(x.values == y.values and x.seed == y.seed for x, y in zip(a, b))
 
     def test_degenerate_ones_reproduces_norm(self, grid64):
         phi = banded_bump(grid64, band=3.0)
         recs = run_ensemble(
-            phi, 1, {"hs": lambda f: sobolev_norm(f, 0.25)}, seed=1, distribution="ones"
+            sampler(phi, "ones"), 1, {"hs": lambda f: sobolev_norm(f, 0.25)}, seed=1
         )
         assert recs[0].values["hs"] == pytest.approx(sobolev_norm(phi, 0.25), rel=1e-12)
 
@@ -52,55 +52,66 @@ class TestRunEnsemble:
         def broken(f):
             raise RuntimeError("observable exploded")
 
-        recs = run_ensemble(phi, 4, {"bad": broken}, seed=2)
+        recs = run_ensemble(sampler(phi, "gaussian"), 4, {"bad": broken}, seed=2)
         assert len(recs) == 4
         assert all(r.blown_up for r in recs)
 
     def test_callable_spec_returns_mapping(self, grid64):
         phi = banded_bump(grid64, band=3.0)
         recs = run_ensemble(
-            phi, 3, lambda f: {"a": l2_norm(f), "b": 2.0 * l2_norm(f)}, seed=3
+            sampler(phi, "gaussian"), 3, lambda f: {"a": l2_norm(f), "b": 2.0 * l2_norm(f)}, seed=3
         )
         for r in recs:
             assert r.values["b"] == pytest.approx(2.0 * r.values["a"])
 
     def test_auto_n_max_covers_support(self, grid64):
+        # the data reach |xi| = 2.95 < 3: the automatic range is n_max = 4
         phi = banded_bump(grid64, band=3.0)
-        assert auto_n_max(phi) == 4
+        auto = sampler(phi, "gaussian")
+        for seed in (0, 5):
+            assert np.array_equal(auto(seed).values, sampler(phi, "gaussian", 4)(seed).values)
+            assert not np.array_equal(auto(seed).values, sampler(phi, "gaussian", 5)(seed).values)
+        # zero data take the least range
+        zero = Field(grid64, np.zeros(64))
+        assert np.array_equal(sampler(zero, "gaussian")(1).values, np.zeros(64))
 
     @pytest.mark.parametrize("n_max", [0, 1])
     @pytest.mark.parametrize("threads", [1, 2])
     def test_uncovering_n_max_raises_before_any_sample(self, grid64, n_max, threads):
-        # the data reach |xi| = 3: n_max = 1 does not cover them
+        # the data reach |xi| = 3: n_max = 1 does not cover them; the
+        # sampler refuses before the ensemble starts
         phi = banded_bump(grid64, band=3.0)
         seen = []
         with pytest.raises(ValueError, match="n_max|coefficient range"):
-            run_ensemble(phi, 4, {"x": seen.append}, seed=2, n_max=n_max, threads=threads)
+            run_ensemble(
+                sampler(phi, "gaussian", n_max), 4, {"x": seen.append}, seed=2, threads=threads
+            )
         assert seen == []
 
     def test_unknown_distribution_raises_before_any_sample(self, grid64):
         phi = banded_bump(grid64, band=3.0)
         seen = []
         with pytest.raises(ValueError, match="unknown distribution 'cauchy'"):
-            run_ensemble(phi, 5, {"x": seen.append}, seed=1, distribution="cauchy")
+            run_ensemble(sampler(phi, "cauchy"), 5, {"x": seen.append}, seed=1)
         assert seen == []
 
 
 def _former_tail_observations(phi, t_grid, n_samples, seed, n_time_samples=64):
     """q = r = 4 free-evolution norms by the former per-sample chain:
-    `randomize` through the samples (coverage check, phi transformed forward,
-    the product transformed back), the complex free evolution of the
-    sample's samples on all N modes, and |z|^4 as abs(z)**4."""
+    the randomization through the samples (phi transformed forward, the
+    product transformed back), the complex free evolution of the sample's
+    samples on all N modes, and |z|^4 as abs(z)**4, on the range that covers
+    every mode above 1e-13 times the peak."""
     grid = phi.grid
-    n_max = auto_n_max(phi)
+    amplitude = np.abs(grid.forward(phi.values))
+    n_max = int(np.ceil(np.max(np.abs(grid.xi[amplitude > 1e-13 * amplitude.max()])))) + 1
     stack = _band_stack(grid, n_max)[0]
     tables = {t: np.exp(1j * np.outer(midpoint_axis(t, n_time_samples).t, grid.xi**3)) for t in t_grid}
     dt = {t: midpoint_axis(t, n_time_samples).dt for t in t_grid}
     out = {t: np.empty(n_samples) for t in t_grid}
     for k in range(n_samples):
-        coeffs = sample_coefficients("gaussian", child_seed(seed, k), n_max)
-        require_coverage(phi, n_max)
-        sample = grid.inverse(grid.forward(phi.values) * (coeffs.values @ stack))
+        g = sample_coefficients("gaussian", child_seed(seed, k), n_max)
+        sample = grid.inverse(grid.forward(phi.values) * (g @ stack))
         for t, table in tables.items():
             z = grid.inverse(table * grid.forward(sample)[None, :])
             inner = (grid.dx * np.sum(np.abs(z) ** 4, axis=1)) ** 0.25
@@ -113,7 +124,7 @@ def test_tail_path_matches_former_chain(seed):
     # the tail workload's data: a unit gaussian bump, N = 128 on [-16, 16)
     phi = field_from_function(make_grid(16.0, 128), lambda x: np.exp(-(x**2)))
     t_grid = [0.125, 0.25, 0.5]
-    report = strichartz_scaling(phi, 4.0, 4.0, t_grid, 1000, seed=seed)
+    report = strichartz_scaling(sampler(phi, "gaussian"), 4.0, 4.0, t_grid, 1000, seed=seed)
     former = _former_tail_observations(phi, t_grid, 1000, seed)
     for t in t_grid:
         new = np.array([r.values[f"T={t!r}"] for r in report.records])
@@ -145,8 +156,8 @@ class TestWorkerProcesses:
         phi = apply_multiplier(raw, (np.abs(grid64.xi) <= 2.0).astype(float))
         reports = [
             exceptional_probability(
-                phi, [0.25, 0.03125], 100, tol=1e-10, taxis=centered_axis(4.0, 256),
-                xi_band=4.0, seed=42, distribution="rademacher", threads=threads,
+                sampler(phi, "rademacher"), [0.25, 0.03125], 100, tol=1e-10,
+                taxis=centered_axis(4.0, 256), xi_band=4.0, seed=42, threads=threads,
             )
             for threads in (1, 2, 3)
         ]
@@ -159,8 +170,8 @@ class TestWorkerProcesses:
     def test_tail_records_equal_across_worker_counts(self, grid64):
         phi = banded_bump(grid64, band=3.0)
         reports = [
-            strichartz_scaling(phi, 4.0, 4.0, [0.125, 0.25, 0.5], 1000, seed=3,
-                               n_time_samples=32, threads=threads)
+            strichartz_scaling(sampler(phi, "gaussian"), 4.0, 4.0, [0.125, 0.25, 0.5], 1000,
+                               seed=3, n_time_samples=32, threads=threads)
             for threads in (1, 2, 3)
         ]
         for rep in reports[1:]:
@@ -169,11 +180,11 @@ class TestWorkerProcesses:
 
     def test_workers_capped_at_usable_cpus(self, grid64, monkeypatch):
         phi = banded_bump(grid64, band=3.0)
-        obs = {"pid": lambda f: float(os.getpid())}
-        pids = {r.values["pid"] for r in run_ensemble(phi, 24, obs, seed=5, threads=3)}
+        sample, obs = sampler(phi, "gaussian"), {"pid": lambda f: float(os.getpid())}
+        pids = {r.values["pid"] for r in run_ensemble(sample, 24, obs, seed=5, threads=3)}
         assert 1 <= len(pids) <= 3 and float(os.getpid()) not in pids
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
-        pids = {r.values["pid"] for r in run_ensemble(phi, 24, obs, seed=5, threads=3)}
+        pids = {r.values["pid"] for r in run_ensemble(sample, 24, obs, seed=5, threads=3)}
         assert pids == {float(os.getpid())}
 
     def test_observable_error_in_worker_is_recorded(self, grid64):
@@ -182,7 +193,7 @@ class TestWorkerProcesses:
         def broken(f):
             raise RuntimeError("observable exploded")
 
-        recs = run_ensemble(phi, 4, {"bad": broken}, seed=2, threads=2)
+        recs = run_ensemble(sampler(phi, "gaussian"), 4, {"bad": broken}, seed=2, threads=2)
         assert [r.index for r in recs] == [0, 1, 2, 3]
         assert all(r.blown_up for r in recs)
 
@@ -193,7 +204,7 @@ class TestWorkerProcesses:
             os._exit(3)
 
         with pytest.raises(BrokenProcessPool):
-            run_ensemble(phi, 4, {"x": dies}, seed=2, threads=2)
+            run_ensemble(sampler(phi, "gaussian"), 4, {"x": dies}, seed=2, threads=2)
 
 
 class TestTailFit:
@@ -229,7 +240,9 @@ class TestTailFit:
 
     def test_records_interface(self, grid64):
         phi = banded_bump(grid64, band=3.0)
-        recs = run_ensemble(phi, 1200, {"hs": lambda f: sobolev_norm(f, 0.2)}, seed=9)
+        recs = run_ensemble(
+            sampler(phi, "gaussian"), 1200, {"hs": lambda f: sobolev_norm(f, 0.2)}, seed=9
+        )
         obs = np.array([r.values["hs"] for r in recs])
         fit = tail_fit(recs, "hs", make_lambda_grid(obs))
         assert fit.slope < 0
@@ -265,7 +278,7 @@ class TestScalePipeline:
 
     def test_non_finite_sample_lowers_n_used_by_one(self, grid64, monkeypatch):
         phi = banded_bump(grid64, band=3.0)
-        args = (phi, 4.0, 4.0, [0.125, 0.25, 0.5], 1001)
+        args = (sampler(phi, "gaussian"), 4.0, 4.0, [0.125, 0.25, 0.5], 1001)
         clean = strichartz_scaling(*args, seed=3, n_time_samples=16)
         calls = itertools.count()
 
@@ -288,22 +301,22 @@ class TestScalePipeline:
 
     def test_strichartz_run_small(self, grid64):
         phi = banded_bump(grid64, band=3.0)
-        rep = strichartz_scaling(phi, 4.0, 4.0, [0.125, 0.25, 0.5], 1500, seed=3,
-                                 n_time_samples=32)
+        rep = strichartz_scaling(sampler(phi, "gaussian"), 4.0, 4.0, [0.125, 0.25, 0.5], 1500,
+                                 seed=3, n_time_samples=32)
         assert 0.7 * 0.25 <= rep.alpha <= 1.3 * 0.25
 
     def test_needs_three_T_values(self, grid64):
         phi = banded_bump(grid64, band=3.0)
         with pytest.raises(ValueError):
-            strichartz_scaling(phi, 4.0, 4.0, [0.25, 0.5], 1500)
+            strichartz_scaling(sampler(phi, "gaussian"), 4.0, 4.0, [0.25, 0.5], 1500)
 
 
 class TestExceptionalProbability:
     def test_zero_data_all_converge(self, grid64):
         phi = field_from_function(grid64, lambda x: 0.0 * x)
         rep = exceptional_probability(
-            phi, [0.25, 0.125], 100, tol=1e-10, taxis=centered_axis(4.0, 256),
-            xi_band=4.0, seed=1, n_max=3,
+            sampler(phi, "gaussian", 3), [0.25, 0.125], 100, tol=1e-10,
+            taxis=centered_axis(4.0, 256), xi_band=4.0, seed=1,
         )
         assert all(r.failures == 0 for r in rep.rows)
         assert rep.trend_ok
@@ -311,8 +324,8 @@ class TestExceptionalProbability:
     def test_records_carry_discarded_band_mass(self, grid64):
         phi = banded_bump(grid64, amplitude=0.5, band=2.0)
         rep = exceptional_probability(
-            phi, [0.25], 100, tol=1e-10, taxis=centered_axis(4.0, 64),
-            xi_band=2.0, seed=2, n_max=3,
+            sampler(phi, "gaussian", 3), [0.25], 100, tol=1e-10,
+            taxis=centered_axis(4.0, 64), xi_band=2.0, seed=2,
         )
         header, rows = ensemble_table(rep.records[0.25], extra={"T": 0.25})
         col = np.array([row[header.index("discarded_band_mass")] for row in rows])
@@ -322,9 +335,32 @@ class TestExceptionalProbability:
     def test_requires_descending_grid(self, grid64):
         phi = banded_bump(grid64, band=2.0)
         with pytest.raises(ValueError):
-            exceptional_probability(phi, [0.125, 0.25], 100, tol=1e-10)
+            exceptional_probability(sampler(phi, "gaussian"), [0.125, 0.25], 100, tol=1e-10)
 
     def test_requires_hundred_samples(self, grid64):
         phi = banded_bump(grid64, band=2.0)
         with pytest.raises(ValueError):
-            exceptional_probability(phi, [0.25], 50, tol=1e-10)
+            exceptional_probability(sampler(phi, "gaussian"), [0.25], 50, tol=1e-10)
+
+    def test_phi_transformed_and_checked_once_over_four_T(self, grid64, monkeypatch):
+        # one sampler serves every T of the sweep
+        phi = banded_bump(grid64, amplitude=0.5, band=2.0)
+        transforms, checks = [], []
+        forward, covered = Grid.forward, wiener._require_covered
+
+        def counted_forward(grid, values):
+            transforms.append(values is phi.values)
+            return forward(grid, values)
+
+        def counted_covered(*args):
+            checks.append(args)
+            return covered(*args)
+
+        monkeypatch.setattr(Grid, "forward", counted_forward)
+        monkeypatch.setattr(wiener, "_require_covered", counted_covered)
+        rep = exceptional_probability(
+            sampler(phi, "gaussian"), [0.25, 0.125, 0.0625, 0.03125], 100, tol=1e-10,
+            taxis=centered_axis(4.0, 64), xi_band=2.0, seed=2,
+        )
+        assert [row.n for row in rep.rows] == [100] * 4
+        assert transforms.count(True) == 1 and len(checks) == 1

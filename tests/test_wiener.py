@@ -15,16 +15,13 @@ from gkdvlab.grid import (
 )
 from gkdvlab.norms import sobolev_norm
 from gkdvlab.wiener import (
-    RandomCoefficients,
     _band_stack,
     _component_draws,
     coverage_weight,
     partition_window,
-    randomize,
-    randomizer,
-    require_coverage,
     require_distribution,
     sample_coefficients,
+    sampler,
 )
 
 from conftest import banded_bump
@@ -71,9 +68,8 @@ class TestProjectBand:
 
     def test_commutes_with_airy(self, grid64):
         f = banded_bump(grid64, band=3.0)
-        coeffs = sample_coefficients("gaussian", 2, 4)
-        a = randomize(airy_propagate(f, 0.7), coeffs)
-        b = airy_propagate(randomize(f, coeffs), 0.7)
+        a = sampler(airy_propagate(f, 0.7), "gaussian", 4)(2)
+        b = airy_propagate(sampler(f, "gaussian", 4)(2), 0.7)
         scale = max(np.max(np.abs(a.values)), 1e-30)
         assert np.max(np.abs(a.values - b.values)) <= 1e-12 * scale
 
@@ -82,13 +78,13 @@ class TestSampleCoefficients:
     def test_deterministic(self):
         a = sample_coefficients("gaussian", 12, 20)
         b = sample_coefficients("gaussian", 12, 20)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_hermitian_pairing(self):
         c = sample_coefficients("uniform", 5, 16)
         for n in range(1, 17):
-            assert c.values[16 - n] == np.conj(c.values[16 + n])
-        assert c.values[16].imag == 0.0
+            assert c[16 - n] == np.conj(c[16 + n])
+        assert c[16].imag == 0.0
 
     def test_unknown_distribution(self):
         with pytest.raises(ValueError):
@@ -96,23 +92,12 @@ class TestSampleCoefficients:
 
     @pytest.mark.parametrize("dist", ["gaussian", "ones"])
     def test_drawn_sequence_passes_the_caller_checks(self, dist):
-        # sample_coefficients skips the re-validation; the sequence it builds
-        # must pass it
+        # the checks a caller's sequence once had to pass: length 2*n_max+1,
+        # g_0 real, g_{-n} = conj(g_n); the array is complex and read-only
         c = sample_coefficients(dist, 3, 6)
-        checked = RandomCoefficients(c.seed, c.distribution, c.n_max, c.values)
-        assert np.array_equal(checked.values, c.values)
-        assert (checked.seed, checked.distribution, checked.n_max) == (3, dist, 6)
-        assert c.values.dtype == np.complex128 and not c.values.flags.writeable
-
-    def test_caller_input_still_validated(self):
-        values = np.ones(5, np.complex128)
-        values[0] = 2.0  # g_{-2} != conj(g_2)
-        with pytest.raises(ValueError, match="Hermitian"):
-            RandomCoefficients(0, "gaussian", 2, values)
-        with pytest.raises(ValueError, match="real"):
-            RandomCoefficients(0, "gaussian", 2, np.array([1, 1, 1j, 1, 1], np.complex128))
-        with pytest.raises(ValueError, match="length"):
-            RandomCoefficients(0, "gaussian", 2, np.ones(4))
+        assert c.shape == (13,) and c[6].imag == 0.0
+        assert np.array_equal(c[:6][::-1], np.conj(c[7:]))
+        assert c.dtype == np.complex128 and not c.flags.writeable
 
     @pytest.mark.parametrize("dist", ["gaussian", "rademacher", "uniform"])
     def test_moments_match_monte_carlo_oracle(self, dist):
@@ -122,8 +107,7 @@ class TestSampleCoefficients:
         n_max = 25
         re_parts, sq_mods = [], []
         for seed in range(n_draws):
-            c = sample_coefficients(dist, seed, n_max)
-            g = c.values[n_max + 1 :]
+            g = sample_coefficients(dist, seed, n_max)[n_max + 1 :]
             re_parts.append(g.real)
             sq_mods.append(np.abs(g) ** 2)
         re = np.concatenate(re_parts)
@@ -194,56 +178,55 @@ class TestMgfBound:
 
 
 class TestRandomize:
+    """`sampler`: the randomization as a map from a seed to a field."""
+
     def test_all_ones_reproduces(self, grid512, bump):
-        out = randomize(bump, sample_coefficients("ones", 0, 16))
+        out = sampler(bump, "ones", 16)(0)
         assert np.max(np.abs(out.values - bump.values)) <= 1e-12 * np.max(np.abs(bump.values))
 
     def test_real_data_stays_real(self, bump):
-        out = randomize(bump, sample_coefficients("gaussian", 3, 16))
+        out = sampler(bump, "gaussian", 16)(3)
         assert np.max(np.abs(out.values.imag)) <= 1e-12
 
     def test_linear_in_data(self, grid64):
         f = banded_bump(grid64, band=3.0)
         g = banded_bump(grid64, amplitude=0.4, band=3.0)
-        coeffs = sample_coefficients("gaussian", 9, 5)
         fg = Field(grid64, f.values + g.values)
-        combined = randomize(fg, coeffs)
-        separate = randomize(f, coeffs).values + randomize(g, coeffs).values
+        combined = sampler(fg, "gaussian", 5)(9)
+        separate = sampler(f, "gaussian", 5)(9).values + sampler(g, "gaussian", 5)(9).values
         assert np.max(np.abs(combined.values - separate)) <= 1e-12 * np.max(np.abs(separate))
 
     def test_coverage_violation_rejected(self, grid64):
         f = banded_bump(grid64, band=4.0)
-        with pytest.raises(ValueError):
-            randomize(f, sample_coefficients("gaussian", 1, 2))
         with pytest.raises(ValueError, match="exceeds the coefficient range"):
-            randomizer(f, 2)
+            sampler(f, "gaussian", 2)
         with pytest.raises(ValueError, match="n_max must be >= 1"):
-            randomizer(f, 0)
+            sampler(f, "gaussian", 0)
+        with pytest.raises(ValueError, match="unknown distribution 'cauchy'"):
+            sampler(f, "cauchy", 5)
 
     @pytest.mark.parametrize("n_modes,seed", [(128, 1), (512, 2)])
     def test_matches_former_multiplier_route(self, n_modes, seed):
-        # the former route: coverage and the multiplier through the samples,
-        # phi transformed forward and the product back on every call
+        # the former route: the multiplier through the samples, phi
+        # transformed forward and the product back on every call
         grid = make_grid(16.0, n_modes)
         phi = field_from_function(grid, lambda x: np.exp(-(x**2)))
-        coeffs = sample_coefficients("gaussian", seed, 8)
+        g = sample_coefficients("gaussian", seed, 8)
         stack = _band_stack(grid, 8)[0]
-        require_coverage(phi, 8)
-        old = apply_multiplier(phi, coeffs.values @ stack)
-        new = randomize(phi, coeffs)
+        old = apply_multiplier(phi, g @ stack)
+        new = sampler(phi, "gaussian", 8)(seed)
         scale = np.max(np.abs(old.values))
         assert np.max(np.abs(new.values - old.values)) <= 1e-15 * scale
         # the field carries its spectrum, the one product
-        assert np.array_equal(spectral_values(new), spectral_values(phi) * (coeffs.values @ stack))
-        assert np.array_equal(randomizer(phi, 8)(coeffs.values).values, new.values)
+        assert np.array_equal(spectral_values(new), spectral_values(phi) * (g @ stack))
 
     def test_ensemble_l2_mean_matches_band_sum(self, grid512, bump):
         # independence + mean-zero cross terms: E ||phi^omega||^2 = sum_n ||psi(D-n) phi||^2
         n_samples = 10_000
+        sample = sampler(bump, "gaussian", 16)
         vals = np.empty(n_samples)
         for k in range(n_samples):
-            out = randomize(bump, sample_coefficients("gaussian", k, 16))
-            vals[k] = l2_norm(out) ** 2
+            vals[k] = l2_norm(sample(k)) ** 2
         rows = _band_stack(grid512, 16)[0]
         band_sum = sum(l2_norm(apply_multiplier(bump, row)) ** 2 for row in rows)
         se = vals.std() / np.sqrt(n_samples)
@@ -255,10 +238,11 @@ class TestRandomize:
         # sum_n || <D>^s psi(D - n) phi ||_{L^2}^2
         weighted = (1.0 + grid512.xi**2) ** s * np.abs(spectral_values(bump)) ** 2
         rhs_sum = float(grid512.dxi * np.sum(_band_stack(grid512, 16)[0] ** 2 @ weighted))
+        sample = sampler(bump, "gaussian", 16)
         for seed in range(20):
-            coeffs = sample_coefficients("gaussian", seed, 16)
-            lhs = sobolev_norm(randomize(bump, coeffs), s) ** 2
-            bound = 2.0 * float(np.max(np.abs(coeffs.values)) ** 2) * rhs_sum
+            lhs = sobolev_norm(sample(seed), s) ** 2
+            g = sample_coefficients("gaussian", seed, 16)
+            bound = 2.0 * float(np.max(np.abs(g)) ** 2) * rhs_sum
             assert lhs <= bound * (1.0 + 1e-12)
 
 
@@ -273,4 +257,4 @@ def test_window_translates_sum_to_one_anywhere(offset):
 @given(seed=st.integers(0, 1000), n_max=st.integers(1, 24))
 def test_hermitian_pairing_holds_for_any_draw(seed, n_max):
     c = sample_coefficients("gaussian", seed, n_max)
-    assert np.allclose(c.values[:n_max][::-1], np.conj(c.values[n_max + 1 :]), atol=1e-15)
+    assert np.allclose(c[:n_max][::-1], np.conj(c[n_max + 1 :]), atol=1e-15)
