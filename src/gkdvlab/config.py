@@ -207,6 +207,8 @@ def _finalize(raw: dict, problems: list[str]) -> RunConfig:
             continue
         if sect == "lwp" and sorted(values, reverse=True) != values:
             problems.append("[lwp] t_grid must be descending")
+        if sect == "strichartz" and len(values) < 3:
+            problems.append("[strichartz] t_grid needs at least three T values for tail fitting")
     if raw["grid"]["half_length"] > 0:
         step = math.pi / raw["grid"]["half_length"]
         if not raw["lwp"]["xi_band"] >= step:
@@ -220,6 +222,7 @@ def _finalize(raw: dict, problems: list[str]) -> RunConfig:
         problems.append("[strichartz] q must be >= 1 and finite")
     for sect, key, least in (
         ("random", "n_max", 0),
+        ("ensemble", "n_samples", 1000),
         ("ensemble", "threads", 1),
         ("strichartz", "r", 1),
         ("strichartz", "n_time_samples", 1),

@@ -14,21 +14,24 @@ Two routes to the same solution:
   solution is u = v + z; both routes must agree, which is the main
   cross-validation of this module.
 
-`evolve_reference` runs the first route and `picard_solve` the second;
-`nonlinearity_coeffs` is the one evaluation of N that both use. Both
-routes hold the state as x-spectral coefficients (the grid's transform
-convention; a space-time state is an m_t x N array of them) and return to
-physical samples only for output and for the blow-up test. The
-degree-8 product of the real state goes from N coefficients by one real
-inverse FFT to the smallest padded grid of M >= 9N/2 points, where it is
-alias-free, and the unpaired Nyquist mode is zeroed after every nonlinear
-evaluation.
+`evolve_reference` runs the first route and `picard_solve` the second.
+Both hold the state as x-spectral coefficients (the grid's transform
+convention): the integrator the modes 0 .. N/2 of the grid's real pair,
+the Picard iteration an m_t x N array of full spectra. They return to
+physical samples only for output and for the blow-up test. One kernel
+evaluates N for both: the modes |k| < N/2 go by one real inverse FFT to
+the smallest padded grid of M >= 9N/2 points, where the degree-8 product
+is alias-free, and one real FFT of u^8 times a cached per-grid table gives
+N on the modes 0 .. N/2, the unpaired Nyquist mode zero. The integrator
+shares each state's padded samples between its conservation diagnostic
+and the next step's first stage; `nonlinearity_coeffs`, Picard's entry,
+extends the kernel's output to the full spectrum by conjugate symmetry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -68,16 +71,36 @@ def _fine_size(n: int) -> int:
     return m + m % 2
 
 
+@lru_cache(maxsize=8)
+def _fine_tables(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """The padded product's two per-grid tables, cached and read-only.
+
+    `to_fine` (modes 0 .. N/2-1) carries `grid.to_dft`'s scale and phase
+    times M/N, so that the real inverse FFT to M points of `hat * to_fine`
+    gives the state's samples on the padded grid. `from_fine` (modes
+    0 .. N/2) carries `grid.from_dft`'s scale and phase times N/M and the
+    symbol -i xi/8, so that the first N/2+1 modes of the real FFT of u^8
+    times it are the coefficients of -d_x(u^8)/8; its Nyquist entry is zero.
+    """
+    n = grid.n_modes
+    m = _fine_size(n)
+    half = n // 2
+    to_fine = grid.to_dft(np.full(n, m / n))[:half]
+    from_fine = grid.from_dft((-1j * (n / m) / NONLINEARITY_DEGREE) * grid.xi)[: half + 1]
+    from_fine[half] = 0.0
+    return _readonly(to_fine), _readonly(from_fine)
+
+
 def _fine_samples(grid: Grid, hat: np.ndarray) -> np.ndarray:
-    """Real samples, on the `_fine_size` grid, of the real state with
-    coefficients `hat` (last axis; leading axes are a batch).
+    """Real samples, on the `_fine_size` grid, of the real state whose modes
+    0 .. N/2 (or all N) have coefficients `hat` (last axis; leading axes are
+    a batch).
 
     Only the modes 0 <= k < N/2 are read: a real state's other modes are
     their conjugates, and the unpaired Nyquist mode is dropped.
     """
-    n = grid.n_modes
-    m = _fine_size(n)
-    return np.fft.irfft(grid.to_dft(hat)[..., : n // 2], m) * (m / n)
+    half = grid.n_modes // 2
+    return np.fft.irfft(hat[..., :half] * _fine_tables(grid)[0], _fine_size(grid.n_modes))
 
 
 def _eighth_power(w: np.ndarray) -> np.ndarray:
@@ -88,41 +111,59 @@ def _eighth_power(w: np.ndarray) -> np.ndarray:
     return w
 
 
-def _power8_coeffs(grid: Grid, hat: np.ndarray) -> np.ndarray:
-    """Alias-free raw DFT coefficients of u^8 on the coarse grid (u real).
+def _fine_pair(grid: Grid, hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The state's `_fine_samples` u and their `_eighth_power`, formed once
+    for its conservation diagnostic and the next step's first stage."""
+    u = _fine_samples(grid, hat)
+    return u, _eighth_power(u.copy())
 
-    The coarse spectrum is Hermitian; its Nyquist mode stays zero.
-    """
-    n = grid.n_modes
-    half = n // 2
-    w = _eighth_power(_fine_samples(grid, hat))
-    low = np.fft.rfft(w)[..., :half] * (n / w.shape[-1])
-    out = np.zeros(low.shape[:-1] + (n,), dtype=np.complex128)
-    out[..., :half] = low
-    out[..., half + 1:] = np.conj(low[..., :0:-1])
-    return out
+
+def _nonlinearity(grid: Grid, w8: np.ndarray) -> np.ndarray:
+    """Coefficients of -d_x(u^8)/8 on the modes 0 .. N/2 (the Nyquist mode
+    zero) from the padded samples `w8` of u^8 (last axis; leading axes are a
+    batch)."""
+    raw = np.fft.rfft(w8)[..., : grid.n_modes // 2 + 1]
+    return np.multiply(raw, _fine_tables(grid)[1], out=raw)
 
 
 def nonlinearity_coeffs(grid: Grid, hat: np.ndarray) -> np.ndarray:
-    """Coefficients of -d_x(u^8)/8 from the coefficients `hat` of the real
-    state u (transform convention, last axis; leading axes are a batch)."""
-    return (-1j * grid.xi / NONLINEARITY_DEGREE) * grid.from_dft(_power8_coeffs(grid, hat))
+    """Coefficients of -d_x(u^8)/8 from the full spectrum `hat` of the real
+    state u (transform convention, last axis; leading axes are a batch).
 
-
-def conserved_quantities(grid: Grid, hat: np.ndarray) -> tuple[float, float, float]:
-    """(mean, mass, energy) = (int u, int u^2, int (u_x^2/2 - u^9/72)) of the
-    real state with coefficients `hat`.
-
-    The quadratic pieces are exact spectral sums (Parseval); the u^9
-    integral is taken on the padded grid where it is alias-free.
+    The shared kernel gives the modes 0 .. N/2; the modes N/2+1 .. N-1 are
+    the conjugates of modes N/2-1 .. 1.
     """
-    power = np.abs(hat) ** 2
+    n = grid.n_modes
+    half = n // 2
+    low = _nonlinearity(grid, _eighth_power(_fine_samples(grid, hat)))
+    out = np.empty(low.shape[:-1] + (n,), dtype=np.complex128)
+    out[..., : half + 1] = low
+    out[..., half + 1 :] = np.conj(low[..., half - 1 : 0 : -1])
+    return out
+
+
+def conserved_quantities(
+    grid: Grid, hat: np.ndarray, fine: tuple[np.ndarray, np.ndarray]
+) -> tuple[float, float, float]:
+    """(mean, mass, energy) = (int u, int u^2, int (u_x^2/2 - u^9/72)) of the
+    real state whose modes 0 .. N/2 have coefficients `hat`.
+
+    The quadratic pieces are exact spectral sums (Parseval) over the half
+    spectrum, with weights (1, 2, ..., 2, 1): each mode 0 < k < N/2 stands
+    for its conjugate partner too. The u^9 integral is taken on the padded
+    grid, where it is alias-free, from `fine`, the state's `_fine_pair`
+    (u, u^8).
+    """
+    u, w8 = fine
+    half = grid.n_modes // 2
+    weighted = np.full(half + 1, 2.0)
+    weighted[0] = weighted[half] = 1.0
+    weighted *= hat.real**2 + hat.imag**2
     mean = SQRT_2PI * float(hat[0].real)
-    mass = grid.dxi * float(np.sum(power))
-    kinetic = 0.5 * grid.dxi * float(np.sum(grid.xi**2 * power))
-    fine = _fine_samples(grid, hat)
-    dx_fine = 2.0 * grid.half_length / fine.shape[-1]
-    potential = dx_fine * float(np.sum(_eighth_power(fine.copy()) * fine)) / 72.0
+    mass = grid.dxi * float(np.sum(weighted))
+    kinetic = 0.5 * grid.dxi * float(grid.xi[: half + 1] ** 2 @ weighted)
+    dx_fine = 2.0 * grid.half_length / u.shape[-1]
+    potential = dx_fine * float(w8 @ u) / 72.0
     return mean, mass, kinetic - potential
 
 
@@ -163,6 +204,10 @@ def evolve_reference(
     sampled every `output_stride` steps (auto-chosen to keep about a
     thousand samples); diagnostics are recorded every `diag_stride` steps.
     A non-finite state stops the run and flags the trajectory as blown up.
+
+    The state is the coefficients of the modes 0 .. N/2 (`grid.real_forward`),
+    the rows are its `grid.real_inverse`, and each state's padded samples
+    are formed once, for its diagnostic and the next step's first stage.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -183,31 +228,32 @@ def evolve_reference(
     vals = phi.values
     if not is_real(vals):
         raise ValueError("evolve_reference expects real data")
-    hat = grid.forward(vals.real)
+    hat = grid.real_forward(vals.real)
 
-    lin = 1j * grid.xi**3
+    lin = 1j * grid.xi[: grid.n_modes // 2 + 1] ** 3
     e_full = np.exp(dt * lin)
     e_half = np.exp(0.5 * dt * lin)
 
     n_out = n_steps // output_stride + 1
     samples = np.empty((n_out, grid.n_modes))
-    samples[0] = grid.inverse(hat).real
+    samples[0] = grid.real_inverse(hat)
 
+    fine = _fine_pair(grid, hat)
     diag_steps = [0]
-    diag_rows = [conserved_quantities(grid, hat)]
+    diag_rows = [conserved_quantities(grid, hat, fine)]
 
     blown_up = False
     first_bad = None
     k_out = 1
     for step in range(1, n_steps + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            n1 = nonlinearity_coeffs(grid, hat)
+            n1 = _nonlinearity(grid, fine[1])
             a = e_half * (hat + 0.5 * dt * n1)
-            n2 = nonlinearity_coeffs(grid, a)
+            n2 = _nonlinearity(grid, _eighth_power(_fine_samples(grid, a)))
             b = e_half * hat + 0.5 * dt * n2
-            n3 = nonlinearity_coeffs(grid, b)
+            n3 = _nonlinearity(grid, _eighth_power(_fine_samples(grid, b)))
             c = e_full * hat + dt * e_half * n3
-            n4 = nonlinearity_coeffs(grid, c)
+            n4 = _nonlinearity(grid, _eighth_power(_fine_samples(grid, c)))
             hat = e_full * hat + (dt / 6.0) * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
 
         if not np.all(np.isfinite(hat)):
@@ -215,11 +261,12 @@ def evolve_reference(
             first_bad = step
             break
 
+        fine = _fine_pair(grid, hat)
         if step % diag_stride == 0 or step == n_steps:
             diag_steps.append(step)
-            diag_rows.append(conserved_quantities(grid, hat))
+            diag_rows.append(conserved_quantities(grid, hat, fine))
         if step % output_stride == 0:
-            samples[k_out] = grid.inverse(hat).real
+            samples[k_out] = grid.real_inverse(hat)
             k_out += 1
 
     taxis = TimeAxis(t0=0.0, dt=dt * output_stride, n_samples=k_out)

@@ -114,6 +114,18 @@ class TestConfigErrors:
         cfg = write_cfg(tmp_path, "[ensemble]\nn_samples = 10\n")
         assert main(["strichartz-tail", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
 
+    def test_tail_problems_reported_in_one_run(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path, "[ensemble]\nn_samples = 10\n[strichartz]\nq = 0.5\nt_grid = 0.25,0.5\n"
+        )
+        out = tmp_path / "x"
+        assert main(["strichartz-tail", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "[strichartz] q must be >= 1 and finite" in err
+        assert "[strichartz] t_grid needs at least three T values" in err
+        assert "[ensemble] n_samples must be >= 1000" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "section,key,value",
         [

@@ -3,12 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkdvlab.grid import Grid, field_from_function, make_grid
+from gkdvlab.grid import SQRT_2PI, Grid, field_from_function, make_grid
 from gkdvlab.norms import AliasingError, _xsb_power, _xsb_sum, xsb_norm
 from gkdvlab.params import b_index, sigma_index
 from gkdvlab.solver import (
     BLOWUP_THRESHOLD,
     BlowupError,
+    _eighth_power,
+    _fine_pair,
+    _fine_size,
     conserved_quantities,
     evolve_reference,
     nonlinearity_coeffs,
@@ -114,7 +117,8 @@ class TestPaddedProduct:
         ref_coeffs, ref_energy = _padded_oracle(grid, vals, 8 * n)
         hat = grid.forward(vals)
         assert _rel_max(nonlinearity_coeffs(grid, hat), ref_coeffs) <= 1e-13
-        energy = conserved_quantities(grid, hat)[2]
+        half_hat = grid.real_forward(vals)
+        energy = conserved_quantities(grid, half_hat, _fine_pair(grid, half_hat))[2]
         assert abs(energy - ref_energy) <= 1e-13 * abs(ref_energy)
 
     # Degree-8 products reach |k| <= 4N - 8, which a 4N grid folds onto
@@ -142,15 +146,29 @@ class TestPaddedProduct:
 
 class TestConservedQuantities:
     def test_zero_field(self, grid512):
-        assert conserved_quantities(grid512, np.zeros(512, np.complex128)) == (0.0, 0.0, 0.0)
+        hat = np.zeros(257, np.complex128)
+        assert conserved_quantities(grid512, hat, _fine_pair(grid512, hat)) == (0.0, 0.0, 0.0)
 
     def test_sine_closed_form(self):
         g = make_grid(np.pi, 128)
-        mean, mass, energy = conserved_quantities(g, g.forward(np.sin(g.x)))
+        hat = g.real_forward(np.sin(g.x))
+        mean, mass, energy = conserved_quantities(g, hat, _fine_pair(g, hat))
         assert abs(mean) <= 1e-13
         assert mass == pytest.approx(np.pi, rel=1e-13)
         # energy = (1/2) int cos^2 = pi/2; the odd u^9 term integrates to 0
         assert energy == pytest.approx(np.pi / 2, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [8, 10, 512])
+    def test_matches_full_spectrum_sums(self, n):
+        # real data with every mode, the unpaired Nyquist mode included, which
+        # the half-spectrum weights count once
+        g = make_grid(4.0, n)
+        vals = np.random.default_rng(n).standard_normal(n)
+        hat = g.real_forward(vals)
+        got = conserved_quantities(g, hat, _fine_pair(g, hat))
+        ref = _full_spectrum_diagnostics(g, g.forward(vals))
+        assert abs(got[0] - ref[0]) <= 1e-13 * np.max(np.abs(vals))
+        assert got[1:] == pytest.approx(ref[1:], rel=1e-13, abs=0.0)
 
 
 class TestEvolveReference:
@@ -204,6 +222,108 @@ class TestEvolveReference:
         phi = field_from_function(grid512, lambda x: np.exp(-(x**2)))
         with pytest.raises(ValueError):
             evolve_reference(phi, 1.0, 3e-4)
+
+
+def _full_spectrum_nonlinearity(grid, hat):
+    """The former kernel on all N coefficients: padded samples from the
+    raw DFT coefficients, u^8 by three squarings, its low modes rescaled
+    and extended by conjugate symmetry, then the convention and -i xi/8."""
+    n = grid.n_modes
+    half = n // 2
+    m = _fine_size(n)
+    w = np.fft.irfft(grid.to_dft(hat)[..., :half], m) * (m / n)
+    low = np.fft.rfft(_eighth_power(w))[..., :half] * (n / m)
+    raw = np.zeros(low.shape[:-1] + (n,), dtype=np.complex128)
+    raw[..., :half] = low
+    raw[..., half + 1:] = np.conj(low[..., :0:-1])
+    return (-1j * grid.xi / 8) * grid.from_dft(raw)
+
+
+def _full_spectrum_diagnostics(grid, hat):
+    """The former conservation diagnostic: full-spectrum Parseval sums and
+    its own padded samples for the u^9 integral."""
+    n = grid.n_modes
+    m = _fine_size(n)
+    power = np.abs(hat) ** 2
+    fine = np.fft.irfft(grid.to_dft(hat)[: n // 2], m) * (m / n)
+    potential = 2.0 * grid.half_length / m * float(np.sum(_eighth_power(fine.copy()) * fine)) / 72.0
+    kinetic = 0.5 * grid.dxi * float(np.sum(grid.xi**2 * power))
+    return SQRT_2PI * float(hat[0].real), grid.dxi * float(np.sum(power)), kinetic - potential
+
+
+def _full_spectrum_evolve(phi, n_steps, dt):
+    """The former IF-RK4 loop on all N complex coefficients, with a row and
+    a diagnostic after every step; returns (rows, diagnostics, first bad
+    step or None)."""
+    grid = phi.grid
+    hat = grid.forward(phi.values.real)
+    lin = 1j * grid.xi**3
+    e_full = np.exp(dt * lin)
+    e_half = np.exp(0.5 * dt * lin)
+    rows = [grid.inverse(hat).real]
+    diags = [_full_spectrum_diagnostics(grid, hat)]
+    for step in range(1, n_steps + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            n1 = _full_spectrum_nonlinearity(grid, hat)
+            a = e_half * (hat + 0.5 * dt * n1)
+            n2 = _full_spectrum_nonlinearity(grid, a)
+            b = e_half * hat + 0.5 * dt * n2
+            n3 = _full_spectrum_nonlinearity(grid, b)
+            c = e_full * hat + dt * e_half * n3
+            n4 = _full_spectrum_nonlinearity(grid, c)
+            hat = e_full * hat + (dt / 6.0) * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
+        if not np.all(np.isfinite(hat)):
+            return np.array(rows), np.array(diags), step
+        rows.append(grid.inverse(hat).real)
+        diags.append(_full_spectrum_diagnostics(grid, hat))
+    return np.array(rows), np.array(diags), None
+
+
+class TestHalfSpectrumLoop:
+    """The half-spectrum loop reproduces the former full-spectrum one to
+    round-off."""
+
+    @pytest.mark.parametrize("data", ["bump", "full-band"])
+    def test_matches_full_spectrum_loop(self, grid512, data):
+        if data == "bump":
+            phi = field_from_function(grid512, lambda x: np.exp(-(x**2)))
+        else:
+            phi = field_from_function(grid512, lambda x: _full_band_data(grid512, 11, 1.0))
+        n_steps, dt = 200, 1e-4
+        rows, diags, bad = _full_spectrum_evolve(phi, n_steps, dt)
+        traj = evolve_reference(phi, n_steps * dt, dt, output_stride=1)
+        assert bad is None and not traj.blown_up
+        assert traj.u.values.dtype == np.float64
+        assert np.max(np.abs(traj.u.values - rows)) <= 1e-14
+        d = traj.diagnostics
+        assert np.max(np.abs(d.mean - diags[:, 0])) <= 1e-13 * np.max(np.abs(diags[:, 0]))
+        for got, ref in ((d.mass, diags[:, 1]), (d.energy, diags[:, 2])):
+            assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
+
+    def test_blowup_at_the_same_step(self):
+        g = make_grid(16.0, 128)
+        phi = field_from_function(g, lambda x: 10.0 * np.exp(-(x**2)))
+        _, _, bad = _full_spectrum_evolve(phi, 50, 1e-2)
+        traj = evolve_reference(phi, 0.5, 1e-2)
+        assert bad is not None
+        assert traj.blown_up and traj.first_bad_step == bad
+
+    def test_four_padded_evaluations_per_step(self, grid512, monkeypatch):
+        # every state's padded samples are formed once, for the next step's
+        # first stage and its diagnostic alike; stages 2-4 form their own
+        m = _fine_size(grid512.n_modes)
+        calls = []
+        irfft = np.fft.irfft
+
+        def counting(a, n=None, *args, **kwargs):
+            calls.append(n == m)
+            return irfft(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfft", counting)
+        phi = field_from_function(grid512, lambda x: np.exp(-(x**2)))
+        traj = evolve_reference(phi, 10 * 1e-4, 1e-4, output_stride=10, diag_stride=1)
+        assert traj.diagnostics.step.size == 11
+        assert sum(calls) == 4 * 10 + 1
 
 
 def _cutoffs(ta, T):
