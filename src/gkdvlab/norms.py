@@ -136,6 +136,35 @@ def _xsb_weight(grid, taxis, s: float, b: float) -> np.ndarray:
     return w
 
 
+@lru_cache(maxsize=8)
+def _half_xsb_weight(grid, taxis, s: float, b: float) -> np.ndarray:
+    """`_xsb_weight` folded onto the modes 0 .. N/2-1 of a real field,
+    cached and read-only.
+
+    A real field has F u(-xi, -tau) = conj F u(xi, tau), so the column of
+    -xi_k (k > 0) sums against the mirrored weight w(-xi_k, -tau) and folds
+    onto the column of xi_k: column k > 0 is w(xi_k, tau) + w(-xi_k, -tau),
+    each taken from the table's own rows and columns. The rows pair as
+    m <-> -m mod M, which leaves the tau-Nyquist row its own mirror, where
+    w(-xi, tau) and w(xi, tau) differ. The unpaired xi-Nyquist column is
+    not included.
+    """
+    w = _xsb_weight(grid, taxis, s, b)
+    n, half = grid.n_modes, grid.n_modes // 2
+    mirrored_rows = w[-np.arange(taxis.n_samples) % taxis.n_samples]
+    folded = w[:, :half].copy()
+    folded[:, 1:] += mirrored_rows[:, n - 1 : half : -1]
+    return _readonly(folded)
+
+
+def _half_xsb_sum(grid, taxis, power: np.ndarray, s: float, b: float) -> float:
+    """`_xsb_sum` of a real field from |F u|^2 on its modes 0 .. K-1 alone
+    (the K columns of `power`, K <= N/2): the modes -(K-1) .. -1 count
+    through the folded weight, and every other mode must be zero."""
+    w = _half_xsb_weight(grid, taxis, float(s), float(b))[:, : power.shape[1]]
+    return float(np.sqrt(grid.dxi * taxis.dtau * np.sum(w * power)))
+
+
 def _column_support(hat_x: np.ndarray, floor: float) -> np.ndarray | None:
     """Mask of the columns (modes) of hat_x (time samples x modes) whose L^2
     mass exceeds `floor` times the peak column's; None when a column mass is

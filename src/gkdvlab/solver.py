@@ -15,17 +15,16 @@ Two routes to the same solution:
   cross-validation of this module.
 
 `evolve_reference` runs the first route and `picard_solve` the second.
-Both hold the state as x-spectral coefficients (the grid's transform
-convention): the integrator the modes 0 .. N/2 of the grid's real pair,
-the Picard iteration an m_t x N array of full spectra. They return to
-physical samples only for output and for the blow-up test. One kernel
-evaluates N for both: the modes |k| < N/2 go by one real inverse FFT to
-the smallest padded grid of M >= 9N/2 points, where the degree-8 product
-is alias-free, and one real FFT of u^8 times a cached per-grid table gives
-N on the modes 0 .. N/2, the unpaired Nyquist mode zero. The integrator
-shares each state's padded samples between its conservation diagnostic
-and the next step's first stage; `nonlinearity_coeffs`, Picard's entry,
-extends the kernel's output to the full spectrum by conjugate symmetry.
+Both hold the real state as the x-spectral coefficients (the grid's
+transform convention) of its modes 0 .. N/2, the grid's real pair: the
+integrator one row, the Picard iteration one row per time sample of the
+cutoff's window. They return to physical samples only for output and for
+the blow-up test. One kernel evaluates N for both: the modes |k| < N/2 go
+by one real inverse FFT to the smallest padded grid of M >= 9N/2 points,
+where the degree-8 product is alias-free, and one real FFT of u^8 times a
+cached per-grid table gives N on the modes 0 .. N/2, the unpaired Nyquist
+mode zero. The integrator shares each state's padded samples between its
+conservation diagnostic and the next step's first stage.
 """
 
 from __future__ import annotations
@@ -35,15 +34,14 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .grid import SQRT_2PI, Field, Grid, _readonly, is_real
-from .norms import _require_resolved, _xsb_sum
+from .grid import SQRT_2PI, Field, Grid, _readonly, half_spectrum, is_real
+from .norms import _half_xsb_sum, _require_resolved
 from .params import b_index, sigma_index
 from .spacetime import (
     Cutoff,
     SpaceTimeField,
     TimeAxis,
-    _free_coeffs,
-    _propagator,
+    _half_propagator,
     _time_forward,
     centered_axis,
 )
@@ -124,22 +122,6 @@ def _nonlinearity(grid: Grid, w8: np.ndarray) -> np.ndarray:
     batch)."""
     raw = np.fft.rfft(w8)[..., : grid.n_modes // 2 + 1]
     return np.multiply(raw, _fine_tables(grid)[1], out=raw)
-
-
-def nonlinearity_coeffs(grid: Grid, hat: np.ndarray) -> np.ndarray:
-    """Coefficients of -d_x(u^8)/8 from the full spectrum `hat` of the real
-    state u (transform convention, last axis; leading axes are a batch).
-
-    The shared kernel gives the modes 0 .. N/2; the modes N/2+1 .. N-1 are
-    the conjugates of modes N/2-1 .. 1.
-    """
-    n = grid.n_modes
-    half = n // 2
-    low = _nonlinearity(grid, _eighth_power(_fine_samples(grid, hat)))
-    out = np.empty(low.shape[:-1] + (n,), dtype=np.complex128)
-    out[..., : half + 1] = low
-    out[..., half + 1 :] = np.conj(low[..., half - 1 : 0 : -1])
-    return out
 
 
 def conserved_quantities(
@@ -318,16 +300,18 @@ def _duhamel_window(
     eta: np.ndarray,
     eta_T: np.ndarray,
 ) -> np.ndarray:
-    """One application of the cutoff Duhamel map to x-spectral coefficients,
-    on the rows of a `_cutoff_window`; the map vanishes on the other rows.
+    """One application of the cutoff Duhamel map to the coefficients of the
+    modes 0 .. N/2 of a real state, on the rows of a `_cutoff_window`; the
+    map vanishes on the other rows.
 
     Every array holds those rows only: the propagator table exp(i t xi^3)
-    and its conjugate, v_hat and z_hat, and the unit-scale and T-scale
-    cutoffs eta and eta_T sampled on them. j0 is the row of t = 0 among
-    them. z must already carry its eta_T cutoff (it is the cutoff free
-    evolution of the data); v gets eta here. The time integral uses the
-    trapezoid rule at the axis spacing dt, with the free propagator applied
-    exactly between nodes.
+    and its conjugate (`_half_propagator`), v_hat and z_hat, and the
+    unit-scale and T-scale cutoffs eta and eta_T sampled on them. j0 is the
+    row of t = 0 among them. z must already carry its eta_T cutoff (it is
+    the cutoff free evolution of the data); v gets eta here. The time
+    integral uses the trapezoid rule at the axis spacing dt, with the free
+    propagator applied exactly between nodes. The nonlinearity's Nyquist
+    mode is zero, so the output's is too.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         w = eta[:, None] * v_hat + z_hat
@@ -338,7 +322,7 @@ def _duhamel_window(
     forcing = np.zeros_like(w)
     if np.any(active):
         with np.errstate(over="ignore", invalid="ignore"):
-            coeffs = nonlinearity_coeffs(grid, w[active])
+            coeffs = _nonlinearity(grid, _eighth_power(_fine_samples(grid, w[active])))
         if not np.all(np.isfinite(coeffs)):
             raise BlowupError(step=-1, message="nonlinearity overflowed in the Duhamel map")
         forcing[active] = coeffs
@@ -361,9 +345,10 @@ def _duhamel_window(
 class PicardResult:
     """Fixed-point iteration record for the Duhamel map.
 
-    `v_hat` and `z_hat` are the x-spectral coefficients (m_t x N, on
-    `taxis`) of the last iterate and of the cutoff free evolution of the
-    data; `v` and `z` are their physical samples, built on first use.
+    `v_hat` and `z_hat` are the coefficients of the modes 0 .. N/2 (the
+    grid's real pair; m_t x (N/2+1), on `taxis`) of the last iterate and of
+    the cutoff free evolution of the data; `v` and `z` are their float64
+    samples (`grid.real_inverse`), built on first use.
     """
 
     grid: Grid
@@ -382,11 +367,11 @@ class PicardResult:
 
     @cached_property
     def v(self) -> SpaceTimeField:
-        return SpaceTimeField(self.grid, self.taxis, _readonly(self.grid.inverse(self.v_hat)))
+        return SpaceTimeField(self.grid, self.taxis, _readonly(self.grid.real_inverse(self.v_hat)))
 
     @cached_property
     def z(self) -> SpaceTimeField:
-        return SpaceTimeField(self.grid, self.taxis, _readonly(self.grid.inverse(self.z_hat)))
+        return SpaceTimeField(self.grid, self.taxis, _readonly(self.grid.real_inverse(self.z_hat)))
 
     @property
     def final_ratio(self) -> float | None:
@@ -411,40 +396,53 @@ def picard_solve(
     outside that band is reported. Non-convergence within max_iter is a
     result state, not an error; a non-finite iterate, or one whose physical
     peak exceeds BLOWUP_THRESHOLD, marks the run as blown up.
+
+    The data must be real (`grid.is_real`). The iterates are real, and the
+    iteration holds the coefficients of their modes 0 .. N/2 on the
+    cutoff's rows only.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     grid = phi_omega.grid
     if not xi_band >= grid.dxi:
         raise ValueError(f"xi_band must be at least one frequency step {grid.dxi}")
+    if not is_real(phi_omega.values):
+        raise ValueError("picard_solve expects real data")
     if taxis is None:
         taxis = centered_axis(t_span=4.0, m_t=2048)
     sigma = sigma_index(eps)
     b = b_index(eps)
 
+    half = grid.n_modes // 2
+    # a mode 0 < k < N/2 stands for its conjugate partner too
+    mode_weights = np.full(half + 1, 2.0)
+    mode_weights[0] = mode_weights[half] = 1.0
+
     eta, eta_T = Cutoff(1.0)(taxis.t), Cutoff(T)(taxis.t)
-    z_full = _free_coeffs(phi_omega, taxis, eta_T)
     # iterate on the cutoff's rows only
     rows, j0 = _cutoff_window(taxis, eta_T)
-    propagator = _propagator(grid, taxis)[rows]
+    eta, eta_T = eta[rows], eta_T[rows]
+    propagator = _half_propagator(grid, taxis)[rows]
     conj_propagator = np.conj(propagator)
-    eta, eta_T, z_hat = eta[rows], eta_T[rows], z_full[rows]
+    z_hat = propagator * half_spectrum(phi_omega)[None, :] * eta_T[:, None]
     v_hat = np.zeros_like(z_hat)
-    outside = np.abs(grid.xi) > xi_band
+    outside = np.abs(grid.xi[: half + 1]) > xi_band
     # The distance is the weighted norm of the difference on the band's
-    # columns. They are time-transformed over the full axis from a buffer
-    # that is zero off the window's rows; their |F|^2 goes into a power
-    # buffer that is zero off the band, so the weighted sum runs over all N
-    # columns in the order `xsb_norm` sums them. A band whose edge the tau
-    # axis resolves resolves every difference, which lies inside it.
-    band = np.flatnonzero(~outside)
-    band_diff = np.zeros((taxis.n_samples, band.size), dtype=np.complex128)
-    power = np.zeros((taxis.n_samples, grid.n_modes))
-    band_resolved = 2.0 * float(np.max(np.abs(grid.xi[band]))) ** 3 <= taxis.tau_max
-    # |u(x)| <= dxi/sqrt(2 pi) * sum_k |u_hat(xi_k)|: an iterate whose bound
-    # stays below half the threshold (room for the transform's rounding)
-    # needs no inverse transform for the blow-up test
-    peak_bound = grid.dxi / SQRT_2PI
+    # columns xi >= 0 (the band is a prefix of the modes 0 .. N/2-1; the
+    # Nyquist column of every iterate is zero). They are time-transformed
+    # over the full axis from a buffer that is zero off the window's rows,
+    # and their |F|^2 is summed against the weight folded with its mirror
+    # (`_half_xsb_sum`), which stands for the band's xi < 0 columns. A band
+    # whose edge the tau axis resolves resolves every difference, which
+    # lies inside it.
+    n_band = int(np.count_nonzero(grid.xi[:half] <= xi_band))
+    band = slice(0, n_band)
+    band_diff = np.zeros((taxis.n_samples, n_band), dtype=np.complex128)
+    band_resolved = 2.0 * float(grid.xi[n_band - 1]) ** 3 <= taxis.tau_max
+    # |u(x)| <= dxi/sqrt(2 pi) * sum_k |u_hat(xi_k)| over all N modes: an
+    # iterate whose bound stays below half the threshold (room for the
+    # transform's rounding) needs no inverse transform for the blow-up test
+    peak_bound = (grid.dxi / SQRT_2PI) * mode_weights
 
     distances: list[float] = []
     ratios: list[float] = []
@@ -462,17 +460,17 @@ def picard_solve(
             blown_up = True
             break
         with np.errstate(over="ignore", invalid="ignore"):
-            bound = peak_bound * float(np.max(np.sum(np.abs(v_next), axis=1)))
+            bound = float(np.max(np.abs(v_next) @ peak_bound))
             if not bound <= 0.5 * BLOWUP_THRESHOLD:
-                peak = float(np.max(np.abs(grid.inverse(v_next))))
+                peak = float(np.max(np.abs(grid.real_inverse(v_next))))
                 if not np.isfinite(peak) or peak > BLOWUP_THRESHOLD:
                     blown_up = True
                     break
         np.subtract(v_next[:, band], v_hat[:, band], out=band_diff[rows])
         if not band_resolved:
             _require_resolved(grid, taxis, band_diff, band)
-        power[:, band] = np.abs(_time_forward(taxis, band_diff)) ** 2
-        d = _xsb_sum(grid, taxis, power, sigma, b)
+        power = np.abs(_time_forward(taxis, band_diff)) ** 2
+        d = _half_xsb_sum(grid, taxis, power, sigma, b)
         if distances and distances[-1] > 0.0:
             ratios.append(d / distances[-1])
         distances.append(d)
@@ -483,11 +481,13 @@ def picard_solve(
 
     if converged and ratios and not ratios[-1] < 1.0:
         converged = False
-    col = np.sum(np.abs(v_hat) ** 2, axis=0)
+    col = mode_weights * np.sum(np.abs(v_hat) ** 2, axis=0)
     total = float(np.sum(col))
     discarded = float(np.sum(col[outside])) / total if total > 0.0 else 0.0
-    v_full = np.zeros_like(z_full)
+    v_full = np.zeros((taxis.n_samples, half + 1), dtype=np.complex128)
+    z_full = np.zeros_like(v_full)
     v_full[rows] = v_hat
+    z_full[rows] = z_hat
     return PicardResult(
         grid=grid,
         taxis=taxis,

@@ -65,6 +65,18 @@ class TimeAxis:
         read-only."""
         return _readonly(TWO_PI * np.fft.fftfreq(self.n_samples, d=self.dt))
 
+    @cached_property
+    def forward_phase(self) -> np.ndarray:
+        """exp(-i t0 tau), the time transform's phase, built once per axis
+        and read-only."""
+        return _readonly(np.exp(-1j * self.t0 * self.tau))
+
+    @cached_property
+    def inverse_phase(self) -> np.ndarray:
+        """exp(+i t0 tau), the inverse time transform's phase, built once
+        per axis and read-only."""
+        return _readonly(np.exp(1j * self.t0 * self.tau))
+
     @property
     def tau_max(self) -> float:
         return np.pi / self.dt
@@ -128,9 +140,8 @@ def require_same_axes(*fields: SpaceTimeField) -> None:
 def _time_forward(taxis: TimeAxis, values: np.ndarray) -> np.ndarray:
     """Transform along the time axis (axis 0), in the x axis's convention:
     dt/sqrt(2*pi) * sum_m values(t_m) e^{-i t_m tau}."""
-    phase = np.exp(-1j * taxis.t0 * taxis.tau)
     raw = np.fft.fft(values, axis=0)
-    return np.multiply((taxis.dt / SQRT_2PI) * phase[:, None], raw, out=raw)
+    return np.multiply((taxis.dt / SQRT_2PI) * taxis.forward_phase[:, None], raw, out=raw)
 
 
 def st_spectral_values(u: SpaceTimeField) -> np.ndarray:
@@ -141,8 +152,7 @@ def st_spectral_values(u: SpaceTimeField) -> np.ndarray:
 def st_to_physical(grid: Grid, taxis: TimeAxis, coeffs: np.ndarray) -> SpaceTimeField:
     """The field whose 2D transform is `coeffs` (inverse of st_spectral_values):
     the inverse of `_time_forward`, then the grid's inverse transform."""
-    phase = np.exp(1j * taxis.t0 * taxis.tau)
-    hat_x = np.fft.ifft(coeffs * phase[:, None], axis=0)
+    hat_x = np.fft.ifft(coeffs * taxis.inverse_phase[:, None], axis=0)
     np.multiply(taxis.dtau * taxis.n_samples / SQRT_2PI, hat_x, out=hat_x)
     return SpaceTimeField(grid, taxis, _readonly(grid.inverse(hat_x)))
 

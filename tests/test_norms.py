@@ -12,7 +12,12 @@ from gkdvlab.grid import (
 )
 from gkdvlab.norms import (
     AliasingError,
+    _half_xsb_sum,
+    _half_xsb_weight,
     _support_radius,
+    _xsb_power,
+    _xsb_sum,
+    _xsb_weight,
     bilinear_multiplier,
     homogeneous_norm,
     mixed_norm,
@@ -22,11 +27,12 @@ from gkdvlab.norms import (
     xsb_norm,
     xsb_norms,
 )
-from gkdvlab.params import CRITICAL_INDEX
+from gkdvlab.params import CRITICAL_INDEX, b_index, sigma_index
 from gkdvlab.probes import ProbeResolution, random_spacetime
 from gkdvlab.spacetime import (
     Cutoff,
     SpaceTimeField,
+    _time_forward,
     centered_axis,
     free_evolution,
     midpoint_axis,
@@ -211,6 +217,33 @@ class TestXsbNorm:
         u = random_spacetime(grid, ta, resolution.xi_band, 4)
         indices = [(0.0, 0.5), (0.3, 0.52), (0.25, 0.6), (0.0, 0.5)]
         assert xsb_norms(u, indices) == [xsb_norm(u, s, b) for s, b in indices]
+
+    def test_mirrored_weight_reproduces_full_sum(self, grid64):
+        # a real field band-limited to |xi| <= 4, random in time, so its
+        # tau-Nyquist row carries power; the sum over its modes 0 .. K-1
+        # against the folded weight must equal the full one, and assuming
+        # w(-xi, -tau) = w(xi, tau) must not
+        ta = centered_axis(4.0, 256)
+        s, b = sigma_index(0.05), b_index(0.05)
+        rng = np.random.default_rng(3)
+        keep = np.abs(grid64.xi) <= 4.0
+        u = grid64.inverse(grid64.forward(rng.standard_normal((256, 64))) * keep).real
+        full = _xsb_sum(grid64, ta, _xsb_power(grid64, ta, grid64.forward(u)), s, b)
+        n_band = int(np.count_nonzero(keep[:32]))
+        power = np.abs(_time_forward(ta, grid64.real_forward(u)[:, :n_band])) ** 2
+        assert _half_xsb_sum(grid64, ta, power, s, b) == pytest.approx(full, rel=1e-14, abs=0.0)
+        symmetric = _xsb_weight(grid64, ta, s, b)[:, :n_band].copy()
+        symmetric[:, 1:] *= 2.0
+        assumed = np.sqrt(grid64.dxi * ta.dtau * np.sum(symmetric * power))
+        assert abs(assumed - full) > 1e-6 * full
+
+    def test_folded_weight_cached_and_read_only(self, grid64):
+        ta = centered_axis(4.0, 256)
+        w = _half_xsb_weight(grid64, ta, 0.2, 0.5)
+        assert w.shape == (256, 32)
+        assert _half_xsb_weight(grid64, centered_axis(4.0, 256), 0.2, 0.5) is w
+        with pytest.raises(ValueError):
+            w[0, 0] = 0.0
 
     @pytest.mark.parametrize("c", [2.0, -3.0, 1j])
     def test_homogeneity(self, grid64, c):

@@ -1,9 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkdvlab.grid import SQRT_2PI, Grid, field_from_function, make_grid
+from gkdvlab import solver
+from gkdvlab.cli import _sampler, build_data
+from gkdvlab.config import load_config, parse_float_list
+from gkdvlab.grid import SQRT_2PI, Field, Grid, field_from_function, make_grid
 from gkdvlab.norms import AliasingError, _xsb_power, _xsb_sum, xsb_norm
 from gkdvlab.params import b_index, sigma_index
 from gkdvlab.solver import (
@@ -11,10 +16,10 @@ from gkdvlab.solver import (
     BlowupError,
     _eighth_power,
     _fine_pair,
+    _fine_samples,
     _fine_size,
     conserved_quantities,
     evolve_reference,
-    nonlinearity_coeffs,
     picard_solve,
     reconstruct_solution,
 )
@@ -28,8 +33,28 @@ from gkdvlab.spacetime import (
     st_l2,
 )
 from gkdvlab.grid import airy_propagate
+from gkdvlab.streams import child_seed
 
-from conftest import banded_bump
+from conftest import banded_bump, random_real_field
+
+LWP_PRESET = Path(__file__).parents[1] / "configs" / "lwp.ini"
+
+
+def nonlinearity_coeffs(grid, hat):
+    """Coefficients of -d_x(u^8)/8 from the full spectrum `hat` of the real
+    state u (transform convention, last axis; leading axes are a batch):
+    the full-spectrum oracle around the solvers' shared kernel.
+
+    The kernel gives the modes 0 .. N/2; the modes N/2+1 .. N-1 are the
+    conjugates of modes N/2-1 .. 1.
+    """
+    n = grid.n_modes
+    half = n // 2
+    low = solver._nonlinearity(grid, _eighth_power(_fine_samples(grid, hat)))
+    out = np.empty(low.shape[:-1] + (n,), dtype=np.complex128)
+    out[..., : half + 1] = low
+    out[..., half + 1 :] = np.conj(low[..., half - 1 : 0 : -1])
+    return out
 
 
 def _nonlinearity(f):
@@ -54,11 +79,13 @@ class TestNonlinearity:
         assert np.max(np.abs(out.real - exact)) <= 1e-10
         assert np.max(np.abs(out.imag)) <= 1e-12
 
-    def test_rejects_complex_data(self, grid512):
-        # the nonlinearity is the real one; the solver refuses complex data
-        f = field_from_function(grid512, lambda x: np.exp(1j * x))
-        with pytest.raises(ValueError, match="real data"):
+    def test_rejects_complex_data(self, grid64):
+        # the nonlinearity is the real one; both solvers refuse complex data
+        f = field_from_function(grid64, lambda x: np.exp(1j * x))
+        with pytest.raises(ValueError, match="evolve_reference expects real data"):
             evolve_reference(f, 1e-3, 1e-4)
+        with pytest.raises(ValueError, match="picard_solve expects real data"):
+            picard_solve(f, 0.25, tol=1e-10, taxis=centered_axis(4.0, 256), xi_band=4.0)
 
 
 def _full_band_data(grid, seed, amplitude):
@@ -426,9 +453,35 @@ def _full_axis_picard(phi, T, tol, max_iter, ta, xi_band, eps=0.05):
     }
 
 
+def _spectral_bump(grid, amplitude, band):
+    """`banded_bump`'s data built from its spectrum, as the ensemble's
+    samples are, so that `picard_solve` and the oracle read the same
+    coefficients."""
+    coeffs = amplitude * np.exp(-grid.xi**2) * (np.abs(grid.xi) <= band)
+    return Field.from_spectrum(grid, coeffs)
+
+
+def _assert_matches_oracle(res, ref):
+    """Discrete outcomes exactly; the distances (summed in another order)
+    and the band mass to 1e-13 relative, the ratios to 2e-13, and the
+    samples to 1e-14 of their peak."""
+    assert res.iterations == ref["iterations"]
+    assert res.converged == ref["converged"]
+    assert res.blown_up == ref["blown_up"]
+    assert len(res.ratios) == len(ref["ratios"])
+    assert res.distances == pytest.approx(ref["distances"], rel=1e-13, abs=0.0)
+    assert res.ratios == pytest.approx(ref["ratios"], rel=2e-13, abs=0.0)
+    assert res.discarded_band_mass == pytest.approx(
+        ref["discarded_band_mass"], rel=1e-13, abs=0.0
+    )
+    for got, want in ((res.v.values, ref["v"]), (res.z.values, ref["z"])):
+        assert got.dtype == np.float64
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 class TestWindowedPicard:
-    """The iteration on the cutoff's rows reproduces the full-axis one bit
-    for bit."""
+    """The half-spectrum iteration on the cutoff's rows reproduces the
+    full-spectrum, full-axis one to round-off."""
 
     @pytest.mark.parametrize(
         "amplitude, T",
@@ -440,21 +493,29 @@ class TestWindowedPicard:
         ],
     )
     def test_matches_full_axis_iteration(self, grid64, amplitude, T):
-        phi = banded_bump(grid64, amplitude=amplitude, band=2.0)
+        phi = _spectral_bump(grid64, amplitude, 2.0)
         ta = centered_axis(4.0, 256)
         res = picard_solve(phi, T, tol=1e-10, max_iter=25, taxis=ta, xi_band=4.0)
-        ref = _full_axis_picard(phi, T, 1e-10, 25, ta, 4.0)
-        assert res.distances == ref["distances"]
-        assert res.ratios == ref["ratios"]
-        assert res.iterations == ref["iterations"]
-        assert res.converged == ref["converged"]
-        assert res.blown_up == ref["blown_up"]
-        assert res.discarded_band_mass == ref["discarded_band_mass"]
-        assert np.array_equal(res.v.values, ref["v"])
-        assert np.array_equal(res.z.values, ref["z"])
+        _assert_matches_oracle(res, _full_axis_picard(phi, T, 1e-10, 25, ta, 4.0))
+        assert res.v_hat.shape == res.z_hat.shape == (256, 33)
         assert res.blown_up == (amplitude == 3.0)
         if T == 2.0:
             assert np.all(Cutoff(T)(ta.t) > 0.0)
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_matches_oracle_on_preset_draws(self, seed):
+        # 50 randomized draws of the lwp preset at its largest T, where the
+        # iteration runs longest and fails most often
+        cfg = load_config(LWP_PRESET)
+        sample = _sampler(cfg, build_data(cfg))
+        ta = centered_axis(cfg["time"]["t_span"], cfg["time"]["m_t"])
+        lwp = cfg["lwp"]
+        T = parse_float_list(lwp["t_grid"])[0]
+        base = child_seed(seed, 0)
+        for index in range(50):
+            phi = sample(child_seed(base, index))
+            args = (phi, T, lwp["tol"], lwp["max_iter"], ta, lwp["xi_band"], cfg.epsilon)
+            _assert_matches_oracle(picard_solve(*args), _full_axis_picard(*args))
 
     @pytest.mark.parametrize(
         "amplitude, band, aliases",
@@ -468,7 +529,7 @@ class TestWindowedPicard:
         # 2 xi_max^3 ~ 496 exceeds tau_max ~ 201, so the band of every
         # difference is checked, and the one that aliases raises the
         # full-axis iteration's error
-        phi = banded_bump(grid64, amplitude=amplitude, band=band)
+        phi = _spectral_bump(grid64, amplitude, band)
         ta = centered_axis(4.0, 256)
         xi_band = grid64.xi_max
         if aliases:
@@ -480,8 +541,24 @@ class TestWindowedPicard:
         else:
             res = picard_solve(phi, 0.25, tol=1e-10, max_iter=25, taxis=ta, xi_band=xi_band)
             ref = _full_axis_picard(phi, 0.25, 1e-10, 25, ta, xi_band)
-            assert res.converged and ref["converged"]
-            assert res.distances == ref["distances"]
+            assert res.converged
+            _assert_matches_oracle(res, ref)
+
+    @pytest.mark.parametrize("data", ["bump", "full-band"])
+    def test_nyquist_column_stays_zero(self, grid64, data):
+        # the kernel's Nyquist mode is zero, so every iterate's is, even when
+        # the data carry one; the distance's band leaves that column out
+        if data == "bump":
+            phi = _spectral_bump(grid64, 1.8, 2.0)
+        else:
+            phi = Field(grid64, 0.2 * random_real_field(grid64, 3).values)
+        ta = centered_axis(4.0, 256)
+        for max_iter in range(1, 6):
+            res = picard_solve(phi, 0.25, tol=1e-30, max_iter=max_iter, taxis=ta, xi_band=4.0)
+            assert res.iterations == max_iter and not res.blown_up
+            assert np.all(res.v_hat[:, 32] == 0.0)
+        if data == "full-band":
+            assert np.max(np.abs(res.z_hat[:, 32])) > 0.0
 
 
 def _band_oracle(u, xi_band):
@@ -610,8 +687,10 @@ class TestPicardSolve:
         # blow-up test, and v and z are transformed on first use only
         phi = banded_bump(grid64, amplitude=1.0, band=2.0)
         calls = []
-        inverse = Grid.inverse
-        monkeypatch.setattr(Grid, "inverse", lambda self, c: calls.append(1) or inverse(self, c))
+        inverse = Grid.real_inverse
+        monkeypatch.setattr(
+            Grid, "real_inverse", lambda self, c: calls.append(1) or inverse(self, c)
+        )
         res = picard_solve(phi, 0.125, tol=1e-10, taxis=centered_axis(4.0, 256), xi_band=4.0)
         assert res.converged and res.iterations > 1
         assert calls == []

@@ -10,7 +10,7 @@ from gkdvlab.grid import (
     make_grid,
     spectral_values,
 )
-from gkdvlab.solver import nonlinearity_coeffs, picard_solve
+from gkdvlab.solver import _eighth_power, _fine_samples, _nonlinearity, picard_solve
 from gkdvlab.spacetime import (
     Cutoff,
     SpaceTimeField,
@@ -107,6 +107,17 @@ class TestTimeAxis:
         assert np.array_equal(t, ta.t0 + ta.dt * np.arange(64))
         assert np.array_equal(tau, 2.0 * np.pi * np.fft.fftfreq(64, d=ta.dt))
         for a in (t, tau):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+    @pytest.mark.parametrize("ta", [centered_axis(4.0, 64), midpoint_axis(0.5, 37)])
+    def test_phases_cached_read_only_and_equal_to_per_call_expressions(self, ta):
+        forward, inverse = ta.forward_phase, ta.inverse_phase
+        assert ta.forward_phase is forward and ta.inverse_phase is inverse
+        # the expressions the time-axis transforms evaluated on every call
+        assert np.array_equal(forward, np.exp(-1j * ta.t0 * ta.tau))
+        assert np.array_equal(inverse, np.exp(1j * ta.t0 * ta.tau))
+        for a in (forward, inverse):
             with pytest.raises(ValueError):
                 a[0] = 1.0
 
@@ -283,20 +294,22 @@ class TestPropagator:
         ta = centered_axis(4.0, 256)
         T = 0.25
         t, grid = ta.t, grid64
+        xi = grid.xi[: grid.n_modes // 2 + 1]
         phi = banded_bump(grid, amplitude=1.0, band=2.0)
         first = picard_solve(phi, T, tol=1e-30, max_iter=1, taxis=ta, xi_band=4.0)
         second = picard_solve(phi, T, tol=1e-30, max_iter=2, taxis=ta, xi_band=4.0)
         assert second.iterations == 2
         v_hat, z_hat = first.v_hat, first.z_hat
         eta, eta_T = Cutoff(1.0)(t), Cutoff(T)(t)
-        # the mild form of the Duhamel map with both tables built per call
+        # the mild form of the Duhamel map on the full axis with both tables
+        # built per call
         w = eta[:, None] * v_hat + z_hat
         active = np.max(np.abs(w), axis=1) > 0.0
         forcing = np.zeros_like(w)
-        forcing[active] = nonlinearity_coeffs(grid, w[active])
-        integrand = np.exp(-1j * np.outer(t, grid.xi**3)) * forcing
+        forcing[active] = _nonlinearity(grid, _eighth_power(_fine_samples(grid, w[active])))
+        integrand = np.exp(-1j * np.outer(t, xi**3)) * forcing
         mids = 0.5 * ta.dt * (integrand[1:] + integrand[:-1])
-        cumulative = np.vstack([np.zeros((1, grid.n_modes)), np.cumsum(mids, axis=0)])
+        cumulative = np.vstack([np.zeros((1, xi.size)), np.cumsum(mids, axis=0)])
         cumulative = cumulative - cumulative[int(np.argmin(np.abs(t)))]
-        out_hat = np.exp(1j * np.outer(t, grid.xi**3)) * cumulative * eta_T[:, None]
+        out_hat = np.exp(1j * np.outer(t, xi**3)) * cumulative * eta_T[:, None]
         assert np.array_equal(second.v_hat, out_hat)
