@@ -218,6 +218,19 @@ def _half_phase(n_modes: int) -> np.ndarray:
     return _phase(n_modes)[: n_modes // 2 + 1]
 
 
+@lru_cache(maxsize=16)
+def _half_weights(n_modes: int) -> np.ndarray:
+    """Parseval weights (1, 2, ..., 2, 1) of the modes 0 .. N/2 of a real
+    field: each mode 0 < k < N/2 stands for its conjugate partner too.
+
+    Cached per n_modes and read-only.
+    """
+    half = n_modes // 2
+    weights = np.full(half + 1, 2.0)
+    weights[0] = weights[half] = 1.0
+    return _readonly(weights)
+
+
 def spectral_values(f: Field) -> np.ndarray:
     """Spectral coefficients u_hat(xi_k) of f: the spectrum it was built
     from, if any (read-only), else the transform of its samples."""

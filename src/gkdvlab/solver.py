@@ -34,7 +34,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .grid import SQRT_2PI, Field, Grid, _readonly, half_spectrum, is_real
+from .grid import SQRT_2PI, Field, Grid, _half_weights, _readonly, half_spectrum, is_real
 from .norms import _half_xsb_sum, _require_resolved
 from .params import b_index, sigma_index
 from .spacetime import (
@@ -138,9 +138,7 @@ def conserved_quantities(
     """
     u, w8 = fine
     half = grid.n_modes // 2
-    weighted = np.full(half + 1, 2.0)
-    weighted[0] = weighted[half] = 1.0
-    weighted *= hat.real**2 + hat.imag**2
+    weighted = _half_weights(grid.n_modes) * (hat.real**2 + hat.imag**2)
     mean = SQRT_2PI * float(hat[0].real)
     mass = grid.dxi * float(np.sum(weighted))
     kinetic = 0.5 * grid.dxi * float(grid.xi[: half + 1] ** 2 @ weighted)
@@ -414,9 +412,7 @@ def picard_solve(
     b = b_index(eps)
 
     half = grid.n_modes // 2
-    # a mode 0 < k < N/2 stands for its conjugate partner too
-    mode_weights = np.full(half + 1, 2.0)
-    mode_weights[0] = mode_weights[half] = 1.0
+    mode_weights = _half_weights(grid.n_modes)
 
     eta, eta_T = Cutoff(1.0)(taxis.t), Cutoff(T)(taxis.t)
     # iterate on the cutoff's rows only

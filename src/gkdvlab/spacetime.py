@@ -68,14 +68,8 @@ class TimeAxis:
     @cached_property
     def forward_phase(self) -> np.ndarray:
         """exp(-i t0 tau), the time transform's phase, built once per axis
-        and read-only."""
+        and read-only. Its conjugate is the inverse transform's phase."""
         return _readonly(np.exp(-1j * self.t0 * self.tau))
-
-    @cached_property
-    def inverse_phase(self) -> np.ndarray:
-        """exp(+i t0 tau), the inverse time transform's phase, built once
-        per axis and read-only."""
-        return _readonly(np.exp(1j * self.t0 * self.tau))
 
     @property
     def tau_max(self) -> float:
@@ -152,7 +146,7 @@ def st_spectral_values(u: SpaceTimeField) -> np.ndarray:
 def st_to_physical(grid: Grid, taxis: TimeAxis, coeffs: np.ndarray) -> SpaceTimeField:
     """The field whose 2D transform is `coeffs` (inverse of st_spectral_values):
     the inverse of `_time_forward`, then the grid's inverse transform."""
-    hat_x = np.fft.ifft(coeffs * taxis.inverse_phase[:, None], axis=0)
+    hat_x = np.fft.ifft(coeffs * np.conj(taxis.forward_phase)[:, None], axis=0)
     np.multiply(taxis.dtau * taxis.n_samples / SQRT_2PI, hat_x, out=hat_x)
     return SpaceTimeField(grid, taxis, _readonly(grid.inverse(hat_x)))
 
