@@ -37,8 +37,8 @@ def main():
     j0 = int(np.argmin(np.abs(taxis.t)))
     print("t        rel_L2_error")
     for k in range(traj.u.taxis.n_samples):
-        a = u.values[j0 + k].real
-        b = traj.u.values[k].real
+        a = u.values[j0 + k]
+        b = traj.u.values[k]
         err = np.sqrt(np.sum((a - b) ** 2) / np.sum(b**2))
         if k % 4 == 0 or k == traj.u.taxis.n_samples - 1:
             print(f"{traj.u.taxis.t[k]:.5f}  {err:.3e}")

@@ -62,7 +62,7 @@ def build_data(cfg: RunConfig) -> Field:
             vals = a * np.exp(-((x / w) ** 2))
         else:  # sech-power
             vals = a * np.cosh(x / w) ** (-2.0 / 7.0)
-        phi = Field(grid, vals.astype(np.complex128))
+        phi = Field(grid, vals)
     band = data["band_limit"]
     if band > 0:
         phi = _band_limit(phi, band)

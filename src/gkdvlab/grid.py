@@ -12,10 +12,12 @@ with xi_k = pi*k/L for k = -N/2 .. N/2-1 (stored in FFT order).
 The `Grid` methods `forward`, `inverse`, the real pair `real_forward`/
 `real_inverse` (real samples and the modes k = 0 .. N/2), and
 `from_dft`/`to_dft` (between these coefficients and raw DFT ones) are the
-one place this convention is written down; every other module transforms
-the x axis through them. The module also holds the `Field` type, the one
-realness rule `is_real`, Fourier multipliers (`apply_multiplier`, the free
-flow `airy_propagate`) and the discrete L^2 norm.
+one place this convention is written down; other modules transform the x
+axis through them, except two kernels on raw numpy FFTs:
+`norms.bilinear_multiplier` (scale and phase cancel in its convolution)
+and the solver's padded product, whose tables come from `to_dft`/`from_dft`.
+The module also holds the `Field` type, whose dtype says whether a field is
+real (`is_real` is applied when a field is built), and `apply_multiplier`.
 """
 
 from __future__ import annotations
@@ -136,22 +138,25 @@ def make_grid(L: float, N: int) -> Grid:
 
 
 def is_real(values: np.ndarray) -> bool:
-    """Whether complex samples count as real data: max |imag| is at most
-    1e-10 times max(1, max |real|). Non-finite samples are not rejected."""
-    scale = max(1.0, float(np.abs(values.real).max()))
-    return not np.abs(values.imag).max() > 1e-10 * scale
+    """Whether complex samples count as real data: max |imag| <= 1e-12 *
+    max |real|, with no absolute floor (that would drop the imaginary part
+    of a small field). `Field` applies it when a field is built. NaN
+    samples do not fail it."""
+    return not np.abs(values.imag).max() > 1e-12 * np.abs(values.real).max()
 
 
 @dataclass(frozen=True)
 class Field:
-    """Complex physical samples u(x_j) on a grid.
+    """Physical samples u(x_j) on a grid, float64 when real: bool, integer
+    and floating samples, and complex ones that pass `is_real` (their real
+    part). Other complex samples are complex128. Consumers route by dtype.
 
     Immutable: `values` is stored read-only; all operations return new
     fields. A writeable or borrowed array is copied. A read-only array that
-    owns its data is taken over without a copy; numpy lets its owner set it
-    writeable again, so the caller must not. `spectral_values(f)` returns
-    the spectrum u_hat(xi_k), in FFT order under the 1/sqrt(2*pi)
-    convention; a field with a given spectrum is
+    owns its data and needs no conversion is taken over without a copy;
+    numpy lets its owner set it writeable again, so the caller must not.
+    `spectral_values(f)` returns the spectrum u_hat(xi_k), in FFT order
+    under the 1/sqrt(2*pi) convention; a field with a given spectrum is
     `Field.from_spectrum(grid, coeffs)`, which keeps that spectrum, so
     `spectral_values` returns it without a transform.
     """
@@ -161,11 +166,14 @@ class Field:
     _spectrum: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.complex128)
+        v = np.asarray(self.values)
         if v.shape != (self.grid.n_modes,):
             raise ValueError(
                 f"values shape {v.shape} does not match grid with N={self.grid.n_modes}"
             )
+        v = v.astype(np.float64 if v.dtype.kind in "biuf" else np.complex128, copy=False)
+        if v.dtype == np.complex128 and is_real(v):
+            v = v.real
         object.__setattr__(self, "values", _owned_readonly(v, self.values))
 
     @classmethod
@@ -199,7 +207,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 def field_from_function(grid: Grid, fn) -> Field:
     """Sample a callable u(x) on the grid."""
-    return Field(grid, np.asarray(fn(grid.x), dtype=np.complex128))
+    return Field(grid, fn(grid.x))
 
 
 @lru_cache(maxsize=16)
@@ -240,27 +248,14 @@ def spectral_values(f: Field) -> np.ndarray:
 
 
 def half_spectrum(f: Field) -> np.ndarray:
-    """The coefficients of the modes 0 .. N/2 of a field with real samples,
-    the input of `grid.real_inverse`."""
+    """The coefficients of the modes 0 .. N/2 of a field with (float64) real
+    samples, the input of `grid.real_inverse`."""
     if f._spectrum is not None:
         return f._spectrum[: f.grid.n_modes // 2 + 1]
-    return f.grid.real_forward(f.values.real)
+    return f.grid.real_forward(f.values)
 
 
 def apply_multiplier(f: Field, symbol: np.ndarray) -> Field:
     """Multiply the spectrum by `symbol` (given on grid.xi)."""
     return Field(f.grid, _readonly(f.grid.inverse(spectral_values(f) * symbol)))
 
-
-def l2_norm(f: Field) -> float:
-    """Discrete L^2 norm of the samples; by Parseval it equals
-    sqrt(dxi * sum |u_hat|^2)."""
-    return float(np.sqrt(f.grid.dx * np.sum(np.abs(f.values) ** 2)))
-
-
-def airy_propagate(f: Field, t: float) -> Field:
-    """Free dispersive flow: multiply each mode by exp(i t xi^3).
-
-    Unit-modulus symbol, so every H^s norm is preserved exactly.
-    """
-    return apply_multiplier(f, np.exp(1j * t * f.grid.xi**3))

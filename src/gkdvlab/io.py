@@ -1,7 +1,7 @@
 """On-disk formats: field and trajectory dumps, CSV tables, run manifests.
 
 Dumps are a short text header followed by raw little-endian float64 rows
-(one time sample per row). CSV floats are written with 17 significant
+(one time sample per row); complex samples are refused. CSV floats are written with 17 significant
 digits so that doubles round-trip bit-exactly. Every run directory gets a
 manifest listing the configuration echo, the package version, the software
 environment (Python, numpy and platform, since FFT output bytes depend on
@@ -53,6 +53,8 @@ def write_csv(path: Path | str, header: list[str], rows: list[tuple]) -> Path:
 
 
 def _write_header_and_rows(path: Path, magic: str, meta: dict, rows: np.ndarray) -> None:
+    if rows.dtype != np.float64:
+        raise ValueError(f"dumps hold real samples; got {rows.dtype} samples")
     lines = [magic]
     for key, value in meta.items():
         lines.append(f"{key} {_cell(value)}")
@@ -82,21 +84,20 @@ def _read_header(blob: bytes, magic: str) -> tuple[dict, np.ndarray]:
 def save_field(path: Path | str, f: Field, kind: str = "field", seed: int | None = None) -> Path:
     """Real physical samples with the grid in the header."""
     path = Path(path)
-    vals = f.values.real[None, :]
     meta = {
         "kind": kind,
         "L": f.grid.half_length,
         "N": f.grid.n_modes,
         "seed": -1 if seed is None else seed,
     }
-    _write_header_and_rows(path, MAGIC_FIELD, meta, vals)
+    _write_header_and_rows(path, MAGIC_FIELD, meta, f.values[None, :])
     return path
 
 
 def load_field(path: Path | str) -> Field:
     meta, data = _read_header(Path(path).read_bytes(), MAGIC_FIELD)
     grid = make_grid(float(meta["L"]), int(meta["N"]))
-    return Field(grid, data[0].astype(np.complex128))
+    return Field(grid, data[0])
 
 
 def save_trajectory(path: Path | str, traj: Trajectory) -> Path:
@@ -113,7 +114,7 @@ def save_trajectory(path: Path | str, traj: Trajectory) -> Path:
         "blown_up": traj.blown_up,
         "first_bad_step": -1 if traj.first_bad_step is None else traj.first_bad_step,
     }
-    _write_header_and_rows(path, MAGIC_TRAJECTORY, meta, traj.u.values.real)
+    _write_header_and_rows(path, MAGIC_TRAJECTORY, meta, traj.u.values)
     return path
 
 

@@ -34,7 +34,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .grid import SQRT_2PI, Field, Grid, _half_weights, _readonly, half_spectrum, is_real
+from .grid import SQRT_2PI, Field, Grid, _half_weights, _readonly, half_spectrum
 from .norms import _half_xsb_sum, _require_resolved
 from .params import b_index, sigma_index
 from .spacetime import (
@@ -185,7 +185,8 @@ def evolve_reference(
     thousand samples); diagnostics are recorded every `diag_stride` steps.
     A non-finite state stops the run and flags the trajectory as blown up.
 
-    The state is the coefficients of the modes 0 .. N/2 (`grid.real_forward`),
+    The data must be real (a float64 `Field`). The state is the
+    coefficients of the modes 0 .. N/2 (`grid.real_forward`),
     the rows are its `grid.real_inverse`, and each state's padded samples
     are formed once, for its diagnostic and the next step's first stage.
     """
@@ -205,10 +206,9 @@ def evolve_reference(
         raise ValueError("output_stride must divide the number of steps")
 
     grid = phi.grid
-    vals = phi.values
-    if not is_real(vals):
+    if phi.values.dtype != np.float64:
         raise ValueError("evolve_reference expects real data")
-    hat = grid.real_forward(vals.real)
+    hat = grid.real_forward(phi.values)
 
     lin = 1j * grid.xi[: grid.n_modes // 2 + 1] ** 3
     e_full = np.exp(dt * lin)
@@ -395,8 +395,8 @@ def picard_solve(
     result state, not an error; a non-finite iterate, or one whose physical
     peak exceeds BLOWUP_THRESHOLD, marks the run as blown up.
 
-    The data must be real (`grid.is_real`). The iterates are real, and the
-    iteration holds the coefficients of their modes 0 .. N/2 on the
+    The data must be real (a float64 `Field`). The iterates are real, and
+    the iteration holds the coefficients of their modes 0 .. N/2 on the
     cutoff's rows only.
     """
     if not tol > 0:
@@ -404,7 +404,7 @@ def picard_solve(
     grid = phi_omega.grid
     if not xi_band >= grid.dxi:
         raise ValueError(f"xi_band must be at least one frequency step {grid.dxi}")
-    if not is_real(phi_omega.values):
+    if phi_omega.values.dtype != np.float64:
         raise ValueError("picard_solve expects real data")
     if taxis is None:
         taxis = centered_axis(t_span=4.0, m_t=2048)

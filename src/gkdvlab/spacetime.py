@@ -25,7 +25,6 @@ from .grid import (
     _owned_readonly,
     _readonly,
     half_spectrum,
-    is_real,
     spectral_values,
 )
 
@@ -209,33 +208,23 @@ def _half_propagator(grid: Grid, taxis: TimeAxis) -> np.ndarray:
     return table
 
 
-def _free_coeffs(phi: Field, taxis: TimeAxis, profile: np.ndarray | None) -> np.ndarray:
-    """x-spectral coefficients exp(i t xi^3) phi_hat of the free flow at the
-    samples of `taxis`, times the sampled time profile when one is given."""
-    coeffs = _propagator(phi.grid, taxis) * spectral_values(phi)[None, :]
-    if profile is not None:
-        coeffs = coeffs * profile[:, None]
-    return coeffs
-
-
 def free_evolution(phi: Field, grid_taxis: TimeAxis, cutoff: Cutoff | None = None) -> SpaceTimeField:
     """Sample the free flow t -> exp(i t xi^3) phi_hat, optionally times a cutoff.
 
-    The per-time inverse transforms are evaluated in one batched FFT. Real
-    data (`grid.is_real`) evolve on the modes 0 .. N/2 through the grid's
-    real pair into float64 samples, the real part of the complex route's;
-    other data take the complex route into complex128 samples.
+    The per-time inverse transforms are evaluated in one batched FFT. The
+    route follows the data's dtype: float64 (real) data evolve on the modes
+    0 .. N/2 through the grid's real pair into float64 samples, complex128
+    data on all N modes into complex128 samples.
     """
     grid = phi.grid
-    profile = None if cutoff is None else cutoff(grid_taxis.t)
-    if is_real(phi.values):
-        coeffs = _half_propagator(grid, grid_taxis) * half_spectrum(phi)[None, :]
-        if profile is not None:
-            coeffs *= profile[:, None]
-        values = grid.real_inverse(coeffs)
+    if phi.values.dtype == np.float64:
+        table, hat, inverse = _half_propagator, half_spectrum, grid.real_inverse
     else:
-        values = grid.inverse(_free_coeffs(phi, grid_taxis, profile))
-    return SpaceTimeField(grid, grid_taxis, _readonly(values))
+        table, hat, inverse = _propagator, spectral_values, grid.inverse
+    coeffs = table(grid, grid_taxis) * hat(phi)[None, :]
+    if cutoff is not None:
+        coeffs *= cutoff(grid_taxis.t)[:, None]
+    return SpaceTimeField(grid, grid_taxis, _readonly(inverse(coeffs)))
 
 
 def apply_time_cutoff(u: SpaceTimeField, cutoff: Cutoff) -> SpaceTimeField:

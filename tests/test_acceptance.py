@@ -16,9 +16,7 @@ import numpy as np
 from gkdvlab.cli import main
 from gkdvlab.grid import (
     Field,
-    airy_propagate,
     field_from_function,
-    l2_norm,
     make_grid,
     spectral_values,
 )
@@ -37,7 +35,7 @@ from gkdvlab.solver import evolve_reference, picard_solve, reconstruct_solution
 from gkdvlab.spacetime import centered_axis
 from gkdvlab.wiener import coverage_weight, sampler
 
-from conftest import banded_bump
+from conftest import airy_propagate, banded_bump, l2_norm
 
 
 def report(number: int, ok: bool, details: str) -> None:

@@ -7,18 +7,16 @@ from gkdvlab.grid import (
     SQRT_2PI,
     Field,
     _phase,
-    airy_propagate,
     apply_multiplier,
     field_from_function,
     half_spectrum,
     is_real,
-    l2_norm,
     make_grid,
     spectral_values,
 )
 from gkdvlab.norms import sobolev_norm
 
-from conftest import random_real_field
+from conftest import airy_propagate, l2_norm, random_real_field
 
 
 class TestMakeGrid:
@@ -171,7 +169,7 @@ class TestCarriedSpectrum:
         f = random_real_field(grid64, 8)
         carried = Field.from_spectrum(grid64, spectral_values(f))
         assert np.array_equal(half_spectrum(carried), spectral_values(f)[:33])
-        assert np.array_equal(half_spectrum(f), grid64.real_forward(f.values.real))
+        assert np.array_equal(half_spectrum(f), grid64.real_forward(f.values))
 
 
 class TestIsReal:
@@ -179,13 +177,37 @@ class TestIsReal:
         "imag,expected", [(0.0, True), (5e-10, True), (2e-9, False), (np.nan, True)]
     )
     def test_relative_to_the_real_peak(self, imag, expected):
-        # the rule: max |imag| <= 1e-10 * max(1, max |real|); NaN does not fail it
-        values = np.array([10.0, -3.0, 0.5]) + 1j * np.array([0.0, imag, 0.0])
+        # the rule: max |imag| <= 1e-12 * max |real|; NaN does not fail it
+        values = np.array([1000.0, -3.0, 0.5]) + 1j * np.array([0.0, imag, 0.0])
         assert is_real(values) is expected
 
-    def test_floor_of_one(self):
-        assert is_real(np.array([1e-3 + 1e-10j]))
-        assert not is_real(np.array([1e-3 + 2e-10j]))
+    def test_no_absolute_floor(self):
+        assert is_real(np.array([1e-3 + 1e-15j]))
+        assert not is_real(np.array([1e-3 + 2e-15j]))
+        assert not is_real(np.array([1e-11j, 0.0]))
+        assert is_real(np.zeros(3, np.complex128))
+
+    def test_field_stores_samples_within_the_tolerance_as_their_real_part(self, grid64):
+        values = random_real_field(grid64, 4).values + 1e-12j
+        f = Field(grid64, values)
+        assert f.values.dtype == np.float64
+        assert np.array_equal(f.values, values.real)
+
+    def test_field_keeps_samples_outside_the_tolerance_complex(self, grid64):
+        values = random_real_field(grid64, 4).values + 1e-6j
+        f = Field(grid64, values)
+        assert f.values.dtype == np.complex128
+        assert np.array_equal(f.values, values)
+
+    def test_carried_spectrum_survives_the_conversion(self, grid64):
+        hat = spectral_values(random_real_field(grid64, 5))
+        samples = grid64.inverse(hat)
+        assert np.any(samples.imag != 0.0)  # round-off that the field drops
+        f = Field.from_spectrum(grid64, hat)
+        assert f.values.dtype == np.float64
+        assert np.array_equal(f.values, samples.real)
+        assert np.array_equal(spectral_values(f), hat)
+        assert np.array_equal(half_spectrum(f), hat[:33])
 
 
 class TestAiryPropagate:

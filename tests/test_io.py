@@ -2,6 +2,7 @@ import json
 import platform
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,7 +34,16 @@ def test_field_round_trip(tmp_path):
     path = save_field(tmp_path / "f.field", f, seed=5)
     back = load_field(path)
     assert back.grid == g
-    assert np.array_equal(back.values.real, f.values.real)
+    assert back.values.dtype == np.float64
+    assert np.array_equal(back.values, f.values)
+
+
+def test_complex_field_is_refused(tmp_path):
+    g = make_grid(16.0, 64)
+    f = field_from_function(g, lambda x: 1j * np.exp(-(x**2)))
+    with pytest.raises(ValueError, match="real samples"):
+        save_field(tmp_path / "f.field", f)
+    assert not (tmp_path / "f.field").exists()
 
 
 def test_trajectory_round_trip(tmp_path):
@@ -47,9 +57,19 @@ def test_trajectory_round_trip(tmp_path):
     assert back.seed == 11
     assert not back.blown_up
     assert back.diagnostics is None
-    assert np.array_equal(back.u.values.real, traj.u.values.real)
+    assert back.u.values.dtype == np.float64
+    assert np.array_equal(back.u.values, traj.u.values)
     assert back.u.taxis.t0 == traj.u.taxis.t0
     assert back.u.taxis.dt == pytest.approx(traj.u.taxis.dt)
+
+
+def test_complex_trajectory_is_refused(tmp_path):
+    g = make_grid(16.0, 64)
+    traj = evolve_reference(field_from_function(g, lambda x: 0.5 * np.exp(-(x**2))), 0.02, 1e-3)
+    tilted = replace(traj, u=traj.u.with_values(1j * traj.u.values))
+    with pytest.raises(ValueError, match="real samples"):
+        save_trajectory(tmp_path / "t.bin", tilted)
+    assert not (tmp_path / "t.bin").exists()
 
 
 def test_csv_writer_formats(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 
 from gkdvlab import montecarlo
 from gkdvlab import wiener
-from gkdvlab.grid import Field, Grid, apply_multiplier, field_from_function, l2_norm, make_grid
+from gkdvlab.grid import Field, Grid, apply_multiplier, field_from_function, make_grid
 from gkdvlab.io import ensemble_table
 from gkdvlab.montecarlo import (
     exceedance_fit_line,
@@ -27,7 +27,7 @@ from gkdvlab.spacetime import centered_axis, midpoint_axis
 from gkdvlab.streams import child_seed
 from gkdvlab.wiener import _band_stack, sample_coefficients, sampler
 
-from conftest import banded_bump
+from conftest import banded_bump, l2_norm
 
 
 class TestRunEnsemble:

@@ -7,7 +7,6 @@ from scipy.integrate import quad
 from gkdvlab.grid import (
     Field,
     field_from_function,
-    l2_norm,
     make_grid,
 )
 from gkdvlab.norms import (
@@ -39,7 +38,7 @@ from gkdvlab.spacetime import (
     st_l2,
 )
 
-from conftest import banded_bump
+from conftest import banded_bump, l2_norm
 
 
 class TestSobolevNorm:

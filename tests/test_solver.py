@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gkdvlab import grid as grid_module
 from gkdvlab import solver
 from gkdvlab.cli import _sampler, build_data
 from gkdvlab.config import load_config, parse_float_list
@@ -26,16 +27,16 @@ from gkdvlab.solver import (
 from gkdvlab.spacetime import (
     Cutoff,
     SpaceTimeField,
-    _free_coeffs,
     _propagator,
     centered_axis,
+    free_evolution,
     midpoint_axis,
     st_l2,
 )
-from gkdvlab.grid import airy_propagate
 from gkdvlab.streams import child_seed
+from gkdvlab.wiener import sampler
 
-from conftest import banded_bump, random_real_field
+from conftest import airy_propagate, banded_bump, free_coeffs, random_real_field
 
 LWP_PRESET = Path(__file__).parents[1] / "configs" / "lwp.ini"
 
@@ -409,7 +410,7 @@ def _full_axis_picard(phi, T, tol, max_iter, ta, xi_band, eps=0.05):
     grid = phi.grid
     sigma, b = sigma_index(eps), b_index(eps)
     eta, eta_T = Cutoff(1.0)(ta.t), Cutoff(T)(ta.t)
-    z_hat = _free_coeffs(phi, ta, eta_T)
+    z_hat = free_coeffs(phi, ta, eta_T)
     v_hat = np.zeros_like(z_hat)
     outside = np.abs(grid.xi) > xi_band
     distances, ratios = [], []
@@ -759,3 +760,20 @@ class TestPicardSolve:
                            taxis=centered_axis(4.0, 256), xi_band=4.0)
         assert not res.converged
         assert res.blown_up or res.iterations == 10
+
+
+def test_realness_is_decided_once_per_sample(grid64, monkeypatch):
+    # `Field` applies `is_real` when a sample is built; the free flow and
+    # both solvers read the dtype and scan nothing
+    phi = banded_bump(grid64, amplitude=1.0, band=2.0)
+    sample = sampler(phi, "gaussian", 3)
+    calls = []
+    scan = grid_module.is_real
+    monkeypatch.setattr(grid_module, "is_real", lambda v: calls.append(1) or scan(v))
+    phi_omega = sample(5)
+    assert len(calls) == 1 and phi_omega.values.dtype == np.float64
+    for T in (0.125, 0.25, 0.5):
+        free_evolution(phi_omega, midpoint_axis(T, 16))
+    picard_solve(phi_omega, 0.125, tol=1e-10, max_iter=3, taxis=centered_axis(4.0, 256), xi_band=4.0)
+    evolve_reference(phi_omega, 0.01, 1e-3)
+    assert len(calls) == 1

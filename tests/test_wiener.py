@@ -6,10 +6,8 @@ from scipy.integrate import quad
 
 from gkdvlab.grid import (
     Field,
-    airy_propagate,
     apply_multiplier,
     field_from_function,
-    l2_norm,
     make_grid,
     spectral_values,
 )
@@ -24,7 +22,7 @@ from gkdvlab.wiener import (
     sampler,
 )
 
-from conftest import banded_bump
+from conftest import airy_propagate, banded_bump, l2_norm
 
 
 class TestWindow:
