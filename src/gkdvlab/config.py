@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .params import data_index, validate_epsilon
+from .solver import _step_count
 from .wiener import require_distribution
 
 
@@ -218,6 +219,20 @@ def _finalize(raw: dict, problems: list[str]) -> RunConfig:
     for sect, key in (("lwp", "tol"), ("simulate", "dt")):
         if not raw[sect][key] > 0:
             problems.append(f"[{sect}] {key} must be positive")
+    for sect in ("time", "estimates"):
+        if not 0 < raw[sect]["t_span"] < math.inf:
+            problems.append(f"[{sect}] t_span must be positive and finite")
+    sim = raw["simulate"]
+    if sim["dt"] > 0:
+        try:
+            n_steps = _step_count(sim["t_end"], sim["dt"])
+        except ValueError as exc:
+            problems.append(f"[simulate] t_end must be a whole number of steps dt: {exc}")
+        else:
+            if sim["output_stride"] > 0 and n_steps % sim["output_stride"]:
+                problems.append(
+                    f"[simulate] output_stride must be a divisor of the {n_steps} steps t_end / dt"
+                )
     if not 1 <= raw["strichartz"]["q"] < math.inf:
         problems.append("[strichartz] q must be >= 1 and finite")
     for sect, key, least in (
@@ -229,6 +244,7 @@ def _finalize(raw: dict, problems: list[str]) -> RunConfig:
         ("lwp", "n_samples", 100),
         ("lwp", "max_iter", 1),
         ("estimates", "n_trials", 1),
+        ("estimates", "xi_band", 0),
         ("simulate", "output_stride", 0),
         ("simulate", "diag_stride", 1),
     ):

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import Field, _readonly, field_from_function, spectral_values
-from .spacetime import SpaceTimeField, _time_forward, require_same_axes
+from .spacetime import SpaceTimeField, _band_spectrum, _time_forward, require_same_axes
 from .params import AMPLITUDE_EXPONENT
 
 
@@ -202,16 +202,19 @@ def _require_resolved(grid, taxis, hat_x: np.ndarray, columns=slice(None)) -> No
         )
 
 
-def _xsb_power(grid, taxis, hat_x: np.ndarray) -> np.ndarray:
-    """|F u(xi, tau)|^2 of the field whose x-spectral coefficients per time
-    sample are hat_x, once the tau axis is known to resolve its band: only
-    the time axis is left to transform."""
-    _require_resolved(grid, taxis, hat_x)
+def _xsb_power(grid, taxis, hat_x: np.ndarray, columns=slice(None)) -> np.ndarray:
+    """|F u(xi, tau)|^2 on the grid's modes `columns` (all by default) of
+    the field whose x-spectral coefficients per time sample there are
+    hat_x, once the tau axis is known to resolve its band: only the time
+    axis is left to transform."""
+    _require_resolved(grid, taxis, hat_x, columns)
     return np.abs(_time_forward(taxis, hat_x)) ** 2
 
 
-def _xsb_sum(grid, taxis, power: np.ndarray, s: float, b: float) -> float:
-    w = _xsb_weight(grid, taxis, float(s), float(b))
+def _xsb_sum(grid, taxis, power: np.ndarray, s: float, b: float, columns=slice(None)) -> float:
+    """The norm from `power` = |F u|^2 on the grid's modes `columns`; every
+    other mode must be zero."""
+    w = _xsb_weight(grid, taxis, float(s), float(b))[:, columns]
     return float(np.sqrt(grid.dxi * taxis.dtau * np.sum(w * power)))
 
 
@@ -227,9 +230,12 @@ def xsb_norm(u: SpaceTimeField, s: float, b: float) -> float:
 
 def xsb_norms(u: SpaceTimeField, indices: list[tuple[float, float]]) -> list[float]:
     """`xsb_norm(u, s, b)` for each (s, b) in `indices`, bit for bit, from
-    one transform of u."""
-    power = _xsb_power(u.grid, u.taxis, u.grid.forward(u.values))
-    return [_xsb_sum(u.grid, u.taxis, power, s, b) for s, b in indices]
+    one time transform of `_band_spectrum(u)`: a kept band's columns alone,
+    or else the x transform of the samples on all columns. Either way the
+    aliasing check reads them first."""
+    columns, hat_x = _band_spectrum(u)
+    power = _xsb_power(u.grid, u.taxis, hat_x, columns)
+    return [_xsb_sum(u.grid, u.taxis, power, s, b, columns) for s, b in indices]
 
 
 def bilinear_multiplier(

@@ -41,12 +41,13 @@ from .spacetime import (
     Cutoff,
     SpaceTimeField,
     TimeAxis,
+    _time_inverse,
+    _with_band,
     apply_time_cutoff,
     centered_axis,
     free_evolution,
     require_same_axes,
     st_l2,
-    st_to_physical,
 )
 from .streams import rng_for
 from .wiener import sampler
@@ -133,16 +134,27 @@ def random_spacetime(
     grid: Grid, taxis: TimeAxis, xi_band: float, seed: int, master: int = 0
 ) -> SpaceTimeField:
     """Band-limited random space-time field, envelope <xi>^{-1}<tau-xi^3>^{-1},
-    normalized to unit space-time L^2."""
+    normalized to unit space-time L^2.
+
+    The (xi, tau) coefficients of the band |xi| <= xi_band are inverted in
+    time on the band's columns only; the field keeps the result, scaled as
+    its samples are, as its band (`spacetime._with_band`).
+    """
     rng = rng_for(master, 23, seed)
     shape = (taxis.n_samples, grid.n_modes)
     band, envelope = _spacetime_envelope(grid, taxis, float(xi_band))
-    coeffs = np.zeros(shape, dtype=np.complex128)
+    if band.size == 0:
+        raise ValueError(f"xi_band {xi_band} selects no mode of the grid")
+    coeffs = np.empty((taxis.n_samples, band.size), dtype=np.complex128)
     # all m_t x N draws are made, in their stream order; the band's are kept
-    coeffs.real[:, band] = rng.standard_normal(shape)[:, band] * envelope
-    coeffs.imag[:, band] = rng.standard_normal(shape)[:, band] * envelope
-    u = st_to_physical(grid, taxis, coeffs)
-    return u.with_values(_readonly(u.values / st_l2(u)))
+    coeffs.real = rng.standard_normal(shape)[:, band] * envelope
+    coeffs.imag = rng.standard_normal(shape)[:, band] * envelope
+    band_x = _time_inverse(taxis, coeffs)
+    hat_x = np.zeros(shape, dtype=np.complex128)
+    hat_x[:, band] = band_x
+    u = SpaceTimeField(grid, taxis, _readonly(grid.inverse(hat_x)))
+    norm = st_l2(u)
+    return _with_band(grid, taxis, _readonly(u.values / norm), band, _readonly(band_x / norm))
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,19 @@ class Trajectory:
     first_bad_step: int | None = None
 
 
+def _step_count(T: float, dt: float) -> int:
+    """T/dt as a whole number of steps, 1 .. 1e7; ValueError otherwise."""
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    n_steps_f = T / dt
+    n_steps = int(round(n_steps_f)) if np.isfinite(n_steps_f) else 0
+    if n_steps < 1 or abs(n_steps_f - n_steps) > 1e-8 * max(1.0, n_steps):
+        raise ValueError(f"T/dt = {n_steps_f} must be a positive integer")
+    if n_steps > 10_000_000:
+        raise ValueError("more than 1e7 steps requested")
+    return n_steps
+
+
 def evolve_reference(
     phi: Field,
     T: float,
@@ -190,14 +203,7 @@ def evolve_reference(
     the rows are its `grid.real_inverse`, and each state's padded samples
     are formed once, for its diagnostic and the next step's first stage.
     """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    n_steps_f = T / dt
-    n_steps = int(round(n_steps_f))
-    if n_steps < 1 or abs(n_steps_f - n_steps) > 1e-8 * max(1.0, n_steps):
-        raise ValueError(f"T/dt = {n_steps_f} must be a positive integer")
-    if n_steps > 10_000_000:
-        raise ValueError("more than 1e7 steps requested")
+    n_steps = _step_count(T, dt)
     if output_stride is None:
         output_stride = max(1, n_steps // 1024)
         while n_steps % output_stride:

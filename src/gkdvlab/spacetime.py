@@ -9,6 +9,10 @@ and the 2D transform
 
 approximates the continuum one. Trajectories from the time stepper use the
 same type with a one-sided axis.
+
+A field drawn from its (xi, tau) spectrum on a band of columns keeps the
+band's x-spectral coefficients beside its samples (`_band_spectrum`), so
+the norms read them without an x transform and sum only the band.
 """
 
 from __future__ import annotations
@@ -103,11 +107,19 @@ def midpoint_axis(t_end: float, n_samples: int, t_start: float = 0.0) -> TimeAxi
 class SpaceTimeField:
     """(n_samples x N) samples u(x_j, t_m), read-only: float64 when given
     real (bool, integer or floating) samples, complex128 otherwise. A
-    writeable or borrowed array is copied, as for `Field`."""
+    writeable or borrowed array is copied, as for `Field`.
+
+    A field built from the x-spectral coefficients of a band of columns
+    (`_with_band`) keeps them read-only beside its samples, as `Field` keeps
+    its spectrum; `_band_spectrum` returns them. Any field built from
+    samples, `with_values` included, keeps none."""
 
     grid: Grid
     taxis: TimeAxis
     values: np.ndarray = field(repr=False)
+    _band: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values)
@@ -121,6 +133,28 @@ class SpaceTimeField:
 
     def with_values(self, values: np.ndarray) -> "SpaceTimeField":
         return SpaceTimeField(self.grid, self.taxis, values)
+
+
+def _with_band(
+    grid: Grid, taxis: TimeAxis, values: np.ndarray, columns: np.ndarray, hat_x: np.ndarray
+) -> SpaceTimeField:
+    """The field with samples `values` whose x-spectral coefficients are
+    `hat_x` (time samples x len(columns)) on the grid's modes `columns`
+    and zero on the others. `columns` and `hat_x` are kept as given and
+    must be read-only."""
+    u = SpaceTimeField(grid, taxis, values)
+    object.__setattr__(u, "_band", (columns, hat_x))
+    return u
+
+
+def _band_spectrum(u: SpaceTimeField) -> tuple[np.ndarray | slice, np.ndarray]:
+    """(columns, hat_x): the grid's modes `columns` and the x-spectral
+    coefficients of u on them, per time sample. For a field that keeps its
+    band these are the kept arrays (read-only); otherwise all modes and the
+    transform of the samples."""
+    if u._band is not None:
+        return u._band
+    return slice(None), u.grid.forward(u.values)
 
 
 def require_same_axes(*fields: SpaceTimeField) -> None:
@@ -137,17 +171,11 @@ def _time_forward(taxis: TimeAxis, values: np.ndarray) -> np.ndarray:
     return np.multiply((taxis.dt / SQRT_2PI) * taxis.forward_phase[:, None], raw, out=raw)
 
 
-def st_spectral_values(u: SpaceTimeField) -> np.ndarray:
-    """The 2D transform F u(xi, tau) of the samples, both axes in FFT order."""
-    return _time_forward(u.taxis, u.grid.forward(u.values))
-
-
-def st_to_physical(grid: Grid, taxis: TimeAxis, coeffs: np.ndarray) -> SpaceTimeField:
-    """The field whose 2D transform is `coeffs` (inverse of st_spectral_values):
-    the inverse of `_time_forward`, then the grid's inverse transform."""
-    hat_x = np.fft.ifft(coeffs * np.conj(taxis.forward_phase)[:, None], axis=0)
-    np.multiply(taxis.dtau * taxis.n_samples / SQRT_2PI, hat_x, out=hat_x)
-    return SpaceTimeField(grid, taxis, _readonly(grid.inverse(hat_x)))
+def _time_inverse(taxis: TimeAxis, coeffs: np.ndarray) -> np.ndarray:
+    """The inverse of `_time_forward` along axis 0, column by column:
+    dtau/sqrt(2*pi) * sum_m coeffs(tau_m) e^{i t tau_m}."""
+    raw = np.fft.ifft(coeffs * np.conj(taxis.forward_phase)[:, None], axis=0)
+    return np.multiply(taxis.dtau * taxis.n_samples / SQRT_2PI, raw, out=raw)
 
 
 def st_l2(u: SpaceTimeField) -> float:
@@ -228,4 +256,10 @@ def free_evolution(phi: Field, grid_taxis: TimeAxis, cutoff: Cutoff | None = Non
 
 
 def apply_time_cutoff(u: SpaceTimeField, cutoff: Cutoff) -> SpaceTimeField:
-    return u.with_values(_readonly(u.values * cutoff(u.taxis.t)[:, None]))
+    """u times cutoff(t); a kept band is multiplied by the same rows."""
+    eta = cutoff(u.taxis.t)[:, None]
+    values = _readonly(u.values * eta)
+    if u._band is None:
+        return u.with_values(values)
+    columns, hat_x = u._band
+    return _with_band(u.grid, u.taxis, values, columns, _readonly(hat_x * eta))

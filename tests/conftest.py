@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from gkdvlab.grid import Field, apply_multiplier, field_from_function, make_grid, spectral_values
-from gkdvlab.spacetime import _propagator
+from gkdvlab.grid import (
+    Field,
+    _readonly,
+    apply_multiplier,
+    field_from_function,
+    make_grid,
+    spectral_values,
+)
+from gkdvlab.spacetime import SpaceTimeField, _propagator, _time_forward, _time_inverse
 
 
 @pytest.fixture
@@ -53,3 +60,15 @@ def free_coeffs(phi, taxis, profile=None):
     if profile is not None:
         coeffs = coeffs * profile[:, None]
     return coeffs
+
+
+def st_spectral_values(u):
+    """The 2D transform F u(xi, tau) of the samples, both axes in FFT order."""
+    return _time_forward(u.taxis, u.grid.forward(u.values))
+
+
+def st_to_physical(grid, taxis, coeffs):
+    """The field whose 2D transform is `coeffs` (inverse of
+    st_spectral_values), given as samples: the time inverse on all N
+    columns, then the grid's inverse transform."""
+    return SpaceTimeField(grid, taxis, _readonly(grid.inverse(_time_inverse(taxis, coeffs))))

@@ -145,14 +145,30 @@ class TestConfigErrors:
             ("simulate", "dt", "0"),
             ("simulate", "output_stride", "-1"),
             ("simulate", "diag_stride", "0"),
+            ("time", "t_span", "0"),
+            ("time", "t_span", "-4"),
+            ("time", "t_span", "inf"),
+            ("estimates", "t_span", "0"),
+            ("estimates", "t_span", "-2"),
+            ("estimates", "t_span", "inf"),
+            ("estimates", "xi_band", "-1"),
+            ("estimates", "xi_band", "nan"),
+            ("simulate", "t_end", "0"),
+            # 1.5 steps of the default dt = 1e-4
+            ("simulate", "t_end", "0.00015"),
+            # the default 10000 steps are no multiple of 3
+            ("simulate", "output_stride", "3"),
         ],
     )
     def test_bad_run_key_exit_2(self, tmp_path, capsys, section, key, value):
         cfg = write_cfg(tmp_path, f"[{section}]\n{key} = {value}\n")
         command = {"lwp": "lwp-ensemble", "estimates": "verify-estimates",
-                   "strichartz": "strichartz-tail", "simulate": "simulate"}[section]
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+                   "strichartz": "strichartz-tail", "simulate": "simulate",
+                   "time": "lwp-ensemble"}[section]
+        out = tmp_path / "x"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert f"[{section}] {key} must be" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("n_max", [-3, 1])
     @pytest.mark.parametrize("command", ["randomize", "strichartz-tail", "lwp-ensemble"])

@@ -26,12 +26,13 @@ from gkdvlab.norms import (
     xsb_norm,
     xsb_norms,
 )
-from gkdvlab.params import CRITICAL_INDEX, b_index, sigma_index
-from gkdvlab.probes import ProbeResolution, random_spacetime
+from gkdvlab.params import CRITICAL_INDEX, b_index, dual_b_index, sigma_index
+from gkdvlab.probes import ProbeResolution, embedding_catalog, random_spacetime
 from gkdvlab.spacetime import (
     Cutoff,
     SpaceTimeField,
     _time_forward,
+    apply_time_cutoff,
     centered_axis,
     free_evolution,
     midpoint_axis,
@@ -253,6 +254,51 @@ class TestXsbNorm:
         assert xsb_norm(scaled, 0.3, 0.5) == pytest.approx(
             abs(c) * xsb_norm(u, 0.3, 0.5), rel=1e-12
         )
+
+
+# every (s, b) the probes norm a random space-time field with: the
+# embedding catalog's, the octilinear factors' and pairing's, the bilinear's
+PROBE_XSB_INDICES = [(s, b) for _, s, b in embedding_catalog(0.05).values()] + [
+    (sigma_index(0.05), b_index(0.05)),
+    (0.0, dual_b_index(0.05)),
+    (0.0, 0.51),
+    (0.0, 0.4),
+]
+
+
+class TestKeptBand:
+    """A field drawn from its spectrum keeps its band's x-spectrum, and its
+    norms are summed from it; `with_values` keeps no band, so a copy given
+    as samples is the oracle."""
+
+    @pytest.mark.parametrize("resolution", [ProbeResolution(), ProbeResolution().doubled()])
+    @pytest.mark.parametrize("cut", [False, True])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_norms_match_samples_route(self, resolution, cut, seed):
+        grid, ta = resolution.make()
+        u = random_spacetime(grid, ta, resolution.xi_band, seed)
+        if cut:
+            u = apply_time_cutoff(u, Cutoff(1.0))
+        got = np.array(xsb_norms(u, PROBE_XSB_INDICES))
+        want = np.array(xsb_norms(u.with_values(u.values), PROBE_XSB_INDICES))
+        assert np.max(np.abs(got - want) / want) <= 1e-13
+
+    def test_with_values_drops_band(self):
+        resolution = ProbeResolution()
+        grid, ta = resolution.make()
+        u = random_spacetime(grid, ta, resolution.xi_band, 2)
+        columns, _ = u._band
+        assert np.array_equal(columns, np.flatnonzero(np.abs(grid.xi) <= resolution.xi_band))
+        assert apply_time_cutoff(u, Cutoff(1.0))._band[0] is columns
+        assert u.with_values(2.0 * u.values)._band is None
+
+    def test_aliasing_guard(self):
+        # drawn past the check of ProbeResolution.make: 2 * 6^3 > tau_max ~ 100
+        grid, ta = ProbeResolution().make()
+        u = random_spacetime(grid, ta, 6.0, 0)
+        for field in (u, apply_time_cutoff(u, Cutoff(1.0))):
+            with pytest.raises(AliasingError):
+                xsb_norms(field, [(0.0, 0.5)])
 
 
 class TestBilinearMultiplier:

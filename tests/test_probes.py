@@ -23,8 +23,10 @@ from gkdvlab.probes import (
     run_estimate,
     run_estimates,
 )
-from gkdvlab.spacetime import Cutoff, SpaceTimeField, free_evolution, st_l2, st_to_physical
+from gkdvlab.spacetime import Cutoff, SpaceTimeField, free_evolution, st_l2
 from gkdvlab.streams import rng_for
+
+from conftest import st_to_physical
 
 
 EPS = 0.05
@@ -131,6 +133,12 @@ class TestRandomData:
         band, cached = _spacetime_envelope(grid, taxis, res.xi_band)
         assert np.array_equal(band, np.flatnonzero(np.abs(grid.xi) <= res.xi_band))
         assert np.array_equal(cached, envelope[:, band])
+
+    @pytest.mark.parametrize("xi_band", [-1.0, np.nan])
+    def test_random_spacetime_rejects_empty_band(self, xi_band):
+        grid, taxis = _res().make()
+        with pytest.raises(ValueError, match="selects no mode"):
+            random_spacetime(grid, taxis, xi_band, 0)
 
     def test_banded_bump_spectrum(self):
         grid, _ = _res().make()

@@ -22,11 +22,9 @@ from gkdvlab.spacetime import (
     midpoint_axis,
     smooth_step,
     st_l2,
-    st_spectral_values,
-    st_to_physical,
 )
 
-from conftest import airy_propagate, banded_bump, free_coeffs
+from conftest import airy_propagate, banded_bump, free_coeffs, st_spectral_values, st_to_physical
 
 
 def _make_field(kind, values):
