@@ -201,10 +201,12 @@ def _finalize(raw: dict, problems: list[str]) -> RunConfig:
     for sect, key in (("strichartz", "t_grid"), ("lwp", "t_grid")):
         try:
             values = parse_float_list(raw[sect][key])
-            if not values or any(v <= 0 for v in values):
+            if not values or not all(0 < v < math.inf for v in values):
                 raise ValueError
         except ValueError:
-            problems.append(f"[{sect}] {key} must be a comma-separated list of positive reals")
+            problems.append(
+                f"[{sect}] {key} must be a comma-separated list of positive finite reals"
+            )
             continue
         if sect == "lwp" and sorted(values, reverse=True) != values:
             problems.append("[lwp] t_grid must be descending")

@@ -157,12 +157,47 @@ def _half_xsb_weight(grid, taxis, s: float, b: float) -> np.ndarray:
     return _readonly(folded)
 
 
-def _half_xsb_sum(grid, taxis, power: np.ndarray, s: float, b: float) -> float:
-    """`_xsb_sum` of a real field from |F u|^2 on its modes 0 .. K-1 alone
-    (the K columns of `power`, K <= N/2): the modes -(K-1) .. -1 count
-    through the folded weight, and every other mode must be zero."""
-    w = _half_xsb_weight(grid, taxis, float(s), float(b))[:, : power.shape[1]]
-    return float(np.sqrt(grid.dxi * taxis.dtau * np.sum(w * power)))
+def _five_smooth_ceil(n: int) -> int:
+    """Smallest m >= n whose only prime factors are 2, 3 and 5."""
+    m = n
+    while True:
+        k = m
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return m
+        m += 1
+
+
+def _lag_folded_weight(
+    grid, taxis, s: float, b: float, n_band: int, n_rows: int
+) -> tuple[int, np.ndarray]:
+    """(L, V) such that, for a real field whose x-spectral coefficients x
+    are zero off n_rows consecutive time samples and off the modes
+    +-(0 .. n_band-1), its squared norm is sum V |FFT_L x|^2 over the L-point
+    DFTs (axis 0) of the n_rows rows of its modes 0 .. n_band-1 (n_band <=
+    N/2), zero-padded to L. V is read-only, L x n_band.
+
+    This is the finite Wiener-Khinchin relation. Against the folded weight
+    W (`_half_xsb_weight`), sum_tau W |F x|^2 is c^2 sum_{|j| < n_rows}
+    g(j) a(j), with c = dt/sqrt(2 pi) the time transform's scale, a the
+    autocorrelation of x at lag j and g the m_t-point DFT of W along tau,
+    its lag kernel. With L >= 2 n_rows - 1 the lags do not wrap, and V,
+    the L-point inverse DFT of g cut to |j| < n_rows, gives the same sum.
+    L is the smallest such 5-smooth length, or m_t if that is shorter; at
+    L = m_t the cut keeps every lag the window has, and V is W to
+    round-off. The constants of the norm's Riemann sum (dxi dtau c^2 =
+    dxi dt / m_t) are taken into V.
+    """
+    m_t = taxis.n_samples
+    length = min(_five_smooth_ceil(2 * n_rows - 1), m_t)
+    g = np.fft.fft(_half_xsb_weight(grid, taxis, float(s), float(b))[:, :n_band], axis=0)
+    h = np.zeros((length, n_band), dtype=np.complex128)
+    h[:n_rows] = g[:n_rows]
+    h[length - n_rows + 1 :] = g[m_t - n_rows + 1 :]
+    weight = np.fft.ifft(h, axis=0).real * (grid.dxi * taxis.dt / m_t)
+    return length, _readonly(weight)
 
 
 def _column_support(hat_x: np.ndarray, floor: float) -> np.ndarray | None:

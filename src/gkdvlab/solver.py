@@ -24,7 +24,12 @@ by one real inverse FFT to the smallest padded grid of M >= 9N/2 points,
 where the degree-8 product is alias-free, and one real FFT of u^8 times a
 cached per-grid table gives N on the modes 0 .. N/2, the unpaired Nyquist
 mode zero. The integrator shares each state's padded samples between its
-conservation diagnostic and the next step's first stage.
+conservation diagnostic and the next step's first stage. The Picard
+iteration takes what does not depend on the data (the window's rows, the
+cutoffs and propagator on them, the distance's weight) from one cached
+plan per (grid, axis, T, weight, band), and measures each distance on the
+window's rows alone: a short FFT, of a length that holds every lag of the
+window, against the weight folded onto those lags.
 """
 
 from __future__ import annotations
@@ -35,14 +40,13 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .grid import SQRT_2PI, Field, Grid, _half_weights, _readonly, half_spectrum
-from .norms import _half_xsb_sum, _require_resolved
+from .norms import _lag_folded_weight, _require_resolved
 from .params import b_index, sigma_index
 from .spacetime import (
     Cutoff,
     SpaceTimeField,
     TimeAxis,
     _half_propagator,
-    _time_forward,
     centered_axis,
 )
 
@@ -293,56 +297,94 @@ def _cutoff_window(taxis: TimeAxis, eta_T: np.ndarray) -> tuple[slice, int]:
     return rows, j0 - rows.start
 
 
+@dataclass(frozen=True)
+class _WindowPlan:
+    """What `picard_solve` needs of one (grid, axis, T, s, b, band) besides
+    the data, built once by `_window_plan`; every array is read-only.
+
+    `rows` and `j0` are the `_cutoff_window`; `eta` and `eta_T` the unit-
+    and T-scale cutoffs and `propagator`/`conj_propagator` the rows of
+    `_half_propagator` and their conjugate, all on those rows; `length` and
+    `weight` the `_lag_folded_weight` of the band's columns on them.
+    """
+
+    rows: slice
+    j0: int
+    eta: np.ndarray
+    eta_T: np.ndarray
+    propagator: np.ndarray
+    conj_propagator: np.ndarray
+    length: int
+    weight: np.ndarray
+
+    def distance(self, padded: np.ndarray) -> float:
+        """The distance of a band difference from `padded`, `length` x
+        n_band: its window rows first, zeros below them."""
+        spectrum = np.fft.fft(padded, axis=0)
+        return float(np.sqrt(np.vdot(self.weight, spectrum.real**2 + spectrum.imag**2)))
+
+
+@lru_cache(maxsize=8)
+def _window_plan(
+    grid: Grid, taxis: TimeAxis, T: float, s: float, b: float, n_band: int
+) -> _WindowPlan:
+    """The cached `_WindowPlan` of a Picard iteration with cutoff scale T,
+    distance weight (s, b) and band columns 0 .. n_band-1."""
+    eta, eta_T = Cutoff(1.0)(taxis.t), Cutoff(T)(taxis.t)
+    rows, j0 = _cutoff_window(taxis, eta_T)
+    propagator = _half_propagator(grid, taxis)[rows]
+    length, weight = _lag_folded_weight(grid, taxis, s, b, n_band, rows.stop - rows.start)
+    return _WindowPlan(
+        rows=rows,
+        j0=j0,
+        eta=_readonly(eta[rows]),
+        eta_T=_readonly(eta_T[rows]),
+        propagator=propagator,
+        conj_propagator=_readonly(np.conj(propagator)),
+        length=length,
+        weight=weight,
+    )
+
+
 def _duhamel_window(
-    grid: Grid,
-    dt: float,
-    j0: int,
-    propagator: np.ndarray,
-    conj_propagator: np.ndarray,
-    v_hat: np.ndarray,
-    z_hat: np.ndarray,
-    eta: np.ndarray,
-    eta_T: np.ndarray,
+    grid: Grid, dt: float, plan: _WindowPlan, v_hat: np.ndarray, z_hat: np.ndarray
 ) -> np.ndarray:
     """One application of the cutoff Duhamel map to the coefficients of the
-    modes 0 .. N/2 of a real state, on the rows of a `_cutoff_window`; the
-    map vanishes on the other rows.
+    modes 0 .. N/2 of a real state, on the rows of the plan's
+    `_cutoff_window`; the map vanishes on the other rows.
 
-    Every array holds those rows only: the propagator table exp(i t xi^3)
-    and its conjugate (`_half_propagator`), v_hat and z_hat, and the
-    unit-scale and T-scale cutoffs eta and eta_T sampled on them. j0 is the
-    row of t = 0 among them. z must already carry its eta_T cutoff (it is
+    v_hat and z_hat hold those rows only, as do the plan's propagator table
+    exp(i t xi^3), its conjugate and the cutoffs eta and eta_T; the plan's
+    j0 is the row of t = 0 among them. z must already carry its eta_T cutoff (it is
     the cutoff free evolution of the data); v gets eta here. The time
     integral uses the trapezoid rule at the axis spacing dt, with the free
     propagator applied exactly between nodes. The nonlinearity's Nyquist
     mode is zero, so the output's is too.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        w = eta[:, None] * v_hat + z_hat
+        w = plan.eta[:, None] * v_hat + z_hat
     if not np.all(np.isfinite(w)):
         raise BlowupError(step=-1, message="non-finite state entering the Duhamel map")
 
-    active = np.max(np.abs(w), axis=1) > 0.0
-    forcing = np.zeros_like(w)
-    if np.any(active):
-        with np.errstate(over="ignore", invalid="ignore"):
-            coeffs = _nonlinearity(grid, _eighth_power(_fine_samples(grid, w[active])))
-        if not np.all(np.isfinite(coeffs)):
-            raise BlowupError(step=-1, message="nonlinearity overflowed in the Duhamel map")
-        forcing[active] = coeffs
+    # the rows where w is zero (the guard rows) give N(0) = 0 exactly, so
+    # the kernel runs on every row
+    with np.errstate(over="ignore", invalid="ignore"):
+        forcing = _nonlinearity(grid, _eighth_power(_fine_samples(grid, w)))
+    if not np.all(np.isfinite(forcing)):
+        raise BlowupError(step=-1, message="nonlinearity overflowed in the Duhamel map")
 
     # integrand of the mild form, exp(-i s xi^3) N(w)(s), and its cumulative
     # trapezoid sums from t = 0, each in place with its operands in the order
     # of the out-of-place expressions (a swapped product can differ by an ulp)
-    integrand = np.multiply(conj_propagator, forcing, out=forcing)
+    integrand = np.multiply(plan.conj_propagator, forcing, out=forcing)
     out = np.empty_like(integrand)
     out[0] = 0.0
     np.add(integrand[1:], integrand[:-1], out=out[1:])
     np.multiply(0.5 * dt, out[1:], out=out[1:])
     np.cumsum(out[1:], axis=0, out=out[1:])
-    np.subtract(out, out[j0].copy(), out=out)
-    np.multiply(propagator, out, out=out)
-    return np.multiply(out, eta_T[:, None], out=out)
+    np.subtract(out, out[plan.j0].copy(), out=out)
+    np.multiply(plan.propagator, out, out=out)
+    return np.multiply(out, plan.eta_T[:, None], out=out)
 
 
 @dataclass
@@ -403,7 +445,10 @@ def picard_solve(
 
     The data must be real (a float64 `Field`). The iterates are real, and
     the iteration holds the coefficients of their modes 0 .. N/2 on the
-    cutoff's rows only.
+    cutoff's rows only. A distance is summed from those rows alone: an
+    L-point FFT of the band's columns xi >= 0, L the window's
+    `_lag_folded_weight` length, against that weight, whose folding stands
+    for the columns xi < 0. It equals the full-axis sum to round-off.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -419,28 +464,21 @@ def picard_solve(
 
     half = grid.n_modes // 2
     mode_weights = _half_weights(grid.n_modes)
-
-    eta, eta_T = Cutoff(1.0)(taxis.t), Cutoff(T)(taxis.t)
-    # iterate on the cutoff's rows only
-    rows, j0 = _cutoff_window(taxis, eta_T)
-    eta, eta_T = eta[rows], eta_T[rows]
-    propagator = _half_propagator(grid, taxis)[rows]
-    conj_propagator = np.conj(propagator)
-    z_hat = propagator * half_spectrum(phi_omega)[None, :] * eta_T[:, None]
-    v_hat = np.zeros_like(z_hat)
-    outside = np.abs(grid.xi[: half + 1]) > xi_band
     # The distance is the weighted norm of the difference on the band's
-    # columns xi >= 0 (the band is a prefix of the modes 0 .. N/2-1; the
-    # Nyquist column of every iterate is zero). They are time-transformed
-    # over the full axis from a buffer that is zero off the window's rows,
-    # and their |F|^2 is summed against the weight folded with its mirror
-    # (`_half_xsb_sum`), which stands for the band's xi < 0 columns. A band
-    # whose edge the tau axis resolves resolves every difference, which
-    # lies inside it.
+    # columns (a prefix of the modes 0 .. N/2-1; the Nyquist column of every
+    # iterate is zero). A band whose edge the tau axis resolves resolves
+    # every difference, which lies inside it.
     n_band = int(np.count_nonzero(grid.xi[:half] <= xi_band))
     band = slice(0, n_band)
-    band_diff = np.zeros((taxis.n_samples, n_band), dtype=np.complex128)
     band_resolved = 2.0 * float(grid.xi[n_band - 1]) ** 3 <= taxis.tau_max
+    plan = _window_plan(grid, taxis, float(T), float(sigma), float(b), n_band)
+    z_hat = plan.propagator * half_spectrum(phi_omega)[None, :] * plan.eta_T[:, None]
+    v_hat = np.zeros_like(z_hat)
+    outside = np.abs(grid.xi[: half + 1]) > xi_band
+    # the band's difference on the window's rows, zero-padded to the plan's
+    # FFT length
+    padded_diff = np.zeros((plan.length, n_band), dtype=np.complex128)
+    band_diff = padded_diff[: z_hat.shape[0]]
     # |u(x)| <= dxi/sqrt(2 pi) * sum_k |u_hat(xi_k)| over all N modes: an
     # iterate whose bound stays below half the threshold (room for the
     # transform's rounding) needs no inverse transform for the blow-up test
@@ -455,9 +493,7 @@ def picard_solve(
     for _ in range(max_iter):
         iterations += 1
         try:
-            v_next = _duhamel_window(
-                grid, taxis.dt, j0, propagator, conj_propagator, v_hat, z_hat, eta, eta_T
-            )
+            v_next = _duhamel_window(grid, taxis.dt, plan, v_hat, z_hat)
         except BlowupError:
             blown_up = True
             break
@@ -468,11 +504,10 @@ def picard_solve(
                 if not np.isfinite(peak) or peak > BLOWUP_THRESHOLD:
                     blown_up = True
                     break
-        np.subtract(v_next[:, band], v_hat[:, band], out=band_diff[rows])
+        np.subtract(v_next[:, band], v_hat[:, band], out=band_diff)
         if not band_resolved:
             _require_resolved(grid, taxis, band_diff, band)
-        power = np.abs(_time_forward(taxis, band_diff)) ** 2
-        d = _half_xsb_sum(grid, taxis, power, sigma, b)
+        d = plan.distance(padded_diff)
         if distances and distances[-1] > 0.0:
             ratios.append(d / distances[-1])
         distances.append(d)
@@ -488,8 +523,8 @@ def picard_solve(
     discarded = float(np.sum(col[outside])) / total if total > 0.0 else 0.0
     v_full = np.zeros((taxis.n_samples, half + 1), dtype=np.complex128)
     z_full = np.zeros_like(v_full)
-    v_full[rows] = v_hat
-    z_full[rows] = z_hat
+    v_full[plan.rows] = v_hat
+    z_full[plan.rows] = z_hat
     return PicardResult(
         grid=grid,
         taxis=taxis,

@@ -9,6 +9,7 @@ from gkdvlab.grid import (
     make_grid,
     spectral_values,
 )
+from gkdvlab.norms import _half_xsb_weight
 from gkdvlab.spacetime import SpaceTimeField, _propagator, _time_forward, _time_inverse
 
 
@@ -72,3 +73,20 @@ def st_to_physical(grid, taxis, coeffs):
     st_spectral_values), given as samples: the time inverse on all N
     columns, then the grid's inverse transform."""
     return SpaceTimeField(grid, taxis, _readonly(grid.inverse(_time_inverse(taxis, coeffs))))
+
+
+def half_xsb_sum(grid, taxis, power, s, b):
+    """The X^{s,b} norm of a real field from |F u|^2 on its modes 0 .. K-1
+    alone (the K columns of `power`, K <= N/2): the modes -(K-1) .. -1
+    count through the folded weight, and every other mode must be zero."""
+    w = _half_xsb_weight(grid, taxis, float(s), float(b))[:, : power.shape[1]]
+    return float(np.sqrt(grid.dxi * taxis.dtau * np.sum(w * power)))
+
+
+def full_axis_distance(grid, taxis, rows, band_diff, s, b):
+    """The Picard distance of a band difference given on the window `rows`
+    of the time axis: zero-padded to the full axis, time-transformed there
+    and summed by `half_xsb_sum`."""
+    padded = np.zeros((taxis.n_samples, band_diff.shape[1]), dtype=np.complex128)
+    padded[rows] = band_diff
+    return half_xsb_sum(grid, taxis, np.abs(_time_forward(taxis, padded)) ** 2, s, b)

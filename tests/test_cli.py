@@ -137,6 +137,10 @@ class TestConfigErrors:
             ("estimates", "n_trials", "0"),
             ("lwp", "xi_band", "0"),
             ("lwp", "t_grid", "0.0625,0.125"),
+            ("lwp", "t_grid", "0.25,nan"),
+            ("lwp", "t_grid", "inf,0.25"),
+            ("strichartz", "t_grid", "0.125,0.25,nan"),
+            ("strichartz", "t_grid", "0.125,inf,0.5"),
             ("estimates", "half_length", "0"),
             ("strichartz", "q", "0.5"),
             ("strichartz", "q", "inf"),

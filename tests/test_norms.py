@@ -11,7 +11,6 @@ from gkdvlab.grid import (
 )
 from gkdvlab.norms import (
     AliasingError,
-    _half_xsb_sum,
     _half_xsb_weight,
     _support_radius,
     _xsb_power,
@@ -39,7 +38,7 @@ from gkdvlab.spacetime import (
     st_l2,
 )
 
-from conftest import banded_bump, l2_norm
+from conftest import banded_bump, half_xsb_sum, l2_norm
 
 
 class TestSobolevNorm:
@@ -231,7 +230,7 @@ class TestXsbNorm:
         full = _xsb_sum(grid64, ta, _xsb_power(grid64, ta, grid64.forward(u)), s, b)
         n_band = int(np.count_nonzero(keep[:32]))
         power = np.abs(_time_forward(ta, grid64.real_forward(u)[:, :n_band])) ** 2
-        assert _half_xsb_sum(grid64, ta, power, s, b) == pytest.approx(full, rel=1e-14, abs=0.0)
+        assert half_xsb_sum(grid64, ta, power, s, b) == pytest.approx(full, rel=1e-14, abs=0.0)
         symmetric = _xsb_weight(grid64, ta, s, b)[:, :n_band].copy()
         symmetric[:, 1:] *= 2.0
         assumed = np.sqrt(grid64.dxi * ta.dtau * np.sum(symmetric * power))

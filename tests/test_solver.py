@@ -10,15 +10,17 @@ from gkdvlab import solver
 from gkdvlab.cli import _sampler, build_data
 from gkdvlab.config import load_config, parse_float_list
 from gkdvlab.grid import SQRT_2PI, Field, Grid, field_from_function, make_grid
-from gkdvlab.norms import AliasingError, _xsb_power, _xsb_sum, xsb_norm
+from gkdvlab.norms import AliasingError, _half_xsb_weight, _xsb_power, _xsb_sum, xsb_norm
 from gkdvlab.params import b_index, sigma_index
 from gkdvlab.solver import (
     BLOWUP_THRESHOLD,
     BlowupError,
+    _duhamel_window,
     _eighth_power,
     _fine_pair,
     _fine_samples,
     _fine_size,
+    _window_plan,
     conserved_quantities,
     evolve_reference,
     picard_solve,
@@ -36,7 +38,13 @@ from gkdvlab.spacetime import (
 from gkdvlab.streams import child_seed
 from gkdvlab.wiener import sampler
 
-from conftest import airy_propagate, banded_bump, free_coeffs, random_real_field
+from conftest import (
+    airy_propagate,
+    banded_bump,
+    free_coeffs,
+    full_axis_distance,
+    random_real_field,
+)
 
 LWP_PRESET = Path(__file__).parents[1] / "configs" / "lwp.ini"
 
@@ -577,6 +585,73 @@ class TestWindowedPicard:
             assert np.max(np.abs(res.z_hat[:, 32])) > 0.0
 
 
+class TestLagFoldedDistance:
+    """The distance from the window's rows alone, an L-point FFT against
+    the plan's lag-folded weight, against the full-axis transform summed
+    with the folded weight."""
+
+    S, B = sigma_index(0.05), b_index(0.05)
+
+    @pytest.mark.parametrize(
+        "T, length",
+        [(0.25, 135), (0.125, 72), (0.0625, 36), (0.03125, 18), (2.0, 256)],
+    )
+    def test_matches_full_axis_distance_on_preset_grid(self, grid64, T, length):
+        # random band differences on the window's rows: every lag and every
+        # tau carries power; at T = 2 the window is the whole axis, L = m_t
+        ta = centered_axis(4.0, 256)
+        plan = _window_plan(grid64, ta, T, self.S, self.B, 21)
+        n_rows = plan.rows.stop - plan.rows.start
+        assert plan.length == length and plan.weight.shape == (length, 21)
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            diff = rng.standard_normal((n_rows, 21)) + 1j * rng.standard_normal((n_rows, 21))
+            padded = np.zeros((length, 21), dtype=np.complex128)
+            padded[:n_rows] = diff
+            want = full_axis_distance(grid64, ta, plan.rows, diff, self.S, self.B)
+            assert plan.distance(padded) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_whole_axis_weight_is_the_folded_weight(self, grid64):
+        # T = 2: the window is the whole axis, every lag is kept, L = m_t
+        ta = centered_axis(4.0, 256)
+        plan = _window_plan(grid64, ta, 2.0, self.S, self.B, 21)
+        assert plan.rows == slice(0, 256)
+        folded = _half_xsb_weight(grid64, ta, self.S, self.B)[:, :21]
+        scaled = folded * (grid64.dxi * ta.dt / 256)
+        assert np.max(np.abs(plan.weight - scaled)) <= 1e-14 * np.max(scaled)
+
+    def test_matches_full_axis_distance_on_acceptance_05_grid(self):
+        # criterion 5's solve (N = 512, m_t = 2048, xi_band 8, T = 1/16):
+        # each returned distance against the oracle's of the same iterates
+        g = make_grid(32.0, 512)
+        ta = centered_axis(4.0, 2048)
+        T = 1.0 / 16.0
+        res = picard_solve(banded_bump(g, 1.0, 2.0), T, tol=1e-11, taxis=ta, xi_band=8.0)
+        assert res.converged and res.iterations == 5
+        n_band = int(np.count_nonzero(g.xi[:256] <= 8.0))
+        plan = _window_plan(g, ta, T, res.sigma, res.b, n_band)
+        assert plan.length == 270
+        z_hat = res.z_hat[plan.rows]
+        v_hat = np.zeros_like(z_hat)
+        for d in res.distances:
+            v_next = _duhamel_window(g, ta.dt, plan, v_hat, z_hat)
+            diff = (v_next - v_hat)[:, :n_band]
+            want = full_axis_distance(g, ta, plan.rows, diff, res.sigma, res.b)
+            assert d == pytest.approx(want, rel=1e-13, abs=0.0)
+            v_hat = v_next
+        assert np.array_equal(v_hat, res.v_hat[plan.rows])
+
+    def test_plan_cached_and_read_only(self, grid64):
+        ta = centered_axis(4.0, 256)
+        plan = _window_plan(grid64, ta, 0.25, self.S, self.B, 21)
+        assert _window_plan(grid64, centered_axis(4.0, 256), 0.25, self.S, self.B, 21) is plan
+        for table in (plan.eta, plan.eta_T, plan.propagator, plan.conj_propagator, plan.weight):
+            with pytest.raises(ValueError):
+                table[0] = 0.0
+        with pytest.raises(AttributeError):
+            plan.length = 256
+
+
 def _band_oracle(u, xi_band):
     """The physical route for a difference field u: x-FFT, sharp mask, inverse
     FFT; returns the projected field and the relative discarded mass."""
@@ -689,14 +764,30 @@ class TestPicardSolve:
                          xi_band=fraction * grid64.dxi)
 
     def test_cutoffs_evaluated_once_per_solve(self, grid64, monkeypatch):
+        # the two cutoffs are sampled when the window plan is built, and a
+        # second solve on the same plan samples none
+        solver._window_plan.cache_clear()
         calls = []
         profile = Cutoff.__call__
         monkeypatch.setattr(Cutoff, "__call__", lambda self, t: calls.append(1) or profile(self, t))
         phi = banded_bump(grid64, amplitude=1.0, band=2.0)
-        res = picard_solve(phi, 0.125, tol=1e-30, max_iter=5,
-                           taxis=centered_axis(4.0, 256), xi_band=4.0)
-        assert res.iterations == 5
-        assert len(calls) == 2
+        for _ in range(2):
+            res = picard_solve(phi, 0.125, tol=1e-30, max_iter=5,
+                               taxis=centered_axis(4.0, 256), xi_band=4.0)
+            assert res.iterations == 5
+            assert len(calls) == 2
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e40])
+    def test_non_finite_state_blows_up(self, grid64, value):
+        # non-finite data, and data whose eighth power overflows, stop the
+        # iteration at its first iterate
+        values = banded_bump(grid64, amplitude=1.0, band=2.0).values.copy()
+        values[5] = value
+        with np.errstate(invalid="ignore"):  # the data's own transform
+            res = picard_solve(Field(grid64, values), 0.125, tol=1e-10,
+                               taxis=centered_axis(4.0, 256), xi_band=4.0)
+        assert res.blown_up and not res.converged
+        assert res.iterations == 1 and res.distances == []
 
     def test_physical_samples_only_when_needed(self, grid64, monkeypatch):
         # the coefficient bound clears every iterate of moderate data from the
