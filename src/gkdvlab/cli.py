@@ -32,7 +32,7 @@ from .io import (
 from .montecarlo import exceptional_probability, strichartz_scaling
 from .norms import AliasingError, sobolev_norm
 from .probes import ProbeResolution, _require_known, estimate_ids, run_estimates
-from .solver import evolve_reference
+from .solver import _picard_band, evolve_reference
 from .spacetime import centered_axis
 from .streams import child_seed
 from .wiener import sampler
@@ -49,12 +49,17 @@ def build_data(cfg: RunConfig) -> Field:
     data = cfg["data"]
     kind = data["kind"]
     if kind == "file":
-        phi = load_field(data["path"])
+        try:
+            phi = load_field(data["path"])
+        except (OSError, ValueError, KeyError, IndexError) as exc:
+            raise ConfigError([f"[data] cannot load field file {data['path']}: {exc}"]) from exc
         if phi.grid != grid:
             raise ConfigError(
                 [f"[data] field file grid (L={phi.grid.half_length}, N={phi.grid.n_modes}) "
                  f"does not match [grid]"]
             )
+        if not np.all(np.isfinite(phi.values)):
+            raise ConfigError([f"[data] field file {data['path']} holds non-finite samples"])
     else:
         x = grid.x
         w, a = data["width"], data["amplitude"]
@@ -109,8 +114,8 @@ def cmd_randomize(cfg: RunConfig, args) -> int:
 
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
-    out = _out_dir(cfg, args)
     phi = build_data(cfg)
+    out = _out_dir(cfg, args)
     sim = cfg["simulate"]
     traj = evolve_reference(
         phi,
@@ -168,13 +173,11 @@ def cmd_lwp_ensemble(cfg: RunConfig, args) -> int:
     phi = build_data(cfg)
     lwp = cfg["lwp"]
     taxis = centered_axis(cfg["time"]["t_span"], cfg["time"]["m_t"])
-    # the Picard distance would alias on every sample: fail before the ensemble
-    band = min(lwp["xi_band"], phi.grid.xi_max)
-    if 2.0 * band**3 > taxis.tau_max:
-        raise AliasingError(
-            f"[lwp] xi_band = {lwp['xi_band']:g} on this grid needs tau_max >= "
-            f"{2.0 * band**3:.1f}, the [time] axis provides {taxis.tau_max:.1f}"
-        )
+    # every solve would refuse the band: fail before the ensemble
+    try:
+        _picard_band(phi.grid, taxis, lwp["xi_band"])
+    except AliasingError as exc:
+        raise AliasingError(f"[lwp] xi_band = {lwp['xi_band']:g}: {exc}") from None
     sample = _sampler(cfg, phi)
     out = _out_dir(cfg, args)
     report = exceptional_probability(

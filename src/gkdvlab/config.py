@@ -187,6 +187,10 @@ def _finalize(raw: dict, problems: list[str]) -> RunConfig:
         )
     if raw["data"]["kind"] == "file" and not raw["data"]["path"]:
         problems.append("[data] kind = file requires a path")
+    if not math.isfinite(raw["data"]["amplitude"]):
+        problems.append("[data] amplitude must be finite")
+    if not 0 < raw["data"]["width"] < math.inf:
+        problems.append("[data] width must be positive and finite")
     for sect, key, least in (
         ("grid", "n_modes", 8),
         ("time", "m_t", 16),
@@ -196,8 +200,8 @@ def _finalize(raw: dict, problems: list[str]) -> RunConfig:
         if raw[sect][key] < least or raw[sect][key] % 2:
             problems.append(f"[{sect}] {key} must be even and >= {least}")
     for sect in ("grid", "estimates"):
-        if not raw[sect]["half_length"] > 0:
-            problems.append(f"[{sect}] half_length must be positive")
+        if not 0 < raw[sect]["half_length"] < math.inf:
+            problems.append(f"[{sect}] half_length must be positive and finite")
     for sect, key in (("strichartz", "t_grid"), ("lwp", "t_grid")):
         try:
             values = parse_float_list(raw[sect][key])

@@ -16,6 +16,9 @@ one place this convention is written down; other modules transform the x
 axis through them, except two kernels on raw numpy FFTs:
 `norms.bilinear_multiplier` (scale and phase cancel in its convolution)
 and the solver's padded product, whose tables come from `to_dft`/`from_dft`.
+Along the time axis `spacetime` holds the transform pair; the Picard
+distance and its weight (`norms._lag_folded_weight`) run raw numpy FFTs
+there, since only |F|^2 against a weight enters them.
 The module also holds the `Field` type, whose dtype says whether a field is
 real (`is_real` is applied when a field is built), and `apply_multiplier`.
 """

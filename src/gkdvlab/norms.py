@@ -91,32 +91,12 @@ def _lp_riemann(values: np.ndarray, weight: float, p: float, axis: int) -> np.nd
     return (weight * _abs_power(values, p).sum(axis=axis)) ** (1.0 / p)
 
 
-def mixed_norm(
-    u: SpaceTimeField,
-    q: float,
-    r: float,
-    interval: tuple[float, float] | None = None,
-) -> float:
-    """Time-outer L^q, space-inner L^r Riemann norm over `interval`.
-
-    Samples with a <= t <= b contribute with weight dt; q or r may be inf.
-    """
+def mixed_norm(u: SpaceTimeField, q: float, r: float) -> float:
+    """Time-outer L^q, space-inner L^r Riemann norm over the whole time
+    axis; every sample contributes with weight dt, and q or r may be inf."""
     if not (1 <= q) or not (1 <= r):
         raise ValueError("mixed norm requires q, r >= 1 (inf allowed)")
-    t = u.taxis.t
-    if interval is None:
-        select = slice(None)
-    else:
-        a, b = interval
-        pad = 1e-12 * max(1.0, abs(u.taxis.span))
-        if a < t[0] - 0.5 * u.taxis.dt - pad or b > t[-1] + 0.5 * u.taxis.dt + pad:
-            raise ValueError(
-                f"interval [{a}, {b}] outside the time axis "
-                f"[{t[0]}, {t[-1]}] (dt = {u.taxis.dt})"
-            )
-        select = (t >= a - pad) & (t <= b + pad)
-    vals = u.values[select]
-    inner = _lp_riemann(vals, u.grid.dx, r, axis=1)
+    inner = _lp_riemann(u.values, u.grid.dx, r, axis=1)
     return float(_lp_riemann(inner, u.taxis.dt, q, axis=0))
 
 
@@ -222,19 +202,24 @@ def _support_radius(grid, hat_x: np.ndarray, columns=slice(None)) -> float:
     return float(np.max(np.abs(grid.xi[columns][support]), initial=0.0))
 
 
-def _require_resolved(grid, taxis, hat_x: np.ndarray, columns=slice(None)) -> None:
-    """Raise AliasingError unless the centered tau axis resolves the band of
-    the field whose x-spectral coefficients per time sample are hat_x (the
-    grid's modes `columns`); the band comes from their column masses."""
-    if not taxis.is_centered:
-        raise AliasingError("xsb_norm needs the centered time box (even sample count >= 16)")
-    radius = _support_radius(grid, hat_x, columns)
+def _require_band(taxis, radius: float) -> None:
+    """Raise AliasingError unless the tau axis resolves the cubic dispersion
+    of the band |xi| <= radius: 2 radius^3 <= tau_max."""
     if 2.0 * radius**3 > taxis.tau_max:
         raise AliasingError(
             f"band |xi| <= {radius:.3f} needs tau_max >= {2.0 * radius**3:.1f}, "
             f"axis provides {taxis.tau_max:.1f}; band-limit the field or "
             "refine the time axis"
         )
+
+
+def _require_resolved(grid, taxis, hat_x: np.ndarray, columns=slice(None)) -> None:
+    """Raise AliasingError unless the centered tau axis resolves the band of
+    the field whose x-spectral coefficients per time sample are hat_x (the
+    grid's modes `columns`); the band comes from their column masses."""
+    if not taxis.is_centered:
+        raise AliasingError("xsb_norm needs the centered time box (even sample count >= 16)")
+    _require_band(taxis, _support_radius(grid, hat_x, columns))
 
 
 def _xsb_power(grid, taxis, hat_x: np.ndarray, columns=slice(None)) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .grid import Field, Grid, _readonly, make_grid
 from .norms import (
-    AliasingError,
+    _require_band,
     bilinear_multiplier,
     sobolev_norm,
     space_time_lebesgue,
@@ -329,10 +329,7 @@ class ProbeResolution:
     def make(self) -> tuple[Grid, TimeAxis]:
         grid = make_grid(self.half_length, self.n_modes)
         taxis = centered_axis(self.t_span, self.m_t)
-        if 2.0 * self.xi_band**3 > taxis.tau_max:
-            raise AliasingError(
-                f"xi_band {self.xi_band} too wide for tau_max {taxis.tau_max:.1f}"
-            )
+        _require_band(taxis, self.xi_band)
         return grid, taxis
 
 

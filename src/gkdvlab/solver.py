@@ -29,7 +29,10 @@ iteration takes what does not depend on the data (the window's rows, the
 cutoffs and propagator on them, the distance's weight) from one cached
 plan per (grid, axis, T, weight, band), and measures each distance on the
 window's rows alone: a short FFT, of a length that holds every lag of the
-window, against the weight folded onto those lags.
+window, against the weight folded onto those lags. Both solvers refuse
+complex or non-finite data at entry, and `picard_solve` refuses there a
+band the tau axis does not resolve; inside its loop only the blow-up test
+on each iterate's peak can stop it early.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .grid import SQRT_2PI, Field, Grid, _half_weights, _readonly, half_spectrum
-from .norms import _lag_folded_weight, _require_resolved
+from .norms import _lag_folded_weight, _require_band
 from .params import b_index, sigma_index
 from .spacetime import (
     Cutoff,
@@ -52,14 +55,6 @@ from .spacetime import (
 
 NONLINEARITY_DEGREE = 8
 BLOWUP_THRESHOLD = 1e8
-
-
-class BlowupError(RuntimeError):
-    """Raised when the state stops being finite."""
-
-    def __init__(self, step: int, message: str | None = None):
-        self.step = step
-        super().__init__(message or f"solution blew up at step {step}")
 
 
 def _fine_size(n: int) -> int:
@@ -187,6 +182,14 @@ def _step_count(T: float, dt: float) -> int:
     return n_steps
 
 
+def _require_real_finite(phi: Field, caller: str) -> None:
+    """ValueError unless phi's samples are real (float64) and finite."""
+    if phi.values.dtype != np.float64:
+        raise ValueError(f"{caller} expects real data")
+    if not np.all(np.isfinite(phi.values)):
+        raise ValueError(f"{caller} expects finite data")
+
+
 def evolve_reference(
     phi: Field,
     T: float,
@@ -202,7 +205,7 @@ def evolve_reference(
     thousand samples); diagnostics are recorded every `diag_stride` steps.
     A non-finite state stops the run and flags the trajectory as blown up.
 
-    The data must be real (a float64 `Field`). The state is the
+    The data must be real (a float64 `Field`) and finite. The state is the
     coefficients of the modes 0 .. N/2 (`grid.real_forward`),
     the rows are its `grid.real_inverse`, and each state's padded samples
     are formed once, for its diagnostic and the next step's first stage.
@@ -216,8 +219,7 @@ def evolve_reference(
         raise ValueError("output_stride must divide the number of steps")
 
     grid = phi.grid
-    if phi.values.dtype != np.float64:
-        raise ValueError("evolve_reference expects real data")
+    _require_real_finite(phi, "evolve_reference")
     hat = grid.real_forward(phi.values)
 
     lin = 1j * grid.xi[: grid.n_modes // 2 + 1] ** 3
@@ -359,32 +361,28 @@ def _duhamel_window(
     the cutoff free evolution of the data); v gets eta here. The time
     integral uses the trapezoid rule at the axis spacing dt, with the free
     propagator applied exactly between nodes. The nonlinearity's Nyquist
-    mode is zero, so the output's is too.
+    mode is zero, so the output's is too. A state whose eighth power
+    overflows gives a non-finite output, which the caller's peak test reads.
     """
     with np.errstate(over="ignore", invalid="ignore"):
+        # the rows where w is zero (the guard rows) give N(0) = 0 exactly,
+        # so the kernel runs on every row
         w = plan.eta[:, None] * v_hat + z_hat
-    if not np.all(np.isfinite(w)):
-        raise BlowupError(step=-1, message="non-finite state entering the Duhamel map")
-
-    # the rows where w is zero (the guard rows) give N(0) = 0 exactly, so
-    # the kernel runs on every row
-    with np.errstate(over="ignore", invalid="ignore"):
         forcing = _nonlinearity(grid, _eighth_power(_fine_samples(grid, w)))
-    if not np.all(np.isfinite(forcing)):
-        raise BlowupError(step=-1, message="nonlinearity overflowed in the Duhamel map")
 
-    # integrand of the mild form, exp(-i s xi^3) N(w)(s), and its cumulative
-    # trapezoid sums from t = 0, each in place with its operands in the order
-    # of the out-of-place expressions (a swapped product can differ by an ulp)
-    integrand = np.multiply(plan.conj_propagator, forcing, out=forcing)
-    out = np.empty_like(integrand)
-    out[0] = 0.0
-    np.add(integrand[1:], integrand[:-1], out=out[1:])
-    np.multiply(0.5 * dt, out[1:], out=out[1:])
-    np.cumsum(out[1:], axis=0, out=out[1:])
-    np.subtract(out, out[plan.j0].copy(), out=out)
-    np.multiply(plan.propagator, out, out=out)
-    return np.multiply(out, plan.eta_T[:, None], out=out)
+        # integrand of the mild form, exp(-i s xi^3) N(w)(s), and its
+        # cumulative trapezoid sums from t = 0, each in place with its
+        # operands in the order of the out-of-place expressions (a swapped
+        # product can differ by an ulp)
+        integrand = np.multiply(plan.conj_propagator, forcing, out=forcing)
+        out = np.empty_like(integrand)
+        out[0] = 0.0
+        np.add(integrand[1:], integrand[:-1], out=out[1:])
+        np.multiply(0.5 * dt, out[1:], out=out[1:])
+        np.cumsum(out[1:], axis=0, out=out[1:])
+        np.subtract(out, out[plan.j0].copy(), out=out)
+        np.multiply(plan.propagator, out, out=out)
+        return np.multiply(out, plan.eta_T[:, None], out=out)
 
 
 @dataclass
@@ -424,6 +422,21 @@ class PicardResult:
         return self.ratios[-1] if self.ratios else None
 
 
+def _picard_band(grid: Grid, taxis: TimeAxis, xi_band: float) -> int:
+    """The number n_band of the distance's band columns, the modes
+    0 .. n_band-1 with xi <= xi_band, of a Picard iteration on `taxis`.
+
+    Raises ValueError if the band is narrower than one frequency step, and
+    AliasingError unless the tau axis resolves its highest mode: then it
+    resolves every difference of iterates, which lies inside the band.
+    """
+    if not xi_band >= grid.dxi:
+        raise ValueError(f"xi_band must be at least one frequency step {grid.dxi}")
+    n_band = int(np.count_nonzero(grid.xi[: grid.n_modes // 2] <= xi_band))
+    _require_band(taxis, float(grid.xi[n_band - 1]))
+    return n_band
+
+
 def picard_solve(
     phi_omega: Field,
     T: float,
@@ -436,29 +449,29 @@ def picard_solve(
     """Iterate v <- Gamma(v) from v = 0 until successive iterates are closer
     than tol in the dispersive-weighted norm.
 
-    Distances are measured on the band |xi| <= xi_band (at least one
-    frequency step) of the iterates' difference, since the weighted norm
-    requires a resolvable band; the share of the returned iterate's mass
-    outside that band is reported. Non-convergence within max_iter is a
-    result state, not an error; a non-finite iterate, or one whose physical
-    peak exceeds BLOWUP_THRESHOLD, marks the run as blown up.
+    Distances are measured on the band |xi| <= xi_band of the iterates'
+    difference, since the weighted norm requires a resolvable band; the
+    share of the returned iterate's mass outside that band is reported.
+    The data (real and finite, else ValueError) and the band
+    (`_picard_band`) are checked at entry. Non-convergence within max_iter
+    is a result state, not an error; an iterate whose physical peak is not
+    finite or exceeds BLOWUP_THRESHOLD, the one check in the loop, marks
+    the run as blown up.
 
-    The data must be real (a float64 `Field`). The iterates are real, and
-    the iteration holds the coefficients of their modes 0 .. N/2 on the
-    cutoff's rows only. A distance is summed from those rows alone: an
-    L-point FFT of the band's columns xi >= 0, L the window's
-    `_lag_folded_weight` length, against that weight, whose folding stands
-    for the columns xi < 0. It equals the full-axis sum to round-off.
+    The iterates are real, and the iteration holds the coefficients of
+    their modes 0 .. N/2 on the cutoff's rows only. A distance is summed
+    from those rows alone: an L-point FFT of the band's columns xi >= 0, L
+    the window's `_lag_folded_weight` length, against that weight, whose
+    folding stands for the columns xi < 0. It equals the full-axis sum to
+    round-off.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     grid = phi_omega.grid
-    if not xi_band >= grid.dxi:
-        raise ValueError(f"xi_band must be at least one frequency step {grid.dxi}")
-    if phi_omega.values.dtype != np.float64:
-        raise ValueError("picard_solve expects real data")
+    _require_real_finite(phi_omega, "picard_solve")
     if taxis is None:
         taxis = centered_axis(t_span=4.0, m_t=2048)
+    n_band = _picard_band(grid, taxis, xi_band)
     sigma = sigma_index(eps)
     b = b_index(eps)
 
@@ -466,11 +479,8 @@ def picard_solve(
     mode_weights = _half_weights(grid.n_modes)
     # The distance is the weighted norm of the difference on the band's
     # columns (a prefix of the modes 0 .. N/2-1; the Nyquist column of every
-    # iterate is zero). A band whose edge the tau axis resolves resolves
-    # every difference, which lies inside it.
-    n_band = int(np.count_nonzero(grid.xi[:half] <= xi_band))
+    # iterate is zero).
     band = slice(0, n_band)
-    band_resolved = 2.0 * float(grid.xi[n_band - 1]) ** 3 <= taxis.tau_max
     plan = _window_plan(grid, taxis, float(T), float(sigma), float(b), n_band)
     z_hat = plan.propagator * half_spectrum(phi_omega)[None, :] * plan.eta_T[:, None]
     v_hat = np.zeros_like(z_hat)
@@ -492,21 +502,16 @@ def picard_solve(
 
     for _ in range(max_iter):
         iterations += 1
-        try:
-            v_next = _duhamel_window(grid, taxis.dt, plan, v_hat, z_hat)
-        except BlowupError:
-            blown_up = True
-            break
+        v_next = _duhamel_window(grid, taxis.dt, plan, v_hat, z_hat)
         with np.errstate(over="ignore", invalid="ignore"):
             bound = float(np.max(np.abs(v_next) @ peak_bound))
             if not bound <= 0.5 * BLOWUP_THRESHOLD:
+                # a NaN or infinite peak fails the comparison too
                 peak = float(np.max(np.abs(grid.real_inverse(v_next))))
-                if not np.isfinite(peak) or peak > BLOWUP_THRESHOLD:
+                if not peak <= BLOWUP_THRESHOLD:
                     blown_up = True
                     break
         np.subtract(v_next[:, band], v_hat[:, band], out=band_diff)
-        if not band_resolved:
-            _require_resolved(grid, taxis, band_diff, band)
         d = plan.distance(padded_diff)
         if distances and distances[-1] > 0.0:
             ratios.append(d / distances[-1])
@@ -532,7 +537,7 @@ def picard_solve(
         z_hat=z_full,
         distances=distances,
         ratios=ratios,
-        converged=converged and not blown_up,
+        converged=converged,
         iterations=iterations,
         blown_up=blown_up,
         discarded_band_mass=discarded,

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from gkdvlab.cli import main
-from gkdvlab.io import load_field, load_trajectory
+from gkdvlab.grid import Field, make_grid
+from gkdvlab.io import load_field, load_trajectory, save_field
 
 
 def write_cfg(tmp_path: Path, body: str) -> str:
@@ -142,6 +143,8 @@ class TestConfigErrors:
             ("strichartz", "t_grid", "0.125,0.25,nan"),
             ("strichartz", "t_grid", "0.125,inf,0.5"),
             ("estimates", "half_length", "0"),
+            ("estimates", "half_length", "inf"),
+            ("grid", "half_length", "inf"),
             ("strichartz", "q", "0.5"),
             ("strichartz", "q", "inf"),
             ("strichartz", "r", "0.5"),
@@ -168,7 +171,7 @@ class TestConfigErrors:
         cfg = write_cfg(tmp_path, f"[{section}]\n{key} = {value}\n")
         command = {"lwp": "lwp-ensemble", "estimates": "verify-estimates",
                    "strichartz": "strichartz-tail", "simulate": "simulate",
-                   "time": "lwp-ensemble"}[section]
+                   "time": "lwp-ensemble", "grid": "lwp-ensemble"}[section]
         out = tmp_path / "x"
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert f"[{section}] {key} must be" in capsys.readouterr().err
@@ -184,6 +187,53 @@ class TestConfigErrors:
         out = tmp_path / "x"
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert "[random] n_max" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestDataErrors:
+    @pytest.mark.parametrize("key, value", [("amplitude", "inf"), ("amplitude", "nan"),
+                                            ("width", "0"), ("width", "inf")])
+    @pytest.mark.parametrize("command", ["simulate", "lwp-ensemble"])
+    def test_bad_profile_key_exit_2(self, tmp_path, capsys, command, key, value):
+        cfg = write_cfg(tmp_path, f"[data]\n{key} = {value}\n")
+        out = tmp_path / "x"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert f"[data] {key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command", ["randomize", "simulate", "strichartz-tail", "lwp-ensemble"]
+    )
+    def test_non_finite_file_data_exit_2(self, tmp_path, capsys, command):
+        grid = make_grid(16.0, 64)
+        values = np.exp(-(grid.x**2))
+        values[5] = np.nan
+        path = save_field(tmp_path / "phi.field", Field(grid, values))
+        cfg = write_cfg(tmp_path, SMALL_GRID + f"[data]\nkind = file\npath = {path}\n")
+        out = tmp_path / "x"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "holds non-finite samples" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            None,  # missing
+            b"not a field dump",  # no header end
+            b"gkdvlab-trajectory 1\n---\n",  # another dump's magic
+            b"gkdvlab-field 1\nL 16.0\n---\n",  # no N, rows or cols
+            b"gkdvlab-field 1\nL 16.0\nN 64\nrows 1\ncols 64\n---\n",  # no samples
+        ],
+        ids=["missing", "no-header-end", "other-magic", "no-shape", "no-samples"],
+    )
+    def test_unreadable_file_data_exit_2(self, tmp_path, capsys, content):
+        path = tmp_path / "phi.field"
+        if content is not None:
+            path.write_bytes(content)
+        cfg = write_cfg(tmp_path, SMALL_GRID + f"[data]\nkind = file\npath = {path}\n")
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert "[data] cannot load field file" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -271,3 +321,18 @@ class TestLwpEnsemble:
         assert main(["lwp-ensemble", "--config", cfg, "--out", str(out)]) == 4
         assert "[lwp] xi_band" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("xi_band, code", [(4.7, 0), (4.72, 4)])
+    def test_band_boundary_is_the_solvers(self, tmp_path, xi_band, code):
+        # tau_max ~ 201.1 on this axis; the solver checks the band's highest
+        # mode: 23 dxi ~ 4.516 (2 r^3 ~ 184.2) at xi_band = 4.7, and
+        # 24 dxi ~ 4.712 (~ 209.3) at 4.72
+        cfg = write_cfg(
+            tmp_path,
+            SMALL_GRID
+            + "[data]\namplitude = 0.2\nband_limit = 2.0\n\n"
+            + f"[lwp]\nt_grid = 0.03125\nn_samples = 100\nxi_band = {xi_band}\n",
+        )
+        out = tmp_path / "lwp"
+        assert main(["lwp-ensemble", "--config", cfg, "--out", str(out)]) == code
+        assert out.exists() == (code == 0)

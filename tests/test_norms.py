@@ -145,12 +145,6 @@ class TestMixedNorm:
         old = former(former(rows, grid64.dx, r, 1), ta.dt, q, 0)
         assert abs(mixed_norm(u, q, r) - old) <= 1e-14 * old
 
-    def test_interval_out_of_range(self, grid64):
-        ta = midpoint_axis(1.0, 8)
-        u = SpaceTimeField(grid64, ta, np.zeros((8, 64)))
-        with pytest.raises(ValueError):
-            mixed_norm(u, 2, 2, interval=(0.0, 2.0))
-
 
 class TestXsbNorm:
     def test_b_zero_is_weighted_space_time_l2(self, grid64):

@@ -14,7 +14,6 @@ from gkdvlab.norms import AliasingError, _half_xsb_weight, _xsb_power, _xsb_sum,
 from gkdvlab.params import b_index, sigma_index
 from gkdvlab.solver import (
     BLOWUP_THRESHOLD,
-    BlowupError,
     _duhamel_window,
     _eighth_power,
     _fine_pair,
@@ -214,6 +213,15 @@ class TestEvolveReference:
         assert np.max(np.abs(traj.u.values)) == 0.0
         assert np.max(np.abs(traj.diagnostics.mass)) == 0.0
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_data_refused(self, grid64, monkeypatch, value):
+        # refused at entry, before the data's transform
+        values = banded_bump(grid64, amplitude=1.0, band=2.0).values.copy()
+        values[5] = value
+        monkeypatch.setattr(Grid, "real_forward", _must_not_run)
+        with pytest.raises(ValueError, match="evolve_reference expects finite data"):
+            evolve_reference(Field(grid64, values), 1e-3, 1e-4)
+
     def test_linear_regime_matches_free_flow(self, grid512):
         phi = field_from_function(grid512, lambda x: 1e-8 * np.exp(-(x**2)))
         traj = evolve_reference(phi, 1.0, 1e-3, diag_stride=1000)
@@ -390,18 +398,26 @@ class TestDuhamelGamma:
             picard_solve(phi, 0.25, tol=1e-10, taxis=midpoint_axis(1.0, 64), xi_band=4.0)
 
 
+class _Blowup(Exception):
+    """The full-axis oracle's non-finite state."""
+
+
+def _must_not_run(*args):
+    raise AssertionError("ran past the solver's entry checks")
+
+
 def _full_axis_gamma(grid, ta, v_hat, z_hat, eta, eta_T):
     """The Duhamel map computed on every row of the time axis: the
     reference the windowed kernel must reproduce bit for bit."""
     w = eta[:, None] * v_hat + z_hat
     if not np.all(np.isfinite(w)):
-        raise BlowupError(step=-1)
+        raise _Blowup
     active = np.max(np.abs(w), axis=1) > 0.0
     forcing = np.zeros_like(w)
     if np.any(active):
         coeffs = nonlinearity_coeffs(grid, w[active])
         if not np.all(np.isfinite(coeffs)):
-            raise BlowupError(step=-1)
+            raise _Blowup
         forcing[active] = coeffs
     propagator = _propagator(grid, ta)
     integrand = np.conj(propagator) * forcing
@@ -429,7 +445,7 @@ def _full_axis_picard(phi, T, tol, max_iter, ta, xi_band, eps=0.05):
             iterations += 1
             try:
                 v_next = _full_axis_gamma(grid, ta, v_hat, z_hat, eta, eta_T)
-            except BlowupError:
+            except _Blowup:
                 blown_up = True
                 break
             peak = float(np.max(np.abs(grid.inverse(v_next))))
@@ -541,32 +557,33 @@ class TestWindowedPicard:
             _assert_matches_oracle(picard_solve(*args), _full_axis_picard(*args))
 
     @pytest.mark.parametrize(
-        "amplitude, band, aliases",
+        "amplitude, band, oracle_aliases",
         [
             (1.8, 2.0, True),  # at the first iterate
             (1.8, 0.4, True),  # the first difference resolves, the second aliases
             (0.05, 0.4, False),  # converges at the first iterate
         ],
     )
-    def test_band_too_wide_for_tau_axis(self, grid64, amplitude, band, aliases):
-        # 2 xi_max^3 ~ 496 exceeds tau_max ~ 201, so the band of every
-        # difference is checked, and the one that aliases raises the
-        # full-axis iteration's error
+    def test_band_too_wide_for_tau_axis(
+        self, grid64, monkeypatch, amplitude, band, oracle_aliases
+    ):
+        # 2 (31 dxi)^3 ~ 451 exceeds tau_max ~ 201: the band is refused at
+        # entry, before any Duhamel application, whatever the data. The
+        # full-axis oracle checks each difference's own band instead, and
+        # runs on where the differences stay narrow.
         ta = centered_axis(4.0, 256)
         xi_band = grid64.xi_max
-        for from_samples, make in ((True, banded_bump), (False, _spectral_bump)):
+        for make in (banded_bump, _spectral_bump):
             phi = make(grid64, amplitude, band)
-            if aliases:
-                with pytest.raises(AliasingError) as ref:
+            if oracle_aliases:
+                with pytest.raises(AliasingError):
                     _full_axis_picard(phi, 0.25, 1e-10, 25, ta, xi_band)
-                with pytest.raises(AliasingError) as got:
-                    picard_solve(phi, 0.25, tol=1e-10, max_iter=25, taxis=ta, xi_band=xi_band)
-                assert str(got.value) == str(ref.value)
             else:
-                res = picard_solve(phi, 0.25, tol=1e-10, max_iter=25, taxis=ta, xi_band=xi_band)
-                ref = _full_axis_picard(phi, 0.25, 1e-10, 25, ta, xi_band)
-                assert res.converged
-                _assert_matches_oracle(res, ref, from_samples)
+                assert _full_axis_picard(phi, 0.25, 1e-10, 25, ta, xi_band)["converged"]
+            with monkeypatch.context() as m:
+                m.setattr(solver, "_duhamel_window", _must_not_run)
+                with pytest.raises(AliasingError, match=r"\|xi\| <= 6.087 needs tau_max >= 451.0"):
+                    picard_solve(phi, 0.25, tol=1e-10, max_iter=25, taxis=ta, xi_band=xi_band)
 
     @pytest.mark.parametrize("data", ["bump", "full-band"])
     def test_nyquist_column_stays_zero(self, grid64, data):
@@ -777,17 +794,28 @@ class TestPicardSolve:
             assert res.iterations == 5
             assert len(calls) == 2
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e40])
+    @pytest.mark.parametrize("value", [1e40])
     def test_non_finite_state_blows_up(self, grid64, value):
-        # non-finite data, and data whose eighth power overflows, stop the
-        # iteration at its first iterate
+        # data whose eighth power overflows stop the iteration at its first
+        # iterate
         values = banded_bump(grid64, amplitude=1.0, band=2.0).values.copy()
         values[5] = value
-        with np.errstate(invalid="ignore"):  # the data's own transform
-            res = picard_solve(Field(grid64, values), 0.125, tol=1e-10,
-                               taxis=centered_axis(4.0, 256), xi_band=4.0)
+        res = picard_solve(Field(grid64, values), 0.125, tol=1e-10,
+                           taxis=centered_axis(4.0, 256), xi_band=4.0)
         assert res.blown_up and not res.converged
         assert res.iterations == 1 and res.distances == []
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_data_refused(self, grid64, monkeypatch, value):
+        # refused at entry, before the data's transform or any Duhamel
+        # application
+        values = banded_bump(grid64, amplitude=1.0, band=2.0).values.copy()
+        values[5] = value
+        monkeypatch.setattr(solver, "half_spectrum", _must_not_run)
+        monkeypatch.setattr(solver, "_duhamel_window", _must_not_run)
+        with pytest.raises(ValueError, match="picard_solve expects finite data"):
+            picard_solve(Field(grid64, values), 0.125, tol=1e-10,
+                         taxis=centered_axis(4.0, 256), xi_band=4.0)
 
     def test_physical_samples_only_when_needed(self, grid64, monkeypatch):
         # the coefficient bound clears every iterate of moderate data from the
