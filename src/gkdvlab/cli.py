@@ -31,8 +31,9 @@ from .io import (
 )
 from .montecarlo import exceptional_probability, strichartz_scaling
 from .norms import AliasingError, sobolev_norm
+from .params import data_index
 from .probes import ProbeResolution, _require_known, estimate_ids, run_estimates
-from .solver import _picard_band, evolve_reference
+from .solver import evolve_reference
 from .spacetime import centered_axis
 from .streams import child_seed
 from .wiener import sampler
@@ -100,7 +101,7 @@ def cmd_randomize(cfg: RunConfig, args) -> int:
     phi = build_data(cfg)
     sample = _sampler(cfg, phi)
     out = _out_dir(cfg, args)
-    s = cfg.s
+    s = data_index(cfg.epsilon)
     artifacts = [save_field(out / "phi.field", phi, kind="phi")]
     rows = [("phi", -1, sobolev_norm(phi, s))]
     for k in range(cfg["ensemble"]["n_fields"]):
@@ -170,28 +171,23 @@ def cmd_strichartz_tail(cfg: RunConfig, args) -> int:
 
 
 def cmd_lwp_ensemble(cfg: RunConfig, args) -> int:
-    phi = build_data(cfg)
     lwp = cfg["lwp"]
-    taxis = centered_axis(cfg["time"]["t_span"], cfg["time"]["m_t"])
-    # every solve would refuse the band: fail before the ensemble
     try:
-        _picard_band(phi.grid, taxis, lwp["xi_band"])
+        report = exceptional_probability(
+            _sampler(cfg, build_data(cfg)),
+            parse_float_list(lwp["t_grid"]),
+            lwp["n_samples"],
+            lwp["tol"],
+            taxis=centered_axis(cfg["time"]["t_span"], cfg["time"]["m_t"]),
+            xi_band=lwp["xi_band"],
+            eps=cfg.epsilon,
+            max_iter=lwp["max_iter"],
+            seed=cfg.master_seed,
+            threads=cfg["ensemble"]["threads"],
+        )
     except AliasingError as exc:
         raise AliasingError(f"[lwp] xi_band = {lwp['xi_band']:g}: {exc}") from None
-    sample = _sampler(cfg, phi)
     out = _out_dir(cfg, args)
-    report = exceptional_probability(
-        sample,
-        parse_float_list(lwp["t_grid"]),
-        lwp["n_samples"],
-        lwp["tol"],
-        taxis=taxis,
-        xi_band=lwp["xi_band"],
-        eps=cfg.epsilon,
-        max_iter=lwp["max_iter"],
-        seed=cfg.master_seed,
-        threads=cfg["ensemble"]["threads"],
-    )
     rows = [
         (r.T, r.n, r.failures, r.fraction, r.wilson_lo, r.wilson_hi) for r in report.rows
     ]

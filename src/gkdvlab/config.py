@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .params import data_index, validate_epsilon
+from .params import validate_epsilon
 from .solver import _step_count
 from .wiener import require_distribution
 
@@ -36,7 +36,6 @@ _SCHEMA: dict[str, dict[str, tuple[type, object]]] = {
     },
     "model": {
         "epsilon": (float, 0.05),
-        "s": (float, -1.0),  # -1 means "derive 17/112 + epsilon"
     },
     "random": {
         "distribution": (str, "gaussian"),
@@ -105,10 +104,6 @@ class RunConfig:
         return self.raw["model"]["epsilon"]
 
     @property
-    def s(self) -> float:
-        return self.raw["model"]["s"]
-
-    @property
     def master_seed(self) -> int:
         return self.raw["random"]["master_seed"]
 
@@ -168,14 +163,10 @@ def load_config(path: Path | str | None, overrides: dict | None = None) -> RunCo
 
 
 def _finalize(raw: dict, problems: list[str]) -> RunConfig:
-    model = raw["model"]
     try:
-        validate_epsilon(model["epsilon"])
+        validate_epsilon(raw["model"]["epsilon"])
     except ValueError as exc:
         problems.append(f"[model] {exc}")
-
-    if model["s"] < 0:
-        model["s"] = data_index(model["epsilon"])
 
     try:
         require_distribution(raw["random"]["distribution"])
@@ -191,6 +182,8 @@ def _finalize(raw: dict, problems: list[str]) -> RunConfig:
         problems.append("[data] amplitude must be finite")
     if not 0 < raw["data"]["width"] < math.inf:
         problems.append("[data] width must be positive and finite")
+    if not 0 <= raw["data"]["band_limit"] < math.inf:
+        problems.append("[data] band_limit must be finite and >= 0")
     for sect, key, least in (
         ("grid", "n_modes", 8),
         ("time", "m_t", 16),
@@ -212,10 +205,12 @@ def _finalize(raw: dict, problems: list[str]) -> RunConfig:
                 f"[{sect}] {key} must be a comma-separated list of positive finite reals"
             )
             continue
-        if sect == "lwp" and sorted(values, reverse=True) != values:
-            problems.append("[lwp] t_grid must be descending")
-        if sect == "strichartz" and len(values) < 3:
-            problems.append("[strichartz] t_grid needs at least three T values for tail fitting")
+        if sect == "lwp" and sorted(set(values), reverse=True) != values:
+            problems.append("[lwp] t_grid must be strictly descending")
+        if sect == "strichartz" and len(set(values)) < 3:
+            problems.append(
+                "[strichartz] t_grid needs at least three T values for tail fitting, no two equal"
+            )
     if raw["grid"]["half_length"] > 0:
         step = math.pi / raw["grid"]["half_length"]
         if not raw["lwp"]["xi_band"] >= step:

@@ -17,11 +17,16 @@ import numpy as np
 
 from .grid import Field
 from .norms import mixed_norm
-from .solver import PicardResult, picard_solve
+from .solver import PicardResult, _picard_band, picard_solve
 from .spacetime import TimeAxis, free_evolution, midpoint_axis
 from .streams import child_seed
 
 CONTRACTION_LINE = 0.5
+# two-sided 95% normal quantile of the Wilson and tail-scale intervals
+Z_95 = 1.96
+# the tail fit's thresholds: evenly spaced between these two quantiles
+LAMBDA_POINTS = 12
+LAMBDA_QUANTILES = (0.9, 0.995)
 
 
 @dataclass
@@ -59,7 +64,7 @@ def _evaluate_in_worker(index: int) -> EnsembleRecord:
 def run_ensemble(
     sample: Callable[[int], Field],
     n_samples: int,
-    observables: Mapping[str, Callable[[Field], float]] | Callable[[Field], Mapping[str, float]],
+    observables: Callable[[Field], Mapping[str, float]],
     seed: int,
     threads: int = 1,
 ) -> list[EnsembleRecord]:
@@ -67,9 +72,9 @@ def run_ensemble(
     k < n_samples: independent randomizations when `sample` is a
     `wiener.sampler`, which checks its data once, when it is built.
 
-    `observables` is either a name->callable map (each returning a float) or
-    a single callable returning a name->float map. Per-sample errors are
-    recorded on the sample (blown_up) and never abort the ensemble.
+    `observables` maps a field to its name->float observables. Per-sample
+    errors are recorded on the sample (blown_up) and never abort the
+    ensemble.
 
     `threads` is the number of worker processes, capped at the usable CPUs
     and at n_samples. More than one runs the samples on a pool of workers
@@ -88,10 +93,7 @@ def run_ensemble(
         record = EnsembleRecord(index=index, seed=sample_seed)
         try:
             phi_omega = sample(sample_seed)
-            if callable(observables):
-                record.values = {k: float(v) for k, v in observables(phi_omega).items()}
-            else:
-                record.values = {k: float(fn(phi_omega)) for k, fn in observables.items()}
+            record.values = {k: float(v) for k, v in observables(phi_omega).items()}
             if not all(np.isfinite(v) for v in record.values.values()):
                 record.blown_up = True
         except Exception:
@@ -139,34 +141,32 @@ class TailFit:
             raise ValueError("tail fit has nonnegative slope; no scale defined")
         return float(np.sqrt(-1.0 / self.slope))
 
-    def scale_interval(self, z: float = 1.96) -> tuple[float, float]:
-        lo_slope = self.slope - z * self.slope_stderr
-        hi_slope = min(self.slope + z * self.slope_stderr, -1e-300)
+    def scale_interval(self) -> tuple[float, float]:
+        lo_slope = self.slope - Z_95 * self.slope_stderr
+        hi_slope = min(self.slope + Z_95 * self.slope_stderr, -1e-300)
         return float(np.sqrt(-1.0 / lo_slope)), float(np.sqrt(-1.0 / hi_slope))
 
 
-def make_lambda_grid(
-    observations: np.ndarray, n_points: int = 12, lo_q: float = 0.9, hi_q: float = 0.995
-) -> np.ndarray:
-    """Evenly spaced thresholds between two quantiles of the observations."""
-    lo = float(np.quantile(observations, lo_q))
-    hi = float(np.quantile(observations, hi_q))
+def make_lambda_grid(observations: np.ndarray) -> np.ndarray:
+    """LAMBDA_POINTS evenly spaced thresholds between the LAMBDA_QUANTILES
+    of the observations."""
+    lo, hi = (float(np.quantile(observations, q)) for q in LAMBDA_QUANTILES)
     if not hi > lo:
         raise ValueError("degenerate observations: quantile range is empty")
-    return np.linspace(lo, hi, n_points)
+    return np.linspace(lo, hi, LAMBDA_POINTS)
 
 
-def exceedance_fit_line(lambdas: np.ndarray, log_probs: np.ndarray) -> tuple[float, float, float, float]:
-    """LS line of log_probs against lambdas^2: (slope, intercept, R^2, slope stderr)."""
-    x = np.asarray(lambdas, dtype=np.float64) ** 2
-    y = np.asarray(log_probs, dtype=np.float64)
+def line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
+    """LS line of y against x: (slope, intercept, R^2, slope stderr)."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
     m = x.size
     if m < 2:
-        raise ValueError("need at least two usable thresholds")
+        raise ValueError("need at least two points")
     xbar, ybar = x.mean(), y.mean()
     sxx = float(np.sum((x - xbar) ** 2))
     if sxx == 0.0:
-        raise ValueError("degenerate lambda grid")
+        raise ValueError("degenerate fit: all x values equal")
     slope = float(np.sum((x - xbar) * (y - ybar)) / sxx)
     intercept = float(ybar - slope * xbar)
     resid = y - (intercept + slope * x)
@@ -177,22 +177,13 @@ def exceedance_fit_line(lambdas: np.ndarray, log_probs: np.ndarray) -> tuple[flo
     return slope, intercept, r2, float(stderr)
 
 
-def tail_fit(
-    records: list[EnsembleRecord] | np.ndarray,
-    observable: str | None,
-    lambda_grid: np.ndarray,
-) -> TailFit:
+def tail_fit(observations: np.ndarray, lambda_grid: np.ndarray) -> TailFit:
     """Fit log P(obs > lambda) against lambda^2 over the given thresholds.
 
-    Requires at least 1e3 usable samples and a grid between the 50th and
+    Requires at least 1e3 observations and a grid between the 50th and
     99.5th percentiles; thresholds nobody exceeds are dropped.
     """
-    if observable is None:
-        obs = np.asarray(records, dtype=np.float64)
-    else:
-        obs = np.asarray(
-            [r.values[observable] for r in records if not r.blown_up], dtype=np.float64
-        )
+    obs = np.asarray(observations, dtype=np.float64)
     if obs.size < 1000:
         raise ValueError(f"tail fit needs >= 1000 samples, got {obs.size}")
     lam = np.asarray(lambda_grid, dtype=np.float64)
@@ -207,7 +198,7 @@ def tail_fit(
     keep = probs > 0.0
     if np.unique(probs[keep]).size < 2:
         raise ValueError("degenerate tail: all exceedance probabilities equal")
-    slope, intercept, r2, stderr = exceedance_fit_line(lam[keep], np.log(probs[keep]))
+    slope, intercept, r2, stderr = line_fit(lam[keep] ** 2, np.log(probs[keep]))
     return TailFit(
         lambdas=lam,
         probs=probs,
@@ -248,28 +239,21 @@ class StrichartzReport:
         )
 
 
-def fit_scale_exponent(t_values, scales) -> float:
-    """Exponent alpha in scale ~ T^alpha by least squares on the logs."""
-    x = np.log(np.asarray(t_values, dtype=np.float64))
-    y = np.log(np.asarray(scales, dtype=np.float64))
-    xbar = x.mean()
-    return float(np.sum((x - xbar) * (y - y.mean())) / np.sum((x - xbar) ** 2))
-
-
 def scale_report_from_observations(
     q: float, r: float, obs_by_t: dict[float, np.ndarray]
 ) -> StrichartzReport:
-    """Per-T tail scale (from the fitted tail slope) and the T-exponent."""
+    """Per-T tail scale (from the fitted tail slope) and the T-exponent
+    alpha in scale ~ T^alpha, the least-squares slope on the logs."""
     t_values = sorted(obs_by_t)
     scales, los, his, used = [], [], [], []
     for t in t_values:
-        fit = tail_fit(obs_by_t[t], None, make_lambda_grid(obs_by_t[t]))
+        fit = tail_fit(obs_by_t[t], make_lambda_grid(obs_by_t[t]))
         scales.append(fit.scale)
         lo, hi = fit.scale_interval()
         los.append(lo)
         his.append(hi)
         used.append(fit.n_samples)
-    alpha = fit_scale_exponent(t_values, scales)
+    alpha = line_fit(np.log(t_values), np.log(scales))[0]
     return StrichartzReport(
         q=q,
         r=r,
@@ -300,8 +284,8 @@ def strichartz_scaling(
     fitted scale should grow like T^{1/q}. `threads` is `run_ensemble`'s
     worker-process count.
     """
-    if len(t_grid) < 3:
-        raise ValueError("need at least three T values")
+    if len({float(t) for t in t_grid}) < 3:
+        raise ValueError("need at least three distinct T values")
     if np.isinf(q):
         raise ValueError("q must be finite")
     axes: dict[float, TimeAxis] = {float(t): midpoint_axis(t, n_time_samples) for t in t_grid}
@@ -327,10 +311,11 @@ def strichartz_scaling(
 # local solvability failure fraction
 
 
-def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial fraction."""
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    """Wilson score interval (at Z_95) for a binomial fraction."""
     if n == 0:
         return 0.0, 1.0
+    z = Z_95
     p = successes / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
@@ -373,8 +358,8 @@ def exceptional_probability(
     t_grid: list[float],
     n_samples: int,
     tol: float,
-    taxis: TimeAxis | None = None,
-    xi_band: float = 8.0,
+    taxis: TimeAxis,
+    xi_band: float,
     eps: float = 0.05,
     max_iter: int = 25,
     seed: int = 0,
@@ -383,16 +368,19 @@ def exceptional_probability(
     """Failure fraction of the fixed-point construction per existence time T,
     over the randomized fields `sample` draws.
 
-    T values must be passed in descending order; the trend statistic counts
-    adjacent pairs where the fraction increases as T shrinks without the
-    Wilson intervals overlapping. `threads` is `run_ensemble`'s
-    worker-process count.
+    T values must be passed in strictly descending order; the trend
+    statistic counts adjacent pairs where the fraction increases as T
+    shrinks without the Wilson intervals overlapping. The band is checked
+    once, on one draw's grid, before the first ensemble (`_picard_band`:
+    AliasingError where every solve would refuse it). `threads` is
+    `run_ensemble`'s worker-process count.
     """
     t_list = [float(t) for t in t_grid]
-    if sorted(t_list, reverse=True) != t_list:
-        raise ValueError("t_grid must be descending")
+    if sorted(set(t_list), reverse=True) != t_list:
+        raise ValueError("t_grid must be strictly descending")
     if n_samples < 100:
         raise ValueError("need at least 100 samples per T")
+    _picard_band(sample(seed).grid, taxis, xi_band)
 
     rows: list[LwpRow] = []
     records_by_t: dict[float, list[EnsembleRecord]] = {}

@@ -258,25 +258,18 @@ def xsb_norms(u: SpaceTimeField, indices: list[tuple[float, float]]) -> list[flo
     return [_xsb_sum(u.grid, u.taxis, power, s, b, columns) for s, b in indices]
 
 
-def bilinear_multiplier(
-    u1: SpaceTimeField,
-    u2: SpaceTimeField,
-    s: float,
-    variant: str = "plus",
-) -> SpaceTimeField:
-    """Bilinear symbol |xi1 + xi2|^s ("plus") or |xi1 - xi2|^s ("minus")
-    applied to the product of two fields.
+def bilinear_multiplier(u1: SpaceTimeField, u2: SpaceTimeField, s: float) -> SpaceTimeField:
+    """Difference-frequency bilinear symbol |xi1 - xi2|^s applied to the
+    product of two fields.
 
     Evaluated as a weighted circular convolution in the spatial frequency,
-    pointwise in time; s = 0 reduces to the plain product. Output spatial
+    pointwise in time; s = 0 gives the plain product. Output spatial
     frequencies wrap modulo the grid, as the torus product does. The sum
     runs over each factor's support, the modes whose L^2 mass over time
     exceeds 1e-14 of its peak mode's, so factors that carry K1 and K2 of the
     N modes cost O(K1 K2 M) for M time samples.
     """
     require_same_axes(u1, u2)
-    if variant not in ("plus", "minus"):
-        raise ValueError(f"variant must be 'plus' or 'minus', got {variant!r}")
     n = u1.grid.n_modes
     xi = u1.grid.xi
     a = np.fft.fft(u1.values, axis=1)  # (M, N)
@@ -286,12 +279,10 @@ def bilinear_multiplier(
         for m in (_column_support(a, 1e-14), _column_support(bv, 1e-14))
     )
     a, bv = a.T[k1], bv.T  # modes x time samples
-    x1, x2 = xi[k1][:, None], xi[k2][None, :]
-    symbol = np.abs(x1 + x2 if variant == "plus" else x1 - x2) ** s
+    symbol = np.abs(xi[k1][:, None] - xi[k2][None, :]) ** s
     out = np.zeros((n, u1.taxis.n_samples), dtype=np.complex128)
     for j, k in enumerate(k2):
         # Output mode k1 + k gathers its terms in increasing k, as a dense sum would.
-        contrib = a if s == 0.0 else symbol[:, j][:, None] * a
-        out[(k1 + k) % n] += contrib * bv[k]
+        out[(k1 + k) % n] += symbol[:, j][:, None] * a * bv[k]
     out /= n  # circular-convolution normalization of the raw DFT
     return u1.with_values(_readonly(np.fft.ifft(out.T, axis=1)))

@@ -209,7 +209,7 @@ def check_bilinear(
 
     def sides(u1: SpaceTimeField, u2: SpaceTimeField) -> tuple[float, float]:
         require_same_axes(u1, u2)
-        inner = bilinear_multiplier(u1, u2, s, "minus")
+        inner = bilinear_multiplier(u1, u2, s)
         outer = u1.grid.multiply(inner.values, np.abs(u1.grid.xi) ** s)
         lhs = st_l2(inner.with_values(_readonly(outer)))
         return lhs, xsb_norm(u1, 0.0, b1) * xsb_norm(u2, 0.0, b_tilde)

@@ -140,6 +140,7 @@ class TestConfigErrors:
             ("lwp", "t_grid", "0.0625,0.125"),
             ("lwp", "t_grid", "0.25,nan"),
             ("lwp", "t_grid", "inf,0.25"),
+            ("lwp", "t_grid", "0.25,0.25"),
             ("strichartz", "t_grid", "0.125,0.25,nan"),
             ("strichartz", "t_grid", "0.125,inf,0.5"),
             ("estimates", "half_length", "0"),
@@ -165,16 +166,34 @@ class TestConfigErrors:
             ("simulate", "t_end", "0.00015"),
             # the default 10000 steps are no multiple of 3
             ("simulate", "output_stride", "3"),
+            ("data", "band_limit", "nan"),
+            ("data", "band_limit", "-3"),
         ],
     )
     def test_bad_run_key_exit_2(self, tmp_path, capsys, section, key, value):
         cfg = write_cfg(tmp_path, f"[{section}]\n{key} = {value}\n")
         command = {"lwp": "lwp-ensemble", "estimates": "verify-estimates",
                    "strichartz": "strichartz-tail", "simulate": "simulate",
-                   "time": "lwp-ensemble", "grid": "lwp-ensemble"}[section]
+                   "time": "lwp-ensemble", "grid": "lwp-ensemble", "data": "simulate"}[section]
         out = tmp_path / "x"
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert f"[{section}] {key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("t_grid", ["0.125,0.125,0.125", "0.125,0.125,0.25"])
+    def test_repeated_strichartz_T_exit_2(self, tmp_path, capsys, t_grid):
+        cfg = write_cfg(tmp_path, f"[strichartz]\nt_grid = {t_grid}\n")
+        out = tmp_path / "x"
+        assert main(["strichartz-tail", "--config", cfg, "--out", str(out)]) == 2
+        assert "[strichartz] t_grid needs at least three T values" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_data_index_is_unknown_key_exit_2(self, tmp_path, capsys):
+        # s derives from epsilon like every other exponent
+        cfg = write_cfg(tmp_path, "[model]\ns = 0.3\n")
+        out = tmp_path / "x"
+        assert main(["randomize", "--config", cfg, "--out", str(out)]) == 2
+        assert "unknown key 's' in section [model]" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("n_max", [-3, 1])

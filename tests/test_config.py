@@ -10,14 +10,11 @@ class TestDefaults:
         eps = cfg.epsilon
         assert sigma_index(eps) == pytest.approx(3.0 / 14.0 + 2.0 * eps)
         assert b_index(eps) == pytest.approx(0.5 + eps / 24.0)
-        assert cfg.s == pytest.approx(data_index(eps))
-        assert cfg.s == pytest.approx(17.0 / 112.0 + eps)
 
     def test_epsilon_formulae(self):
         assert sigma_index(0.12) == pytest.approx(3.0 / 14.0 + 0.24)
         assert b_index(0.12) == pytest.approx(0.5 + 0.12 / 24.0)
         assert data_index(0.12) == pytest.approx(17.0 / 112.0 + 0.12)
-        assert load_config(None, {"model.epsilon": 0.12}).s == pytest.approx(data_index(0.12))
 
 
 class TestValidation:

@@ -3,6 +3,7 @@ import multiprocessing
 import os
 from concurrent.futures.process import BrokenProcessPool
 from math import erfc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +13,8 @@ from gkdvlab import wiener
 from gkdvlab.grid import Field, Grid, apply_multiplier, field_from_function, make_grid
 from gkdvlab.io import ensemble_table
 from gkdvlab.montecarlo import (
-    exceedance_fit_line,
     exceptional_probability,
-    fit_scale_exponent,
+    line_fit,
     make_lambda_grid,
     run_ensemble,
     scale_report_from_observations,
@@ -22,18 +22,22 @@ from gkdvlab.montecarlo import (
     tail_fit,
     wilson_interval,
 )
-from gkdvlab.norms import mixed_norm, sobolev_norm
+from gkdvlab.cli import build_data
+from gkdvlab.config import load_config
+from gkdvlab.norms import AliasingError, mixed_norm, sobolev_norm
 from gkdvlab.spacetime import centered_axis, midpoint_axis
 from gkdvlab.streams import child_seed
 from gkdvlab.wiener import _band_stack, sample_coefficients, sampler
 
 from conftest import banded_bump, l2_norm
 
+ROOT = Path(__file__).resolve().parent.parent
+
 
 class TestRunEnsemble:
     def test_deterministic_across_calls(self, grid64):
         phi = banded_bump(grid64, band=3.0)
-        obs = {"hs": lambda f: sobolev_norm(f, 0.2)}
+        obs = lambda f: {"hs": sobolev_norm(f, 0.2)}
         a = run_ensemble(sampler(phi, "gaussian"), 32, obs, seed=5)
         b = run_ensemble(sampler(phi, "gaussian"), 32, obs, seed=5)
         assert [x.index for x in a] == list(range(32))
@@ -42,7 +46,7 @@ class TestRunEnsemble:
     def test_degenerate_ones_reproduces_norm(self, grid64):
         phi = banded_bump(grid64, band=3.0)
         recs = run_ensemble(
-            sampler(phi, "ones"), 1, {"hs": lambda f: sobolev_norm(f, 0.25)}, seed=1
+            sampler(phi, "ones"), 1, lambda f: {"hs": sobolev_norm(f, 0.25)}, seed=1
         )
         assert recs[0].values["hs"] == pytest.approx(sobolev_norm(phi, 0.25), rel=1e-12)
 
@@ -52,7 +56,7 @@ class TestRunEnsemble:
         def broken(f):
             raise RuntimeError("observable exploded")
 
-        recs = run_ensemble(sampler(phi, "gaussian"), 4, {"bad": broken}, seed=2)
+        recs = run_ensemble(sampler(phi, "gaussian"), 4, broken, seed=2)
         assert len(recs) == 4
         assert all(r.blown_up for r in recs)
 
@@ -84,7 +88,7 @@ class TestRunEnsemble:
         seen = []
         with pytest.raises(ValueError, match="n_max|coefficient range"):
             run_ensemble(
-                sampler(phi, "gaussian", n_max), 4, {"x": seen.append}, seed=2, threads=threads
+                sampler(phi, "gaussian", n_max), 4, seen.append, seed=2, threads=threads
             )
         assert seen == []
 
@@ -92,7 +96,7 @@ class TestRunEnsemble:
         phi = banded_bump(grid64, band=3.0)
         seen = []
         with pytest.raises(ValueError, match="unknown distribution 'cauchy'"):
-            run_ensemble(sampler(phi, "cauchy"), 5, {"x": seen.append}, seed=1)
+            run_ensemble(sampler(phi, "cauchy"), 5, seen.append, seed=1)
         assert seen == []
 
 
@@ -130,8 +134,12 @@ def test_tail_path_matches_former_chain(seed):
         new = np.array([r.values[f"T={t!r}"] for r in report.records])
         assert np.max(np.abs(new - former[t]) / former[t]) <= 1e-13
         # identical exceedance counts, each on its own threshold grid
-        fits = [tail_fit(obs, None, make_lambda_grid(obs)) for obs in (new, former[t])]
+        fits = [tail_fit(obs, make_lambda_grid(obs)) for obs in (new, former[t])]
         assert np.array_equal(fits[0].probs, fits[1].probs)
+
+
+def _must_not_solve(*args, **kwargs):
+    raise AssertionError("picard_solve called")
 
 
 def _record_tuples(records):
@@ -180,7 +188,7 @@ class TestWorkerProcesses:
 
     def test_workers_capped_at_usable_cpus(self, grid64, monkeypatch):
         phi = banded_bump(grid64, band=3.0)
-        sample, obs = sampler(phi, "gaussian"), {"pid": lambda f: float(os.getpid())}
+        sample, obs = sampler(phi, "gaussian"), lambda f: {"pid": float(os.getpid())}
         pids = {r.values["pid"] for r in run_ensemble(sample, 24, obs, seed=5, threads=3)}
         assert 1 <= len(pids) <= 3 and float(os.getpid()) not in pids
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
@@ -193,7 +201,7 @@ class TestWorkerProcesses:
         def broken(f):
             raise RuntimeError("observable exploded")
 
-        recs = run_ensemble(sampler(phi, "gaussian"), 4, {"bad": broken}, seed=2, threads=2)
+        recs = run_ensemble(sampler(phi, "gaussian"), 4, broken, seed=2, threads=2)
         assert [r.index for r in recs] == [0, 1, 2, 3]
         assert all(r.blown_up for r in recs)
 
@@ -204,7 +212,7 @@ class TestWorkerProcesses:
             os._exit(3)
 
         with pytest.raises(BrokenProcessPool):
-            run_ensemble(sampler(phi, "gaussian"), 4, {"x": dies}, seed=2, threads=2)
+            run_ensemble(sampler(phi, "gaussian"), 4, dies, seed=2, threads=2)
 
 
 class TestTailFit:
@@ -213,11 +221,11 @@ class TestTailFit:
         # over the same thresholds; the empirical fit must land within 10%
         rng = np.random.default_rng(0)
         obs = np.abs(rng.standard_normal(100_000))
-        lam = make_lambda_grid(obs, 12, 0.9, 0.995)
-        oracle_slope, _, oracle_r2, _ = exceedance_fit_line(
-            lam, np.log([erfc(l / np.sqrt(2.0)) for l in lam])
+        lam = make_lambda_grid(obs)
+        oracle_slope, _, oracle_r2, _ = line_fit(
+            lam**2, np.log([erfc(l / np.sqrt(2.0)) for l in lam])
         )
-        fit = tail_fit(obs, None, lam)
+        fit = tail_fit(obs, lam)
         assert oracle_slope < 0
         assert abs(fit.slope - oracle_slope) <= 0.10 * abs(oracle_slope)
         assert fit.r_squared >= 0.9 and oracle_r2 >= 0.99
@@ -225,26 +233,26 @@ class TestTailFit:
     def test_constant_observable_degenerate(self):
         obs = np.ones(2000)
         with pytest.raises(ValueError):
-            tail_fit(obs, None, np.linspace(0.9, 1.1, 5))
+            tail_fit(obs, np.linspace(0.9, 1.1, 5))
 
     def test_grid_outside_sampled_range_rejected(self):
         rng = np.random.default_rng(1)
         obs = np.abs(rng.standard_normal(2000))
         with pytest.raises(ValueError):
-            tail_fit(obs, None, np.linspace(0.01, 0.02, 5))
+            tail_fit(obs, np.linspace(0.01, 0.02, 5))
 
     def test_needs_thousand_samples(self):
         obs = np.abs(np.random.default_rng(2).standard_normal(500))
         with pytest.raises(ValueError):
-            tail_fit(obs, None, np.linspace(1.0, 2.0, 5))
+            tail_fit(obs, np.linspace(1.0, 2.0, 5))
 
     def test_records_interface(self, grid64):
         phi = banded_bump(grid64, band=3.0)
         recs = run_ensemble(
-            sampler(phi, "gaussian"), 1200, {"hs": lambda f: sobolev_norm(f, 0.2)}, seed=9
+            sampler(phi, "gaussian"), 1200, lambda f: {"hs": sobolev_norm(f, 0.2)}, seed=9
         )
-        obs = np.array([r.values["hs"] for r in recs])
-        fit = tail_fit(recs, "hs", make_lambda_grid(obs))
+        obs = np.array([r.values["hs"] for r in recs if not r.blown_up])
+        fit = tail_fit(obs, make_lambda_grid(obs))
         assert fit.slope < 0
         assert fit.n_samples == 1200
 
@@ -297,7 +305,25 @@ class TestScalePipeline:
     def test_fit_scale_exponent(self):
         t = [0.1, 0.2, 0.4]
         scales = [0.5 * ti**0.25 for ti in t]
-        assert fit_scale_exponent(t, scales) == pytest.approx(0.25, rel=1e-12)
+        assert line_fit(np.log(t), np.log(scales))[0] == pytest.approx(0.25, rel=1e-12)
+
+    def test_scale_exponent_is_the_former_fit_bit_for_bit(self):
+        def former_fit_scale_exponent(t_values, scales):
+            x = np.log(np.asarray(t_values, dtype=np.float64))
+            y = np.log(np.asarray(scales, dtype=np.float64))
+            xbar = x.mean()
+            return float(np.sum((x - xbar) * (y - y.mean())) / np.sum((x - xbar) ** 2))
+
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            n = int(rng.integers(3, 8))
+            t = np.sort(rng.uniform(1e-3, 2.0, n))
+            scales = rng.uniform(0.1, 10.0, n)
+            assert line_fit(np.log(t), np.log(scales))[0] == former_fit_scale_exponent(t, scales)
+        # and through the report, on three T values
+        base = np.abs(rng.standard_normal(5000)) + 0.5
+        rep = scale_report_from_observations(4.0, 4.0, {t: t**0.3 * base for t in (0.1, 0.2, 0.4)})
+        assert rep.alpha == former_fit_scale_exponent(rep.t_values, rep.scales)
 
     def test_strichartz_run_small(self, grid64):
         phi = banded_bump(grid64, band=3.0)
@@ -309,6 +335,12 @@ class TestScalePipeline:
         phi = banded_bump(grid64, band=3.0)
         with pytest.raises(ValueError):
             strichartz_scaling(sampler(phi, "gaussian"), 4.0, 4.0, [0.25, 0.5], 1500)
+
+    @pytest.mark.parametrize("t_grid", [[0.125, 0.125, 0.125], [0.125, 0.125, 0.25]])
+    def test_repeated_T_values_refused(self, grid64, t_grid):
+        phi = banded_bump(grid64, band=3.0)
+        with pytest.raises(ValueError, match="three distinct T values"):
+            strichartz_scaling(sampler(phi, "gaussian"), 4.0, 4.0, t_grid, 1500)
 
 
 class TestExceptionalProbability:
@@ -335,12 +367,34 @@ class TestExceptionalProbability:
     def test_requires_descending_grid(self, grid64):
         phi = banded_bump(grid64, band=2.0)
         with pytest.raises(ValueError):
-            exceptional_probability(sampler(phi, "gaussian"), [0.125, 0.25], 100, tol=1e-10)
+            exceptional_probability(sampler(phi, "gaussian"), [0.125, 0.25], 100, tol=1e-10,
+                                    taxis=centered_axis(4.0, 256), xi_band=4.0)
+
+    @pytest.mark.parametrize("t_grid", [[0.25, 0.25], [0.25, 0.125, 0.125]])
+    def test_repeated_T_values_refused(self, grid64, monkeypatch, t_grid):
+        phi = banded_bump(grid64, band=2.0)
+        monkeypatch.setattr(montecarlo, "picard_solve", _must_not_solve)
+        with pytest.raises(ValueError, match="strictly descending"):
+            exceptional_probability(sampler(phi, "gaussian"), t_grid, 100, tol=1e-10,
+                                    taxis=centered_axis(4.0, 256), xi_band=4.0)
 
     def test_requires_hundred_samples(self, grid64):
         phi = banded_bump(grid64, band=2.0)
         with pytest.raises(ValueError):
-            exceptional_probability(sampler(phi, "gaussian"), [0.25], 50, tol=1e-10)
+            exceptional_probability(sampler(phi, "gaussian"), [0.25], 50, tol=1e-10,
+                                    taxis=centered_axis(4.0, 256), xi_band=4.0)
+
+    def test_unresolved_band_raises_before_any_solve(self, monkeypatch):
+        # the lwp preset's sampler with a band the tau axis cannot resolve
+        # (2 xi_k^3 for the band's highest mode exceeds tau_max ~ 201): every
+        # solve would refuse it, so the call raises instead of booking each
+        # sample as a solvability failure
+        cfg = load_config(ROOT / "configs" / "lwp.ini")
+        sample = sampler(build_data(cfg), cfg["random"]["distribution"])
+        monkeypatch.setattr(montecarlo, "picard_solve", _must_not_solve)
+        with pytest.raises(AliasingError):
+            exceptional_probability(sample, [1 / 32], 100, tol=1e-10,
+                                    taxis=centered_axis(4.0, 256), xi_band=8.0)
 
     def test_phi_transformed_and_checked_once_over_four_T(self, grid64, monkeypatch):
         # one sampler serves every T of the sweep

@@ -300,7 +300,7 @@ class TestBilinearMultiplier:
         rng = np.random.default_rng(8)
         u1 = SpaceTimeField(grid64, ta, rng.standard_normal((32, 64)))
         u2 = SpaceTimeField(grid64, ta, rng.standard_normal((32, 64)))
-        out = bilinear_multiplier(u1, u2, 0.0, "plus")
+        out = bilinear_multiplier(u1, u2, 0.0)
         prod = u1.values * u2.values
         assert np.max(np.abs(out.values - prod)) <= 1e-12 * np.max(np.abs(prod))
 
@@ -314,20 +314,14 @@ class TestBilinearMultiplier:
         u2 = SpaceTimeField(g, ta, np.outer(b, np.exp(1j * x)))
         s = 0.7
         prod = u1.values * u2.values
-        for variant, factor in (("plus", 4.0**s), ("minus", 2.0**s)):
-            out = bilinear_multiplier(u1, u2, s, variant)
-            assert np.max(np.abs(out.values - factor * prod)) <= 1e-10 * np.max(np.abs(prod))
+        out = bilinear_multiplier(u1, u2, s)
+        assert np.max(np.abs(out.values - 2.0**s * prod)) <= 1e-10 * np.max(np.abs(prod))
 
     def test_axis_mismatch_rejected(self, grid64):
         u1 = SpaceTimeField(grid64, centered_axis(4.0, 32), np.zeros((32, 64)))
         u2 = SpaceTimeField(grid64, centered_axis(2.0, 32), np.zeros((32, 64)))
         with pytest.raises(ValueError):
-            bilinear_multiplier(u1, u2, 0.5, "plus")
-
-    def test_unknown_variant(self, grid64):
-        u = SpaceTimeField(grid64, centered_axis(4.0, 32), np.zeros((32, 64)))
-        with pytest.raises(ValueError):
-            bilinear_multiplier(u, u, 0.5, "times")
+            bilinear_multiplier(u1, u2, 0.5)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -337,10 +331,9 @@ class TestBilinearMultiplier:
             st.integers(0, 31), st.integers(1, 32), st.integers(0, 31), st.integers(1, 32)
         ),
         s=st.sampled_from([0.0, 0.5, 0.7]),
-        variant=st.sampled_from(["plus", "minus"]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_dense_roll_oracle(self, n_modes, m_t, bands, s, variant, seed):
+    def test_matches_dense_roll_oracle(self, n_modes, m_t, bands, s, seed):
         """The support-restricted sum equals the dense O(N^2 M) sum over every
         mode pair, for bands anywhere on the circle of modes (so also bands
         that wrap past Nyquist) and for data on every mode. Mode amplitudes
@@ -363,14 +356,14 @@ class TestBilinearMultiplier:
         xi = grid.xi
         a = np.fft.fft(u1.values, axis=1).T
         bv = np.fft.fft(u2.values, axis=1).T
-        argument = xi[:, None] + xi[None, :] if variant == "plus" else xi[:, None] - xi[None, :]
+        argument = xi[:, None] - xi[None, :]
         symbol = np.abs(argument) ** s if s != 0.0 else np.ones_like(argument)
         dense = np.zeros_like(a)
         for k2 in range(n_modes):
             dense += np.roll(symbol[:, k2][:, None] * a * bv[k2, :][None, :], k2, axis=0)
         oracle = np.fft.ifft((dense / n_modes).T, axis=1)
 
-        out = bilinear_multiplier(u1, u2, s, variant).values
+        out = bilinear_multiplier(u1, u2, s).values
         # A symbol zero can cancel the largest products (xi1 = -xi2 = 0, say),
         # leaving an output of round-off size: allow round-off on the largest
         # single term besides the agreement relative to max|out|.
@@ -382,7 +375,7 @@ class TestBilinearMultiplier:
         ta = centered_axis(4.0, 32)
         u = SpaceTimeField(grid64, ta, np.random.default_rng(3).standard_normal((32, 64)))
         zero = SpaceTimeField(grid64, ta, np.zeros((32, 64)))
-        assert not np.any(bilinear_multiplier(u, zero, 0.5, "plus").values)
+        assert not np.any(bilinear_multiplier(u, zero, 0.5).values)
 
 
 def test_space_time_lebesgue_is_mixed_with_equal_exponents(grid64):

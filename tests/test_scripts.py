@@ -25,3 +25,10 @@ def test_preset_loads(path):
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
 def test_script_imports(path):
     runpy.run_path(str(path), run_name="smoke")
+
+
+def test_tail_study_runs(tmp_path):
+    main = runpy.run_path(str(ROOT / "scripts" / "tail_study.py"), run_name="smoke")["main"]
+    main(tmp_path, n_samples=1000)
+    assert (tmp_path / "hs_tail.csv").read_text().startswith("lambda,lambda_sq,")
+    assert (tmp_path / "scales.csv").read_text().startswith("T,scale,")
