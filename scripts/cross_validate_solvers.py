@@ -9,6 +9,7 @@ dominated by the trapezoid quadrature of the mild-form integral.
 
 import numpy as np
 
+from gkdvlab.config import load_config
 from gkdvlab.grid import Field, make_grid
 from gkdvlab.solver import evolve_reference, picard_solve, reconstruct_solution
 from gkdvlab.spacetime import centered_axis
@@ -20,12 +21,21 @@ def banded_bump(grid, amplitude, band):
 
 
 def main():
+    cfg = load_config(None)
     grid = make_grid(32.0, 512)
     phi = banded_bump(grid, amplitude=1.0, band=2.0)
     T = 1.0 / 16.0
     taxis = centered_axis(4.0, 2048)
 
-    result = picard_solve(phi, T, tol=1e-11, taxis=taxis, xi_band=8.0)
+    result = picard_solve(
+        phi,
+        T,
+        tol=1e-11,
+        max_iter=cfg["lwp"]["max_iter"],
+        taxis=taxis,
+        xi_band=8.0,
+        eps=cfg["model"]["epsilon"],
+    )
     print(f"picard: converged={result.converged} after {result.iterations} iterations")
     print("  distances:", " ".join(f"{d:.3e}" for d in result.distances))
     print("  ratios:   ", " ".join(f"{r:.3e}" for r in result.ratios))

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from gkdvlab.config import load_config
 from gkdvlab.grid import field_from_function, make_grid
 from gkdvlab.io import write_csv
 from gkdvlab.montecarlo import make_lambda_grid, run_ensemble, strichartz_scaling, tail_fit
@@ -22,12 +23,18 @@ from gkdvlab.wiener import sampler
 def main(out_dir="out-tails", n_samples=10_000, seed=2026):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    cfg = load_config(None)
+    threads = cfg["ensemble"]["threads"]
     grid = make_grid(32.0, 512)
     phi = field_from_function(grid, lambda x: np.exp(-(x**2)))
-    s = data_index(0.05)
+    s = data_index(cfg["model"]["epsilon"])
 
     records = run_ensemble(
-        sampler(phi, "gaussian"), n_samples, lambda f: {"hs": sobolev_norm(f, s)}, seed=seed
+        sampler(phi, "gaussian"),
+        n_samples,
+        lambda f: {"hs": sobolev_norm(f, s)},
+        seed=seed,
+        threads=threads,
     )
     obs = np.array([r.values["hs"] for r in records if not r.blown_up])
     fit = tail_fit(obs, make_lambda_grid(obs))
@@ -45,7 +52,14 @@ def main(out_dir="out-tails", n_samples=10_000, seed=2026):
     small = make_grid(16.0, 128)
     phi_small = field_from_function(small, lambda x: np.exp(-(x**2)))
     report = strichartz_scaling(
-        sampler(phi_small, "gaussian"), 4.0, 4.0, [0.125, 0.25, 0.5], n_samples, seed=seed
+        sampler(phi_small, "gaussian"),
+        4.0,
+        4.0,
+        [0.125, 0.25, 0.5],
+        n_samples,
+        seed=seed,
+        n_time_samples=cfg["strichartz"]["n_time_samples"],
+        threads=threads,
     )
     print(
         f"mixed-norm tail scale ~ T^{report.alpha:.4f} "

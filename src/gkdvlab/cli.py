@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_config, parse_float_list
+from .config import ConfigError, load_config, parse_float_list
 from .grid import Field, apply_multiplier, make_grid
 from .io import (
     diagnostics_rows,
@@ -44,7 +44,7 @@ EXIT_BLOWUP = 3
 EXIT_PRECONDITION = 4
 
 
-def build_data(cfg: RunConfig) -> Field:
+def build_data(cfg: dict) -> Field:
     """The deterministic profile phi described by the [data] section."""
     grid = make_grid(cfg["grid"]["half_length"], cfg["grid"]["n_modes"])
     data = cfg["data"]
@@ -80,7 +80,7 @@ def _band_limit(phi: Field, band: float) -> Field:
     return apply_multiplier(phi, mask)
 
 
-def _sampler(cfg: RunConfig, phi: Field) -> Callable[[int], Field]:
+def _sampler(cfg: dict, phi: Field) -> Callable[[int], Field]:
     """The [random] randomization of phi, as a map from a seed to a sample.
     n_max = 0 covers the data's spectrum; an explicit range that does not
     is a configuration error, raised before any sample is drawn."""
@@ -91,30 +91,30 @@ def _sampler(cfg: RunConfig, phi: Field) -> Callable[[int], Field]:
         raise ConfigError([f"[random] n_max: {exc}"]) from exc
 
 
-def _out_dir(cfg: RunConfig, args) -> Path:
+def _out_dir(cfg: dict, args) -> Path:
     out = Path(args.out) if args.out else Path(cfg["output"]["directory"])
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def cmd_randomize(cfg: RunConfig, args) -> int:
+def cmd_randomize(cfg: dict, args) -> int:
     phi = build_data(cfg)
     sample = _sampler(cfg, phi)
     out = _out_dir(cfg, args)
-    s = data_index(cfg.epsilon)
+    s = data_index(cfg["model"]["epsilon"])
     artifacts = [save_field(out / "phi.field", phi, kind="phi")]
     rows = [("phi", -1, sobolev_norm(phi, s))]
     for k in range(cfg["ensemble"]["n_fields"]):
-        seed_k = child_seed(cfg.master_seed, k)
+        seed_k = child_seed(cfg["random"]["master_seed"], k)
         phi_k = sample(seed_k)
         artifacts.append(save_field(out / f"sample_{k:03d}.field", phi_k, kind="sample", seed=seed_k))
         rows.append((f"sample_{k:03d}", seed_k, sobolev_norm(phi_k, s)))
     artifacts.append(write_csv(out / "norms.csv", ["field", "seed", "hs_norm"], rows))
-    write_manifest(out, cfg.echo(), artifacts)
+    write_manifest(out, cfg, artifacts)
     return EXIT_OK
 
 
-def cmd_simulate(cfg: RunConfig, args) -> int:
+def cmd_simulate(cfg: dict, args) -> int:
     phi = build_data(cfg)
     out = _out_dir(cfg, args)
     sim = cfg["simulate"]
@@ -124,7 +124,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         sim["dt"],
         output_stride=sim["output_stride"] or None,
         diag_stride=sim["diag_stride"],
-        seed=cfg.master_seed,
+        seed=cfg["random"]["master_seed"],
     )
     artifacts = [
         save_trajectory(out / "trajectory.bin", traj),
@@ -134,14 +134,14 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
             diagnostics_rows(traj.diagnostics),
         ),
     ]
-    write_manifest(out, cfg.echo(), artifacts)
+    write_manifest(out, cfg, artifacts)
     if traj.blown_up:
         print(f"blowup at step {traj.first_bad_step}; trajectory truncated", file=sys.stderr)
         return EXIT_BLOWUP
     return EXIT_OK
 
 
-def cmd_strichartz_tail(cfg: RunConfig, args) -> int:
+def cmd_strichartz_tail(cfg: dict, args) -> int:
     t_grid = parse_float_list(cfg["strichartz"]["t_grid"])
     sample = _sampler(cfg, build_data(cfg))
     out = _out_dir(cfg, args)
@@ -152,7 +152,7 @@ def cmd_strichartz_tail(cfg: RunConfig, args) -> int:
         st["r"],
         t_grid,
         cfg["ensemble"]["n_samples"],
-        seed=cfg.master_seed,
+        seed=cfg["random"]["master_seed"],
         n_time_samples=st["n_time_samples"],
         threads=cfg["ensemble"]["threads"],
     )
@@ -166,11 +166,11 @@ def cmd_strichartz_tail(cfg: RunConfig, args) -> int:
             [(report.alpha, report.predicted_alpha)],
         ),
     ]
-    write_manifest(out, cfg.echo(), artifacts)
+    write_manifest(out, cfg, artifacts)
     return EXIT_OK
 
 
-def cmd_lwp_ensemble(cfg: RunConfig, args) -> int:
+def cmd_lwp_ensemble(cfg: dict, args) -> int:
     lwp = cfg["lwp"]
     try:
         report = exceptional_probability(
@@ -180,9 +180,9 @@ def cmd_lwp_ensemble(cfg: RunConfig, args) -> int:
             lwp["tol"],
             taxis=centered_axis(cfg["time"]["t_span"], cfg["time"]["m_t"]),
             xi_band=lwp["xi_band"],
-            eps=cfg.epsilon,
+            eps=cfg["model"]["epsilon"],
             max_iter=lwp["max_iter"],
-            seed=cfg.master_seed,
+            seed=cfg["random"]["master_seed"],
             threads=cfg["ensemble"]["threads"],
         )
     except AliasingError as exc:
@@ -210,13 +210,13 @@ def cmd_lwp_ensemble(cfg: RunConfig, args) -> int:
             [(report.trend_violations, report.trend_ok)],
         ),
     ]
-    write_manifest(out, cfg.echo(), artifacts)
+    write_manifest(out, cfg, artifacts)
     return EXIT_OK
 
 
-def cmd_verify_estimates(cfg: RunConfig, args) -> int:
+def cmd_verify_estimates(cfg: dict, args) -> int:
     est = cfg["estimates"]
-    eps = cfg.epsilon
+    eps = cfg["model"]["epsilon"]
     wanted = est["ids"].strip()
     valid = estimate_ids(eps)
     ids = valid if wanted == "all" else [tok.strip() for tok in wanted.split(",") if tok.strip()]
@@ -233,7 +233,11 @@ def cmd_verify_estimates(cfg: RunConfig, args) -> int:
         xi_band=est["xi_band"],
     )
     reports = run_estimates(
-        ids, eps=eps, resolution=resolution, n_trials=est["n_trials"], seed=cfg.master_seed
+        ids,
+        eps=eps,
+        resolution=resolution,
+        n_trials=est["n_trials"],
+        seed=cfg["random"]["master_seed"],
     )
     artifacts = []
     summary = []
@@ -256,7 +260,7 @@ def cmd_verify_estimates(cfg: RunConfig, args) -> int:
             summary,
         )
     )
-    write_manifest(out, cfg.echo(), artifacts)
+    write_manifest(out, cfg, artifacts)
     return EXIT_OK
 
 

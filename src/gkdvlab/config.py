@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .params import validate_epsilon
@@ -90,27 +89,6 @@ _SCHEMA: dict[str, dict[str, tuple[type, object]]] = {
 }
 
 
-@dataclass
-class RunConfig:
-    """Typed view of the configuration."""
-
-    raw: dict = field(default_factory=dict)
-
-    def __getitem__(self, section: str) -> dict:
-        return self.raw[section]
-
-    @property
-    def epsilon(self) -> float:
-        return self.raw["model"]["epsilon"]
-
-    @property
-    def master_seed(self) -> int:
-        return self.raw["random"]["master_seed"]
-
-    def echo(self) -> dict:
-        return {sect: dict(vals) for sect, vals in self.raw.items()}
-
-
 def _parse_value(raw: str, typ: type, where: str, problems: list[str]):
     raw = raw.strip()
     try:
@@ -124,8 +102,9 @@ def parse_float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-def load_config(path: Path | str | None, overrides: dict | None = None) -> RunConfig:
-    """Read the INI file (or defaults when path is None) and validate.
+def load_config(path: Path | str | None, overrides: dict | None = None) -> dict:
+    """Read the INI file (or defaults when path is None) and validate; the
+    result maps each section to its key->value dict.
 
     `overrides` maps "section.key" to already-typed values (used for
     command-line flags such as --seed, --out, --threads).
@@ -162,7 +141,7 @@ def load_config(path: Path | str | None, overrides: dict | None = None) -> RunCo
     return _finalize(raw, problems)
 
 
-def _finalize(raw: dict, problems: list[str]) -> RunConfig:
+def _finalize(raw: dict, problems: list[str]) -> dict:
     try:
         validate_epsilon(raw["model"]["epsilon"])
     except ValueError as exc:
@@ -211,6 +190,8 @@ def _finalize(raw: dict, problems: list[str]) -> RunConfig:
             problems.append(
                 "[strichartz] t_grid needs at least three T values for tail fitting, no two equal"
             )
+    if not any(tok.strip() for tok in raw["estimates"]["ids"].split(",")):
+        problems.append("[estimates] ids must name at least one estimate")
     if raw["grid"]["half_length"] > 0:
         step = math.pi / raw["grid"]["half_length"]
         if not raw["lwp"]["xi_band"] >= step:
@@ -237,8 +218,10 @@ def _finalize(raw: dict, problems: list[str]) -> RunConfig:
     if not 1 <= raw["strichartz"]["q"] < math.inf:
         problems.append("[strichartz] q must be >= 1 and finite")
     for sect, key, least in (
+        ("random", "master_seed", 0),
         ("random", "n_max", 0),
         ("ensemble", "n_samples", 1000),
+        ("ensemble", "n_fields", 0),
         ("ensemble", "threads", 1),
         ("strichartz", "r", 1),
         ("strichartz", "n_time_samples", 1),
@@ -254,4 +237,4 @@ def _finalize(raw: dict, problems: list[str]) -> RunConfig:
 
     if problems:
         raise ConfigError(problems)
-    return RunConfig(raw=raw)
+    return raw

@@ -66,7 +66,7 @@ def run_ensemble(
     n_samples: int,
     observables: Callable[[Field], Mapping[str, float]],
     seed: int,
-    threads: int = 1,
+    threads: int,
 ) -> list[EnsembleRecord]:
     """Evaluate observables on the fields `sample(child_seed(seed, k))`,
     k < n_samples: independent randomizations when `sample` is a
@@ -273,9 +273,9 @@ def strichartz_scaling(
     r: float,
     t_grid: list[float],
     n_samples: int,
-    seed: int = 0,
-    n_time_samples: int = 64,
-    threads: int = 1,
+    seed: int,
+    n_time_samples: int,
+    threads: int,
 ) -> StrichartzReport:
     """Tail lambda-scale of the free evolution's L^q_t L^r_x([0, T]) norm per
     T over the randomized fields `sample` draws, regressed against T.
@@ -360,10 +360,10 @@ def exceptional_probability(
     tol: float,
     taxis: TimeAxis,
     xi_band: float,
-    eps: float = 0.05,
-    max_iter: int = 25,
-    seed: int = 0,
-    threads: int = 1,
+    eps: float,
+    max_iter: int,
+    seed: int,
+    threads: int,
 ) -> LwpReport:
     """Failure fraction of the fixed-point construction per existence time T,
     over the randomized fields `sample` draws.

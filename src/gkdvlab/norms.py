@@ -100,11 +100,6 @@ def mixed_norm(u: SpaceTimeField, q: float, r: float) -> float:
     return float(_lp_riemann(inner, u.taxis.dt, q, axis=0))
 
 
-def space_time_lebesgue(u: SpaceTimeField, p: float) -> float:
-    """Plain L^p over the whole (x, t) box."""
-    return mixed_norm(u, p, p)
-
-
 # The embedding catalog sums 14 (s, b) weights against each probe field.
 @lru_cache(maxsize=32)
 def _xsb_weight(grid, taxis, s: float, b: float) -> np.ndarray:

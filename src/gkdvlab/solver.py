@@ -50,7 +50,6 @@ from .spacetime import (
     SpaceTimeField,
     TimeAxis,
     _half_propagator,
-    centered_axis,
 )
 
 NONLINEARITY_DEGREE = 8
@@ -441,10 +440,10 @@ def picard_solve(
     phi_omega: Field,
     T: float,
     tol: float,
-    max_iter: int = 25,
-    taxis: TimeAxis | None = None,
-    xi_band: float = 8.0,
-    eps: float = 0.05,
+    max_iter: int,
+    taxis: TimeAxis,
+    xi_band: float,
+    eps: float,
 ) -> PicardResult:
     """Iterate v <- Gamma(v) from v = 0 until successive iterates are closer
     than tol in the dispersive-weighted norm.
@@ -469,8 +468,6 @@ def picard_solve(
         raise ValueError("tol must be positive")
     grid = phi_omega.grid
     _require_real_finite(phi_omega, "picard_solve")
-    if taxis is None:
-        taxis = centered_axis(t_span=4.0, m_t=2048)
     n_band = _picard_band(grid, taxis, xi_band)
     sigma = sigma_index(eps)
     b = b_index(eps)

@@ -96,11 +96,11 @@ def centered_axis(t_span: float, m_t: int) -> TimeAxis:
     return TimeAxis(t0=-0.5 * t_span, dt=dt, n_samples=m_t)
 
 
-def midpoint_axis(t_end: float, n_samples: int, t_start: float = 0.0) -> TimeAxis:
-    """Midpoint samples of [t_start, t_end]; Riemann sums over the full axis
+def midpoint_axis(t_end: float, n_samples: int) -> TimeAxis:
+    """Midpoint samples of [0, t_end]; Riemann sums over the full axis
     integrate constants exactly."""
-    dt = (t_end - t_start) / n_samples
-    return TimeAxis(t0=t_start + 0.5 * dt, dt=dt, n_samples=n_samples)
+    dt = t_end / n_samples
+    return TimeAxis(t0=0.5 * dt, dt=dt, n_samples=n_samples)
 
 
 @dataclass(frozen=True)

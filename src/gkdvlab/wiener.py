@@ -78,21 +78,12 @@ def sample_coefficients(distribution: str, seed: int, n_max: int) -> np.ndarray:
     return _readonly(np.concatenate([np.conj(positive[::-1]), [g0 + 0.0j], positive]))
 
 
-def _window_rows(xi: np.ndarray, n_max: int) -> np.ndarray:
-    """The (2*n_max+1, len(xi)) matrix of translates psi(xi - n), |n| <= n_max."""
-    return np.stack([partition_window(xi - n) for n in range(-n_max, n_max + 1)])
-
-
-def coverage_weight(xi: np.ndarray, n_max: int) -> np.ndarray:
-    """sum_{|n| <= n_max} psi(xi - n); equals 1 on the covered band."""
-    return _window_rows(xi, n_max).sum(axis=0)
-
-
 @lru_cache(maxsize=64)
 def _band_stack(grid: Grid, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (2*n_max+1, N) matrix of window translates on the grid's
-    frequencies, plus its column sums (the coverage weight)."""
-    rows = _window_rows(grid.xi, n_max)
+    """The (2*n_max+1, N) matrix of window translates psi(xi - n), |n| <=
+    n_max, on the grid's frequencies, plus its column sums (the coverage
+    weight, 1 on the covered band)."""
+    rows = np.stack([partition_window(grid.xi - n) for n in range(-n_max, n_max + 1)])
     cover = rows.sum(axis=0)
     rows.flags.writeable = False
     cover.flags.writeable = False

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gkdvlab.config import load_config
 from gkdvlab.grid import (
     Field,
     _readonly,
@@ -10,7 +11,23 @@ from gkdvlab.grid import (
     spectral_values,
 )
 from gkdvlab.norms import _half_xsb_weight
+from gkdvlab.probes import ProbeResolution
 from gkdvlab.spacetime import SpaceTimeField, _propagator, _time_forward, _time_inverse
+
+# The run values of the default configuration, for tests that run the
+# library at the preset values; `config._SCHEMA` is their one home.
+PRESET = load_config(None)
+EPS = PRESET["model"]["epsilon"]
+MAX_ITER = PRESET["lwp"]["max_iter"]
+N_TIME_SAMPLES = PRESET["strichartz"]["n_time_samples"]
+
+
+def preset_resolution():
+    """The [estimates] probe resolution of the default configuration."""
+    est = PRESET["estimates"]
+    return ProbeResolution(
+        est["n_modes"], est["half_length"], est["m_t"], est["t_span"], est["xi_band"]
+    )
 
 
 @pytest.fixture

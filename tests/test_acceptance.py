@@ -30,12 +30,20 @@ from gkdvlab.montecarlo import (
 )
 from gkdvlab.norms import scaling_ratio, sobolev_norm
 from gkdvlab.params import CRITICAL_INDEX, data_index
-from gkdvlab.probes import ProbeResolution, estimate_ids, run_estimates
+from gkdvlab.probes import estimate_ids, run_estimates
 from gkdvlab.solver import evolve_reference, picard_solve, reconstruct_solution
 from gkdvlab.spacetime import centered_axis
-from gkdvlab.wiener import coverage_weight, sampler
+from gkdvlab.wiener import _band_stack, sampler
 
-from conftest import airy_propagate, banded_bump, l2_norm
+from conftest import (
+    EPS,
+    MAX_ITER,
+    PRESET,
+    airy_propagate,
+    banded_bump,
+    l2_norm,
+    preset_resolution,
+)
 
 
 def report(number: int, ok: bool, details: str) -> None:
@@ -79,7 +87,7 @@ def test_criterion_01_spectral_exactness():
 def test_criterion_02_partition_of_unity():
     g = make_grid(32.0, 1024)
     n_cover = int(np.ceil(g.xi_max)) + 2
-    dev = float(np.max(np.abs(coverage_weight(g.xi, n_cover) - 1.0)))
+    dev = float(np.max(np.abs(_band_stack(g, n_cover)[1] - 1.0)))
 
     g2 = make_grid(32.0, 512)
     bump = field_from_function(g2, lambda x: np.exp(-(x**2)))
@@ -139,7 +147,7 @@ def test_criterion_05_solver_cross_validation():
     phi = banded_bump(g, amplitude=1.0, band=2.0)
     T = 1.0 / 16.0
     ta = centered_axis(4.0, 2048)
-    result = picard_solve(phi, T, tol=1e-11, taxis=ta, xi_band=8.0)
+    result = picard_solve(phi, T, tol=1e-11, max_iter=MAX_ITER, taxis=ta, xi_band=8.0, eps=EPS)
     u = reconstruct_solution(result)
     stride = 20
     traj = evolve_reference(phi, T, ta.dt / stride, output_stride=stride, diag_stride=10**9)
@@ -162,9 +170,13 @@ def test_criterion_05_solver_cross_validation():
 def test_criterion_06_tail_shape():
     g = make_grid(32.0, 512)
     phi = field_from_function(g, lambda x: np.exp(-(x**2)))
-    s = data_index(0.05)
+    s = data_index(EPS)
     records = run_ensemble(
-        sampler(phi, "gaussian"), 10_000, lambda f: {"hs": sobolev_norm(f, s)}, seed=2026
+        sampler(phi, "gaussian"),
+        10_000,
+        lambda f: {"hs": sobolev_norm(f, s)},
+        seed=2026,
+        threads=1,
     )
     obs = np.array([r.values["hs"] for r in records if not r.blown_up])
     fit = tail_fit(obs, make_lambda_grid(obs))
@@ -190,7 +202,14 @@ def test_criterion_07_free_evolution_tail_scaling():
     g = make_grid(16.0, 128)
     phi = field_from_function(g, lambda x: np.exp(-(x**2)))
     report_obj = strichartz_scaling(
-        sampler(phi, "gaussian"), 4.0, 4.0, [0.125, 0.25, 0.5], 10_000, seed=2026, n_time_samples=64
+        sampler(phi, "gaussian"),
+        4.0,
+        4.0,
+        [0.125, 0.25, 0.5],
+        10_000,
+        seed=2026,
+        n_time_samples=64,
+        threads=1,
     )
     lo, hi = 0.7 * 0.25, 1.3 * 0.25
     ok = lo <= report_obj.alpha <= hi
@@ -219,6 +238,8 @@ def test_criterion_08_local_solvability_trend():
         tol=1e-10,
         taxis=ta,
         xi_band=4.0,
+        eps=EPS,
+        max_iter=MAX_ITER,
         seed=42,
         threads=2,
     )
@@ -235,12 +256,13 @@ def test_criterion_08_local_solvability_trend():
 
 
 def test_criterion_09_estimate_probe_stability():
-    base = ProbeResolution()
+    base = preset_resolution()
     doubled = base.doubled()
+    n_trials = PRESET["estimates"]["n_trials"]
     worst_id, worst_change = "", 1.0
-    ids = estimate_ids(0.05)
-    base_reports = run_estimates(ids, eps=0.05, resolution=base, n_trials=100, seed=1)
-    doubled_reports = run_estimates(ids, eps=0.05, resolution=doubled, n_trials=100, seed=1)
+    ids = estimate_ids(EPS)
+    base_reports = run_estimates(ids, eps=EPS, resolution=base, n_trials=n_trials, seed=1)
+    doubled_reports = run_estimates(ids, eps=EPS, resolution=doubled, n_trials=n_trials, seed=1)
     for eid in ids:
         r1, r2 = base_reports[eid], doubled_reports[eid]
         change = max(r2.max_ratio / r1.max_ratio, r1.max_ratio / r2.max_ratio)
@@ -250,7 +272,7 @@ def test_criterion_09_estimate_probe_stability():
     report(
         9,
         ok,
-        f"all {len(estimate_ids(0.05))} catalog entries at 100 trials: max-ratio "
+        f"all {len(ids)} catalog entries at {n_trials} trials: max-ratio "
         f"change under grid doubling <= x{worst_change:.2f} (worst: {worst_id}); "
         "bound x2",
     )

@@ -168,16 +168,27 @@ class TestConfigErrors:
             ("simulate", "output_stride", "3"),
             ("data", "band_limit", "nan"),
             ("data", "band_limit", "-3"),
+            ("random", "master_seed", "-1"),
+            ("ensemble", "n_fields", "-3"),
+            ("estimates", "ids", ","),
         ],
     )
     def test_bad_run_key_exit_2(self, tmp_path, capsys, section, key, value):
         cfg = write_cfg(tmp_path, f"[{section}]\n{key} = {value}\n")
         command = {"lwp": "lwp-ensemble", "estimates": "verify-estimates",
                    "strichartz": "strichartz-tail", "simulate": "simulate",
-                   "time": "lwp-ensemble", "grid": "lwp-ensemble", "data": "simulate"}[section]
+                   "time": "lwp-ensemble", "grid": "lwp-ensemble", "data": "simulate",
+                   "random": "randomize", "ensemble": "randomize"}[section]
         out = tmp_path / "x"
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
-        assert f"[{section}] {key} must be" in capsys.readouterr().err
+        # "must be" for a bound, "must name" for the estimate ids
+        assert f"[{section}] {key} must " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_flag_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["randomize", "--seed", "-1", "--out", str(out)]) == 2
+        assert "[random] master_seed must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("t_grid", ["0.125,0.125,0.125", "0.125,0.125,0.25"])

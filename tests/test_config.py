@@ -1,13 +1,19 @@
+import dataclasses
+import inspect
+
 import pytest
 
 from gkdvlab.config import ConfigError, load_config
+from gkdvlab.montecarlo import exceptional_probability, run_ensemble, strichartz_scaling
 from gkdvlab.params import b_index, data_index, sigma_index
+from gkdvlab.probes import ProbeResolution, estimate_ids, run_estimate, run_estimates
+from gkdvlab.solver import picard_solve
 
 
 class TestDefaults:
     def test_derived_exponents(self):
         cfg = load_config(None)
-        eps = cfg.epsilon
+        eps = cfg["model"]["epsilon"]
         assert sigma_index(eps) == pytest.approx(3.0 / 14.0 + 2.0 * eps)
         assert b_index(eps) == pytest.approx(0.5 + eps / 24.0)
 
@@ -58,5 +64,31 @@ class TestOverrides:
 
     def test_cli_style_overrides(self):
         cfg = load_config(None, {"random.master_seed": 7, "ensemble.threads": 3})
-        assert cfg.master_seed == 7
+        assert cfg["random"]["master_seed"] == 7
         assert cfg["ensemble"]["threads"] == 3
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        picard_solve,
+        exceptional_probability,
+        strichartz_scaling,
+        run_ensemble,
+        run_estimates,
+        run_estimate,
+        estimate_ids,
+    ],
+    ids=lambda f: f.__name__,
+)
+def test_run_entry_points_take_no_defaults(entry):
+    # every run value has one home, config._SCHEMA; the library keeps no
+    # second copy that could drift from it
+    defaults = [p.name for p in inspect.signature(entry).parameters.values()
+                if p.default is not inspect.Parameter.empty]
+    assert defaults == []
+
+
+def test_probe_resolution_fields_take_no_defaults():
+    assert all(f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+               for f in dataclasses.fields(ProbeResolution))

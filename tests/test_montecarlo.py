@@ -29,7 +29,7 @@ from gkdvlab.spacetime import centered_axis, midpoint_axis
 from gkdvlab.streams import child_seed
 from gkdvlab.wiener import _band_stack, sample_coefficients, sampler
 
-from conftest import banded_bump, l2_norm
+from conftest import EPS, MAX_ITER, N_TIME_SAMPLES, banded_bump, l2_norm
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -38,15 +38,15 @@ class TestRunEnsemble:
     def test_deterministic_across_calls(self, grid64):
         phi = banded_bump(grid64, band=3.0)
         obs = lambda f: {"hs": sobolev_norm(f, 0.2)}
-        a = run_ensemble(sampler(phi, "gaussian"), 32, obs, seed=5)
-        b = run_ensemble(sampler(phi, "gaussian"), 32, obs, seed=5)
+        a = run_ensemble(sampler(phi, "gaussian"), 32, obs, seed=5, threads=1)
+        b = run_ensemble(sampler(phi, "gaussian"), 32, obs, seed=5, threads=1)
         assert [x.index for x in a] == list(range(32))
         assert all(x.values == y.values and x.seed == y.seed for x, y in zip(a, b))
 
     def test_degenerate_ones_reproduces_norm(self, grid64):
         phi = banded_bump(grid64, band=3.0)
         recs = run_ensemble(
-            sampler(phi, "ones"), 1, lambda f: {"hs": sobolev_norm(f, 0.25)}, seed=1
+            sampler(phi, "ones"), 1, lambda f: {"hs": sobolev_norm(f, 0.25)}, seed=1, threads=1
         )
         assert recs[0].values["hs"] == pytest.approx(sobolev_norm(phi, 0.25), rel=1e-12)
 
@@ -56,14 +56,15 @@ class TestRunEnsemble:
         def broken(f):
             raise RuntimeError("observable exploded")
 
-        recs = run_ensemble(sampler(phi, "gaussian"), 4, broken, seed=2)
+        recs = run_ensemble(sampler(phi, "gaussian"), 4, broken, seed=2, threads=1)
         assert len(recs) == 4
         assert all(r.blown_up for r in recs)
 
     def test_callable_spec_returns_mapping(self, grid64):
         phi = banded_bump(grid64, band=3.0)
         recs = run_ensemble(
-            sampler(phi, "gaussian"), 3, lambda f: {"a": l2_norm(f), "b": 2.0 * l2_norm(f)}, seed=3
+            sampler(phi, "gaussian"), 3, lambda f: {"a": l2_norm(f), "b": 2.0 * l2_norm(f)},
+            seed=3, threads=1,
         )
         for r in recs:
             assert r.values["b"] == pytest.approx(2.0 * r.values["a"])
@@ -96,11 +97,11 @@ class TestRunEnsemble:
         phi = banded_bump(grid64, band=3.0)
         seen = []
         with pytest.raises(ValueError, match="unknown distribution 'cauchy'"):
-            run_ensemble(sampler(phi, "cauchy"), 5, seen.append, seed=1)
+            run_ensemble(sampler(phi, "cauchy"), 5, seen.append, seed=1, threads=1)
         assert seen == []
 
 
-def _former_tail_observations(phi, t_grid, n_samples, seed, n_time_samples=64):
+def _former_tail_observations(phi, t_grid, n_samples, seed, n_time_samples):
     """q = r = 4 free-evolution norms by the former per-sample chain:
     the randomization through the samples (phi transformed forward, the
     product transformed back), the complex free evolution of the sample's
@@ -128,8 +129,9 @@ def test_tail_path_matches_former_chain(seed):
     # the tail workload's data: a unit gaussian bump, N = 128 on [-16, 16)
     phi = field_from_function(make_grid(16.0, 128), lambda x: np.exp(-(x**2)))
     t_grid = [0.125, 0.25, 0.5]
-    report = strichartz_scaling(sampler(phi, "gaussian"), 4.0, 4.0, t_grid, 1000, seed=seed)
-    former = _former_tail_observations(phi, t_grid, 1000, seed)
+    report = strichartz_scaling(sampler(phi, "gaussian"), 4.0, 4.0, t_grid, 1000, seed=seed,
+                                n_time_samples=N_TIME_SAMPLES, threads=1)
+    former = _former_tail_observations(phi, t_grid, 1000, seed, N_TIME_SAMPLES)
     for t in t_grid:
         new = np.array([r.values[f"T={t!r}"] for r in report.records])
         assert np.max(np.abs(new - former[t]) / former[t]) <= 1e-13
@@ -165,7 +167,8 @@ class TestWorkerProcesses:
         reports = [
             exceptional_probability(
                 sampler(phi, "rademacher"), [0.25, 0.03125], 100, tol=1e-10,
-                taxis=centered_axis(4.0, 256), xi_band=4.0, seed=42, threads=threads,
+                taxis=centered_axis(4.0, 256), xi_band=4.0, eps=EPS, max_iter=MAX_ITER,
+                seed=42, threads=threads,
             )
             for threads in (1, 2, 3)
         ]
@@ -249,7 +252,8 @@ class TestTailFit:
     def test_records_interface(self, grid64):
         phi = banded_bump(grid64, band=3.0)
         recs = run_ensemble(
-            sampler(phi, "gaussian"), 1200, lambda f: {"hs": sobolev_norm(f, 0.2)}, seed=9
+            sampler(phi, "gaussian"), 1200, lambda f: {"hs": sobolev_norm(f, 0.2)}, seed=9,
+            threads=1,
         )
         obs = np.array([r.values["hs"] for r in recs if not r.blown_up])
         fit = tail_fit(obs, make_lambda_grid(obs))
@@ -287,7 +291,7 @@ class TestScalePipeline:
     def test_non_finite_sample_lowers_n_used_by_one(self, grid64, monkeypatch):
         phi = banded_bump(grid64, band=3.0)
         args = (sampler(phi, "gaussian"), 4.0, 4.0, [0.125, 0.25, 0.5], 1001)
-        clean = strichartz_scaling(*args, seed=3, n_time_samples=16)
+        clean = strichartz_scaling(*args, seed=3, n_time_samples=16, threads=1)
         calls = itertools.count()
 
         def spoiled(u, q, r):
@@ -295,7 +299,7 @@ class TestScalePipeline:
             return np.nan if next(calls) == 4 else mixed_norm(u, q, r)
 
         monkeypatch.setattr(montecarlo, "mixed_norm", spoiled)
-        report = strichartz_scaling(*args, seed=3, n_time_samples=16)
+        report = strichartz_scaling(*args, seed=3, n_time_samples=16, threads=1)
         assert [r.index for r in report.records if r.blown_up] == [1]
         assert clean.n_used == [1001] * 3
         assert report.n_used == [1000] * 3
@@ -328,19 +332,21 @@ class TestScalePipeline:
     def test_strichartz_run_small(self, grid64):
         phi = banded_bump(grid64, band=3.0)
         rep = strichartz_scaling(sampler(phi, "gaussian"), 4.0, 4.0, [0.125, 0.25, 0.5], 1500,
-                                 seed=3, n_time_samples=32)
+                                 seed=3, n_time_samples=32, threads=1)
         assert 0.7 * 0.25 <= rep.alpha <= 1.3 * 0.25
 
     def test_needs_three_T_values(self, grid64):
         phi = banded_bump(grid64, band=3.0)
         with pytest.raises(ValueError):
-            strichartz_scaling(sampler(phi, "gaussian"), 4.0, 4.0, [0.25, 0.5], 1500)
+            strichartz_scaling(sampler(phi, "gaussian"), 4.0, 4.0, [0.25, 0.5], 1500, seed=0,
+                               n_time_samples=N_TIME_SAMPLES, threads=1)
 
     @pytest.mark.parametrize("t_grid", [[0.125, 0.125, 0.125], [0.125, 0.125, 0.25]])
     def test_repeated_T_values_refused(self, grid64, t_grid):
         phi = banded_bump(grid64, band=3.0)
         with pytest.raises(ValueError, match="three distinct T values"):
-            strichartz_scaling(sampler(phi, "gaussian"), 4.0, 4.0, t_grid, 1500)
+            strichartz_scaling(sampler(phi, "gaussian"), 4.0, 4.0, t_grid, 1500, seed=0,
+                               n_time_samples=N_TIME_SAMPLES, threads=1)
 
 
 class TestExceptionalProbability:
@@ -348,7 +354,8 @@ class TestExceptionalProbability:
         phi = field_from_function(grid64, lambda x: 0.0 * x)
         rep = exceptional_probability(
             sampler(phi, "gaussian", 3), [0.25, 0.125], 100, tol=1e-10,
-            taxis=centered_axis(4.0, 256), xi_band=4.0, seed=1,
+            taxis=centered_axis(4.0, 256), xi_band=4.0, eps=EPS, max_iter=MAX_ITER,
+            seed=1, threads=1,
         )
         assert all(r.failures == 0 for r in rep.rows)
         assert rep.trend_ok
@@ -357,7 +364,8 @@ class TestExceptionalProbability:
         phi = banded_bump(grid64, amplitude=0.5, band=2.0)
         rep = exceptional_probability(
             sampler(phi, "gaussian", 3), [0.25], 100, tol=1e-10,
-            taxis=centered_axis(4.0, 64), xi_band=2.0, seed=2,
+            taxis=centered_axis(4.0, 64), xi_band=2.0, eps=EPS, max_iter=MAX_ITER,
+            seed=2, threads=1,
         )
         header, rows = ensemble_table(rep.records[0.25], extra={"T": 0.25})
         col = np.array([row[header.index("discarded_band_mass")] for row in rows])
@@ -368,7 +376,8 @@ class TestExceptionalProbability:
         phi = banded_bump(grid64, band=2.0)
         with pytest.raises(ValueError):
             exceptional_probability(sampler(phi, "gaussian"), [0.125, 0.25], 100, tol=1e-10,
-                                    taxis=centered_axis(4.0, 256), xi_band=4.0)
+                                    taxis=centered_axis(4.0, 256), xi_band=4.0, eps=EPS,
+                                    max_iter=MAX_ITER, seed=0, threads=1)
 
     @pytest.mark.parametrize("t_grid", [[0.25, 0.25], [0.25, 0.125, 0.125]])
     def test_repeated_T_values_refused(self, grid64, monkeypatch, t_grid):
@@ -376,13 +385,15 @@ class TestExceptionalProbability:
         monkeypatch.setattr(montecarlo, "picard_solve", _must_not_solve)
         with pytest.raises(ValueError, match="strictly descending"):
             exceptional_probability(sampler(phi, "gaussian"), t_grid, 100, tol=1e-10,
-                                    taxis=centered_axis(4.0, 256), xi_band=4.0)
+                                    taxis=centered_axis(4.0, 256), xi_band=4.0, eps=EPS,
+                                    max_iter=MAX_ITER, seed=0, threads=1)
 
     def test_requires_hundred_samples(self, grid64):
         phi = banded_bump(grid64, band=2.0)
         with pytest.raises(ValueError):
             exceptional_probability(sampler(phi, "gaussian"), [0.25], 50, tol=1e-10,
-                                    taxis=centered_axis(4.0, 256), xi_band=4.0)
+                                    taxis=centered_axis(4.0, 256), xi_band=4.0, eps=EPS,
+                                    max_iter=MAX_ITER, seed=0, threads=1)
 
     def test_unresolved_band_raises_before_any_solve(self, monkeypatch):
         # the lwp preset's sampler with a band the tau axis cannot resolve
@@ -394,7 +405,8 @@ class TestExceptionalProbability:
         monkeypatch.setattr(montecarlo, "picard_solve", _must_not_solve)
         with pytest.raises(AliasingError):
             exceptional_probability(sample, [1 / 32], 100, tol=1e-10,
-                                    taxis=centered_axis(4.0, 256), xi_band=8.0)
+                                    taxis=centered_axis(4.0, 256), xi_band=8.0, eps=EPS,
+                                    max_iter=MAX_ITER, seed=0, threads=1)
 
     def test_phi_transformed_and_checked_once_over_four_T(self, grid64, monkeypatch):
         # one sampler serves every T of the sweep
@@ -414,7 +426,8 @@ class TestExceptionalProbability:
         monkeypatch.setattr(wiener, "_require_covered", counted_covered)
         rep = exceptional_probability(
             sampler(phi, "gaussian"), [0.25, 0.125, 0.0625, 0.03125], 100, tol=1e-10,
-            taxis=centered_axis(4.0, 64), xi_band=2.0, seed=2,
+            taxis=centered_axis(4.0, 64), xi_band=2.0, eps=EPS, max_iter=MAX_ITER,
+            seed=2, threads=1,
         )
         assert [row.n for row in rep.rows] == [100] * 4
         assert transforms.count(True) == 1 and len(checks) == 1

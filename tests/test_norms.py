@@ -21,12 +21,11 @@ from gkdvlab.norms import (
     mixed_norm,
     scaling_ratio,
     sobolev_norm,
-    space_time_lebesgue,
     xsb_norm,
     xsb_norms,
 )
 from gkdvlab.params import CRITICAL_INDEX, b_index, dual_b_index, sigma_index
-from gkdvlab.probes import ProbeResolution, embedding_catalog, random_spacetime
+from gkdvlab.probes import check_embeddings, embedding_catalog, random_spacetime
 from gkdvlab.spacetime import (
     Cutoff,
     SpaceTimeField,
@@ -38,7 +37,7 @@ from gkdvlab.spacetime import (
     st_l2,
 )
 
-from conftest import banded_bump, half_xsb_sum, l2_norm
+from conftest import EPS, banded_bump, half_xsb_sum, l2_norm, preset_resolution
 
 
 class TestSobolevNorm:
@@ -193,7 +192,7 @@ class TestXsbNorm:
         with pytest.raises(AliasingError):
             xsb_norm(u, 0.0, 0.5)
 
-    @pytest.mark.parametrize("resolution", [ProbeResolution(), ProbeResolution().doubled()])
+    @pytest.mark.parametrize("resolution", [preset_resolution(), preset_resolution().doubled()])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_support_radius_matches_column_mass_oracle(self, resolution, seed):
         grid, ta = resolution.make()
@@ -205,7 +204,7 @@ class TestXsbNorm:
         assert oracle <= resolution.xi_band
 
     def test_several_weights_equal_one_at_a_time(self):
-        resolution = ProbeResolution()
+        resolution = preset_resolution()
         grid, ta = resolution.make()
         u = random_spacetime(grid, ta, resolution.xi_band, 4)
         indices = [(0.0, 0.5), (0.3, 0.52), (0.25, 0.6), (0.0, 0.5)]
@@ -217,7 +216,7 @@ class TestXsbNorm:
         # against the folded weight must equal the full one, and assuming
         # w(-xi, -tau) = w(xi, tau) must not
         ta = centered_axis(4.0, 256)
-        s, b = sigma_index(0.05), b_index(0.05)
+        s, b = sigma_index(EPS), b_index(EPS)
         rng = np.random.default_rng(3)
         keep = np.abs(grid64.xi) <= 4.0
         u = grid64.inverse(grid64.forward(rng.standard_normal((256, 64))) * keep).real
@@ -251,9 +250,9 @@ class TestXsbNorm:
 
 # every (s, b) the probes norm a random space-time field with: the
 # embedding catalog's, the octilinear factors' and pairing's, the bilinear's
-PROBE_XSB_INDICES = [(s, b) for _, s, b in embedding_catalog(0.05).values()] + [
-    (sigma_index(0.05), b_index(0.05)),
-    (0.0, dual_b_index(0.05)),
+PROBE_XSB_INDICES = [(s, b) for _, s, b in embedding_catalog(EPS).values()] + [
+    (sigma_index(EPS), b_index(EPS)),
+    (0.0, dual_b_index(EPS)),
     (0.0, 0.51),
     (0.0, 0.4),
 ]
@@ -264,7 +263,7 @@ class TestKeptBand:
     norms are summed from it; `with_values` keeps no band, so a copy given
     as samples is the oracle."""
 
-    @pytest.mark.parametrize("resolution", [ProbeResolution(), ProbeResolution().doubled()])
+    @pytest.mark.parametrize("resolution", [preset_resolution(), preset_resolution().doubled()])
     @pytest.mark.parametrize("cut", [False, True])
     @pytest.mark.parametrize("seed", [0, 7])
     def test_norms_match_samples_route(self, resolution, cut, seed):
@@ -277,7 +276,7 @@ class TestKeptBand:
         assert np.max(np.abs(got - want) / want) <= 1e-13
 
     def test_with_values_drops_band(self):
-        resolution = ProbeResolution()
+        resolution = preset_resolution()
         grid, ta = resolution.make()
         u = random_spacetime(grid, ta, resolution.xi_band, 2)
         columns, _ = u._band
@@ -287,7 +286,7 @@ class TestKeptBand:
 
     def test_aliasing_guard(self):
         # drawn past the check of ProbeResolution.make: 2 * 6^3 > tau_max ~ 100
-        grid, ta = ProbeResolution().make()
+        grid, ta = preset_resolution().make()
         u = random_spacetime(grid, ta, 6.0, 0)
         for field in (u, apply_time_cutoff(u, Cutoff(1.0))):
             with pytest.raises(AliasingError):
@@ -378,11 +377,15 @@ class TestBilinearMultiplier:
         assert not np.any(bilinear_multiplier(u, zero, 0.5).values)
 
 
-def test_space_time_lebesgue_is_mixed_with_equal_exponents(grid64):
-    phi = banded_bump(grid64, band=2.0)
-    ta = centered_axis(4.0, 64)
-    u = free_evolution(phi, ta, cutoff=Cutoff(1.0))
-    assert space_time_lebesgue(u, 4.0) == pytest.approx(mixed_norm(u, 4.0, 4.0), rel=1e-14)
+def test_space_time_lebesgue_is_mixed_with_equal_exponents():
+    # the embedding probes' left side is the plain L^p over the (x, t) box
+    resolution = preset_resolution()
+    grid, ta = resolution.make()
+    u = random_spacetime(grid, ta, resolution.xi_band, 0)
+    reports = check_embeddings([u], ["embed01", "embed12"], EPS)
+    for eid, report in reports.items():
+        p = embedding_catalog(EPS)[eid][0]
+        assert report.trials[0].lhs == mixed_norm(u, p, p)
 
 
 @pytest.mark.parametrize("c", [2.0, -3.0, 1j])

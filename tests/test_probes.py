@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,12 +11,10 @@ from gkdvlab.probes import (
     EstimateReport,
     _banded_bump,
     _spacetime_envelope,
-    ProbeResolution,
     check_bilinear,
     check_embeddings,
     check_linear_estimates,
     check_multilinear,
-    describe_estimates,
     embedding_catalog,
     estimate_ids,
     random_field,
@@ -26,14 +25,7 @@ from gkdvlab.probes import (
 from gkdvlab.spacetime import Cutoff, SpaceTimeField, free_evolution, st_l2
 from gkdvlab.streams import rng_for
 
-from conftest import st_to_physical
-
-
-EPS = 0.05
-
-
-def _res():
-    return ProbeResolution()
+from conftest import EPS, preset_resolution, st_to_physical
 
 
 class TestCatalog:
@@ -41,10 +33,6 @@ class TestCatalog:
         ids = estimate_ids(EPS)
         assert len(ids) == 18
         assert sum(1 for i in ids if i.startswith("embed")) == 14
-
-    def test_descriptions_cover_all_ids(self):
-        lines = describe_estimates(EPS)
-        assert len(lines) == 18
 
     def test_catalog_exponents_at_reference_epsilon(self):
         cat = embedding_catalog(EPS)
@@ -58,7 +46,7 @@ class TestCatalog:
         assert b01 == pytest.approx(dual_b_index(EPS))
 
     def test_unknown_id_lists_valid_ones(self):
-        grid, taxis = _res().make()
+        grid, taxis = preset_resolution().make()
         u = random_spacetime(grid, taxis, 3.5, 0)
         with pytest.raises(KeyError) as err:
             check_embeddings([u], ["embed99"], EPS)
@@ -66,18 +54,20 @@ class TestCatalog:
 
     def test_run_estimate_unknown_id(self):
         with pytest.raises(KeyError):
-            run_estimate("nope", eps=EPS, n_trials=1)
+            run_estimate("nope", eps=EPS, resolution=preset_resolution(), n_trials=1, seed=1)
         with pytest.raises(KeyError):
-            run_estimates(["embed01", "nope"], eps=EPS, n_trials=1)
+            run_estimates(
+                ["embed01", "nope"], eps=EPS, resolution=preset_resolution(), n_trials=1, seed=1
+            )
 
 
 class TestRunEstimates:
     def test_equals_one_id_runs_bit_for_bit(self):
         ids = ["octilinear_mixed", "embed14", "embed01", "linear_free", "embed07", "embed12"]
-        reports = run_estimates(ids, eps=EPS, n_trials=5, seed=4)
+        reports = run_estimates(ids, eps=EPS, resolution=preset_resolution(), n_trials=5, seed=4)
         assert list(reports) == ids
         for eid in ids:
-            one = run_estimate(eid, eps=EPS, n_trials=5, seed=4)
+            one = run_estimate(eid, eps=EPS, resolution=preset_resolution(), n_trials=5, seed=4)
             assert reports[eid].rows() == one.rows()
             assert reports[eid].excluded == one.excluded
             assert reports[eid].params == one.params
@@ -85,7 +75,7 @@ class TestRunEstimates:
 
 class TestReports:
     def test_zero_field_excluded_by_guard(self):
-        grid, taxis = _res().make()
+        grid, taxis = preset_resolution().make()
         zero = SpaceTimeField(grid, taxis, np.zeros((taxis.n_samples, grid.n_modes), np.complex128))
         rep = check_embeddings([zero], ["embed12"], EPS)["embed12"]
         assert rep.excluded == 1
@@ -108,7 +98,7 @@ class TestRandomData:
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_random_field_spectrum(self, seed):
-        grid, _ = _res().make()
+        grid, _ = preset_resolution().make()
         rng = rng_for(0, 17, seed)
         coeffs = rng.standard_normal(grid.n_modes) + 1j * rng.standard_normal(grid.n_modes)
         coeffs *= (np.abs(grid.xi) <= 3.5) / np.sqrt(1.0 + grid.xi**2)
@@ -117,7 +107,7 @@ class TestRandomData:
 
     @pytest.mark.parametrize("doubled", [False, True])
     def test_random_spacetime_equals_uncached_construction(self, doubled):
-        res = _res().doubled() if doubled else _res()
+        res = preset_resolution().doubled() if doubled else preset_resolution()
         grid, taxis = res.make()
         rng = rng_for(2, 23, 9)
         shape = (taxis.n_samples, grid.n_modes)
@@ -136,12 +126,12 @@ class TestRandomData:
 
     @pytest.mark.parametrize("xi_band", [-1.0, np.nan])
     def test_random_spacetime_rejects_empty_band(self, xi_band):
-        grid, taxis = _res().make()
+        grid, taxis = preset_resolution().make()
         with pytest.raises(ValueError, match="selects no mode"):
             random_spacetime(grid, taxis, xi_band, 0)
 
     def test_banded_bump_spectrum(self):
-        grid, _ = _res().make()
+        grid, _ = preset_resolution().make()
         coeffs = np.exp(-(grid.xi**2)) * (np.abs(grid.xi) <= 3.5)
         coeffs /= np.sqrt(grid.dxi * np.sum(coeffs**2))
         assert self._rel_err(spectral_values(_banded_bump(grid, 3.5)), coeffs) <= 1e-14
@@ -149,7 +139,7 @@ class TestRandomData:
 
 class TestLinearProbe:
     def test_ratio_independent_of_amplitude(self):
-        grid, taxis = _res().make()
+        grid, taxis = preset_resolution().make()
         phi = random_field(grid, 3.5, 0)
         big = Field(grid, 7.0 * phi.values)
         s, b = sigma_index(EPS), b_index(EPS)
@@ -158,7 +148,7 @@ class TestLinearProbe:
         assert r1.trials[0].ratio == pytest.approx(r2.trials[0].ratio, rel=1e-10)
 
     def test_T_variation_within_factor_two(self):
-        grid, taxis = _res().make()
+        grid, taxis = preset_resolution().make()
         phis = [random_field(grid, 3.5, k) for k in range(8)]
         s, b = sigma_index(EPS), b_index(EPS)
         maxima = []
@@ -168,21 +158,21 @@ class TestLinearProbe:
         assert max(maxima) <= 2.0 * min(maxima)
 
     def test_b_range_validated(self):
-        grid, taxis = _res().make()
+        grid, taxis = preset_resolution().make()
         with pytest.raises(ValueError):
             check_linear_estimates([random_field(grid, 3.5, 0)], [0.25], 0.3, 0.5, taxis)
 
 
 class TestMultilinearProbe:
     def test_zero_factors_give_zero_pairing(self):
-        grid, taxis = _res().make()
+        grid, taxis = preset_resolution().make()
         zero = SpaceTimeField(grid, taxis, np.zeros((taxis.n_samples, grid.n_modes), np.complex128))
         h = random_spacetime(grid, taxis, 3.5, 1)
         rep = check_multilinear([([zero] * 8, h)], sigma_index(EPS), b_index(EPS), EPS)
         assert rep.excluded == 1  # rhs is zero too: guarded
 
     def test_permutation_symmetry(self):
-        grid, taxis = _res().make()
+        grid, taxis = preset_resolution().make()
         factors = [random_spacetime(grid, taxis, 3.5, k) for k in range(8)]
         h = random_spacetime(grid, taxis, 3.5, 99)
         sigma, b = sigma_index(EPS), b_index(EPS)
@@ -191,7 +181,7 @@ class TestMultilinearProbe:
 
     def test_real_factor_may_come_first(self):
         # free evolutions of real data hold float64 samples
-        grid, taxis = _res().make()
+        grid, taxis = preset_resolution().make()
         free = free_evolution(_banded_bump(grid, 3.5), taxis, cutoff=Cutoff(0.25))
         assert free.values.dtype == np.float64
         factors = [random_spacetime(grid, taxis, 3.5, k) for k in range(7)] + [free]
@@ -201,7 +191,7 @@ class TestMultilinearProbe:
         assert rep.trials[0].lhs == pytest.approx(rep.trials[1].lhs, rel=1e-10)
 
     def test_repeated_factor_normed_once(self, monkeypatch):
-        grid, taxis = _res().make()
+        grid, taxis = preset_resolution().make()
         u, v = random_spacetime(grid, taxis, 3.5, 0), random_spacetime(grid, taxis, 3.5, 1)
         h = random_spacetime(grid, taxis, 3.5, 2)
         sigma, b = sigma_index(EPS), b_index(EPS)
@@ -222,7 +212,7 @@ class TestMultilinearProbe:
         assert rep.trials[0].rhs == want
 
     def test_requires_eight_factors(self):
-        grid, taxis = _res().make()
+        grid, taxis = preset_resolution().make()
         u = random_spacetime(grid, taxis, 3.5, 0)
         with pytest.raises(ValueError):
             check_multilinear([([u] * 7, u)], 0.3, 0.5, EPS)
@@ -230,7 +220,7 @@ class TestMultilinearProbe:
 
 class TestBilinearProbe:
     def test_ratios_bounded_and_stable(self):
-        res = _res()
+        res = preset_resolution()
         grid, taxis = res.make()
         pairs = [
             (random_spacetime(grid, taxis, 3.5, 2 * k), random_spacetime(grid, taxis, 3.5, 2 * k + 1))
@@ -249,14 +239,15 @@ class TestStreamingMemory:
     def _peak(eid, n_trials):
         tracemalloc.start()
         try:
-            run_estimate(eid, eps=EPS, n_trials=n_trials)
+            run_estimate(eid, eps=EPS, resolution=preset_resolution(), n_trials=n_trials, seed=1)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     @pytest.mark.parametrize("eid", probes.PROBE_IDS)
     def test_peak_independent_of_trial_count(self, eid):
-        run_estimate(eid, eps=EPS, n_trials=3)  # fills the envelope and weight caches
+        # fills the envelope and weight caches
+        run_estimate(eid, eps=EPS, resolution=preset_resolution(), n_trials=3, seed=1)
         few, many = self._peak(eid, 3), self._peak(eid, 12)
         assert abs(many - few) <= 0.05 * few, (few, many)
 
@@ -264,13 +255,13 @@ class TestStreamingMemory:
 class TestRefinementStability:
     @pytest.mark.parametrize("eid", ["embed01", "embed12", "embed14", "bilinear_l2"])
     def test_max_ratio_stable_under_doubling(self, eid):
-        res = _res()
+        res = preset_resolution()
         base = run_estimate(eid, eps=EPS, resolution=res, n_trials=12, seed=3)
         fine = run_estimate(eid, eps=EPS, resolution=res.doubled(), n_trials=12, seed=3)
         assert fine.max_ratio <= 2.0 * base.max_ratio
         assert base.max_ratio <= 2.0 * fine.max_ratio
 
     def test_band_too_wide_rejected(self):
-        res = ProbeResolution(xi_band=6.0)
+        res = replace(preset_resolution(), xi_band=6.0)
         with pytest.raises(ValueError):
             res.make()

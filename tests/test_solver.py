@@ -38,6 +38,8 @@ from gkdvlab.streams import child_seed
 from gkdvlab.wiener import sampler
 
 from conftest import (
+    EPS,
+    MAX_ITER,
     airy_propagate,
     banded_bump,
     free_coeffs,
@@ -93,7 +95,8 @@ class TestNonlinearity:
         with pytest.raises(ValueError, match="evolve_reference expects real data"):
             evolve_reference(f, 1e-3, 1e-4)
         with pytest.raises(ValueError, match="picard_solve expects real data"):
-            picard_solve(f, 0.25, tol=1e-10, taxis=centered_axis(4.0, 256), xi_band=4.0)
+            picard_solve(f, 0.25, tol=1e-10, max_iter=MAX_ITER, taxis=centered_axis(4.0, 256),
+                         xi_band=4.0, eps=EPS)
 
 
 def _full_band_data(grid, seed, amplitude):
@@ -380,14 +383,14 @@ class TestDuhamelGamma:
     def test_zero_inputs_give_zero(self, grid64):
         zero = field_from_function(grid64, lambda x: 0.0 * x)
         res = picard_solve(zero, 0.25, tol=1e-10, max_iter=1,
-                           taxis=centered_axis(4.0, 256), xi_band=4.0)
+                           taxis=centered_axis(4.0, 256), xi_band=4.0, eps=EPS)
         assert np.max(np.abs(res.v_hat)) == 0.0
 
     def test_output_vanishes_outside_cutoff(self, grid64):
         ta = centered_axis(4.0, 256)
         phi = banded_bump(grid64, amplitude=1.0, band=2.0)
         T = 0.25
-        out = picard_solve(phi, T, tol=1e-10, max_iter=1, taxis=ta, xi_band=4.0).v_hat
+        out = picard_solve(phi, T, tol=1e-10, max_iter=1, taxis=ta, xi_band=4.0, eps=EPS).v_hat
         outside = np.abs(ta.t) >= 2 * T
         assert np.max(np.abs(out[outside])) == 0.0
         assert np.max(np.abs(out)) > 0.0
@@ -395,7 +398,8 @@ class TestDuhamelGamma:
     def test_needs_centered_axis(self, grid64):
         phi = banded_bump(grid64, amplitude=1.0, band=2.0)
         with pytest.raises(ValueError, match="centered time box"):
-            picard_solve(phi, 0.25, tol=1e-10, taxis=midpoint_axis(1.0, 64), xi_band=4.0)
+            picard_solve(phi, 0.25, tol=1e-10, max_iter=MAX_ITER, taxis=midpoint_axis(1.0, 64),
+                         xi_band=4.0, eps=EPS)
 
 
 class _Blowup(Exception):
@@ -429,7 +433,7 @@ def _full_axis_gamma(grid, ta, v_hat, z_hat, eta, eta_T):
     return propagator * cumulative * eta_T[:, None]
 
 
-def _full_axis_picard(phi, T, tol, max_iter, ta, xi_band, eps=0.05):
+def _full_axis_picard(phi, T, tol, max_iter, ta, xi_band, eps):
     """`picard_solve` with every iterate on the full time axis."""
     grid = phi.grid
     sigma, b = sigma_index(eps), b_index(eps)
@@ -533,8 +537,8 @@ class TestWindowedPicard:
         ta = centered_axis(4.0, 256)
         for from_samples, make in ((True, banded_bump), (False, _spectral_bump)):
             phi = make(grid64, amplitude, 2.0)
-            res = picard_solve(phi, T, tol=1e-10, max_iter=25, taxis=ta, xi_band=4.0)
-            ref = _full_axis_picard(phi, T, 1e-10, 25, ta, 4.0)
+            res = picard_solve(phi, T, tol=1e-10, max_iter=25, taxis=ta, xi_band=4.0, eps=EPS)
+            ref = _full_axis_picard(phi, T, 1e-10, 25, ta, 4.0, EPS)
             _assert_matches_oracle(res, ref, from_samples)
             assert res.v_hat.shape == res.z_hat.shape == (256, 33)
             assert res.blown_up == (amplitude == 3.0)
@@ -548,12 +552,12 @@ class TestWindowedPicard:
         cfg = load_config(LWP_PRESET)
         sample = _sampler(cfg, build_data(cfg))
         ta = centered_axis(cfg["time"]["t_span"], cfg["time"]["m_t"])
-        lwp = cfg["lwp"]
+        lwp, eps = cfg["lwp"], cfg["model"]["epsilon"]
         T = parse_float_list(lwp["t_grid"])[0]
         base = child_seed(seed, 0)
         for index in range(50):
             phi = sample(child_seed(base, index))
-            args = (phi, T, lwp["tol"], lwp["max_iter"], ta, lwp["xi_band"], cfg.epsilon)
+            args = (phi, T, lwp["tol"], lwp["max_iter"], ta, lwp["xi_band"], eps)
             _assert_matches_oracle(picard_solve(*args), _full_axis_picard(*args))
 
     @pytest.mark.parametrize(
@@ -577,13 +581,15 @@ class TestWindowedPicard:
             phi = make(grid64, amplitude, band)
             if oracle_aliases:
                 with pytest.raises(AliasingError):
-                    _full_axis_picard(phi, 0.25, 1e-10, 25, ta, xi_band)
+                    _full_axis_picard(phi, 0.25, 1e-10, 25, ta, xi_band, EPS)
             else:
-                assert _full_axis_picard(phi, 0.25, 1e-10, 25, ta, xi_band)["converged"]
+                assert _full_axis_picard(phi, 0.25, 1e-10, 25, ta, xi_band, EPS)["converged"]
             with monkeypatch.context() as m:
                 m.setattr(solver, "_duhamel_window", _must_not_run)
                 with pytest.raises(AliasingError, match=r"\|xi\| <= 6.087 needs tau_max >= 451.0"):
-                    picard_solve(phi, 0.25, tol=1e-10, max_iter=25, taxis=ta, xi_band=xi_band)
+                    picard_solve(
+                        phi, 0.25, tol=1e-10, max_iter=25, taxis=ta, xi_band=xi_band, eps=EPS
+                    )
 
     @pytest.mark.parametrize("data", ["bump", "full-band"])
     def test_nyquist_column_stays_zero(self, grid64, data):
@@ -595,7 +601,9 @@ class TestWindowedPicard:
             phi = Field(grid64, 0.2 * random_real_field(grid64, 3).values)
         ta = centered_axis(4.0, 256)
         for max_iter in range(1, 6):
-            res = picard_solve(phi, 0.25, tol=1e-30, max_iter=max_iter, taxis=ta, xi_band=4.0)
+            res = picard_solve(
+                phi, 0.25, tol=1e-30, max_iter=max_iter, taxis=ta, xi_band=4.0, eps=EPS
+            )
             assert res.iterations == max_iter and not res.blown_up
             assert np.all(res.v_hat[:, 32] == 0.0)
         if data == "full-band":
@@ -643,7 +651,8 @@ class TestLagFoldedDistance:
         g = make_grid(32.0, 512)
         ta = centered_axis(4.0, 2048)
         T = 1.0 / 16.0
-        res = picard_solve(banded_bump(g, 1.0, 2.0), T, tol=1e-11, taxis=ta, xi_band=8.0)
+        res = picard_solve(banded_bump(g, 1.0, 2.0), T, tol=1e-11, max_iter=MAX_ITER, taxis=ta,
+                           xi_band=8.0, eps=EPS)
         assert res.converged and res.iterations == 5
         n_band = int(np.count_nonzero(g.xi[:256] <= 8.0))
         plan = _window_plan(g, ta, T, res.sigma, res.b, n_band)
@@ -709,7 +718,8 @@ def _pde_residual(u, interval):
 class TestPicardSolve:
     def test_zero_data_converges_immediately(self, grid64):
         phi = field_from_function(grid64, lambda x: 0.0 * x)
-        res = picard_solve(phi, 0.25, tol=1e-12, taxis=centered_axis(4.0, 256), xi_band=4.0)
+        res = picard_solve(phi, 0.25, tol=1e-12, max_iter=MAX_ITER, taxis=centered_axis(4.0, 256),
+                           xi_band=4.0, eps=EPS)
         assert res.converged
         assert res.iterations == 1
         assert res.ratios == []
@@ -718,7 +728,7 @@ class TestPicardSolve:
     def test_tiny_data_contracts_below_half(self, grid512):
         phi = banded_bump(grid512, amplitude=1e-6, band=2.0)
         res = picard_solve(phi, 1.0 / 16.0, tol=1e-30, max_iter=4,
-                           taxis=centered_axis(4.0, 2048), xi_band=8.0)
+                           taxis=centered_axis(4.0, 2048), xi_band=8.0, eps=EPS)
         assert res.distances[0] > 0.0
         assert all(r < 0.5 for r in res.ratios)
 
@@ -726,7 +736,7 @@ class TestPicardSolve:
         phi = banded_bump(grid64, amplitude=1.0, band=2.0)
         ta = centered_axis(4.0, 256)
         tol = 1e-9
-        res = picard_solve(phi, 0.125, tol=tol, taxis=ta, xi_band=4.0)
+        res = picard_solve(phi, 0.125, tol=tol, max_iter=MAX_ITER, taxis=ta, xi_band=4.0, eps=EPS)
         assert res.converged
         v_hat = grid64.forward(res.v.values)
         gamma_v = _full_axis_gamma(
@@ -740,7 +750,7 @@ class TestPicardSolve:
         # from v = 0 the first difference is the first iterate itself
         phi = banded_bump(grid64, amplitude=1.0, band=2.0)
         res = picard_solve(phi, 0.125, tol=1e-10, max_iter=1,
-                           taxis=centered_axis(4.0, 256), xi_band=2.0)
+                           taxis=centered_axis(4.0, 256), xi_band=2.0, eps=EPS)
         projected, lost = _band_oracle(res.v, 2.0)
         assert res.discarded_band_mass == pytest.approx(lost, rel=1e-12)
         assert res.distances[0] == pytest.approx(
@@ -750,7 +760,7 @@ class TestPicardSolve:
     def test_band_mask_mass_accounting(self, grid64):
         phi = banded_bump(grid64, amplitude=1.0, band=2.0)
         res = picard_solve(phi, 0.125, tol=1e-10, max_iter=1,
-                           taxis=centered_axis(4.0, 256), xi_band=2.0)
+                           taxis=centered_axis(4.0, 256), xi_band=2.0, eps=EPS)
         projected, _ = _band_oracle(res.v, 2.0)
         lost = res.discarded_band_mass
         assert 0.0 < lost < 1.0
@@ -759,7 +769,8 @@ class TestPicardSolve:
 
     def test_converged_discarded_mass_is_share_of_returned_iterate(self, grid64):
         phi = banded_bump(grid64, amplitude=1.0, band=2.0)
-        res = picard_solve(phi, 0.125, tol=1e-10, taxis=centered_axis(4.0, 256), xi_band=2.0)
+        res = picard_solve(phi, 0.125, tol=1e-10, max_iter=MAX_ITER, taxis=centered_axis(4.0, 256),
+                           xi_band=2.0, eps=EPS)
         assert res.converged and res.iterations > 1
         _, lost = _band_oracle(res.v, 2.0)
         assert res.discarded_band_mass == pytest.approx(lost, rel=1e-12)
@@ -769,7 +780,7 @@ class TestPicardSolve:
         g = make_grid(16.0, 16)
         phi = banded_bump(g, amplitude=1.0, band=2.0)
         res = picard_solve(phi, 0.125, tol=1e-10, max_iter=1,
-                           taxis=centered_axis(4.0, 256), xi_band=g.xi_max)
+                           taxis=centered_axis(4.0, 256), xi_band=g.xi_max, eps=EPS)
         assert res.discarded_band_mass == 0.0
         assert res.distances[0] == pytest.approx(xsb_norm(res.v, res.sigma, res.b), rel=1e-12)
 
@@ -777,8 +788,8 @@ class TestPicardSolve:
     def test_rejects_band_below_one_frequency_step(self, grid64, fraction):
         phi = banded_bump(grid64, amplitude=1.0, band=2.0)
         with pytest.raises(ValueError):
-            picard_solve(phi, 0.125, tol=1e-10, taxis=centered_axis(4.0, 256),
-                         xi_band=fraction * grid64.dxi)
+            picard_solve(phi, 0.125, tol=1e-10, max_iter=MAX_ITER, taxis=centered_axis(4.0, 256),
+                         xi_band=fraction * grid64.dxi, eps=EPS)
 
     def test_cutoffs_evaluated_once_per_solve(self, grid64, monkeypatch):
         # the two cutoffs are sampled when the window plan is built, and a
@@ -790,7 +801,7 @@ class TestPicardSolve:
         phi = banded_bump(grid64, amplitude=1.0, band=2.0)
         for _ in range(2):
             res = picard_solve(phi, 0.125, tol=1e-30, max_iter=5,
-                               taxis=centered_axis(4.0, 256), xi_band=4.0)
+                               taxis=centered_axis(4.0, 256), xi_band=4.0, eps=EPS)
             assert res.iterations == 5
             assert len(calls) == 2
 
@@ -800,8 +811,8 @@ class TestPicardSolve:
         # iterate
         values = banded_bump(grid64, amplitude=1.0, band=2.0).values.copy()
         values[5] = value
-        res = picard_solve(Field(grid64, values), 0.125, tol=1e-10,
-                           taxis=centered_axis(4.0, 256), xi_band=4.0)
+        res = picard_solve(Field(grid64, values), 0.125, tol=1e-10, max_iter=MAX_ITER,
+                           taxis=centered_axis(4.0, 256), xi_band=4.0, eps=EPS)
         assert res.blown_up and not res.converged
         assert res.iterations == 1 and res.distances == []
 
@@ -814,8 +825,8 @@ class TestPicardSolve:
         monkeypatch.setattr(solver, "half_spectrum", _must_not_run)
         monkeypatch.setattr(solver, "_duhamel_window", _must_not_run)
         with pytest.raises(ValueError, match="picard_solve expects finite data"):
-            picard_solve(Field(grid64, values), 0.125, tol=1e-10,
-                         taxis=centered_axis(4.0, 256), xi_band=4.0)
+            picard_solve(Field(grid64, values), 0.125, tol=1e-10, max_iter=MAX_ITER,
+                         taxis=centered_axis(4.0, 256), xi_band=4.0, eps=EPS)
 
     def test_physical_samples_only_when_needed(self, grid64, monkeypatch):
         # the coefficient bound clears every iterate of moderate data from the
@@ -826,7 +837,8 @@ class TestPicardSolve:
         monkeypatch.setattr(
             Grid, "real_inverse", lambda self, c: calls.append(1) or inverse(self, c)
         )
-        res = picard_solve(phi, 0.125, tol=1e-10, taxis=centered_axis(4.0, 256), xi_band=4.0)
+        res = picard_solve(phi, 0.125, tol=1e-10, max_iter=MAX_ITER, taxis=centered_axis(4.0, 256),
+                           xi_band=4.0, eps=EPS)
         assert res.converged and res.iterations > 1
         assert calls == []
         assert res.v is res.v and res.z is res.z
@@ -839,7 +851,7 @@ class TestPicardSolve:
         phi = banded_bump(g, amplitude=1.0, band=2.0)
         T = 1.0 / 16.0
         ta = centered_axis(4.0, 2048)
-        res = picard_solve(phi, T, tol=1e-11, taxis=ta, xi_band=8.0)
+        res = picard_solve(phi, T, tol=1e-11, max_iter=MAX_ITER, taxis=ta, xi_band=8.0, eps=EPS)
         assert res.converged
         u = reconstruct_solution(res)
         stride = 20
@@ -857,7 +869,7 @@ class TestPicardSolve:
         phi = banded_bump(grid64, amplitude=1.0, band=2.0)
         ta = centered_axis(4.0, 1024)
         T = 0.25
-        res = picard_solve(phi, T, tol=1e-10, taxis=ta, xi_band=4.0)
+        res = picard_solve(phi, T, tol=1e-10, max_iter=MAX_ITER, taxis=ta, xi_band=4.0, eps=EPS)
         assert res.converged
         u = reconstruct_solution(res)
         rel = _pde_residual(u, (-T / 2, T / 2))
@@ -868,7 +880,7 @@ class TestPicardSolve:
         ta = centered_axis(4.0, 256)
         finals = []
         for T in (1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0):
-            res = picard_solve(phi, T, tol=1e-10, taxis=ta, xi_band=4.0)
+            res = picard_solve(phi, T, tol=1e-10, max_iter=MAX_ITER, taxis=ta, xi_band=4.0, eps=EPS)
             assert res.converged
             finals.append(res.final_ratio)
         assert finals[0] >= finals[1] >= finals[2]
@@ -876,7 +888,7 @@ class TestPicardSolve:
     def test_nonconvergence_is_a_state(self, grid64):
         phi = banded_bump(grid64, amplitude=2.5, band=2.0)
         res = picard_solve(phi, 0.25, tol=1e-10, max_iter=10,
-                           taxis=centered_axis(4.0, 256), xi_band=4.0)
+                           taxis=centered_axis(4.0, 256), xi_band=4.0, eps=EPS)
         assert not res.converged
         assert res.blown_up or res.iterations == 10
 
@@ -893,6 +905,7 @@ def test_realness_is_decided_once_per_sample(grid64, monkeypatch):
     assert len(calls) == 1 and phi_omega.values.dtype == np.float64
     for T in (0.125, 0.25, 0.5):
         free_evolution(phi_omega, midpoint_axis(T, 16))
-    picard_solve(phi_omega, 0.125, tol=1e-10, max_iter=3, taxis=centered_axis(4.0, 256), xi_band=4.0)
+    picard_solve(phi_omega, 0.125, tol=1e-10, max_iter=3, taxis=centered_axis(4.0, 256),
+                 xi_band=4.0, eps=EPS)
     evolve_reference(phi_omega, 0.01, 1e-3)
     assert len(calls) == 1

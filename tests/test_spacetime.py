@@ -24,7 +24,14 @@ from gkdvlab.spacetime import (
     st_l2,
 )
 
-from conftest import airy_propagate, banded_bump, free_coeffs, st_spectral_values, st_to_physical
+from conftest import (
+    EPS,
+    airy_propagate,
+    banded_bump,
+    free_coeffs,
+    st_spectral_values,
+    st_to_physical,
+)
 
 
 def _make_field(kind, values):
@@ -306,8 +313,8 @@ class TestPropagator:
         t, grid = ta.t, grid64
         xi = grid.xi[: grid.n_modes // 2 + 1]
         phi = banded_bump(grid, amplitude=1.0, band=2.0)
-        first = picard_solve(phi, T, tol=1e-30, max_iter=1, taxis=ta, xi_band=4.0)
-        second = picard_solve(phi, T, tol=1e-30, max_iter=2, taxis=ta, xi_band=4.0)
+        first = picard_solve(phi, T, tol=1e-30, max_iter=1, taxis=ta, xi_band=4.0, eps=EPS)
+        second = picard_solve(phi, T, tol=1e-30, max_iter=2, taxis=ta, xi_band=4.0, eps=EPS)
         assert second.iterations == 2
         v_hat, z_hat = first.v_hat, first.z_hat
         eta, eta_T = Cutoff(1.0)(t), Cutoff(T)(t)

@@ -15,7 +15,6 @@ from gkdvlab.norms import sobolev_norm
 from gkdvlab.wiener import (
     _band_stack,
     _component_draws,
-    coverage_weight,
     partition_window,
     require_distribution,
     sample_coefficients,
@@ -38,8 +37,8 @@ class TestWindow:
         assert np.max(np.abs(w(xi) + w(xi - 1.0) - 1.0)) <= 1e-15
 
     def test_partition_of_unity_dense(self):
-        xi = np.linspace(-50.0, 50.0, 20001)
-        total = coverage_weight(xi, 60)
+        # 6400 frequencies pi/200 apart on |xi| <= 50.3, all inside |n| <= 60
+        total = _band_stack(make_grid(200.0, 6400), 60)[1]
         assert np.max(np.abs(total - 1.0)) <= 1e-12
 
     def test_range(self):
@@ -245,10 +244,12 @@ class TestRandomize:
 
 
 @settings(max_examples=40, deadline=None)
-@given(offset=st.floats(-30.0, 30.0, allow_nan=False))
-def test_window_translates_sum_to_one_anywhere(offset):
-    xi = offset + np.linspace(0.0, 1.0, 101)
-    assert np.max(np.abs(coverage_weight(xi, int(abs(offset)) + 3) - 1.0)) <= 1e-12
+@given(half_length=st.floats(1.0, 100.0))
+def test_window_translates_sum_to_one_anywhere(half_length):
+    # the 64 frequencies k pi / half_length reach |xi| <= 32 pi / half_length
+    grid = make_grid(half_length, 64)
+    cover = _band_stack(grid, int(np.ceil(grid.xi_max)) + 1)[1]
+    assert np.max(np.abs(cover - 1.0)) <= 1e-12
 
 
 @settings(max_examples=20, deadline=None)
