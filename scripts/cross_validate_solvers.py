@@ -43,7 +43,9 @@ def main():
 
     u = reconstruct_solution(result)
     stride = 20
-    traj = evolve_reference(phi, T, taxis.dt / stride, output_stride=stride, diag_stride=10**9)
+    traj = evolve_reference(
+        phi, T, taxis.dt / stride, output_stride=stride, diag_stride=10**9, seed=None
+    )
     j0 = int(np.argmin(np.abs(taxis.t)))
     print("t        rel_L2_error")
     for k in range(traj.u.taxis.n_samples):

@@ -4,18 +4,22 @@ fit sub-Gaussian tails, and track the local-solvability failure fraction.
 Determinism contract: the full output is a pure function of the data, the
 configuration and the master seed. Per-sample streams are derived by a
 splittable hash of (master seed, sample index), so neither the number of
-worker processes nor execution order can change any number.
+worker processes nor execution order can change any number. Observables
+must be pure functions of their field: an ensemble evaluates each distinct
+draw (equal spectrum bytes) once and copies its record to the repeats.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
-from .grid import Field
+from .grid import Field, spectral_values
 from .norms import mixed_norm
 from .solver import PicardResult, _picard_band, picard_solve
 from .spacetime import TimeAxis, free_evolution, midpoint_axis
@@ -39,6 +43,11 @@ class EnsembleRecord:
     blown_up: bool = False
 
 
+Observables = Callable[[Field], Mapping[str, float]]
+# one sample's (values, blown_up)
+Outcome = tuple[dict[str, float], bool]
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the platform
     has one, else the machine's count."""
@@ -47,62 +56,99 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# The `evaluate` of the ensemble a forked worker serves. The pool's
+# The `evaluate` of the ensembles a forked worker serves. The pool's
 # initializer sets it in each worker; the parent process never does.
-_worker_evaluate: Callable[[int], EnsembleRecord] | None = None
+_worker_evaluate: Callable[[tuple[int, int]], Outcome] | None = None
 
 
-def _install_evaluate(evaluate: Callable[[int], EnsembleRecord]) -> None:
+def _install_evaluate(evaluate: Callable[[tuple[int, int]], Outcome]) -> None:
     global _worker_evaluate
     _worker_evaluate = evaluate
 
 
-def _evaluate_in_worker(index: int) -> EnsembleRecord:
-    return _worker_evaluate(index)
+def _evaluate_in_worker(task: tuple[int, int]) -> Outcome:
+    return _worker_evaluate(task)
 
 
-def run_ensemble(
-    sample: Callable[[int], Field],
-    n_samples: int,
-    observables: Callable[[Field], Mapping[str, float]],
-    seed: int,
-    threads: int,
-) -> list[EnsembleRecord]:
-    """Evaluate observables on the fields `sample(child_seed(seed, k))`,
-    k < n_samples: independent randomizations when `sample` is a
-    `wiener.sampler`, which checks its data once, when it is built.
+def _digest(data: bytes) -> bytes:
+    """16-byte key of a draw's spectrum bytes; equal keys only nominate a
+    candidate, which the bytes themselves confirm."""
+    return hashlib.blake2b(data, digest_size=16).digest()
 
-    `observables` maps a field to its name->float observables. Per-sample
-    errors are recorded on the sample (blown_up) and never abort the
-    ensemble.
 
-    `threads` is the number of worker processes, capped at the usable CPUs
-    and at n_samples. More than one runs the samples on a pool of workers
-    forked from this process (so observables may be closures), in fixed
-    chunks of sample indices, and returns the records in index order; the
-    records are the same for every count. A worker that dies raises
-    `BrokenProcessPool`. Where fork is unavailable the samples run here.
-    Fork copies only the calling thread, so a caller that runs other
-    threads should pass threads=1.
+def _first_draws(sample: Callable[[int], Field], seeds: list[int]) -> Iterator[tuple[Field, int]]:
+    """Each seed's field, with the position of the first seed whose draw has
+    the same spectrum bytes (its own position if none before it has).
+
+    Keeps one digest per distinct draw, never a field or its bytes: a digest
+    hit draws the candidate again and compares the bytes, so a hash alone
+    never merges two draws.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    firsts: dict[bytes, list[int]] = {}
+    for k, seed in enumerate(seeds):
+        phi_omega = sample(seed)
+        data = spectral_values(phi_omega).tobytes()
+        candidates = firsts.setdefault(_digest(data), [])
+        first = next(
+            (j for j in candidates if spectral_values(sample(seeds[j])).tobytes() == data), k
+        )
+        if first == k:
+            candidates.append(k)
+        yield phi_omega, first
 
-    def evaluate(index: int) -> EnsembleRecord:
-        sample_seed = child_seed(seed, index)
-        record = EnsembleRecord(index=index, seed=sample_seed)
-        try:
-            phi_omega = sample(sample_seed)
-            record.values = {k: float(v) for k, v in observables(phi_omega).items()}
-            if not all(np.isfinite(v) for v in record.values.values()):
-                record.blown_up = True
-        except Exception:
-            record.blown_up = True
-        return record
 
-    workers = min(threads, _usable_cpus(), n_samples) if hasattr(os, "fork") else 1
+def _observe(observables: Observables, phi_omega: Field) -> Outcome:
+    """The observables of one field as floats; an error or a non-finite
+    value marks the sample blown up instead of raising."""
+    try:
+        values = {k: float(v) for k, v in observables(phi_omega).items()}
+    except Exception:
+        return {}, True
+    return values, not all(np.isfinite(v) for v in values.values())
+
+
+def _run_ensembles(
+    sample: Callable[[int], Field],
+    ensembles: list[tuple[int, Observables, int]],
+    threads: int,
+) -> list[list[EnsembleRecord]]:
+    """`run_ensemble` for each (n_samples, observables, seed) over one
+    sampler, with every distinct draw of an ensemble evaluated once and all
+    the ensembles on one pool of workers."""
+    seeds = [[child_seed(seed, k) for k in range(n)] for n, _, seed in ensembles]
+    workers = min(threads, _usable_cpus(), sum(map(len, seeds))) if hasattr(os, "fork") else 1
     if workers <= 1:
-        return list(map(evaluate, range(n_samples)))
+        # streamed: each field is drawn once and evaluated only if it is new
+        outcomes = []
+        for (_, observables, _), ensemble_seeds in zip(ensembles, seeds):
+            done: list[Outcome] = []
+            for k, (phi_omega, first) in enumerate(_first_draws(sample, ensemble_seeds)):
+                done.append(_observe(observables, phi_omega) if first == k else done[first])
+            outcomes.append(done)
+    else:
+        firsts = [[first for _, first in _first_draws(sample, s)] for s in seeds]
+        tasks = [(j, k) for j, f in enumerate(firsts) for k, first in enumerate(f) if first == k]
+
+        def evaluate(task: tuple[int, int]) -> Outcome:
+            j, k = task
+            return _observe(ensembles[j][1], sample(seeds[j][k]))
+
+        results = dict(zip(tasks, _map_tasks(evaluate, tasks, workers)))
+        outcomes = [[results[j, first] for first in f] for j, f in enumerate(firsts)]
+    return [
+        [EnsembleRecord(k, s[k], dict(values), blown) for k, (values, blown) in enumerate(done)]
+        for s, done in zip(seeds, outcomes)
+    ]
+
+
+def _map_tasks(
+    evaluate: Callable[[tuple[int, int]], Outcome], tasks: list[tuple[int, int]], workers: int
+) -> list[Outcome]:
+    """`evaluate` over the tasks, in order, on at most `workers` forked
+    worker processes in fixed chunks; here when one worker would do."""
+    workers = min(workers, len(tasks))
+    if workers <= 1:
+        return list(map(evaluate, tasks))
     # imported here: an ensemble run in this process never pays for them
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -114,8 +160,40 @@ def run_ensemble(
         initializer=_install_evaluate,
         initargs=(evaluate,),
     ) as pool:
-        chunk = max(1, n_samples // (8 * workers))
-        return list(pool.map(_evaluate_in_worker, range(n_samples), chunksize=chunk))
+        chunk = max(1, len(tasks) // (8 * workers))
+        return list(pool.map(_evaluate_in_worker, tasks, chunksize=chunk))
+
+
+def run_ensemble(
+    sample: Callable[[int], Field],
+    n_samples: int,
+    observables: Observables,
+    seed: int,
+    threads: int,
+) -> list[EnsembleRecord]:
+    """Evaluate observables on the fields `sample(child_seed(seed, k))`,
+    k < n_samples: independent randomizations when `sample` is a
+    `wiener.sampler`, which checks its data once, when it is built.
+
+    `observables` maps a field to its name->float observables, and must be
+    a pure function of the field: samples whose spectra have the same bytes
+    are evaluated once, and each repeat gets its own `index` and `seed` with
+    a copy of the first one's values. Per-sample errors in the observables
+    are recorded on the sample (blown_up) and never abort the ensemble; an
+    error in a draw raises.
+
+    `threads` is the number of worker processes, capped at the usable CPUs
+    and at the distinct draws. More than one draws every field here, then
+    evaluates the distinct ones on a pool of workers forked from this
+    process (so observables may be closures), in fixed chunks, and returns
+    the records in index order; the records are the same for every count.
+    A worker that dies raises `BrokenProcessPool`. Where fork is unavailable
+    the samples run here. Fork copies only the calling thread, so a caller
+    that runs other threads should pass threads=1.
+    """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    return _run_ensembles(sample, [(n_samples, observables, seed)], threads)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +450,9 @@ def exceptional_probability(
     statistic counts adjacent pairs where the fraction increases as T
     shrinks without the Wilson intervals overlapping. The band is checked
     once, on one draw's grid, before the first ensemble (`_picard_band`:
-    AliasingError where every solve would refuse it). `threads` is
-    `run_ensemble`'s worker-process count.
+    AliasingError where every solve would refuse it). Each T's ensemble
+    solves each of its distinct draws once, as `run_ensemble` does, and
+    `threads` worker processes serve the solves of every T on one pool.
     """
     t_list = [float(t) for t in t_grid]
     if sorted(set(t_list), reverse=True) != t_list:
@@ -382,25 +461,26 @@ def exceptional_probability(
         raise ValueError("need at least 100 samples per T")
     _picard_band(sample(seed).grid, taxis, xi_band)
 
+    def observe(phi_omega: Field, T: float) -> dict[str, float]:
+        result = picard_solve(
+            phi_omega, T, tol, max_iter=max_iter, taxis=taxis, xi_band=xi_band, eps=eps
+        )
+        return {
+            "picard_converged": float(result.converged),
+            "picard_failed": float(picard_failed(result)),
+            "iterations": float(result.iterations),
+            "max_ratio": float(max(result.ratios)) if result.ratios else 0.0,
+            "final_distance": result.distances[-1] if result.distances else 0.0,
+            "discarded_band_mass": result.discarded_band_mass,
+        }
+
+    ensembles = [
+        (n_samples, functools.partial(observe, T=T), child_seed(seed, k))
+        for k, T in enumerate(t_list)
+    ]
+    records_by_t = dict(zip(t_list, _run_ensembles(sample, ensembles, threads)))
     rows: list[LwpRow] = []
-    records_by_t: dict[float, list[EnsembleRecord]] = {}
-    for k, T in enumerate(t_list):
-
-        def observe(phi_omega: Field, T=T) -> dict[str, float]:
-            result = picard_solve(
-                phi_omega, T, tol, max_iter=max_iter, taxis=taxis, xi_band=xi_band, eps=eps
-            )
-            return {
-                "picard_converged": float(result.converged),
-                "picard_failed": float(picard_failed(result)),
-                "iterations": float(result.iterations),
-                "max_ratio": float(max(result.ratios)) if result.ratios else 0.0,
-                "final_distance": result.distances[-1] if result.distances else 0.0,
-                "discarded_band_mass": result.discarded_band_mass,
-            }
-
-        records = run_ensemble(sample, n_samples, observe, child_seed(seed, k), threads=threads)
-        records_by_t[T] = records
+    for T, records in records_by_t.items():
         failures = sum(
             1 for r in records if r.blown_up or r.values.get("picard_failed", 1.0) > 0.5
         )

@@ -103,7 +103,7 @@ class EstimateReport:
 # random ensembles
 
 
-def random_field(grid: Grid, xi_band: float, seed: int, master: int = 0) -> Field:
+def random_field(grid: Grid, xi_band: float, seed: int, master: int) -> Field:
     """Band-limited random data with a <xi>^{-1} spectral envelope, L^2 = 1."""
     rng = rng_for(master, 17, seed)
     xi = grid.xi
@@ -131,7 +131,7 @@ def _spacetime_envelope(
 
 
 def random_spacetime(
-    grid: Grid, taxis: TimeAxis, xi_band: float, seed: int, master: int = 0
+    grid: Grid, taxis: TimeAxis, xi_band: float, seed: int, master: int
 ) -> SpaceTimeField:
     """Band-limited random space-time field, envelope <xi>^{-1}<tau-xi^3>^{-1},
     normalized to unit space-time L^2.

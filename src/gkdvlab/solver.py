@@ -193,16 +193,18 @@ def evolve_reference(
     phi: Field,
     T: float,
     dt: float,
-    output_stride: int | None = None,
-    diag_stride: int = 1,
-    seed: int | None = None,
+    output_stride: int | None,
+    diag_stride: int,
+    seed: int | None,
 ) -> Trajectory:
     """March the equation with integrating-factor RK4 from data phi to time T.
 
     T/dt must be an integer number of steps (at most 1e7). The trajectory is
-    sampled every `output_stride` steps (auto-chosen to keep about a
-    thousand samples); diagnostics are recorded every `diag_stride` steps.
-    A non-finite state stops the run and flags the trajectory as blown up.
+    sampled every `output_stride` steps (None: the largest divisor of the
+    step count that is at most 1/1024 of it, or 1); diagnostics are recorded
+    every `diag_stride` steps. `seed` is the master seed the trajectory
+    records (None: none). A non-finite state stops the run and flags the
+    trajectory as blown up.
 
     The data must be real (a float64 `Field`) and finite. The state is the
     coefficients of the modes 0 .. N/2 (`grid.real_forward`),

@@ -128,7 +128,7 @@ def test_criterion_03_scaling_criticality():
 def test_criterion_04_conservation():
     g = make_grid(32.0, 512)
     phi = field_from_function(g, lambda x: np.exp(-(x**2)))
-    traj = evolve_reference(phi, 1.0, 1e-4, diag_stride=1)
+    traj = evolve_reference(phi, 1.0, 1e-4, output_stride=None, diag_stride=1, seed=None)
     d = traj.diagnostics
     mass_drift = float(np.max(np.abs(d.mass - d.mass[0])) / abs(d.mass[0]))
     energy_drift = float(np.max(np.abs(d.energy - d.energy[0])) / abs(d.energy[0]))
@@ -150,7 +150,9 @@ def test_criterion_05_solver_cross_validation():
     result = picard_solve(phi, T, tol=1e-11, max_iter=MAX_ITER, taxis=ta, xi_band=8.0, eps=EPS)
     u = reconstruct_solution(result)
     stride = 20
-    traj = evolve_reference(phi, T, ta.dt / stride, output_stride=stride, diag_stride=10**9)
+    traj = evolve_reference(
+        phi, T, ta.dt / stride, output_stride=stride, diag_stride=10**9, seed=None
+    )
     j0 = int(np.argmin(np.abs(ta.t)))
     worst = 0.0
     for k in range(traj.u.taxis.n_samples):

@@ -6,8 +6,15 @@ import pytest
 from gkdvlab.config import ConfigError, load_config
 from gkdvlab.montecarlo import exceptional_probability, run_ensemble, strichartz_scaling
 from gkdvlab.params import b_index, data_index, sigma_index
-from gkdvlab.probes import ProbeResolution, estimate_ids, run_estimate, run_estimates
-from gkdvlab.solver import picard_solve
+from gkdvlab.probes import (
+    ProbeResolution,
+    estimate_ids,
+    random_field,
+    random_spacetime,
+    run_estimate,
+    run_estimates,
+)
+from gkdvlab.solver import evolve_reference, picard_solve
 
 
 class TestDefaults:
@@ -72,12 +79,15 @@ class TestOverrides:
     "entry",
     [
         picard_solve,
+        evolve_reference,
         exceptional_probability,
         strichartz_scaling,
         run_ensemble,
         run_estimates,
         run_estimate,
         estimate_ids,
+        random_field,
+        random_spacetime,
     ],
     ids=lambda f: f.__name__,
 )

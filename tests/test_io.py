@@ -49,7 +49,7 @@ def test_complex_field_is_refused(tmp_path):
 def test_trajectory_round_trip(tmp_path):
     g = make_grid(16.0, 64)
     phi = field_from_function(g, lambda x: 0.5 * np.exp(-(x**2)))
-    traj = evolve_reference(phi, 0.02, 1e-3, seed=11)
+    traj = evolve_reference(phi, 0.02, 1e-3, output_stride=None, diag_stride=1, seed=11)
     path = save_trajectory(tmp_path / "t.bin", traj)
     back = load_trajectory(path)
     assert back.scheme == "ifrk4"
@@ -65,7 +65,8 @@ def test_trajectory_round_trip(tmp_path):
 
 def test_complex_trajectory_is_refused(tmp_path):
     g = make_grid(16.0, 64)
-    traj = evolve_reference(field_from_function(g, lambda x: 0.5 * np.exp(-(x**2))), 0.02, 1e-3)
+    phi = field_from_function(g, lambda x: 0.5 * np.exp(-(x**2)))
+    traj = evolve_reference(phi, 0.02, 1e-3, output_stride=None, diag_stride=1, seed=None)
     tilted = replace(traj, u=traj.u.with_values(1j * traj.u.values))
     with pytest.raises(ValueError, match="real samples"):
         save_trajectory(tmp_path / "t.bin", tilted)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import multiprocessing
 import os
@@ -10,12 +11,15 @@ import pytest
 
 from gkdvlab import montecarlo
 from gkdvlab import wiener
-from gkdvlab.grid import Field, Grid, apply_multiplier, field_from_function, make_grid
+from gkdvlab.grid import (
+    Field, Grid, apply_multiplier, field_from_function, make_grid, spectral_values,
+)
 from gkdvlab.io import ensemble_table
 from gkdvlab.montecarlo import (
     exceptional_probability,
     line_fit,
     make_lambda_grid,
+    picard_failed,
     run_ensemble,
     scale_report_from_observations,
     strichartz_scaling,
@@ -23,8 +27,9 @@ from gkdvlab.montecarlo import (
     wilson_interval,
 )
 from gkdvlab.cli import build_data
-from gkdvlab.config import load_config
+from gkdvlab.config import load_config, parse_float_list
 from gkdvlab.norms import AliasingError, mixed_norm, sobolev_norm
+from gkdvlab.solver import picard_solve
 from gkdvlab.spacetime import centered_axis, midpoint_axis
 from gkdvlab.streams import child_seed
 from gkdvlab.wiener import _band_stack, sample_coefficients, sampler
@@ -431,3 +436,182 @@ class TestExceptionalProbability:
         )
         assert [row.n for row in rep.rows] == [100] * 4
         assert transforms.count(True) == 1 and len(checks) == 1
+
+
+# ---------------------------------------------------------------------------
+# each distinct draw evaluated once
+
+
+def _former_run_ensemble(sample, n_samples, observables, seed):
+    """The former `run_ensemble`: every index drawn and evaluated on its own."""
+    records = []
+    for index in range(n_samples):
+        sample_seed = child_seed(seed, index)
+        record = montecarlo.EnsembleRecord(index=index, seed=sample_seed)
+        try:
+            phi_omega = sample(sample_seed)
+            record.values = {k: float(v) for k, v in observables(phi_omega).items()}
+            if not all(np.isfinite(v) for v in record.values.values()):
+                record.blown_up = True
+        except Exception:
+            record.blown_up = True
+        records.append(record)
+    return records
+
+
+def _picard_observables(cfg, T):
+    """`exceptional_probability`'s observables of one T at the config's values."""
+    lwp = cfg["lwp"]
+
+    def observe(phi_omega):
+        result = picard_solve(
+            phi_omega, T, lwp["tol"], max_iter=lwp["max_iter"],
+            taxis=centered_axis(cfg["time"]["t_span"], cfg["time"]["m_t"]),
+            xi_band=lwp["xi_band"], eps=cfg["model"]["epsilon"],
+        )
+        return {
+            "picard_converged": float(result.converged),
+            "picard_failed": float(picard_failed(result)),
+            "iterations": float(result.iterations),
+            "max_ratio": float(max(result.ratios)) if result.ratios else 0.0,
+            "final_distance": result.distances[-1] if result.distances else 0.0,
+            "discarded_band_mass": result.discarded_band_mass,
+        }
+
+    return observe
+
+
+def _lwp_picard(seed):
+    """The lwp-picard benchmark workload: the lwp preset at 100 samples per T."""
+    cfg = load_config(
+        ROOT / "configs" / "lwp.ini", {"lwp.n_samples": 100, "random.master_seed": seed}
+    )
+    return cfg, sampler(build_data(cfg), cfg["random"]["distribution"])
+
+
+def _exceptional_probability(cfg, sample, threads):
+    lwp = cfg["lwp"]
+    return exceptional_probability(
+        sample, parse_float_list(lwp["t_grid"]), lwp["n_samples"], lwp["tol"],
+        taxis=centered_axis(cfg["time"]["t_span"], cfg["time"]["m_t"]), xi_band=lwp["xi_band"],
+        eps=cfg["model"]["epsilon"], max_iter=lwp["max_iter"], seed=cfg["random"]["master_seed"],
+        threads=threads,
+    )
+
+
+def _distinct_spectra(sample, n_samples, seed):
+    return len({spectral_values(sample(child_seed(seed, k))).tobytes() for k in range(n_samples)})
+
+
+@pytest.fixture(scope="module", params=[42, 7])
+def lwp_oracle(request):
+    """The lwp-picard workload at one seed, and its records per T by the
+    former per-index loop."""
+    cfg, sample = _lwp_picard(request.param)
+    t_list = parse_float_list(cfg["lwp"]["t_grid"])
+    former = {
+        T: _former_run_ensemble(sample, cfg["lwp"]["n_samples"], _picard_observables(cfg, T),
+                                child_seed(cfg["random"]["master_seed"], k))
+        for k, T in enumerate(t_list)
+    }
+    return cfg, sample, former
+
+
+class TestDistinctDraws:
+    """An ensemble evaluates each distinct draw once; its records are those
+    of the former per-index loop, at every worker count."""
+
+    @pytest.fixture(autouse=True)
+    def _many_cpus(self, monkeypatch):
+        # take the pooled branch even on a one-CPU host
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 8)
+        yield
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_lwp_records_equal_former_loop(self, lwp_oracle, threads):
+        cfg, sample, former = lwp_oracle
+        report = _exceptional_probability(cfg, sample, threads)
+        assert list(report.records) == list(former)
+        for T, records in former.items():
+            assert _record_tuples(report.records[T]) == _record_tuples(records)
+            failures = sum(1 for r in records if r.blown_up or r.values["picard_failed"] > 0.5)
+            assert next(row for row in report.rows if row.T == T).failures == failures
+        T = next(iter(former))
+        master = cfg["random"]["master_seed"]
+        direct = run_ensemble(sample, cfg["lwp"]["n_samples"], _picard_observables(cfg, T),
+                              child_seed(master, 0), threads=threads)
+        assert _record_tuples(direct) == _record_tuples(former[T])
+        # the preset's rademacher draws repeat: fewer distinct spectra than samples
+        assert _distinct_spectra(sample, 100, child_seed(master, 0)) < 100
+
+    @pytest.mark.parametrize("distribution", ["ones", "rademacher", "gaussian"])
+    def test_observable_called_once_per_distinct_spectrum(self, grid64, distribution):
+        phi = banded_bump(grid64, band=2.0)
+        sample = sampler(phi, distribution)
+        calls = []
+
+        def counted(f):
+            calls.append(1)
+            return {"l2": l2_norm(f)}
+
+        records = run_ensemble(sample, 60, counted, seed=4, threads=1)
+        expected = {"ones": 1, "rademacher": _distinct_spectra(sample, 60, 4), "gaussian": 60}
+        assert len(calls) == expected[distribution]
+        if distribution == "rademacher":
+            assert 1 < len(calls) < 60
+        assert _record_tuples(records) == _record_tuples(
+            _former_run_ensemble(sample, 60, counted, 4)
+        )
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("distribution", ["rademacher", "gaussian"])
+    def test_digest_collisions_never_merge_draws(self, monkeypatch, distribution, threads):
+        # every draw gets the same digest: only the bytes tell them apart
+        cfg, _ = _lwp_picard(42)
+        sample = sampler(build_data(cfg), distribution)
+
+        def fingerprint(f):
+            # 48 bits of a hash of the spectrum bytes, exact as a float
+            digest = hashlib.sha256(spectral_values(f).tobytes()).digest()
+            return {"id": float(int.from_bytes(digest[:6], "big"))}
+
+        monkeypatch.setattr(montecarlo, "_digest", lambda data: b"\0" * 16)
+        records = run_ensemble(sample, 50, fingerprint, seed=3, threads=threads)
+        former = _former_run_ensemble(sample, 50, fingerprint, 3)
+        assert _record_tuples(records) == _record_tuples(former)
+        assert len({r.values["id"] for r in former}) == _distinct_spectra(sample, 50, 3)
+
+    def test_one_pool_serves_every_T(self, grid64, monkeypatch):
+        import concurrent.futures
+
+        built = []
+        executor = concurrent.futures.ProcessPoolExecutor
+
+        class Counted(executor):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+        phi = banded_bump(grid64, amplitude=0.5, band=2.0)
+        rep = exceptional_probability(
+            sampler(phi, "gaussian"), [0.25, 0.125, 0.0625, 0.03125], 100, tol=1e-10,
+            taxis=centered_axis(4.0, 64), xi_band=2.0, eps=EPS, max_iter=MAX_ITER,
+            seed=2, threads=2,
+        )
+        assert [row.n for row in rep.rows] == [100] * 4
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_draw_error_raises(self, grid64, threads):
+        draw = sampler(banded_bump(grid64, band=3.0), "gaussian")
+        bad = child_seed(5, 3)
+
+        def sample(seed):
+            if seed == bad:
+                raise RuntimeError("draw failed")
+            return draw(seed)
+
+        with pytest.raises(RuntimeError, match="draw failed"):
+            run_ensemble(sample, 8, lambda f: {"l2": l2_norm(f)}, seed=5, threads=threads)

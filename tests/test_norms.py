@@ -196,7 +196,7 @@ class TestXsbNorm:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_support_radius_matches_column_mass_oracle(self, resolution, seed):
         grid, ta = resolution.make()
-        u = random_spacetime(grid, ta, resolution.xi_band, seed)
+        u = random_spacetime(grid, ta, resolution.xi_band, seed, master=0)
         # the former route: a raw x-FFT of the samples, then column L^2 masses
         col = np.sqrt(np.sum(np.abs(np.fft.fft(u.values, axis=1)) ** 2, axis=0))
         oracle = np.max(np.abs(grid.xi[col > 1e-12 * col.max()]))
@@ -206,7 +206,7 @@ class TestXsbNorm:
     def test_several_weights_equal_one_at_a_time(self):
         resolution = preset_resolution()
         grid, ta = resolution.make()
-        u = random_spacetime(grid, ta, resolution.xi_band, 4)
+        u = random_spacetime(grid, ta, resolution.xi_band, 4, master=0)
         indices = [(0.0, 0.5), (0.3, 0.52), (0.25, 0.6), (0.0, 0.5)]
         assert xsb_norms(u, indices) == [xsb_norm(u, s, b) for s, b in indices]
 
@@ -268,7 +268,7 @@ class TestKeptBand:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_norms_match_samples_route(self, resolution, cut, seed):
         grid, ta = resolution.make()
-        u = random_spacetime(grid, ta, resolution.xi_band, seed)
+        u = random_spacetime(grid, ta, resolution.xi_band, seed, master=0)
         if cut:
             u = apply_time_cutoff(u, Cutoff(1.0))
         got = np.array(xsb_norms(u, PROBE_XSB_INDICES))
@@ -278,7 +278,7 @@ class TestKeptBand:
     def test_with_values_drops_band(self):
         resolution = preset_resolution()
         grid, ta = resolution.make()
-        u = random_spacetime(grid, ta, resolution.xi_band, 2)
+        u = random_spacetime(grid, ta, resolution.xi_band, 2, master=0)
         columns, _ = u._band
         assert np.array_equal(columns, np.flatnonzero(np.abs(grid.xi) <= resolution.xi_band))
         assert apply_time_cutoff(u, Cutoff(1.0))._band[0] is columns
@@ -287,7 +287,7 @@ class TestKeptBand:
     def test_aliasing_guard(self):
         # drawn past the check of ProbeResolution.make: 2 * 6^3 > tau_max ~ 100
         grid, ta = preset_resolution().make()
-        u = random_spacetime(grid, ta, 6.0, 0)
+        u = random_spacetime(grid, ta, 6.0, 0, master=0)
         for field in (u, apply_time_cutoff(u, Cutoff(1.0))):
             with pytest.raises(AliasingError):
                 xsb_norms(field, [(0.0, 0.5)])
@@ -381,7 +381,7 @@ def test_space_time_lebesgue_is_mixed_with_equal_exponents():
     # the embedding probes' left side is the plain L^p over the (x, t) box
     resolution = preset_resolution()
     grid, ta = resolution.make()
-    u = random_spacetime(grid, ta, resolution.xi_band, 0)
+    u = random_spacetime(grid, ta, resolution.xi_band, 0, master=0)
     reports = check_embeddings([u], ["embed01", "embed12"], EPS)
     for eid, report in reports.items():
         p = embedding_catalog(EPS)[eid][0]

@@ -47,7 +47,7 @@ class TestCatalog:
 
     def test_unknown_id_lists_valid_ones(self):
         grid, taxis = preset_resolution().make()
-        u = random_spacetime(grid, taxis, 3.5, 0)
+        u = random_spacetime(grid, taxis, 3.5, 0, master=0)
         with pytest.raises(KeyError) as err:
             check_embeddings([u], ["embed99"], EPS)
         assert "embed01" in str(err.value)
@@ -103,7 +103,8 @@ class TestRandomData:
         coeffs = rng.standard_normal(grid.n_modes) + 1j * rng.standard_normal(grid.n_modes)
         coeffs *= (np.abs(grid.xi) <= 3.5) / np.sqrt(1.0 + grid.xi**2)
         coeffs /= np.sqrt(grid.dxi * np.sum(np.abs(coeffs) ** 2))
-        assert self._rel_err(spectral_values(random_field(grid, 3.5, seed)), coeffs) <= 1e-14
+        got = spectral_values(random_field(grid, 3.5, seed, master=0))
+        assert self._rel_err(got, coeffs) <= 1e-14
 
     @pytest.mark.parametrize("doubled", [False, True])
     def test_random_spacetime_equals_uncached_construction(self, doubled):
@@ -128,7 +129,7 @@ class TestRandomData:
     def test_random_spacetime_rejects_empty_band(self, xi_band):
         grid, taxis = preset_resolution().make()
         with pytest.raises(ValueError, match="selects no mode"):
-            random_spacetime(grid, taxis, xi_band, 0)
+            random_spacetime(grid, taxis, xi_band, 0, master=0)
 
     def test_banded_bump_spectrum(self):
         grid, _ = preset_resolution().make()
@@ -140,7 +141,7 @@ class TestRandomData:
 class TestLinearProbe:
     def test_ratio_independent_of_amplitude(self):
         grid, taxis = preset_resolution().make()
-        phi = random_field(grid, 3.5, 0)
+        phi = random_field(grid, 3.5, 0, master=0)
         big = Field(grid, 7.0 * phi.values)
         s, b = sigma_index(EPS), b_index(EPS)
         r1 = check_linear_estimates([phi], [0.25], s, b, taxis)
@@ -149,7 +150,7 @@ class TestLinearProbe:
 
     def test_T_variation_within_factor_two(self):
         grid, taxis = preset_resolution().make()
-        phis = [random_field(grid, 3.5, k) for k in range(8)]
+        phis = [random_field(grid, 3.5, k, master=0) for k in range(8)]
         s, b = sigma_index(EPS), b_index(EPS)
         maxima = []
         for T in (0.25, 0.125, 0.0625):
@@ -160,21 +161,21 @@ class TestLinearProbe:
     def test_b_range_validated(self):
         grid, taxis = preset_resolution().make()
         with pytest.raises(ValueError):
-            check_linear_estimates([random_field(grid, 3.5, 0)], [0.25], 0.3, 0.5, taxis)
+            check_linear_estimates([random_field(grid, 3.5, 0, master=0)], [0.25], 0.3, 0.5, taxis)
 
 
 class TestMultilinearProbe:
     def test_zero_factors_give_zero_pairing(self):
         grid, taxis = preset_resolution().make()
         zero = SpaceTimeField(grid, taxis, np.zeros((taxis.n_samples, grid.n_modes), np.complex128))
-        h = random_spacetime(grid, taxis, 3.5, 1)
+        h = random_spacetime(grid, taxis, 3.5, 1, master=0)
         rep = check_multilinear([([zero] * 8, h)], sigma_index(EPS), b_index(EPS), EPS)
         assert rep.excluded == 1  # rhs is zero too: guarded
 
     def test_permutation_symmetry(self):
         grid, taxis = preset_resolution().make()
-        factors = [random_spacetime(grid, taxis, 3.5, k) for k in range(8)]
-        h = random_spacetime(grid, taxis, 3.5, 99)
+        factors = [random_spacetime(grid, taxis, 3.5, k, master=0) for k in range(8)]
+        h = random_spacetime(grid, taxis, 3.5, 99, master=0)
         sigma, b = sigma_index(EPS), b_index(EPS)
         rep = check_multilinear([(factors, h), (factors[::-1], h)], sigma, b, EPS)
         assert rep.trials[0].lhs == pytest.approx(rep.trials[1].lhs, rel=1e-10)
@@ -184,16 +185,16 @@ class TestMultilinearProbe:
         grid, taxis = preset_resolution().make()
         free = free_evolution(_banded_bump(grid, 3.5), taxis, cutoff=Cutoff(0.25))
         assert free.values.dtype == np.float64
-        factors = [random_spacetime(grid, taxis, 3.5, k) for k in range(7)] + [free]
-        h = random_spacetime(grid, taxis, 3.5, 99)
+        factors = [random_spacetime(grid, taxis, 3.5, k, master=0) for k in range(7)] + [free]
+        h = random_spacetime(grid, taxis, 3.5, 99, master=0)
         sigma, b = sigma_index(EPS), b_index(EPS)
         rep = check_multilinear([(factors, h), (factors[::-1], h)], sigma, b, EPS)
         assert rep.trials[0].lhs == pytest.approx(rep.trials[1].lhs, rel=1e-10)
 
     def test_repeated_factor_normed_once(self, monkeypatch):
         grid, taxis = preset_resolution().make()
-        u, v = random_spacetime(grid, taxis, 3.5, 0), random_spacetime(grid, taxis, 3.5, 1)
-        h = random_spacetime(grid, taxis, 3.5, 2)
+        u, v = (random_spacetime(grid, taxis, 3.5, k, master=0) for k in (0, 1))
+        h = random_spacetime(grid, taxis, 3.5, 2, master=0)
         sigma, b = sigma_index(EPS), b_index(EPS)
         rhs_factors = 1.0
         for f in [v, u, u, u, u, u, v, u]:
@@ -213,7 +214,7 @@ class TestMultilinearProbe:
 
     def test_requires_eight_factors(self):
         grid, taxis = preset_resolution().make()
-        u = random_spacetime(grid, taxis, 3.5, 0)
+        u = random_spacetime(grid, taxis, 3.5, 0, master=0)
         with pytest.raises(ValueError):
             check_multilinear([([u] * 7, u)], 0.3, 0.5, EPS)
 
@@ -223,7 +224,7 @@ class TestBilinearProbe:
         res = preset_resolution()
         grid, taxis = res.make()
         pairs = [
-            (random_spacetime(grid, taxis, 3.5, 2 * k), random_spacetime(grid, taxis, 3.5, 2 * k + 1))
+            tuple(random_spacetime(grid, taxis, 3.5, j, master=0) for j in (2 * k, 2 * k + 1))
             for k in range(10)
         ]
         rep = check_bilinear(pairs, 0.5, 0.51, 0.4)

@@ -93,7 +93,7 @@ class TestNonlinearity:
         # the nonlinearity is the real one; both solvers refuse complex data
         f = field_from_function(grid64, lambda x: np.exp(1j * x))
         with pytest.raises(ValueError, match="evolve_reference expects real data"):
-            evolve_reference(f, 1e-3, 1e-4)
+            evolve_reference(f, 1e-3, 1e-4, output_stride=None, diag_stride=1, seed=None)
         with pytest.raises(ValueError, match="picard_solve expects real data"):
             picard_solve(f, 0.25, tol=1e-10, max_iter=MAX_ITER, taxis=centered_axis(4.0, 256),
                          xi_band=4.0, eps=EPS)
@@ -212,7 +212,7 @@ class TestConservedQuantities:
 class TestEvolveReference:
     def test_zero_data_stays_zero(self, grid512):
         z = field_from_function(grid512, lambda x: 0.0 * x)
-        traj = evolve_reference(z, 0.01, 1e-3)
+        traj = evolve_reference(z, 0.01, 1e-3, output_stride=None, diag_stride=1, seed=None)
         assert np.max(np.abs(traj.u.values)) == 0.0
         assert np.max(np.abs(traj.diagnostics.mass)) == 0.0
 
@@ -223,11 +223,13 @@ class TestEvolveReference:
         values[5] = value
         monkeypatch.setattr(Grid, "real_forward", _must_not_run)
         with pytest.raises(ValueError, match="evolve_reference expects finite data"):
-            evolve_reference(Field(grid64, values), 1e-3, 1e-4)
+            evolve_reference(
+                Field(grid64, values), 1e-3, 1e-4, output_stride=None, diag_stride=1, seed=None
+            )
 
     def test_linear_regime_matches_free_flow(self, grid512):
         phi = field_from_function(grid512, lambda x: 1e-8 * np.exp(-(x**2)))
-        traj = evolve_reference(phi, 1.0, 1e-3, diag_stride=1000)
+        traj = evolve_reference(phi, 1.0, 1e-3, output_stride=None, diag_stride=1000, seed=None)
         final = traj.u.values[-1]
         lin = airy_propagate(phi, 1.0).values
         assert np.max(np.abs(final - lin)) <= 1e-8 * np.max(np.abs(lin))
@@ -238,22 +240,25 @@ class TestEvolveReference:
         g = make_grid(32.0, 256)
         phi = field_from_function(g, lambda x: np.exp(-(x**2)))
         T, base = 0.5, 2048
-        ref = evolve_reference(phi, T, T / (8 * base), diag_stride=10**9).u.values[-1]
-        e1 = np.max(np.abs(evolve_reference(phi, T, T / base, diag_stride=10**9).u.values[-1] - ref))
-        e2 = np.max(
-            np.abs(evolve_reference(phi, T, T / (2 * base), diag_stride=10**9).u.values[-1] - ref)
-        )
+
+        def final(dt):
+            traj = evolve_reference(phi, T, dt, output_stride=None, diag_stride=10**9, seed=None)
+            return traj.u.values[-1]
+
+        ref = final(T / (8 * base))
+        e1 = np.max(np.abs(final(T / base) - ref))
+        e2 = np.max(np.abs(final(T / (2 * base)) - ref))
         assert 12.0 <= e1 / e2 <= 20.0
 
     def test_mean_preserved_exactly(self, grid512):
         phi = field_from_function(grid512, lambda x: np.exp(-(x**2)))
-        traj = evolve_reference(phi, 0.02, 1e-3)
+        traj = evolve_reference(phi, 0.02, 1e-3, output_stride=None, diag_stride=1, seed=None)
         d = traj.diagnostics
         assert np.max(np.abs(d.mean - d.mean[0])) <= 1e-12
 
     def test_short_run_conservation(self, grid512):
         phi = field_from_function(grid512, lambda x: np.exp(-(x**2)))
-        traj = evolve_reference(phi, 0.05, 1e-4, diag_stride=50)
+        traj = evolve_reference(phi, 0.05, 1e-4, output_stride=None, diag_stride=50, seed=None)
         d = traj.diagnostics
         assert np.max(np.abs(d.mass - d.mass[0])) <= 1e-10 * abs(d.mass[0])
         assert np.max(np.abs(d.energy - d.energy[0])) <= 1e-10 * abs(d.energy[0])
@@ -261,14 +266,14 @@ class TestEvolveReference:
     def test_blowup_is_flagged_with_step(self):
         g = make_grid(16.0, 128)
         phi = field_from_function(g, lambda x: 10.0 * np.exp(-(x**2)))
-        traj = evolve_reference(phi, 0.5, 1e-2)
+        traj = evolve_reference(phi, 0.5, 1e-2, output_stride=None, diag_stride=1, seed=None)
         assert traj.blown_up
         assert traj.first_bad_step is not None and traj.first_bad_step >= 1
 
     def test_non_integer_step_count_rejected(self, grid512):
         phi = field_from_function(grid512, lambda x: np.exp(-(x**2)))
         with pytest.raises(ValueError):
-            evolve_reference(phi, 1.0, 3e-4)
+            evolve_reference(phi, 1.0, 3e-4, output_stride=None, diag_stride=1, seed=None)
 
 
 def _full_spectrum_nonlinearity(grid, hat):
@@ -338,7 +343,7 @@ class TestHalfSpectrumLoop:
             phi = field_from_function(grid512, lambda x: _full_band_data(grid512, 11, 1.0))
         n_steps, dt = 200, 1e-4
         rows, diags, bad = _full_spectrum_evolve(phi, n_steps, dt)
-        traj = evolve_reference(phi, n_steps * dt, dt, output_stride=1)
+        traj = evolve_reference(phi, n_steps * dt, dt, output_stride=1, diag_stride=1, seed=None)
         assert bad is None and not traj.blown_up
         assert traj.u.values.dtype == np.float64
         assert np.max(np.abs(traj.u.values - rows)) <= 1e-14
@@ -351,7 +356,7 @@ class TestHalfSpectrumLoop:
         g = make_grid(16.0, 128)
         phi = field_from_function(g, lambda x: 10.0 * np.exp(-(x**2)))
         _, _, bad = _full_spectrum_evolve(phi, 50, 1e-2)
-        traj = evolve_reference(phi, 0.5, 1e-2)
+        traj = evolve_reference(phi, 0.5, 1e-2, output_stride=None, diag_stride=1, seed=None)
         assert bad is not None
         assert traj.blown_up and traj.first_bad_step == bad
 
@@ -368,7 +373,7 @@ class TestHalfSpectrumLoop:
 
         monkeypatch.setattr(np.fft, "irfft", counting)
         phi = field_from_function(grid512, lambda x: np.exp(-(x**2)))
-        traj = evolve_reference(phi, 10 * 1e-4, 1e-4, output_stride=10, diag_stride=1)
+        traj = evolve_reference(phi, 10 * 1e-4, 1e-4, output_stride=10, diag_stride=1, seed=None)
         assert traj.diagnostics.step.size == 11
         assert sum(calls) == 4 * 10 + 1
 
@@ -855,7 +860,9 @@ class TestPicardSolve:
         assert res.converged
         u = reconstruct_solution(res)
         stride = 20
-        traj = evolve_reference(phi, T, ta.dt / stride, output_stride=stride, diag_stride=10**9)
+        traj = evolve_reference(
+            phi, T, ta.dt / stride, output_stride=stride, diag_stride=10**9, seed=None
+        )
         j0 = int(np.argmin(np.abs(ta.t)))
         for k in range(traj.u.taxis.n_samples):
             a = u.values[j0 + k].real
@@ -907,5 +914,5 @@ def test_realness_is_decided_once_per_sample(grid64, monkeypatch):
         free_evolution(phi_omega, midpoint_axis(T, 16))
     picard_solve(phi_omega, 0.125, tol=1e-10, max_iter=3, taxis=centered_axis(4.0, 256),
                  xi_band=4.0, eps=EPS)
-    evolve_reference(phi_omega, 0.01, 1e-3)
+    evolve_reference(phi_omega, 0.01, 1e-3, output_stride=None, diag_stride=1, seed=None)
     assert len(calls) == 1
