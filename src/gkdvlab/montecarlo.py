@@ -116,7 +116,7 @@ def _run_ensembles(
     sampler, with every distinct draw of an ensemble evaluated once and all
     the ensembles on one pool of workers."""
     seeds = [[child_seed(seed, k) for k in range(n)] for n, _, seed in ensembles]
-    workers = min(threads, _usable_cpus(), sum(map(len, seeds))) if hasattr(os, "fork") else 1
+    workers = min(threads, _usable_cpus()) if hasattr(os, "fork") else 1
     if workers <= 1:
         # streamed: each field is drawn once and evaluated only if it is new
         outcomes = []
