@@ -12,7 +12,12 @@ import pytest
 from gkdvlab import montecarlo
 from gkdvlab import wiener
 from gkdvlab.grid import (
-    Field, Grid, apply_multiplier, field_from_function, make_grid, spectral_values,
+    Field,
+    Grid,
+    apply_multiplier,
+    field_from_function,
+    make_grid,
+    spectral_values,
 )
 from gkdvlab.io import ensemble_table
 from gkdvlab.montecarlo import (
