@@ -5,8 +5,8 @@ verify-estimates. Each writes CSV artifacts plus a manifest (config echo,
 code version, content hashes) into the output directory; reruns with the
 same configuration reproduce identical bytes.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical blowup,
-4 estimate-probe precondition violation.
+Exit codes: 0 success, 2 configuration error (or data whose tail admits no
+fit), 3 numerical blowup, 4 estimate-probe precondition violation.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -29,14 +28,14 @@ from .io import (
     write_csv,
     write_manifest,
 )
-from .montecarlo import exceptional_probability, strichartz_scaling
+from .montecarlo import TailFitError, exceptional_probability, strichartz_scaling
 from .norms import AliasingError, sobolev_norm
 from .params import data_index
 from .probes import ProbeResolution, _require_known, estimate_ids, run_estimates
 from .solver import evolve_reference
 from .spacetime import centered_axis
 from .streams import child_seed
-from .wiener import sampler
+from .wiener import Sampler, sampler
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -80,7 +79,7 @@ def _band_limit(phi: Field, band: float) -> Field:
     return apply_multiplier(phi, mask)
 
 
-def _sampler(cfg: dict, phi: Field) -> Callable[[int], Field]:
+def _sampler(cfg: dict, phi: Field) -> Sampler:
     """The [random] randomization of phi, as a map from a seed to a sample.
     n_max = 0 covers the data's spectrum; an explicit range that does not
     is a configuration error, raised before any sample is drawn."""
@@ -143,11 +142,9 @@ def cmd_simulate(cfg: dict, args) -> int:
 
 def cmd_strichartz_tail(cfg: dict, args) -> int:
     t_grid = parse_float_list(cfg["strichartz"]["t_grid"])
-    sample = _sampler(cfg, build_data(cfg))
-    out = _out_dir(cfg, args)
     st = cfg["strichartz"]
     report = strichartz_scaling(
-        sample,
+        _sampler(cfg, build_data(cfg)),
         st["q"],
         st["r"],
         t_grid,
@@ -156,6 +153,7 @@ def cmd_strichartz_tail(cfg: dict, args) -> int:
         n_time_samples=st["n_time_samples"],
         threads=cfg["ensemble"]["threads"],
     )
+    out = _out_dir(cfg, args)
     header, rows = ensemble_table(report.records)
     artifacts = [
         write_csv(out / "samples.csv", header, rows),
@@ -306,6 +304,9 @@ def main(argv: list[str] | None = None) -> int:
         return COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
+        return EXIT_CONFIG
+    except TailFitError as exc:
+        print(f"no tail fit: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except AliasingError as exc:
         print(f"estimate-probe precondition violated: {exc}", file=sys.stderr)

@@ -6,24 +6,24 @@ configuration and the master seed. Per-sample streams are derived by a
 splittable hash of (master seed, sample index), so neither the number of
 worker processes nor execution order can change any number. Observables
 must be pure functions of their field: an ensemble evaluates each distinct
-draw (equal spectrum bytes) once and copies its record to the repeats.
+draw (equal coefficient bytes) once and copies its record to the repeats.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
-from .grid import Field, spectral_values
+from .grid import Field
 from .norms import mixed_norm
 from .solver import PicardResult, _picard_band, picard_solve
 from .spacetime import TimeAxis, free_evolution, midpoint_axis
 from .streams import child_seed
+from .wiener import Sampler
 
 CONTRACTION_LINE = 0.5
 # two-sided 95% normal quantile of the Wilson and tail-scale intervals
@@ -46,6 +46,8 @@ class EnsembleRecord:
 Observables = Callable[[Field], Mapping[str, float]]
 # one sample's (values, blown_up)
 Outcome = tuple[dict[str, float], bool]
+# (ensemble, coefficients) of one distinct draw
+Task = tuple[int, np.ndarray]
 
 
 def _usable_cpus() -> int:
@@ -58,43 +60,16 @@ def _usable_cpus() -> int:
 
 # The `evaluate` of the ensembles a forked worker serves. The pool's
 # initializer sets it in each worker; the parent process never does.
-_worker_evaluate: Callable[[tuple[int, int]], Outcome] | None = None
+_worker_evaluate: Callable[[Task], Outcome] | None = None
 
 
-def _install_evaluate(evaluate: Callable[[tuple[int, int]], Outcome]) -> None:
+def _install_evaluate(evaluate: Callable[[Task], Outcome]) -> None:
     global _worker_evaluate
     _worker_evaluate = evaluate
 
 
-def _evaluate_in_worker(task: tuple[int, int]) -> Outcome:
+def _evaluate_in_worker(task: Task) -> Outcome:
     return _worker_evaluate(task)
-
-
-def _digest(data: bytes) -> bytes:
-    """16-byte key of a draw's spectrum bytes; equal keys only nominate a
-    candidate, which the bytes themselves confirm."""
-    return hashlib.blake2b(data, digest_size=16).digest()
-
-
-def _first_draws(sample: Callable[[int], Field], seeds: list[int]) -> Iterator[tuple[Field, int]]:
-    """Each seed's field, with the position of the first seed whose draw has
-    the same spectrum bytes (its own position if none before it has).
-
-    Keeps one digest per distinct draw, never a field or its bytes: a digest
-    hit draws the candidate again and compares the bytes, so a hash alone
-    never merges two draws.
-    """
-    firsts: dict[bytes, list[int]] = {}
-    for k, seed in enumerate(seeds):
-        phi_omega = sample(seed)
-        data = spectral_values(phi_omega).tobytes()
-        candidates = firsts.setdefault(_digest(data), [])
-        first = next(
-            (j for j in candidates if spectral_values(sample(seeds[j])).tobytes() == data), k
-        )
-        if first == k:
-            candidates.append(k)
-        yield phi_omega, first
 
 
 def _observe(observables: Observables, phi_omega: Field) -> Outcome:
@@ -108,45 +83,50 @@ def _observe(observables: Observables, phi_omega: Field) -> Outcome:
 
 
 def _run_ensembles(
-    sample: Callable[[int], Field],
-    ensembles: list[tuple[int, Observables, int]],
-    threads: int,
+    sample: Sampler, ensembles: list[tuple[int, Observables, int]], threads: int
 ) -> list[list[EnsembleRecord]]:
     """`run_ensemble` for each (n_samples, observables, seed) over one
     sampler, with every distinct draw of an ensemble evaluated once and all
     the ensembles on one pool of workers."""
     seeds = [[child_seed(seed, k) for k in range(n)] for n, _, seed in ensembles]
+    slots: list[list[int]] = [[] for _ in ensembles]  # each sample's task
+
+    def tasks() -> Iterator[Task]:
+        """(j, g) for each new coefficient vector of ensemble j, keyed by
+        its exact bytes; each sample's slot is the position of its task."""
+        firsts: dict[tuple[int, bytes], int] = {}
+        for j, ensemble_seeds in enumerate(seeds):
+            for seed in ensemble_seeds:
+                g, n_tasks = sample.coefficients(seed), len(firsts)
+                slot = firsts.setdefault((j, g.tobytes()), n_tasks)
+                if slot == n_tasks:
+                    yield j, g
+                slots[j].append(slot)
+
+    def evaluate(task: Task) -> Outcome:
+        j, g = task
+        return _observe(ensembles[j][1], sample.field(g))
+
     workers = min(threads, _usable_cpus()) if hasattr(os, "fork") else 1
-    if workers <= 1:
-        # streamed: each field is drawn once and evaluated only if it is new
-        outcomes = []
-        for (_, observables, _), ensemble_seeds in zip(ensembles, seeds):
-            done: list[Outcome] = []
-            for k, (phi_omega, first) in enumerate(_first_draws(sample, ensemble_seeds)):
-                done.append(_observe(observables, phi_omega) if first == k else done[first])
-            outcomes.append(done)
-    else:
-        firsts = [[first for _, first in _first_draws(sample, s)] for s in seeds]
-        tasks = [(j, k) for j, f in enumerate(firsts) for k, first in enumerate(f) if first == k]
-
-        def evaluate(task: tuple[int, int]) -> Outcome:
-            j, k = task
-            return _observe(ensembles[j][1], sample(seeds[j][k]))
-
-        results = dict(zip(tasks, _map_tasks(evaluate, tasks, workers)))
-        outcomes = [[results[j, first] for first in f] for j, f in enumerate(firsts)]
+    outcomes = _map_tasks(evaluate, tasks(), workers)
     return [
-        [EnsembleRecord(k, s[k], dict(values), blown) for k, (values, blown) in enumerate(done)]
-        for s, done in zip(seeds, outcomes)
+        [
+            EnsembleRecord(k, seed, dict(outcomes[slot][0]), outcomes[slot][1])
+            for k, (seed, slot) in enumerate(zip(ensemble_seeds, ensemble_slots))
+        ]
+        for ensemble_seeds, ensemble_slots in zip(seeds, slots)
     ]
 
 
 def _map_tasks(
-    evaluate: Callable[[tuple[int, int]], Outcome], tasks: list[tuple[int, int]], workers: int
+    evaluate: Callable[[Task], Outcome], tasks: Iterator[Task], workers: int
 ) -> list[Outcome]:
-    """`evaluate` over the tasks, in order, on at most `workers` forked
-    worker processes in fixed chunks; here when one worker would do."""
-    workers = min(workers, len(tasks))
+    """`evaluate` over the tasks, in order: streamed here when one worker
+    would do, else listed and mapped in fixed chunks on at most `workers`
+    forked worker processes."""
+    if workers > 1:
+        tasks = list(tasks)
+        workers = min(workers, len(tasks))
     if workers <= 1:
         return list(map(evaluate, tasks))
     # imported here: an ensemble run in this process never pays for them
@@ -165,31 +145,30 @@ def _map_tasks(
 
 
 def run_ensemble(
-    sample: Callable[[int], Field],
+    sample: Sampler,
     n_samples: int,
     observables: Observables,
     seed: int,
     threads: int,
 ) -> list[EnsembleRecord]:
     """Evaluate observables on the fields `sample(child_seed(seed, k))`,
-    k < n_samples: independent randomizations when `sample` is a
-    `wiener.sampler`, which checks its data once, when it is built.
+    k < n_samples, of a `wiener.sampler`, which checks its data when built.
 
     `observables` maps a field to its name->float observables, and must be
-    a pure function of the field: samples whose spectra have the same bytes
-    are evaluated once, and each repeat gets its own `index` and `seed` with
-    a copy of the first one's values. Per-sample errors in the observables
-    are recorded on the sample (blown_up) and never abort the ensemble; an
-    error in a draw raises.
+    a pure function of the field: samples whose coefficients have the same
+    bytes are evaluated once, and each repeat gets its own `index` and
+    `seed` with a copy of the first one's values. Per-sample errors in the
+    observables are recorded on the sample (blown_up) and never abort the
+    ensemble; an error in a draw raises.
 
     `threads` is the number of worker processes, capped at the usable CPUs
-    and at the distinct draws. More than one draws every field here, then
-    evaluates the distinct ones on a pool of workers forked from this
-    process (so observables may be closures), in fixed chunks, and returns
-    the records in index order; the records are the same for every count.
-    A worker that dies raises `BrokenProcessPool`. Where fork is unavailable
-    the samples run here. Fork copies only the calling thread, so a caller
-    that runs other threads should pass threads=1.
+    and at the distinct draws. More than one draws every sample's
+    coefficients here, then builds and evaluates the distinct fields on a
+    pool of workers forked from this process (so observables may be
+    closures), in fixed chunks; the records, in index order, are the same
+    for every count. A worker that dies raises `BrokenProcessPool`. Where
+    fork is unavailable the samples run here. Fork copies only the calling
+    thread, so a caller that runs other threads should pass threads=1.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -198,6 +177,10 @@ def run_ensemble(
 
 # ---------------------------------------------------------------------------
 # tail fitting
+
+
+class TailFitError(ValueError):
+    """The observations admit no sub-Gaussian tail fit."""
 
 
 @dataclass
@@ -216,7 +199,7 @@ class TailFit:
     def scale(self) -> float:
         """The lambda scale sqrt(-1/slope) of the fitted sub-Gaussian tail."""
         if not self.slope < 0:
-            raise ValueError("tail fit has nonnegative slope; no scale defined")
+            raise TailFitError("tail fit has nonnegative slope; no scale defined")
         return float(np.sqrt(-1.0 / self.slope))
 
     def scale_interval(self) -> tuple[float, float]:
@@ -230,7 +213,7 @@ def make_lambda_grid(observations: np.ndarray) -> np.ndarray:
     of the observations."""
     lo, hi = (float(np.quantile(observations, q)) for q in LAMBDA_QUANTILES)
     if not hi > lo:
-        raise ValueError("degenerate observations: quantile range is empty")
+        raise TailFitError("degenerate observations: quantile range is empty")
     return np.linspace(lo, hi, LAMBDA_POINTS)
 
 
@@ -263,7 +246,7 @@ def tail_fit(observations: np.ndarray, lambda_grid: np.ndarray) -> TailFit:
     """
     obs = np.asarray(observations, dtype=np.float64)
     if obs.size < 1000:
-        raise ValueError(f"tail fit needs >= 1000 samples, got {obs.size}")
+        raise TailFitError(f"tail fit needs >= 1000 samples, got {obs.size}")
     lam = np.asarray(lambda_grid, dtype=np.float64)
     q50, q995 = np.quantile(obs, [0.5, 0.995])
     pad = 1e-9 * max(1.0, abs(q995))
@@ -275,7 +258,7 @@ def tail_fit(observations: np.ndarray, lambda_grid: np.ndarray) -> TailFit:
     probs = np.array([float(np.mean(obs > l)) for l in lam])
     keep = probs > 0.0
     if np.unique(probs[keep]).size < 2:
-        raise ValueError("degenerate tail: all exceedance probabilities equal")
+        raise TailFitError("degenerate tail: all exceedance probabilities equal")
     slope, intercept, r2, stderr = line_fit(lam[keep] ** 2, np.log(probs[keep]))
     return TailFit(
         lambdas=lam,
@@ -346,7 +329,7 @@ def scale_report_from_observations(
 
 
 def strichartz_scaling(
-    sample: Callable[[int], Field],
+    sample: Sampler,
     q: float,
     r: float,
     t_grid: list[float],
@@ -432,7 +415,7 @@ class LwpReport:
 
 
 def exceptional_probability(
-    sample: Callable[[int], Field],
+    sample: Sampler,
     t_grid: list[float],
     n_samples: int,
     tol: float,
@@ -449,7 +432,7 @@ def exceptional_probability(
     T values must be passed in strictly descending order; the trend
     statistic counts adjacent pairs where the fraction increases as T
     shrinks without the Wilson intervals overlapping. The band is checked
-    once, on one draw's grid, before the first ensemble (`_picard_band`:
+    once, on the sampler's grid, before the first ensemble (`_picard_band`:
     AliasingError where every solve would refuse it). Each T's ensemble
     solves each of its distinct draws once, as `run_ensemble` does, and
     `threads` worker processes serve the solves of every T on one pool.
@@ -459,7 +442,7 @@ def exceptional_probability(
         raise ValueError("t_grid must be strictly descending")
     if n_samples < 100:
         raise ValueError("need at least 100 samples per T")
-    _picard_band(sample(seed).grid, taxis, xi_band)
+    _picard_band(sample.grid, taxis, xi_band)
 
     def observe(phi_omega: Field, T: float) -> dict[str, float]:
         result = picard_solve(

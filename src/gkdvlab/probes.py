@@ -73,7 +73,6 @@ class EstimateReport:
     estimate_id: str
     trials: list[TrialRecord] = field(default_factory=list)
     excluded: int = 0
-    params: dict = field(default_factory=dict)
 
     def add(self, trial: int, lhs: float, rhs: float) -> None:
         if not np.isfinite(lhs) or not np.isfinite(rhs) or lhs < 0 or rhs < 0:
@@ -194,8 +193,7 @@ def check_linear_estimates(
             for T in t_grid
         ]
 
-    report = EstimateReport("linear_free", params={"s": s, "b": b, "t_grid": list(t_grid)})
-    return _add_trials(report, chain.from_iterable(map(sides, phis)))
+    return _add_trials(EstimateReport("linear_free"), chain.from_iterable(map(sides, phis)))
 
 
 def check_bilinear(
@@ -213,8 +211,7 @@ def check_bilinear(
         lhs = st_l2(inner.with_values(_readonly(outer)))
         return lhs, xsb_norm(u1, 0.0, b1) * xsb_norm(u2, 0.0, b_tilde)
 
-    report = EstimateReport("bilinear_l2", params={"s": s, "b1": b1, "b_tilde": b_tilde})
-    return _add_trials(report, starmap(sides, pairs))
+    return _add_trials(EstimateReport("bilinear_l2"), starmap(sides, pairs))
 
 
 def check_embeddings(
@@ -226,10 +223,7 @@ def check_embeddings(
     catalog = embedding_catalog(eps)
     _require_known(ids, list(catalog))
     specs = {eid: catalog[eid] for eid in ids}
-    reports = {
-        eid: EstimateReport(eid, params={"p": p, "s": s, "b": b, "eps": eps})
-        for eid, (p, s, b) in specs.items()
-    }
+    reports = {eid: EstimateReport(eid) for eid in specs}
     indices = [(s, b) for _, s, b in specs.values()]
     for trial, u in enumerate(fields):
         for (eid, (p, _, _)), rhs in zip(specs.items(), xsb_norms(u, indices)):
@@ -261,8 +255,7 @@ def check_multilinear(
         weighted = grid.multiply(prod, (1.0 + grid.xi**2) ** (sigma / 2.0) * (1j * grid.xi))
         return float(np.abs(grid.dx * h.taxis.dt * np.sum(weighted * h.values))), rhs
 
-    report = EstimateReport("octilinear", params={"sigma": sigma, "b": b, "eps": eps})
-    return _add_trials(report, starmap(sides, trials))
+    return _add_trials(EstimateReport("octilinear"), starmap(sides, trials))
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +321,12 @@ def _banded_bump(grid: Grid, xi_band: float) -> Field:
     return Field(grid, _readonly(grid.inverse(coeffs / norm)))
 
 
-def _require_known(ids: Iterable[str], valid: list[str]) -> None:
-    for eid in ids:
+def _require_known(ids: list[str], valid: list[str]) -> None:
+    for k, eid in enumerate(ids):
         if eid not in valid:
             raise KeyError(f"unknown estimate id {eid!r}; valid ids: " + ", ".join(valid))
+        if eid in ids[:k]:
+            raise KeyError(f"repeated estimate id {eid!r}")
 
 
 def run_estimates(

@@ -9,8 +9,8 @@ Hermitian pairing g_{-n} = conj(g_n), g_0 real, keeps real data real.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -107,16 +107,36 @@ def _require_covered(grid: Grid, hat: np.ndarray, n_max: int) -> None:
             )
 
 
-def sampler(phi: Field, distribution: str, n_max: int | None = None) -> Callable[[int], Field]:
-    """The unit-cube randomization of phi as a map from a seed to the field
-    sum_n g_n psi(D - n) phi, with g = sample_coefficients(distribution,
-    seed, n_max).
+@dataclass(frozen=True, eq=False)
+class Sampler:
+    """The randomization of phi (spectrum `hat`) that `sampler` builds: a seed
+    draws the coefficients g, and equal g build equal fields."""
+
+    grid: Grid
+    hat: np.ndarray
+    stack: np.ndarray
+    distribution: str
+    n_max: int
+
+    def coefficients(self, seed: int) -> np.ndarray:
+        return sample_coefficients(self.distribution, seed, self.n_max)
+
+    def field(self, g: np.ndarray) -> Field:
+        """The field with spectrum phi_hat * (g @ windows), which it keeps."""
+        return Field.from_spectrum(self.grid, _readonly(self.hat * (g @ self.stack)))
+
+    def __call__(self, seed: int) -> Field:
+        return self.field(self.coefficients(seed))
+
+
+def sampler(phi: Field, distribution: str, n_max: int | None = None) -> Sampler:
+    """The unit-cube randomization of phi, with g = sample_coefficients(
+    distribution, seed, n_max).
 
     Checks once that the distribution is known, that n_max >= 1 and that
     the range |n| <= n_max covers the spectral support of phi, and
-    transforms phi once: each field is built from its spectrum
-    phi_hat * (g @ windows), which it keeps. n_max=None takes the least
-    range that covers the modes of phi above 1e-13 times its peak mode.
+    transforms phi once. n_max=None takes the least range that covers the
+    modes of phi above 1e-13 times its peak mode.
     """
     require_distribution(distribution)
     grid = phi.grid
@@ -128,10 +148,4 @@ def sampler(phi: Field, distribution: str, n_max: int | None = None) -> Callable
     elif n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     _require_covered(grid, hat, n_max)
-    stack, _ = _band_stack(grid, n_max)
-
-    def sample(seed: int) -> Field:
-        g = sample_coefficients(distribution, seed, n_max)
-        return Field.from_spectrum(grid, _readonly(hat * (g @ stack)))
-
-    return sample
+    return Sampler(grid, hat, _band_stack(grid, n_max)[0], distribution, n_max)

@@ -105,6 +105,13 @@ class TestConfigErrors:
         assert "unknown estimate id 'embed99'; valid ids: embed01, " in err
         assert not out.exists()
 
+    def test_repeated_estimate_id_exit_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "[estimates]\nids = embed01,bilinear_l2,embed01\n")
+        out = tmp_path / "x"
+        assert main(["verify-estimates", "--config", cfg, "--out", str(out)]) == 2
+        assert "repeated estimate id 'embed01'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_threads_below_one_exit_2(self, tmp_path):
         # the flag and key have no effect, but are still checked
         cfg = write_cfg(tmp_path, "[ensemble]\nthreads = 0\n")
@@ -278,6 +285,27 @@ class TestStrichartzTail:
         lines = (out / "scales.csv").read_text().splitlines()
         assert lines[0] == "T,scale,ci_lo,ci_hi,n_used"
         assert [line.split(",")[-1] for line in lines[1:]] == ["1000"] * 3
+
+
+    @pytest.mark.parametrize(
+        "randomization",
+        [
+            # one atom: every sample is phi itself
+            "[random]\ndistribution = ones\n",
+            # |xi| <= 0.5 takes n_max = 2, 32 atoms: the tail quantiles coincide
+            "[random]\ndistribution = rademacher\n[data]\nband_limit = 0.5\n",
+        ],
+    )
+    def test_tail_without_fit_exit_2(self, tmp_path, capsys, randomization):
+        cfg = write_cfg(
+            tmp_path,
+            SMALL_GRID + randomization
+            + "[ensemble]\nn_samples = 1000\n[strichartz]\nn_time_samples = 16\n",
+        )
+        out = tmp_path / "tail"
+        assert main(["strichartz-tail", "--config", cfg, "--out", str(out)]) == 2
+        assert "no tail fit: degenerate observations" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestVerifyEstimates:

@@ -508,6 +508,10 @@ def _distinct_spectra(sample, n_samples, seed):
     return len({spectral_values(sample(child_seed(seed, k))).tobytes() for k in range(n_samples)})
 
 
+def _distinct_coefficients(sample, n_samples, seed):
+    return len({sample.coefficients(child_seed(seed, k)).tobytes() for k in range(n_samples)})
+
+
 @pytest.fixture(scope="module", params=[42, 7])
 def lwp_oracle(request):
     """The lwp-picard workload at one seed, and its records per T by the
@@ -571,21 +575,70 @@ class TestDistinctDraws:
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("distribution", ["rademacher", "gaussian"])
-    def test_digest_collisions_never_merge_draws(self, monkeypatch, distribution, threads):
-        # every draw gets the same digest: only the bytes tell them apart
+    def test_draws_keyed_by_coefficient_bytes(self, monkeypatch, distribution, threads):
+        # seeds 0 and 1 share a g; seed 2 gets that g with g_0 one ulp larger
         cfg, _ = _lwp_picard(42)
         sample = sampler(build_data(cfg), distribution)
+        draw = wiener.sample_coefficients
+        shared = draw(distribution, child_seed(3, 0), sample.n_max)
+        moved = shared.copy()
+        moved[sample.n_max] = np.nextafter(shared[sample.n_max].real, np.inf)
+        assert moved.tobytes() != shared.tobytes()
+        given = {child_seed(3, 1): shared, child_seed(3, 2): moved}
+        monkeypatch.setattr(
+            wiener, "sample_coefficients",
+            lambda dist, seed, n_max: given.get(seed, draw(dist, seed, n_max)),
+        )
+        keys = {sample.coefficients(child_seed(3, k)).tobytes() for k in range(50)}
+        calls = multiprocessing.get_context("fork").Value("i", 0)
 
         def fingerprint(f):
+            with calls.get_lock():
+                calls.value += 1
             # 48 bits of a hash of the spectrum bytes, exact as a float
             digest = hashlib.sha256(spectral_values(f).tobytes()).digest()
             return {"id": float(int.from_bytes(digest[:6], "big"))}
 
-        monkeypatch.setattr(montecarlo, "_digest", lambda data: b"\0" * 16)
         records = run_ensemble(sample, 50, fingerprint, seed=3, threads=threads)
+        assert calls.value == len(keys)
         former = _former_run_ensemble(sample, 50, fingerprint, 3)
         assert _record_tuples(records) == _record_tuples(former)
-        assert len({r.values["id"] for r in former}) == _distinct_spectra(sample, 50, 3)
+        assert records[1].values == records[0].values != records[2].values
+
+    def test_parent_builds_no_field_on_the_pool(self, grid64, monkeypatch):
+        # threads > 1: the parent draws coefficients only; workers build fields
+        parent, built = os.getpid(), []
+        field = wiener.Sampler.field
+
+        def counted(self, g):
+            if os.getpid() == parent:
+                built.append(g)
+            return field(self, g)
+
+        monkeypatch.setattr(wiener.Sampler, "field", counted)
+        sample = sampler(banded_bump(grid64, amplitude=0.5, band=2.0), "rademacher")
+        run = lambda threads: exceptional_probability(
+            sample, [0.25, 0.125], 100, tol=1e-10, taxis=centered_axis(4.0, 64), xi_band=2.0,
+            eps=EPS, max_iter=MAX_ITER, seed=2, threads=threads,
+        )
+        pooled = run(2)
+        assert built == []
+        here = run(1)
+        distinct = sum(_distinct_coefficients(sample, 100, child_seed(2, k)) for k in range(2))
+        assert len(built) == distinct < 200
+        for T, records in here.records.items():
+            assert _record_tuples(pooled.records[T]) == _record_tuples(records)
+
+    @pytest.mark.parametrize("seed, solves", [(42, 266), (7, 275)])
+    def test_distinct_coefficients_are_distinct_spectra(self, seed, solves):
+        # on the lwp-picard workload config, per T
+        cfg, sample = _lwp_picard(seed)
+        counts = []
+        for k in range(len(parse_float_list(cfg["lwp"]["t_grid"]))):
+            ensemble_seed = child_seed(seed, k)
+            counts.append(_distinct_coefficients(sample, 100, ensemble_seed))
+            assert counts[-1] == _distinct_spectra(sample, 100, ensemble_seed)
+        assert sum(counts) == solves
 
     def test_one_pool_serves_every_T(self, grid64, monkeypatch):
         import concurrent.futures
@@ -609,14 +662,15 @@ class TestDistinctDraws:
         assert len(built) == 1
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_draw_error_raises(self, grid64, threads):
-        draw = sampler(banded_bump(grid64, band=3.0), "gaussian")
-        bad = child_seed(5, 3)
+    def test_draw_error_raises(self, grid64, monkeypatch, threads):
+        sample = sampler(banded_bump(grid64, band=3.0), "gaussian")
+        draw, bad = wiener.sample_coefficients, child_seed(5, 3)
 
-        def sample(seed):
+        def failing(distribution, seed, n_max):
             if seed == bad:
                 raise RuntimeError("draw failed")
-            return draw(seed)
+            return draw(distribution, seed, n_max)
 
+        monkeypatch.setattr(wiener, "sample_coefficients", failing)
         with pytest.raises(RuntimeError, match="draw failed"):
             run_ensemble(sample, 8, lambda f: {"l2": l2_norm(f)}, seed=5, threads=threads)
