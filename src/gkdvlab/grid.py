@@ -13,14 +13,19 @@ The `Grid` methods `forward`, `inverse`, the real pair `real_forward`/
 `real_inverse` (real samples and the modes k = 0 .. N/2), and
 `from_dft`/`to_dft` (between these coefficients and raw DFT ones) are the
 one place this convention is written down; other modules transform the x
-axis through them, except two kernels on raw numpy FFTs:
-`norms.bilinear_multiplier` (scale and phase cancel in its convolution)
-and the solver's padded product, whose tables come from `to_dft`/`from_dft`.
+axis through them, except three kernels on raw numpy FFTs:
+`norms.bilinear_multiplier` (scale and phase cancel in its convolution),
+the solver's padded product, whose tables come from `to_dft`/`from_dft`,
+and the real route of `spacetime.free_evolution`, whose cached propagator
+table carries `real_inverse`'s phase (-1)^k and which applies the grid's
+`inverse_scale` after its `irfft`.
 Along the time axis `spacetime` holds the transform pair; the Picard
 distance and its weight (`norms._lag_folded_weight`) run raw numpy FFTs
 there, since only |F|^2 against a weight enters them.
 The module also holds the `Field` type, whose dtype says whether a field is
-real (`is_real` is applied when a field is built), and `apply_multiplier`.
+real (`is_real` is applied when a field is built from complex samples; one
+built by `Field.from_spectrum` from a Hermitian spectrum gets float64
+samples from `real_inverse` and is not scanned), and `apply_multiplier`.
 """
 
 from __future__ import annotations
@@ -79,6 +84,12 @@ class Grid:
         """Nyquist magnitude pi*(N/2)/L."""
         return np.pi * (self.n_modes // 2) / self.half_length
 
+    @property
+    def inverse_scale(self) -> float:
+        """dxi*N/sqrt(2*pi), the factor of the inverse transforms on a raw
+        inverse DFT (whose own 1/N it cancels)."""
+        return self.dxi * self.n_modes / SQRT_2PI
+
     def from_dft(self, raw: np.ndarray) -> np.ndarray:
         """Transform-convention coefficients from raw DFT coefficients.
 
@@ -102,7 +113,7 @@ class Grid:
         """Coefficients u_hat(xi_k) -> samples u(x_j) along the last axis;
         leading axes are a batch."""
         raw = np.fft.ifft(coeffs * _phase(self.n_modes))
-        return np.multiply(self.dxi * self.n_modes / SQRT_2PI, raw, out=raw)
+        return np.multiply(self.inverse_scale, raw, out=raw)
 
     def real_forward(self, values: np.ndarray) -> np.ndarray:
         """Real samples u(x_j) -> the coefficients u_hat(xi_k) of the modes
@@ -123,7 +134,7 @@ class Grid:
         equals `inverse(coeffs).real`.
         """
         raw = np.fft.irfft(coeffs * _half_phase(self.n_modes), self.n_modes)
-        return np.multiply(self.dxi * self.n_modes / SQRT_2PI, raw, out=raw)
+        return np.multiply(self.inverse_scale, raw, out=raw)
 
     def multiply(self, values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
         """Apply the Fourier multiplier `symbol` (on `xi`, FFT order) to samples
@@ -143,8 +154,8 @@ def make_grid(L: float, N: int) -> Grid:
 def is_real(values: np.ndarray) -> bool:
     """Whether complex samples count as real data: max |imag| <= 1e-12 *
     max |real|, with no absolute floor (that would drop the imaginary part
-    of a small field). `Field` applies it when a field is built. NaN
-    samples do not fail it."""
+    of a small field). `Field` applies it when a field is built from
+    complex samples. NaN samples do not fail it."""
     return not np.abs(values.imag).max() > 1e-12 * np.abs(values.real).max()
 
 
@@ -159,9 +170,9 @@ class Field:
     owns its data and needs no conversion is taken over without a copy;
     numpy lets its owner set it writeable again, so the caller must not.
     `spectral_values(f)` returns the spectrum u_hat(xi_k), in FFT order
-    under the 1/sqrt(2*pi) convention; a field with a given spectrum is
-    `Field.from_spectrum(grid, coeffs)`, which keeps that spectrum, so
-    `spectral_values` returns it without a transform.
+    under the 1/sqrt(2*pi) convention; the real field with a given
+    Hermitian spectrum is `Field.from_spectrum(grid, coeffs)`, which keeps
+    that spectrum, so `spectral_values` returns it without a transform.
     """
 
     grid: Grid
@@ -181,11 +192,13 @@ class Field:
 
     @classmethod
     def from_spectrum(cls, grid: Grid, coeffs: np.ndarray) -> "Field":
-        """The field with spectrum `coeffs` (FFT order), stored read-only
-        beside its samples `grid.inverse(coeffs)` under the copy rule of
-        `values`."""
+        """The real field with the Hermitian spectrum `coeffs` (FFT order,
+        mode N-k the conjugate of mode k, as a real field's is), stored
+        read-only beside its float64 samples under the copy rule of
+        `values`. The samples are `grid.real_inverse` of the modes 0 .. N/2;
+        the other modes are not read."""
         hat = np.asarray(coeffs, dtype=np.complex128)
-        f = cls(grid, _readonly(grid.inverse(hat)))
+        f = cls(grid, _readonly(grid.real_inverse(hat[: grid.n_modes // 2 + 1])))
         object.__setattr__(f, "_spectrum", _owned_readonly(hat, coeffs))
         return f
 

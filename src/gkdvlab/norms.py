@@ -76,13 +76,16 @@ def scaling_ratio(grid, profile, lam: float, s: float) -> float:
 
 def _abs_power(values: np.ndarray, p: float) -> np.ndarray:
     """|values|^p as the squared modulus (v^2, or re^2 + im^2) to the power
-    p/2: p = 4 is two squarings, and no power of signed samples is taken."""
+    p/2, raised in place: p = 4 is two squarings, and no power of signed
+    samples is taken."""
     if np.iscomplexobj(values):
         sq = np.square(values.real)
         sq += np.square(values.imag)
     else:
         sq = np.square(values)
-    return sq if p == 2.0 else sq ** (0.5 * p)
+    if p != 2.0:
+        sq **= 0.5 * p
+    return sq
 
 
 def _lp_riemann(values: np.ndarray, weight: float, p: float, axis: int) -> np.ndarray:

@@ -306,8 +306,10 @@ class _WindowPlan:
     the data, built once by `_window_plan`; every array is read-only.
 
     `rows` and `j0` are the `_cutoff_window`; `eta` and `eta_T` the unit-
-    and T-scale cutoffs and `propagator`/`conj_propagator` the rows of
-    `_half_propagator` and their conjugate, all on those rows; `length` and
+    and T-scale cutoffs and `propagator`/`conj_propagator` the unphased
+    free-propagator rows exp(i t_m xi_k^3) of the modes 0 .. N/2 (the rows
+    of `_half_propagator` with its phase flipped back) and their conjugate,
+    all on those rows; `length` and
     `weight` the `_lag_folded_weight` of the band's columns on them.
     """
 
@@ -335,14 +337,17 @@ def _window_plan(
     distance weight (s, b) and band columns 0 .. n_band-1."""
     eta, eta_T = Cutoff(1.0)(taxis.t), Cutoff(T)(taxis.t)
     rows, j0 = _cutoff_window(taxis, eta_T)
-    propagator = _half_propagator(grid, taxis)[rows]
+    # the cached table carries real_inverse's phase (-1)^k; negating its
+    # odd modes back is exact, so the iterates are the unphased ones
+    propagator = _half_propagator(grid, taxis)[rows].copy()
+    propagator[:, 1::2] = -propagator[:, 1::2]
     length, weight = _lag_folded_weight(grid, taxis, s, b, n_band, rows.stop - rows.start)
     return _WindowPlan(
         rows=rows,
         j0=j0,
         eta=_readonly(eta[rows]),
         eta_T=_readonly(eta_T[rows]),
-        propagator=propagator,
+        propagator=_readonly(propagator),
         conj_propagator=_readonly(np.conj(propagator)),
         length=length,
         weight=weight,

@@ -13,6 +13,10 @@ same type with a one-sided axis.
 A field drawn from its (xi, tau) spectrum on a band of columns keeps the
 band's x-spectral coefficients beside its samples (`_band_spectrum`), so
 the norms read them without an x transform and sum only the band.
+
+The free flow of real data evolves the modes 0 .. N/2 through one cached
+table, `_half_propagator`, with `grid.real_inverse`'s phase (-1)^k folded
+in, so one raw `irfft` and the grid's `inverse_scale` finish it.
 """
 
 from __future__ import annotations
@@ -229,9 +233,11 @@ def _propagator(grid: Grid, taxis: TimeAxis) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _half_propagator(grid: Grid, taxis: TimeAxis) -> np.ndarray:
-    """`_propagator` on the modes 0 .. N/2 of the grid's real pair, cached
-    and read-only."""
+    """`_propagator` on the modes 0 .. N/2 of the grid's real pair times
+    `real_inverse`'s phase (-1)^k, cached and read-only. The sign flip is
+    exact; `solver._window_plan` flips its rows back."""
     table = np.exp(1j * np.outer(taxis.t, grid.xi[: grid.n_modes // 2 + 1] ** 3))
+    table[:, 1::2] = -table[:, 1::2]
     table.flags.writeable = False
     return table
 
@@ -241,18 +247,26 @@ def free_evolution(phi: Field, grid_taxis: TimeAxis, cutoff: Cutoff | None = Non
 
     The per-time inverse transforms are evaluated in one batched FFT. The
     route follows the data's dtype: float64 (real) data evolve on the modes
-    0 .. N/2 through the grid's real pair into float64 samples, complex128
-    data on all N modes into complex128 samples.
+    0 .. N/2 into float64 samples, through the phased `_half_propagator`,
+    one raw `irfft` and the grid's `inverse_scale` (exactly
+    `grid.real_inverse` of the unphased product; a zero may change sign);
+    complex128 data evolve on all N modes through `grid.inverse` into
+    complex128 samples.
     """
     grid = phi.grid
-    if phi.values.dtype == np.float64:
-        table, hat, inverse = _half_propagator, half_spectrum, grid.real_inverse
+    real = phi.values.dtype == np.float64
+    if real:
+        coeffs = _half_propagator(grid, grid_taxis) * half_spectrum(phi)[None, :]
     else:
-        table, hat, inverse = _propagator, spectral_values, grid.inverse
-    coeffs = table(grid, grid_taxis) * hat(phi)[None, :]
+        coeffs = _propagator(grid, grid_taxis) * spectral_values(phi)[None, :]
     if cutoff is not None:
         coeffs *= cutoff(grid_taxis.t)[:, None]
-    return SpaceTimeField(grid, grid_taxis, _readonly(inverse(coeffs)))
+    if real:
+        values = np.fft.irfft(coeffs, grid.n_modes)
+        values *= grid.inverse_scale
+    else:
+        values = grid.inverse(coeffs)
+    return SpaceTimeField(grid, grid_taxis, _readonly(values))
 
 
 def apply_time_cutoff(u: SpaceTimeField, cutoff: Cutoff) -> SpaceTimeField:

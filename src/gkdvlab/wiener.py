@@ -4,7 +4,9 @@ A raised-cosine window psi supported on [-1, 1] tiles frequency space by
 integer translates (sum_n psi(xi - n) = 1 exactly). Each band psi(D - n)
 of a field is multiplied by an independent mean-zero complex coefficient
 g_n with E|g_n|^2 = 1 and a sub-Gaussian moment generating function.
-Hermitian pairing g_{-n} = conj(g_n), g_0 real, keeps real data real.
+Hermitian pairing g_{-n} = conj(g_n), g_0 real, keeps real data real:
+`sampler` takes real data only and builds each sample's float64 values
+from the modes 0 .. N/2 of its spectrum.
 """
 
 from __future__ import annotations
@@ -122,7 +124,9 @@ class Sampler:
         return sample_coefficients(self.distribution, seed, self.n_max)
 
     def field(self, g: np.ndarray) -> Field:
-        """The field with spectrum phi_hat * (g @ windows), which it keeps."""
+        """The real field with spectrum phi_hat * (g @ windows), which it
+        keeps; Hermitian, as phi_hat and g are, so its float64 samples are
+        the real inverse of the modes 0 .. N/2 (`Field.from_spectrum`)."""
         return Field.from_spectrum(self.grid, _readonly(self.hat * (g @ self.stack)))
 
     def __call__(self, seed: int) -> Field:
@@ -133,11 +137,14 @@ def sampler(phi: Field, distribution: str, n_max: int | None = None) -> Sampler:
     """The unit-cube randomization of phi, with g = sample_coefficients(
     distribution, seed, n_max).
 
-    Checks once that the distribution is known, that n_max >= 1 and that
-    the range |n| <= n_max covers the spectral support of phi, and
-    transforms phi once. n_max=None takes the least range that covers the
+    Checks once that phi is real (float64; complex data raise ValueError),
+    that the distribution is known, that n_max >= 1 and that the range
+    |n| <= n_max covers the spectral support of phi, and transforms phi
+    once. n_max=None takes the least range that covers the
     modes of phi above 1e-13 times its peak mode.
     """
+    if phi.values.dtype != np.float64:
+        raise ValueError("sampler expects real data")
     require_distribution(distribution)
     grid = phi.grid
     hat = spectral_values(phi)

@@ -11,6 +11,7 @@ from gkdvlab.grid import (
 )
 from gkdvlab.norms import (
     AliasingError,
+    _abs_power,
     _half_xsb_weight,
     _support_radius,
     _xsb_power,
@@ -143,6 +144,43 @@ class TestMixedNorm:
         u = SpaceTimeField(grid64, ta, rows)
         old = former(former(rows, grid64.dx, r, 1), ta.dt, q, 0)
         assert abs(mixed_norm(u, q, r) - old) <= 1e-14 * old
+
+
+    @pytest.mark.parametrize(
+        "p", [1.0, 2.0, 4.0, 8.0 / (1.0 + EPS), 28.0 / (2.0 - 7.0 * EPS), np.inf]
+    )
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_in_place_power_equals_former_power(self, grid64, p, dtype):
+        # the former expression, kept here: the squared modulus raised to
+        # p/2 into a new array; the in-place power must give the same bits
+        # and leave its input alone
+        def former_abs_power(values, p):
+            if np.iscomplexobj(values):
+                sq = np.square(values.real)
+                sq += np.square(values.imag)
+            else:
+                sq = np.square(values)
+            return sq if p == 2.0 else sq ** (0.5 * p)
+
+        def former_lp(values, weight, p, axis):
+            if np.isinf(p):
+                return np.abs(values).max(axis=axis)
+            return (weight * former_abs_power(values, p).sum(axis=axis)) ** (1.0 / p)
+
+        ta = midpoint_axis(0.5, 16)
+        rng = np.random.default_rng(13)
+        rows = rng.standard_normal((16, 64)).astype(dtype)
+        if dtype == np.complex128:
+            rows += 1j * rng.standard_normal((16, 64))
+        before = rows.copy()
+        with np.errstate(over="ignore"):  # |v|^inf of |v| > 1
+            assert _abs_power(rows, p).tobytes() == former_abs_power(rows, p).tobytes()
+        assert rows.tobytes() == before.tobytes()
+        u = SpaceTimeField(grid64, ta, rows)
+        old = float(former_lp(former_lp(rows, grid64.dx, p, 1), ta.dt, p, 0))
+        assert mixed_norm(u, p, p) == old
+        assert mixed_norm(u, 4.0, p) == float(former_lp(former_lp(rows, grid64.dx, p, 1), ta.dt, 4.0, 0))
+        assert rows.tobytes() == before.tobytes()
 
 
 class TestXsbNorm:

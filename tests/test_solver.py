@@ -672,6 +672,16 @@ class TestLagFoldedDistance:
             v_hat = v_next
         assert np.array_equal(v_hat, res.v_hat[plan.rows])
 
+    @pytest.mark.parametrize("T", [0.25, 0.125, 0.0625, 0.03125, 2.0])
+    def test_propagator_rows_are_the_former_unphased_rows(self, grid64, T):
+        # the cached half table carries real_inverse's phase; the plan flips
+        # its rows back, so Picard multiplies by exp(i t_m xi_k^3) as before
+        ta = centered_axis(4.0, 256)
+        plan = _window_plan(grid64, ta, T, self.S, self.B, 21)
+        former = np.exp(1j * np.outer(ta.t, grid64.xi[:33] ** 3))[plan.rows]
+        assert plan.propagator.tobytes() == former.tobytes()
+        assert plan.conj_propagator.tobytes() == np.conj(former).tobytes()
+
     def test_plan_cached_and_read_only(self, grid64):
         ta = centered_axis(4.0, 256)
         plan = _window_plan(grid64, ta, 0.25, self.S, self.B, 21)
@@ -901,18 +911,19 @@ class TestPicardSolve:
 
 
 def test_realness_is_decided_once_per_sample(grid64, monkeypatch):
-    # `Field` applies `is_real` when a sample is built; the free flow and
-    # both solvers read the dtype and scan nothing
+    # the sampler takes real data only and builds float64 samples from the
+    # half spectrum, so a draw scans nothing; the free flow and both
+    # solvers read the dtype and scan nothing either
     phi = banded_bump(grid64, amplitude=1.0, band=2.0)
     sample = sampler(phi, "gaussian", 3)
     calls = []
     scan = grid_module.is_real
     monkeypatch.setattr(grid_module, "is_real", lambda v: calls.append(1) or scan(v))
     phi_omega = sample(5)
-    assert len(calls) == 1 and phi_omega.values.dtype == np.float64
+    assert len(calls) == 0 and phi_omega.values.dtype == np.float64
     for T in (0.125, 0.25, 0.5):
         free_evolution(phi_omega, midpoint_axis(T, 16))
     picard_solve(phi_omega, 0.125, tol=1e-10, max_iter=3, taxis=centered_axis(4.0, 256),
                  xi_band=4.0, eps=EPS)
     evolve_reference(phi_omega, 0.01, 1e-3, output_stride=None, diag_stride=1, seed=None)
-    assert len(calls) == 1
+    assert len(calls) == 0

@@ -5,6 +5,7 @@ from gkdvlab.grid import (
     SQRT_2PI,
     Field,
     _phase,
+    field_from_function,
     half_spectrum,
     make_grid,
     spectral_values,
@@ -23,6 +24,7 @@ from gkdvlab.spacetime import (
     smooth_step,
     st_l2,
 )
+from gkdvlab.wiener import sampler
 
 from conftest import (
     EPS,
@@ -302,9 +304,38 @@ class TestPropagator:
         ta = centered_axis(4.0, 64)
         table = _half_propagator(grid64, ta)
         assert _half_propagator(grid64, centered_axis(4.0, 64)) is table
-        assert np.array_equal(table, _propagator(grid64, ta)[:, :33])
+        # real_inverse's phase (-1)^k folded in: an exact sign flip
+        assert np.array_equal(table, _propagator(grid64, ta)[:, :33] * (-1.0) ** np.arange(33))
         with pytest.raises(ValueError):
             table[0, 0] = 0.0
+
+    @pytest.mark.parametrize(
+        "half_length, taxis",
+        [
+            (16.0, midpoint_axis(0.125, 64)),
+            (16.0, midpoint_axis(0.25, 64)),
+            (16.0, midpoint_axis(0.5, 64)),
+            (8.0, centered_axis(4.0, 256)),
+        ],
+        ids=["tail-0.125", "tail-0.25", "tail-0.5", "probe"],
+    )
+    @pytest.mark.parametrize("scale", [None, 0.25], ids=["bare", "cutoff"])
+    def test_real_route_equals_former_expression(self, half_length, taxis, scale):
+        # the former real route, kept here: `grid.real_inverse` of the
+        # unphased table times the half spectrum (and the cutoff), on the
+        # tail's and the probes' grids and sampler draws
+        grid = make_grid(half_length, 128)
+        sample = sampler(field_from_function(grid, lambda x: np.exp(-(x**2))), "gaussian")
+        cutoff = None if scale is None else Cutoff(scale)
+        unphased = np.exp(1j * np.outer(taxis.t, grid.xi[:65] ** 3))
+        for seed in range(4):
+            phi = sample(seed)
+            coeffs = unphased * half_spectrum(phi)[None, :]
+            if cutoff is not None:
+                coeffs = coeffs * cutoff(taxis.t)[:, None]
+            z = free_evolution(phi, taxis, cutoff=cutoff)
+            assert z.values.dtype == np.float64
+            assert np.array_equal(z.values, grid.real_inverse(coeffs))
 
     def test_duhamel_gamma_equals_uncached_tables(self, grid64):
         # picard_solve's second iterate is the Duhamel map of its first

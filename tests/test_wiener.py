@@ -8,6 +8,7 @@ from gkdvlab.grid import (
     Field,
     apply_multiplier,
     field_from_function,
+    half_spectrum,
     make_grid,
     spectral_values,
 )
@@ -216,6 +217,35 @@ class TestRandomize:
         assert np.max(np.abs(new.values - old.values)) <= 1e-15 * scale
         # the field carries its spectrum, the one product
         assert np.array_equal(spectral_values(new), spectral_values(phi) * (g @ stack))
+
+    def test_complex_data_refused(self, grid64):
+        # as picard_solve does: the randomization keeps real data real, and
+        # complex data are refused when the sampler is built, before any draw
+        tilted = Field(grid64, 1j * banded_bump(grid64, band=3.0).values)
+        assert tilted.values.dtype == np.complex128
+        with pytest.raises(ValueError, match="sampler expects real data"):
+            sampler(tilted, "gaussian", 5)
+
+    @pytest.mark.parametrize("half_length,n_modes", [(16.0, 128), (32.0, 512)])
+    @pytest.mark.parametrize("distribution", ["gaussian", "rademacher"])
+    def test_field_keeps_former_spectrum_with_real_samples(
+        self, half_length, n_modes, distribution
+    ):
+        # the former field, kept here: the spectrum phi_hat * (g @ windows)
+        # and, as samples, the real part of its complex inverse
+        grid = make_grid(half_length, n_modes)
+        phi = field_from_function(grid, lambda x: np.exp(-(x**2)))
+        sample = sampler(phi, distribution)
+        for seed in range(6):
+            g = sample.coefficients(seed)
+            former = spectral_values(phi) * (g @ sample.stack)
+            f = sample.field(g)
+            assert spectral_values(f).tobytes() == former.tobytes()
+            assert half_spectrum(f).tobytes() == former[: n_modes // 2 + 1].tobytes()
+            assert f.values.dtype == np.float64
+            assert np.array_equal(f.values, grid.real_inverse(former[: n_modes // 2 + 1]))
+            old = grid.inverse(former).real
+            assert np.max(np.abs(f.values - old)) <= 1e-15 * np.max(np.abs(old))
 
     def test_ensemble_l2_mean_matches_band_sum(self, grid512, bump):
         # independence + mean-zero cross terms: E ||phi^omega||^2 = sum_n ||psi(D-n) phi||^2
