@@ -191,8 +191,8 @@ def cmd_lwp_ensemble(cfg: dict, args) -> int:
     ]
     sample_header: list[str] = []
     sample_rows: list[tuple] = []
-    for T in sorted(report.records, reverse=True):
-        header, part = ensemble_table(report.records[T], extra={"T": T})
+    for T, records in report.records.items():
+        header, part = ensemble_table(records, extra={"T": T})
         sample_header = header
         sample_rows.extend(part)
     artifacts = [

@@ -3,6 +3,15 @@
 Every key has a default; unknown sections or keys are hard errors, and all
 validation failures are reported at once. The analysis exponents are not
 keys: every consumer derives them from epsilon (see `params`).
+
+A range rule on a run value lives in the library function that relies on
+it and checks it at entry. `_finalize` calls that same function, named in
+each of its `check` calls (README lists the owner of every key), and
+reports its ValueError as one `[section] <library message>` problem.
+Written here are only the rules no library function owns: the [data]
+profile keys, parsing the t_grid lists and [estimates] ids, and the bounds
+of master_seed, threads, n_fields, n_trials, diag_stride and output_stride
+(0 means auto).
 """
 
 from __future__ import annotations
@@ -11,8 +20,19 @@ import configparser
 import math
 from pathlib import Path
 
+from .grid import make_grid
+from .montecarlo import (
+    LWP_MIN_SAMPLES,
+    TAIL_MIN_SAMPLES,
+    _lwp_times,
+    _require_samples,
+    _require_tail_exponents,
+    _tail_axes,
+)
 from .params import validate_epsilon
-from .solver import _step_count
+from .probes import _require_band_modes
+from .solver import _picard_arguments, _step_count
+from .spacetime import centered_axis
 from .wiener import require_distribution
 
 
@@ -142,15 +162,38 @@ def load_config(path: Path | str | None, overrides: dict | None = None) -> dict:
 
 
 def _finalize(raw: dict, problems: list[str]) -> dict:
-    try:
-        validate_epsilon(raw["model"]["epsilon"])
-    except ValueError as exc:
-        problems.append(f"[model] {exc}")
+    def check(section: str, rule, *args):
+        """rule(*args), or None with its ValueError as a [section] problem."""
+        try:
+            return rule(*args)
+        except ValueError as exc:
+            problems.append(f"[{section}] {exc}")
 
-    try:
-        require_distribution(raw["random"]["distribution"])
-    except ValueError as exc:
-        problems.append(f"[random] {exc}")
+    eps = check("model", validate_epsilon, raw["model"]["epsilon"])
+    check("random", require_distribution, raw["random"]["distribution"])
+    grid = check("grid", make_grid, raw["grid"]["half_length"], raw["grid"]["n_modes"])
+    taxis = check("time", centered_axis, raw["time"]["t_span"], raw["time"]["m_t"])
+    est, st, lwp, sim = (raw[sect] for sect in ("estimates", "strichartz", "lwp", "simulate"))
+    check("estimates", make_grid, est["half_length"], est["n_modes"])
+    check("estimates", centered_axis, est["t_span"], est["m_t"])
+    check("estimates", _require_band_modes, est["xi_band"])
+    check("strichartz", _require_tail_exponents, st["q"], st["r"])
+    check("ensemble", _require_samples, raw["ensemble"]["n_samples"], TAIL_MIN_SAMPLES)
+    check("lwp", _require_samples, lwp["n_samples"], LWP_MIN_SAMPLES)
+    for sect, rule, *args in (("strichartz", _tail_axes, st["n_time_samples"]),
+                              ("lwp", _lwp_times)):
+        try:
+            t_grid = parse_float_list(raw[sect]["t_grid"])
+        except ValueError:
+            problems.append(f"[{sect}] t_grid must be a comma-separated list of reals")
+        else:
+            check(sect, rule, t_grid, *args)
+    if None not in (grid, taxis, eps):
+        check("lwp", _picard_arguments, grid, taxis, lwp["tol"], lwp["max_iter"],
+              lwp["xi_band"], eps)
+    # a negative output_stride is reported below; 0 means auto, as None does
+    check("simulate", _step_count, sim["t_end"], sim["dt"], max(sim["output_stride"], 0) or None)
+
     if raw["data"]["kind"] not in DATA_KINDS:
         problems.append(
             f"[data] unknown kind {raw['data']['kind']!r}; choose from {', '.join(DATA_KINDS)}"
@@ -163,72 +206,13 @@ def _finalize(raw: dict, problems: list[str]) -> dict:
         problems.append("[data] width must be positive and finite")
     if not 0 <= raw["data"]["band_limit"] < math.inf:
         problems.append("[data] band_limit must be finite and >= 0")
-    for sect, key, least in (
-        ("grid", "n_modes", 8),
-        ("time", "m_t", 16),
-        ("estimates", "n_modes", 8),
-        ("estimates", "m_t", 16),
-    ):
-        if raw[sect][key] < least or raw[sect][key] % 2:
-            problems.append(f"[{sect}] {key} must be even and >= {least}")
-    for sect in ("grid", "estimates"):
-        if not 0 < raw[sect]["half_length"] < math.inf:
-            problems.append(f"[{sect}] half_length must be positive and finite")
-    for sect, key in (("strichartz", "t_grid"), ("lwp", "t_grid")):
-        try:
-            values = parse_float_list(raw[sect][key])
-            if not values or not all(0 < v < math.inf for v in values):
-                raise ValueError
-        except ValueError:
-            problems.append(
-                f"[{sect}] {key} must be a comma-separated list of positive finite reals"
-            )
-            continue
-        if sect == "lwp" and sorted(set(values), reverse=True) != values:
-            problems.append("[lwp] t_grid must be strictly descending")
-        if sect == "strichartz" and len(set(values)) < 3:
-            problems.append(
-                "[strichartz] t_grid needs at least three T values for tail fitting, no two equal"
-            )
     if not any(tok.strip() for tok in raw["estimates"]["ids"].split(",")):
         problems.append("[estimates] ids must name at least one estimate")
-    if raw["grid"]["half_length"] > 0:
-        step = math.pi / raw["grid"]["half_length"]
-        if not raw["lwp"]["xi_band"] >= step:
-            problems.append(
-                f"[lwp] xi_band must be >= one frequency step pi / [grid] half_length = {step:.6g}"
-            )
-    for sect, key in (("lwp", "tol"), ("simulate", "dt")):
-        if not raw[sect][key] > 0:
-            problems.append(f"[{sect}] {key} must be positive")
-    for sect in ("time", "estimates"):
-        if not 0 < raw[sect]["t_span"] < math.inf:
-            problems.append(f"[{sect}] t_span must be positive and finite")
-    sim = raw["simulate"]
-    if sim["dt"] > 0:
-        try:
-            n_steps = _step_count(sim["t_end"], sim["dt"])
-        except ValueError as exc:
-            problems.append(f"[simulate] t_end must be a whole number of steps dt: {exc}")
-        else:
-            if sim["output_stride"] > 0 and n_steps % sim["output_stride"]:
-                problems.append(
-                    f"[simulate] output_stride must be a divisor of the {n_steps} steps t_end / dt"
-                )
-    if not 1 <= raw["strichartz"]["q"] < math.inf:
-        problems.append("[strichartz] q must be >= 1 and finite")
     for sect, key, least in (
         ("random", "master_seed", 0),
-        ("random", "n_max", 0),
-        ("ensemble", "n_samples", 1000),
         ("ensemble", "n_fields", 0),
         ("ensemble", "threads", 1),
-        ("strichartz", "r", 1),
-        ("strichartz", "n_time_samples", 1),
-        ("lwp", "n_samples", 100),
-        ("lwp", "max_iter", 1),
         ("estimates", "n_trials", 1),
-        ("estimates", "xi_band", 0),
         ("simulate", "output_stride", 0),
         ("simulate", "diag_stride", 1),
     ):

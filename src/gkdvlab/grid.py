@@ -45,7 +45,7 @@ class Grid:
     Attributes
     ----------
     half_length : float
-        L; the domain is [-L, L).
+        L, positive and finite; the domain is [-L, L).
     n_modes : int
         N, even, >= 8.
     """
@@ -56,8 +56,8 @@ class Grid:
     def __post_init__(self) -> None:
         if self.n_modes < 8 or self.n_modes % 2 != 0:
             raise ValueError(f"n_modes must be even and >= 8, got {self.n_modes}")
-        if not self.half_length > 0:
-            raise ValueError(f"half_length must be positive, got {self.half_length}")
+        if not 0 < self.half_length < np.inf:
+            raise ValueError(f"half_length must be positive and finite, got {self.half_length}")
 
     @property
     def dx(self) -> float:

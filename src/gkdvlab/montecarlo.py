@@ -19,8 +19,8 @@ from typing import Callable, Iterator, Mapping
 import numpy as np
 
 from .grid import Field
-from .norms import mixed_norm
-from .solver import PicardResult, _picard_band, picard_solve
+from .norms import _require_exponents, mixed_norm
+from .solver import PicardResult, _picard_arguments, _picard_band, picard_solve
 from .spacetime import TimeAxis, free_evolution, midpoint_axis
 from .streams import child_seed
 from .wiener import Sampler
@@ -31,6 +31,8 @@ Z_95 = 1.96
 # the tail fit's thresholds: evenly spaced between these two quantiles
 LAMBDA_POINTS = 12
 LAMBDA_QUANTILES = (0.9, 0.995)
+# the least sample counts of a tail fit and of an lwp ensemble per T
+TAIL_MIN_SAMPLES, LWP_MIN_SAMPLES = 1000, 100
 
 
 @dataclass
@@ -48,6 +50,20 @@ Observables = Callable[[Field], Mapping[str, float]]
 Outcome = tuple[dict[str, float], bool]
 # (ensemble, coefficients) of one distinct draw
 Task = tuple[int, np.ndarray]
+
+
+def _require_samples(n_samples: int, least: int) -> None:
+    """ValueError unless an ensemble draws at least `least` samples."""
+    if not n_samples >= least:
+        raise ValueError(f"n_samples must be >= {least}")
+
+
+def _positive_times(t_grid: list[float]) -> list[float]:
+    """The T values as floats, one or more, each positive and finite."""
+    t_list = [float(t) for t in t_grid]
+    if not t_list or not all(0 < t < np.inf for t in t_list):
+        raise ValueError(f"t_grid must be one or more positive finite times, got {t_list}")
+    return t_list
 
 
 def _usable_cpus() -> int:
@@ -170,8 +186,7 @@ def run_ensemble(
     fork is unavailable the samples run here. Fork copies only the calling
     thread, so a caller that runs other threads should pass threads=1.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    _require_samples(n_samples, 1)
     return _run_ensembles(sample, [(n_samples, observables, seed)], threads)[0]
 
 
@@ -208,9 +223,17 @@ class TailFit:
         return float(np.sqrt(-1.0 / lo_slope)), float(np.sqrt(-1.0 / hi_slope))
 
 
+def _require_tail_samples(observations: np.ndarray) -> None:
+    """TailFitError unless a tail fit has TAIL_MIN_SAMPLES observations."""
+    n = np.size(observations)
+    if n < TAIL_MIN_SAMPLES:
+        raise TailFitError(f"tail fit needs >= {TAIL_MIN_SAMPLES} samples, got {n}")
+
+
 def make_lambda_grid(observations: np.ndarray) -> np.ndarray:
     """LAMBDA_POINTS evenly spaced thresholds between the LAMBDA_QUANTILES
-    of the observations."""
+    of the tail fit's observations (`_require_tail_samples`)."""
+    _require_tail_samples(observations)
     lo, hi = (float(np.quantile(observations, q)) for q in LAMBDA_QUANTILES)
     if not hi > lo:
         raise TailFitError("degenerate observations: quantile range is empty")
@@ -241,12 +264,11 @@ def line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
 def tail_fit(observations: np.ndarray, lambda_grid: np.ndarray) -> TailFit:
     """Fit log P(obs > lambda) against lambda^2 over the given thresholds.
 
-    Requires at least 1e3 observations and a grid between the 50th and
+    Requires TAIL_MIN_SAMPLES observations and a grid between the 50th and
     99.5th percentiles; thresholds nobody exceeds are dropped.
     """
     obs = np.asarray(observations, dtype=np.float64)
-    if obs.size < 1000:
-        raise TailFitError(f"tail fit needs >= 1000 samples, got {obs.size}")
+    _require_tail_samples(obs)
     lam = np.asarray(lambda_grid, dtype=np.float64)
     q50, q995 = np.quantile(obs, [0.5, 0.995])
     pad = 1e-9 * max(1.0, abs(q995))
@@ -328,6 +350,24 @@ def scale_report_from_observations(
     )
 
 
+def _tail_axes(t_grid: list[float], n_time_samples: int) -> dict[float, TimeAxis]:
+    """The midpoint axis of [0, T] with n_time_samples >= 1 samples for each
+    of three or more distinct positive finite T, keyed by T."""
+    t_list = _positive_times(t_grid)
+    if len(set(t_list)) < 3:
+        raise ValueError(
+            "t_grid needs at least three T values for tail fitting "
+            "(three distinct T values, no two equal)"
+        )
+    if not n_time_samples >= 1:
+        raise ValueError("n_time_samples must be >= 1")
+    return {t: midpoint_axis(t, n_time_samples) for t in t_list}
+
+
+# the tail's Lebesgue exponents: q must be finite too
+_require_tail_exponents = functools.partial(_require_exponents, finite_q=True)
+
+
 def strichartz_scaling(
     sample: Sampler,
     q: float,
@@ -343,13 +383,11 @@ def strichartz_scaling(
 
     The sub-Gaussian tail bound scales as exp(-c lambda^2 / T^{2/q}), so the
     fitted scale should grow like T^{1/q}. `threads` is `run_ensemble`'s
-    worker-process count.
+    worker-process count. The arguments are checked before any draw.
     """
-    if len({float(t) for t in t_grid}) < 3:
-        raise ValueError("need at least three distinct T values")
-    if np.isinf(q):
-        raise ValueError("q must be finite")
-    axes: dict[float, TimeAxis] = {float(t): midpoint_axis(t, n_time_samples) for t in t_grid}
+    _require_tail_exponents(q, r)
+    axes = _tail_axes(t_grid, n_time_samples)
+    _require_samples(n_samples, TAIL_MIN_SAMPLES)
 
     def observe(phi_omega: Field) -> dict[str, float]:
         out = {}
@@ -414,6 +452,14 @@ class LwpReport:
         return self.trend_violations == 0
 
 
+def _lwp_times(t_grid: list[float]) -> list[float]:
+    """The positive finite T values, strictly descending, as floats."""
+    t_list = _positive_times(t_grid)
+    if sorted(set(t_list), reverse=True) != t_list:
+        raise ValueError("t_grid must be strictly descending")
+    return t_list
+
+
 def exceptional_probability(
     sample: Sampler,
     t_grid: list[float],
@@ -431,17 +477,16 @@ def exceptional_probability(
 
     T values must be passed in strictly descending order; the trend
     statistic counts adjacent pairs where the fraction increases as T
-    shrinks without the Wilson intervals overlapping. The band is checked
-    once, on the sampler's grid, before the first ensemble (`_picard_band`:
-    AliasingError where every solve would refuse it). Each T's ensemble
+    shrinks without the Wilson intervals overlapping. The arguments, the
+    solver's among them (`_picard_arguments`), and then the band, on the
+    sampler's grid (`_picard_band`: AliasingError where every solve would
+    refuse it), are checked before the first draw. Each T's ensemble
     solves each of its distinct draws once, as `run_ensemble` does, and
     `threads` worker processes serve the solves of every T on one pool.
     """
-    t_list = [float(t) for t in t_grid]
-    if sorted(set(t_list), reverse=True) != t_list:
-        raise ValueError("t_grid must be strictly descending")
-    if n_samples < 100:
-        raise ValueError("need at least 100 samples per T")
+    t_list = _lwp_times(t_grid)
+    _require_samples(n_samples, LWP_MIN_SAMPLES)
+    _picard_arguments(sample.grid, taxis, tol, max_iter, xi_band, eps)
     _picard_band(sample.grid, taxis, xi_band)
 
     def observe(phi_omega: Field, T: float) -> dict[str, float]:

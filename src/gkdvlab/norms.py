@@ -94,11 +94,19 @@ def _lp_riemann(values: np.ndarray, weight: float, p: float, axis: int) -> np.nd
     return (weight * _abs_power(values, p).sum(axis=axis)) ** (1.0 / p)
 
 
+def _require_exponents(q: float, r: float, finite_q: bool) -> None:
+    """ValueError unless the Lebesgue exponents q, r are >= 1 (inf allowed,
+    except for q when `finite_q`)."""
+    if not (1 <= q < np.inf if finite_q else 1 <= q):
+        raise ValueError(f"q must be >= 1{' and finite' if finite_q else ''}, got {q}")
+    if not 1 <= r:
+        raise ValueError(f"r must be >= 1, got {r}")
+
+
 def mixed_norm(u: SpaceTimeField, q: float, r: float) -> float:
     """Time-outer L^q, space-inner L^r Riemann norm over the whole time
     axis; every sample contributes with weight dt, and q or r may be inf."""
-    if not (1 <= q) or not (1 <= r):
-        raise ValueError("mixed norm requires q, r >= 1 (inf allowed)")
+    _require_exponents(q, r, finite_q=False)
     inner = _lp_riemann(u.values, u.grid.dx, r, axis=1)
     return float(_lp_riemann(inner, u.taxis.dt, q, axis=0))
 

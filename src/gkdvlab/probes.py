@@ -102,6 +102,12 @@ class EstimateReport:
 # random ensembles
 
 
+def _require_band_modes(xi_band: float) -> None:
+    """ValueError unless the band |xi| <= xi_band holds a mode, xi = 0."""
+    if not xi_band >= 0:
+        raise ValueError(f"xi_band must be >= 0, else it selects no mode; got {xi_band}")
+
+
 def random_field(grid: Grid, xi_band: float, seed: int, master: int) -> Field:
     """Band-limited random data with a <xi>^{-1} spectral envelope, L^2 = 1."""
     rng = rng_for(master, 17, seed)
@@ -139,11 +145,10 @@ def random_spacetime(
     time on the band's columns only; the field keeps the result, scaled as
     its samples are, as its band (`spacetime._with_band`).
     """
+    _require_band_modes(xi_band)
     rng = rng_for(master, 23, seed)
     shape = (taxis.n_samples, grid.n_modes)
     band, envelope = _spacetime_envelope(grid, taxis, float(xi_band))
-    if band.size == 0:
-        raise ValueError(f"xi_band {xi_band} selects no mode of the grid")
     coeffs = np.empty((taxis.n_samples, band.size), dtype=np.complex128)
     # all m_t x N draws are made, in their stream order; the band's are kept
     coeffs.real = rng.standard_normal(shape)[:, band] * envelope
@@ -309,6 +314,7 @@ class ProbeResolution:
     def make(self) -> tuple[Grid, TimeAxis]:
         grid = make_grid(self.half_length, self.n_modes)
         taxis = centered_axis(self.t_span, self.m_t)
+        _require_band_modes(self.xi_band)
         _require_band(taxis, self.xi_band)
         return grid, taxis
 

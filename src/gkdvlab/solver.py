@@ -30,9 +30,9 @@ cutoffs and propagator on them, the distance's weight) from one cached
 plan per (grid, axis, T, weight, band), and measures each distance on the
 window's rows alone: a short FFT, of a length that holds every lag of the
 window, against the weight folded onto those lags. Both solvers refuse
-complex or non-finite data at entry, and `picard_solve` refuses there a
-band the tau axis does not resolve; inside its loop only the blow-up test
-on each iterate's peak can stop it early.
+complex or non-finite data at entry, and `picard_solve` refuses there its
+invalid arguments and a band the tau axis does not resolve; inside its
+loop only the blow-up test on each iterate's peak can stop it early.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import numpy as np
 
 from .grid import SQRT_2PI, Field, Grid, _half_weights, _readonly, half_spectrum
 from .norms import _lag_folded_weight, _require_band
-from .params import b_index, sigma_index
+from .params import b_index, sigma_index, validate_epsilon
 from .spacetime import (
     Cutoff,
     SpaceTimeField,
@@ -168,17 +168,26 @@ class Trajectory:
     first_bad_step: int | None = None
 
 
-def _step_count(T: float, dt: float) -> int:
-    """T/dt as a whole number of steps, 1 .. 1e7; ValueError otherwise."""
+def _step_count(t_end: float, dt: float, output_stride: int | None) -> tuple[int, int]:
+    """(n_steps, stride): t_end/dt as a whole number of steps, 1 .. 1e7, and
+    the trajectory's sampling stride, `output_stride`, which must divide
+    n_steps, or for None the largest divisor of n_steps that is at most
+    1/1024 of it, or 1; ValueError otherwise."""
     if not dt > 0:
         raise ValueError("dt must be positive")
-    n_steps_f = T / dt
+    n_steps_f = t_end / dt
     n_steps = int(round(n_steps_f)) if np.isfinite(n_steps_f) else 0
     if n_steps < 1 or abs(n_steps_f - n_steps) > 1e-8 * max(1.0, n_steps):
-        raise ValueError(f"T/dt = {n_steps_f} must be a positive integer")
+        raise ValueError(f"t_end must be a whole number of steps dt, got t_end/dt = {n_steps_f}")
     if n_steps > 10_000_000:
-        raise ValueError("more than 1e7 steps requested")
-    return n_steps
+        raise ValueError(f"t_end must be at most 1e7 steps dt, got {n_steps}")
+    if output_stride is None:
+        output_stride = max(1, n_steps // 1024)
+        while n_steps % output_stride:
+            output_stride -= 1
+    elif n_steps % output_stride:
+        raise ValueError(f"output_stride must divide the {n_steps} steps t_end/dt")
+    return n_steps, output_stride
 
 
 def _require_real_finite(phi: Field, caller: str) -> None:
@@ -191,17 +200,16 @@ def _require_real_finite(phi: Field, caller: str) -> None:
 
 def evolve_reference(
     phi: Field,
-    T: float,
+    t_end: float,
     dt: float,
     output_stride: int | None,
     diag_stride: int,
     seed: int | None,
 ) -> Trajectory:
-    """March the equation with integrating-factor RK4 from data phi to time T.
+    """March the equation with integrating-factor RK4 from data phi to t_end.
 
-    T/dt must be an integer number of steps (at most 1e7). The trajectory is
-    sampled every `output_stride` steps (None: the largest divisor of the
-    step count that is at most 1/1024 of it, or 1); diagnostics are recorded
+    t_end/dt must be a whole number of steps, and the trajectory is sampled
+    every `output_stride` steps (`_step_count`); diagnostics are recorded
     every `diag_stride` steps. `seed` is the master seed the trajectory
     records (None: none). A non-finite state stops the run and flags the
     trajectory as blown up.
@@ -211,13 +219,7 @@ def evolve_reference(
     the rows are its `grid.real_inverse`, and each state's padded samples
     are formed once, for its diagnostic and the next step's first stage.
     """
-    n_steps = _step_count(T, dt)
-    if output_stride is None:
-        output_stride = max(1, n_steps // 1024)
-        while n_steps % output_stride:
-            output_stride -= 1
-    if n_steps % output_stride:
-        raise ValueError("output_stride must divide the number of steps")
+    n_steps, output_stride = _step_count(t_end, dt, output_stride)
 
     grid = phi.grid
     _require_real_finite(phi, "evolve_reference")
@@ -292,8 +294,6 @@ def _cutoff_window(taxis: TimeAxis, eta_T: np.ndarray) -> tuple[slice, int]:
     on each side for the trapezoid sum, clipped to the axis. The map
     vanishes on every other row.
     """
-    if not taxis.is_centered:
-        raise ValueError("the Duhamel map needs the centered time box (t = 0 a node)")
     j0 = int(np.argmin(np.abs(taxis.t)))
     support = np.append(np.flatnonzero(eta_T), j0)
     rows = slice(max(int(support.min()) - 1, 0), min(int(support.max()) + 2, taxis.n_samples))
@@ -428,16 +428,32 @@ class PicardResult:
         return self.ratios[-1] if self.ratios else None
 
 
+def _picard_arguments(
+    grid: Grid, taxis: TimeAxis, tol: float, max_iter: int, xi_band: float, eps: float
+) -> None:
+    """ValueError unless the data-independent arguments of a Picard
+    iteration hold: tol > 0, max_iter >= 1, a centered axis, a valid eps
+    and a band |xi| <= xi_band at least one frequency step wide."""
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    if not max_iter >= 1:
+        raise ValueError("max_iter must be >= 1")
+    if not taxis.is_centered:
+        raise ValueError("the Duhamel map needs the centered time box (t = 0 a node)")
+    validate_epsilon(eps)
+    if not xi_band >= grid.dxi:
+        raise ValueError(f"xi_band must be >= one frequency step pi / half_length = {grid.dxi:.6g}")
+
+
 def _picard_band(grid: Grid, taxis: TimeAxis, xi_band: float) -> int:
     """The number n_band of the distance's band columns, the modes
-    0 .. n_band-1 with xi <= xi_band, of a Picard iteration on `taxis`.
+    0 .. n_band-1 with xi <= xi_band, of a Picard iteration on `taxis`
+    whose arguments passed `_picard_arguments`.
 
-    Raises ValueError if the band is narrower than one frequency step, and
-    AliasingError unless the tau axis resolves its highest mode: then it
-    resolves every difference of iterates, which lies inside the band.
+    Raises AliasingError unless the tau axis resolves the band's highest
+    mode: then it resolves every difference of iterates, which lies inside
+    the band.
     """
-    if not xi_band >= grid.dxi:
-        raise ValueError(f"xi_band must be at least one frequency step {grid.dxi}")
     n_band = int(np.count_nonzero(grid.xi[: grid.n_modes // 2] <= xi_band))
     _require_band(taxis, float(grid.xi[n_band - 1]))
     return n_band
@@ -458,11 +474,11 @@ def picard_solve(
     Distances are measured on the band |xi| <= xi_band of the iterates'
     difference, since the weighted norm requires a resolvable band; the
     share of the returned iterate's mass outside that band is reported.
-    The data (real and finite, else ValueError) and the band
-    (`_picard_band`) are checked at entry. Non-convergence within max_iter
-    is a result state, not an error; an iterate whose physical peak is not
-    finite or exceeds BLOWUP_THRESHOLD, the one check in the loop, marks
-    the run as blown up.
+    The arguments (`_picard_arguments`), the data (real and finite, else
+    ValueError) and the band (`_picard_band`) are checked at entry.
+    Non-convergence within max_iter is a result state, not an error; an
+    iterate whose physical peak is not finite or exceeds BLOWUP_THRESHOLD,
+    the one check in the loop, marks the run as blown up.
 
     The iterates are real, and the iteration holds the coefficients of
     their modes 0 .. N/2 on the cutoff's rows only. A distance is summed
@@ -471,9 +487,8 @@ def picard_solve(
     folding stands for the columns xi < 0. It equals the full-axis sum to
     round-off.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     grid = phi_omega.grid
+    _picard_arguments(grid, taxis, tol, max_iter, xi_band, eps)
     _require_real_finite(phi_omega, "picard_solve")
     n_band = _picard_band(grid, taxis, xi_band)
     sigma = sigma_index(eps)

@@ -96,6 +96,8 @@ def centered_axis(t_span: float, m_t: int) -> TimeAxis:
     """The canonical box [-t_span/2, t_span/2) with m_t samples (even >= 16)."""
     if m_t < 16 or m_t % 2 != 0:
         raise ValueError(f"m_t must be even and >= 16, got {m_t}")
+    if not 0 < t_span < np.inf:
+        raise ValueError(f"t_span must be positive and finite, got {t_span}")
     dt = t_span / m_t
     return TimeAxis(t0=-0.5 * t_span, dt=dt, n_samples=m_t)
 

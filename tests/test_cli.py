@@ -308,6 +308,22 @@ class TestStrichartzTail:
         assert not out.exists()
 
 
+    def test_every_sample_blown_up_exit_2(self, tmp_path, capsys):
+        # every sample's L^4 norm overflows, so no observation is left for
+        # the tail fit of any T (at amplitude 1e300 the sampler's coverage
+        # sum |phi_hat|^2 overflows first, which this suite's warning filter
+        # turns into an error)
+        cfg = write_cfg(
+            tmp_path,
+            "[grid]\nhalf_length = 16.0\nn_modes = 128\n[data]\namplitude = 1e100\n"
+            "[ensemble]\nn_samples = 1000\n[strichartz]\nn_time_samples = 16\n",
+        )
+        out = tmp_path / "tail"
+        assert main(["strichartz-tail", "--config", cfg, "--out", str(out)]) == 2
+        assert "no tail fit: tail fit needs >= 1000 samples, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestVerifyEstimates:
     def test_single_id_writes_report(self, tmp_path):
         cfg = write_cfg(

@@ -3,7 +3,9 @@ import inspect
 
 import pytest
 
-from gkdvlab.config import ConfigError, load_config
+from gkdvlab.cli import build_data
+from gkdvlab.config import _SCHEMA, ConfigError, load_config, parse_float_list
+from gkdvlab.grid import make_grid
 from gkdvlab.montecarlo import exceptional_probability, run_ensemble, strichartz_scaling
 from gkdvlab.params import b_index, data_index, sigma_index
 from gkdvlab.probes import (
@@ -15,6 +17,8 @@ from gkdvlab.probes import (
     run_estimates,
 )
 from gkdvlab.solver import evolve_reference, picard_solve
+from gkdvlab.spacetime import centered_axis
+from gkdvlab.wiener import sampler
 
 
 class TestDefaults:
@@ -102,3 +106,102 @@ def test_run_entry_points_take_no_defaults(entry):
 def test_probe_resolution_fields_take_no_defaults():
     assert all(f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
                for f in dataclasses.fields(ProbeResolution))
+
+
+def _lwp_ensemble(cfg):
+    lwp = cfg["lwp"]
+    exceptional_probability(
+        sampler(build_data(cfg), cfg["random"]["distribution"]),
+        parse_float_list(lwp["t_grid"]),
+        lwp["n_samples"],
+        lwp["tol"],
+        taxis=centered_axis(cfg["time"]["t_span"], cfg["time"]["m_t"]),
+        xi_band=lwp["xi_band"],
+        eps=cfg["model"]["epsilon"],
+        max_iter=lwp["max_iter"],
+        seed=0,
+        threads=1,
+    )
+
+
+def _strichartz_tail(cfg):
+    st = cfg["strichartz"]
+    strichartz_scaling(
+        sampler(build_data(cfg), cfg["random"]["distribution"]),
+        st["q"],
+        st["r"],
+        parse_float_list(st["t_grid"]),
+        cfg["ensemble"]["n_samples"],
+        seed=0,
+        n_time_samples=st["n_time_samples"],
+        threads=1,
+    )
+
+
+def _estimates(cfg):
+    est = cfg["estimates"]
+    resolution = ProbeResolution(
+        est["n_modes"], est["half_length"], est["m_t"], est["t_span"], est["xi_band"]
+    )
+    run_estimates(["embed01"], cfg["model"]["epsilon"], resolution, est["n_trials"], seed=0)
+
+
+def _simulate(cfg):
+    sim = cfg["simulate"]
+    evolve_reference(build_data(cfg), sim["t_end"], sim["dt"], sim["output_stride"] or None,
+                     sim["diag_stride"], seed=None)
+
+
+def _grid(cfg):
+    make_grid(cfg["grid"]["half_length"], cfg["grid"]["n_modes"])
+
+
+@pytest.mark.parametrize(
+    "section,key,value,run",
+    [
+        ("lwp", "tol", "0", _lwp_ensemble),
+        ("lwp", "n_samples", "50", _lwp_ensemble),
+        ("lwp", "max_iter", "0", _lwp_ensemble),
+        ("lwp", "xi_band", "0", _lwp_ensemble),
+        ("lwp", "t_grid", "0.0625,0.125", _lwp_ensemble),
+        ("lwp", "t_grid", "0.25,nan", _lwp_ensemble),
+        ("lwp", "t_grid", "inf,0.25", _lwp_ensemble),
+        ("lwp", "t_grid", "0.25,0.25", _lwp_ensemble),
+        ("time", "t_span", "0", _lwp_ensemble),
+        ("time", "t_span", "-4", _lwp_ensemble),
+        ("time", "t_span", "inf", _lwp_ensemble),
+        ("grid", "half_length", "inf", _grid),
+        ("strichartz", "t_grid", "0.125,0.25,nan", _strichartz_tail),
+        ("strichartz", "t_grid", "0.125,inf,0.5", _strichartz_tail),
+        ("strichartz", "t_grid", "0.125,0.125,0.25", _strichartz_tail),
+        ("strichartz", "q", "0.5", _strichartz_tail),
+        ("strichartz", "q", "inf", _strichartz_tail),
+        ("strichartz", "r", "0.5", _strichartz_tail),
+        ("strichartz", "n_time_samples", "0", _strichartz_tail),
+        ("ensemble", "n_samples", "10", _strichartz_tail),
+        ("estimates", "n_modes", "63", _estimates),
+        ("estimates", "m_t", "15", _estimates),
+        ("estimates", "half_length", "0", _estimates),
+        ("estimates", "half_length", "inf", _estimates),
+        ("estimates", "t_span", "0", _estimates),
+        ("estimates", "t_span", "-2", _estimates),
+        ("estimates", "t_span", "inf", _estimates),
+        ("estimates", "xi_band", "-1", _estimates),
+        ("estimates", "xi_band", "nan", _estimates),
+        ("simulate", "dt", "0", _simulate),
+        ("simulate", "t_end", "0", _simulate),
+        ("simulate", "t_end", "0.00015", _simulate),
+        ("simulate", "output_stride", "3", _simulate),
+    ],
+)
+def test_config_reports_the_library_message(section, key, value, run):
+    # a rule with a library home is checked there; config reports the
+    # library's own message, so the two cannot drift apart
+    typed = _SCHEMA[section][key][0](value)
+    cfg = load_config(None)
+    cfg[section][key] = typed
+    with pytest.raises(ValueError) as library:
+        run(cfg)
+    with pytest.raises(ConfigError) as config:
+        load_config(None, {f"{section}.{key}": typed})
+    assert config.value.problems == [f"[{section}] {library.value}"]

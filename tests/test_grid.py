@@ -30,7 +30,9 @@ class TestMakeGrid:
         assert g.dxi == pytest.approx(np.pi / 32)
         assert g.xi_max == pytest.approx(np.pi * 512 / 32)
 
-    @pytest.mark.parametrize("L,N", [(np.pi, 7), (np.pi, 4), (-1.0, 64), (0.0, 64)])
+    @pytest.mark.parametrize(
+        "L,N", [(np.pi, 7), (np.pi, 4), (-1.0, 64), (0.0, 64), (np.inf, 8), (np.nan, 64)]
+    )
     def test_rejects_bad_arguments(self, L, N):
         with pytest.raises(ValueError):
             make_grid(L, N)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import multiprocessing
@@ -35,7 +36,7 @@ from gkdvlab.cli import build_data
 from gkdvlab.config import load_config, parse_float_list
 from gkdvlab.norms import AliasingError, mixed_norm, sobolev_norm
 from gkdvlab.solver import picard_solve
-from gkdvlab.spacetime import centered_axis, midpoint_axis
+from gkdvlab.spacetime import TimeAxis, centered_axis, midpoint_axis
 from gkdvlab.streams import child_seed
 from gkdvlab.wiener import _band_stack, sample_coefficients, sampler
 
@@ -152,6 +153,83 @@ def test_tail_path_matches_former_chain(seed):
 
 def _must_not_solve(*args, **kwargs):
     raise AssertionError("picard_solve called")
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class _CountingSampler(wiener.Sampler):
+    """A sampler that records the seed of each coefficient draw."""
+
+    draws: list = dataclasses.field(default_factory=list)
+
+    def coefficients(self, seed: int) -> np.ndarray:
+        self.draws.append(seed)
+        return super().coefficients(seed)
+
+
+def _lwp_preset_sampler() -> _CountingSampler:
+    cfg = load_config(ROOT / "configs" / "lwp.ini")
+    sample = sampler(build_data(cfg), cfg["random"]["distribution"])
+    return _CountingSampler(**{f.name: getattr(sample, f.name) for f in dataclasses.fields(sample)})
+
+
+class TestArgumentsCheckedBeforeAnyDraw:
+    # inside the ensemble each of these would fail every sample, and the
+    # failures would read as failures of local solvability (or of the tail)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"tol": 0.0},
+            {"tol": -1e-10},
+            {"max_iter": 0},
+            {"eps": 0.5},
+            {"taxis": TimeAxis(0.0, 4.0 / 256, 256)},
+            {"t_grid": [0.25, 0.0]},
+            {"t_grid": [0.25, -0.125]},
+            {"t_grid": [np.inf, 0.25]},
+            {"t_grid": [0.25, np.nan]},
+            {"n_samples": 99},
+        ],
+        ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
+    )
+    def test_exceptional_probability(self, bad):
+        sample = _lwp_preset_sampler()
+        args = dict(t_grid=[0.25, 0.125], n_samples=100, tol=1e-10,
+                    taxis=centered_axis(4.0, 256), xi_band=4.0, eps=EPS, max_iter=MAX_ITER,
+                    seed=0, threads=1)
+        with pytest.raises(ValueError) as err:
+            exceptional_probability(sample, **{**args, **bad})
+        assert type(err.value) is ValueError
+        assert sample.draws == []
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"q": 0.5},
+            {"q": np.inf},
+            {"r": 0.5},
+            {"t_grid": [0.125, 0.0, 0.5]},
+            {"t_grid": [0.125, 0.25, np.inf]},
+            {"n_time_samples": 0},
+            {"n_samples": 999},
+        ],
+        ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
+    )
+    def test_strichartz_scaling(self, bad):
+        sample = _lwp_preset_sampler()
+        args = dict(q=4.0, r=4.0, t_grid=[0.125, 0.25, 0.5], n_samples=1000, seed=0,
+                    n_time_samples=N_TIME_SAMPLES, threads=1)
+        with pytest.raises(ValueError) as err:
+            strichartz_scaling(sample, **{**args, **bad})
+        assert type(err.value) is ValueError
+        assert sample.draws == []
+
+    def test_counting_sampler_counts(self):
+        sample = _lwp_preset_sampler()
+        exceptional_probability(sample, [0.03125], 100, tol=1e-10,
+                                taxis=centered_axis(4.0, 256), xi_band=4.0, eps=EPS,
+                                max_iter=MAX_ITER, seed=0, threads=1)
+        assert len(sample.draws) == 100
 
 
 def _record_tuples(records):

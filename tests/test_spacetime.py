@@ -100,6 +100,11 @@ class TestTimeAxis:
         with pytest.raises(ValueError):
             centered_axis(4.0, 8)
 
+    @pytest.mark.parametrize("t_span", [0.0, -4.0, np.inf, np.nan])
+    def test_centered_rejects_span_not_positive_and_finite(self, t_span):
+        with pytest.raises(ValueError, match="t_span must be positive and finite"):
+            centered_axis(t_span, 16)
+
     def test_midpoint_axis_integrates_constants_exactly(self):
         ta = midpoint_axis(0.5, 10)
         assert ta.dt * ta.n_samples == pytest.approx(0.5)
