@@ -16,8 +16,9 @@ from gkdvlab.spacetime import centered_axis
 
 
 def banded_bump(grid, amplitude, band):
+    """Real data with a sharply truncated gaussian spectral envelope."""
     coeffs = amplitude * np.exp(-grid.xi**2) * (np.abs(grid.xi) <= band)
-    return Field(grid, grid.inverse(coeffs))
+    return Field.from_spectrum(grid, coeffs)
 
 
 def main():

@@ -14,7 +14,7 @@ import numpy as np
 from gkdvlab.config import load_config
 from gkdvlab.grid import field_from_function, make_grid
 from gkdvlab.io import write_csv
-from gkdvlab.montecarlo import make_lambda_grid, run_ensemble, strichartz_scaling, tail_fit
+from gkdvlab.montecarlo import run_ensemble, strichartz_scaling, tail_fit
 from gkdvlab.norms import sobolev_norm
 from gkdvlab.params import data_index
 from gkdvlab.wiener import sampler
@@ -37,7 +37,7 @@ def main(out_dir="out-tails", n_samples=10_000, seed=2026):
         threads=threads,
     )
     obs = np.array([r.values["hs"] for r in records if not r.blown_up])
-    fit = tail_fit(obs, make_lambda_grid(obs))
+    fit = tail_fit(obs)
     print(f"H^s tail: slope {fit.slope:.4f}, R^2 {fit.r_squared:.5f}, scale {fit.scale:.4f}")
     write_csv(
         out / "hs_tail.csv",

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, load_config, parse_float_list
-from .grid import Field, apply_multiplier, make_grid
+from .grid import Field, make_grid, spectral_values
 from .io import (
     diagnostics_rows,
     ensemble_table,
@@ -75,8 +75,9 @@ def build_data(cfg: dict) -> Field:
 
 
 def _band_limit(phi: Field, band: float) -> Field:
-    mask = (np.abs(phi.grid.xi) <= band).astype(np.float64)
-    return apply_multiplier(phi, mask)
+    """The real field with phi's spectrum on |xi| <= band, zero outside."""
+    mask = np.abs(phi.grid.xi) <= band
+    return Field.from_spectrum(phi.grid, spectral_values(phi) * mask)
 
 
 def _sampler(cfg: dict, phi: Field) -> Sampler:

@@ -10,8 +10,7 @@ each of its `check` calls (README lists the owner of every key), and
 reports its ValueError as one `[section] <library message>` problem.
 Written here are only the rules no library function owns: the [data]
 profile keys, parsing the t_grid lists and [estimates] ids, and the bounds
-of master_seed, threads, n_fields, n_trials, diag_stride and output_stride
-(0 means auto).
+of master_seed, threads, n_fields and n_trials.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from .montecarlo import (
 )
 from .params import validate_epsilon
 from .probes import _require_band_modes
-from .solver import _picard_arguments, _step_count
+from .solver import _picard_arguments, _require_stride, _step_count
 from .spacetime import centered_axis
 from .wiener import require_distribution
 
@@ -191,8 +190,9 @@ def _finalize(raw: dict, problems: list[str]) -> dict:
     if None not in (grid, taxis, eps):
         check("lwp", _picard_arguments, grid, taxis, lwp["tol"], lwp["max_iter"],
               lwp["xi_band"], eps)
-    # a negative output_stride is reported below; 0 means auto, as None does
-    check("simulate", _step_count, sim["t_end"], sim["dt"], max(sim["output_stride"], 0) or None)
+    # output_stride = 0 means auto, as None does
+    check("simulate", _step_count, sim["t_end"], sim["dt"], sim["output_stride"] or None)
+    check("simulate", _require_stride, "diag_stride", sim["diag_stride"])
 
     if raw["data"]["kind"] not in DATA_KINDS:
         problems.append(
@@ -213,8 +213,6 @@ def _finalize(raw: dict, problems: list[str]) -> dict:
         ("ensemble", "n_fields", 0),
         ("ensemble", "threads", 1),
         ("estimates", "n_trials", 1),
-        ("simulate", "output_stride", 0),
-        ("simulate", "diag_stride", 1),
     ):
         if not raw[sect][key] >= least:
             problems.append(f"[{sect}] {key} must be >= {least}")

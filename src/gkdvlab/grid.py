@@ -23,9 +23,9 @@ Along the time axis `spacetime` holds the transform pair; the Picard
 distance and its weight (`norms._lag_folded_weight`) run raw numpy FFTs
 there, since only |F|^2 against a weight enters them.
 The module also holds the `Field` type, whose dtype says whether a field is
-real (`is_real` is applied when a field is built from complex samples; one
-built by `Field.from_spectrum` from a Hermitian spectrum gets float64
-samples from `real_inverse` and is not scanned), and `apply_multiplier`.
+real and follows from how the field was built: float64 from real-typed
+samples or, through `Field.from_spectrum`, from a Hermitian spectrum (the
+`real_inverse` of its modes 0 .. N/2), complex128 from complex samples.
 """
 
 from __future__ import annotations
@@ -151,19 +151,12 @@ def make_grid(L: float, N: int) -> Grid:
     return Grid(half_length=float(L), n_modes=int(N))
 
 
-def is_real(values: np.ndarray) -> bool:
-    """Whether complex samples count as real data: max |imag| <= 1e-12 *
-    max |real|, with no absolute floor (that would drop the imaginary part
-    of a small field). `Field` applies it when a field is built from
-    complex samples. NaN samples do not fail it."""
-    return not np.abs(values.imag).max() > 1e-12 * np.abs(values.real).max()
-
-
 @dataclass(frozen=True)
 class Field:
-    """Physical samples u(x_j) on a grid, float64 when real: bool, integer
-    and floating samples, and complex ones that pass `is_real` (their real
-    part). Other complex samples are complex128. Consumers route by dtype.
+    """Physical samples u(x_j) on a grid: float64 from bool, integer and
+    floating samples, complex128 from complex ones whatever their imaginary
+    part. Consumers route by dtype, so real data built from a spectrum take
+    `Field.from_spectrum`, not the complex inverse.
 
     Immutable: `values` is stored read-only; all operations return new
     fields. A writeable or borrowed array is copied. A read-only array that
@@ -186,8 +179,6 @@ class Field:
                 f"values shape {v.shape} does not match grid with N={self.grid.n_modes}"
             )
         v = v.astype(np.float64 if v.dtype.kind in "biuf" else np.complex128, copy=False)
-        if v.dtype == np.complex128 and is_real(v):
-            v = v.real
         object.__setattr__(self, "values", _owned_readonly(v, self.values))
 
     @classmethod
@@ -269,9 +260,3 @@ def half_spectrum(f: Field) -> np.ndarray:
     if f._spectrum is not None:
         return f._spectrum[: f.grid.n_modes // 2 + 1]
     return f.grid.real_forward(f.values)
-
-
-def apply_multiplier(f: Field, symbol: np.ndarray) -> Field:
-    """Multiply the spectrum by `symbol` (given on grid.xi)."""
-    return Field(f.grid, _readonly(f.grid.inverse(spectral_values(f) * symbol)))
-

@@ -223,23 +223,6 @@ class TailFit:
         return float(np.sqrt(-1.0 / lo_slope)), float(np.sqrt(-1.0 / hi_slope))
 
 
-def _require_tail_samples(observations: np.ndarray) -> None:
-    """TailFitError unless a tail fit has TAIL_MIN_SAMPLES observations."""
-    n = np.size(observations)
-    if n < TAIL_MIN_SAMPLES:
-        raise TailFitError(f"tail fit needs >= {TAIL_MIN_SAMPLES} samples, got {n}")
-
-
-def make_lambda_grid(observations: np.ndarray) -> np.ndarray:
-    """LAMBDA_POINTS evenly spaced thresholds between the LAMBDA_QUANTILES
-    of the tail fit's observations (`_require_tail_samples`)."""
-    _require_tail_samples(observations)
-    lo, hi = (float(np.quantile(observations, q)) for q in LAMBDA_QUANTILES)
-    if not hi > lo:
-        raise TailFitError("degenerate observations: quantile range is empty")
-    return np.linspace(lo, hi, LAMBDA_POINTS)
-
-
 def line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
     """LS line of y against x: (slope, intercept, R^2, slope stderr)."""
     x = np.asarray(x, dtype=np.float64)
@@ -261,22 +244,21 @@ def line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
     return slope, intercept, r2, float(stderr)
 
 
-def tail_fit(observations: np.ndarray, lambda_grid: np.ndarray) -> TailFit:
-    """Fit log P(obs > lambda) against lambda^2 over the given thresholds.
+def tail_fit(observations: np.ndarray) -> TailFit:
+    """Fit log P(obs > lambda) against lambda^2 over LAMBDA_POINTS evenly
+    spaced thresholds lambda between the LAMBDA_QUANTILES of the
+    observations (`TailFit.lambdas`).
 
-    Requires TAIL_MIN_SAMPLES observations and a grid between the 50th and
-    99.5th percentiles; thresholds nobody exceeds are dropped.
+    Requires TAIL_MIN_SAMPLES observations and a nonempty quantile range,
+    else TailFitError; thresholds nobody exceeds are dropped from the fit.
     """
     obs = np.asarray(observations, dtype=np.float64)
-    _require_tail_samples(obs)
-    lam = np.asarray(lambda_grid, dtype=np.float64)
-    q50, q995 = np.quantile(obs, [0.5, 0.995])
-    pad = 1e-9 * max(1.0, abs(q995))
-    if lam.min() < q50 - pad or lam.max() > q995 + pad:
-        raise ValueError(
-            f"lambda grid [{lam.min():.4g}, {lam.max():.4g}] outside the sampled "
-            f"range [{q50:.4g}, {q995:.4g}] (50th..99.5th percentile)"
-        )
+    if obs.size < TAIL_MIN_SAMPLES:
+        raise TailFitError(f"tail fit needs >= {TAIL_MIN_SAMPLES} samples, got {obs.size}")
+    lo, hi = (float(np.quantile(obs, q)) for q in LAMBDA_QUANTILES)
+    if not hi > lo:
+        raise TailFitError("degenerate observations: quantile range is empty")
+    lam = np.linspace(lo, hi, LAMBDA_POINTS)
     probs = np.array([float(np.mean(obs > l)) for l in lam])
     keep = probs > 0.0
     if np.unique(probs[keep]).size < 2:
@@ -330,7 +312,7 @@ def scale_report_from_observations(
     t_values = sorted(obs_by_t)
     scales, los, his, used = [], [], [], []
     for t in t_values:
-        fit = tail_fit(obs_by_t[t], make_lambda_grid(obs_by_t[t]))
+        fit = tail_fit(obs_by_t[t])
         scales.append(fit.scale)
         lo, hi = fit.scale_interval()
         los.append(lo)

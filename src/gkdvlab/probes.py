@@ -324,7 +324,7 @@ def _banded_bump(grid: Grid, xi_band: float) -> Field:
     xi = grid.xi
     coeffs = np.exp(-(xi**2)) * (np.abs(xi) <= xi_band)
     norm = np.sqrt(grid.dxi * np.sum(coeffs**2))
-    return Field(grid, _readonly(grid.inverse(coeffs / norm)))
+    return Field.from_spectrum(grid, _readonly(coeffs / norm))
 
 
 def _require_known(ids: list[str], valid: list[str]) -> None:

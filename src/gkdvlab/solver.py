@@ -168,11 +168,19 @@ class Trajectory:
     first_bad_step: int | None = None
 
 
+def _require_stride(name: str, stride: int) -> None:
+    """ValueError unless a stride in steps is >= 1."""
+    if not stride >= 1:
+        raise ValueError(f"{name} must be >= 1, got {stride}")
+
+
 def _step_count(t_end: float, dt: float, output_stride: int | None) -> tuple[int, int]:
     """(n_steps, stride): t_end/dt as a whole number of steps, 1 .. 1e7, and
-    the trajectory's sampling stride, `output_stride`, which must divide
-    n_steps, or for None the largest divisor of n_steps that is at most
-    1/1024 of it, or 1; ValueError otherwise."""
+    the trajectory's sampling stride, `output_stride`, which must be >= 1
+    and divide n_steps, or for None the largest divisor of n_steps that is
+    at most 1/1024 of it, or 1; ValueError otherwise."""
+    if output_stride is not None:
+        _require_stride("output_stride", output_stride)
     if not dt > 0:
         raise ValueError("dt must be positive")
     n_steps_f = t_end / dt
@@ -210,20 +218,21 @@ def evolve_reference(
 
     t_end/dt must be a whole number of steps, and the trajectory is sampled
     every `output_stride` steps (`_step_count`); diagnostics are recorded
-    every `diag_stride` steps. `seed` is the master seed the trajectory
+    every `diag_stride` >= 1 steps. `seed` is the master seed the trajectory
     records (None: none). A non-finite state stops the run and flags the
     trajectory as blown up.
 
     The data must be real (a float64 `Field`) and finite. The state is the
-    coefficients of the modes 0 .. N/2 (`grid.real_forward`),
+    coefficients of the modes 0 .. N/2 (`half_spectrum`),
     the rows are its `grid.real_inverse`, and each state's padded samples
     are formed once, for its diagnostic and the next step's first stage.
     """
     n_steps, output_stride = _step_count(t_end, dt, output_stride)
+    _require_stride("diag_stride", diag_stride)
 
     grid = phi.grid
     _require_real_finite(phi, "evolve_reference")
-    hat = grid.real_forward(phi.values)
+    hat = half_spectrum(phi)
 
     lin = 1j * grid.xi[: grid.n_modes // 2 + 1] ** 3
     e_full = np.exp(dt * lin)

@@ -95,12 +95,15 @@ def _band_stack(grid: Grid, n_max: int) -> tuple[np.ndarray, np.ndarray]:
 def _require_covered(grid: Grid, hat: np.ndarray, n_max: int) -> None:
     """Raise ValueError unless the coefficient range |n| <= n_max covers the
     field with spectrum `hat`: the relative L^2 mass at frequencies where the
-    window sum falls below 1 must not exceed _STRAY_MASS_TOL."""
+    window sum falls below 1 must not exceed _STRAY_MASS_TOL. The masses are
+    taken relative to the peak mode, so that no square overflows."""
     _, cover = _band_stack(grid, n_max)
-    total_mass = float(np.sum(np.abs(hat) ** 2))
-    if total_mass > 0.0:
-        uncovered = cover < 1.0 - 1e-9
-        stray = float(np.sum(np.abs(hat[uncovered]) ** 2))
+    amplitude = np.abs(hat)
+    peak = amplitude.max()
+    if peak > 0.0:
+        mass = (amplitude / peak) ** 2
+        total_mass = float(np.sum(mass))
+        stray = float(np.sum(mass[cover < 1.0 - 1e-9]))
         if stray > _STRAY_MASS_TOL * total_mass:
             raise ValueError(
                 "spectral support of phi exceeds the coefficient range: "
@@ -139,9 +142,10 @@ def sampler(phi: Field, distribution: str, n_max: int | None = None) -> Sampler:
 
     Checks once that phi is real (float64; complex data raise ValueError),
     that the distribution is known, that n_max >= 1 and that the range
-    |n| <= n_max covers the spectral support of phi, and transforms phi
-    once. n_max=None takes the least range that covers the
-    modes of phi above 1e-13 times its peak mode.
+    |n| <= n_max covers the spectral support of phi, and reads phi's
+    spectrum once (`spectral_values`: the one it keeps when built from
+    it, else one transform). n_max=None takes the least range that covers
+    the modes of phi above 1e-13 times its peak mode.
     """
     if phi.values.dtype != np.float64:
         raise ValueError("sampler expects real data")

@@ -5,7 +5,6 @@ from gkdvlab.config import load_config
 from gkdvlab.grid import (
     Field,
     _readonly,
-    apply_multiplier,
     field_from_function,
     make_grid,
     spectral_values,
@@ -46,9 +45,10 @@ def bump(grid512):
 
 
 def banded_bump(grid, amplitude=1.0, band=2.0):
-    """Real data with a sharply truncated gaussian spectral envelope."""
+    """Real data with a sharply truncated gaussian spectral envelope, built
+    from (and keeping) that spectrum."""
     coeffs = amplitude * np.exp(-grid.xi**2) * (np.abs(grid.xi) <= band)
-    return Field(grid, grid.inverse(coeffs))
+    return Field.from_spectrum(grid, coeffs)
 
 
 def random_real_field(grid, seed):
@@ -62,12 +62,19 @@ def l2_norm(f):
     return float(np.sqrt(f.grid.dx * np.sum(np.abs(f.values) ** 2)))
 
 
+def multiply(f, symbol):
+    """The Fourier multiplier `symbol` (given on grid.xi) applied to f: the
+    complex samples of the inverse of the product, whatever its symmetry.
+    Real data with a Hermitian product take `Field.from_spectrum` instead."""
+    return Field(f.grid, f.grid.inverse(spectral_values(f) * symbol))
+
+
 def airy_propagate(f, t):
     """Free dispersive flow at one time: multiply each mode by exp(i t xi^3).
 
     Unit-modulus symbol, so every H^s norm is preserved exactly.
     """
-    return apply_multiplier(f, np.exp(1j * t * f.grid.xi**3))
+    return multiply(f, np.exp(1j * t * f.grid.xi**3))
 
 
 def free_coeffs(phi, taxis, profile=None):

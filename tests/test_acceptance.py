@@ -23,7 +23,6 @@ from gkdvlab.grid import (
 from gkdvlab.montecarlo import (
     exceptional_probability,
     line_fit,
-    make_lambda_grid,
     run_ensemble,
     strichartz_scaling,
     tail_fit,
@@ -181,13 +180,13 @@ def test_criterion_06_tail_shape():
         threads=1,
     )
     obs = np.array([r.values["hs"] for r in records if not r.blown_up])
-    fit = tail_fit(obs, make_lambda_grid(obs))
+    fit = tail_fit(obs)
 
     rng = np.random.default_rng(0)
     synth = np.abs(rng.standard_normal(100_000))
-    lam = make_lambda_grid(synth)
+    synth_fit = tail_fit(synth)
+    lam = synth_fit.lambdas
     oracle_slope, _, _, _ = line_fit(lam**2, np.log([erfc(l / np.sqrt(2.0)) for l in lam]))
-    synth_fit = tail_fit(synth, lam)
     synth_dev = abs(synth_fit.slope - oracle_slope) / abs(oracle_slope)
 
     ok = fit.slope < 0 and fit.r_squared >= 0.9 and synth_dev <= 0.10
@@ -228,10 +227,8 @@ def test_criterion_08_local_solvability_trend():
     # bounded (rademacher) coefficients so the failure boundary is crossed
     # at large T but unreachable at T = 1/32
     g = make_grid(16.0, 64)
-    from gkdvlab.grid import apply_multiplier
-
     raw = field_from_function(g, lambda x: 1.8 * np.exp(-(x**2)))
-    phi = apply_multiplier(raw, (np.abs(g.xi) <= 2.0).astype(float))
+    phi = Field.from_spectrum(g, spectral_values(raw) * (np.abs(g.xi) <= 2.0))
     ta = centered_axis(4.0, 256)
     rep = exceptional_probability(
         sampler(phi, "rademacher"),

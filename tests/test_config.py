@@ -192,6 +192,8 @@ def _grid(cfg):
         ("simulate", "t_end", "0", _simulate),
         ("simulate", "t_end", "0.00015", _simulate),
         ("simulate", "output_stride", "3", _simulate),
+        ("simulate", "output_stride", "-1", _simulate),
+        ("simulate", "diag_stride", "0", _simulate),
     ],
 )
 def test_config_reports_the_library_message(section, key, value, run):

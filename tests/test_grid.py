@@ -7,16 +7,16 @@ from gkdvlab.grid import (
     SQRT_2PI,
     Field,
     _phase,
-    apply_multiplier,
     field_from_function,
     half_spectrum,
-    is_real,
     make_grid,
     spectral_values,
 )
+from gkdvlab.cli import _band_limit
 from gkdvlab.norms import sobolev_norm
+from gkdvlab.probes import _banded_bump
 
-from conftest import airy_propagate, l2_norm, random_real_field
+from conftest import airy_propagate, l2_norm, multiply, random_real_field
 
 
 class TestMakeGrid:
@@ -182,36 +182,20 @@ class TestCarriedSpectrum:
         assert np.array_equal(half_spectrum(f), grid64.real_forward(f.values))
 
 
-class TestIsReal:
-    @pytest.mark.parametrize(
-        "imag,expected", [(0.0, True), (5e-10, True), (2e-9, False), (np.nan, True)]
-    )
-    def test_relative_to_the_real_peak(self, imag, expected):
-        # the rule: max |imag| <= 1e-12 * max |real|; NaN does not fail it
-        values = np.array([1000.0, -3.0, 0.5]) + 1j * np.array([0.0, imag, 0.0])
-        assert is_real(values) is expected
+class TestDtypeByConstruction:
+    """A field's dtype follows from how it was built, not from its values."""
 
-    def test_no_absolute_floor(self):
-        assert is_real(np.array([1e-3 + 1e-15j]))
-        assert not is_real(np.array([1e-3 + 2e-15j]))
-        assert not is_real(np.array([1e-11j, 0.0]))
-        assert is_real(np.zeros(3, np.complex128))
-
-    def test_field_stores_samples_within_the_tolerance_as_their_real_part(self, grid64):
-        values = random_real_field(grid64, 4).values + 1e-12j
-        f = Field(grid64, values)
-        assert f.values.dtype == np.float64
-        assert np.array_equal(f.values, values.real)
-
-    def test_field_keeps_samples_outside_the_tolerance_complex(self, grid64):
-        values = random_real_field(grid64, 4).values + 1e-6j
+    @pytest.mark.parametrize("imag", [1e-15, 1e-6])
+    def test_complex_samples_stay_complex(self, grid64, imag):
+        # however small the imaginary part: no tolerance turns samples real
+        values = random_real_field(grid64, 4).values + 1j * imag
         f = Field(grid64, values)
         assert f.values.dtype == np.complex128
         assert np.array_equal(f.values, values)
 
     def test_carried_spectrum_survives_the_conversion(self, grid64):
-        # the complex inverse leaves round-off in the imaginary part; the
-        # field built from the spectrum takes the real inverse and scans none
+        # the complex inverse leaves round-off in the imaginary part, which
+        # a complex field keeps; the field built from the spectrum is real
         hat = spectral_values(random_real_field(grid64, 5))
         samples = grid64.inverse(hat)
         assert np.any(samples.imag != 0.0)
@@ -221,6 +205,51 @@ class TestIsReal:
         assert np.max(np.abs(f.values - samples.real)) <= 1e-15 * np.max(np.abs(samples))
         assert np.array_equal(spectral_values(f), hat)
         assert np.array_equal(half_spectrum(f), hat[:33])
+
+
+def _former_real_samples(grid, hat):
+    """The former builder of real data from a Hermitian spectrum: the
+    complex inverse, stored as its real part when max |imag| <= 1e-12
+    max |real| (the realness tolerance `Field` applied)."""
+    samples = grid.inverse(hat)
+    if not np.abs(samples.imag).max() > 1e-12 * np.abs(samples.real).max():
+        samples = samples.real
+    return samples
+
+
+class TestBandLimitedBuilders:
+    """`cli._band_limit` and `probes._banded_bump` build real fields from
+    their spectra; their samples are the former complex-inverse ones to
+    round-off, and the fields keep that spectrum."""
+
+    @staticmethod
+    def _assert_matches_former(f, hat):
+        former = _former_real_samples(f.grid, hat)
+        assert former.dtype == np.float64  # the former tolerance made them real
+        assert f.values.dtype == np.float64
+        assert np.max(np.abs(f.values - former)) <= 1e-15 * np.max(np.abs(former))
+        assert np.array_equal(spectral_values(f), hat)
+
+    @pytest.mark.parametrize(
+        "half_length,n_modes,amplitude,band",
+        [
+            (16.0, 64, 1.8, 2.0),  # the lwp preset and the lwp-picard workload
+            (32.0, 512, 1.0, 2.0),
+            (16.0, 64, 1.0, 10.0),  # wider than the grid: the Nyquist mode kept
+        ],
+    )
+    def test_band_limit(self, half_length, n_modes, amplitude, band):
+        grid = make_grid(half_length, n_modes)
+        phi = field_from_function(grid, lambda x: amplitude * np.exp(-(x**2)))
+        hat = spectral_values(phi) * (np.abs(grid.xi) <= band).astype(np.float64)
+        self._assert_matches_former(_band_limit(phi, band), hat)
+
+    @pytest.mark.parametrize("n_modes", [64, 128])  # the probe preset and its doubling
+    def test_banded_bump(self, n_modes):
+        grid = make_grid(8.0, n_modes)
+        coeffs = np.exp(-(grid.xi**2)) * (np.abs(grid.xi) <= 3.5)
+        hat = coeffs / np.sqrt(grid.dxi * np.sum(coeffs**2))
+        self._assert_matches_former(_banded_bump(grid, 3.5), hat)
 
 
 class TestAiryPropagate:
@@ -251,16 +280,16 @@ class TestAiryPropagate:
 
 def _bessel(f, s):
     """The Bessel potential <D>^s: spectrum times (1 + xi^2)^(s/2)."""
-    return apply_multiplier(f, (1.0 + f.grid.xi**2) ** (s / 2.0))
+    return multiply(f, (1.0 + f.grid.xi**2) ** (s / 2.0))
 
 
 def _derivative(f, order=1):
     """The spectral derivative: spectrum times (i xi)^order."""
-    return apply_multiplier(f, (1j * f.grid.xi) ** order)
+    return multiply(f, (1j * f.grid.xi) ** order)
 
 
 class TestBesselMultiplier:
-    """`apply_multiplier` with the Bessel symbol <xi>^s."""
+    """`multiply` with the Bessel symbol <xi>^s."""
 
     def test_order_zero_identity(self, bump):
         out = _bessel(bump, 0.0)
@@ -279,7 +308,7 @@ class TestBesselMultiplier:
 
 
 class TestDerivative:
-    """`apply_multiplier` with the derivative symbols (i xi)^k, the x
+    """`multiply` with the derivative symbols (i xi)^k, the x
     derivatives of the equation."""
 
     def test_sin_to_cos(self):

@@ -15,16 +15,15 @@ from gkdvlab import wiener
 from gkdvlab.grid import (
     Field,
     Grid,
-    apply_multiplier,
     field_from_function,
     make_grid,
     spectral_values,
 )
 from gkdvlab.io import ensemble_table
 from gkdvlab.montecarlo import (
+    TailFitError,
     exceptional_probability,
     line_fit,
-    make_lambda_grid,
     picard_failed,
     run_ensemble,
     scale_report_from_observations,
@@ -32,7 +31,7 @@ from gkdvlab.montecarlo import (
     tail_fit,
     wilson_interval,
 )
-from gkdvlab.cli import build_data
+from gkdvlab.cli import _band_limit, build_data
 from gkdvlab.config import load_config, parse_float_list
 from gkdvlab.norms import AliasingError, mixed_norm, sobolev_norm
 from gkdvlab.solver import picard_solve
@@ -147,7 +146,7 @@ def test_tail_path_matches_former_chain(seed):
         new = np.array([r.values[f"T={t!r}"] for r in report.records])
         assert np.max(np.abs(new - former[t]) / former[t]) <= 1e-13
         # identical exceedance counts, each on its own threshold grid
-        fits = [tail_fit(obs, make_lambda_grid(obs)) for obs in (new, former[t])]
+        fits = [tail_fit(obs) for obs in (new, former[t])]
         assert np.array_equal(fits[0].probs, fits[1].probs)
 
 
@@ -251,7 +250,7 @@ class TestWorkerProcesses:
     def test_lwp_records_equal_across_worker_counts(self, grid64):
         # the lwp preset's data: some samples fail at T = 1/4
         raw = field_from_function(grid64, lambda x: 1.8 * np.exp(-(x**2)))
-        phi = apply_multiplier(raw, (np.abs(grid64.xi) <= 2.0).astype(float))
+        phi = _band_limit(raw, 2.0)
         reports = [
             exceptional_probability(
                 sampler(phi, "rademacher"), [0.25, 0.03125], 100, tol=1e-10,
@@ -312,30 +311,24 @@ class TestTailFit:
         # over the same thresholds; the empirical fit must land within 10%
         rng = np.random.default_rng(0)
         obs = np.abs(rng.standard_normal(100_000))
-        lam = make_lambda_grid(obs)
+        fit = tail_fit(obs)
+        lam = fit.lambdas
         oracle_slope, _, oracle_r2, _ = line_fit(
             lam**2, np.log([erfc(l / np.sqrt(2.0)) for l in lam])
         )
-        fit = tail_fit(obs, lam)
         assert oracle_slope < 0
         assert abs(fit.slope - oracle_slope) <= 0.10 * abs(oracle_slope)
         assert fit.r_squared >= 0.9 and oracle_r2 >= 0.99
 
     def test_constant_observable_degenerate(self):
         obs = np.ones(2000)
-        with pytest.raises(ValueError):
-            tail_fit(obs, np.linspace(0.9, 1.1, 5))
-
-    def test_grid_outside_sampled_range_rejected(self):
-        rng = np.random.default_rng(1)
-        obs = np.abs(rng.standard_normal(2000))
-        with pytest.raises(ValueError):
-            tail_fit(obs, np.linspace(0.01, 0.02, 5))
+        with pytest.raises(TailFitError, match="quantile range is empty"):
+            tail_fit(obs)
 
     def test_needs_thousand_samples(self):
         obs = np.abs(np.random.default_rng(2).standard_normal(500))
-        with pytest.raises(ValueError):
-            tail_fit(obs, np.linspace(1.0, 2.0, 5))
+        with pytest.raises(TailFitError, match="needs >= 1000 samples, got 500"):
+            tail_fit(obs)
 
     def test_records_interface(self, grid64):
         phi = banded_bump(grid64, band=3.0)
@@ -344,7 +337,7 @@ class TestTailFit:
             threads=1,
         )
         obs = np.array([r.values["hs"] for r in recs if not r.blown_up])
-        fit = tail_fit(obs, make_lambda_grid(obs))
+        fit = tail_fit(obs)
         assert fit.slope < 0
         assert fit.n_samples == 1200
 
@@ -497,8 +490,9 @@ class TestExceptionalProbability:
                                     max_iter=MAX_ITER, seed=0, threads=1)
 
     def test_phi_transformed_and_checked_once_over_four_T(self, grid64, monkeypatch):
-        # one sampler serves every T of the sweep
-        phi = banded_bump(grid64, amplitude=0.5, band=2.0)
+        # one sampler serves every T of the sweep; the data are given as
+        # samples, so that they have a transform to count
+        phi = Field(grid64, banded_bump(grid64, amplitude=0.5, band=2.0).values)
         transforms, checks = [], []
         forward, covered = Grid.forward, wiener._require_covered
 
@@ -583,11 +577,23 @@ def _exceptional_probability(cfg, sample, threads):
 
 
 def _distinct_spectra(sample, n_samples, seed):
-    return len({spectral_values(sample(child_seed(seed, k))).tobytes() for k in range(n_samples)})
+    """The distinct spectra among n_samples, compared by value: adding 0.0
+    turns -0.0 into +0.0 (a zero mode of the data takes its sign from g)."""
+    return len(
+        {(spectral_values(sample(child_seed(seed, k))) + 0.0).tobytes() for k in range(n_samples)}
+    )
 
 
-def _distinct_coefficients(sample, n_samples, seed):
-    return len({sample.coefficients(child_seed(seed, k)).tobytes() for k in range(n_samples)})
+def _distinct_coefficients(sample, n_samples, seed, windows=slice(None)):
+    """The distinct draws of g among n_samples, compared on `windows`."""
+    return len(
+        {sample.coefficients(child_seed(seed, k))[windows].tobytes() for k in range(n_samples)}
+    )
+
+
+def _live_windows(sample):
+    """The windows psi(xi - n) that reach a nonzero mode of the data."""
+    return np.flatnonzero(np.any(sample.stack[:, sample.hat != 0.0] > 0.0, axis=1))
 
 
 @pytest.fixture(scope="module", params=[42, 7])
@@ -643,7 +649,10 @@ class TestDistinctDraws:
             return {"l2": l2_norm(f)}
 
         records = run_ensemble(sample, 60, counted, seed=4, threads=1)
-        expected = {"ones": 1, "rademacher": _distinct_spectra(sample, 60, 4), "gaussian": 60}
+        # once per distinct g: the draws whose g differ only on the outermost
+        # windows, which miss the band-limited spectrum, share a spectrum
+        # but are evaluated apart (see the lwp-picard test below)
+        expected = {"ones": 1, "rademacher": _distinct_coefficients(sample, 60, 4), "gaussian": 60}
         assert len(calls) == expected[distribution]
         if distribution == "rademacher":
             assert 1 < len(calls) < 60
@@ -709,13 +718,21 @@ class TestDistinctDraws:
 
     @pytest.mark.parametrize("seed, solves", [(42, 266), (7, 275)])
     def test_distinct_coefficients_are_distinct_spectra(self, seed, solves):
-        # on the lwp-picard workload config, per T
+        # on the lwp-picard workload config, per T. Its data keep their
+        # band-limited spectrum, whose exact zeros the windows |n| = n_max
+        # never reach: g distinct on the other windows are distinct spectra,
+        # and draws that differ only on those two share a spectrum, yet are
+        # keyed, and solved, apart
         cfg, sample = _lwp_picard(seed)
+        live = _live_windows(sample)
+        assert np.array_equal(live, np.arange(1, 2 * sample.n_max))
         counts = []
         for k in range(len(parse_float_list(cfg["lwp"]["t_grid"]))):
             ensemble_seed = child_seed(seed, k)
             counts.append(_distinct_coefficients(sample, 100, ensemble_seed))
-            assert counts[-1] == _distinct_spectra(sample, 100, ensemble_seed)
+            spectra = _distinct_spectra(sample, 100, ensemble_seed)
+            assert _distinct_coefficients(sample, 100, ensemble_seed, live) == spectra
+            assert spectra < counts[-1]
         assert sum(counts) == solves
 
     def test_one_pool_serves_every_T(self, grid64, monkeypatch):

@@ -8,9 +8,11 @@ public name or config key fails here instead of at the next experiment.
 import runpy
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gkdvlab.config import load_config
+from gkdvlab.grid import make_grid
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "configs").glob("*.ini"))
@@ -32,3 +34,11 @@ def test_tail_study_runs(tmp_path):
     main(tmp_path, n_samples=1000)
     assert (tmp_path / "hs_tail.csv").read_text().startswith("lambda,lambda_sq,")
     assert (tmp_path / "scales.csv").read_text().startswith("T,scale,")
+
+
+def test_cross_validation_data_are_real():
+    # `picard_solve` and `evolve_reference` take real (float64) data only
+    script = runpy.run_path(str(ROOT / "scripts" / "cross_validate_solvers.py"), run_name="smoke")
+    grid = make_grid(32.0, 512)
+    phi = script["banded_bump"](grid, amplitude=1.0, band=2.0)
+    assert phi.values.dtype == np.float64

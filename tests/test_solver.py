@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkdvlab import grid as grid_module
 from gkdvlab import solver
 from gkdvlab.cli import _sampler, build_data
 from gkdvlab.config import load_config, parse_float_list
-from gkdvlab.grid import SQRT_2PI, Field, Grid, field_from_function, make_grid
+from gkdvlab.grid import SQRT_2PI, Field, Grid, field_from_function, make_grid, spectral_values
 from gkdvlab.norms import AliasingError, _half_xsb_weight, _xsb_power, _xsb_sum, xsb_norm
 from gkdvlab.params import b_index, sigma_index
 from gkdvlab.solver import (
@@ -275,6 +274,24 @@ class TestEvolveReference:
         with pytest.raises(ValueError):
             evolve_reference(phi, 1.0, 3e-4, output_stride=None, diag_stride=1, seed=None)
 
+    @pytest.mark.parametrize(
+        "output_stride, diag_stride, message",
+        [
+            (None, 0, "diag_stride must be >= 1, got 0"),
+            (None, -2, "diag_stride must be >= 1, got -2"),
+            (-5, 1, "output_stride must be >= 1, got -5"),  # -5 divides the 10 steps
+            (0, 1, "output_stride must be >= 1, got 0"),
+        ],
+    )
+    def test_strides_checked_at_entry(self, grid64, monkeypatch, output_stride, diag_stride,
+                                      message):
+        # refused before the data are read, let alone a step taken
+        monkeypatch.setattr(solver, "_require_real_finite", _must_not_run)
+        phi = banded_bump(grid64)
+        with pytest.raises(ValueError, match=message):
+            evolve_reference(phi, 1e-3, 1e-4, output_stride=output_stride,
+                             diag_stride=diag_stride, seed=None)
+
 
 def _full_spectrum_nonlinearity(grid, hat):
     """The former kernel on all N coefficients: padded samples from the
@@ -487,12 +504,10 @@ def _full_axis_picard(phi, T, tol, max_iter, ta, xi_band, eps):
     }
 
 
-def _spectral_bump(grid, amplitude, band):
-    """`banded_bump`'s data built from its spectrum, as the ensemble's
-    samples are, so that `picard_solve` and the oracle read the same
-    coefficients."""
-    coeffs = amplitude * np.exp(-grid.xi**2) * (np.abs(grid.xi) <= band)
-    return Field.from_spectrum(grid, coeffs)
+def _sampled_bump(grid, amplitude, band):
+    """`banded_bump`'s data given as samples alone, as `io.load_field` gives
+    them, so that `picard_solve` transforms them."""
+    return Field(grid, banded_bump(grid, amplitude, band).values)
 
 
 def _assert_matches_oracle(res, ref, from_samples=False):
@@ -540,7 +555,7 @@ class TestWindowedPicard:
         # the data given as samples, as `io.load_field` gives them, and
         # built from their spectrum, as the ensemble's samples are
         ta = centered_axis(4.0, 256)
-        for from_samples, make in ((True, banded_bump), (False, _spectral_bump)):
+        for from_samples, make in ((True, _sampled_bump), (False, banded_bump)):
             phi = make(grid64, amplitude, 2.0)
             res = picard_solve(phi, T, tol=1e-10, max_iter=25, taxis=ta, xi_band=4.0, eps=EPS)
             ref = _full_axis_picard(phi, T, 1e-10, 25, ta, 4.0, EPS)
@@ -582,7 +597,7 @@ class TestWindowedPicard:
         # runs on where the differences stay narrow.
         ta = centered_axis(4.0, 256)
         xi_band = grid64.xi_max
-        for make in (banded_bump, _spectral_bump):
+        for make in (_sampled_bump, banded_bump):
             phi = make(grid64, amplitude, band)
             if oracle_aliases:
                 with pytest.raises(AliasingError):
@@ -601,7 +616,7 @@ class TestWindowedPicard:
         # the kernel's Nyquist mode is zero, so every iterate's is, even when
         # the data carry one; the distance's band leaves that column out
         if data == "bump":
-            phi = _spectral_bump(grid64, 1.8, 2.0)
+            phi = banded_bump(grid64, 1.8, 2.0)
         else:
             phi = Field(grid64, 0.2 * random_real_field(grid64, 3).values)
         ta = centered_axis(4.0, 256)
@@ -911,19 +926,21 @@ class TestPicardSolve:
 
 
 def test_realness_is_decided_once_per_sample(grid64, monkeypatch):
-    # the sampler takes real data only and builds float64 samples from the
-    # half spectrum, so a draw scans nothing; the free flow and both
-    # solvers read the dtype and scan nothing either
+    # the sampler takes real data only and builds each float64 sample from
+    # its Hermitian spectrum, which the sample keeps; the free flow and both
+    # solvers read the dtype and that spectrum, and transform no samples
     phi = banded_bump(grid64, amplitude=1.0, band=2.0)
     sample = sampler(phi, "gaussian", 3)
-    calls = []
-    scan = grid_module.is_real
-    monkeypatch.setattr(grid_module, "is_real", lambda v: calls.append(1) or scan(v))
+    monkeypatch.setattr(Grid, "forward", _must_not_run)
+    monkeypatch.setattr(Grid, "real_forward", _must_not_run)
     phi_omega = sample(5)
-    assert len(calls) == 0 and phi_omega.values.dtype == np.float64
+    assert phi_omega.values.dtype == np.float64
+    g = sample.coefficients(5)
+    assert np.array_equal(spectral_values(phi_omega), sample.hat * (g @ sample.stack))
     for T in (0.125, 0.25, 0.5):
-        free_evolution(phi_omega, midpoint_axis(T, 16))
-    picard_solve(phi_omega, 0.125, tol=1e-10, max_iter=3, taxis=centered_axis(4.0, 256),
-                 xi_band=4.0, eps=EPS)
-    evolve_reference(phi_omega, 0.01, 1e-3, output_stride=None, diag_stride=1, seed=None)
-    assert len(calls) == 0
+        assert free_evolution(phi_omega, midpoint_axis(T, 16)).values.dtype == np.float64
+    res = picard_solve(phi_omega, 0.125, tol=1e-10, max_iter=3, taxis=centered_axis(4.0, 256),
+                       xi_band=4.0, eps=EPS)
+    assert res.v.values.dtype == res.z.values.dtype == np.float64
+    traj = evolve_reference(phi_omega, 0.01, 1e-3, output_stride=None, diag_stride=1, seed=None)
+    assert traj.u.values.dtype == np.float64

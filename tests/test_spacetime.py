@@ -194,9 +194,7 @@ class TestSpaceTimeTransforms:
          (np.complex128, np.complex128)],
     )
     def test_real_samples_stay_real(self, given, kept):
-        # one dtype table for both field types; the complex samples are truly
-        # complex, since a Field stores complex samples that pass `is_real`
-        # as float64
+        # one dtype table for both field types: complex samples stay complex
         for kind, shape in (("field", (16,)), ("spacetime", (16, 16))):
             values = np.full(shape, 1 + 1j if np.dtype(given).kind == "c" else 1, given)
             assert _make_field(kind, values).values.dtype == kept
@@ -245,8 +243,8 @@ class TestFreeEvolution:
     def test_real_route_is_real_part_of_complex_route(self, grid64, carried):
         # the former route: the complex pair on all N modes, whatever the data
         phi = banded_bump(grid64, band=3.0)
-        if carried:
-            phi = Field.from_spectrum(grid64, spectral_values(phi))
+        if not carried:
+            phi = Field(grid64, phi.values)
         ta = centered_axis(2.0, 32)
         cut = Cutoff(0.25)
         z = free_evolution(phi, ta, cutoff=cut)

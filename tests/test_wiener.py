@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,6 @@ from scipy.integrate import quad
 
 from gkdvlab.grid import (
     Field,
-    apply_multiplier,
     field_from_function,
     half_spectrum,
     make_grid,
@@ -22,7 +23,7 @@ from gkdvlab.wiener import (
     sampler,
 )
 
-from conftest import airy_propagate, banded_bump, l2_norm
+from conftest import airy_propagate, banded_bump, l2_norm, multiply
 
 
 class TestWindow:
@@ -55,7 +56,7 @@ class TestProjectBand:
         f = banded_bump(grid64, band=3.0)
         hat = spectral_values(f)
         rows = _band_stack(grid64, 4)[0]
-        total = sum(spectral_values(apply_multiplier(f, row)) for row in rows)
+        total = sum(spectral_values(multiply(f, row)) for row in rows)
         assert np.max(np.abs(total - hat)) <= 1e-12 * np.max(np.abs(hat))
 
     def test_support_selects_two_bands(self, grid64):
@@ -66,7 +67,9 @@ class TestProjectBand:
 
     def test_commutes_with_airy(self, grid64):
         f = banded_bump(grid64, band=3.0)
-        a = sampler(airy_propagate(f, 0.7), "gaussian", 4)(2)
+        # the Airy flow of real data, which the sampler takes
+        flowed = Field.from_spectrum(grid64, spectral_values(f) * np.exp(0.7j * grid64.xi**3))
+        a = sampler(flowed, "gaussian", 4)(2)
         b = airy_propagate(sampler(f, "gaussian", 4)(2), 0.7)
         scale = max(np.max(np.abs(a.values)), 1e-30)
         assert np.max(np.abs(a.values - b.values)) <= 1e-12 * scale
@@ -203,6 +206,17 @@ class TestRandomize:
         with pytest.raises(ValueError, match="unknown distribution 'cauchy'"):
             sampler(f, "cauchy", 5)
 
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    def test_coverage_of_data_near_the_float_limit(self, action):
+        # the masses are relative to the peak mode: the squares of 1e300
+        # would overflow, and an infinite total mass no stray mass exceeds
+        grid = make_grid(16.0, 128)
+        phi = field_from_function(grid, lambda x: 1e300 * np.exp(-(x**2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            with pytest.raises(ValueError, match="exceeds the coefficient range"):
+                sampler(phi, "gaussian", 1)
+
     @pytest.mark.parametrize("n_modes,seed", [(128, 1), (512, 2)])
     def test_matches_former_multiplier_route(self, n_modes, seed):
         # the former route: the multiplier through the samples, phi
@@ -211,10 +225,12 @@ class TestRandomize:
         phi = field_from_function(grid, lambda x: np.exp(-(x**2)))
         g = sample_coefficients("gaussian", seed, 8)
         stack = _band_stack(grid, 8)[0]
-        old = apply_multiplier(phi, g @ stack)
+        old = multiply(phi, g @ stack).values
         new = sampler(phi, "gaussian", 8)(seed)
-        scale = np.max(np.abs(old.values))
-        assert np.max(np.abs(new.values - old.values)) <= 1e-15 * scale
+        scale = np.max(np.abs(old))
+        # the former samples: the real part, within the former realness tolerance
+        assert np.max(np.abs(old.imag)) <= 1e-12 * scale
+        assert np.max(np.abs(new.values - old.real)) <= 1e-15 * scale
         # the field carries its spectrum, the one product
         assert np.array_equal(spectral_values(new), spectral_values(phi) * (g @ stack))
 
@@ -255,7 +271,7 @@ class TestRandomize:
         for k in range(n_samples):
             vals[k] = l2_norm(sample(k)) ** 2
         rows = _band_stack(grid512, 16)[0]
-        band_sum = sum(l2_norm(apply_multiplier(bump, row)) ** 2 for row in rows)
+        band_sum = sum(l2_norm(multiply(bump, row)) ** 2 for row in rows)
         se = vals.std() / np.sqrt(n_samples)
         assert abs(vals.mean() - band_sum) <= 3.0 * se
 
