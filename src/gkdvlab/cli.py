@@ -31,7 +31,7 @@ from .io import (
 from .montecarlo import TailFitError, exceptional_probability, strichartz_scaling
 from .norms import AliasingError, sobolev_norm
 from .params import data_index
-from .probes import ProbeResolution, _require_known, estimate_ids, run_estimates
+from .probes import CutoffBoxError, ProbeResolution, _require_known, estimate_ids, run_estimates
 from .solver import evolve_reference
 from .spacetime import centered_axis
 from .streams import child_seed
@@ -223,7 +223,6 @@ def cmd_verify_estimates(cfg: dict, args) -> int:
         _require_known(ids, valid)
     except KeyError as exc:
         raise ConfigError([exc.args[0]]) from exc
-    out = _out_dir(cfg, args)
     resolution = ProbeResolution(
         n_modes=est["n_modes"],
         half_length=est["half_length"],
@@ -238,6 +237,7 @@ def cmd_verify_estimates(cfg: dict, args) -> int:
         n_trials=est["n_trials"],
         seed=cfg["random"]["master_seed"],
     )
+    out = _out_dir(cfg, args)
     artifacts = []
     summary = []
     for eid in ids:
@@ -309,7 +309,7 @@ def main(argv: list[str] | None = None) -> int:
     except TailFitError as exc:
         print(f"no tail fit: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except AliasingError as exc:
+    except (AliasingError, CutoffBoxError) as exc:
         print(f"estimate-probe precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

@@ -1,8 +1,8 @@
 """Run configuration: an INI-style file with typed, strictly validated keys.
 
-Every key has a default; unknown sections or keys are hard errors, and all
-validation failures are reported at once. The analysis exponents are not
-keys: every consumer derives them from epsilon (see `params`).
+Every key has a default; unknown sections or keys are hard errors, and the
+first failure of every check is reported at once. The analysis exponents
+are not keys: every consumer derives them from epsilon (see `params`).
 
 A range rule on a run value lives in the library function that relies on
 it and checks it at entry. `_finalize` calls that same function, named in

@@ -9,19 +9,18 @@ as Riemann sums, so that grid norms approximate their continuum values:
     u(x_j)      = dxi/sqrt(2*pi) * sum_k u_hat(xi_k) exp(i x_j xi_k),
 
 with xi_k = pi*k/L for k = -N/2 .. N/2-1 (stored in FFT order).
-The `Grid` methods `forward`, `inverse`, the real pair `real_forward`/
-`real_inverse` (real samples and the modes k = 0 .. N/2), and
-`from_dft`/`to_dft` (between these coefficients and raw DFT ones) are the
-one place this convention is written down; other modules transform the x
-axis through them, except three kernels on raw numpy FFTs:
-`norms.bilinear_multiplier` (scale and phase cancel in its convolution),
-the solver's padded product, whose tables come from `to_dft`/`from_dft`,
-and the real route of `spacetime.free_evolution`, whose cached propagator
-table carries `real_inverse`'s phase (-1)^k and which applies the grid's
-`inverse_scale` after its `irfft`.
-Along the time axis `spacetime` holds the transform pair; the Picard
-distance and its weight (`norms._lag_folded_weight`) run raw numpy FFTs
-there, since only |F|^2 against a weight enters them.
+The `Grid` methods are the one transform layer: `forward`/`inverse` hold
+this convention, whose phase exp(-i x0 xi_k) = (-1)^k comes from the first
+sample x0 = -L, and the real pair `real_forward`/`real_inverse` (real
+samples and the modes k = 0 .. N/2) is translation-free, the plain scaled
+real FFTs, with coefficients about the box's left edge, (-1)^k u_hat(xi_k).
+All the solvers and the free flow do with these is translation-invariant,
+so the phase enters only where a spectrum becomes a half spectrum
+(`Field.from_spectrum`, `half_spectrum`). A centred time axis is the
+periodic grid of its samples and transforms through `forward`/`inverse`.
+Raw numpy FFTs elsewhere only meet round trips, products or |F|^2, where
+scale and phase cancel: `solver._fine_samples`, `_nonlinearity` and
+`_WindowPlan.distance`, `norms._lag_folded_weight` and `bilinear_multiplier`.
 The module also holds the `Field` type, whose dtype says whether a field is
 real and follows from how the field was built: float64 from real-typed
 samples or, through `Field.from_spectrum`, from a Hermitian spectrum (the
@@ -90,22 +89,10 @@ class Grid:
         inverse DFT (whose own 1/N it cancels)."""
         return self.dxi * self.n_modes / SQRT_2PI
 
-    def from_dft(self, raw: np.ndarray) -> np.ndarray:
-        """Transform-convention coefficients from raw DFT coefficients.
-
-        Scales and phase-corrects the last axis; leading axes are a batch.
-        """
-        return (self.dx / SQRT_2PI) * _phase(self.n_modes) * raw
-
-    def to_dft(self, coeffs: np.ndarray) -> np.ndarray:
-        """Raw DFT coefficients from transform-convention ones (the inverse
-        of `from_dft`) along the last axis; leading axes are a batch."""
-        return (SQRT_2PI / self.dx) * _phase(self.n_modes) * coeffs
-
     def forward(self, values: np.ndarray) -> np.ndarray:
         """Samples u(x_j) -> coefficients u_hat(xi_k) along the last axis;
-        leading axes are a batch. The FFT's own output takes `from_dft`'s
-        scale and phase in place."""
+        leading axes are a batch. The FFT's own output takes the scale and
+        phase in place."""
         raw = np.fft.fft(values)
         return np.multiply((self.dx / SQRT_2PI) * _phase(self.n_modes), raw, out=raw)
 
@@ -116,24 +103,24 @@ class Grid:
         return np.multiply(self.inverse_scale, raw, out=raw)
 
     def real_forward(self, values: np.ndarray) -> np.ndarray:
-        """Real samples u(x_j) -> the coefficients u_hat(xi_k) of the modes
-        k = 0 .. N/2 (FFT order: the non-negative frequencies, then the
+        """Real samples u(x_j) -> the coefficients (-1)^k u_hat(xi_k) of the
+        modes k = 0 .. N/2 (FFT order: the non-negative frequencies, then the
         Nyquist mode) along the last axis; leading axes are a batch. The
         other modes of real samples are their conjugates."""
         raw = np.fft.rfft(values)
-        return np.multiply((self.dx / SQRT_2PI) * _half_phase(self.n_modes), raw, out=raw)
+        return np.multiply(self.dx / SQRT_2PI, raw, out=raw)
 
     def real_inverse(self, coeffs: np.ndarray) -> np.ndarray:
-        """Coefficients of the modes k = 0 .. N/2 -> real samples u(x_j)
-        along the last axis; leading axes are a batch.
+        """Coefficients of the modes k = 0 .. N/2, as `real_forward` gives
+        them -> real samples u(x_j) along the last axis; leading axes are a batch.
 
         The samples are those of the spectrum whose modes N/2+1 .. N-1 are
         the conjugates of modes N/2-1 .. 1. Of modes 0 and N/2, which have
         no partner, the real part is taken (the imaginary part adds only an
         imaginary part to the samples), so for such a spectrum the result
-        equals `inverse(coeffs).real`.
+        is the real part of `inverse` of its modes (-1)^k coeffs.
         """
-        raw = np.fft.irfft(coeffs * _half_phase(self.n_modes), self.n_modes)
+        raw = np.fft.irfft(coeffs, self.n_modes)
         return np.multiply(self.inverse_scale, raw, out=raw)
 
     def multiply(self, values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
@@ -165,12 +152,14 @@ class Field:
     `spectral_values(f)` returns the spectrum u_hat(xi_k), in FFT order
     under the 1/sqrt(2*pi) convention; the real field with a given
     Hermitian spectrum is `Field.from_spectrum(grid, coeffs)`, which keeps
-    that spectrum, so `spectral_values` returns it without a transform.
+    that spectrum and the edge-based half spectrum of its samples, so
+    `spectral_values` and `half_spectrum` return them without a transform.
     """
 
     grid: Grid
     values: np.ndarray = field(repr=False)
     _spectrum: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _half: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values)
@@ -186,11 +175,15 @@ class Field:
         """The real field with the Hermitian spectrum `coeffs` (FFT order,
         mode N-k the conjugate of mode k, as a real field's is), stored
         read-only beside its float64 samples under the copy rule of
-        `values`. The samples are `grid.real_inverse` of the modes 0 .. N/2;
-        the other modes are not read."""
+        `values`. The samples are `grid.real_inverse` of the edge-based
+        modes 0 .. N/2, (-1)^k coeffs, which the field keeps too; the other
+        modes are not read."""
         hat = np.asarray(coeffs, dtype=np.complex128)
-        f = cls(grid, _readonly(grid.real_inverse(hat[: grid.n_modes // 2 + 1])))
+        modes = grid.n_modes // 2 + 1
+        half = _readonly(hat[:modes] * _phase(grid.n_modes)[:modes])
+        f = cls(grid, _readonly(grid.real_inverse(half)))
         object.__setattr__(f, "_spectrum", _owned_readonly(hat, coeffs))
+        object.__setattr__(f, "_half", half)
         return f
 
 
@@ -228,11 +221,6 @@ def _phase(n_modes: int) -> np.ndarray:
     return phase
 
 
-def _half_phase(n_modes: int) -> np.ndarray:
-    """`_phase` on the modes 0 .. N/2 of the real pair (a read-only view)."""
-    return _phase(n_modes)[: n_modes // 2 + 1]
-
-
 @lru_cache(maxsize=16)
 def _half_weights(n_modes: int) -> np.ndarray:
     """Parseval weights (1, 2, ..., 2, 1) of the modes 0 .. N/2 of a real
@@ -255,8 +243,9 @@ def spectral_values(f: Field) -> np.ndarray:
 
 
 def half_spectrum(f: Field) -> np.ndarray:
-    """The coefficients of the modes 0 .. N/2 of a field with (float64) real
-    samples, the input of `grid.real_inverse`."""
-    if f._spectrum is not None:
-        return f._spectrum[: f.grid.n_modes // 2 + 1]
+    """The edge-based coefficients of the modes 0 .. N/2 of a field with
+    (float64) real samples, the input of `grid.real_inverse`; kept
+    (read-only) by a field built from its spectrum."""
+    if f._half is not None:
+        return f._half
     return f.grid.real_forward(f.values)

@@ -53,6 +53,23 @@ from .streams import rng_for
 from .wiener import sampler
 
 RHS_FLOOR = 1e-13
+LINEAR_T_GRID = (0.25, 0.125, 0.0625)
+# the largest time-cutoff scale T of each probe (octilinear: the unit cutoff)
+_CUTOFF_SCALES = {"linear_free": max(LINEAR_T_GRID), "octilinear": 1.0, "octilinear_mixed": 1.0}
+
+
+class CutoffBoxError(ValueError):
+    """A probe's time cutoff does not fit in the time box."""
+
+
+def _require_cutoffs_fit(ids: list[str], taxis: TimeAxis, scales=_CUTOFF_SCALES) -> None:
+    """CutoffBoxError unless the support [-2T, 2T] of each probe's largest
+    cutoff eta_T (T from `scales`) lies in the centered box: span >= 4T."""
+    for eid in ids:
+        T = scales.get(eid, 0.0)
+        if 4.0 * T > taxis.span:
+            raise CutoffBoxError(f"{eid}: cutoff support [-2T, 2T] with T = {T:g} "
+                                 f"needs t_span >= {4.0 * T:g}, the box has {taxis.span:g}")
 
 
 @dataclass(frozen=True)
@@ -187,9 +204,7 @@ def check_linear_estimates(
     trial per (phi, T)."""
     if not 0.5 < b <= 0.75:
         raise ValueError(f"b must lie in (1/2, 3/4], got {b}")
-    for T in t_grid:
-        if 2.0 * T > 0.5 * taxis.span:
-            raise ValueError(f"cutoff support [-2T, 2T] with T={T} exceeds the box")
+    _require_cutoffs_fit(["linear_free"], taxis, {"linear_free": max(t_grid, default=0.0)})
 
     def sides(phi: Field) -> list[tuple[float, float]]:
         rhs_base = sobolev_norm(phi, s)
@@ -344,12 +359,14 @@ def run_estimates(
 ) -> dict[str, EstimateReport]:
     """Run several catalog entries, keyed in the order given. The embedding
     entries share one fixed-seed field per trial, drawn as it is used;
-    every other entry is its `run_estimate`."""
+    every other entry is its `run_estimate`. The ids, the tau axis's band
+    and every probe's time cutoff are checked before any draw."""
     _require_known(ids, estimate_ids(eps))
+    grid, taxis = resolution.make()
+    _require_cutoffs_fit(ids, taxis)
     embeddings = [eid for eid in ids if eid not in PROBE_IDS]
     reports = {}
     if embeddings:
-        grid, taxis = resolution.make()
         xi_band = resolution.xi_band
         fields = (random_spacetime(grid, taxis, xi_band, k, master=seed) for k in range(n_trials))
         reports = check_embeddings(fields, embeddings, eps)
@@ -373,6 +390,7 @@ def run_estimate(
     if estimate_id not in PROBE_IDS:
         return run_estimates([estimate_id], eps, resolution, n_trials, seed)[estimate_id]
     grid, taxis = resolution.make()
+    _require_cutoffs_fit([estimate_id], taxis)
     xi_band = resolution.xi_band
     sigma, b = sigma_index(eps), b_index(eps)
 
@@ -381,7 +399,7 @@ def run_estimate(
 
     if estimate_id == "linear_free":
         phis = (random_field(grid, xi_band, k, master=seed) for k in range(max(1, n_trials // 3)))
-        return check_linear_estimates(phis, [0.25, 0.125, 0.0625], sigma, b, taxis)
+        return check_linear_estimates(phis, list(LINEAR_T_GRID), sigma, b, taxis)
 
     if estimate_id == "bilinear_l2":
         pairs = ((field(2 * trial), field(2 * trial + 1)) for trial in range(n_trials))

@@ -15,8 +15,8 @@ Two routes to the same solution:
   cross-validation of this module.
 
 `evolve_reference` runs the first route and `picard_solve` the second.
-Both hold the real state as the x-spectral coefficients (the grid's
-transform convention) of its modes 0 .. N/2, the grid's real pair: the
+Both hold the real state as the coefficients of its modes 0 .. N/2 in the
+grid's translation-free real pair (see `grid`; no phase appears here): the
 integrator one row, the Picard iteration one row per time sample of the
 cutoff's window. They return to physical samples only for output and for
 the blow-up test. One kernel evaluates N for both: the modes |k| < N/2 go
@@ -68,23 +68,24 @@ def _fine_size(n: int) -> int:
 
 
 @lru_cache(maxsize=8)
-def _fine_tables(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """The padded product's two per-grid tables, cached and read-only.
+def _fine_tables(grid: Grid) -> tuple[float, np.ndarray]:
+    """The padded product's two per-grid factors, cached (the table read-only).
 
-    `to_fine` (modes 0 .. N/2-1) carries `grid.to_dft`'s scale and phase
-    times M/N, so that the real inverse FFT to M points of `hat * to_fine`
-    gives the state's samples on the padded grid. `from_fine` (modes
-    0 .. N/2) carries `grid.from_dft`'s scale and phase times N/M and the
-    symbol -i xi/8, so that the first N/2+1 modes of the real FFT of u^8
-    times it are the coefficients of -d_x(u^8)/8; its Nyquist entry is zero.
+    The real inverse FFT to M points of `hat * to_fine`, the scalar
+    (sqrt(2 pi)/dx) (M/N), gives the padded samples of the state with the
+    coefficients `hat` (modes 0 .. N/2-1). `from_fine` (modes 0 .. N/2) is
+    dx/sqrt(2 pi) times N/M and the symbol -i xi/8, so that the first N/2+1
+    modes of the real FFT of u^8 times it are the coefficients of
+    -d_x(u^8)/8; its Nyquist entry is zero.
     """
     n = grid.n_modes
     m = _fine_size(n)
     half = n // 2
-    to_fine = grid.to_dft(np.full(n, m / n))[:half]
-    from_fine = grid.from_dft((-1j * (n / m) / NONLINEARITY_DEGREE) * grid.xi)[: half + 1]
+    to_fine = (SQRT_2PI / grid.dx) * (m / n)
+    symbol = (-1j * (n / m) / NONLINEARITY_DEGREE) * grid.xi[: half + 1]
+    from_fine = (grid.dx / SQRT_2PI) * symbol
     from_fine[half] = 0.0
-    return _readonly(to_fine), _readonly(from_fine)
+    return to_fine, _readonly(from_fine)
 
 
 def _fine_samples(grid: Grid, hat: np.ndarray) -> np.ndarray:
@@ -315,11 +316,11 @@ class _WindowPlan:
     the data, built once by `_window_plan`; every array is read-only.
 
     `rows` and `j0` are the `_cutoff_window`; `eta` and `eta_T` the unit-
-    and T-scale cutoffs and `propagator`/`conj_propagator` the unphased
-    free-propagator rows exp(i t_m xi_k^3) of the modes 0 .. N/2 (the rows
-    of `_half_propagator` with its phase flipped back) and their conjugate,
-    all on those rows; `length` and
-    `weight` the `_lag_folded_weight` of the band's columns on them.
+    and T-scale cutoffs and `propagator`/`conj_propagator` the free-
+    propagator rows exp(i t_m xi_k^3) of the modes 0 .. N/2 (a view of
+    `_half_propagator`'s rows) and their conjugate, all on those rows;
+    `length` and `weight` the `_lag_folded_weight` of the band's columns on
+    them. `distance` is a raw FFT: only |F|^2 against that weight enters.
     """
 
     rows: slice
@@ -346,17 +347,14 @@ def _window_plan(
     distance weight (s, b) and band columns 0 .. n_band-1."""
     eta, eta_T = Cutoff(1.0)(taxis.t), Cutoff(T)(taxis.t)
     rows, j0 = _cutoff_window(taxis, eta_T)
-    # the cached table carries real_inverse's phase (-1)^k; negating its
-    # odd modes back is exact, so the iterates are the unphased ones
-    propagator = _half_propagator(grid, taxis)[rows].copy()
-    propagator[:, 1::2] = -propagator[:, 1::2]
+    propagator = _half_propagator(grid, taxis)[rows]
     length, weight = _lag_folded_weight(grid, taxis, s, b, n_band, rows.stop - rows.start)
     return _WindowPlan(
         rows=rows,
         j0=j0,
         eta=_readonly(eta[rows]),
         eta_T=_readonly(eta_T[rows]),
-        propagator=_readonly(propagator),
+        propagator=propagator,
         conj_propagator=_readonly(np.conj(propagator)),
         length=length,
         weight=weight,
@@ -404,10 +402,10 @@ def _duhamel_window(
 class PicardResult:
     """Fixed-point iteration record for the Duhamel map.
 
-    `v_hat` and `z_hat` are the coefficients of the modes 0 .. N/2 (the
-    grid's real pair; m_t x (N/2+1), on `taxis`) of the last iterate and of
-    the cutoff free evolution of the data; `v` and `z` are their float64
-    samples (`grid.real_inverse`), built on first use.
+    `v_hat` and `z_hat` are the edge-based coefficients of the modes
+    0 .. N/2 (the grid's real pair; m_t x (N/2+1), on `taxis`) of the last
+    iterate and of the cutoff free evolution of the data; `v` and `z` are
+    their float64 samples (`grid.real_inverse`), built on first use.
     """
 
     grid: Grid

@@ -14,9 +14,12 @@ A field drawn from its (xi, tau) spectrum on a band of columns keeps the
 band's x-spectral coefficients beside its samples (`_band_spectrum`), so
 the norms read them without an x transform and sum only the band.
 
-The free flow of real data evolves the modes 0 .. N/2 through one cached
-table, `_half_propagator`, with `grid.real_inverse`'s phase (-1)^k folded
-in, so one raw `irfft` and the grid's `inverse_scale` finish it.
+The free flow of real data evolves the edge-based modes 0 .. N/2 of the
+grid's real pair through one cached table of plain rows exp(i t xi^3),
+`_half_propagator`, and `grid.real_inverse` finishes it. The centred time
+axis is the periodic grid of its samples, so the time transforms are that
+grid's `forward`/`inverse` on the transposed array; this module calls no
+numpy FFT itself.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .grid import (
-    SQRT_2PI,
     Field,
     Grid,
     _owned_readonly,
@@ -71,12 +73,6 @@ class TimeAxis:
         """Temporal frequencies in FFT order, built once per axis and
         read-only."""
         return _readonly(TWO_PI * np.fft.fftfreq(self.n_samples, d=self.dt))
-
-    @cached_property
-    def forward_phase(self) -> np.ndarray:
-        """exp(-i t0 tau), the time transform's phase, built once per axis
-        and read-only. Its conjugate is the inverse transform's phase."""
-        return _readonly(np.exp(-1j * self.t0 * self.tau))
 
     @property
     def tau_max(self) -> float:
@@ -170,18 +166,25 @@ def require_same_axes(*fields: SpaceTimeField) -> None:
             raise ValueError("space-time fields must share grid and time axis")
 
 
+def _time_grid(taxis: TimeAxis) -> Grid:
+    """The periodic grid of a centred axis's samples: its transform pair is
+    the time axis's, with tau in the role of xi. ValueError for an axis
+    that is not centred."""
+    if not taxis.is_centered:
+        raise ValueError("the time transforms need the centered time box")
+    return Grid(0.5 * taxis.span, taxis.n_samples)
+
+
 def _time_forward(taxis: TimeAxis, values: np.ndarray) -> np.ndarray:
     """Transform along the time axis (axis 0), in the x axis's convention:
     dt/sqrt(2*pi) * sum_m values(t_m) e^{-i t_m tau}."""
-    raw = np.fft.fft(values, axis=0)
-    return np.multiply((taxis.dt / SQRT_2PI) * taxis.forward_phase[:, None], raw, out=raw)
+    return _time_grid(taxis).forward(values.T).T
 
 
 def _time_inverse(taxis: TimeAxis, coeffs: np.ndarray) -> np.ndarray:
     """The inverse of `_time_forward` along axis 0, column by column:
     dtau/sqrt(2*pi) * sum_m coeffs(tau_m) e^{i t tau_m}."""
-    raw = np.fft.ifft(coeffs * np.conj(taxis.forward_phase)[:, None], axis=0)
-    return np.multiply(taxis.dtau * taxis.n_samples / SQRT_2PI, raw, out=raw)
+    return _time_grid(taxis).inverse(coeffs.T).T
 
 
 def st_l2(u: SpaceTimeField) -> float:
@@ -235,13 +238,9 @@ def _propagator(grid: Grid, taxis: TimeAxis) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _half_propagator(grid: Grid, taxis: TimeAxis) -> np.ndarray:
-    """`_propagator` on the modes 0 .. N/2 of the grid's real pair times
-    `real_inverse`'s phase (-1)^k, cached and read-only. The sign flip is
-    exact; `solver._window_plan` flips its rows back."""
-    table = np.exp(1j * np.outer(taxis.t, grid.xi[: grid.n_modes // 2 + 1] ** 3))
-    table[:, 1::2] = -table[:, 1::2]
-    table.flags.writeable = False
-    return table
+    """`_propagator` on the modes 0 .. N/2 of the grid's real pair, cached
+    and read-only."""
+    return _readonly(np.exp(1j * np.outer(taxis.t, grid.xi[: grid.n_modes // 2 + 1] ** 3)))
 
 
 def free_evolution(phi: Field, grid_taxis: TimeAxis, cutoff: Cutoff | None = None) -> SpaceTimeField:
@@ -249,11 +248,9 @@ def free_evolution(phi: Field, grid_taxis: TimeAxis, cutoff: Cutoff | None = Non
 
     The per-time inverse transforms are evaluated in one batched FFT. The
     route follows the data's dtype: float64 (real) data evolve on the modes
-    0 .. N/2 into float64 samples, through the phased `_half_propagator`,
-    one raw `irfft` and the grid's `inverse_scale` (exactly
-    `grid.real_inverse` of the unphased product; a zero may change sign);
-    complex128 data evolve on all N modes through `grid.inverse` into
-    complex128 samples.
+    0 .. N/2 into float64 samples, through `_half_propagator` and
+    `grid.real_inverse`; complex128 data evolve on all N modes through
+    `grid.inverse` into complex128 samples.
     """
     grid = phi.grid
     real = phi.values.dtype == np.float64
@@ -263,11 +260,7 @@ def free_evolution(phi: Field, grid_taxis: TimeAxis, cutoff: Cutoff | None = Non
         coeffs = _propagator(grid, grid_taxis) * spectral_values(phi)[None, :]
     if cutoff is not None:
         coeffs *= cutoff(grid_taxis.t)[:, None]
-    if real:
-        values = np.fft.irfft(coeffs, grid.n_modes)
-        values *= grid.inverse_scale
-    else:
-        values = grid.inverse(coeffs)
+    values = grid.real_inverse(coeffs) if real else grid.inverse(coeffs)
     return SpaceTimeField(grid, grid_taxis, _readonly(values))
 
 

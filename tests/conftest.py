@@ -3,7 +3,9 @@ import pytest
 
 from gkdvlab.config import load_config
 from gkdvlab.grid import (
+    SQRT_2PI,
     Field,
+    _phase,
     _readonly,
     field_from_function,
     make_grid,
@@ -49,6 +51,43 @@ def banded_bump(grid, amplitude=1.0, band=2.0):
     from (and keeping) that spectrum."""
     coeffs = amplitude * np.exp(-grid.xi**2) * (np.abs(grid.xi) <= band)
     return Field.from_spectrum(grid, coeffs)
+
+
+def edge_based(coeffs):
+    """(-1)^k c_k along the last axis (k = 0, 1, ...): the real pair's
+    coefficients, taken about the box's left edge, of symmetric-convention
+    modes 0 .. K-1, and back (the sign pattern is its own inverse)."""
+    return coeffs * (1.0 - 2.0 * (np.arange(coeffs.shape[-1]) % 2))
+
+
+# The former phased real pair and the former `Grid.from_dft`/`to_dft`,
+# kept as oracles: the real pair and the solver's tables now leave the
+# boundary phase (-1)^k out, and must equal these up to that exact sign
+# pattern.
+
+
+def former_real_forward(grid, values):
+    """rfft * (dx/sqrt(2 pi)) * (-1)^k: the symmetric-convention modes
+    0 .. N/2 of real samples."""
+    half = grid.n_modes // 2 + 1
+    return np.fft.rfft(values) * ((grid.dx / SQRT_2PI) * _phase(grid.n_modes)[:half])
+
+
+def former_real_inverse(grid, coeffs):
+    """irfft(c * (-1)^k) * inverse_scale: real samples from the
+    symmetric-convention modes 0 .. N/2."""
+    half = grid.n_modes // 2 + 1
+    return np.fft.irfft(coeffs * _phase(grid.n_modes)[:half], grid.n_modes) * grid.inverse_scale
+
+
+def former_from_dft(grid, raw):
+    """Symmetric-convention coefficients from raw DFT ones (last axis)."""
+    return (grid.dx / SQRT_2PI) * _phase(grid.n_modes) * raw
+
+
+def former_to_dft(grid, coeffs):
+    """Raw DFT coefficients from symmetric-convention ones (last axis)."""
+    return (SQRT_2PI / grid.dx) * _phase(grid.n_modes) * coeffs
 
 
 def random_real_field(grid, seed):

@@ -4,9 +4,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gkdvlab import probes
 from gkdvlab.cli import main
 from gkdvlab.grid import Field, make_grid
 from gkdvlab.io import load_field, load_trajectory, save_field
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("drew past the entry checks")
 
 
 def write_cfg(tmp_path: Path, body: str) -> str:
@@ -345,6 +350,31 @@ class TestVerifyEstimates:
             "[estimates]\nids = embed12\nn_trials = 2\nxi_band = 6.0\n",
         )
         assert main(["verify-estimates", "--config", cfg, "--out", str(tmp_path / "x")]) == 4
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            # the linear probe's cutoffs reach T = 1/4: support [-1/2, 1/2]
+            ("ids = linear_free\nt_span = 0.9\n",
+             "linear_free: cutoff support [-2T, 2T] with T = 0.25 needs t_span >= 1"),
+            # the octilinear probes' unit cutoff: support [-2, 2]
+            ("ids = embed12, octilinear_mixed\nt_span = 2.0\n",
+             "octilinear_mixed: cutoff support [-2T, 2T] with T = 1 needs t_span >= 4"),
+            # tau_max = 4 pi on 16 samples of the 4-wide box, far below 2 * 3.5^3
+            ("ids = linear_free\nm_t = 16\n", "needs tau_max >= 85.8"),
+        ],
+        ids=["linear-cutoff", "octilinear-cutoff", "aliasing"],
+    )
+    def test_probe_precondition_exit_4_before_any_draw(self, tmp_path, capsys, monkeypatch,
+                                                       body, message):
+        monkeypatch.setattr(probes, "rng_for", _must_not_run)
+        cfg = write_cfg(tmp_path, "[estimates]\nn_trials = 2\n" + body)
+        out = tmp_path / "ve"
+        assert main(["verify-estimates", "--config", cfg, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("estimate-probe precondition violated: ")
+        assert message in err
+        assert not out.exists()
 
 
 class TestLwpEnsemble:

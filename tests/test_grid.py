@@ -16,7 +16,15 @@ from gkdvlab.cli import _band_limit
 from gkdvlab.norms import sobolev_norm
 from gkdvlab.probes import _banded_bump
 
-from conftest import airy_propagate, l2_norm, multiply, random_real_field
+from conftest import (
+    airy_propagate,
+    edge_based,
+    former_real_forward,
+    former_real_inverse,
+    l2_norm,
+    multiply,
+    random_real_field,
+)
 
 
 class TestMakeGrid:
@@ -119,7 +127,9 @@ class TestTransforms:
 
 
 class TestRealPair:
-    """`real_forward`/`real_inverse`: float64 samples and the modes 0..N/2."""
+    """`real_forward`/`real_inverse`: float64 samples and the modes 0..N/2,
+    taken about the box's left edge: (-1)^k times the symmetric-convention
+    coefficients."""
 
     def test_round_trip_on_a_batch(self, grid64):
         rng = np.random.default_rng(4)
@@ -133,7 +143,22 @@ class TestRealPair:
     def test_forward_is_the_complex_forward_on_modes_0_to_half(self, grid64):
         v = np.random.default_rng(5).standard_normal(64)
         full = grid64.forward(v)
-        assert np.max(np.abs(grid64.real_forward(v) - full[:33])) <= 1e-14 * np.max(np.abs(full))
+        edge = edge_based(full[:33])
+        assert np.max(np.abs(grid64.real_forward(v) - edge)) <= 1e-14 * np.max(np.abs(full))
+
+    @pytest.mark.parametrize("half_length,n_modes", [(32.0, 512), (16.0, 64)])  # desk, lwp
+    def test_pair_is_the_former_phased_pair_up_to_the_sign_pattern(self, half_length, n_modes):
+        # the scale is applied as before and the phase moved out exactly:
+        # bit for bit, a batch and a single row alike
+        grid = make_grid(half_length, n_modes)
+        rng = np.random.default_rng(n_modes)
+        half = n_modes // 2 + 1
+        batch = rng.standard_normal((3, n_modes))
+        coeffs = rng.standard_normal((3, half)) + 1j * rng.standard_normal((3, half))
+        for values, c in ((batch, coeffs), (batch[0], coeffs[0])):
+            assert np.array_equal(edge_based(grid.real_forward(values)),
+                                  former_real_forward(grid, values))
+            assert np.array_equal(grid.real_inverse(edge_based(c)), former_real_inverse(grid, c))
 
     def test_inverse_is_real_part_with_complex_nyquist(self, grid64):
         # a Hermitian spectrum except for complex entries at the two
@@ -144,9 +169,10 @@ class TestRealPair:
         assert hat[0].imag != 0.0 and hat[32].imag != 0.0
         full = grid64.inverse(hat)
         assert np.max(np.abs(full.imag)) > 1e-3  # the imaginary parts show up
-        real = grid64.real_inverse(hat[:33])
+        edge = edge_based(hat[:33])
+        real = grid64.real_inverse(edge)
         assert np.max(np.abs(real - full.real)) <= 1e-14 * np.max(np.abs(full))
-        same = grid64.real_inverse(np.where(np.arange(33) % 32 == 0, hat[:33].real, hat[:33]))
+        same = grid64.real_inverse(np.where(np.arange(33) % 32 == 0, edge.real, edge))
         assert np.array_equal(real, same)
 
 
@@ -161,14 +187,16 @@ class TestCarriedSpectrum:
         hat[33:] = np.conj(hat[1:32][::-1])
         f = Field.from_spectrum(grid64, hat)
         assert f.values.dtype == np.float64
-        assert np.array_equal(f.values, grid64.real_inverse(hat[:33]))
+        assert np.array_equal(f.values, grid64.real_inverse(edge_based(hat[:33])))
+        assert np.array_equal(f.values, former_real_inverse(grid64, hat[:33]))
         full = grid64.inverse(hat)
         assert np.max(np.abs(f.values - full.real)) <= 1e-15 * np.max(np.abs(full))
         assert np.array_equal(spectral_values(f), hat)
         assert not spectral_values(f).flags.writeable
         hat[0] = 99.0  # a writeable array is copied
         assert spectral_values(f)[0] != 99.0
-        assert Field(grid64, f.values)._spectrum is None
+        plain = Field(grid64, f.values)
+        assert plain._spectrum is None and plain._half is None
 
     def test_readonly_owned_spectrum_is_shared(self, grid64):
         hat = np.ones(64, np.complex128)
@@ -176,10 +204,15 @@ class TestCarriedSpectrum:
         assert spectral_values(Field.from_spectrum(grid64, hat)) is hat
 
     def test_half_spectrum_of_carried_and_plain_fields(self, grid64):
+        # a carried field returns the edge-based half spectrum its samples
+        # were built from, kept read-only: no work per call
         f = random_real_field(grid64, 8)
         carried = Field.from_spectrum(grid64, spectral_values(f))
-        assert np.array_equal(half_spectrum(carried), spectral_values(f)[:33])
+        half = half_spectrum(carried)
+        assert half_spectrum(carried) is half and not half.flags.writeable
+        assert np.array_equal(half, edge_based(spectral_values(f)[:33]))
         assert np.array_equal(half_spectrum(f), grid64.real_forward(f.values))
+        assert np.max(np.abs(half_spectrum(f) - half)) <= 1e-14 * np.max(np.abs(half))
 
 
 class TestDtypeByConstruction:
@@ -201,10 +234,10 @@ class TestDtypeByConstruction:
         assert np.any(samples.imag != 0.0)
         f = Field.from_spectrum(grid64, hat)
         assert f.values.dtype == np.float64
-        assert np.array_equal(f.values, grid64.real_inverse(hat[:33]))
+        assert np.array_equal(f.values, grid64.real_inverse(edge_based(hat[:33])))
         assert np.max(np.abs(f.values - samples.real)) <= 1e-15 * np.max(np.abs(samples))
         assert np.array_equal(spectral_values(f), hat)
-        assert np.array_equal(half_spectrum(f), hat[:33])
+        assert np.array_equal(half_spectrum(f), edge_based(hat[:33]))
 
 
 def _former_real_samples(grid, hat):

@@ -8,6 +8,7 @@ from gkdvlab import probes
 from gkdvlab.grid import Field, spectral_values
 from gkdvlab.params import b_index, dual_b_index, sigma_index
 from gkdvlab.probes import (
+    CutoffBoxError,
     EstimateReport,
     _banded_bump,
     _spacetime_envelope,
@@ -166,6 +167,45 @@ class TestLinearProbe:
         grid, taxis = preset_resolution().make()
         with pytest.raises(ValueError):
             check_linear_estimates([random_field(grid, 3.5, 0, master=0)], [0.25], 0.3, 0.5, taxis)
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("drew past the probes' entry checks")
+
+
+class TestCutoffBox:
+    """A probe's time cutoff eta_T, supported on [-2T, 2T], must fit in the
+    centred box: t_span >= 4T. The rule is checked for the selected ids
+    before any draw."""
+
+    @pytest.mark.parametrize(
+        "ids, t_span, message",
+        [
+            (["linear_free"], 0.9, "linear_free: cutoff support [-2T, 2T] with T = 0.25 needs "
+                                   "t_span >= 1, the box has 0.9"),
+            (["embed12", "octilinear"], 2.0, "octilinear: cutoff support [-2T, 2T] with "
+                                             "T = 1 needs t_span >= 4, the box has 2"),
+            (["octilinear_mixed"], 3.5, "octilinear_mixed: cutoff support"),
+        ],
+    )
+    def test_refused_before_any_draw(self, monkeypatch, ids, t_span, message):
+        monkeypatch.setattr(probes, "rng_for", _must_not_run)
+        resolution = replace(preset_resolution(), t_span=t_span)
+        with pytest.raises(CutoffBoxError, match=message.replace("[", r"\[").replace("]", r"\]")):
+            run_estimates(ids, EPS, resolution, 2, seed=0)
+        with pytest.raises(CutoffBoxError):
+            run_estimate(ids[-1], EPS, resolution, 2, seed=0)
+
+    def test_boundary_and_probes_without_cutoffs(self, monkeypatch):
+        # t_span = 4T exactly fits; bilinear_l2 and the embeddings take no cutoff
+        reports = run_estimates(["linear_free", "bilinear_l2", "embed12"], EPS,
+                                replace(preset_resolution(), t_span=1.0), 3, seed=0)
+        assert all(reports[eid].trials for eid in reports)
+        grid, taxis = replace(preset_resolution(), t_span=1.0).make()
+        phi = random_field(grid, 3.5, 0, master=0)
+        s, b = sigma_index(EPS), b_index(EPS)
+        with pytest.raises(CutoffBoxError, match="T = 0.5 needs t_span >= 2"):
+            check_linear_estimates([phi], [0.25, 0.5], s, b, taxis)
 
 
 class TestMultilinearProbe:

@@ -41,6 +41,11 @@ from conftest import (
     MAX_ITER,
     airy_propagate,
     banded_bump,
+    edge_based,
+    former_from_dft,
+    former_real_forward,
+    former_real_inverse,
+    former_to_dft,
     free_coeffs,
     full_axis_distance,
     random_real_field,
@@ -54,12 +59,14 @@ def nonlinearity_coeffs(grid, hat):
     state u (transform convention, last axis; leading axes are a batch):
     the full-spectrum oracle around the solvers' shared kernel.
 
-    The kernel gives the modes 0 .. N/2; the modes N/2+1 .. N-1 are the
-    conjugates of modes N/2-1 .. 1.
+    The kernel works on the real pair's edge-based coefficients and gives
+    the modes 0 .. N/2; the modes N/2+1 .. N-1 are the conjugates of modes
+    N/2-1 .. 1.
     """
     n = grid.n_modes
     half = n // 2
-    low = solver._nonlinearity(grid, _eighth_power(_fine_samples(grid, hat)))
+    fine = _fine_samples(grid, edge_based(hat[..., :half]))
+    low = edge_based(solver._nonlinearity(grid, _eighth_power(fine)))
     out = np.empty(low.shape[:-1] + (n,), dtype=np.complex128)
     out[..., : half + 1] = low
     out[..., half + 1 :] = np.conj(low[..., half - 1 : 0 : -1])
@@ -130,7 +137,7 @@ def _padded_oracle(grid, values, m):
     raw = np.zeros(c.shape, dtype=np.complex128)
     raw[..., :half] = cw[..., :half]
     raw[..., -(half - 1):] = cw[..., -(half - 1):]
-    coeffs = (-1j * grid.xi / 8) * grid.from_dft(raw)
+    coeffs = (-1j * grid.xi / 8) * former_from_dft(grid, raw)
     kinetic = 0.5 * grid.dx / n * float(np.sum(np.abs(1j * grid.xi * c) ** 2))
     potential = 2.0 * grid.half_length / m * float(np.sum(fine.real**8 * fine.real)) / 72.0
     return coeffs, kinetic - potential
@@ -300,12 +307,12 @@ def _full_spectrum_nonlinearity(grid, hat):
     n = grid.n_modes
     half = n // 2
     m = _fine_size(n)
-    w = np.fft.irfft(grid.to_dft(hat)[..., :half], m) * (m / n)
+    w = np.fft.irfft(former_to_dft(grid, hat)[..., :half], m) * (m / n)
     low = np.fft.rfft(_eighth_power(w))[..., :half] * (n / m)
     raw = np.zeros(low.shape[:-1] + (n,), dtype=np.complex128)
     raw[..., :half] = low
     raw[..., half + 1:] = np.conj(low[..., :0:-1])
-    return (-1j * grid.xi / 8) * grid.from_dft(raw)
+    return (-1j * grid.xi / 8) * former_from_dft(grid, raw)
 
 
 def _full_spectrum_diagnostics(grid, hat):
@@ -314,7 +321,7 @@ def _full_spectrum_diagnostics(grid, hat):
     n = grid.n_modes
     m = _fine_size(n)
     power = np.abs(hat) ** 2
-    fine = np.fft.irfft(grid.to_dft(hat)[: n // 2], m) * (m / n)
+    fine = np.fft.irfft(former_to_dft(grid, hat)[: n // 2], m) * (m / n)
     potential = 2.0 * grid.half_length / m * float(np.sum(_eighth_power(fine.copy()) * fine)) / 72.0
     kinetic = 0.5 * grid.dxi * float(np.sum(grid.xi**2 * power))
     return SQRT_2PI * float(hat[0].real), grid.dxi * float(np.sum(power)), kinetic - potential
@@ -944,3 +951,93 @@ def test_realness_is_decided_once_per_sample(grid64, monkeypatch):
     assert res.v.values.dtype == res.z.values.dtype == np.float64
     traj = evolve_reference(phi_omega, 0.01, 1e-3, output_stride=None, diag_stride=1, seed=None)
     assert traj.u.values.dtype == np.float64
+
+
+def _former_fine_tables(grid):
+    """The padded product's former tables, built from the former
+    `to_dft`/`from_dft`, so that they carry the boundary phase (-1)^k."""
+    n = grid.n_modes
+    m = _fine_size(n)
+    half = n // 2
+    to_fine = former_to_dft(grid, np.full(n, m / n))[:half]
+    from_fine = former_from_dft(grid, (-1j * (n / m) / 8) * grid.xi)[: half + 1]
+    from_fine[half] = 0.0
+    return to_fine, from_fine
+
+
+def _former_half_spectrum(f):
+    """The former `half_spectrum`: the symmetric-convention modes 0 .. N/2."""
+    if f._spectrum is not None:
+        return f._spectrum[: f.grid.n_modes // 2 + 1]
+    return former_real_forward(f.grid, f.values)
+
+
+def _use_former_convention(monkeypatch):
+    """Run the solvers on the former phased primitives: the real pair with
+    the phase (-1)^k, the symmetric-convention half spectrum and the phased
+    tables. The window plan's propagator rows were the unphased ones then
+    as now (`test_propagator_rows_are_the_former_unphased_rows`)."""
+    monkeypatch.setattr(Grid, "real_inverse", lambda grid, c: former_real_inverse(grid, c))
+    monkeypatch.setattr(solver, "half_spectrum", _former_half_spectrum)
+    monkeypatch.setattr(solver, "_fine_tables", _former_fine_tables)
+
+
+def _desk_and_lwp_data():
+    """(id, data) on the desk grid (L = 32, N = 512) and the lwp grid
+    (L = 16, N = 64): sampled data, data built from a spectrum, and preset
+    draws of lwp-ensemble."""
+    desk, lwp = make_grid(32.0, 512), make_grid(16.0, 64)
+    cfg = load_config(LWP_PRESET)
+    sample = _sampler(cfg, build_data(cfg))
+    return [
+        ("desk-sampled", field_from_function(desk, lambda x: np.exp(-(x**2)))),
+        ("desk-banded", banded_bump(desk, 1.0, 2.0)),
+        ("lwp-sampled", Field(lwp, banded_bump(lwp, 1.8, 2.0).values)),
+    ] + [(f"lwp-draw-{k}", sample(child_seed(42, k))) for k in range(3)]
+
+
+class TestFormerConvention:
+    """The translation-free real pair moves the boundary phase (-1)^k out of
+    the solvers; every moved factor is an exact sign flip, so each output
+    equals the former phased route's bit for bit."""
+
+    @pytest.mark.parametrize("half_length,n_modes", [(32.0, 512), (16.0, 64), (4.0, 10)])
+    def test_tables_are_the_former_tables_up_to_the_sign_pattern(self, half_length, n_modes):
+        grid = make_grid(half_length, n_modes)
+        to_fine, from_fine = solver._fine_tables(grid)
+        former_to, former_from = _former_fine_tables(grid)
+        assert np.array_equal(edge_based(np.full(n_modes // 2, to_fine)), former_to)
+        assert np.array_equal(edge_based(from_fine), former_from)
+
+    def test_evolve_reference_rows_and_diagnostics(self, monkeypatch):
+        for name, phi in _desk_and_lwp_data():
+            args = (phi, 20 * 1e-4, 1e-4, 1, 1, None)
+            new = evolve_reference(*args)
+            with monkeypatch.context() as m:
+                _use_former_convention(m)
+                former = evolve_reference(*args)
+            assert new.u.values.tobytes() == former.u.values.tobytes(), name
+            for field in ("step", "time", "mean", "mass", "energy"):
+                got, want = getattr(new.diagnostics, field), getattr(former.diagnostics, field)
+                assert got.tobytes() == want.tobytes(), (name, field)
+
+    def test_picard_records(self, monkeypatch):
+        desk_axis, lwp_axis = centered_axis(4.0, 2048), centered_axis(4.0, 256)
+        for name, phi in _desk_and_lwp_data():
+            if name.startswith("desk"):
+                args = (phi, 1.0 / 16.0, 1e-11, MAX_ITER, desk_axis, 8.0, EPS)
+            else:
+                args = (phi, 0.25, 1e-10, MAX_ITER, lwp_axis, 4.0, EPS)
+            new = picard_solve(*args)
+            with monkeypatch.context() as m:
+                _use_former_convention(m)
+                former = picard_solve(*args)
+                former_v, former_z = former.v.values, former.z.values  # built on first use
+            for record in ("distances", "ratios", "converged", "iterations", "blown_up",
+                           "discarded_band_mass"):
+                assert getattr(new, record) == getattr(former, record), (name, record)
+            assert np.array_equal(new.v_hat, edge_based(former.v_hat)), name
+            assert np.array_equal(new.z_hat, edge_based(former.z_hat)), name
+            # equal values; an exact zero sample may change sign
+            assert np.array_equal(new.v.values, former_v), name
+            assert np.array_equal(new.z.values, former_z), name

@@ -4,6 +4,7 @@ import pytest
 from gkdvlab.grid import (
     SQRT_2PI,
     Field,
+    Grid,
     _phase,
     field_from_function,
     half_spectrum,
@@ -17,6 +18,8 @@ from gkdvlab.spacetime import (
     _half_propagator,
     _propagator,
     _time_forward,
+    _time_grid,
+    _time_inverse,
     bump_profile,
     centered_axis,
     free_evolution,
@@ -30,6 +33,7 @@ from conftest import (
     EPS,
     airy_propagate,
     banded_bump,
+    former_real_forward,
     free_coeffs,
     st_spectral_values,
     st_to_physical,
@@ -133,14 +137,36 @@ class TestTimeAxis:
         ],
     )
     def test_phases_cached_read_only_and_equal_to_per_call_expressions(self, ta):
-        forward = ta.forward_phase
-        assert ta.forward_phase is forward
-        # the expressions the time-axis transforms evaluated on every call;
-        # the inverse transform reads the conjugate of the cached table
-        assert np.array_equal(forward, np.exp(-1j * ta.t0 * ta.tau))
-        assert np.array_equal(np.conj(forward), np.exp(1j * ta.t0 * ta.tau))
-        with pytest.raises(ValueError):
-            forward[0] = 1.0
+        # a centred axis is the periodic grid of its samples: the time pair
+        # is that grid's pair, with the exact phase (-1)^k, the cached
+        # read-only `_phase(m_t)`. The former pair built exp(-i t0 tau) with
+        # np.exp, which is off from (-1)^k by round-off growing with m_t
+        # (4.3e-14 at m_t = 256, 3.4e-13 at 2048); the two pairs differ by
+        # 1e-13 relative, or by that error where it is larger. A one-sided
+        # axis has no such grid and is refused.
+        m = ta.n_samples
+        values = np.random.default_rng(m).standard_normal((m, 3)) + 0.5j
+        if not ta.is_centered:
+            for transform in (_time_forward, _time_inverse):
+                with pytest.raises(ValueError, match="centered time box"):
+                    transform(ta, values)
+            return
+        grid = _time_grid(ta)
+        assert grid == Grid(0.5 * ta.span, m) and grid.dx == ta.dt
+        phase = _phase(m)
+        assert _phase(m) is phase and not phase.flags.writeable
+        exact = ((ta.dt / SQRT_2PI) * phase)[:, None] * np.fft.fft(values, axis=0)
+        assert np.array_equal(_time_forward(ta, values), exact)
+        former_phase = np.exp(-1j * ta.t0 * ta.tau)
+        error = float(np.max(np.abs(former_phase - phase)))
+        assert error <= 1e-12
+        former = (ta.dt / SQRT_2PI) * former_phase[:, None] * np.fft.fft(values, axis=0)
+        former_inverse = (ta.dtau * m / SQRT_2PI) * np.fft.ifft(
+            values * np.conj(former_phase)[:, None], axis=0
+        )
+        for got, want in ((_time_forward(ta, values), former),
+                          (_time_inverse(ta, values), former_inverse)):
+            assert np.max(np.abs(got - want)) <= max(1e-13, error) * np.max(np.abs(want))
 
 
 class TestSpaceTimeTransforms:
@@ -171,19 +197,20 @@ class TestSpaceTimeTransforms:
 
     @pytest.mark.parametrize("n_cols", [1, 64])
     def test_in_place_products_match_out_of_place(self, grid64, n_cols):
-        # the time-axis pair scales the FFT's own output in place; it must
-        # equal the out-of-place expressions and leave its input alone
+        # the time-axis pair is the grid pair of the centred box on the
+        # transposed array, which scales the FFT's own output in place; it
+        # must equal the out-of-place expressions with the exact phase
+        # (-1)^k and leave its input alone
         ta = centered_axis(4.0, 32)
         rng = np.random.default_rng(9)
         values = rng.standard_normal((32, n_cols)) + 1j * rng.standard_normal((32, n_cols))
         kept = values.copy()
-        forward_phase = np.exp(-1j * ta.t0 * ta.tau)
-        old_forward = (ta.dt / SQRT_2PI) * forward_phase[:, None] * np.fft.fft(values, axis=0)
+        phase = _phase(32)[:, None]
+        old_forward = (ta.dt / SQRT_2PI) * phase * np.fft.fft(values, axis=0)
         assert np.array_equal(_time_forward(ta, values), old_forward)
         assert np.array_equal(values, kept)
         if n_cols == 64:
-            inverse_phase = np.exp(1j * ta.t0 * ta.tau)
-            hat_x = (ta.dtau * 32 / SQRT_2PI) * np.fft.ifft(values * inverse_phase[:, None], axis=0)
+            hat_x = (ta.dtau * 32 / SQRT_2PI) * np.fft.ifft(values * phase, axis=0)
             old_physical = (grid64.dxi * 64 / SQRT_2PI) * np.fft.ifft(hat_x * _phase(64))
             assert np.array_equal(st_to_physical(grid64, ta, values).values, old_physical)
             assert np.array_equal(values, kept)
@@ -278,6 +305,26 @@ class TestFreeEvolution:
         assert np.max(np.abs(z.values[outside])) == 0.0
 
 
+def _former_free_evolution(phi, taxis, cutoff):
+    """The former real route of the free flow: the symmetric-convention
+    half spectrum times the half table with the phase (-1)^k folded in, the
+    cutoff, one raw irfft and the grid's inverse scale."""
+    grid = phi.grid
+    half = grid.n_modes // 2 + 1
+    if phi._spectrum is not None:
+        hat = phi._spectrum[:half]
+    else:
+        hat = former_real_forward(grid, phi.values)
+    table = np.exp(1j * np.outer(taxis.t, grid.xi[:half] ** 3))
+    table[:, 1::2] = -table[:, 1::2]
+    coeffs = table * hat[None, :]
+    if cutoff is not None:
+        coeffs *= cutoff(taxis.t)[:, None]
+    values = np.fft.irfft(coeffs, grid.n_modes)
+    values *= grid.inverse_scale
+    return values
+
+
 class TestPropagator:
     def test_cached_and_read_only(self, grid64):
         ta = centered_axis(4.0, 64)
@@ -307,38 +354,38 @@ class TestPropagator:
         ta = centered_axis(4.0, 64)
         table = _half_propagator(grid64, ta)
         assert _half_propagator(grid64, centered_axis(4.0, 64)) is table
-        # real_inverse's phase (-1)^k folded in: an exact sign flip
-        assert np.array_equal(table, _propagator(grid64, ta)[:, :33] * (-1.0) ** np.arange(33))
+        # the plain rows: the real pair carries no phase to fold in
+        assert table.tobytes() == _propagator(grid64, ta)[:, :33].tobytes()
         with pytest.raises(ValueError):
             table[0, 0] = 0.0
 
     @pytest.mark.parametrize(
-        "half_length, taxis",
+        "half_length, n_modes, taxis",
         [
-            (16.0, midpoint_axis(0.125, 64)),
-            (16.0, midpoint_axis(0.25, 64)),
-            (16.0, midpoint_axis(0.5, 64)),
-            (8.0, centered_axis(4.0, 256)),
+            (16.0, 128, midpoint_axis(0.125, 64)),
+            (16.0, 128, midpoint_axis(0.25, 64)),
+            (16.0, 128, midpoint_axis(0.5, 64)),
+            (8.0, 128, centered_axis(4.0, 256)),
+            (32.0, 512, centered_axis(4.0, 2048)),
+            (16.0, 64, centered_axis(4.0, 256)),
         ],
-        ids=["tail-0.125", "tail-0.25", "tail-0.5", "probe"],
+        ids=["tail-0.125", "tail-0.25", "tail-0.5", "probe", "desk", "lwp"],
     )
     @pytest.mark.parametrize("scale", [None, 0.25], ids=["bare", "cutoff"])
-    def test_real_route_equals_former_expression(self, half_length, taxis, scale):
-        # the former real route, kept here: `grid.real_inverse` of the
-        # unphased table times the half spectrum (and the cutoff), on the
-        # tail's and the probes' grids and sampler draws
-        grid = make_grid(half_length, 128)
-        sample = sampler(field_from_function(grid, lambda x: np.exp(-(x**2))), "gaussian")
+    def test_real_route_equals_former_expression(self, half_length, n_modes, taxis, scale):
+        # the former real route, kept here (`_former_free_evolution`): the
+        # phase moved out of the table and the half spectrum is an exact sign
+        # flip of both factors, so the samples are the former ones bit for
+        # bit, on the tail's, the probes', the desk and the lwp grids, for
+        # sampled data, data built from a spectrum and sampler draws
+        grid = make_grid(half_length, n_modes)
+        bump = field_from_function(grid, lambda x: np.exp(-(x**2)))
+        sample = sampler(bump, "gaussian")
         cutoff = None if scale is None else Cutoff(scale)
-        unphased = np.exp(1j * np.outer(taxis.t, grid.xi[:65] ** 3))
-        for seed in range(4):
-            phi = sample(seed)
-            coeffs = unphased * half_spectrum(phi)[None, :]
-            if cutoff is not None:
-                coeffs = coeffs * cutoff(taxis.t)[:, None]
+        for phi in [bump, banded_bump(grid, 1.0, 2.0)] + [sample(seed) for seed in range(4)]:
             z = free_evolution(phi, taxis, cutoff=cutoff)
             assert z.values.dtype == np.float64
-            assert np.array_equal(z.values, grid.real_inverse(coeffs))
+            assert z.values.tobytes() == _former_free_evolution(phi, taxis, cutoff).tobytes()
 
     def test_duhamel_gamma_equals_uncached_tables(self, grid64):
         # picard_solve's second iterate is the Duhamel map of its first

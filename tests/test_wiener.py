@@ -23,7 +23,7 @@ from gkdvlab.wiener import (
     sampler,
 )
 
-from conftest import airy_propagate, banded_bump, l2_norm, multiply
+from conftest import airy_propagate, banded_bump, edge_based, l2_norm, multiply
 
 
 class TestWindow:
@@ -248,7 +248,8 @@ class TestRandomize:
         self, half_length, n_modes, distribution
     ):
         # the former field, kept here: the spectrum phi_hat * (g @ windows)
-        # and, as samples, the real part of its complex inverse
+        # and, as samples, the real part of its complex inverse; the field
+        # keeps the real pair's edge-based half spectrum of it
         grid = make_grid(half_length, n_modes)
         phi = field_from_function(grid, lambda x: np.exp(-(x**2)))
         sample = sampler(phi, distribution)
@@ -257,9 +258,10 @@ class TestRandomize:
             former = spectral_values(phi) * (g @ sample.stack)
             f = sample.field(g)
             assert spectral_values(f).tobytes() == former.tobytes()
-            assert half_spectrum(f).tobytes() == former[: n_modes // 2 + 1].tobytes()
+            edge = edge_based(former[: n_modes // 2 + 1])
+            assert half_spectrum(f).tobytes() == edge.tobytes()
             assert f.values.dtype == np.float64
-            assert np.array_equal(f.values, grid.real_inverse(former[: n_modes // 2 + 1]))
+            assert np.array_equal(f.values, grid.real_inverse(edge))
             old = grid.inverse(former).real
             assert np.max(np.abs(f.values - old)) <= 1e-15 * np.max(np.abs(old))
 
