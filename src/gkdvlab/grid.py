@@ -15,16 +15,16 @@ sample x0 = -L, and the real pair `real_forward`/`real_inverse` (real
 samples and the modes k = 0 .. N/2) is translation-free, the plain scaled
 real FFTs, with coefficients about the box's left edge, (-1)^k u_hat(xi_k).
 All the solvers and the free flow do with these is translation-invariant,
-so the phase enters only where a spectrum becomes a half spectrum
-(`Field.from_spectrum`, `half_spectrum`). A centred time axis is the
+so the phase enters only where a symmetric-convention spectrum becomes a
+half spectrum (`Field.from_spectrum`). A centred time axis is the
 periodic grid of its samples and transforms through `forward`/`inverse`.
 Raw numpy FFTs elsewhere only meet round trips, products or |F|^2, where
 scale and phase cancel: `solver._fine_samples`, `_nonlinearity` and
-`_WindowPlan.distance`, `norms._lag_folded_weight` and `bilinear_multiplier`.
+`_WindowPlan.distance`, and `norms._lag_folded_weight`.
 The module also holds the `Field` type, whose dtype says whether a field is
 real and follows from how the field was built: float64 from real-typed
-samples or, through `Field.from_spectrum`, from a Hermitian spectrum (the
-`real_inverse` of its modes 0 .. N/2), complex128 from complex samples.
+samples or from the edge-based modes 0 .. N/2 (`Field.from_half`, which
+keeps them), complex128 from complex samples.
 """
 
 from __future__ import annotations
@@ -142,23 +142,22 @@ def make_grid(L: float, N: int) -> Grid:
 class Field:
     """Physical samples u(x_j) on a grid: float64 from bool, integer and
     floating samples, complex128 from complex ones whatever their imaginary
-    part. Consumers route by dtype, so real data built from a spectrum take
-    `Field.from_spectrum`, not the complex inverse.
+    part. Consumers route by dtype, so real data given by their spectrum
+    take `Field.from_half` or `Field.from_spectrum`, not the complex inverse.
 
     Immutable: `values` is stored read-only; all operations return new
     fields. A writeable or borrowed array is copied. A read-only array that
     owns its data and needs no conversion is taken over without a copy;
     numpy lets its owner set it writeable again, so the caller must not.
     `spectral_values(f)` returns the spectrum u_hat(xi_k), in FFT order
-    under the 1/sqrt(2*pi) convention; the real field with a given
-    Hermitian spectrum is `Field.from_spectrum(grid, coeffs)`, which keeps
-    that spectrum and the edge-based half spectrum of its samples, so
-    `spectral_values` and `half_spectrum` return them without a transform.
+    under the 1/sqrt(2*pi) convention, and `half_spectrum(f)` the
+    edge-based modes 0 .. N/2 of a real field. A field built from its half
+    spectrum keeps that half, read-only, beside its samples, and keeps no
+    other array.
     """
 
     grid: Grid
     values: np.ndarray = field(repr=False)
-    _spectrum: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _half: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -171,20 +170,30 @@ class Field:
         object.__setattr__(self, "values", _owned_readonly(v, self.values))
 
     @classmethod
-    def from_spectrum(cls, grid: Grid, coeffs: np.ndarray) -> "Field":
-        """The real field with the Hermitian spectrum `coeffs` (FFT order,
-        mode N-k the conjugate of mode k, as a real field's is), stored
-        read-only beside its float64 samples under the copy rule of
-        `values`. The samples are `grid.real_inverse` of the edge-based
-        modes 0 .. N/2, (-1)^k coeffs, which the field keeps too; the other
-        modes are not read."""
-        hat = np.asarray(coeffs, dtype=np.complex128)
-        modes = grid.n_modes // 2 + 1
-        half = _readonly(hat[:modes] * _phase(grid.n_modes)[:modes])
-        f = cls(grid, _readonly(grid.real_inverse(half)))
-        object.__setattr__(f, "_spectrum", _owned_readonly(hat, coeffs))
-        object.__setattr__(f, "_half", half)
+    def from_half(cls, grid: Grid, half: np.ndarray) -> "Field":
+        """The real field with the edge-based modes 0 .. N/2 `half`, shape
+        (N/2+1,), as `grid.real_forward` gives them: float64 samples
+        `grid.real_inverse(half)`, and the half kept read-only under the
+        copy rule of `values`. ValueError for any other shape."""
+        h = np.asarray(half, dtype=np.complex128)
+        if h.shape != (grid.n_modes // 2 + 1,):
+            raise ValueError(f"half spectrum shape {h.shape}, expected ({grid.n_modes // 2 + 1},)")
+        h = _owned_readonly(h, half)
+        f = cls(grid, _readonly(grid.real_inverse(h)))
+        object.__setattr__(f, "_half", h)
         return f
+
+    @classmethod
+    def from_spectrum(cls, grid: Grid, coeffs: np.ndarray) -> "Field":
+        """The real field with the Hermitian spectrum `coeffs`, shape (N,),
+        in FFT order and the symmetric convention: `from_half` of its modes
+        0 .. N/2 times the phase (-1)^k; the other modes are not read.
+        ValueError for any other shape."""
+        hat = np.asarray(coeffs, dtype=np.complex128)
+        if hat.shape != (grid.n_modes,):
+            raise ValueError(f"spectrum shape {hat.shape}, expected ({grid.n_modes},)")
+        modes = grid.n_modes // 2 + 1
+        return cls.from_half(grid, _readonly(hat[:modes] * _phase(grid.n_modes)[:modes]))
 
 
 def _owned_readonly(v: np.ndarray, given) -> np.ndarray:
@@ -235,17 +244,15 @@ def _half_weights(n_modes: int) -> np.ndarray:
 
 
 def spectral_values(f: Field) -> np.ndarray:
-    """Spectral coefficients u_hat(xi_k) of f: the spectrum it was built
-    from, if any (read-only), else the transform of its samples."""
-    if f._spectrum is not None:
-        return f._spectrum
+    """Spectral coefficients u_hat(xi_k) of f: the transform of its samples."""
     return f.grid.forward(f.values)
 
 
 def half_spectrum(f: Field) -> np.ndarray:
     """The edge-based coefficients of the modes 0 .. N/2 of a field with
-    (float64) real samples, the input of `grid.real_inverse`; kept
-    (read-only) by a field built from its spectrum."""
+    (float64) real samples, the input of `grid.real_inverse`: the half a
+    field built by `Field.from_half` keeps (read-only), else the real
+    transform of its samples."""
     if f._half is not None:
         return f._half
     return f.grid.real_forward(f.values)

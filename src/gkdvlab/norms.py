@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Field, _readonly, field_from_function, spectral_values
+from .grid import SQRT_2PI, Field, _readonly, field_from_function, spectral_values
 from .spacetime import SpaceTimeField, _band_spectrum, _time_forward, require_same_axes
 from .params import AMPLITUDE_EXPONENT
 
@@ -186,26 +186,16 @@ def _lag_folded_weight(
     return length, _readonly(weight)
 
 
-def _column_support(hat_x: np.ndarray, floor: float) -> np.ndarray | None:
-    """Mask of the columns (modes) of hat_x (time samples x modes) whose L^2
-    mass exceeds `floor` times the peak column's; None when a column mass is
-    not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        col = np.sqrt(np.sum(np.abs(hat_x) ** 2, axis=0))
-    if not np.all(np.isfinite(col)):
-        return None
-    return col > floor * col.max()
-
-
 def _support_radius(grid, hat_x: np.ndarray, columns=slice(None)) -> float:
     """Largest |xi| whose column of the x-spectral coefficients hat_x carries
     more than 1e-12 of the peak column's L^2 mass; hat_x holds the grid's
     modes `columns` (all of them by default). Non-finite coefficients report
     the full grid band."""
-    support = _column_support(hat_x, 1e-12)
-    if support is None:
+    with np.errstate(over="ignore", invalid="ignore"):
+        col = np.sqrt(np.sum(np.abs(hat_x) ** 2, axis=0))
+    if not np.all(np.isfinite(col)):
         return float(grid.xi_max)
-    return float(np.max(np.abs(grid.xi[columns][support]), initial=0.0))
+    return float(np.max(np.abs(grid.xi[columns][col > 1e-12 * col.max()]), initial=0.0))
 
 
 def _require_band(taxis, radius: float) -> None:
@@ -270,25 +260,24 @@ def bilinear_multiplier(u1: SpaceTimeField, u2: SpaceTimeField, s: float) -> Spa
 
     Evaluated as a weighted circular convolution in the spatial frequency,
     pointwise in time; s = 0 gives the plain product. Output spatial
-    frequencies wrap modulo the grid, as the torus product does. The sum
-    runs over each factor's support, the modes whose L^2 mass over time
-    exceeds 1e-14 of its peak mode's, so factors that carry K1 and K2 of the
-    N modes cost O(K1 K2 M) for M time samples.
+    frequencies wrap modulo the grid, as the torus product does. Each
+    factor's x-spectrum is `_band_spectrum`'s: a random field's kept band
+    alone, or every mode of a field that keeps none. The sum runs over
+    those columns, so factors whose bands hold K1 and K2 of the N modes
+    cost O(K1 K2 M) for M time samples. The convolution times dxi/sqrt(2 pi)
+    is the product's spectrum, which `grid.inverse` returns to samples.
     """
     require_same_axes(u1, u2)
-    n = u1.grid.n_modes
-    xi = u1.grid.xi
-    a = np.fft.fft(u1.values, axis=1)  # (M, N)
-    bv = np.fft.fft(u2.values, axis=1)
-    k1, k2 = (
-        np.arange(n) if m is None else np.flatnonzero(m)
-        for m in (_column_support(a, 1e-14), _column_support(bv, 1e-14))
-    )
-    a, bv = a.T[k1], bv.T  # modes x time samples
-    symbol = np.abs(xi[k1][:, None] - xi[k2][None, :]) ** s
+    grid = u1.grid
+    n = grid.n_modes
+    modes = np.arange(n)
+    (columns1, hat1), (columns2, hat2) = _band_spectrum(u1), _band_spectrum(u2)
+    k1, k2 = modes[columns1], modes[columns2]
+    a, bv = hat1.T, hat2.T  # modes x time samples
+    symbol = np.abs(grid.xi[k1][:, None] - grid.xi[k2][None, :]) ** s
     out = np.zeros((n, u1.taxis.n_samples), dtype=np.complex128)
     for j, k in enumerate(k2):
         # Output mode k1 + k gathers its terms in increasing k, as a dense sum would.
-        out[(k1 + k) % n] += symbol[:, j][:, None] * a * bv[k]
-    out /= n  # circular-convolution normalization of the raw DFT
-    return u1.with_values(_readonly(np.fft.ifft(out.T, axis=1)))
+        out[(k1 + k) % n] += symbol[:, j][:, None] * a * bv[j]
+    out *= grid.dxi / SQRT_2PI
+    return u1.with_values(_readonly(grid.inverse(out.T)))

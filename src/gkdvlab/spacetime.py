@@ -113,7 +113,7 @@ class SpaceTimeField:
 
     A field built from the x-spectral coefficients of a band of columns
     (`_with_band`) keeps them read-only beside its samples, as `Field` keeps
-    its spectrum; `_band_spectrum` returns them. Any field built from
+    its half spectrum; `_band_spectrum` returns them. Any field built from
     samples, `with_values` included, keeps none."""
 
     grid: Grid

@@ -4,9 +4,9 @@ A raised-cosine window psi supported on [-1, 1] tiles frequency space by
 integer translates (sum_n psi(xi - n) = 1 exactly). Each band psi(D - n)
 of a field is multiplied by an independent mean-zero complex coefficient
 g_n with E|g_n|^2 = 1 and a sub-Gaussian moment generating function.
-Hermitian pairing g_{-n} = conj(g_n), g_0 real, keeps real data real:
-`sampler` takes real data only and builds each sample's float64 values
-from the modes 0 .. N/2 of its spectrum.
+Hermitian pairing g_{-n} = conj(g_n), g_0 real, keeps real data real, so
+a sample is described by its modes 0 .. N/2: `sampler` takes real data
+only and works on their half spectrum alone.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Field, Grid, _readonly, spectral_values
+from .grid import Field, Grid, _half_weights, _readonly, half_spectrum
 
 DISTRIBUTIONS = ("gaussian", "rademacher", "uniform", "ones")
 
@@ -82,26 +82,25 @@ def sample_coefficients(distribution: str, seed: int, n_max: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _band_stack(grid: Grid, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (2*n_max+1, N) matrix of window translates psi(xi - n), |n| <=
-    n_max, on the grid's frequencies, plus its column sums (the coverage
-    weight, 1 on the covered band)."""
-    rows = np.stack([partition_window(grid.xi - n) for n in range(-n_max, n_max + 1)])
-    cover = rows.sum(axis=0)
-    rows.flags.writeable = False
-    cover.flags.writeable = False
-    return rows, cover
+    """The (2*n_max+1, N/2+1) matrix of window translates psi(xi - n), |n| <=
+    n_max, on the frequencies of the modes 0 .. N/2, plus its column sums
+    (the coverage weight, 1 on the covered band); cached and read-only."""
+    xi = grid.xi[: grid.n_modes // 2 + 1]
+    rows = np.stack([partition_window(xi - n) for n in range(-n_max, n_max + 1)])
+    return _readonly(rows), _readonly(rows.sum(axis=0))
 
 
-def _require_covered(grid: Grid, hat: np.ndarray, n_max: int) -> None:
+def _require_covered(grid: Grid, half: np.ndarray, n_max: int) -> None:
     """Raise ValueError unless the coefficient range |n| <= n_max covers the
-    field with spectrum `hat`: the relative L^2 mass at frequencies where the
-    window sum falls below 1 must not exceed _STRAY_MASS_TOL. The masses are
-    taken relative to the peak mode, so that no square overflows."""
+    real field with half spectrum `half`: the relative L^2 mass (weighted by
+    `_half_weights`) at frequencies where the window sum falls below 1 must
+    not exceed _STRAY_MASS_TOL. The masses are taken relative to the peak
+    mode, so that no square overflows."""
     _, cover = _band_stack(grid, n_max)
-    amplitude = np.abs(hat)
+    amplitude = np.abs(half)
     peak = amplitude.max()
     if peak > 0.0:
-        mass = (amplitude / peak) ** 2
+        mass = _half_weights(grid.n_modes) * (amplitude / peak) ** 2
         total_mass = float(np.sum(mass))
         stray = float(np.sum(mass[cover < 1.0 - 1e-9]))
         if stray > _STRAY_MASS_TOL * total_mass:
@@ -114,11 +113,12 @@ def _require_covered(grid: Grid, hat: np.ndarray, n_max: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Sampler:
-    """The randomization of phi (spectrum `hat`) that `sampler` builds: a seed
-    draws the coefficients g, and equal g build equal fields."""
+    """The randomization of phi (edge-based half spectrum `half`, windows
+    `stack` on the modes 0 .. N/2) that `sampler` builds: a seed draws the
+    coefficients g, and equal g build equal fields."""
 
     grid: Grid
-    hat: np.ndarray
+    half: np.ndarray
     stack: np.ndarray
     distribution: str
     n_max: int
@@ -127,10 +127,10 @@ class Sampler:
         return sample_coefficients(self.distribution, seed, self.n_max)
 
     def field(self, g: np.ndarray) -> Field:
-        """The real field with spectrum phi_hat * (g @ windows), which it
-        keeps; Hermitian, as phi_hat and g are, so its float64 samples are
-        the real inverse of the modes 0 .. N/2 (`Field.from_spectrum`)."""
-        return Field.from_spectrum(self.grid, _readonly(self.hat * (g @ self.stack)))
+        """The real field with the modes 0 .. N/2 of phi_hat * (g @ windows),
+        which it keeps (`Field.from_half`); Hermitian, as phi_hat and g
+        are, so these modes describe it."""
+        return Field.from_half(self.grid, _readonly(self.half * (g @ self.stack)))
 
     def __call__(self, seed: int) -> Field:
         return self.field(self.coefficients(seed))
@@ -140,23 +140,26 @@ def sampler(phi: Field, distribution: str, n_max: int | None = None) -> Sampler:
     """The unit-cube randomization of phi, with g = sample_coefficients(
     distribution, seed, n_max).
 
-    Checks once that phi is real (float64; complex data raise ValueError),
+    Checks once, raising ValueError, that phi is real (float64) and finite,
     that the distribution is known, that n_max >= 1 and that the range
-    |n| <= n_max covers the spectral support of phi, and reads phi's
-    spectrum once (`spectral_values`: the one it keeps when built from
-    it, else one transform). n_max=None takes the least range that covers
-    the modes of phi above 1e-13 times its peak mode.
+    |n| <= n_max covers the spectral support of phi, and reads phi's half
+    spectrum once (`half_spectrum`: the one it keeps, else one real
+    transform). n_max=None takes the least range that covers the modes of
+    phi above 1e-13 times its peak mode.
     """
     if phi.values.dtype != np.float64:
         raise ValueError("sampler expects real data")
+    if not np.all(np.isfinite(phi.values)):
+        raise ValueError("sampler expects finite data")
     require_distribution(distribution)
     grid = phi.grid
-    hat = spectral_values(phi)
+    half = half_spectrum(phi)
     if n_max is None:
-        amplitude = np.abs(hat)
-        radius = np.max(np.abs(grid.xi[amplitude > _VISIBLE_TOL * amplitude.max()]), initial=0.0)
+        amplitude = np.abs(half)
+        xi = grid.xi[: grid.n_modes // 2 + 1]
+        radius = np.max(np.abs(xi[amplitude > _VISIBLE_TOL * amplitude.max()]), initial=0.0)
         n_max = int(np.ceil(radius)) + 1
     elif n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    _require_covered(grid, hat, n_max)
-    return Sampler(grid, hat, _band_stack(grid, n_max)[0], distribution, n_max)
+    _require_covered(grid, half, n_max)
+    return Sampler(grid, half, _band_stack(grid, n_max)[0], distribution, n_max)

@@ -14,6 +14,7 @@ from gkdvlab.grid import (
 from gkdvlab.norms import _half_xsb_weight
 from gkdvlab.probes import ProbeResolution
 from gkdvlab.spacetime import SpaceTimeField, _propagator, _time_forward, _time_inverse
+from gkdvlab.wiener import partition_window
 
 # The run values of the default configuration, for tests that run the
 # library at the preset values; `config._SCHEMA` is their one home.
@@ -90,6 +91,37 @@ def former_to_dft(grid, coeffs):
     return (SQRT_2PI / grid.dx) * _phase(grid.n_modes) * coeffs
 
 
+def former_spectral_values(f):
+    """The former `spectral_values`, which returned the spectrum a field
+    was built from: that spectrum now given by the half the field keeps,
+    its modes 0 .. N/2 with the sign pattern taken out (bit for bit) and
+    their conjugates as modes N/2+1 .. N-1, so an oracle reads the
+    coefficient bits the solvers read. A field that keeps no half: the
+    transform of its samples."""
+    if f._half is None:
+        return spectral_values(f)
+    hat = edge_based(f._half)
+    return np.concatenate([hat, np.conj(hat[-2:0:-1])])
+
+
+# The former sampler route, kept as an oracle: the full spectrum
+# phi_hat * (g @ windows) on all N modes, then `Field.from_spectrum`.
+
+
+def former_band_stack(grid, n_max):
+    """The former `wiener._band_stack` rows: the window translates
+    psi(xi - n), |n| <= n_max, on all N frequencies."""
+    return np.stack([partition_window(grid.xi - n) for n in range(-n_max, n_max + 1)])
+
+
+def former_sample_field(grid, hat, g, n_max):
+    """The former `Sampler.field(g)` of data with the full spectrum `hat`
+    (the one the former sampler read): (spectrum, field), the product
+    hat * (g @ windows) and the real field built from it."""
+    spectrum = _readonly(hat * (g @ former_band_stack(grid, n_max)))
+    return spectrum, Field.from_spectrum(grid, spectrum)
+
+
 def random_real_field(grid, seed):
     rng = np.random.default_rng(seed)
     return Field(grid, rng.standard_normal(grid.n_modes))
@@ -102,10 +134,11 @@ def l2_norm(f):
 
 
 def multiply(f, symbol):
-    """The Fourier multiplier `symbol` (given on grid.xi) applied to f: the
-    complex samples of the inverse of the product, whatever its symmetry.
-    Real data with a Hermitian product take `Field.from_spectrum` instead."""
-    return Field(f.grid, f.grid.inverse(spectral_values(f) * symbol))
+    """The Fourier multiplier `symbol` (given on grid.xi) applied to f (its
+    spectrum as `former_spectral_values` gives it): the complex samples of
+    the inverse of the product, whatever its symmetry. Real data with a
+    Hermitian product take `Field.from_spectrum` instead."""
+    return Field(f.grid, f.grid.inverse(former_spectral_values(f) * symbol))
 
 
 def airy_propagate(f, t):
@@ -119,8 +152,9 @@ def airy_propagate(f, t):
 def free_coeffs(phi, taxis, profile=None):
     """The complex route of the free flow on all N modes: the x-spectral
     coefficients exp(i t xi^3) phi_hat at the samples of `taxis`, times the
-    sampled time profile when one is given."""
-    coeffs = _propagator(phi.grid, taxis) * spectral_values(phi)[None, :]
+    sampled time profile when one is given; phi_hat is
+    `former_spectral_values(phi)`, the solvers' coefficient bits."""
+    coeffs = _propagator(phi.grid, taxis) * former_spectral_values(phi)[None, :]
     if profile is not None:
         coeffs = coeffs * profile[:, None]
     return coeffs

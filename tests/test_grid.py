@@ -15,12 +15,14 @@ from gkdvlab.grid import (
 from gkdvlab.cli import _band_limit
 from gkdvlab.norms import sobolev_norm
 from gkdvlab.probes import _banded_bump
+from gkdvlab.wiener import sampler
 
 from conftest import (
     airy_propagate,
     edge_based,
     former_real_forward,
     former_real_inverse,
+    former_spectral_values,
     l2_norm,
     multiply,
     random_real_field,
@@ -180,7 +182,7 @@ class TestCarriedSpectrum:
     def test_spectrum_kept_and_samples_its_inverse(self, grid64):
         # a Hermitian spectrum: the real field's samples are the real
         # inverse of its modes 0..N/2, the complex inverse's real part up to
-        # round-off
+        # round-off; the field keeps those modes, edge-based
         rng = np.random.default_rng(7)
         hat = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         hat[0], hat[32] = hat[0].real, hat[32].real
@@ -191,17 +193,21 @@ class TestCarriedSpectrum:
         assert np.array_equal(f.values, former_real_inverse(grid64, hat[:33]))
         full = grid64.inverse(hat)
         assert np.max(np.abs(f.values - full.real)) <= 1e-15 * np.max(np.abs(full))
-        assert np.array_equal(spectral_values(f), hat)
-        assert not spectral_values(f).flags.writeable
-        hat[0] = 99.0  # a writeable array is copied
-        assert spectral_values(f)[0] != 99.0
+        # the former kept spectrum, bit for bit from the kept half
+        assert np.array_equal(former_spectral_values(f), hat)
+        assert not half_spectrum(f).flags.writeable
+        hat[0] = 99.0  # the given array is not kept
+        assert half_spectrum(f)[0] != 99.0
         plain = Field(grid64, f.values)
-        assert plain._spectrum is None and plain._half is None
+        assert plain._half is None
 
     def test_readonly_owned_spectrum_is_shared(self, grid64):
-        hat = np.ones(64, np.complex128)
-        hat.flags.writeable = False
-        assert spectral_values(Field.from_spectrum(grid64, hat)) is hat
+        half = np.ones(33, np.complex128)
+        half.flags.writeable = False
+        assert half_spectrum(Field.from_half(grid64, half)) is half
+        writeable = np.ones(33, np.complex128)
+        kept = half_spectrum(Field.from_half(grid64, writeable))
+        assert kept is not writeable and not kept.flags.writeable
 
     def test_half_spectrum_of_carried_and_plain_fields(self, grid64):
         # a carried field returns the edge-based half spectrum its samples
@@ -213,6 +219,42 @@ class TestCarriedSpectrum:
         assert np.array_equal(half, edge_based(spectral_values(f)[:33]))
         assert np.array_equal(half_spectrum(f), grid64.real_forward(f.values))
         assert np.max(np.abs(half_spectrum(f) - half)) <= 1e-14 * np.max(np.abs(half))
+
+
+class TestOneKeptHalf:
+    """A real field keeps at most one array beside its samples, its
+    edge-based half, read-only; the given spectra have one shape each."""
+
+    def test_field_keeps_at_most_its_half(self, grid64):
+        plain = random_real_field(grid64, 2)
+        hat = spectral_values(plain)
+        built = Field.from_spectrum(grid64, hat)
+        sample = sampler(built, "gaussian")
+        assert sample.half.shape == (33,) and sample.stack.shape == (2 * sample.n_max + 1, 33)
+        fields = [plain, built, Field.from_half(grid64, half_spectrum(plain)), sample(3)]
+        for f in fields:
+            assert not hasattr(f, "_spectrum")
+            kept = [v for k, v in vars(f).items() if k not in ("grid", "values") and v is not None]
+            assert len(kept) <= 1
+            assert all(a.shape == (33,) and not a.flags.writeable for a in kept)
+        assert plain._half is None and built._half is not None
+        # the spectrum of a field built from one is the transform of its samples
+        assert spectral_values(built).tobytes() == grid64.forward(built.values).tobytes()
+
+    def test_from_spectrum_takes_the_full_shape_only(self, grid64):
+        hat = spectral_values(random_real_field(grid64, 3))
+        # a 33-entry half once built a field with the wrong phase, and 100
+        # entries were cut to N, both without an error
+        for bad in (hat[:33], np.concatenate([hat, hat[:36]]), hat[:63], hat[None, :]):
+            with pytest.raises(ValueError, match=r"expected \(64,\)"):
+                Field.from_spectrum(grid64, bad)
+
+    def test_from_half_takes_the_half_shape_only(self, grid64):
+        f = random_real_field(grid64, 3)
+        half = half_spectrum(f)
+        for bad in (half[:32], np.concatenate([half, half]), spectral_values(f), half[None, :]):
+            with pytest.raises(ValueError, match=r"expected \(33,\)"):
+                Field.from_half(grid64, bad)
 
 
 class TestDtypeByConstruction:
@@ -236,7 +278,7 @@ class TestDtypeByConstruction:
         assert f.values.dtype == np.float64
         assert np.array_equal(f.values, grid64.real_inverse(edge_based(hat[:33])))
         assert np.max(np.abs(f.values - samples.real)) <= 1e-15 * np.max(np.abs(samples))
-        assert np.array_equal(spectral_values(f), hat)
+        assert np.array_equal(former_spectral_values(f)[:33], hat[:33])
         assert np.array_equal(half_spectrum(f), edge_based(hat[:33]))
 
 
@@ -253,7 +295,8 @@ def _former_real_samples(grid, hat):
 class TestBandLimitedBuilders:
     """`cli._band_limit` and `probes._banded_bump` build real fields from
     their spectra; their samples are the former complex-inverse ones to
-    round-off, and the fields keep that spectrum."""
+    round-off, and the fields keep that spectrum's edge-based modes
+    0 .. N/2."""
 
     @staticmethod
     def _assert_matches_former(f, hat):
@@ -261,7 +304,7 @@ class TestBandLimitedBuilders:
         assert former.dtype == np.float64  # the former tolerance made them real
         assert f.values.dtype == np.float64
         assert np.max(np.abs(f.values - former)) <= 1e-15 * np.max(np.abs(former))
-        assert np.array_equal(spectral_values(f), hat)
+        assert np.array_equal(half_spectrum(f), edge_based(hat[: f.grid.n_modes // 2 + 1]))
 
     @pytest.mark.parametrize(
         "half_length,n_modes,amplitude,band",

@@ -16,8 +16,8 @@ from gkdvlab.grid import (
     Field,
     Grid,
     field_from_function,
+    half_spectrum,
     make_grid,
-    spectral_values,
 )
 from gkdvlab.io import ensemble_table
 from gkdvlab.montecarlo import (
@@ -37,9 +37,9 @@ from gkdvlab.norms import AliasingError, mixed_norm, sobolev_norm
 from gkdvlab.solver import picard_solve
 from gkdvlab.spacetime import TimeAxis, centered_axis, midpoint_axis
 from gkdvlab.streams import child_seed
-from gkdvlab.wiener import _band_stack, sample_coefficients, sampler
+from gkdvlab.wiener import sample_coefficients, sampler
 
-from conftest import EPS, MAX_ITER, N_TIME_SAMPLES, banded_bump, l2_norm
+from conftest import EPS, MAX_ITER, N_TIME_SAMPLES, banded_bump, former_band_stack, l2_norm
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -120,7 +120,7 @@ def _former_tail_observations(phi, t_grid, n_samples, seed, n_time_samples):
     grid = phi.grid
     amplitude = np.abs(grid.forward(phi.values))
     n_max = int(np.ceil(np.max(np.abs(grid.xi[amplitude > 1e-13 * amplitude.max()])))) + 1
-    stack = _band_stack(grid, n_max)[0]
+    stack = former_band_stack(grid, n_max)
     tables = {t: np.exp(1j * np.outer(midpoint_axis(t, n_time_samples).t, grid.xi**3)) for t in t_grid}
     dt = {t: midpoint_axis(t, n_time_samples).dt for t in t_grid}
     out = {t: np.empty(n_samples) for t in t_grid}
@@ -491,10 +491,10 @@ class TestExceptionalProbability:
 
     def test_phi_transformed_and_checked_once_over_four_T(self, grid64, monkeypatch):
         # one sampler serves every T of the sweep; the data are given as
-        # samples, so that they have a transform to count
+        # samples, so that they have a (real) transform to count
         phi = Field(grid64, banded_bump(grid64, amplitude=0.5, band=2.0).values)
         transforms, checks = [], []
-        forward, covered = Grid.forward, wiener._require_covered
+        forward, covered = Grid.real_forward, wiener._require_covered
 
         def counted_forward(grid, values):
             transforms.append(values is phi.values)
@@ -504,7 +504,7 @@ class TestExceptionalProbability:
             checks.append(args)
             return covered(*args)
 
-        monkeypatch.setattr(Grid, "forward", counted_forward)
+        monkeypatch.setattr(Grid, "real_forward", counted_forward)
         monkeypatch.setattr(wiener, "_require_covered", counted_covered)
         rep = exceptional_probability(
             sampler(phi, "gaussian"), [0.25, 0.125, 0.0625, 0.03125], 100, tol=1e-10,
@@ -577,10 +577,11 @@ def _exceptional_probability(cfg, sample, threads):
 
 
 def _distinct_spectra(sample, n_samples, seed):
-    """The distinct spectra among n_samples, compared by value: adding 0.0
-    turns -0.0 into +0.0 (a zero mode of the data takes its sign from g)."""
+    """The distinct spectra among n_samples, compared by the value of the
+    half each keeps: adding 0.0 turns -0.0 into +0.0 (a zero mode of the
+    data takes its sign from g)."""
     return len(
-        {(spectral_values(sample(child_seed(seed, k))) + 0.0).tobytes() for k in range(n_samples)}
+        {(half_spectrum(sample(child_seed(seed, k))) + 0.0).tobytes() for k in range(n_samples)}
     )
 
 
@@ -592,8 +593,11 @@ def _distinct_coefficients(sample, n_samples, seed, windows=slice(None)):
 
 
 def _live_windows(sample):
-    """The windows psi(xi - n) that reach a nonzero mode of the data."""
-    return np.flatnonzero(np.any(sample.stack[:, sample.hat != 0.0] > 0.0, axis=1))
+    """The windows psi(xi - n) that reach a nonzero mode of the data: on
+    the modes 0 .. N/2 the stack holds, or on their mirror images, which
+    the window psi(xi + n) reaches."""
+    reach = np.any(sample.stack[:, sample.half != 0.0] > 0.0, axis=1)
+    return np.flatnonzero(reach | reach[::-1])
 
 
 @pytest.fixture(scope="module", params=[42, 7])
@@ -682,8 +686,8 @@ class TestDistinctDraws:
         def fingerprint(f):
             with calls.get_lock():
                 calls.value += 1
-            # 48 bits of a hash of the spectrum bytes, exact as a float
-            digest = hashlib.sha256(spectral_values(f).tobytes()).digest()
+            # 48 bits of a hash of the kept half's bytes, exact as a float
+            digest = hashlib.sha256(half_spectrum(f).tobytes()).digest()
             return {"id": float(int.from_bytes(digest[:6], "big"))}
 
         records = run_ensemble(sample, 50, fingerprint, seed=3, threads=threads)

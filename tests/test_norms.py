@@ -330,6 +330,29 @@ class TestKeptBand:
                 xsb_norms(field, [(0.0, 0.5)])
 
 
+def _former_bilinear_multiplier(u1, u2, s):
+    """The former `bilinear_multiplier`: raw DFTs of both factors' samples,
+    the sum over the modes whose L^2 mass over time exceeds 1e-14 of the
+    peak mode's, `/ n` and a raw inverse DFT."""
+    n = u1.grid.n_modes
+    xi = u1.grid.xi
+    a = np.fft.fft(u1.values, axis=1)
+    bv = np.fft.fft(u2.values, axis=1)
+
+    def support(hat_x):
+        col = np.sqrt(np.sum(np.abs(hat_x) ** 2, axis=0))
+        return np.flatnonzero(col > 1e-14 * col.max())
+
+    k1, k2 = support(a), support(bv)
+    a, bv = a.T[k1], bv.T
+    symbol = np.abs(xi[k1][:, None] - xi[k2][None, :]) ** s
+    out = np.zeros((n, u1.taxis.n_samples), dtype=np.complex128)
+    for j, k in enumerate(k2):
+        out[(k1 + k) % n] += symbol[:, j][:, None] * a * bv[k]
+    out /= n
+    return np.fft.ifft(out.T, axis=1)
+
+
 class TestBilinearMultiplier:
     def test_s_zero_is_plain_product(self, grid64):
         ta = centered_axis(4.0, 32)
@@ -370,10 +393,11 @@ class TestBilinearMultiplier:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_dense_roll_oracle(self, n_modes, m_t, bands, s, seed):
-        """The support-restricted sum equals the dense O(N^2 M) sum over every
-        mode pair, for bands anywhere on the circle of modes (so also bands
-        that wrap past Nyquist) and for data on every mode. Mode amplitudes
-        span ten decades, all of them above the support floor."""
+        """The convolution equals the dense O(N^2 M) sum over every mode
+        pair, for bands anywhere on the circle of modes (so also bands that
+        wrap past Nyquist) and for data on every mode. The factors are given
+        as samples, so the sum runs over all their modes, whose amplitudes
+        span ten decades."""
         grid = make_grid(4.0, n_modes)
         ta = centered_axis(4.0, m_t)
         rng = np.random.default_rng(seed)
@@ -406,6 +430,19 @@ class TestBilinearMultiplier:
         term = np.max(symbol) * np.max(np.abs(a)) * np.max(np.abs(bv)) / n_modes
         tol = 1e-13 * np.max(np.abs(oracle)) + 1e-15 * term
         assert np.max(np.abs(out - oracle)) <= tol
+
+    def test_matches_former_on_probe_fields(self):
+        # the bilinear_l2 probe's factors at the probe-catalog resolution:
+        # random fields, read through their kept bands
+        resolution = preset_resolution().doubled()
+        grid, ta = resolution.make()
+        for trial in range(10):
+            u1, u2 = (random_spacetime(grid, ta, resolution.xi_band, 2 * trial + j, master=1)
+                      for j in (0, 1))
+            assert u1._band is not None and u2._band is not None
+            former = _former_bilinear_multiplier(u1, u2, 0.5)
+            out = bilinear_multiplier(u1, u2, 0.5).values
+            assert np.max(np.abs(out - former)) <= 1e-14 * np.max(np.abs(former))
 
     def test_zero_factor_gives_zero(self, grid64):
         ta = centered_axis(4.0, 32)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from gkdvlab import solver
 from gkdvlab.cli import _sampler, build_data
 from gkdvlab.config import load_config, parse_float_list
-from gkdvlab.grid import SQRT_2PI, Field, Grid, field_from_function, make_grid, spectral_values
+from gkdvlab.grid import SQRT_2PI, Field, Grid, field_from_function, half_spectrum, make_grid
 from gkdvlab.norms import AliasingError, _half_xsb_weight, _xsb_power, _xsb_sum, xsb_norm
 from gkdvlab.params import b_index, sigma_index
 from gkdvlab.solver import (
@@ -934,8 +934,9 @@ class TestPicardSolve:
 
 def test_realness_is_decided_once_per_sample(grid64, monkeypatch):
     # the sampler takes real data only and builds each float64 sample from
-    # its Hermitian spectrum, which the sample keeps; the free flow and both
-    # solvers read the dtype and that spectrum, and transform no samples
+    # the half of its Hermitian spectrum, which the sample keeps; the free
+    # flow and both solvers read the dtype and that half, and transform no
+    # samples
     phi = banded_bump(grid64, amplitude=1.0, band=2.0)
     sample = sampler(phi, "gaussian", 3)
     monkeypatch.setattr(Grid, "forward", _must_not_run)
@@ -943,7 +944,7 @@ def test_realness_is_decided_once_per_sample(grid64, monkeypatch):
     phi_omega = sample(5)
     assert phi_omega.values.dtype == np.float64
     g = sample.coefficients(5)
-    assert np.array_equal(spectral_values(phi_omega), sample.hat * (g @ sample.stack))
+    assert np.array_equal(half_spectrum(phi_omega), sample.half * (g @ sample.stack))
     for T in (0.125, 0.25, 0.5):
         assert free_evolution(phi_omega, midpoint_axis(T, 16)).values.dtype == np.float64
     res = picard_solve(phi_omega, 0.125, tol=1e-10, max_iter=3, taxis=centered_axis(4.0, 256),
@@ -966,9 +967,10 @@ def _former_fine_tables(grid):
 
 
 def _former_half_spectrum(f):
-    """The former `half_spectrum`: the symmetric-convention modes 0 .. N/2."""
-    if f._spectrum is not None:
-        return f._spectrum[: f.grid.n_modes // 2 + 1]
+    """The former `half_spectrum`: the symmetric-convention modes 0 .. N/2
+    (of a kept half, the sign pattern taken out)."""
+    if f._half is not None:
+        return edge_based(f._half)
     return former_real_forward(f.grid, f.values)
 
 

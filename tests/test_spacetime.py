@@ -33,6 +33,7 @@ from conftest import (
     EPS,
     airy_propagate,
     banded_bump,
+    edge_based,
     former_real_forward,
     free_coeffs,
     st_spectral_values,
@@ -311,8 +312,8 @@ def _former_free_evolution(phi, taxis, cutoff):
     cutoff, one raw irfft and the grid's inverse scale."""
     grid = phi.grid
     half = grid.n_modes // 2 + 1
-    if phi._spectrum is not None:
-        hat = phi._spectrum[:half]
+    if phi._half is not None:
+        hat = edge_based(phi._half)
     else:
         hat = former_real_forward(grid, phi.values)
     table = np.exp(1j * np.outer(taxis.t, grid.xi[:half] ** 3))

@@ -24,9 +24,8 @@ ALLOWED = {
     ("solver", "_fine_samples"),
     ("solver", "_nonlinearity"),
     ("solver", "_WindowPlan.distance"),
-    # the distance's lag weight and the bilinear convolution
+    # the distance's lag weight
     ("norms", "_lag_folded_weight"),
-    ("norms", "bilinear_multiplier"),
 }
 
 

@@ -1,4 +1,6 @@
+import copy
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,12 @@ from gkdvlab.grid import (
     make_grid,
     spectral_values,
 )
+from gkdvlab import wiener
+from gkdvlab.cli import build_data
+from gkdvlab.config import load_config
 from gkdvlab.norms import sobolev_norm
+from gkdvlab.probes import _banded_bump
+from gkdvlab.streams import child_seed
 from gkdvlab.wiener import (
     _band_stack,
     _component_draws,
@@ -23,7 +30,18 @@ from gkdvlab.wiener import (
     sampler,
 )
 
-from conftest import airy_propagate, banded_bump, edge_based, l2_norm, multiply
+from conftest import (
+    airy_propagate,
+    banded_bump,
+    edge_based,
+    former_band_stack,
+    former_sample_field,
+    former_spectral_values,
+    l2_norm,
+    multiply,
+)
+
+LWP_PRESET = Path(__file__).parents[1] / "configs" / "lwp.ini"
 
 
 class TestWindow:
@@ -54,13 +72,15 @@ class TestProjectBand:
 
     def test_band_sum_reconstructs(self, grid64):
         f = banded_bump(grid64, band=3.0)
-        hat = spectral_values(f)
-        rows = _band_stack(grid64, 4)[0]
+        hat = former_spectral_values(f)
+        rows = former_band_stack(grid64, 4)
         total = sum(spectral_values(multiply(f, row)) for row in rows)
         assert np.max(np.abs(total - hat)) <= 1e-12 * np.max(np.abs(hat))
 
     def test_support_selects_two_bands(self, grid64):
-        mask = (grid64.xi >= 3.4) & (grid64.xi <= 3.6)
+        # the stack's columns are the modes 0 .. N/2
+        xi = grid64.xi[:33]
+        mask = (xi >= 3.4) & (xi <= 3.6)
         rows = _band_stack(grid64, 5)[0]
         live = [n for n, row in zip(range(-5, 6), rows) if np.any(row[mask] > 0.0)]
         assert live == [3, 4]
@@ -224,15 +244,30 @@ class TestRandomize:
         grid = make_grid(16.0, n_modes)
         phi = field_from_function(grid, lambda x: np.exp(-(x**2)))
         g = sample_coefficients("gaussian", seed, 8)
-        stack = _band_stack(grid, 8)[0]
+        stack = former_band_stack(grid, 8)
         old = multiply(phi, g @ stack).values
         new = sampler(phi, "gaussian", 8)(seed)
         scale = np.max(np.abs(old))
         # the former samples: the real part, within the former realness tolerance
         assert np.max(np.abs(old.imag)) <= 1e-12 * scale
         assert np.max(np.abs(new.values - old.real)) <= 1e-15 * scale
-        # the field carries its spectrum, the one product
-        assert np.array_equal(spectral_values(new), spectral_values(phi) * (g @ stack))
+        # the field carries its half spectrum, the one product
+        sample = sampler(phi, "gaussian", 8)
+        assert np.array_equal(half_spectrum(new), half_spectrum(phi) * (g @ sample.stack))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data_refused_before_any_draw(self, grid64, monkeypatch, bad):
+        # such data once passed: a NaN peak skipped the coverage test, the
+        # automatic range came out as 1, and every sample of an ensemble
+        # was booked as a failure of local solvability
+        values = banded_bump(grid64, band=3.0).values.copy()
+        values[17] = bad
+        draws = []
+        monkeypatch.setattr(wiener, "sample_coefficients", lambda *args: draws.append(args))
+        for n_max in (None, 4):
+            with pytest.raises(ValueError, match="sampler expects finite data"):
+                sampler(Field(grid64, values), "gaussian", n_max)
+        assert draws == []
 
     def test_complex_data_refused(self, grid64):
         # as picard_solve does: the randomization keeps real data real, and
@@ -247,23 +282,27 @@ class TestRandomize:
     def test_field_keeps_former_spectrum_with_real_samples(
         self, half_length, n_modes, distribution
     ):
-        # the former field, kept here: the spectrum phi_hat * (g @ windows)
-        # and, as samples, the real part of its complex inverse; the field
-        # keeps the real pair's edge-based half spectrum of it
+        # the former field: the spectrum phi_hat * (g @ windows) on all N
+        # modes and, as samples, the real part of its complex inverse. The
+        # data are given as samples, so the former route read their complex
+        # transform and the sampler reads their real one: the two agree to
+        # round-off
         grid = make_grid(half_length, n_modes)
         phi = field_from_function(grid, lambda x: np.exp(-(x**2)))
         sample = sampler(phi, distribution)
         for seed in range(6):
             g = sample.coefficients(seed)
-            former = spectral_values(phi) * (g @ sample.stack)
+            former, former_field = former_sample_field(grid, spectral_values(phi), g, sample.n_max)
             f = sample.field(g)
-            assert spectral_values(f).tobytes() == former.tobytes()
             edge = edge_based(former[: n_modes // 2 + 1])
-            assert half_spectrum(f).tobytes() == edge.tobytes()
+            assert np.max(np.abs(half_spectrum(f) - edge)) <= 1e-14 * np.max(np.abs(edge))
+            assert half_spectrum(f).tobytes() == (half_spectrum(phi) * (g @ sample.stack)).tobytes()
             assert f.values.dtype == np.float64
-            assert np.array_equal(f.values, grid.real_inverse(edge))
+            assert np.array_equal(f.values, grid.real_inverse(half_spectrum(f)))
             old = grid.inverse(former).real
             assert np.max(np.abs(f.values - old)) <= 1e-15 * np.max(np.abs(old))
+            scale = np.max(np.abs(former_field.values))
+            assert np.max(np.abs(f.values - former_field.values)) <= 1e-14 * scale
 
     def test_ensemble_l2_mean_matches_band_sum(self, grid512, bump):
         # independence + mean-zero cross terms: E ||phi^omega||^2 = sum_n ||psi(D-n) phi||^2
@@ -272,7 +311,7 @@ class TestRandomize:
         vals = np.empty(n_samples)
         for k in range(n_samples):
             vals[k] = l2_norm(sample(k)) ** 2
-        rows = _band_stack(grid512, 16)[0]
+        rows = former_band_stack(grid512, 16)
         band_sum = sum(l2_norm(multiply(bump, row)) ** 2 for row in rows)
         se = vals.std() / np.sqrt(n_samples)
         assert abs(vals.mean() - band_sum) <= 3.0 * se
@@ -282,13 +321,54 @@ class TestRandomize:
         s = 0.25
         # sum_n || <D>^s psi(D - n) phi ||_{L^2}^2
         weighted = (1.0 + grid512.xi**2) ** s * np.abs(spectral_values(bump)) ** 2
-        rhs_sum = float(grid512.dxi * np.sum(_band_stack(grid512, 16)[0] ** 2 @ weighted))
+        rhs_sum = float(grid512.dxi * np.sum(former_band_stack(grid512, 16) ** 2 @ weighted))
         sample = sampler(bump, "gaussian", 16)
         for seed in range(20):
             lhs = sobolev_norm(sample(seed), s) ** 2
             g = sample_coefficients("gaussian", seed, 16)
             bound = 2.0 * float(np.max(np.abs(g)) ** 2) * rhs_sum
             assert lhs <= bound * (1.0 + 1e-12)
+
+
+class TestFormerSamplerRoute:
+    """`Sampler.field` on the half spectrum builds the fields of the former
+    route (conftest's `former_sample_field`: the full spectrum
+    hat * (g @ windows) on all N modes, then `Field.from_spectrum`) bit for
+    bit, for data built from their spectra. Data given as samples are
+    `test_field_keeps_former_spectrum_with_real_samples`'s."""
+
+    @staticmethod
+    def _assert_former_fields(sample, hat, n_draws=100):
+        for k in range(n_draws):
+            g = sample.coefficients(child_seed(42, k))
+            _, former = former_sample_field(sample.grid, hat, g, sample.n_max)
+            f = sample.field(g)
+            assert f.values.tobytes() == former.values.tobytes()
+            # equal by value: an exact zero mode of the data takes its sign
+            # from the order of the products, and adding 0.0 clears it
+            assert (half_spectrum(f) + 0.0).tobytes() == (half_spectrum(former) + 0.0).tobytes()
+
+    @pytest.mark.parametrize("distribution", ["rademacher", "gaussian"])
+    def test_lwp_preset_data(self, distribution):
+        # `cli._band_limit` builds the preset's data from the spectrum
+        # below, the one the former sampler read
+        cfg = load_config(LWP_PRESET)
+        raw_cfg = copy.deepcopy(cfg)
+        raw_cfg["data"]["band_limit"] = 0.0
+        raw = build_data(raw_cfg)
+        hat = spectral_values(raw) * (np.abs(raw.grid.xi) <= cfg["data"]["band_limit"])
+        self._assert_former_fields(sampler(build_data(cfg), distribution), hat)
+
+    @pytest.mark.parametrize("n_modes", [64, 128])  # the probe preset and its doubling
+    def test_probe_banded_bump(self, n_modes):
+        grid = make_grid(8.0, n_modes)
+        coeffs = np.exp(-(grid.xi**2)) * (np.abs(grid.xi) <= 3.5)
+        hat = coeffs / np.sqrt(grid.dxi * np.sum(coeffs**2))
+        self._assert_former_fields(sampler(_banded_bump(grid, 3.5), "gaussian", 5), hat)
+
+    def test_banded_bump(self, grid64):
+        hat = np.exp(-grid64.xi**2) * (np.abs(grid64.xi) <= 2.0)
+        self._assert_former_fields(sampler(banded_bump(grid64), "gaussian"), hat)
 
 
 @settings(max_examples=40, deadline=None)
