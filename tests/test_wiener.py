@@ -246,13 +246,13 @@ class TestRandomize:
         g = sample_coefficients("gaussian", seed, 8)
         stack = former_band_stack(grid, 8)
         old = multiply(phi, g @ stack).values
-        new = sampler(phi, "gaussian", 8)(seed)
+        sample = sampler(phi, "gaussian", 8)
+        new = sample(seed)
         scale = np.max(np.abs(old))
         # the former samples: the real part, within the former realness tolerance
         assert np.max(np.abs(old.imag)) <= 1e-12 * scale
         assert np.max(np.abs(new.values - old.real)) <= 1e-15 * scale
         # the field carries its half spectrum, the one product
-        sample = sampler(phi, "gaussian", 8)
         assert np.array_equal(half_spectrum(new), half_spectrum(phi) * (g @ sample.stack))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
