@@ -70,7 +70,14 @@ def build_data(cfg: dict) -> Field:
         phi = Field(grid, vals)
     band = data["band_limit"]
     if band > 0:
-        phi = _band_limit(phi, band)
+        # the transform of finite data near the float limit can overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            phi = _band_limit(phi, band)
+        if not np.all(np.isfinite(phi.values)):
+            raise ConfigError(
+                [f"[data] the data band-limited to |xi| <= {band!r} are not finite: "
+                 f"their transform overflows"]
+            )
     return phi
 
 

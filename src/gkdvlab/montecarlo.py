@@ -6,7 +6,10 @@ configuration and the master seed. Per-sample streams are derived by a
 splittable hash of (master seed, sample index), so neither the number of
 worker processes nor execution order can change any number. Observables
 must be pure functions of their field: an ensemble evaluates each distinct
-draw (equal coefficient bytes) once and copies its record to the repeats.
+draw once and copies its record to the repeats. Draws are told apart by
+`Sampler.key`, the bytes of their coefficients on the windows that reach
+the data, so draws that differ only where the data's spectrum is zero are
+one draw.
 """
 
 from __future__ import annotations
@@ -108,13 +111,14 @@ def _run_ensembles(
     slots: list[list[int]] = [[] for _ in ensembles]  # each sample's task
 
     def tasks() -> Iterator[Task]:
-        """(j, g) for each new coefficient vector of ensemble j, keyed by
-        its exact bytes; each sample's slot is the position of its task."""
+        """(j, g) for each new draw of ensemble j, keyed by `sample.key(g)`,
+        its bytes on the windows that reach the data; each sample's slot is
+        the position of its task."""
         firsts: dict[tuple[int, bytes], int] = {}
         for j, ensemble_seeds in enumerate(seeds):
             for seed in ensemble_seeds:
                 g, n_tasks = sample.coefficients(seed), len(firsts)
-                slot = firsts.setdefault((j, g.tobytes()), n_tasks)
+                slot = firsts.setdefault((j, sample.key(g)), n_tasks)
                 if slot == n_tasks:
                     yield j, g
                 slots[j].append(slot)
@@ -171,11 +175,12 @@ def run_ensemble(
     k < n_samples, of a `wiener.sampler`, which checks its data when built.
 
     `observables` maps a field to its name->float observables, and must be
-    a pure function of the field: samples whose coefficients have the same
-    bytes are evaluated once, and each repeat gets its own `index` and
-    `seed` with a copy of the first one's values. Per-sample errors in the
-    observables are recorded on the sample (blown_up) and never abort the
-    ensemble; an error in a draw raises.
+    a pure function of the field: samples with the same `sample.key` of
+    their coefficients (equal bytes on the windows that reach the data, so
+    fields with equal samples) are evaluated once, and each repeat gets its
+    own `index` and `seed` with a copy of the first one's values.
+    Per-sample errors in the observables are recorded on the sample
+    (blown_up) and never abort the ensemble; an error in a draw raises.
 
     `threads` is the number of worker processes, capped at the usable CPUs
     and at the distinct draws. More than one draws every sample's

@@ -83,7 +83,9 @@ def _abs_power(values: np.ndarray, p: float) -> np.ndarray:
         sq += np.square(values.imag)
     else:
         sq = np.square(values)
-    if p != 2.0:
+    if p == 4.0:
+        np.square(sq, out=sq)
+    elif p != 2.0:
         sq **= 0.5 * p
     return sq
 

@@ -111,20 +111,43 @@ def _require_covered(grid: Grid, half: np.ndarray, n_max: int) -> None:
             )
 
 
+def _live_windows(half: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """The positions in g, ascending, of the g_n (n >= 0) whose window
+    psi(xi - n) or psi(xi + n) is nonzero on a nonzero mode of `half`.
+
+    A row n < 0 of `stack` can be nonzero only on the Nyquist mode, whose
+    frequency is -N/2 dxi; there g_n = conj(g_{-n}) multiplies it, so the
+    g_n with n >= 0 name every coefficient that reaches the field."""
+    n_max = stack.shape[0] // 2
+    reach = np.any(stack[:, half != 0.0] != 0.0, axis=1)
+    return _readonly(n_max + np.flatnonzero(reach[n_max:] | reach[n_max::-1]))
+
+
 @dataclass(frozen=True, eq=False)
 class Sampler:
     """The randomization of phi (edge-based half spectrum `half`, windows
     `stack` on the modes 0 .. N/2) that `sampler` builds: a seed draws the
-    coefficients g, and equal g build equal fields."""
+    coefficients g, and g with equal `key` build fields with equal samples.
+
+    `live` holds the positions in g of the g_n, n >= 0, that reach the data
+    (`_live_windows`). The other windows multiply only zero modes of the
+    data, and g_{-n} = conj(g_n) follows from g_n."""
 
     grid: Grid
     half: np.ndarray
     stack: np.ndarray
     distribution: str
     n_max: int
+    live: np.ndarray
 
     def coefficients(self, seed: int) -> np.ndarray:
         return sample_coefficients(self.distribution, seed, self.n_max)
+
+    def key(self, g: np.ndarray) -> bytes:
+        """The bytes of g on the live windows. Draws with equal keys build
+        fields with equal samples: only the sign of an exact zero, among
+        the samples or the modes of the kept half, can tell them apart."""
+        return g[self.live].tobytes()
 
     def field(self, g: np.ndarray) -> Field:
         """The real field with the modes 0 .. N/2 of phi_hat * (g @ windows),
@@ -144,8 +167,9 @@ def sampler(phi: Field, distribution: str, n_max: int | None = None) -> Sampler:
     that the distribution is known, that n_max >= 1 and that the range
     |n| <= n_max covers the spectral support of phi, and reads phi's half
     spectrum once (`half_spectrum`: the one it keeps, else one real
-    transform). n_max=None takes the least range that covers the modes of
-    phi above 1e-13 times its peak mode.
+    transform). It finds the windows that reach that spectrum once too
+    (`Sampler.live`, which `Sampler.key` reads). n_max=None takes the least
+    range that covers the modes of phi above 1e-13 times its peak mode.
     """
     if phi.values.dtype != np.float64:
         raise ValueError("sampler expects real data")
@@ -162,4 +186,5 @@ def sampler(phi: Field, distribution: str, n_max: int | None = None) -> Sampler:
     elif n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     _require_covered(grid, half, n_max)
-    return Sampler(grid, half, _band_stack(grid, n_max)[0], distribution, n_max)
+    stack = _band_stack(grid, n_max)[0]
+    return Sampler(grid, half, stack, distribution, n_max, _live_windows(half, stack))

@@ -257,6 +257,20 @@ class TestDataErrors:
         assert "holds non-finite samples" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["randomize", "simulate"])
+    def test_band_limit_that_overflows_exit_2(self, tmp_path, capsys, command):
+        # finite config values: the forward transform of 64 samples near
+        # 1e308 overflows, and the band-limited data come out NaN. The
+        # suite's RuntimeWarning filter stays on, so no warning may escape
+        body = SMALL_GRID + "[data]\namplitude = 1e308\nband_limit = 2.0\n"
+        cfg = write_cfg(tmp_path, body)
+        out = tmp_path / "x"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "[data] the data band-limited to |xi| <= 2.0 are not finite" in err
+        assert "[random]" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "content",
         [

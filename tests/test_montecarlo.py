@@ -592,15 +592,22 @@ def _distinct_coefficients(sample, n_samples, seed, windows=slice(None)):
     )
 
 
-def _live_windows(sample):
-    """The windows psi(xi - n) that reach a nonzero mode of the data: on
-    the modes 0 .. N/2 the stack holds, or on their mirror images, which
-    the window psi(xi + n) reaches."""
-    reach = np.any(sample.stack[:, sample.half != 0.0] > 0.0, axis=1)
-    return np.flatnonzero(reach | reach[::-1])
+def _fingerprint(calls):
+    """An observable that counts its calls in the shared value `calls` and
+    returns 48 bits of a hash of the field's samples, exact as a float. The
+    samples are hashed by value: adding 0.0 turns -0.0 into +0.0 (zero data
+    take the sign of their zero samples from g)."""
+
+    def observe(f):
+        with calls.get_lock():
+            calls.value += 1
+        digest = hashlib.sha256((f.values + 0.0).tobytes()).digest()
+        return {"id": float(int.from_bytes(digest[:6], "big"))}
+
+    return observe
 
 
-@pytest.fixture(scope="module", params=[42, 7])
+@pytest.fixture(scope="module", params=[42, 7, 11])
 def lwp_oracle(request):
     """The lwp-picard workload at one seed, and its records per T by the
     former per-index loop."""
@@ -653,13 +660,13 @@ class TestDistinctDraws:
             return {"l2": l2_norm(f)}
 
         records = run_ensemble(sample, 60, counted, seed=4, threads=1)
-        # once per distinct g: the draws whose g differ only on the outermost
-        # windows, which miss the band-limited spectrum, share a spectrum
-        # but are evaluated apart (see the lwp-picard test below)
-        expected = {"ones": 1, "rademacher": _distinct_coefficients(sample, 60, 4), "gaussian": 60}
-        assert len(calls) == expected[distribution]
+        # the draws whose g differ only on the outermost windows, which miss
+        # the band-limited spectrum, share a spectrum and one evaluation
+        assert len(calls) == _distinct_spectra(sample, 60, 4)
         if distribution == "rademacher":
-            assert 1 < len(calls) < 60
+            assert 1 < len(calls) < _distinct_coefficients(sample, 60, 4) < 60
+        else:
+            assert len(calls) == {"ones": 1, "gaussian": 60}[distribution]
         assert _record_tuples(records) == _record_tuples(
             _former_run_ensemble(sample, 60, counted, 4)
         )
@@ -680,21 +687,50 @@ class TestDistinctDraws:
             wiener, "sample_coefficients",
             lambda dist, seed, n_max: given.get(seed, draw(dist, seed, n_max)),
         )
-        keys = {sample.coefficients(child_seed(3, k)).tobytes() for k in range(50)}
+        keys = {sample.key(sample.coefficients(child_seed(3, k))) for k in range(50)}
         calls = multiprocessing.get_context("fork").Value("i", 0)
-
-        def fingerprint(f):
-            with calls.get_lock():
-                calls.value += 1
-            # 48 bits of a hash of the kept half's bytes, exact as a float
-            digest = hashlib.sha256(half_spectrum(f).tobytes()).digest()
-            return {"id": float(int.from_bytes(digest[:6], "big"))}
-
-        records = run_ensemble(sample, 50, fingerprint, seed=3, threads=threads)
-        assert calls.value == len(keys)
-        former = _former_run_ensemble(sample, 50, fingerprint, 3)
+        records = run_ensemble(sample, 50, _fingerprint(calls), seed=3, threads=threads)
+        assert calls.value == len(keys) == _distinct_spectra(sample, 50, 3)
+        former = _former_run_ensemble(sample, 50, _fingerprint(calls), 3)
         assert _record_tuples(records) == _record_tuples(former)
         assert records[1].values == records[0].values != records[2].values
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_draws_that_differ_off_the_data_evaluated_once(self, monkeypatch, threads):
+        # seed 1 gets seed 0's g with g_{+-n_max}, whose windows miss the
+        # band-limited data, moved; seed 2 that g with g_1 moved too
+        cfg, _ = _lwp_picard(42)
+        sample = sampler(build_data(cfg), "gaussian")
+        n = sample.n_max
+        assert n not in sample.live - n and 1 in sample.live - n
+        draw = wiener.sample_coefficients
+        shared = draw("gaussian", child_seed(3, 0), n)
+        outer = shared.copy()
+        outer[[0, 2 * n]] = -shared[[0, 2 * n]]
+        inner = outer.copy()
+        inner[[n - 1, n + 1]] = -outer[[n - 1, n + 1]]
+        given = {child_seed(3, 1): outer, child_seed(3, 2): inner}
+        monkeypatch.setattr(
+            wiener, "sample_coefficients",
+            lambda dist, seed, n_max: given.get(seed, draw(dist, seed, n_max)),
+        )
+        calls = multiprocessing.get_context("fork").Value("i", 0)
+        records = run_ensemble(sample, 20, _fingerprint(calls), seed=3, threads=threads)
+        assert calls.value == 19
+        former = _former_run_ensemble(sample, 20, _fingerprint(calls), 3)
+        assert _record_tuples(records) == _record_tuples(former)
+        assert records[1].values == records[0].values != records[2].values
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_zero_data_evaluated_once(self, grid64, threads):
+        sample = sampler(Field(grid64, np.zeros(64)), "gaussian")
+        assert sample.key(sample.coefficients(1)) == b""
+        calls = multiprocessing.get_context("fork").Value("i", 0)
+        records = run_ensemble(sample, 20, _fingerprint(calls), seed=3, threads=threads)
+        assert calls.value == 1
+        assert _record_tuples(records) == _record_tuples(
+            _former_run_ensemble(sample, 20, _fingerprint(calls), 3)
+        )
 
     def test_parent_builds_no_field_on_the_pool(self, grid64, monkeypatch):
         # threads > 1: the parent draws coefficients only; workers build fields
@@ -715,29 +751,36 @@ class TestDistinctDraws:
         pooled = run(2)
         assert built == []
         here = run(1)
-        distinct = sum(_distinct_coefficients(sample, 100, child_seed(2, k)) for k in range(2))
-        assert len(built) == distinct < 200
+        n_built = len(built)
+        distinct = sum(_distinct_spectra(sample, 100, child_seed(2, k)) for k in range(2))
+        assert n_built == distinct < 200
         for T, records in here.records.items():
             assert _record_tuples(pooled.records[T]) == _record_tuples(records)
 
-    @pytest.mark.parametrize("seed, solves", [(42, 266), (7, 275)])
-    def test_distinct_coefficients_are_distinct_spectra(self, seed, solves):
+    @pytest.mark.parametrize("seed, solves", [(42, 121), (7, 124)])
+    def test_distinct_coefficients_are_distinct_spectra(self, monkeypatch, seed, solves):
         # on the lwp-picard workload config, per T. Its data keep their
         # band-limited spectrum, whose exact zeros the windows |n| = n_max
         # never reach: g distinct on the other windows are distinct spectra,
-        # and draws that differ only on those two share a spectrum, yet are
-        # keyed, and solved, apart
+        # and draws that differ only on those two share a spectrum and one
+        # Picard solve
         cfg, sample = _lwp_picard(seed)
-        live = _live_windows(sample)
-        assert np.array_equal(live, np.arange(1, 2 * sample.n_max))
+        assert np.array_equal(sample.live, sample.n_max + np.arange(sample.n_max))
+        solve, calls = montecarlo.picard_solve, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "picard_solve", counted)
+        _exceptional_probability(cfg, sample, threads=1)
         counts = []
         for k in range(len(parse_float_list(cfg["lwp"]["t_grid"]))):
             ensemble_seed = child_seed(seed, k)
-            counts.append(_distinct_coefficients(sample, 100, ensemble_seed))
-            spectra = _distinct_spectra(sample, 100, ensemble_seed)
-            assert _distinct_coefficients(sample, 100, ensemble_seed, live) == spectra
-            assert spectra < counts[-1]
-        assert sum(counts) == solves
+            counts.append(_distinct_spectra(sample, 100, ensemble_seed))
+            live = _distinct_coefficients(sample, 100, ensemble_seed, sample.live)
+            assert live == counts[-1] < _distinct_coefficients(sample, 100, ensemble_seed)
+        assert len(calls) == sum(counts) == solves
 
     def test_one_pool_serves_every_T(self, grid64, monkeypatch):
         import concurrent.futures

@@ -181,6 +181,32 @@ class TestMixedNorm:
         assert mixed_norm(u, 4.0, p) == float(former_lp(inner, ta.dt, 4.0, 0))
         assert u.values.tobytes() == before.tobytes()
 
+    @pytest.mark.parametrize(
+        "p", [1.0, 2.0, 4.0, 8.0 / (1.0 + EPS), 28.0 / (2.0 - 7.0 * EPS), np.inf]
+    )
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_squaring_equals_former_in_place_power(self, p, dtype):
+        # the former in-place expression, kept here: the squared modulus
+        # raised to p/2 by `**=` whatever p; p = 4 now squares it again
+        def former_abs_power(values, p):
+            if np.iscomplexobj(values):
+                sq = np.square(values.real)
+                sq += np.square(values.imag)
+            else:
+                sq = np.square(values)
+            if p != 2.0:
+                sq **= 0.5 * p
+            return sq
+
+        # magnitudes spread over 10^-150 .. 10^150, both signs, zeros included
+        rng = np.random.default_rng(14)
+        values = (rng.choice([-1.0, 1.0], 100_000) * 10.0 ** rng.uniform(-150, 150, 100_000))
+        values[:8] = 0.0
+        if dtype == np.complex128:
+            values = values + 1j * values[::-1] * rng.uniform(0.0, 1.0, values.size)
+        with np.errstate(over="ignore"):
+            assert _abs_power(values, p).tobytes() == former_abs_power(values, p).tobytes()
+
 
 class TestXsbNorm:
     def test_b_zero_is_weighted_space_time_l2(self, grid64):

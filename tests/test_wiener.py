@@ -385,3 +385,59 @@ def test_window_translates_sum_to_one_anywhere(half_length):
 def test_hermitian_pairing_holds_for_any_draw(seed, n_max):
     c = sample_coefficients("gaussian", seed, n_max)
     assert np.allclose(c[:n_max][::-1], np.conj(c[n_max + 1 :]), atol=1e-15)
+
+
+class TestKey:
+    """`Sampler.key`: the bytes of g on the windows that reach the data."""
+
+    @staticmethod
+    def _preset_sampler():
+        cfg = load_config(LWP_PRESET)
+        return sampler(build_data(cfg), cfg["random"]["distribution"])
+
+    def test_lwp_preset_key_is_the_windows_inside_the_band(self):
+        # band_limit 2: the windows n = 0, 1, 2 reach |xi| <= 2, n = 3 does not
+        sample = self._preset_sampler()
+        assert sample.n_max == 3
+        assert sample.live.tolist() == [3, 4, 5]
+        g = sample.coefficients(5)
+        assert sample.key(g) == g[3:6].tobytes()
+
+    def test_equal_keys_build_bit_equal_samples(self):
+        sample = self._preset_sampler()
+        firsts, repeats = {}, 0
+        for k in range(400):
+            g = sample.coefficients(child_seed(42, k))
+            f = sample.field(g)
+            first_g, first = firsts.setdefault(sample.key(g), (g, f))
+            if first is not f and first_g.tobytes() != g.tobytes():
+                repeats += 1
+                assert f.values.tobytes() == first.values.tobytes()
+                # equal by value: exact zero modes of the data take their
+                # sign from g, and adding 0.0 clears it
+                assert (half_spectrum(f) + 0.0).tobytes() == (half_spectrum(first) + 0.0).tobytes()
+        # the 128 atoms of the preset build 32 fields
+        assert len(firsts) == 32
+        assert repeats > 100
+
+    def test_data_that_are_not_band_limited_key_every_window(self):
+        # the tail-ensemble data: a bump on (L, N) = (16, 128), full spectrum
+        grid = make_grid(16.0, 128)
+        sample = sampler(Field(grid, np.exp(-grid.x**2)), "gaussian")
+        assert sample.n_max == 12
+        assert sample.live.tolist() == list(range(12, 25))
+
+    def test_nyquist_mode_keys_the_windows_that_reach_it_from_below(self, grid64):
+        # the Nyquist mode's frequency is -N/2 dxi, which only the windows
+        # n = -6, -7 reach; g_6 and g_7, their conjugates, enter the key
+        half = np.zeros(33, dtype=np.complex128)
+        half[0] = half[32] = 1.0
+        sample = sampler(Field.from_half(grid64, half), "gaussian")
+        n = sample.n_max
+        assert (sample.live - n).tolist() == [0, 6, 7]
+        g = sample.coefficients(1)
+        moved = g.copy()
+        moved[n + 6] *= 2.0
+        moved[n - 6] = np.conj(moved[n + 6])
+        assert sample.key(moved) != sample.key(g)
+        assert sample.field(moved).values.tobytes() != sample.field(g).values.tobytes()
