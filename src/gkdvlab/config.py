@@ -58,7 +58,6 @@ _SCHEMA: dict[str, dict[str, tuple[type, object]]] = {
     "random": {
         "distribution": (str, "gaussian"),
         "master_seed": (int, 20260810),
-        "n_max": (int, 0),  # 0 means "cover the data's spectrum"
     },
     "data": {
         "kind": (str, "gaussian-bump"),

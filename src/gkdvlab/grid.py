@@ -196,6 +196,14 @@ class Field:
         return cls.from_half(grid, _readonly(hat[:modes] * _phase(grid.n_modes)[:modes]))
 
 
+def require_real_finite(phi: Field, caller: str) -> None:
+    """ValueError unless phi's samples are real (float64) and finite."""
+    if phi.values.dtype != np.float64:
+        raise ValueError(f"{caller} expects real data")
+    if not np.all(np.isfinite(phi.values)):
+        raise ValueError(f"{caller} expects finite data")
+
+
 def _owned_readonly(v: np.ndarray, given) -> np.ndarray:
     """`v` (the converted view of `given`), stored read-only: copied unless
     it owns its data and is either a new array made by the dtype conversion

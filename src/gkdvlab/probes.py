@@ -407,8 +407,7 @@ def run_estimate(
 
     eta = Cutoff(1.0)
     mixed = estimate_id == "octilinear_mixed"
-    n_max = int(np.ceil(xi_band)) + 1
-    sample = sampler(_banded_bump(grid, xi_band), "gaussian", n_max) if mixed else None
+    sample = sampler(_banded_bump(grid, xi_band), "gaussian") if mixed else None
 
     def factors(trial: int) -> list[SpaceTimeField]:
         """Cutoff random fields; octilinear_mixed swaps a cutoff free

@@ -42,7 +42,15 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .grid import SQRT_2PI, Field, Grid, _half_weights, _readonly, half_spectrum
+from .grid import (
+    SQRT_2PI,
+    Field,
+    Grid,
+    _half_weights,
+    _readonly,
+    half_spectrum,
+    require_real_finite,
+)
 from .norms import _lag_folded_weight, _require_band
 from .params import b_index, sigma_index, validate_epsilon
 from .spacetime import (
@@ -199,14 +207,6 @@ def _step_count(t_end: float, dt: float, output_stride: int | None) -> tuple[int
     return n_steps, output_stride
 
 
-def _require_real_finite(phi: Field, caller: str) -> None:
-    """ValueError unless phi's samples are real (float64) and finite."""
-    if phi.values.dtype != np.float64:
-        raise ValueError(f"{caller} expects real data")
-    if not np.all(np.isfinite(phi.values)):
-        raise ValueError(f"{caller} expects finite data")
-
-
 def evolve_reference(
     phi: Field,
     t_end: float,
@@ -232,7 +232,7 @@ def evolve_reference(
     _require_stride("diag_stride", diag_stride)
 
     grid = phi.grid
-    _require_real_finite(phi, "evolve_reference")
+    require_real_finite(phi, "evolve_reference")
     hat = half_spectrum(phi)
 
     lin = 1j * grid.xi[: grid.n_modes // 2 + 1] ** 3
@@ -496,7 +496,7 @@ def picard_solve(
     """
     grid = phi_omega.grid
     _picard_arguments(grid, taxis, tol, max_iter, xi_band, eps)
-    _require_real_finite(phi_omega, "picard_solve")
+    require_real_finite(phi_omega, "picard_solve")
     n_band = _picard_band(grid, taxis, xi_band)
     sigma = sigma_index(eps)
     b = b_index(eps)

@@ -6,7 +6,9 @@ of a field is multiplied by an independent mean-zero complex coefficient
 g_n with E|g_n|^2 = 1 and a sub-Gaussian moment generating function.
 Hermitian pairing g_{-n} = conj(g_n), g_0 real, keeps real data real, so
 a sample is described by its modes 0 .. N/2: `sampler` takes real data
-only and works on their half spectrum alone.
+only and works on their half spectrum alone. The windows that miss the
+data's spectrum multiply zero, so the coefficient range |n| <= n_max is
+not an input: `sampler` takes the least one that covers the data.
 """
 
 from __future__ import annotations
@@ -16,15 +18,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Field, Grid, _half_weights, _readonly, half_spectrum
+from .grid import Field, Grid, _readonly, half_spectrum, require_real_finite
 
 DISTRIBUTIONS = ("gaussian", "rademacher", "uniform", "ones")
 
 # uniform component support [-sqrt(3), sqrt(3)] has unit variance
 _UNIFORM_HALF_WIDTH = np.sqrt(3.0)
-# relative L^2 mass of the data allowed outside the covered band
-_STRAY_MASS_TOL = 1e-10
-# relative spectral amplitude below which the automatic range ignores a mode
+# relative spectral amplitude below which the range ignores a mode
 _VISIBLE_TOL = 1e-13
 
 
@@ -81,34 +81,11 @@ def sample_coefficients(distribution: str, seed: int, n_max: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _band_stack(grid: Grid, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+def _band_stack(grid: Grid, n_max: int) -> np.ndarray:
     """The (2*n_max+1, N/2+1) matrix of window translates psi(xi - n), |n| <=
-    n_max, on the frequencies of the modes 0 .. N/2, plus its column sums
-    (the coverage weight, 1 on the covered band); cached and read-only."""
+    n_max, on the frequencies of the modes 0 .. N/2; cached and read-only."""
     xi = grid.xi[: grid.n_modes // 2 + 1]
-    rows = np.stack([partition_window(xi - n) for n in range(-n_max, n_max + 1)])
-    return _readonly(rows), _readonly(rows.sum(axis=0))
-
-
-def _require_covered(grid: Grid, half: np.ndarray, n_max: int) -> None:
-    """Raise ValueError unless the coefficient range |n| <= n_max covers the
-    real field with half spectrum `half`: the relative L^2 mass (weighted by
-    `_half_weights`) at frequencies where the window sum falls below 1 must
-    not exceed _STRAY_MASS_TOL. The masses are taken relative to the peak
-    mode, so that no square overflows."""
-    _, cover = _band_stack(grid, n_max)
-    amplitude = np.abs(half)
-    peak = amplitude.max()
-    if peak > 0.0:
-        mass = _half_weights(grid.n_modes) * (amplitude / peak) ** 2
-        total_mass = float(np.sum(mass))
-        stray = float(np.sum(mass[cover < 1.0 - 1e-9]))
-        if stray > _STRAY_MASS_TOL * total_mass:
-            raise ValueError(
-                "spectral support of phi exceeds the coefficient range: "
-                f"relative uncovered mass {stray / total_mass:.3e} > {_STRAY_MASS_TOL:.1e} "
-                f"(n_max = {n_max})"
-            )
+    return _readonly(np.stack([partition_window(xi - n) for n in range(-n_max, n_max + 1)]))
 
 
 def _live_windows(half: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -125,9 +102,10 @@ def _live_windows(half: np.ndarray, stack: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Sampler:
-    """The randomization of phi (edge-based half spectrum `half`, windows
-    `stack` on the modes 0 .. N/2) that `sampler` builds: a seed draws the
-    coefficients g, and g with equal `key` build fields with equal samples.
+    """The randomization of phi that `sampler` builds (edge-based half
+    spectrum `half`; windows `stack`, |n| <= n_max with n_max read off the
+    data, on the modes 0 .. N/2): a seed draws the coefficients g, and g
+    with equal `key` build fields with equal samples.
 
     `live` holds the positions in g of the g_n, n >= 0, that reach the data
     (`_live_windows`). The other windows multiply only zero modes of the
@@ -159,32 +137,25 @@ class Sampler:
         return self.field(self.coefficients(seed))
 
 
-def sampler(phi: Field, distribution: str, n_max: int | None = None) -> Sampler:
+def sampler(phi: Field, distribution: str) -> Sampler:
     """The unit-cube randomization of phi, with g = sample_coefficients(
-    distribution, seed, n_max).
+    distribution, seed, n_max) on the least range that covers phi: n_max is
+    the ceiling of the largest |xi| of a mode above 1e-13 times the peak
+    mode, plus one, so the windows |n| <= n_max sum to 1 on every such mode.
 
-    Checks once, raising ValueError, that phi is real (float64) and finite,
-    that the distribution is known, that n_max >= 1 and that the range
-    |n| <= n_max covers the spectral support of phi, and reads phi's half
-    spectrum once (`half_spectrum`: the one it keeps, else one real
-    transform). It finds the windows that reach that spectrum once too
-    (`Sampler.live`, which `Sampler.key` reads). n_max=None takes the least
-    range that covers the modes of phi above 1e-13 times its peak mode.
+    Checks once, raising ValueError, that phi is real (float64) and finite
+    and that the distribution is known, and reads phi's half spectrum once
+    (`half_spectrum`: the one it keeps, else one real transform). It finds
+    the windows that reach that spectrum once too (`Sampler.live`, which
+    `Sampler.key` reads).
     """
-    if phi.values.dtype != np.float64:
-        raise ValueError("sampler expects real data")
-    if not np.all(np.isfinite(phi.values)):
-        raise ValueError("sampler expects finite data")
+    require_real_finite(phi, "sampler")
     require_distribution(distribution)
     grid = phi.grid
     half = half_spectrum(phi)
-    if n_max is None:
-        amplitude = np.abs(half)
-        xi = grid.xi[: grid.n_modes // 2 + 1]
-        radius = np.max(np.abs(xi[amplitude > _VISIBLE_TOL * amplitude.max()]), initial=0.0)
-        n_max = int(np.ceil(radius)) + 1
-    elif n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    _require_covered(grid, half, n_max)
-    stack = _band_stack(grid, n_max)[0]
+    amplitude = np.abs(half)
+    xi = grid.xi[: grid.n_modes // 2 + 1]
+    radius = np.max(np.abs(xi[amplitude > _VISIBLE_TOL * amplitude.max()]), initial=0.0)
+    n_max = int(np.ceil(radius)) + 1
+    stack = _band_stack(grid, n_max)
     return Sampler(grid, half, stack, distribution, n_max, _live_windows(half, stack))

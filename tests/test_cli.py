@@ -66,6 +66,26 @@ class TestRandomize:
         m2 = json.loads((out2 / "manifest.json").read_text())
         assert m1["artifacts"] == m2["artifacts"]
 
+    def test_sech_power_data(self, tmp_path):
+        cfg = write_cfg(tmp_path, SMALL_GRID + "[data]\nkind = sech-power\nwidth = 2.0\n")
+        out = tmp_path / "o3"
+        assert main(["randomize", "--config", cfg, "--out", str(out)]) == 0
+        want = np.cosh(make_grid(16.0, 64).x / 2.0) ** (-2.0 / 7.0)
+        assert np.array_equal(load_field(out / "phi.field").values, want)
+        assert load_field(out / "sample_000.field").values.dtype == np.float64
+
+    @pytest.mark.parametrize("kind, width", [("sech-power", 0.01), ("gaussian-bump", 1e-160)])
+    def test_narrow_profile_exit_0(self, tmp_path, kind, width):
+        # far from x = 0, cosh(x / w) and (x / w)^2 overflow to inf, whose
+        # limits exp(-inf) = inf^(-2/7) = 0 the profile takes without a
+        # RuntimeWarning, which the suite's filter would raise
+        grid = "[grid]\nhalf_length = 32.0\nn_modes = 64\n"
+        cfg = write_cfg(tmp_path, grid + f"[data]\nkind = {kind}\nwidth = {width}\n")
+        out = tmp_path / "x"
+        assert main(["randomize", "--config", cfg, "--out", str(out)]) == 0
+        phi = load_field(out / "phi.field")
+        assert phi.values[32] == 1.0 and np.all(np.isfinite(phi.values))
+
 
 class TestSimulate:
     def test_zero_data_zero_trajectory(self, tmp_path):
@@ -222,13 +242,13 @@ class TestConfigErrors:
     @pytest.mark.parametrize("n_max", [-3, 1])
     @pytest.mark.parametrize("command", ["randomize", "strichartz-tail", "lwp-ensemble"])
     def test_bad_n_max_exit_2_before_sampling(self, tmp_path, capsys, command, n_max):
-        # the lwp preset's data reach |xi| = 2: n_max = 1 does not cover them
+        # the sampler reads the coefficient range off the data: n_max is no key
         preset = (Path(__file__).parents[1] / "configs" / "lwp.ini").read_text()
         body = preset.replace("[random]\n", f"[random]\nn_max = {n_max}\n")
         cfg = write_cfg(tmp_path, body + "\n[ensemble]\nn_samples = 1000\n")
         out = tmp_path / "x"
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
-        assert "[random] n_max" in capsys.readouterr().err
+        assert "unknown key 'n_max' in section [random]" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -329,9 +349,7 @@ class TestStrichartzTail:
 
     def test_every_sample_blown_up_exit_2(self, tmp_path, capsys):
         # every sample's L^4 norm overflows, so no observation is left for
-        # the tail fit of any T (at amplitude 1e300 the sampler's coverage
-        # sum |phi_hat|^2 overflows first, which this suite's warning filter
-        # turns into an error)
+        # the tail fit of any T
         cfg = write_cfg(
             tmp_path,
             "[grid]\nhalf_length = 16.0\nn_modes = 128\n[data]\namplitude = 1e100\n"

@@ -1,6 +1,8 @@
 import dataclasses
 import inspect
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gkdvlab.cli import build_data
@@ -101,6 +103,17 @@ def test_run_entry_points_take_no_defaults(entry):
     defaults = [p.name for p in inspect.signature(entry).parameters.values()
                 if p.default is not inspect.Parameter.empty]
     assert defaults == []
+
+
+@pytest.mark.parametrize(
+    "preset", sorted((Path(__file__).parents[1] / "configs").glob("*.ini")), ids=lambda p: p.name
+)
+def test_shipped_preset_loads_and_builds_data(preset):
+    # the presets follow the schema: a key it drops fails here
+    cfg = load_config(preset)
+    phi = build_data(cfg)
+    assert phi.grid == make_grid(cfg["grid"]["half_length"], cfg["grid"]["n_modes"])
+    assert np.all(np.isfinite(phi.values))
 
 
 def test_probe_resolution_fields_take_no_defaults():

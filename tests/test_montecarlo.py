@@ -83,25 +83,13 @@ class TestRunEnsemble:
         # the data reach |xi| = 2.95 < 3: the automatic range is n_max = 4
         phi = banded_bump(grid64, band=3.0)
         auto = sampler(phi, "gaussian")
-        for seed in (0, 5):
-            assert np.array_equal(auto(seed).values, sampler(phi, "gaussian", 4)(seed).values)
-            assert not np.array_equal(auto(seed).values, sampler(phi, "gaussian", 5)(seed).values)
+        assert auto.n_max == 4
+        # the windows |n| <= 4 sum to 1 on every mode of the data
+        cover = auto.stack.sum(axis=0)[auto.half != 0.0]
+        assert np.max(np.abs(cover - 1.0)) <= 1e-12
         # zero data take the least range
         zero = Field(grid64, np.zeros(64))
         assert np.array_equal(sampler(zero, "gaussian")(1).values, np.zeros(64))
-
-    @pytest.mark.parametrize("n_max", [0, 1])
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_uncovering_n_max_raises_before_any_sample(self, grid64, n_max, threads):
-        # the data reach |xi| = 3: n_max = 1 does not cover them; the
-        # sampler refuses before the ensemble starts
-        phi = banded_bump(grid64, band=3.0)
-        seen = []
-        with pytest.raises(ValueError, match="n_max|coefficient range"):
-            run_ensemble(
-                sampler(phi, "gaussian", n_max), 4, seen.append, seed=2, threads=threads
-            )
-        assert seen == []
 
     def test_unknown_distribution_raises_before_any_sample(self, grid64):
         phi = banded_bump(grid64, band=3.0)
@@ -434,7 +422,7 @@ class TestExceptionalProbability:
     def test_zero_data_all_converge(self, grid64):
         phi = field_from_function(grid64, lambda x: 0.0 * x)
         rep = exceptional_probability(
-            sampler(phi, "gaussian", 3), [0.25, 0.125], 100, tol=1e-10,
+            sampler(phi, "gaussian"), [0.25, 0.125], 100, tol=1e-10,
             taxis=centered_axis(4.0, 256), xi_band=4.0, eps=EPS, max_iter=MAX_ITER,
             seed=1, threads=1,
         )
@@ -444,7 +432,7 @@ class TestExceptionalProbability:
     def test_records_carry_discarded_band_mass(self, grid64):
         phi = banded_bump(grid64, amplitude=0.5, band=2.0)
         rep = exceptional_probability(
-            sampler(phi, "gaussian", 3), [0.25], 100, tol=1e-10,
+            sampler(phi, "gaussian"), [0.25], 100, tol=1e-10,
             taxis=centered_axis(4.0, 64), xi_band=2.0, eps=EPS, max_iter=MAX_ITER,
             seed=2, threads=1,
         )
@@ -494,18 +482,18 @@ class TestExceptionalProbability:
         # samples, so that they have a (real) transform to count
         phi = Field(grid64, banded_bump(grid64, amplitude=0.5, band=2.0).values)
         transforms, checks = [], []
-        forward, covered = Grid.real_forward, wiener._require_covered
+        forward, check = Grid.real_forward, wiener.require_real_finite
 
         def counted_forward(grid, values):
             transforms.append(values is phi.values)
             return forward(grid, values)
 
-        def counted_covered(*args):
+        def counted_check(*args):
             checks.append(args)
-            return covered(*args)
+            return check(*args)
 
         monkeypatch.setattr(Grid, "real_forward", counted_forward)
-        monkeypatch.setattr(wiener, "_require_covered", counted_covered)
+        monkeypatch.setattr(wiener, "require_real_finite", counted_check)
         rep = exceptional_probability(
             sampler(phi, "gaussian"), [0.25, 0.125, 0.0625, 0.03125], 100, tol=1e-10,
             taxis=centered_axis(4.0, 64), xi_band=2.0, eps=EPS, max_iter=MAX_ITER,

@@ -25,6 +25,7 @@ from gkdvlab.probes import (
 )
 from gkdvlab.spacetime import Cutoff, SpaceTimeField, free_evolution, st_l2
 from gkdvlab.streams import rng_for
+from gkdvlab.wiener import sampler
 
 from conftest import EPS, preset_resolution, st_to_physical
 
@@ -141,6 +142,18 @@ class TestRandomData:
         coeffs = np.exp(-(grid.xi**2)) * (np.abs(grid.xi) <= 3.5)
         coeffs /= np.sqrt(grid.dxi * np.sum(coeffs**2))
         assert self._rel_err(spectral_values(_banded_bump(grid, 3.5)), coeffs) <= 1e-14
+
+    @pytest.mark.parametrize("doublings", [0, 1, 2])  # N = 64, 128, 256 at L = 8
+    def test_mixed_probe_range_is_the_former_rule(self, doublings):
+        # the range the sampler reads off the mixed probe's bump equals
+        # ceil(xi_band) + 1, the fixed range its draws were keyed on, so the
+        # shipped probe outputs keep their draws (probe-catalog runs N = 128)
+        res = preset_resolution()
+        for _ in range(doublings):
+            res = res.doubled()
+        grid, _ = res.make()
+        assert sampler(_banded_bump(grid, res.xi_band), "gaussian").n_max == 5
+        assert int(np.ceil(res.xi_band)) + 1 == 5
 
 
 class TestLinearProbe:

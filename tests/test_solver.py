@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkdvlab import solver
-from gkdvlab.cli import _sampler, build_data
+from gkdvlab.cli import build_data
 from gkdvlab.config import load_config, parse_float_list
 from gkdvlab.grid import SQRT_2PI, Field, Grid, field_from_function, half_spectrum, make_grid
 from gkdvlab.norms import AliasingError, _half_xsb_weight, _xsb_power, _xsb_sum, xsb_norm
@@ -293,7 +293,7 @@ class TestEvolveReference:
     def test_strides_checked_at_entry(self, grid64, monkeypatch, output_stride, diag_stride,
                                       message):
         # refused before the data are read, let alone a step taken
-        monkeypatch.setattr(solver, "_require_real_finite", _must_not_run)
+        monkeypatch.setattr(solver, "require_real_finite", _must_not_run)
         phi = banded_bump(grid64)
         with pytest.raises(ValueError, match=message):
             evolve_reference(phi, 1e-3, 1e-4, output_stride=output_stride,
@@ -577,7 +577,7 @@ class TestWindowedPicard:
         # 50 randomized draws of the lwp preset at its largest T, where the
         # iteration runs longest and fails most often
         cfg = load_config(LWP_PRESET)
-        sample = _sampler(cfg, build_data(cfg))
+        sample = sampler(build_data(cfg), cfg["random"]["distribution"])
         ta = centered_axis(cfg["time"]["t_span"], cfg["time"]["m_t"])
         lwp, eps = cfg["lwp"], cfg["model"]["epsilon"]
         T = parse_float_list(lwp["t_grid"])[0]
@@ -938,7 +938,7 @@ def test_realness_is_decided_once_per_sample(grid64, monkeypatch):
     # flow and both solvers read the dtype and that half, and transform no
     # samples
     phi = banded_bump(grid64, amplitude=1.0, band=2.0)
-    sample = sampler(phi, "gaussian", 3)
+    sample = sampler(phi, "gaussian")
     monkeypatch.setattr(Grid, "forward", _must_not_run)
     monkeypatch.setattr(Grid, "real_forward", _must_not_run)
     phi_omega = sample(5)
@@ -990,7 +990,7 @@ def _desk_and_lwp_data():
     draws of lwp-ensemble."""
     desk, lwp = make_grid(32.0, 512), make_grid(16.0, 64)
     cfg = load_config(LWP_PRESET)
-    sample = _sampler(cfg, build_data(cfg))
+    sample = sampler(build_data(cfg), cfg["random"]["distribution"])
     return [
         ("desk-sampled", field_from_function(desk, lambda x: np.exp(-(x**2)))),
         ("desk-banded", banded_bump(desk, 1.0, 2.0)),

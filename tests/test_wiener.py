@@ -58,7 +58,7 @@ class TestWindow:
 
     def test_partition_of_unity_dense(self):
         # 6400 frequencies pi/200 apart on |xi| <= 50.3, all inside |n| <= 60
-        total = _band_stack(make_grid(200.0, 6400), 60)[1]
+        total = _band_stack(make_grid(200.0, 6400), 60).sum(axis=0)
         assert np.max(np.abs(total - 1.0)) <= 1e-12
 
     def test_range(self):
@@ -81,7 +81,7 @@ class TestProjectBand:
         # the stack's columns are the modes 0 .. N/2
         xi = grid64.xi[:33]
         mask = (xi >= 3.4) & (xi <= 3.6)
-        rows = _band_stack(grid64, 5)[0]
+        rows = _band_stack(grid64, 5)
         live = [n for n, row in zip(range(-5, 6), rows) if np.any(row[mask] > 0.0)]
         assert live == [3, 4]
 
@@ -89,8 +89,8 @@ class TestProjectBand:
         f = banded_bump(grid64, band=3.0)
         # the Airy flow of real data, which the sampler takes
         flowed = Field.from_spectrum(grid64, spectral_values(f) * np.exp(0.7j * grid64.xi**3))
-        a = sampler(flowed, "gaussian", 4)(2)
-        b = airy_propagate(sampler(f, "gaussian", 4)(2), 0.7)
+        a = sampler(flowed, "gaussian")(2)
+        b = airy_propagate(sampler(f, "gaussian")(2), 0.7)
         scale = max(np.max(np.abs(a.values)), 1e-30)
         assert np.max(np.abs(a.values - b.values)) <= 1e-12 * scale
 
@@ -202,40 +202,40 @@ class TestRandomize:
     """`sampler`: the randomization as a map from a seed to a field."""
 
     def test_all_ones_reproduces(self, grid512, bump):
-        out = sampler(bump, "ones", 16)(0)
+        out = sampler(bump, "ones")(0)
         assert np.max(np.abs(out.values - bump.values)) <= 1e-12 * np.max(np.abs(bump.values))
 
     def test_real_data_stays_real(self, bump):
-        out = sampler(bump, "gaussian", 16)(3)
+        out = sampler(bump, "gaussian")(3)
         assert np.max(np.abs(out.values.imag)) <= 1e-12
 
     def test_linear_in_data(self, grid64):
+        # f, g and f + g share their spectral radius, so one range serves all three
         f = banded_bump(grid64, band=3.0)
         g = banded_bump(grid64, amplitude=0.4, band=3.0)
         fg = Field(grid64, f.values + g.values)
-        combined = sampler(fg, "gaussian", 5)(9)
-        separate = sampler(f, "gaussian", 5)(9).values + sampler(g, "gaussian", 5)(9).values
+        samplers = [sampler(h, "gaussian") for h in (fg, f, g)]
+        assert [s.n_max for s in samplers] == [4, 4, 4]
+        combined, separate = samplers[0](9), samplers[1](9).values + samplers[2](9).values
         assert np.max(np.abs(combined.values - separate)) <= 1e-12 * np.max(np.abs(separate))
 
     def test_coverage_violation_rejected(self, grid64):
         f = banded_bump(grid64, band=4.0)
-        with pytest.raises(ValueError, match="exceeds the coefficient range"):
-            sampler(f, "gaussian", 2)
-        with pytest.raises(ValueError, match="n_max must be >= 1"):
-            sampler(f, "gaussian", 0)
         with pytest.raises(ValueError, match="unknown distribution 'cauchy'"):
-            sampler(f, "cauchy", 5)
+            sampler(f, "cauchy")
 
     @pytest.mark.parametrize("action", ["error", "ignore"])
     def test_coverage_of_data_near_the_float_limit(self, action):
-        # the masses are relative to the peak mode: the squares of 1e300
-        # would overflow, and an infinite total mass no stray mass exceeds
+        # the range is read off amplitudes relative to the peak mode, so
+        # 1e300 data build a sampler with no RuntimeWarning, and the range
+        # of the unit bump
         grid = make_grid(16.0, 128)
         phi = field_from_function(grid, lambda x: 1e300 * np.exp(-(x**2)))
+        unit = field_from_function(grid, lambda x: np.exp(-(x**2)))
         with warnings.catch_warnings():
             warnings.simplefilter(action, RuntimeWarning)
-            with pytest.raises(ValueError, match="exceeds the coefficient range"):
-                sampler(phi, "gaussian", 1)
+            sample = sampler(phi, "gaussian")
+        assert sample.n_max == sampler(unit, "gaussian").n_max == 12
 
     @pytest.mark.parametrize("n_modes,seed", [(128, 1), (512, 2)])
     def test_matches_former_multiplier_route(self, n_modes, seed):
@@ -243,10 +243,9 @@ class TestRandomize:
         # transformed forward and the product back on every call
         grid = make_grid(16.0, n_modes)
         phi = field_from_function(grid, lambda x: np.exp(-(x**2)))
-        g = sample_coefficients("gaussian", seed, 8)
-        stack = former_band_stack(grid, 8)
-        old = multiply(phi, g @ stack).values
-        sample = sampler(phi, "gaussian", 8)
+        sample = sampler(phi, "gaussian")
+        g = sample_coefficients("gaussian", seed, sample.n_max)
+        old = multiply(phi, g @ former_band_stack(grid, sample.n_max)).values
         new = sample(seed)
         scale = np.max(np.abs(old))
         # the former samples: the real part, within the former realness tolerance
@@ -257,16 +256,15 @@ class TestRandomize:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_data_refused_before_any_draw(self, grid64, monkeypatch, bad):
-        # such data once passed: a NaN peak skipped the coverage test, the
-        # automatic range came out as 1, and every sample of an ensemble
-        # was booked as a failure of local solvability
+        # such data once passed: a NaN peak made the range come out as 1,
+        # and every sample of an ensemble was booked as a failure of local
+        # solvability
         values = banded_bump(grid64, band=3.0).values.copy()
         values[17] = bad
         draws = []
         monkeypatch.setattr(wiener, "sample_coefficients", lambda *args: draws.append(args))
-        for n_max in (None, 4):
-            with pytest.raises(ValueError, match="sampler expects finite data"):
-                sampler(Field(grid64, values), "gaussian", n_max)
+        with pytest.raises(ValueError, match="sampler expects finite data"):
+            sampler(Field(grid64, values), "gaussian")
         assert draws == []
 
     def test_complex_data_refused(self, grid64):
@@ -275,7 +273,7 @@ class TestRandomize:
         tilted = Field(grid64, 1j * banded_bump(grid64, band=3.0).values)
         assert tilted.values.dtype == np.complex128
         with pytest.raises(ValueError, match="sampler expects real data"):
-            sampler(tilted, "gaussian", 5)
+            sampler(tilted, "gaussian")
 
     @pytest.mark.parametrize("half_length,n_modes", [(16.0, 128), (32.0, 512)])
     @pytest.mark.parametrize("distribution", ["gaussian", "rademacher"])
@@ -307,11 +305,11 @@ class TestRandomize:
     def test_ensemble_l2_mean_matches_band_sum(self, grid512, bump):
         # independence + mean-zero cross terms: E ||phi^omega||^2 = sum_n ||psi(D-n) phi||^2
         n_samples = 10_000
-        sample = sampler(bump, "gaussian", 16)
+        sample = sampler(bump, "gaussian")
         vals = np.empty(n_samples)
         for k in range(n_samples):
             vals[k] = l2_norm(sample(k)) ** 2
-        rows = former_band_stack(grid512, 16)
+        rows = former_band_stack(grid512, sample.n_max)
         band_sum = sum(l2_norm(multiply(bump, row)) ** 2 for row in rows)
         se = vals.std() / np.sqrt(n_samples)
         assert abs(vals.mean() - band_sum) <= 3.0 * se
@@ -321,11 +319,12 @@ class TestRandomize:
         s = 0.25
         # sum_n || <D>^s psi(D - n) phi ||_{L^2}^2
         weighted = (1.0 + grid512.xi**2) ** s * np.abs(spectral_values(bump)) ** 2
-        rhs_sum = float(grid512.dxi * np.sum(former_band_stack(grid512, 16) ** 2 @ weighted))
-        sample = sampler(bump, "gaussian", 16)
+        sample = sampler(bump, "gaussian")
+        rows = former_band_stack(grid512, sample.n_max)
+        rhs_sum = float(grid512.dxi * np.sum(rows**2 @ weighted))
         for seed in range(20):
             lhs = sobolev_norm(sample(seed), s) ** 2
-            g = sample_coefficients("gaussian", seed, 16)
+            g = sample.coefficients(seed)
             bound = 2.0 * float(np.max(np.abs(g)) ** 2) * rhs_sum
             assert lhs <= bound * (1.0 + 1e-12)
 
@@ -364,7 +363,7 @@ class TestFormerSamplerRoute:
         grid = make_grid(8.0, n_modes)
         coeffs = np.exp(-(grid.xi**2)) * (np.abs(grid.xi) <= 3.5)
         hat = coeffs / np.sqrt(grid.dxi * np.sum(coeffs**2))
-        self._assert_former_fields(sampler(_banded_bump(grid, 3.5), "gaussian", 5), hat)
+        self._assert_former_fields(sampler(_banded_bump(grid, 3.5), "gaussian"), hat)
 
     def test_banded_bump(self, grid64):
         hat = np.exp(-grid64.xi**2) * (np.abs(grid64.xi) <= 2.0)
@@ -376,7 +375,7 @@ class TestFormerSamplerRoute:
 def test_window_translates_sum_to_one_anywhere(half_length):
     # the 64 frequencies k pi / half_length reach |xi| <= 32 pi / half_length
     grid = make_grid(half_length, 64)
-    cover = _band_stack(grid, int(np.ceil(grid.xi_max)) + 1)[1]
+    cover = _band_stack(grid, int(np.ceil(grid.xi_max)) + 1).sum(axis=0)
     assert np.max(np.abs(cover - 1.0)) <= 1e-12
 
 
