@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, load_config, parse_float_list
-from .grid import Field, make_grid, spectral_values
+from .grid import Field, half_spectrum, make_grid, spectral_values
 from .io import (
     diagnostics_rows,
     ensemble_table,
@@ -72,15 +72,19 @@ def build_data(cfg: dict) -> Field:
                 vals = a * np.cosh(x / w) ** (-2.0 / 7.0)
         phi = Field(grid, vals)
     band = data["band_limit"]
-    if band > 0:
-        # the transform of finite data near the float limit can overflow
-        with np.errstate(over="ignore", invalid="ignore"):
+    # the transform of finite data near the float limit can overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        if band > 0:
             phi = _band_limit(phi, band)
-        if not np.all(np.isfinite(phi.values)):
-            raise ConfigError(
-                [f"[data] the data band-limited to |xi| <= {band!r} are not finite: "
-                 f"their transform overflows"]
-            )
+        half = half_spectrum(phi)
+    if band > 0 and not np.all(np.isfinite(phi.values)):
+        raise ConfigError(
+            [f"[data] the data band-limited to |xi| <= {band!r} are not finite: "
+             f"their transform overflows"]
+        )
+    if not np.all(np.isfinite(half)):
+        raise ConfigError(["[data] the half spectrum of the data is not finite: "
+                           "their transform overflows"])
     return phi
 
 

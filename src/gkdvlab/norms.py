@@ -10,6 +10,9 @@ Lebesgue norms and the dispersive-weighted norm
 
 which measures distance to the free dispersion relation tau = xi^3 and
 requires the tau axis to out-range the cubic curve (else it aliases).
+`xsb_norms` checks that once per field, takes one time transform of the
+field's x-spectral band (`spacetime._band_spectrum`) and sums |F u|^2
+against each weight's columns of that band.
 """
 
 from __future__ import annotations
@@ -188,11 +191,11 @@ def _lag_folded_weight(
     return length, _readonly(weight)
 
 
-def _support_radius(grid, hat_x: np.ndarray, columns=slice(None)) -> float:
+def _support_radius(grid, hat_x: np.ndarray, columns) -> float:
     """Largest |xi| whose column of the x-spectral coefficients hat_x carries
     more than 1e-12 of the peak column's L^2 mass; hat_x holds the grid's
-    modes `columns` (all of them by default). Non-finite coefficients report
-    the full grid band."""
+    modes `columns` (`slice(None)` for all of them). Non-finite coefficients
+    report the full grid band."""
     with np.errstate(over="ignore", invalid="ignore"):
         col = np.sqrt(np.sum(np.abs(hat_x) ** 2, axis=0))
     if not np.all(np.isfinite(col)):
@@ -211,31 +214,6 @@ def _require_band(taxis, radius: float) -> None:
         )
 
 
-def _require_resolved(grid, taxis, hat_x: np.ndarray, columns=slice(None)) -> None:
-    """Raise AliasingError unless the centered tau axis resolves the band of
-    the field whose x-spectral coefficients per time sample are hat_x (the
-    grid's modes `columns`); the band comes from their column masses."""
-    if not taxis.is_centered:
-        raise AliasingError("xsb_norm needs the centered time box (even sample count >= 16)")
-    _require_band(taxis, _support_radius(grid, hat_x, columns))
-
-
-def _xsb_power(grid, taxis, hat_x: np.ndarray, columns=slice(None)) -> np.ndarray:
-    """|F u(xi, tau)|^2 on the grid's modes `columns` (all by default) of
-    the field whose x-spectral coefficients per time sample there are
-    hat_x, once the tau axis is known to resolve its band: only the time
-    axis is left to transform."""
-    _require_resolved(grid, taxis, hat_x, columns)
-    return np.abs(_time_forward(taxis, hat_x)) ** 2
-
-
-def _xsb_sum(grid, taxis, power: np.ndarray, s: float, b: float, columns=slice(None)) -> float:
-    """The norm from `power` = |F u|^2 on the grid's modes `columns`; every
-    other mode must be zero."""
-    w = _xsb_weight(grid, taxis, float(s), float(b))[:, columns]
-    return float(np.sqrt(grid.dxi * taxis.dtau * np.sum(w * power)))
-
-
 def xsb_norm(u: SpaceTimeField, s: float, b: float) -> float:
     """Dispersive-weighted space-time norm <xi>^s <tau - xi^3>^b in L^2.
 
@@ -250,10 +228,17 @@ def xsb_norms(u: SpaceTimeField, indices: list[tuple[float, float]]) -> list[flo
     """`xsb_norm(u, s, b)` for each (s, b) in `indices`, bit for bit, from
     one time transform of `_band_spectrum(u)`: a kept band's columns alone,
     or else the x transform of the samples on all columns. Either way the
-    aliasing check reads them first."""
+    aliasing check reads them first: AliasingError unless the time axis is
+    centred and resolves their band. Every mode off those columns is zero,
+    so each norm sums |F u|^2 against the weight's columns alone."""
+    grid, taxis = u.grid, u.taxis
     columns, hat_x = _band_spectrum(u)
-    power = _xsb_power(u.grid, u.taxis, hat_x, columns)
-    return [_xsb_sum(u.grid, u.taxis, power, s, b, columns) for s, b in indices]
+    if not taxis.is_centered:
+        raise AliasingError("xsb_norm needs the centered time box (even sample count >= 16)")
+    _require_band(taxis, _support_radius(grid, hat_x, columns))
+    power = np.abs(_time_forward(taxis, hat_x)) ** 2
+    weights = (_xsb_weight(grid, taxis, float(s), float(b))[:, columns] for s, b in indices)
+    return [float(np.sqrt(grid.dxi * taxis.dtau * np.sum(w * power))) for w in weights]
 
 
 def bilinear_multiplier(u1: SpaceTimeField, u2: SpaceTimeField, s: float) -> SpaceTimeField:

@@ -38,7 +38,6 @@ from .params import (
     validate_epsilon,
 )
 from .spacetime import (
-    Cutoff,
     SpaceTimeField,
     TimeAxis,
     _time_inverse,
@@ -209,7 +208,7 @@ def check_linear_estimates(
     def sides(phi: Field) -> list[tuple[float, float]]:
         rhs_base = sobolev_norm(phi, s)
         return [
-            (xsb_norm(free_evolution(phi, taxis, cutoff=Cutoff(T)), s, b), T ** (0.5 - b) * rhs_base)
+            (xsb_norm(free_evolution(phi, taxis, cutoff=T), s, b), T ** (0.5 - b) * rhs_base)
             for T in t_grid
         ]
 
@@ -405,7 +404,6 @@ def run_estimate(
         pairs = ((field(2 * trial), field(2 * trial + 1)) for trial in range(n_trials))
         return check_bilinear(pairs, s=0.5, b1=0.51, b_tilde=0.4)
 
-    eta = Cutoff(1.0)
     mixed = estimate_id == "octilinear_mixed"
     sample = sampler(_banded_bump(grid, xi_band), "gaussian") if mixed else None
 
@@ -416,8 +414,8 @@ def run_estimate(
         free = []
         if n_free:
             phi_omega = sample(trial + 1000 * seed)
-            free = [free_evolution(phi_omega, taxis, cutoff=Cutoff(0.25))] * n_free
-        return [apply_time_cutoff(field(10 * trial + j), eta) for j in range(8 - n_free)] + free
+            free = [free_evolution(phi_omega, taxis, cutoff=0.25)] * n_free
+        return [apply_time_cutoff(field(10 * trial + j), 1.0) for j in range(8 - n_free)] + free
 
     trials = ((factors(trial), field(10 * trial + 9, master=seed + 1)) for trial in range(n_trials))
     report = check_multilinear(trials, sigma, b, eps)

@@ -53,12 +53,7 @@ from .grid import (
 )
 from .norms import _lag_folded_weight, _require_band
 from .params import b_index, sigma_index, validate_epsilon
-from .spacetime import (
-    Cutoff,
-    SpaceTimeField,
-    TimeAxis,
-    _half_propagator,
-)
+from .spacetime import SpaceTimeField, TimeAxis, _half_propagator, time_cutoff
 
 NONLINEARITY_DEGREE = 8
 BLOWUP_THRESHOLD = 1e8
@@ -345,7 +340,7 @@ def _window_plan(
 ) -> _WindowPlan:
     """The cached `_WindowPlan` of a Picard iteration with cutoff scale T,
     distance weight (s, b) and band columns 0 .. n_band-1."""
-    eta, eta_T = Cutoff(1.0)(taxis.t), Cutoff(T)(taxis.t)
+    eta, eta_T = time_cutoff(taxis.t, 1.0), time_cutoff(taxis.t, T)
     rows, j0 = _cutoff_window(taxis, eta_T)
     propagator = _half_propagator(grid, taxis)[rows]
     length, weight = _lag_folded_weight(grid, taxis, s, b, n_band, rows.stop - rows.start)

@@ -1,4 +1,4 @@
-"""Space-time fields on the (x, t) box and the smooth time cutoffs.
+"""Space-time fields on the (x, t) box and the smooth time cutoff.
 
 A SpaceTimeField samples u(x, t) on the spatial grid times a uniform time
 axis. The canonical axis for dispersive-weight analysis is the centered box
@@ -20,6 +20,9 @@ grid's real pair through one cached table of plain rows exp(i t xi^3),
 axis is the periodic grid of its samples, so the time transforms are that
 grid's `forward`/`inverse` on the transposed array; this module calls no
 numpy FFT itself.
+
+The time cutoff eta_T(t) = eta(t/T) of scale T is `time_cutoff(t, T)`;
+`free_evolution` and `apply_time_cutoff` take its scale T as `cutoff`.
 """
 
 from __future__ import annotations
@@ -192,7 +195,7 @@ def st_l2(u: SpaceTimeField) -> float:
 
 
 # ---------------------------------------------------------------------------
-# smooth time cutoffs
+# the smooth time cutoff
 
 
 def _glue(s: np.ndarray) -> np.ndarray:
@@ -209,23 +212,12 @@ def smooth_step(s) -> np.ndarray:
     return f / (f + _glue(1.0 - s))
 
 
-def bump_profile(t) -> np.ndarray:
-    """Smooth even bump: 1 on [-1, 1], 0 outside [-2, 2]."""
-    return smooth_step(2.0 - np.abs(np.asarray(t, dtype=np.float64)))
-
-
-@dataclass(frozen=True)
-class Cutoff:
-    """The rescaled bump eta_T(t) = eta(t/T): 1 on [-T, T], 0 outside [-2T, 2T]."""
-
-    scale: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not self.scale > 0:
-            raise ValueError("cutoff scale must be positive")
-
-    def __call__(self, t) -> np.ndarray:
-        return bump_profile(np.asarray(t, dtype=np.float64) / self.scale)
+def time_cutoff(t, T: float) -> np.ndarray:
+    """The smooth even cutoff eta_T(t) = eta(t/T): 1 on [-T, T], 0 outside
+    [-2T, 2T]. ValueError unless T > 0."""
+    if not T > 0:
+        raise ValueError("cutoff scale must be positive")
+    return smooth_step(2.0 - np.abs(np.asarray(t, dtype=np.float64) / T))
 
 
 @lru_cache(maxsize=8)
@@ -243,8 +235,9 @@ def _half_propagator(grid: Grid, taxis: TimeAxis) -> np.ndarray:
     return _readonly(np.exp(1j * np.outer(taxis.t, grid.xi[: grid.n_modes // 2 + 1] ** 3)))
 
 
-def free_evolution(phi: Field, grid_taxis: TimeAxis, cutoff: Cutoff | None = None) -> SpaceTimeField:
-    """Sample the free flow t -> exp(i t xi^3) phi_hat, optionally times a cutoff.
+def free_evolution(phi: Field, grid_taxis: TimeAxis, cutoff: float | None = None) -> SpaceTimeField:
+    """Sample the free flow t -> exp(i t xi^3) phi_hat, optionally times the
+    time cutoff of scale T = `cutoff`.
 
     The per-time inverse transforms are evaluated in one batched FFT. The
     route follows the data's dtype: float64 (real) data evolve on the modes
@@ -259,14 +252,15 @@ def free_evolution(phi: Field, grid_taxis: TimeAxis, cutoff: Cutoff | None = Non
     else:
         coeffs = _propagator(grid, grid_taxis) * spectral_values(phi)[None, :]
     if cutoff is not None:
-        coeffs *= cutoff(grid_taxis.t)[:, None]
+        coeffs *= time_cutoff(grid_taxis.t, cutoff)[:, None]
     values = grid.real_inverse(coeffs) if real else grid.inverse(coeffs)
     return SpaceTimeField(grid, grid_taxis, _readonly(values))
 
 
-def apply_time_cutoff(u: SpaceTimeField, cutoff: Cutoff) -> SpaceTimeField:
-    """u times cutoff(t); a kept band is multiplied by the same rows."""
-    eta = cutoff(u.taxis.t)[:, None]
+def apply_time_cutoff(u: SpaceTimeField, cutoff: float) -> SpaceTimeField:
+    """u times the time cutoff of scale T = `cutoff`; a kept band is
+    multiplied by the same rows."""
+    eta = time_cutoff(u.taxis.t, cutoff)[:, None]
     values = _readonly(u.values * eta)
     if u._band is None:
         return u.with_values(values)

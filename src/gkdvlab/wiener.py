@@ -19,6 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import Field, Grid, _readonly, half_spectrum, require_real_finite
+from .streams import rng_for
 
 DISTRIBUTIONS = ("gaussian", "rademacher", "uniform", "ones")
 
@@ -68,7 +69,7 @@ def sample_coefficients(distribution: str, seed: int, n_max: int) -> np.ndarray:
     imaginary parts are independent with variance 1/2 each, and g_{-n} is
     the conjugate of g_n, so E|g_n|^2 = 1.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed)))
+    rng = rng_for(seed)
     g0 = _component_draws(rng, distribution, 1)[0]
     re = _component_draws(rng, distribution, n_max)
     im = _component_draws(rng, distribution, n_max)
@@ -145,14 +146,19 @@ def sampler(phi: Field, distribution: str) -> Sampler:
 
     Checks once, raising ValueError, that phi is real (float64) and finite
     and that the distribution is known, and reads phi's half spectrum once
-    (`half_spectrum`: the one it keeps, else one real transform). It finds
-    the windows that reach that spectrum once too (`Sampler.live`, which
-    `Sampler.key` reads).
+    (`half_spectrum`: the one it keeps, else one real transform), which
+    must be finite too: the transform of data near the float limit can
+    overflow. It finds the windows that reach that spectrum once too
+    (`Sampler.live`, which `Sampler.key` reads).
     """
     require_real_finite(phi, "sampler")
     require_distribution(distribution)
     grid = phi.grid
-    half = half_spectrum(phi)
+    # the transform of finite data near the float limit can overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = half_spectrum(phi)
+    if not np.all(np.isfinite(half)):
+        raise ValueError("sampler expects data whose half spectrum is finite")
     amplitude = np.abs(half)
     xi = grid.xi[: grid.n_modes // 2 + 1]
     radius = np.max(np.abs(xi[amplitude > _VISIBLE_TOL * amplitude.max()]), initial=0.0)

@@ -11,7 +11,13 @@ from gkdvlab.grid import (
     make_grid,
     spectral_values,
 )
-from gkdvlab.norms import _half_xsb_weight
+from gkdvlab.norms import (
+    AliasingError,
+    _half_xsb_weight,
+    _require_band,
+    _support_radius,
+    _xsb_weight,
+)
 from gkdvlab.probes import ProbeResolution
 from gkdvlab.spacetime import SpaceTimeField, _propagator, _time_forward, _time_inverse
 from gkdvlab.wiener import partition_window
@@ -177,6 +183,20 @@ def half_xsb_sum(grid, taxis, power, s, b):
     alone (the K columns of `power`, K <= N/2): the modes -(K-1) .. -1
     count through the folded weight, and every other mode must be zero."""
     w = _half_xsb_weight(grid, taxis, float(s), float(b))[:, : power.shape[1]]
+    return float(np.sqrt(grid.dxi * taxis.dtau * np.sum(w * power)))
+
+
+def former_xsb_norm(grid, taxis, hat_x, s, b, columns=slice(None)):
+    """The former three-layer X^{s,b} chain, on the full time axis: the
+    aliasing check of the band of hat_x (the x-spectral coefficients per
+    time sample on the grid's modes `columns`, all by default), |F u|^2
+    from one time transform, and its sum against the weight's columns;
+    every other mode must be zero."""
+    if not taxis.is_centered:
+        raise AliasingError("xsb_norm needs the centered time box (even sample count >= 16)")
+    _require_band(taxis, _support_radius(grid, hat_x, columns))
+    power = np.abs(_time_forward(taxis, hat_x)) ** 2
+    w = _xsb_weight(grid, taxis, float(s), float(b))[:, columns]
     return float(np.sqrt(grid.dxi * taxis.dtau * np.sum(w * power)))
 
 

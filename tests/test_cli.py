@@ -292,6 +292,21 @@ class TestDataErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "command", ["randomize", "simulate", "strichartz-tail", "lwp-ensemble"]
+    )
+    def test_data_whose_transform_overflows_exit_2(self, tmp_path, capsys, command):
+        # no band limit: such data once passed, and randomize wrote inf and
+        # NaN norms, simulate blew up at step 1 and lwp-ensemble booked every
+        # sample as a failure of local solvability
+        body = SMALL_GRID + "[data]\namplitude = 1e308\n"
+        cfg = write_cfg(tmp_path, body)
+        out = tmp_path / "x"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "[data] the half spectrum of the data is not finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "content",
         [
             None,  # missing

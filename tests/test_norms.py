@@ -14,8 +14,6 @@ from gkdvlab.norms import (
     _abs_power,
     _half_xsb_weight,
     _support_radius,
-    _xsb_power,
-    _xsb_sum,
     _xsb_weight,
     bilinear_multiplier,
     homogeneous_norm,
@@ -28,17 +26,25 @@ from gkdvlab.norms import (
 from gkdvlab.params import CRITICAL_INDEX, b_index, dual_b_index, sigma_index
 from gkdvlab.probes import check_embeddings, embedding_catalog, random_spacetime
 from gkdvlab.spacetime import (
-    Cutoff,
     SpaceTimeField,
+    _band_spectrum,
     _time_forward,
     apply_time_cutoff,
     centered_axis,
     free_evolution,
     midpoint_axis,
     st_l2,
+    time_cutoff,
 )
 
-from conftest import EPS, banded_bump, half_xsb_sum, l2_norm, preset_resolution
+from conftest import (
+    EPS,
+    banded_bump,
+    former_xsb_norm,
+    half_xsb_sum,
+    l2_norm,
+    preset_resolution,
+)
 
 
 class TestSobolevNorm:
@@ -212,7 +218,7 @@ class TestXsbNorm:
     def test_b_zero_is_weighted_space_time_l2(self, grid64):
         phi = banded_bump(grid64, band=2.0)
         ta = centered_axis(4.0, 64)
-        u = free_evolution(phi, ta, cutoff=Cutoff(1.0))
+        u = free_evolution(phi, ta, cutoff=1.0)
         s = 0.4
         # the spatial weight <xi>^s applied to every time slice
         weight = (1.0 + grid64.xi**2) ** (s / 2.0)
@@ -226,10 +232,10 @@ class TestXsbNorm:
         g = make_grid(np.pi, 64)
         ta = centered_axis(8.0, 2048)
         phi = field_from_function(g, lambda x: np.exp(2j * x))
-        z = free_evolution(phi, ta, cutoff=Cutoff(1.0))
+        z = free_evolution(phi, ta, cutoff=1.0)
         s, b = 0.25, 0.6
         val = xsb_norm(z, s, b)
-        a = Cutoff(1.0)(ta.t) * np.exp(8j * ta.t)
+        a = time_cutoff(ta.t, 1.0) * np.exp(8j * ta.t)
         phase_t = np.exp(-1j * ta.t0 * ta.tau)
         ahat = (ta.dt / np.sqrt(2 * np.pi)) * phase_t * np.fft.fft(a)
         weighted = np.sqrt(ta.dtau * np.sum((1 + (ta.tau - 8.0) ** 2) ** b * np.abs(ahat) ** 2))
@@ -239,13 +245,13 @@ class TestXsbNorm:
     def test_monotone_in_b(self, grid64):
         phi = banded_bump(grid64, band=2.0)
         ta = centered_axis(4.0, 64)
-        u = free_evolution(phi, ta, cutoff=Cutoff(1.0))
+        u = free_evolution(phi, ta, cutoff=1.0)
         assert xsb_norm(u, 0.0, 0.3) <= xsb_norm(u, 0.0, 0.6) + 1e-13
 
     def test_aliasing_guard(self, grid512):
         phi = banded_bump(grid512, band=12.0)
         ta = centered_axis(4.0, 64)  # tau_max ~ 50, far below 2 * 12^3
-        u = free_evolution(phi, ta, cutoff=Cutoff(1.0))
+        u = free_evolution(phi, ta, cutoff=1.0)
         with pytest.raises(AliasingError):
             xsb_norm(u, 0.0, 0.5)
 
@@ -263,7 +269,7 @@ class TestXsbNorm:
         # the former route: a raw x-FFT of the samples, then column L^2 masses
         col = np.sqrt(np.sum(np.abs(np.fft.fft(u.values, axis=1)) ** 2, axis=0))
         oracle = np.max(np.abs(grid.xi[col > 1e-12 * col.max()]))
-        assert _support_radius(grid, grid.forward(u.values)) == oracle
+        assert _support_radius(grid, grid.forward(u.values), slice(None)) == oracle
         assert oracle <= resolution.xi_band
 
     def test_several_weights_equal_one_at_a_time(self):
@@ -283,7 +289,7 @@ class TestXsbNorm:
         rng = np.random.default_rng(3)
         keep = np.abs(grid64.xi) <= 4.0
         u = grid64.inverse(grid64.forward(rng.standard_normal((256, 64))) * keep).real
-        full = _xsb_sum(grid64, ta, _xsb_power(grid64, ta, grid64.forward(u)), s, b)
+        full = former_xsb_norm(grid64, ta, grid64.forward(u), s, b)
         n_band = int(np.count_nonzero(keep[:32]))
         power = np.abs(_time_forward(ta, grid64.real_forward(u)[:, :n_band])) ** 2
         assert half_xsb_sum(grid64, ta, power, s, b) == pytest.approx(full, rel=1e-14, abs=0.0)
@@ -304,7 +310,7 @@ class TestXsbNorm:
     def test_homogeneity(self, grid64, c):
         phi = banded_bump(grid64, band=2.0)
         ta = centered_axis(4.0, 64)
-        u = free_evolution(phi, ta, cutoff=Cutoff(1.0))
+        u = free_evolution(phi, ta, cutoff=1.0)
         scaled = u.with_values(c * u.values)
         assert xsb_norm(scaled, 0.3, 0.5) == pytest.approx(
             abs(c) * xsb_norm(u, 0.3, 0.5), rel=1e-12
@@ -333,10 +339,24 @@ class TestKeptBand:
         grid, ta = resolution.make()
         u = random_spacetime(grid, ta, resolution.xi_band, seed, master=0)
         if cut:
-            u = apply_time_cutoff(u, Cutoff(1.0))
+            u = apply_time_cutoff(u, 1.0)
         got = np.array(xsb_norms(u, PROBE_XSB_INDICES))
         want = np.array(xsb_norms(u.with_values(u.values), PROBE_XSB_INDICES))
         assert np.max(np.abs(got - want) / want) <= 1e-13
+
+    @pytest.mark.parametrize("resolution", [preset_resolution(), preset_resolution().doubled()])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_equal_former_chain(self, resolution, seed):
+        # bit for bit, the former check-transform-sum chain on the band's
+        # columns: a banded probe field, cut or not, and a free evolution
+        # of real data, which keeps no band
+        grid, ta = resolution.make()
+        u = random_spacetime(grid, ta, resolution.xi_band, seed, master=0)
+        phi = banded_bump(grid, amplitude=1.0 + seed, band=2.0)
+        for field in (u, apply_time_cutoff(u, 1.0), free_evolution(phi, ta, cutoff=0.25)):
+            columns, hat_x = _band_spectrum(field)
+            want = [former_xsb_norm(grid, ta, hat_x, s, b, columns) for s, b in PROBE_XSB_INDICES]
+            assert xsb_norms(field, PROBE_XSB_INDICES) == want
 
     def test_with_values_drops_band(self):
         resolution = preset_resolution()
@@ -344,14 +364,14 @@ class TestKeptBand:
         u = random_spacetime(grid, ta, resolution.xi_band, 2, master=0)
         columns, _ = u._band
         assert np.array_equal(columns, np.flatnonzero(np.abs(grid.xi) <= resolution.xi_band))
-        assert apply_time_cutoff(u, Cutoff(1.0))._band[0] is columns
+        assert apply_time_cutoff(u, 1.0)._band[0] is columns
         assert u.with_values(2.0 * u.values)._band is None
 
     def test_aliasing_guard(self):
         # drawn past the check of ProbeResolution.make: 2 * 6^3 > tau_max ~ 100
         grid, ta = preset_resolution().make()
         u = random_spacetime(grid, ta, 6.0, 0, master=0)
-        for field in (u, apply_time_cutoff(u, Cutoff(1.0))):
+        for field in (u, apply_time_cutoff(u, 1.0)):
             with pytest.raises(AliasingError):
                 xsb_norms(field, [(0.0, 0.5)])
 

@@ -23,7 +23,7 @@ from gkdvlab.probes import (
     run_estimate,
     run_estimates,
 )
-from gkdvlab.spacetime import Cutoff, SpaceTimeField, free_evolution, st_l2
+from gkdvlab.spacetime import SpaceTimeField, free_evolution, st_l2
 from gkdvlab.streams import rng_for
 from gkdvlab.wiener import sampler
 
@@ -240,7 +240,7 @@ class TestMultilinearProbe:
     def test_real_factor_may_come_first(self):
         # free evolutions of real data hold float64 samples
         grid, taxis = preset_resolution().make()
-        free = free_evolution(_banded_bump(grid, 3.5), taxis, cutoff=Cutoff(0.25))
+        free = free_evolution(_banded_bump(grid, 3.5), taxis, cutoff=0.25)
         assert free.values.dtype == np.float64
         factors = [random_spacetime(grid, taxis, 3.5, k, master=0) for k in range(7)] + [free]
         h = random_spacetime(grid, taxis, 3.5, 99, master=0)

@@ -1,4 +1,5 @@
-"""The shipped presets load and the experiment scripts import.
+"""The shipped presets and the benchmark workloads' configurations load,
+and the experiment scripts import.
 
 Scripts run their experiment only under `__main__`; running them under
 another name executes just their imports and definitions, so a removed
@@ -17,10 +18,21 @@ from gkdvlab.grid import make_grid
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "configs").glob("*.ini"))
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+# the benchmark's workloads, read (not modified) from benchmarks/workloads.py
+WORKLOADS = runpy.run_path(str(ROOT / "benchmarks" / "workloads.py"))["WORKLOADS"]
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
 def test_preset_loads(path):
+    load_config(path)
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_config_loads(tmp_path, name):
+    # a schema edit that breaks a workload's INI text fails here, not as an
+    # exit-2 benchmark run
+    path = tmp_path / "run.ini"
+    path.write_text(WORKLOADS[name].config)
     load_config(path)
 
 

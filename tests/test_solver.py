@@ -9,7 +9,7 @@ from gkdvlab import solver
 from gkdvlab.cli import build_data
 from gkdvlab.config import load_config, parse_float_list
 from gkdvlab.grid import SQRT_2PI, Field, Grid, field_from_function, half_spectrum, make_grid
-from gkdvlab.norms import AliasingError, _half_xsb_weight, _xsb_power, _xsb_sum, xsb_norm
+from gkdvlab.norms import AliasingError, _half_xsb_weight, xsb_norm
 from gkdvlab.params import b_index, sigma_index
 from gkdvlab.solver import (
     BLOWUP_THRESHOLD,
@@ -25,13 +25,13 @@ from gkdvlab.solver import (
     reconstruct_solution,
 )
 from gkdvlab.spacetime import (
-    Cutoff,
     SpaceTimeField,
     _propagator,
     centered_axis,
     free_evolution,
     midpoint_axis,
     st_l2,
+    time_cutoff,
 )
 from gkdvlab.streams import child_seed
 from gkdvlab.wiener import sampler
@@ -46,6 +46,7 @@ from conftest import (
     former_real_forward,
     former_real_inverse,
     former_to_dft,
+    former_xsb_norm,
     free_coeffs,
     full_axis_distance,
     random_real_field,
@@ -403,7 +404,7 @@ class TestHalfSpectrumLoop:
 
 
 def _cutoffs(ta, T):
-    return Cutoff(1.0)(ta.t), Cutoff(T)(ta.t)
+    return time_cutoff(ta.t, 1.0), time_cutoff(ta.t, T)
 
 
 class TestDuhamelGamma:
@@ -466,7 +467,7 @@ def _full_axis_picard(phi, T, tol, max_iter, ta, xi_band, eps):
     """`picard_solve` with every iterate on the full time axis."""
     grid = phi.grid
     sigma, b = sigma_index(eps), b_index(eps)
-    eta, eta_T = Cutoff(1.0)(ta.t), Cutoff(T)(ta.t)
+    eta, eta_T = time_cutoff(ta.t, 1.0), time_cutoff(ta.t, T)
     z_hat = free_coeffs(phi, ta, eta_T)
     v_hat = np.zeros_like(z_hat)
     outside = np.abs(grid.xi) > xi_band
@@ -487,7 +488,7 @@ def _full_axis_picard(phi, T, tol, max_iter, ta, xi_band, eps):
                 break
             diff = v_next - v_hat
             diff[:, outside] = 0.0
-            d = _xsb_sum(grid, ta, _xsb_power(grid, ta, diff), sigma, b)
+            d = former_xsb_norm(grid, ta, diff, sigma, b)
             if distances and distances[-1] > 0.0:
                 ratios.append(d / distances[-1])
             distances.append(d)
@@ -570,7 +571,7 @@ class TestWindowedPicard:
             assert res.v_hat.shape == res.z_hat.shape == (256, 33)
             assert res.blown_up == (amplitude == 3.0)
         if T == 2.0:
-            assert np.all(Cutoff(T)(ta.t) > 0.0)
+            assert np.all(time_cutoff(ta.t, T) > 0.0)
 
     @pytest.mark.parametrize("seed", [42, 7])
     def test_matches_oracle_on_preset_draws(self, seed):
@@ -833,8 +834,8 @@ class TestPicardSolve:
         # second solve on the same plan samples none
         solver._window_plan.cache_clear()
         calls = []
-        profile = Cutoff.__call__
-        monkeypatch.setattr(Cutoff, "__call__", lambda self, t: calls.append(1) or profile(self, t))
+        profile = solver.time_cutoff
+        monkeypatch.setattr(solver, "time_cutoff", lambda t, T: calls.append(1) or profile(t, T))
         phi = banded_bump(grid64, amplitude=1.0, band=2.0)
         for _ in range(2):
             res = picard_solve(phi, 0.125, tol=1e-30, max_iter=5,

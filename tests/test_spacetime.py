@@ -13,19 +13,18 @@ from gkdvlab.grid import (
 )
 from gkdvlab.solver import _eighth_power, _fine_samples, _nonlinearity, picard_solve
 from gkdvlab.spacetime import (
-    Cutoff,
     SpaceTimeField,
     _half_propagator,
     _propagator,
     _time_forward,
     _time_grid,
     _time_inverse,
-    bump_profile,
     centered_axis,
     free_evolution,
     midpoint_axis,
     smooth_step,
     st_l2,
+    time_cutoff,
 )
 from gkdvlab.wiener import sampler
 
@@ -233,28 +232,45 @@ class TestSpaceTimeTransforms:
             SpaceTimeField(grid64, ta, np.zeros((31, 64)))
 
 
+def _former_bump_profile(t):
+    """The former unit bump eta, which the former cutoff object evaluated
+    at t / T."""
+    return smooth_step(2.0 - np.abs(np.asarray(t, dtype=np.float64)))
+
+
 class TestCutoff:
     def test_plateau_support_and_range(self):
-        eta = Cutoff(1.0)
         t = np.linspace(-3.0, 3.0, 2401)
-        v = eta(t)
+        v = time_cutoff(t, 1.0)
         assert np.all(v[np.abs(t) <= 1.0] == 1.0)
         assert np.all(v[np.abs(t) >= 2.0] == 0.0)
         assert v.min() >= 0.0 and v.max() <= 1.0
 
     def test_rescaled_support(self):
         T = 0.25
-        eta_t = Cutoff(T)
         t = np.linspace(-1.0, 1.0, 4001)
-        v = eta_t(t)
+        v = time_cutoff(t, T)
         assert np.all(v[np.abs(t) <= T] == 1.0)
         assert np.all(v[np.abs(t) >= 2 * T] == 0.0)
+
+    @pytest.mark.parametrize("T", [0.25, 1.0, 4.0])
+    def test_equals_former_rescaled_bump(self, T):
+        # on the centred axis of the probes and the lwp preset, a finer one,
+        # and a dense grid past the support
+        for t in (centered_axis(4.0, 256).t, centered_axis(8.0, 2048).t,
+                  np.linspace(-10.0, 10.0, 40001)):
+            assert time_cutoff(t, T).tobytes() == _former_bump_profile(np.asarray(t) / T).tobytes()
+
+    @pytest.mark.parametrize("T", [0.0, -1.0, np.nan])
+    def test_rejects_non_positive_scale(self, T):
+        with pytest.raises(ValueError, match="cutoff scale must be positive"):
+            time_cutoff(np.zeros(3), T)
 
     def test_profile_smoothness_on_grid(self):
         # sampled derivatives stay continuous: finite differences of order
         # 1..4 show no jumps at the glue points
         t = np.linspace(-2.5, 2.5, 20001)
-        v = bump_profile(t)
+        v = time_cutoff(t, 1.0)
         d = v
         h = t[1] - t[0]
         for _ in range(4):
@@ -274,10 +290,9 @@ class TestFreeEvolution:
         if not carried:
             phi = Field(grid64, phi.values)
         ta = centered_axis(2.0, 32)
-        cut = Cutoff(0.25)
-        z = free_evolution(phi, ta, cutoff=cut)
+        z = free_evolution(phi, ta, cutoff=0.25)
         assert z.values.dtype == np.float64
-        old = grid64.inverse(free_coeffs(phi, ta, cut(ta.t)))
+        old = grid64.inverse(free_coeffs(phi, ta, time_cutoff(ta.t, 0.25)))
         scale = np.max(np.abs(old))
         assert np.max(np.abs(z.values - old.real)) <= 1e-14 * scale
         assert np.max(np.abs(old.imag)) <= 1e-14 * scale
@@ -301,15 +316,16 @@ class TestFreeEvolution:
     def test_cutoff_applied(self, grid64):
         phi = banded_bump(grid64, band=3.0)
         ta = centered_axis(4.0, 64)
-        z = free_evolution(phi, ta, cutoff=Cutoff(0.25))
+        z = free_evolution(phi, ta, cutoff=0.25)
         outside = np.abs(ta.t) >= 0.5
         assert np.max(np.abs(z.values[outside])) == 0.0
 
 
-def _former_free_evolution(phi, taxis, cutoff):
+def _former_free_evolution(phi, taxis, scale):
     """The former real route of the free flow: the symmetric-convention
     half spectrum times the half table with the phase (-1)^k folded in, the
-    cutoff, one raw irfft and the grid's inverse scale."""
+    cutoff of scale `scale` (the former bump at t / scale), one raw irfft
+    and the grid's inverse scale."""
     grid = phi.grid
     half = grid.n_modes // 2 + 1
     if phi._half is not None:
@@ -319,8 +335,8 @@ def _former_free_evolution(phi, taxis, cutoff):
     table = np.exp(1j * np.outer(taxis.t, grid.xi[:half] ** 3))
     table[:, 1::2] = -table[:, 1::2]
     coeffs = table * hat[None, :]
-    if cutoff is not None:
-        coeffs *= cutoff(taxis.t)[:, None]
+    if scale is not None:
+        coeffs *= _former_bump_profile(taxis.t / scale)[:, None]
     values = np.fft.irfft(coeffs, grid.n_modes)
     values *= grid.inverse_scale
     return values
@@ -340,16 +356,16 @@ class TestPropagator:
         # built per call, bit for bit
         phi = banded_bump(grid64, band=3.0)
         ta = centered_axis(4.0, 256)
-        cut = Cutoff(0.5)
+        eta = time_cutoff(ta.t, 0.5)[:, None]
         phases = np.exp(1j * np.outer(ta.t, grid64.xi**3))
         half = grid64.n_modes // 2 + 1
         direct = grid64.real_inverse(
-            phases[:, :half] * half_spectrum(phi)[None, :] * cut(ta.t)[:, None]
+            phases[:, :half] * half_spectrum(phi)[None, :] * eta
         )
-        assert np.array_equal(free_evolution(phi, ta, cutoff=cut).values, direct)
+        assert np.array_equal(free_evolution(phi, ta, cutoff=0.5).values, direct)
         tilted = Field(grid64, np.exp(0.3j) * phi.values)
-        direct = grid64.inverse(phases * spectral_values(tilted)[None, :] * cut(ta.t)[:, None])
-        assert np.array_equal(free_evolution(tilted, ta, cutoff=cut).values, direct)
+        direct = grid64.inverse(phases * spectral_values(tilted)[None, :] * eta)
+        assert np.array_equal(free_evolution(tilted, ta, cutoff=0.5).values, direct)
 
     def test_half_table_cached_and_read_only(self, grid64):
         ta = centered_axis(4.0, 64)
@@ -382,11 +398,10 @@ class TestPropagator:
         grid = make_grid(half_length, n_modes)
         bump = field_from_function(grid, lambda x: np.exp(-(x**2)))
         sample = sampler(bump, "gaussian")
-        cutoff = None if scale is None else Cutoff(scale)
         for phi in [bump, banded_bump(grid, 1.0, 2.0)] + [sample(seed) for seed in range(4)]:
-            z = free_evolution(phi, taxis, cutoff=cutoff)
+            z = free_evolution(phi, taxis, cutoff=scale)
             assert z.values.dtype == np.float64
-            assert z.values.tobytes() == _former_free_evolution(phi, taxis, cutoff).tobytes()
+            assert z.values.tobytes() == _former_free_evolution(phi, taxis, scale).tobytes()
 
     def test_duhamel_gamma_equals_uncached_tables(self, grid64):
         # picard_solve's second iterate is the Duhamel map of its first
@@ -399,7 +414,7 @@ class TestPropagator:
         second = picard_solve(phi, T, tol=1e-30, max_iter=2, taxis=ta, xi_band=4.0, eps=EPS)
         assert second.iterations == 2
         v_hat, z_hat = first.v_hat, first.z_hat
-        eta, eta_T = Cutoff(1.0)(t), Cutoff(T)(t)
+        eta, eta_T = time_cutoff(t, 1.0), time_cutoff(t, T)
         # the mild form of the Duhamel map on the full axis with both tables
         # built per call
         w = eta[:, None] * v_hat + z_hat

@@ -20,8 +20,9 @@ from gkdvlab.cli import build_data
 from gkdvlab.config import load_config
 from gkdvlab.norms import sobolev_norm
 from gkdvlab.probes import _banded_bump
-from gkdvlab.streams import child_seed
+from gkdvlab.streams import child_seed, rng_for
 from gkdvlab.wiener import (
+    DISTRIBUTIONS,
     _band_stack,
     _component_draws,
     partition_window,
@@ -110,6 +111,18 @@ class TestSampleCoefficients:
     def test_unknown_distribution(self):
         with pytest.raises(ValueError):
             sample_coefficients("cauchy", 1, 4)
+
+    @pytest.mark.parametrize("dist", DISTRIBUTIONS)
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 6110368139321149832])
+    def test_seeded_through_streams_as_former_expression(self, monkeypatch, dist, seed):
+        # the former seeding, kept here as the oracle, draws the same bytes
+        # at the edges of the uint32 words a seed is split into
+        assert wiener.rng_for is rng_for
+        g = sample_coefficients(dist, seed, 16)
+        monkeypatch.setattr(
+            wiener, "rng_for", lambda s: np.random.default_rng(np.random.SeedSequence(entropy=int(s)))
+        )
+        assert g.tobytes() == sample_coefficients(dist, seed, 16).tobytes()
 
     @pytest.mark.parametrize("dist", ["gaussian", "ones"])
     def test_drawn_sequence_passes_the_caller_checks(self, dist):
@@ -265,6 +278,18 @@ class TestRandomize:
         monkeypatch.setattr(wiener, "sample_coefficients", lambda *args: draws.append(args))
         with pytest.raises(ValueError, match="sampler expects finite data"):
             sampler(Field(grid64, values), "gaussian")
+        assert draws == []
+
+    @pytest.mark.parametrize("amplitude", [1e308, 1.7e308])
+    def test_overflowing_half_spectrum_refused_before_any_draw(self, grid64, monkeypatch, amplitude):
+        # finite samples whose transform overflows once gave inf and NaN
+        # samples; the suite's RuntimeWarning filter stays on
+        phi = field_from_function(grid64, lambda x: amplitude * np.exp(-(x**2)))
+        assert np.all(np.isfinite(phi.values))
+        draws = []
+        monkeypatch.setattr(wiener, "sample_coefficients", lambda *args: draws.append(args))
+        with pytest.raises(ValueError, match="sampler expects data whose half spectrum is finite"):
+            sampler(phi, "gaussian")
         assert draws == []
 
     def test_complex_data_refused(self, grid64):
