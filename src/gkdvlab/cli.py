@@ -34,7 +34,7 @@ from .params import data_index
 from .probes import CutoffBoxError, ProbeResolution, _require_known, estimate_ids, run_estimates
 from .solver import evolve_reference
 from .spacetime import centered_axis
-from .streams import child_seed
+from .streams import child_seeds
 from .wiener import sampler
 
 EXIT_OK = 0
@@ -107,9 +107,9 @@ def cmd_randomize(cfg: dict, args) -> int:
     s = data_index(cfg["model"]["epsilon"])
     artifacts = [save_field(out / "phi.field", phi, kind="phi")]
     rows = [("phi", -1, sobolev_norm(phi, s))]
-    for k in range(cfg["ensemble"]["n_fields"]):
-        seed_k = child_seed(cfg["random"]["master_seed"], k)
-        phi_k = sample(seed_k)
+    seeds = child_seeds(cfg["random"]["master_seed"], cfg["ensemble"]["n_fields"])
+    for k, (seed_k, g) in enumerate(zip(seeds.tolist(), sample.draws(seeds))):
+        phi_k = sample.field(g)
         artifacts.append(save_field(out / f"sample_{k:03d}.field", phi_k, kind="sample", seed=seed_k))
         rows.append((f"sample_{k:03d}", seed_k, sobolev_norm(phi_k, s)))
     artifacts.append(write_csv(out / "norms.csv", ["field", "seed", "hs_norm"], rows))

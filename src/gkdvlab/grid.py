@@ -24,7 +24,8 @@ scale and phase cancel: `solver._fine_samples`, `_nonlinearity` and
 The module also holds the `Field` type, whose dtype says whether a field is
 real and follows from how the field was built: float64 from real-typed
 samples or from the edge-based modes 0 .. N/2 (`Field.from_half`, which
-keeps them), complex128 from complex samples.
+keeps them and builds its samples when they are first read), complex128
+from complex samples.
 """
 
 from __future__ import annotations
@@ -138,12 +139,13 @@ def make_grid(L: float, N: int) -> Grid:
     return Grid(half_length=float(L), n_modes=int(N))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Field:
     """Physical samples u(x_j) on a grid: float64 from bool, integer and
     floating samples, complex128 from complex ones whatever their imaginary
-    part. Consumers route by dtype, so real data given by their spectrum
-    take `Field.from_half` or `Field.from_spectrum`, not the complex inverse.
+    part. Consumers route by dtype (`is_real`), so real data given by their
+    spectrum take `Field.from_half` or `Field.from_spectrum`, not the
+    complex inverse.
 
     Immutable: `values` is stored read-only; all operations return new
     fields. A writeable or borrowed array is copied. A read-only array that
@@ -151,36 +153,51 @@ class Field:
     numpy lets its owner set it writeable again, so the caller must not.
     `spectral_values(f)` returns the spectrum u_hat(xi_k), in FFT order
     under the 1/sqrt(2*pi) convention, and `half_spectrum(f)` the
-    edge-based modes 0 .. N/2 of a real field. A field built from its half
-    spectrum keeps that half, read-only, beside its samples, and keeps no
-    other array.
+    edge-based modes 0 .. N/2 of a real field.
+
+    A real field keeps at most its samples and that half, each read-only
+    and each built once, when first read. A field built from samples keeps
+    them, and keeps the half the first `half_spectrum` call computes. A
+    field built from its half (`from_half`) keeps the half, and builds its
+    samples, `grid.real_inverse(half)`, on the first read of `values`.
     """
 
     grid: Grid
-    values: np.ndarray = field(repr=False)
-    _half: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _half: np.ndarray | None = field(default=None, repr=False)
 
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values)
-        if v.shape != (self.grid.n_modes,):
-            raise ValueError(
-                f"values shape {v.shape} does not match grid with N={self.grid.n_modes}"
-            )
+    def __init__(self, grid: Grid, values: np.ndarray) -> None:
+        v = np.asarray(values)
+        if v.shape != (grid.n_modes,):
+            raise ValueError(f"values shape {v.shape} does not match grid with N={grid.n_modes}")
         v = v.astype(np.float64 if v.dtype.kind in "biuf" else np.complex128, copy=False)
-        object.__setattr__(self, "values", _owned_readonly(v, self.values))
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "values", _owned_readonly(v, values))
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The samples; a field built by `from_half` builds them here, on
+        the first read, and keeps them."""
+        return _readonly(self.grid.real_inverse(self._half))
+
+    @property
+    def is_real(self) -> bool:
+        """Whether the samples are float64, told without building the
+        samples of a field that keeps its half (a real field)."""
+        return self._half is not None or self.values.dtype == np.float64
 
     @classmethod
     def from_half(cls, grid: Grid, half: np.ndarray) -> "Field":
         """The real field with the edge-based modes 0 .. N/2 `half`, shape
-        (N/2+1,), as `grid.real_forward` gives them: float64 samples
-        `grid.real_inverse(half)`, and the half kept read-only under the
-        copy rule of `values`. ValueError for any other shape."""
+        (N/2+1,), as `grid.real_forward` gives them: the half kept
+        read-only under the copy rule of `values`, and float64 samples
+        `grid.real_inverse(half)` built when first read. ValueError for any
+        other shape."""
         h = np.asarray(half, dtype=np.complex128)
         if h.shape != (grid.n_modes // 2 + 1,):
             raise ValueError(f"half spectrum shape {h.shape}, expected ({grid.n_modes // 2 + 1},)")
-        h = _owned_readonly(h, half)
-        f = cls(grid, _readonly(grid.real_inverse(h)))
-        object.__setattr__(f, "_half", h)
+        f = cls.__new__(cls)
+        object.__setattr__(f, "grid", grid)
+        object.__setattr__(f, "_half", _owned_readonly(h, half))
         return f
 
     @classmethod
@@ -258,9 +275,9 @@ def spectral_values(f: Field) -> np.ndarray:
 
 def half_spectrum(f: Field) -> np.ndarray:
     """The edge-based coefficients of the modes 0 .. N/2 of a field with
-    (float64) real samples, the input of `grid.real_inverse`: the half a
-    field built by `Field.from_half` keeps (read-only), else the real
-    transform of its samples."""
-    if f._half is not None:
-        return f._half
-    return f.grid.real_forward(f.values)
+    (float64) real samples, the input of `grid.real_inverse`, read-only:
+    the half the field keeps, else the real transform of its samples, which
+    the field then keeps."""
+    if f._half is None:
+        object.__setattr__(f, "_half", _readonly(f.grid.real_forward(f.values)))
+    return f._half

@@ -3,8 +3,11 @@ fit sub-Gaussian tails, and track the local-solvability failure fraction.
 
 Determinism contract: the full output is a pure function of the data, the
 configuration and the master seed. Per-sample streams are derived by a
-splittable hash of (master seed, sample index), so neither the number of
-worker processes nor execution order can change any number. Observables
+splittable hash of (master seed, sample index), numpy's SeedSequence, so
+neither the number of worker processes nor execution order can change any
+number. An ensemble derives the seeds and the generators of all its
+samples in one vectorized pass (`streams.child_seeds`,
+`Sampler.draws`), with the bytes of the per-sample derivation. Observables
 must be pure functions of their field: an ensemble evaluates each distinct
 draw once and copies its record to the repeats. Draws are told apart by
 `Sampler.key`, the bytes of their coefficients on the windows that reach
@@ -25,7 +28,7 @@ from .grid import Field
 from .norms import _require_exponents, mixed_norm
 from .solver import PicardResult, _picard_arguments, _picard_band, picard_solve
 from .spacetime import TimeAxis, free_evolution, midpoint_axis
-from .streams import child_seed
+from .streams import child_seeds
 from .wiener import Sampler
 
 CONTRACTION_LINE = 0.5
@@ -106,8 +109,10 @@ def _run_ensembles(
 ) -> list[list[EnsembleRecord]]:
     """`run_ensemble` for each (n_samples, observables, seed) over one
     sampler, with every distinct draw of an ensemble evaluated once and all
-    the ensembles on one pool of workers."""
-    seeds = [[child_seed(seed, k) for k in range(n)] for n, _, seed in ensembles]
+    the ensembles on one pool of workers. The seeds of an ensemble's
+    samples come from one `child_seeds` call and its coefficients from one
+    `sample.draws` pass."""
+    seeds = [child_seeds(seed, n) for n, _, seed in ensembles]
     slots: list[list[int]] = [[] for _ in ensembles]  # each sample's task
 
     def tasks() -> Iterator[Task]:
@@ -116,8 +121,8 @@ def _run_ensembles(
         the position of its task."""
         firsts: dict[tuple[int, bytes], int] = {}
         for j, ensemble_seeds in enumerate(seeds):
-            for seed in ensemble_seeds:
-                g, n_tasks = sample.coefficients(seed), len(firsts)
+            for g in sample.draws(ensemble_seeds):
+                n_tasks = len(firsts)
                 slot = firsts.setdefault((j, sample.key(g)), n_tasks)
                 if slot == n_tasks:
                     yield j, g
@@ -132,7 +137,7 @@ def _run_ensembles(
     return [
         [
             EnsembleRecord(k, seed, dict(outcomes[slot][0]), outcomes[slot][1])
-            for k, (seed, slot) in enumerate(zip(ensemble_seeds, ensemble_slots))
+            for k, (seed, slot) in enumerate(zip(ensemble_seeds.tolist(), ensemble_slots))
         ]
         for ensemble_seeds, ensemble_slots in zip(seeds, slots)
     ]
@@ -173,6 +178,11 @@ def run_ensemble(
 ) -> list[EnsembleRecord]:
     """Evaluate observables on the fields `sample(child_seed(seed, k))`,
     k < n_samples, of a `wiener.sampler`, which checks its data when built.
+    The n_samples seeds and their coefficients are derived in one
+    vectorized pass each (`streams.child_seeds`, `Sampler.draws`), bit for
+    bit the per-sample `child_seed` and `sample.coefficients`; the fields
+    are built (`sample.field`) without samples, which the observables
+    build only if they read them.
 
     `observables` maps a field to its name->float observables, and must be
     a pure function of the field: samples with the same `sample.key` of
@@ -490,8 +500,8 @@ def exceptional_probability(
         }
 
     ensembles = [
-        (n_samples, functools.partial(observe, T=T), child_seed(seed, k))
-        for k, T in enumerate(t_list)
+        (n_samples, functools.partial(observe, T=T), t_seed)
+        for T, t_seed in zip(t_list, child_seeds(seed, len(t_list)).tolist())
     ]
     records_by_t = dict(zip(t_list, _run_ensembles(sample, ensembles, threads)))
     rows: list[LwpRow] = []

@@ -21,7 +21,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import SQRT_2PI, Field, _readonly, field_from_function, spectral_values
+from .grid import (
+    SQRT_2PI,
+    Field,
+    _half_weights,
+    _readonly,
+    field_from_function,
+    half_spectrum,
+    spectral_values,
+)
 from .spacetime import SpaceTimeField, _band_spectrum, _time_forward, require_same_axes
 from .params import AMPLITUDE_EXPONENT
 
@@ -30,11 +38,24 @@ class AliasingError(ValueError):
     """The tau axis cannot resolve the cubic dispersion of the field's band."""
 
 
+def _spectral_sum(f: Field, weights: np.ndarray) -> float:
+    """sum_k weights_k |u_hat(xi_k)|^2 over the N modes, for weights on
+    `grid.xi` (FFT order) that are even in xi. A real field sums over its
+    half spectrum (`half_spectrum`: the kept half, else one real
+    transform), each mode 0 < k < N/2 standing for its conjugate partner
+    too (`_half_weights`); a complex one over its full spectrum."""
+    if f.is_real:
+        hat = half_spectrum(f)
+        weights = _half_weights(f.grid.n_modes) * weights[: hat.size]
+    else:
+        hat = spectral_values(f)
+    return float(np.sum(weights * np.abs(hat) ** 2))
+
+
 def sobolev_norm(f: Field, s: float) -> float:
     """H^s norm: <xi>^s-weighted spectral L^2."""
-    hat = spectral_values(f)
     w = (1.0 + f.grid.xi**2) ** s
-    return float(np.sqrt(f.grid.dxi * np.sum(w * np.abs(hat) ** 2)))
+    return float(np.sqrt(f.grid.dxi * _spectral_sum(f, w)))
 
 
 def _abs_power_cell_weights(xi: np.ndarray, h: float, two_s: float) -> np.ndarray:
@@ -59,9 +80,8 @@ def homogeneous_norm(f: Field, s: float) -> float:
     """
     if not s > -0.5:
         raise ValueError(f"homogeneous norm requires s > -1/2, got {s}")
-    hat = spectral_values(f)
     weights = _abs_power_cell_weights(f.grid.xi, f.grid.dxi, 2.0 * s)
-    return float(np.sqrt(np.sum(weights * np.abs(hat) ** 2)))
+    return float(np.sqrt(_spectral_sum(f, weights)))
 
 
 def scaling_ratio(grid, profile, lam: float, s: float) -> float:

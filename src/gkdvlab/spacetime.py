@@ -240,13 +240,14 @@ def free_evolution(phi: Field, grid_taxis: TimeAxis, cutoff: float | None = None
     time cutoff of scale T = `cutoff`.
 
     The per-time inverse transforms are evaluated in one batched FFT. The
-    route follows the data's dtype: float64 (real) data evolve on the modes
-    0 .. N/2 into float64 samples, through `_half_propagator` and
-    `grid.real_inverse`; complex128 data evolve on all N modes through
-    `grid.inverse` into complex128 samples.
+    route follows the data's dtype (`Field.is_real`, which builds no
+    samples): float64 (real) data evolve on the modes 0 .. N/2 into float64
+    samples, through `_half_propagator` and `grid.real_inverse`; complex128
+    data evolve on all N modes through `grid.inverse` into complex128
+    samples.
     """
     grid = phi.grid
-    real = phi.values.dtype == np.float64
+    real = phi.is_real
     if real:
         coeffs = _half_propagator(grid, grid_taxis) * half_spectrum(phi)[None, :]
     else:

@@ -9,17 +9,21 @@ a sample is described by its modes 0 .. N/2: `sampler` takes real data
 only and works on their half spectrum alone. The windows that miss the
 data's spectrum multiply zero, so the coefficient range |n| <= n_max is
 not an input: `sampler` takes the least one that covers the data.
+The coefficients of many seeds are drawn at once (`coefficient_draws`,
+`Sampler.draws`): their generators are seeded in one vectorized pass
+(`streams.rngs_for`), with the bytes numpy's per-seed seeding gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
 from .grid import Field, Grid, _readonly, half_spectrum, require_real_finite
-from .streams import rng_for
+from .streams import rng_for, rngs_for
 
 DISTRIBUTIONS = ("gaussian", "rademacher", "uniform", "ones")
 
@@ -67,17 +71,32 @@ def sample_coefficients(distribution: str, seed: int, n_max: int) -> np.ndarray:
 
     g_0 is a single real unit-variance draw; for n >= 1 the real and
     imaginary parts are independent with variance 1/2 each, and g_{-n} is
-    the conjugate of g_n, so E|g_n|^2 = 1.
+    the conjugate of g_n, so E|g_n|^2 = 1. One seed goes through numpy's
+    own seeding (`streams.rng_for`), which is faster for one seed than the
+    vectorized pass of `coefficient_draws`; the bytes are the same.
     """
-    rng = rng_for(seed)
-    g0 = _component_draws(rng, distribution, 1)[0]
-    re = _component_draws(rng, distribution, n_max)
-    im = _component_draws(rng, distribution, n_max)
+    return _hermitian(rng_for(seed), distribution, n_max)
+
+
+def coefficient_draws(distribution: str, seeds: np.ndarray, n_max: int) -> Iterator[np.ndarray]:
+    """`sample_coefficients(distribution, s, n_max)` for each seed s of a
+    1-D array of ints below 2^64, in order, bit for bit: the generators of
+    all the seeds are seeded in one vectorized pass (`streams.rngs_for`)."""
+    for rng in rngs_for(seeds):
+        yield _hermitian(rng, distribution, n_max)
+
+
+def _hermitian(rng: np.random.Generator, distribution: str, n_max: int) -> np.ndarray:
+    """g from one draw of 2 n_max + 1 components: g_0, then the real parts
+    of g_1 .. g_n_max, then their imaginary parts. The bytes are those of
+    three draws of 1, n_max and n_max components."""
+    draws = _component_draws(rng, distribution, 2 * n_max + 1)
     if distribution == "ones":
         positive = np.ones(n_max, dtype=np.complex128)
         g0 = 1.0
     else:
-        positive = (re + 1j * im) / np.sqrt(2.0)
+        positive = (draws[1 : n_max + 1] + 1j * draws[n_max + 1 :]) / np.sqrt(2.0)
+        g0 = draws[0]
     return _readonly(np.concatenate([np.conj(positive[::-1]), [g0 + 0.0j], positive]))
 
 
@@ -122,6 +141,11 @@ class Sampler:
     def coefficients(self, seed: int) -> np.ndarray:
         return sample_coefficients(self.distribution, seed, self.n_max)
 
+    def draws(self, seeds: np.ndarray) -> Iterator[np.ndarray]:
+        """`coefficients(s)` for each seed s of a 1-D array, in order,
+        seeded in one pass (`coefficient_draws`)."""
+        return coefficient_draws(self.distribution, seeds, self.n_max)
+
     def key(self, g: np.ndarray) -> bytes:
         """The bytes of g on the live windows. Draws with equal keys build
         fields with equal samples: only the sign of an exact zero, among
@@ -130,8 +154,8 @@ class Sampler:
 
     def field(self, g: np.ndarray) -> Field:
         """The real field with the modes 0 .. N/2 of phi_hat * (g @ windows),
-        which it keeps (`Field.from_half`); Hermitian, as phi_hat and g
-        are, so these modes describe it."""
+        which it keeps (`Field.from_half`: its samples are built when first
+        read); Hermitian, as phi_hat and g are, so these modes describe it."""
         return Field.from_half(self.grid, _readonly(self.half * (g @ self.stack)))
 
     def __call__(self, seed: int) -> Field:

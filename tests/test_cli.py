@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from gkdvlab import probes
-from gkdvlab.cli import main
-from gkdvlab.grid import Field, make_grid
+from gkdvlab.cli import build_data, main
+from gkdvlab.config import load_config
+from gkdvlab.grid import Field, Grid, half_spectrum, make_grid
 from gkdvlab.io import load_field, load_trajectory, save_field
+from gkdvlab.streams import child_seed
+from gkdvlab.wiener import sampler
 
 
 def _must_not_run(*args, **kwargs):
@@ -85,6 +88,38 @@ class TestRandomize:
         assert main(["randomize", "--config", cfg, "--out", str(out)]) == 0
         phi = load_field(out / "phi.field")
         assert phi.values[32] == 1.0 and np.all(np.isfinite(phi.values))
+
+
+    @pytest.mark.parametrize("seed", [20260810, 7])
+    def test_fields_are_the_per_seed_draws(self, tmp_path, seed):
+        # the seeds and coefficients of every field come from one batched
+        # pass, with the bytes of the per-seed child_seed and sample(seed)
+        cfg_path = write_cfg(tmp_path, SMALL_GRID + "[ensemble]\nn_fields = 5\n")
+        out = tmp_path / "o"
+        assert main(["randomize", "--config", cfg_path, "--out", str(out), "--seed", str(seed)]) == 0
+        cfg = load_config(cfg_path, {"random.master_seed": seed})
+        sample = sampler(build_data(cfg), cfg["random"]["distribution"])
+        for k in range(5):
+            expected = sample(child_seed(seed, k))
+            dumped = load_field(out / f"sample_{k:03d}.field")
+            assert dumped.values.tobytes() == expected.values.tobytes()
+        rows = (out / "norms.csv").read_text().splitlines()[2:]
+        assert [int(row.split(",")[1]) for row in rows] == [child_seed(seed, k) for k in range(5)]
+
+
+class TestBuildData:
+    @pytest.mark.parametrize("kind", ["gaussian-bump", "sech-power"])
+    def test_data_transformed_once(self, tmp_path, monkeypatch, kind):
+        # the finiteness check's real transform is the half the sampler and
+        # the solvers read: one rfft of the data, with the same bytes
+        cfg = load_config(write_cfg(tmp_path, SMALL_GRID + f"[data]\nkind = {kind}\n"))
+        calls = []
+        forward = Grid.real_forward
+        monkeypatch.setattr(Grid, "real_forward", lambda self, v: calls.append(1) or forward(self, v))
+        phi = build_data(cfg)
+        sample = sampler(phi, "gaussian")
+        assert half_spectrum(phi) is sample.half and len(calls) == 1
+        assert sample.half.tobytes() == forward(phi.grid, phi.values).tobytes()
 
 
 class TestSimulate:

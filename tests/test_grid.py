@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from gkdvlab.grid import (
     SQRT_2PI,
     Field,
+    Grid,
     _phase,
     field_from_function,
     half_spectrum,
@@ -15,6 +18,7 @@ from gkdvlab.grid import (
 from gkdvlab.cli import _band_limit
 from gkdvlab.norms import sobolev_norm
 from gkdvlab.probes import _banded_bump
+from gkdvlab.spacetime import free_evolution, midpoint_axis
 from gkdvlab.wiener import sampler
 
 from conftest import (
@@ -227,6 +231,7 @@ class TestOneKeptHalf:
 
     def test_field_keeps_at_most_its_half(self, grid64):
         plain = random_real_field(grid64, 2)
+        assert plain._half is None
         hat = spectral_values(plain)
         built = Field.from_spectrum(grid64, hat)
         sample = sampler(built, "gaussian")
@@ -237,9 +242,78 @@ class TestOneKeptHalf:
             kept = [v for k, v in vars(f).items() if k not in ("grid", "values") and v is not None]
             assert len(kept) <= 1
             assert all(a.shape == (33,) and not a.flags.writeable for a in kept)
-        assert plain._half is None and built._half is not None
+        # a field built from samples keeps the half its first read computed
+        assert plain._half is half_spectrum(plain) and built._half is not None
         # the spectrum of a field built from one is the transform of its samples
         assert spectral_values(built).tobytes() == grid64.forward(built.values).tobytes()
+
+    def test_half_of_samples_computed_once_bit_for_bit(self, grid64, monkeypatch):
+        # the mirror of the lazy samples: the first half_spectrum call of a
+        # field built from samples transforms them, later calls read the kept half
+        f = random_real_field(grid64, 6)
+        expected = grid64.real_forward(f.values)
+        calls = []
+        forward = Grid.real_forward
+        monkeypatch.setattr(Grid, "real_forward", lambda self, v: calls.append(1) or forward(self, v))
+        half = half_spectrum(f)
+        assert half_spectrum(f) is half and len(calls) == 1
+        assert half.tobytes() == expected.tobytes() and not half.flags.writeable
+
+
+def _fork_read(f) -> bytes:
+    """The bytes of f.values read first in a forked child process."""
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=lambda: send.send_bytes(f.values.tobytes()))
+    child.start()
+    data = receive.recv_bytes()
+    child.join(timeout=30)
+    assert not child.is_alive() and child.exitcode == 0
+    return data
+
+
+class TestLazySamples:
+    """A field built from its half builds its samples on the first read of
+    `values`, bit for bit the former eager `grid.real_inverse(half)`."""
+
+    @pytest.mark.parametrize("half_length, n_modes", [(16.0, 64), (16.0, 128), (32.0, 512)])
+    def test_samples_equal_the_former_eager_build(self, half_length, n_modes):
+        grid = make_grid(half_length, n_modes)
+        rng = np.random.default_rng(n_modes)
+        for _ in range(20):
+            half = rng.standard_normal(n_modes // 2 + 1) + 1j * rng.standard_normal(n_modes // 2 + 1)
+            f = Field.from_half(grid, half)
+            assert "values" not in vars(f)
+            # the former from_half: Field(grid, grid.real_inverse(half)) at once
+            former = Field(grid, grid.real_inverse(np.asarray(half))).values
+            assert f.values.tobytes() == former.tobytes()
+            assert f.values.dtype == np.float64 and f.is_real
+
+    def test_built_once_and_read_only(self, grid64, monkeypatch):
+        calls = []
+        inverse = Grid.real_inverse
+        monkeypatch.setattr(Grid, "real_inverse", lambda self, c: calls.append(1) or inverse(self, c))
+        f = Field.from_half(grid64, half_spectrum(random_real_field(grid64, 7)))
+        assert f.is_real and calls == []
+        values = f.values
+        assert f.values is values and len(calls) == 1
+        assert not values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 1.0
+        with pytest.raises(AttributeError):
+            f.values = np.zeros(64)
+
+    def test_first_read_in_a_forked_worker_equals_the_parent(self, grid64):
+        f = Field.from_half(grid64, half_spectrum(random_real_field(grid64, 9)))
+        child_bytes = _fork_read(f)
+        assert "values" not in vars(f)
+        assert child_bytes == f.values.tobytes()
+
+    def test_free_evolution_builds_no_samples(self, grid64):
+        f = Field.from_half(grid64, half_spectrum(random_real_field(grid64, 10)))
+        z = free_evolution(f, midpoint_axis(0.25, 8))
+        assert "values" not in vars(f) and z.values.dtype == np.float64
+
 
     def test_from_spectrum_takes_the_full_shape_only(self, grid64):
         hat = spectral_values(random_real_field(grid64, 3))

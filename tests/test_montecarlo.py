@@ -36,7 +36,7 @@ from gkdvlab.config import load_config, parse_float_list
 from gkdvlab.norms import AliasingError, mixed_norm, sobolev_norm
 from gkdvlab.solver import picard_solve
 from gkdvlab.spacetime import TimeAxis, centered_axis, midpoint_axis
-from gkdvlab.streams import child_seed
+from gkdvlab.streams import child_seed, child_seeds
 from gkdvlab.wiener import sample_coefficients, sampler
 
 from conftest import EPS, MAX_ITER, N_TIME_SAMPLES, banded_bump, former_band_stack, l2_norm
@@ -142,15 +142,37 @@ def _must_not_solve(*args, **kwargs):
     raise AssertionError("picard_solve called")
 
 
+def _must_not_draw(*args, **kwargs):
+    raise AssertionError("single-seed draw called")
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class _CountingSampler(wiener.Sampler):
-    """A sampler that records the seed of each coefficient draw."""
+    """A sampler that records the seed of each coefficient draw, single or
+    from a batch."""
 
-    draws: list = dataclasses.field(default_factory=list)
+    seen: list = dataclasses.field(default_factory=list)
 
     def coefficients(self, seed: int) -> np.ndarray:
-        self.draws.append(seed)
+        self.seen.append(seed)
         return super().coefficients(seed)
+
+    def draws(self, seeds: np.ndarray):
+        for seed, g in zip(seeds.tolist(), super().draws(seeds)):
+            self.seen.append(seed)
+            yield g
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class _FieldRecordingSampler(wiener.Sampler):
+    """A sampler that keeps every field it builds."""
+
+    built: list = dataclasses.field(default_factory=list)
+
+    def field(self, g: np.ndarray):
+        f = super().field(g)
+        self.built.append(f)
+        return f
 
 
 def _lwp_preset_sampler() -> _CountingSampler:
@@ -187,7 +209,7 @@ class TestArgumentsCheckedBeforeAnyDraw:
         with pytest.raises(ValueError) as err:
             exceptional_probability(sample, **{**args, **bad})
         assert type(err.value) is ValueError
-        assert sample.draws == []
+        assert sample.seen == []
 
     @pytest.mark.parametrize(
         "bad",
@@ -209,14 +231,14 @@ class TestArgumentsCheckedBeforeAnyDraw:
         with pytest.raises(ValueError) as err:
             strichartz_scaling(sample, **{**args, **bad})
         assert type(err.value) is ValueError
-        assert sample.draws == []
+        assert sample.seen == []
 
     def test_counting_sampler_counts(self):
         sample = _lwp_preset_sampler()
         exceptional_probability(sample, [0.03125], 100, tol=1e-10,
                                 taxis=centered_axis(4.0, 256), xi_band=4.0, eps=EPS,
                                 max_iter=MAX_ITER, seed=0, threads=1)
-        assert len(sample.draws) == 100
+        assert len(sample.seen) == 100
 
 
 def _record_tuples(records):
@@ -404,6 +426,19 @@ class TestScalePipeline:
                                  seed=3, n_time_samples=32, threads=1)
         assert 0.7 * 0.25 <= rep.alpha <= 1.3 * 0.25
 
+    def test_tail_samples_build_no_physical_samples(self):
+        # the tail-ensemble workload's shape: N = 128, 3 T, 64 time samples;
+        # free_evolution reads each field's kept half only
+        phi = field_from_function(make_grid(16.0, 128), lambda x: np.exp(-(x**2)))
+        base = sampler(phi, "gaussian")
+        sample = _FieldRecordingSampler(
+            **{f.name: getattr(base, f.name) for f in dataclasses.fields(base)}
+        )
+        rep = strichartz_scaling(sample, 4.0, 4.0, [0.125, 0.25, 0.5], 1000, seed=20260810,
+                                 n_time_samples=64, threads=1)
+        assert len(sample.built) == len(rep.records) == 1000
+        assert sum("values" in vars(f) for f in sample.built) == 0
+
     def test_needs_three_T_values(self, grid64):
         phi = banded_bump(grid64, band=3.0)
         with pytest.raises(ValueError):
@@ -580,6 +615,30 @@ def _distinct_coefficients(sample, n_samples, seed, windows=slice(None)):
     )
 
 
+def _inject_draws(monkeypatch, given):
+    """Give each seed in `given` its g, or raise it where it is an
+    exception, on both draw paths of `wiener`: the batched
+    `coefficient_draws` an ensemble takes, and the single
+    `sample_coefficients` of `sample(seed)` and the former loop."""
+    single, batched = wiener.sample_coefficients, wiener.coefficient_draws
+
+    def pick(seed, g):
+        got = given.get(seed, g)
+        if isinstance(got, Exception):
+            raise got
+        return got
+
+    monkeypatch.setattr(
+        wiener, "sample_coefficients", lambda dist, seed, n_max: pick(seed, single(dist, seed, n_max))
+    )
+    monkeypatch.setattr(
+        wiener, "coefficient_draws",
+        lambda dist, seeds, n_max: (
+            pick(seed, g) for seed, g in zip(seeds.tolist(), batched(dist, seeds, n_max))
+        ),
+    )
+
+
 def _fingerprint(calls):
     """An observable that counts its calls in the shared value `calls` and
     returns 48 bits of a hash of the field's samples, exact as a float. The
@@ -665,17 +724,12 @@ class TestDistinctDraws:
         # seeds 0 and 1 share a g; seed 2 gets that g with g_0 one ulp larger
         cfg, _ = _lwp_picard(42)
         sample = sampler(build_data(cfg), distribution)
-        draw = wiener.sample_coefficients
-        shared = draw(distribution, child_seed(3, 0), sample.n_max)
+        shared = sample.coefficients(child_seed(3, 0))
         moved = shared.copy()
         moved[sample.n_max] = np.nextafter(shared[sample.n_max].real, np.inf)
         assert moved.tobytes() != shared.tobytes()
-        given = {child_seed(3, 1): shared, child_seed(3, 2): moved}
-        monkeypatch.setattr(
-            wiener, "sample_coefficients",
-            lambda dist, seed, n_max: given.get(seed, draw(dist, seed, n_max)),
-        )
-        keys = {sample.key(sample.coefficients(child_seed(3, k))) for k in range(50)}
+        _inject_draws(monkeypatch, {child_seed(3, 1): shared, child_seed(3, 2): moved})
+        keys = {sample.key(g) for g in sample.draws(child_seeds(3, 50))}
         calls = multiprocessing.get_context("fork").Value("i", 0)
         records = run_ensemble(sample, 50, _fingerprint(calls), seed=3, threads=threads)
         assert calls.value == len(keys) == _distinct_spectra(sample, 50, 3)
@@ -691,23 +745,36 @@ class TestDistinctDraws:
         sample = sampler(build_data(cfg), "gaussian")
         n = sample.n_max
         assert n not in sample.live - n and 1 in sample.live - n
-        draw = wiener.sample_coefficients
-        shared = draw("gaussian", child_seed(3, 0), n)
+        shared = sample.coefficients(child_seed(3, 0))
         outer = shared.copy()
         outer[[0, 2 * n]] = -shared[[0, 2 * n]]
         inner = outer.copy()
         inner[[n - 1, n + 1]] = -outer[[n - 1, n + 1]]
-        given = {child_seed(3, 1): outer, child_seed(3, 2): inner}
-        monkeypatch.setattr(
-            wiener, "sample_coefficients",
-            lambda dist, seed, n_max: given.get(seed, draw(dist, seed, n_max)),
-        )
+        _inject_draws(monkeypatch, {child_seed(3, 1): outer, child_seed(3, 2): inner})
         calls = multiprocessing.get_context("fork").Value("i", 0)
         records = run_ensemble(sample, 20, _fingerprint(calls), seed=3, threads=threads)
         assert calls.value == 19
         former = _former_run_ensemble(sample, 20, _fingerprint(calls), 3)
         assert _record_tuples(records) == _record_tuples(former)
         assert records[1].values == records[0].values != records[2].values
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_ensembles_take_no_single_seed_draw(self, grid64, monkeypatch, threads):
+        # every draw of an ensemble comes from its one batched pass: the
+        # single-seed entry points are never called, so the traced
+        # wiener.sample_coefficients reads 0 on the ensemble workloads
+        sample = sampler(banded_bump(grid64, amplitude=0.5, band=2.0), "rademacher")
+        expected = _former_run_ensemble(sample, 30, lambda f: {"l2": l2_norm(f)}, 6)
+        monkeypatch.setattr(wiener, "sample_coefficients", _must_not_draw)
+        monkeypatch.setattr(wiener.Sampler, "coefficients", _must_not_draw)
+        monkeypatch.setattr(wiener.Sampler, "__call__", _must_not_draw)
+        records = run_ensemble(sample, 30, lambda f: {"l2": l2_norm(f)}, seed=6, threads=threads)
+        assert _record_tuples(records) == _record_tuples(expected)
+        rep = exceptional_probability(
+            sample, [0.25, 0.125], 100, tol=1e-10, taxis=centered_axis(4.0, 64), xi_band=2.0,
+            eps=EPS, max_iter=MAX_ITER, seed=2, threads=threads,
+        )
+        assert not any(r.blown_up for records in rep.records.values() for r in records)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_zero_data_evaluated_once(self, grid64, threads):
@@ -794,13 +861,6 @@ class TestDistinctDraws:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_draw_error_raises(self, grid64, monkeypatch, threads):
         sample = sampler(banded_bump(grid64, band=3.0), "gaussian")
-        draw, bad = wiener.sample_coefficients, child_seed(5, 3)
-
-        def failing(distribution, seed, n_max):
-            if seed == bad:
-                raise RuntimeError("draw failed")
-            return draw(distribution, seed, n_max)
-
-        monkeypatch.setattr(wiener, "sample_coefficients", failing)
+        _inject_draws(monkeypatch, {child_seed(5, 3): RuntimeError("draw failed")})
         with pytest.raises(RuntimeError, match="draw failed"):
             run_ensemble(sample, 8, lambda f: {"l2": l2_norm(f)}, seed=5, threads=threads)

@@ -7,11 +7,14 @@ from scipy.integrate import quad
 from gkdvlab.grid import (
     Field,
     field_from_function,
+    half_spectrum,
     make_grid,
+    spectral_values,
 )
 from gkdvlab.norms import (
     AliasingError,
     _abs_power,
+    _abs_power_cell_weights,
     _half_xsb_weight,
     _support_radius,
     _xsb_weight,
@@ -40,6 +43,7 @@ from gkdvlab.spacetime import (
 from conftest import (
     EPS,
     banded_bump,
+    random_real_field,
     former_xsb_norm,
     half_xsb_sum,
     l2_norm,
@@ -107,6 +111,48 @@ class TestHomogeneousNorm:
         assert homogeneous_norm(scaled, 0.2) == pytest.approx(
             abs(c) * homogeneous_norm(bump, 0.2), rel=1e-12
         )
+
+
+def _former_sobolev_norm(f, s):
+    """The former `sobolev_norm`: the N-point complex spectrum of the samples."""
+    w = (1.0 + f.grid.xi**2) ** s
+    return float(np.sqrt(f.grid.dxi * np.sum(w * np.abs(spectral_values(f)) ** 2)))
+
+
+def _former_homogeneous_norm(f, s):
+    """The former `homogeneous_norm`, on the same complex spectrum."""
+    weights = _abs_power_cell_weights(f.grid.xi, f.grid.dxi, 2.0 * s)
+    return float(np.sqrt(np.sum(weights * np.abs(spectral_values(f)) ** 2)))
+
+
+class TestNormsOnTheHalf:
+    """A real field's Sobolev norms sum over its half spectrum, each mode
+    0 < k < N/2 weighted twice: the former full-spectrum sums to round-off,
+    and no samples are built for a field that keeps its half."""
+
+    @pytest.mark.parametrize("n_modes", [64, 512])
+    @pytest.mark.parametrize("s", [0.0, 0.2, 1.0, -0.3])
+    def test_equal_former_full_spectrum_sums(self, n_modes, s):
+        grid = make_grid(16.0, n_modes)
+        for seed in range(10):
+            plain = random_real_field(grid, seed)
+            kept = Field.from_half(grid, half_spectrum(plain))
+            for f in (plain, kept):
+                norms = sobolev_norm(f, s), homogeneous_norm(f, s)
+                assert norms == pytest.approx(
+                    (_former_sobolev_norm(f, s), _former_homogeneous_norm(f, s)), rel=4e-16
+                )
+
+    def test_kept_half_builds_no_samples(self, grid64):
+        f = Field.from_half(grid64, half_spectrum(random_real_field(grid64, 4)))
+        assert sobolev_norm(f, 0.5) > 0.0 and homogeneous_norm(f, 0.5) > 0.0
+        assert "values" not in vars(f)
+
+    def test_complex_field_sums_its_full_spectrum(self, grid64):
+        f = Field(grid64, random_real_field(grid64, 1).values * (1.0 + 0.5j) + 0.25j)
+        assert not f.is_real
+        assert sobolev_norm(f, 0.3) == _former_sobolev_norm(f, 0.3)
+        assert homogeneous_norm(f, 0.3) == _former_homogeneous_norm(f, 0.3)
 
 
 class TestMixedNorm:

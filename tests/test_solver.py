@@ -105,6 +105,24 @@ class TestNonlinearity:
             picard_solve(f, 0.25, tol=1e-10, max_iter=MAX_ITER, taxis=centered_axis(4.0, 256),
                          xi_band=4.0, eps=EPS)
 
+    def test_rejects_finite_half_whose_samples_overflow(self, grid64):
+        # the samples of a field built from its half are built on the first
+        # read, inside the entry check; a finite half whose inverse
+        # overflows is refused there, as when the samples were built at once
+        half = np.full(33, 1e307, np.complex128)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for solve, name in [
+                (lambda f: evolve_reference(f, 1e-3, 1e-4, output_stride=None, diag_stride=1,
+                                            seed=None), "evolve_reference"),
+                (lambda f: picard_solve(f, 0.25, tol=1e-10, max_iter=MAX_ITER,
+                                        taxis=centered_axis(4.0, 256), xi_band=4.0, eps=EPS),
+                 "picard_solve"),
+            ]:
+                f = Field.from_half(grid64, half)
+                assert np.all(np.isfinite(half_spectrum(f))) and "values" not in vars(f)
+                with pytest.raises(ValueError, match=f"{name} expects finite data"):
+                    solve(f)
+
 
 def _full_band_data(grid, seed, amplitude):
     """Real samples whose spectrum fills every mode |k| < N/2, scaled to
@@ -870,6 +888,8 @@ class TestPicardSolve:
         # the coefficient bound clears every iterate of moderate data from the
         # blow-up test, and v and z are transformed on first use only
         phi = banded_bump(grid64, amplitude=1.0, band=2.0)
+        # the data's samples, built on their first read, are checked at entry
+        assert np.all(np.isfinite(phi.values))
         calls = []
         inverse = Grid.real_inverse
         monkeypatch.setattr(

@@ -1,7 +1,13 @@
 """The transform layer, pinned: every call of a numpy FFT transform in the
 package, by (module, function), is one of the kernels the `grid` docstring
 lists. A new hand-written scaled FFT fails this test until it is justified
-there and added here."""
+there and added here.
+
+The seeding, pinned the same way: numpy's SeedSequence and default_rng are
+called by the single-key `streams.child_seed` and `streams.rng_for` only,
+and those (and the single draw `wiener.sample_coefficients`) only by the
+single-key callers listed here. An ensemble that fell back to seeding each
+draw on its own would fail this test."""
 
 import ast
 from pathlib import Path
@@ -40,9 +46,29 @@ def _dotted(node: ast.AST) -> str:
     return ".".join([node.id, *reversed(parts)])
 
 
+# numpy's per-key seeding, and who may call it
+SEEDING = {"SeedSequence", "default_rng"}
+SEEDING_ALLOWED = {("streams", "child_seed"), ("streams", "rng_for")}
+# the single-key derivations and the single draw, and who may call them
+PER_KEY = {"child_seed", "rng_for", "sample_coefficients", "coefficients"}
+PER_KEY_ALLOWED = {
+    ("probes", "random_field"),
+    ("probes", "random_spacetime"),
+    ("wiener", "sample_coefficients"),
+    ("wiener", "Sampler.coefficients"),
+    ("wiener", "Sampler.__call__"),
+}
+
+
+def _is_fft(name: str) -> bool:
+    head, _, last = name.rpartition(".")
+    return head.endswith("fft") and last in TRANSFORMS
+
+
 class _Scan(ast.NodeVisitor):
-    def __init__(self, module: str) -> None:
+    def __init__(self, module: str, match=_is_fft) -> None:
         self.module = module
+        self.match = match
         self.scope: list[str] = []
         self.calls: set[tuple[str, str]] = set()
         self.imports: list[str] = []
@@ -55,9 +81,7 @@ class _Scan(ast.NodeVisitor):
     visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _enter
 
     def visit_Call(self, node: ast.Call) -> None:
-        name = _dotted(node.func)
-        head, _, last = name.rpartition(".")
-        if head.endswith("fft") and last in TRANSFORMS:
+        if self.match(_dotted(node.func)):
             self.calls.add((self.module, ".".join(self.scope) or "<module>"))
         self.generic_visit(node)
 
@@ -71,10 +95,10 @@ class _Scan(ast.NodeVisitor):
         self.imports += [n for n in names if "fft" in n]
 
 
-def _scan() -> _Scan:
-    total = _Scan("")
+def _scan(match=_is_fft) -> _Scan:
+    total = _Scan("", match)
     for path in sorted(PACKAGE.glob("*.py")):
-        scan = _Scan(path.stem)
+        scan = _Scan(path.stem, match)
         scan.visit(ast.parse(path.read_text(), filename=str(path)))
         total.calls |= scan.calls
         total.imports += [f"{path.stem}: {name}" for name in scan.imports]
@@ -97,3 +121,26 @@ def test_scan_sees_a_hand_written_transform():
         "    return numpy.fft.rfft2(x)\n"
     ))
     assert scan.calls == {("probe", "A.f"), ("probe", "g")}
+
+
+def _last_in(names):
+    return lambda dotted: dotted.rpartition(".")[2] in names
+
+
+def test_numpy_seeding_calls_are_the_single_key_streams():
+    assert _scan(_last_in(SEEDING)).calls == SEEDING_ALLOWED
+
+
+def test_single_key_seeding_called_by_single_key_callers_only():
+    assert _scan(_last_in(PER_KEY)).calls == PER_KEY_ALLOWED
+
+
+def test_scan_sees_per_draw_seeding():
+    scan = _Scan("probe", _last_in(SEEDING | PER_KEY))
+    scan.visit(ast.parse(
+        "def f(sample, seeds):\n"
+        "    return [sample.coefficients(s) for s in seeds]\n"
+        "def g(s):\n"
+        "    return np.random.default_rng(np.random.SeedSequence(s)), child_seed(s, 1)\n"
+    ))
+    assert scan.calls == {("probe", "f"), ("probe", "g")}
